@@ -1,16 +1,18 @@
-//! Batched shared-pass engine vs the sequential driver, on the ER
+//! Batched shared-pass engine vs the literal "R independent copies"
+//! baseline — one `run_slice_passes` per repetition seed — on the ER
 //! benchmark graph at the paper's amplification level (δ = 0.05 → 55
 //! repetitions).
 //!
 //! Two regimes are measured, because they answer different questions:
 //!
-//! * **in-memory** — the estimation drivers end to end, where the stream is
-//!   regenerated from the resident graph each pass. Generation is cheap
-//!   (tens of ns/item), so sharing it buys only the generation fraction;
-//!   the honest speedup here is modest and reported as such.
+//! * **in-memory** — the sequential loop regenerates the stream from the
+//!   resident graph each pass; the batched row is the estimation driver
+//!   end to end. Generation is cheap (tens of ns/item), so sharing it buys
+//!   only the generation fraction; the honest speedup here is modest and
+//!   reported as such.
 //! * **file-backed** — the stream lives outside the process and every pass
 //!   re-reads and re-parses it, the regime the adjacency-list model
-//!   actually targets (state ≪ stream). The sequential driver replays the
+//!   actually targets (state ≪ stream). The sequential loop replays the
 //!   file `2 × reps` times, the batched engine exactly twice; this is the
 //!   ≥ 2× row.
 //!
@@ -21,11 +23,12 @@
 
 use adjstream_bench::report::Table;
 use adjstream_core::common::EdgeSampling;
-use adjstream_core::estimate::{estimate_triangles, Accuracy, Engine};
+use adjstream_core::estimate::{estimate_triangles, triangle_budget, Accuracy};
 use adjstream_core::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream_graph::{gen, VertexId};
-use adjstream_stream::batch::{BatchConfig, BatchRunner};
-use adjstream_stream::{run_item_passes, AdjListStream, StreamItem, StreamOrder};
+use adjstream_stream::batch::{BatchConfig, BatchJob};
+use adjstream_stream::estimator::repetitions_for_confidence;
+use adjstream_stream::{run_slice_passes, AdjListStream, StreamItem, StreamOrder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write as _;
@@ -33,7 +36,7 @@ use std::time::Instant;
 
 struct Row {
     case: &'static str,
-    engine: &'static str,
+    driver: &'static str,
     wall_secs: f64,
     /// Times the item sequence was produced (generated or re-read).
     stream_replays: usize,
@@ -68,64 +71,68 @@ fn read_stream(path: &std::path::Path) -> Vec<StreamItem> {
         .collect()
 }
 
-/// The estimation drivers end to end: stream regenerated from the graph
-/// each pass. Returns the rows plus the repetition count δ = 0.05 implies.
+/// In-memory: a per-seed sequential loop regenerating the stream from the
+/// graph each pass, against the batched estimation driver. Returns the
+/// repetition count δ = 0.05 implies.
 fn in_memory_rows(n: usize, m: usize, t_lower: u64, rows: &mut Vec<Row>) -> usize {
     let mut rng = StdRng::seed_from_u64(7);
     let g = gen::gnm(n, m, &mut rng);
     let order = StreamOrder::shuffled(n, 13);
-    let base = Accuracy {
+    let acc = Accuracy {
         epsilon: 0.25,
         delta: 0.05,
         seed: 42,
         threads: 1,
-        engine: Engine::Sequential,
         ..Accuracy::default()
     };
+    let reps = repetitions_for_confidence(acc.delta);
+    let budget = triangle_budget(g.edge_count(), t_lower, acc.epsilon);
+    let mut replays = 0usize;
     let t0 = Instant::now();
-    let seq = estimate_triangles(&g, &order, t_lower, base);
+    let seq_runs: Vec<f64> = instances(reps, acc.seed, budget)
+        .into_iter()
+        .map(|inst| {
+            let (out, _) = run_slice_passes(inst, |_p| {
+                replays += 1;
+                AdjListStream::new(&g, order.clone()).collect_items()
+            })
+            .expect("trusted stream");
+            out.estimate
+        })
+        .collect();
     let seq_t = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let bat = estimate_triangles(
-        &g,
-        &order,
-        t_lower,
-        Accuracy {
-            engine: Engine::Batched,
-            ..base
-        },
-    );
+    let bat = estimate_triangles(&g, &order, t_lower, acc);
     let bat_t = t0.elapsed().as_secs_f64();
-    // The bitwise contract: identical runs vectors regardless of engine.
-    assert_eq!(seq.report.runs, bat.report.runs, "engines must agree");
-    let breport = bat.batch.expect("batched engine attaches its report");
-    let deliveries = (2 * m * seq.stream_passes) as f64;
+    // The bitwise contract: repetition i is the run seeded `seed + i`.
+    assert_eq!(seq_runs, bat.report.runs, "drivers must agree");
     rows.push(Row {
         case: "in_memory",
-        engine: "sequential",
+        driver: "sequential",
         wall_secs: seq_t,
-        stream_replays: seq.stream_passes,
-        items_per_sec: deliveries / seq_t,
+        stream_replays: replays,
+        items_per_sec: (2 * m * replays) as f64 / seq_t,
         peak_state_bytes: None,
     });
     rows.push(Row {
         case: "in_memory",
-        engine: "batched",
+        driver: "batched",
         wall_secs: bat_t,
-        stream_replays: breport.stream_generations,
-        items_per_sec: breport.items_fanned_out as f64 / bat_t,
-        peak_state_bytes: breport
+        stream_replays: bat.batch.stream_generations,
+        items_per_sec: bat.batch.items_fanned_out as f64 / bat_t,
+        peak_state_bytes: bat
+            .batch
             .per_instance
             .iter()
             .map(|r| r.peak_state_bytes)
             .max(),
     });
-    seq.repetitions
+    reps
 }
 
 /// The external-stream regime: items written to disk once, then every pass
 /// re-reads and re-parses the file. Sequential replays it `2 × reps` times,
-/// batched exactly twice. Each engine is timed `runs` times and the minimum
+/// batched exactly twice. Each driver is timed `runs` times and the minimum
 /// wall clock kept — the least-noise sample on a shared machine.
 fn file_backed_rows(
     n: usize,
@@ -156,7 +163,7 @@ fn file_backed_rows(
         let t0 = Instant::now();
         let mut outs = Vec::with_capacity(reps);
         for inst in instances(reps, 42, budget) {
-            let (out, report) = run_item_passes(inst, |_p| {
+            let (out, report) = run_slice_passes(inst, |_p| {
                 replays += 1;
                 read_stream(&path)
             })
@@ -170,7 +177,7 @@ fn file_backed_rows(
     }
     rows.push(Row {
         case: "file_backed",
-        engine: "sequential",
+        driver: "sequential",
         wall_secs: seq_t,
         stream_replays: seq_replays,
         items_per_sec: (items_per_pass * seq_replays) as f64 / seq_t,
@@ -182,23 +189,25 @@ fn file_backed_rows(
     for _ in 0..runs {
         let mut replays = 0usize;
         let t0 = Instant::now();
-        let out = BatchRunner::try_run_items(
-            instances(reps, 42, budget),
-            |_p| {
-                replays += 1;
-                read_stream(&path)
-            },
-            &BatchConfig::default(),
-        )
-        .expect("trusted stream");
+        let out = BatchJob::new(instances(reps, 42, budget), &BatchConfig::default())
+            .and_then(|job| {
+                job.run(
+                    |_p| {
+                        replays += 1;
+                        read_stream(&path)
+                    },
+                    |_| Ok(()),
+                )
+            })
+            .expect("trusted stream");
         bat_t = bat_t.min(t0.elapsed().as_secs_f64());
         // Same seeds, same items: per-instance outputs must match the
         // sequential reference exactly.
         let want: Vec<_> = seq_outs.iter().cloned().map(Some).collect();
-        assert_eq!(out.outputs, want, "engines must agree per instance");
+        assert_eq!(out.outputs, want, "drivers must agree per instance");
         bat_row = Some(Row {
             case: "file_backed",
-            engine: "batched",
+            driver: "batched",
             wall_secs: bat_t,
             stream_replays: replays,
             items_per_sec: out.report.items_fanned_out as f64 / bat_t,
@@ -215,9 +224,9 @@ fn file_backed_rows(
 }
 
 fn speedup(rows: &[Row], case: &str) -> f64 {
-    let wall = |engine: &str| {
+    let wall = |driver: &str| {
         rows.iter()
-            .find(|r| r.case == case && r.engine == engine)
+            .find(|r| r.case == case && r.driver == driver)
             .map(|r| r.wall_secs)
             .expect("row present")
     };
@@ -238,10 +247,10 @@ fn json_escape_free(rows: &[Row], mode: &str, reps: usize) -> String {
             None => "null".to_string(),
         };
         out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"engine\": \"{}\", \"wall_secs\": {:.4}, \
+            "    {{\"case\": \"{}\", \"driver\": \"{}\", \"wall_secs\": {:.4}, \
              \"stream_replays\": {}, \"items_per_sec\": {:.0}, \"peak_state_bytes\": {}}}{}\n",
             r.case,
-            r.engine,
+            r.driver,
             r.wall_secs,
             r.stream_replays,
             r.items_per_sec,
@@ -283,7 +292,7 @@ fn main() {
 
     let mut table = Table::new([
         "case",
-        "engine",
+        "driver",
         "wall [s]",
         "stream replays",
         "items/s",
@@ -292,7 +301,7 @@ fn main() {
     for r in &rows {
         table.row([
             r.case.to_string(),
-            r.engine.to_string(),
+            r.driver.to_string(),
             format!("{:.3}", r.wall_secs),
             r.stream_replays.to_string(),
             format!("{:.3e}", r.items_per_sec),

@@ -1,16 +1,14 @@
-//! Ingest throughput: text vs `.adjb` trace encoding × per-item vs slice
-//! dispatch, on the batch bench's file-backed ER workload (the gnm graph
-//! the δ = 0.05 drivers replay).
+//! Ingest throughput: text vs `.adjb` trace encoding, on the batch bench's
+//! file-backed ER workload (the gnm graph the δ = 0.05 drivers replay).
 //!
 //! Two regimes, answering different questions:
 //!
 //! * **file-backed** — every pass re-reads and re-parses the trace from
 //!   disk, the regime the adjacency-list model targets (state ≪ stream).
 //!   Here the decode cost dominates and the binary container pays off;
-//!   the headline row is `.adjb` + slice vs text + per-item.
-//! * **in-memory** — items already resident, so only the dispatch overhead
-//!   (virtual calls, run-boundary bookkeeping) differs. The honest speedup
-//!   here is small and reported as such.
+//!   the headline is `.adjb` vs text.
+//! * **in-memory** — items already resident: the floor set by the pass
+//!   loop and the algorithm alone, with no decode.
 //!
 //! Runs under `cargo bench -p adjstream-bench --bench ingest_throughput`.
 //! Set `BENCH_QUICK=1` to shrink the workload for CI smoke runs. Results
@@ -22,7 +20,7 @@ use adjstream_core::common::EdgeSampling;
 use adjstream_core::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream_graph::gen;
 use adjstream_stream::trace::ItemTrace;
-use adjstream_stream::{run_item_passes, run_slice_passes, AdjListStream, StreamItem, StreamOrder};
+use adjstream_stream::{run_slice_passes, AdjListStream, StreamItem, StreamOrder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufWriter, Write as _};
@@ -32,7 +30,6 @@ use std::time::Instant;
 struct Row {
     case: &'static str,
     format: &'static str,
-    dispatch: &'static str,
     wall_secs: f64,
     items_per_sec: f64,
 }
@@ -109,71 +106,48 @@ fn main() {
     let mut reference: Option<f64> = None;
     let file_cases: [(&str, &Path); 2] = [("text", &text_path), ("adjb", &adjb_path)];
     for (format, path) in file_cases {
-        for dispatch in ["per_item", "slice"] {
-            eprintln!("ingest_throughput ({mode}): file_backed {format} + {dispatch}...");
-            let (wall, est) = timed(runs, reference, || {
-                if dispatch == "per_item" {
-                    let (out, _) = run_item_passes(algo(budget), |_p| read_trace(path))
-                        .expect("trusted stream");
-                    out.estimate
-                } else {
-                    let (out, _) = run_slice_passes(algo(budget), |_p| read_trace(path))
-                        .expect("trusted stream");
-                    out.estimate
-                }
-            });
-            // Every later case must reproduce the text/per-item baseline
-            // estimate bit for bit — ingest speed must not change answers.
-            reference.get_or_insert(est);
-            rows.push(Row {
-                case: "file_backed",
-                format,
-                dispatch,
-                wall_secs: wall,
-                items_per_sec: deliveries / wall,
-            });
-        }
-    }
-
-    for dispatch in ["per_item", "slice"] {
-        eprintln!("ingest_throughput ({mode}): in_memory {dispatch}...");
-        let (wall, _) = timed(runs, reference, || {
-            if dispatch == "per_item" {
-                let (out, _) = run_item_passes(algo(budget), |_p| trace.items().iter().copied())
-                    .expect("trusted stream");
-                out.estimate
-            } else {
-                let (out, _) =
-                    run_slice_passes(algo(budget), |_p| trace.items()).expect("trusted stream");
-                out.estimate
-            }
+        eprintln!("ingest_throughput ({mode}): file_backed {format}...");
+        let (wall, est) = timed(runs, reference, || {
+            let (out, _) =
+                run_slice_passes(algo(budget), |_p| read_trace(path)).expect("trusted stream");
+            out.estimate
         });
+        // Every later case must reproduce the text baseline estimate bit
+        // for bit — ingest speed must not change answers.
+        reference.get_or_insert(est);
         rows.push(Row {
-            case: "in_memory",
-            format: "resident",
-            dispatch,
+            case: "file_backed",
+            format,
             wall_secs: wall,
             items_per_sec: deliveries / wall,
         });
     }
 
-    let wall_of = |case: &str, format: &str, dispatch: &str| {
+    eprintln!("ingest_throughput ({mode}): in_memory...");
+    let (wall, _) = timed(runs, reference, || {
+        let (out, _) = run_slice_passes(algo(budget), |_p| trace.items()).expect("trusted stream");
+        out.estimate
+    });
+    rows.push(Row {
+        case: "in_memory",
+        format: "resident",
+        wall_secs: wall,
+        items_per_sec: deliveries / wall,
+    });
+
+    let wall_of = |format: &str| {
         rows.iter()
-            .find(|r| r.case == case && r.format == format && r.dispatch == dispatch)
+            .find(|r| r.case == "file_backed" && r.format == format)
             .map(|r| r.wall_secs)
             .expect("row present")
     };
-    let file_speedup =
-        wall_of("file_backed", "text", "per_item") / wall_of("file_backed", "adjb", "slice");
-    let mem_speedup =
-        wall_of("in_memory", "resident", "per_item") / wall_of("in_memory", "resident", "slice");
+    let file_speedup = wall_of("text") / wall_of("adjb");
 
-    let mut table = Table::new(["case", "format", "dispatch", "wall [s]", "items/s"]);
+    let mut table = Table::new(["case", "format", "wall [s]", "items/s"]);
     for r in &rows {
         table.row([
             r.case.to_string(),
             r.format.to_string(),
-            r.dispatch.to_string(),
             format!("{:.3}", r.wall_secs),
             format!("{:.3e}", r.items_per_sec),
         ]);
@@ -183,10 +157,7 @@ fn main() {
         "trace bytes: text {text_bytes}, adjb {adjb_bytes} ({:.2}x smaller)",
         text_bytes as f64 / adjb_bytes as f64
     );
-    eprintln!(
-        "speedup: file_backed adjb+slice vs text+per_item {file_speedup:.2}x, \
-         in_memory slice vs per_item {mem_speedup:.2}x"
-    );
+    eprintln!("speedup: file_backed adjb vs text {file_speedup:.2}x");
 
     // All strings are static identifiers — no escaping needed.
     let mut out = String::from("{\n");
@@ -202,11 +173,10 @@ fn main() {
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"format\": \"{}\", \"dispatch\": \"{}\", \
+            "    {{\"case\": \"{}\", \"format\": \"{}\", \
              \"wall_secs\": {:.4}, \"items_per_sec\": {:.0}}}{}\n",
             r.case,
             r.format,
-            r.dispatch,
             r.wall_secs,
             r.items_per_sec,
             if i + 1 < rows.len() { "," } else { "" }
@@ -214,8 +184,7 @@ fn main() {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"speedup\": {{\"file_backed_adjb_slice\": {file_speedup:.3}, \
-         \"in_memory_slice\": {mem_speedup:.3}}}\n"
+        "  \"speedup\": {{\"file_backed_adjb\": {file_speedup:.3}}}\n"
     ));
     out.push_str("}\n");
 

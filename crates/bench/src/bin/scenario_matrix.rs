@@ -39,12 +39,12 @@ use adjstream_bench::report::Table;
 use adjstream_bench::scenario::{corpus, Scale, Scenario, CORPUS_SCHEMA_VERSION};
 use adjstream_core::common::EdgeSampling;
 use adjstream_core::triangle::{ShardedTriangle, ShardedTriangleConfig};
-use adjstream_stream::batch::{BatchConfig, BatchRunner};
+use adjstream_stream::batch::{BatchConfig, BatchJob};
 use adjstream_stream::fault::{FaultKind, FaultPlan};
 use adjstream_stream::mmapfile::MappedTrace;
 use adjstream_stream::obs::Metrics;
 use adjstream_stream::runner::{run_slice_passes, GuardStats, MultiPassAlgorithm};
-use adjstream_stream::shard::{run_sharded, ShardPlan};
+use adjstream_stream::shard::{run_sharded_hooked, ShardPlan};
 use adjstream_stream::trace::ItemTrace;
 use adjstream_stream::{GuardPolicy, Guarded, SpaceUsage, StreamItem};
 
@@ -123,11 +123,11 @@ fn run_modes(
     // Batched engine, 1 and 4 worker threads.
     for (mode, threads) in [("batched-t1", 1usize), ("batched-t4", 4)] {
         let t0 = Instant::now();
-        let outcome = BatchRunner::try_run_items(
+        let outcome = BatchJob::new(
             vec![ShardedTriangle::new(cfg)],
-            |_pass| items.clone(),
             &BatchConfig::with_threads(threads),
         )
+        .and_then(|job| job.run(|_pass| &items[..], |_| Ok(())))
         .map_err(|e| format!("{mode} run failed: {e}"))?;
         let est = outcome.outputs[0]
             .as_ref()
@@ -151,8 +151,14 @@ fn run_modes(
         };
         let plan = ShardPlan::build(items, shards);
         let t0 = Instant::now();
-        let (got, report) = run_sharded(ShardedTriangle::new(cfg), &plan, items, &metrics)
-            .map_err(|e| format!("{mode} run failed: {e}"))?;
+        let (got, report) = run_sharded_hooked(
+            ShardedTriangle::new(cfg),
+            &plan,
+            items,
+            &metrics,
+            |_| Ok(()),
+        )
+        .map_err(|e| format!("{mode} run failed: {e}"))?;
         if let (Some(dir), Some(snap)) = (metrics_dir.filter(|_| shards == 2), metrics.snapshot()) {
             let path = dir.join(format!("{}.json", slug(&sc.name)));
             std::fs::write(&path, snap.to_json())
@@ -224,11 +230,12 @@ fn run_modes(
         )
         .map_err(|e| format!("upstream repair failed: {e}"))?;
         let plan = ShardPlan::build(&fixed, 2);
-        let (got, report) = run_sharded(
+        let (got, report) = run_sharded_hooked(
             ShardedTriangle::new(cfg),
             &plan,
             &fixed,
             &Metrics::disabled(),
+            |_| Ok(()),
         )
         .map_err(|e| format!("guarded-repair-shard2 run failed: {e}"))?;
         results.push(ModeResult {

@@ -3,11 +3,11 @@
 //! Both theorems run `Θ(log 1/δ)` independent copies of a
 //! constant-success-probability estimator and report the median. The
 //! repetitions are embarrassingly parallel; [`median_of_runs`] fans them out
-//! over threads with crossbeam's scope. The batched drivers in
-//! [`crate::estimate`] produce the run vector differently (one shared
-//! stream replay via [`adjstream_stream::batch::BatchRunner`]) but summarize
-//! it through the same [`MedianReport::from_runs`], so both engines report
-//! identical statistics for identical runs.
+//! over threads with crossbeam's scope. The drivers in [`crate::estimate`]
+//! produce the run vector differently (one shared stream replay via
+//! [`adjstream_stream::batch::BatchJob`]) but summarize it through the same
+//! [`MedianReport::from_runs`], so identical runs report identical
+//! statistics either way.
 
 use adjstream_stream::estimator::{mean, median, variance};
 
@@ -57,8 +57,8 @@ pub struct MedianReport {
     /// Sample variance of the non-NaN runs (diagnostic).
     pub variance: f64,
     /// The individual run estimates, in repetition order, NaNs included —
-    /// this vector is the bitwise-reproducibility contract between the
-    /// sequential and batched engines. Runs killed before producing an
+    /// this vector is the bitwise-reproducibility contract between
+    /// per-seed runs and the batched drivers. Runs killed before producing an
     /// estimate (see [`MedianReport::dead_runs`]) do not appear here.
     pub runs: Vec<f64>,
     /// Runs that produced NaN and were excluded from the summary

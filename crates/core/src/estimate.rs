@@ -7,23 +7,16 @@
 //! from an accuracy target and a `T` lower bound, run `Θ(log 1/δ)`
 //! repetitions, and take the median.
 //!
-//! Two execution [`Engine`]s produce the repetition vector:
-//!
-//! * [`Engine::Sequential`] replays the stream once per repetition
-//!   (per level, for the auto driver) — the literal reading of "run R
-//!   independent copies".
-//! * [`Engine::Batched`] (the default) hands all repetitions — and, for
-//!   [`estimate_triangles_auto`], all guess levels — to
-//!   [`BatchRunner`], which generates each pass once and fans every item
-//!   out to the resident instances. The whole estimate then costs exactly
-//!   as many stream passes as a *single* run: 2, restoring the
-//!   pass-optimality the theorems assume.
-//!
-//! The engines are bitwise compatible: for the same [`Accuracy`] they
-//! produce identical [`MedianReport::runs`] vectors, because instance
-//! seeds are derived identically (`seed + i` per repetition, split-mixed
-//! per guess level) and every instance observes the identical item
-//! sequence either way.
+//! Every driver hands all repetitions — and, for
+//! [`estimate_triangles_auto`], all guess levels — to one [`BatchJob`],
+//! which replays each pass once and fans every item out to the resident
+//! instances. The whole estimate then costs exactly as many stream passes
+//! as a *single* run: 2, restoring the pass-optimality the theorems
+//! assume. Instance seeds are `seed + i` per repetition (split-mixed per
+//! guess level), and every instance observes the identical item sequence,
+//! so repetition `i` is bit for bit the [`Runner::try_run`] of the
+//! instance seeded `seed + i`: the theorems' "R independent copies",
+//! sharing one replay.
 //!
 //! # Fault tolerance
 //!
@@ -36,60 +29,27 @@
 //! [`Budget::max_total_bytes`] and [`Budget::deadline`] — abort the whole
 //! estimate with [`EstimateError::Run`].
 //!
-//! Enforcement granularity differs by engine. The batched engine checks
-//! budgets at adjacency-list and pass boundaries *during* the shared
-//! replay (and isolates per-instance panics via the runner's quarantine);
-//! the sequential engine has no mid-run hook, so it applies the
-//! per-instance limit to each repetition's post-run peak, checks the
-//! deadline between repetitions (a repetition never starts after the
-//! deadline, but one in flight runs to completion), and does not isolate
-//! panics. Both engines quarantine exactly the same instances for byte
-//! budgets because both sample state size at the same list boundaries.
+//! Budgets are checked at adjacency-list and pass boundaries *during* the
+//! shared replay, and per-instance panics are isolated by the batch's
+//! quarantine.
+//!
+//! [`Runner::try_run`]: adjstream_stream::Runner::try_run
+
+use std::path::Path;
 
 use adjstream_graph::Graph;
-use adjstream_stream::batch::{BatchConfig, BatchReport, BatchRunner, Budget};
+use adjstream_stream::batch::{BatchConfig, BatchJob, BatchOutcome, BatchReport, Budget};
 use adjstream_stream::estimator::repetitions_for_confidence;
 use adjstream_stream::hashing::SplitMix64;
-use adjstream_stream::obs::{Metrics, MetricsSnapshot};
-use adjstream_stream::{PassOrders, RunError, Runner, StreamOrder};
+use adjstream_stream::obs::MetricsSnapshot;
+use adjstream_stream::{
+    Checkpoint, GraphPasses, MultiPassAlgorithm, PassOrders, RunError, StreamOrder,
+};
 
-use crate::amplify::{collect_runs, median_of_survivors, quorum, DegradedRun, MedianReport};
+use crate::amplify::{median_of_survivors, quorum, DegradedRun, MedianReport};
 use crate::common::EdgeSampling;
 use crate::fourcycle::{FourCycleEstimator, TwoPassFourCycle, TwoPassFourCycleConfig};
 use crate::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
-
-/// How a driver executes its repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// One full stream replay per repetition (per guess level for the auto
-    /// driver). Simple, allocation-light, pass-wasteful.
-    Sequential,
-    /// All repetitions share a single stream replay via [`BatchRunner`];
-    /// the auto driver additionally folds every guess level into that same
-    /// replay, so any estimate costs exactly one algorithm's pass budget.
-    #[default]
-    Batched,
-}
-
-impl Engine {
-    /// Parse the CLI spelling produced by [`Display`](std::fmt::Display).
-    pub fn parse(s: &str) -> Option<Engine> {
-        Some(match s {
-            "sequential" => Engine::Sequential,
-            "batched" => Engine::Batched,
-            _ => return None,
-        })
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::Sequential => "sequential",
-            Engine::Batched => "batched",
-        })
-    }
-}
 
 /// Accuracy contract for the drivers.
 #[derive(Debug, Clone, Copy)]
@@ -105,8 +65,6 @@ pub struct Accuracy {
     /// Worker threads for the repetitions; `0` is clamped to `1` (run on
     /// the calling thread).
     pub threads: usize,
-    /// Execution engine for the repetitions.
-    pub engine: Engine,
     /// Resource limits (space, wall clock); default unlimited. Per-instance
     /// limits quarantine individual repetitions, batch-wide limits abort
     /// the whole estimate (see the module docs on fault tolerance).
@@ -130,7 +88,6 @@ impl Default for Accuracy {
             delta: 0.1,
             seed: 2019,
             threads: 4,
-            engine: Engine::Batched,
             budget: Budget::default(),
             min_survivors: None,
             collect_metrics: false,
@@ -219,13 +176,11 @@ pub struct CountEstimate {
     pub repetitions: usize,
     /// Per-run diagnostics (for the auto driver: at the accepted level).
     pub report: MedianReport,
-    /// Total stream passes the estimate cost. Sequential: `2 × repetitions
-    /// × levels`; batched: exactly the algorithm's own pass count (2),
-    /// regardless of repetition or level count.
+    /// Total stream passes the estimate cost: exactly the algorithm's own
+    /// pass count (2), regardless of repetition or level count.
     pub stream_passes: usize,
-    /// The batched engine's execution summary ([`None`] under
-    /// [`Engine::Sequential`]).
-    pub batch: Option<BatchReport>,
+    /// The batched run's execution summary.
+    pub batch: BatchReport,
     /// Structured run metrics, collected when
     /// [`Accuracy::collect_metrics`] was set (for the auto driver:
     /// aggregated over every level's repetitions).
@@ -273,41 +228,6 @@ fn required_survivors(acc: &Accuracy, reps: usize) -> usize {
         .clamp(1, reps)
 }
 
-/// Sequential-engine budget enforcement for one repetition's outcome:
-/// `None` (quarantined) if the post-run peak broke the per-instance limit,
-/// mirroring the batched engine's boundary check bit for bit — both sample
-/// state at the same adjacency-list boundaries, so they see the same peak.
-fn survives_instance_budget(budget: &Budget, peak_bytes: usize) -> bool {
-    budget
-        .max_bytes_per_instance
-        .is_none_or(|limit| peak_bytes <= limit)
-}
-
-/// Sequential-engine batch-wide checks over the per-repetition peaks:
-/// sequentially only one instance is ever resident, so the aggregate
-/// residency the batched engine sums at a boundary is just that
-/// repetition's own state.
-fn check_total_budget(budget: &Budget, peaks: &[usize]) -> Result<(), RunError> {
-    if let Some(limit) = budget.max_total_bytes {
-        if let Some(&used) = peaks.iter().find(|&&p| p > limit) {
-            return Err(RunError::SpaceBudgetExceeded { used, limit });
-        }
-    }
-    Ok(())
-}
-
-/// Wall-clock guard for the sequential engine: the deadline as an
-/// [`Instant`](std::time::Instant) plus the configured limit in
-/// milliseconds for the error, same encoding the batched engine uses.
-fn seq_deadline(budget: &Budget) -> Option<(std::time::Instant, u64)> {
-    budget.deadline.and_then(|d| {
-        let limit_ms = u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
-        std::time::Instant::now()
-            .checked_add(d)
-            .map(|t| (t, limit_ms))
-    })
-}
-
 /// Seed for guess level `level`: a split-mix of the master seed, so the
 /// per-repetition seed blocks (`level_seed + i`) of different levels are
 /// decorrelated. Levels sharing the master seed verbatim would run
@@ -317,12 +237,11 @@ fn level_seed(master: u64, level: usize) -> u64 {
     SplitMix64::new(master).mix(level as u64)
 }
 
-/// Summarize a batched run and package it as a [`CountEstimate`].
+/// Package a batched run's median as a [`CountEstimate`].
 fn estimate_from_batch(
     report: MedianReport,
     budget: usize,
     reps: usize,
-    passes: usize,
     batch: BatchReport,
 ) -> CountEstimate {
     CountEstimate {
@@ -330,9 +249,9 @@ fn estimate_from_batch(
         budget,
         repetitions: reps,
         report,
-        stream_passes: passes,
+        stream_passes: batch.passes,
         metrics: batch.metrics.clone(),
-        batch: Some(batch),
+        batch,
     }
 }
 
@@ -346,33 +265,29 @@ fn batch_config(acc: &Accuracy) -> BatchConfig {
     }
 }
 
-/// Run the sequential engine's repetition loop with budget enforcement:
-/// per-repetition quarantine on the instance byte limit, a skip of
-/// repetitions that would start after the deadline, and post-hoc batch-wide
-/// checks. Returns the survivor-aware run vector.
-fn sequential_runs<F>(reps: usize, acc: &Accuracy, run: F) -> Result<Vec<Option<f64>>, RunError>
+/// Run `job` to completion over `g` streamed per `orders`, generating each
+/// distinct order once, and checkpointing to `checkpoint` (when given) at
+/// every interior pass boundary.
+fn run_batch<A>(
+    mut job: BatchJob<A>,
+    g: &Graph,
+    orders: &PassOrders,
+    checkpoint: Option<&Path>,
+) -> Result<BatchOutcome<A::Output>, RunError>
 where
-    F: Fn(u64) -> (f64, usize) + Sync,
+    A: MultiPassAlgorithm + Checkpoint + Send,
 {
-    let deadline = seq_deadline(&acc.budget);
-    let outcomes: Vec<(Option<f64>, usize)> = collect_runs(reps, acc.seed, acc.threads, |seed| {
-        if let Some((t, _)) = deadline {
-            if std::time::Instant::now() >= t {
-                return (None, 0);
-            }
-        }
-        let (est, peak) = run(seed);
-        let alive = survives_instance_budget(&acc.budget, peak);
-        (alive.then_some(est), peak)
-    });
-    if let Some((t, limit_ms)) = deadline {
-        if std::time::Instant::now() >= t {
-            return Err(RunError::DeadlineExceeded { limit_ms });
-        }
-    }
-    let peaks: Vec<usize> = outcomes.iter().map(|&(_, p)| p).collect();
-    check_total_budget(&acc.budget, &peaks)?;
-    Ok(outcomes.into_iter().map(|(r, _)| r).collect())
+    let source = GraphPasses::new(g, orders, job.passes(), job.requires_same_order())?;
+    job.set_source_generations(source.generations());
+    job.run(
+        |pass| source.items(pass),
+        |job| checkpoint.map_or(Ok(()), |path| job.write_checkpoint(path)),
+    )
+}
+
+/// The survivor-aware run vector of a finished batch of estimators.
+fn estimates<E>(outputs: &[Option<E>], estimate: impl Fn(&E) -> f64) -> Vec<Option<f64>> {
+    outputs.iter().map(|e| e.as_ref().map(&estimate)).collect()
 }
 
 fn triangle_instance(seed: u64, budget: usize) -> TwoPassTriangle {
@@ -397,44 +312,17 @@ pub fn try_estimate_triangles(
     let budget = triangle_budget(g.edge_count(), t_lower, acc.epsilon);
     let reps = repetitions_for_confidence(acc.delta);
     let required = required_survivors(&acc, reps);
-    let orders = PassOrders::Same(order.clone());
-    match acc.engine {
-        Engine::Sequential => {
-            let sink = Metrics::from_flag(acc.collect_metrics);
-            let runs = sequential_runs(reps, &acc, |seed| {
-                let (est, rep) =
-                    Runner::try_run_observed(g, triangle_instance(seed, budget), &orders, &sink)
-                        .unwrap_or_else(|e| panic!("stream execution failed: {e}"));
-                (est.estimate, rep.peak_state_bytes)
-            })?;
-            let report = median_of_survivors(&runs, required)?;
-            Ok(CountEstimate {
-                count: report.median,
-                budget,
-                repetitions: reps,
-                report,
-                stream_passes: 2 * reps,
-                batch: None,
-                metrics: sink.snapshot(),
-            })
-        }
-        Engine::Batched => {
-            let instances: Vec<TwoPassTriangle> = (0..reps)
-                .map(|i| triangle_instance(acc.seed.wrapping_add(i as u64), budget))
-                .collect();
-            let out = BatchRunner::try_run(g, instances, &orders, &batch_config(&acc))?;
-            let runs: Vec<Option<f64>> = out
-                .outputs
-                .iter()
-                .map(|e| e.as_ref().map(|e| e.estimate))
-                .collect();
-            let report = median_of_survivors(&runs, required)?;
-            let passes = out.report.passes;
-            Ok(estimate_from_batch(
-                report, budget, reps, passes, out.report,
-            ))
-        }
-    }
+    let instances: Vec<TwoPassTriangle> = (0..reps)
+        .map(|i| triangle_instance(acc.seed.wrapping_add(i as u64), budget))
+        .collect();
+    let out = run_batch(
+        BatchJob::new(instances, &batch_config(&acc))?,
+        g,
+        &PassOrders::Same(order.clone()),
+        None,
+    )?;
+    let report = median_of_survivors(&estimates(&out.outputs, |e| e.estimate), required)?;
+    Ok(estimate_from_batch(report, budget, reps, out.report))
 }
 
 /// Like [`try_estimate_triangles`], but running under a pass-boundary
@@ -447,49 +335,33 @@ pub fn try_estimate_triangles(
 /// [`CountEstimate`] bit-for-bit equal to the uninterrupted run (estimates
 /// and survivor sets; space metering reflects only the passes actually
 /// executed). On success the checkpoint file is removed.
-///
-/// Checkpointing is a batched-engine feature: the sequential engine has no
-/// shared pass boundary to checkpoint at, so [`Engine::Sequential`] returns
-/// a typed [`RunError::Checkpoint`] error.
 pub fn try_estimate_triangles_checkpointed(
     g: &Graph,
     order: &StreamOrder,
     t_lower: u64,
     acc: Accuracy,
-    checkpoint: &std::path::Path,
+    checkpoint: &Path,
     resume: bool,
 ) -> Result<CountEstimate, EstimateError> {
     let acc = acc.validated();
-    if acc.engine == Engine::Sequential {
-        return Err(EstimateError::Run(RunError::Checkpoint {
-            message: "checkpointing requires the batched engine".into(),
-        }));
-    }
     let budget = triangle_budget(g.edge_count(), t_lower, acc.epsilon);
     let reps = repetitions_for_confidence(acc.delta);
     let required = required_survivors(&acc, reps);
-    let orders = PassOrders::Same(order.clone());
     let cfg = batch_config(&acc);
-    let out = if resume {
-        BatchRunner::resume::<TwoPassTriangle>(g, &orders, &cfg, checkpoint)?
+    let job = if resume {
+        BatchJob::<TwoPassTriangle>::restore_from_file(checkpoint, &cfg)?
     } else {
         let instances: Vec<TwoPassTriangle> = (0..reps)
             .map(|i| triangle_instance(acc.seed.wrapping_add(i as u64), budget))
             .collect();
-        BatchRunner::try_run_checkpointed(g, instances, &orders, &cfg, checkpoint)?
+        BatchJob::new(instances, &cfg)?
     };
-    let runs: Vec<Option<f64>> = out
-        .outputs
-        .iter()
-        .map(|e| e.as_ref().map(|e| e.estimate))
-        .collect();
+    let out = run_batch(job, g, &PassOrders::Same(order.clone()), Some(checkpoint))?;
+    let runs = estimates(&out.outputs, |e| e.estimate);
     let reps = runs.len();
     let report = median_of_survivors(&runs, required.min(reps.max(1)))?;
-    let passes = out.report.passes;
     let _ = std::fs::remove_file(checkpoint);
-    Ok(estimate_from_batch(
-        report, budget, reps, passes, out.report,
-    ))
+    Ok(estimate_from_batch(report, budget, reps, out.report))
 }
 
 /// Panicking convenience wrapper around [`try_estimate_triangles`] for
@@ -514,14 +386,12 @@ pub fn estimate_triangles(
 /// from a split-mix of the master seed and the level index, so levels are
 /// independent as the union-bound analysis requires.
 ///
-/// Under [`Engine::Sequential`] the levels run one after another, two
-/// stream passes per repetition per level — `O(log T)` rounds in the worst
-/// case. Under [`Engine::Batched`] every level's every repetition is
-/// resident in one [`BatchRunner`] execution, so the whole search costs
-/// exactly 2 stream passes (at the price of summing the levels' budgets in
-/// memory); the accept scan then walks levels top-down over the already-
-/// computed run vectors and keeps the first acceptable level, exactly the
-/// level the sequential search would have stopped at.
+/// Every level's every repetition is resident in one [`BatchJob`], so the
+/// whole search costs exactly 2 stream passes (at the price of summing the
+/// levels' budgets in memory) instead of two per repetition per level; the
+/// accept scan then walks levels top-down over the already-computed run
+/// vectors and keeps the first acceptable level, exactly the level a
+/// level-by-level search would have stopped at.
 pub fn try_estimate_triangles_auto(
     g: &Graph,
     order: &StreamOrder,
@@ -531,7 +401,7 @@ pub fn try_estimate_triangles_auto(
     let m = g.edge_count();
     let t_max = (m as f64).powf(1.5).max(1.0);
     // Guess ladder t_max, t_max/4, … down to (and including) the first
-    // guess ≤ 1 — identical to the sequential loop's visit sequence.
+    // guess ≤ 1 — the ladder a level-by-level search visits.
     let mut guesses = Vec::new();
     let mut guess = t_max;
     while guess >= 1.0 {
@@ -542,83 +412,45 @@ pub fn try_estimate_triangles_auto(
         guess /= 4.0;
     }
     let reps = repetitions_for_confidence(acc.delta);
-    match acc.engine {
-        Engine::Sequential => {
-            let mut passes_total = 0usize;
-            let mut last = None;
-            for (level, &guess) in guesses.iter().enumerate() {
-                let est = try_estimate_triangles(
-                    g,
-                    order,
-                    guess as u64,
-                    Accuracy {
-                        seed: level_seed(acc.seed, level),
-                        ..acc
-                    },
-                )?;
-                passes_total += est.stream_passes;
-                let accept = est.count >= guess / 2.0;
-                last = Some(est);
-                if accept {
-                    break;
-                }
-            }
-            let mut est = last.expect("at least one level runs");
-            est.stream_passes = passes_total;
-            Ok(est)
-        }
-        Engine::Batched => {
-            // All levels × all repetitions resident at once, level-major so
-            // level ℓ's runs are the contiguous block [ℓ·reps, (ℓ+1)·reps).
-            let budgets: Vec<usize> = guesses
-                .iter()
-                .map(|&guess| triangle_budget(m, guess as u64, acc.epsilon))
-                .collect();
-            let mut instances = Vec::with_capacity(guesses.len() * reps);
-            for (level, &budget) in budgets.iter().enumerate() {
-                let base = level_seed(acc.seed, level);
-                for i in 0..reps {
-                    instances.push(triangle_instance(base.wrapping_add(i as u64), budget));
-                }
-            }
-            let out = BatchRunner::try_run(
-                g,
-                instances,
-                &PassOrders::Same(order.clone()),
-                &batch_config(&acc),
-            )?;
-            let required = required_survivors(&acc, reps);
-            let passes = out.report.passes;
-            let mut accepted = None;
-            for (level, (&guess, &budget)) in guesses.iter().zip(&budgets).enumerate() {
-                let runs: Vec<Option<f64>> = out.outputs[level * reps..(level + 1) * reps]
-                    .iter()
-                    .map(|e| e.as_ref().map(|e| e.estimate))
-                    .collect();
-                // A level whose survivors fall below quorum cannot render a
-                // trustworthy accept/reject verdict, so the whole search is
-                // degraded — same as the sequential ladder, which would have
-                // failed at this level (or an earlier one).
-                let report = median_of_survivors(&runs, required)?;
-                let accept = report.median >= guess / 2.0;
-                let is_last = level + 1 == guesses.len();
-                if accept || is_last {
-                    accepted = Some((budget, report));
-                    break;
-                }
-            }
-            let (budget, report) = accepted.expect("at least one level runs");
-            Ok(CountEstimate {
-                count: report.median,
-                budget,
-                repetitions: reps,
-                report,
-                stream_passes: passes,
-                metrics: out.report.metrics.clone(),
-                batch: Some(out.report),
-            })
+    // All levels × all repetitions resident at once, level-major so level
+    // ℓ's runs are the contiguous block [ℓ·reps, (ℓ+1)·reps).
+    let budgets: Vec<usize> = guesses
+        .iter()
+        .map(|&guess| triangle_budget(m, guess as u64, acc.epsilon))
+        .collect();
+    let mut instances = Vec::with_capacity(guesses.len() * reps);
+    for (level, &budget) in budgets.iter().enumerate() {
+        let base = level_seed(acc.seed, level);
+        for i in 0..reps {
+            instances.push(triangle_instance(base.wrapping_add(i as u64), budget));
         }
     }
+    let out = run_batch(
+        BatchJob::new(instances, &batch_config(&acc))?,
+        g,
+        &PassOrders::Same(order.clone()),
+        None,
+    )?;
+    let required = required_survivors(&acc, reps);
+    let mut accepted = None;
+    for (level, (&guess, &budget)) in guesses.iter().zip(&budgets).enumerate() {
+        let runs = estimates(&out.outputs[level * reps..(level + 1) * reps], |e| {
+            e.estimate
+        });
+        // A level whose survivors fall below quorum cannot render a
+        // trustworthy accept/reject verdict, so the whole search is
+        // degraded — a level-by-level search would have failed at this
+        // level (or an earlier one).
+        let report = median_of_survivors(&runs, required)?;
+        let accept = report.median >= guess / 2.0;
+        let is_last = level + 1 == guesses.len();
+        if accept || is_last {
+            accepted = Some((budget, report));
+            break;
+        }
+    }
+    let (budget, report) = accepted.expect("at least one level runs");
+    Ok(estimate_from_batch(report, budget, reps, out.report))
 }
 
 /// Panicking convenience wrapper around [`try_estimate_triangles_auto`].
@@ -643,51 +475,24 @@ pub fn try_estimate_four_cycles(
     let budget = four_cycle_budget(g.edge_count(), t_lower);
     let reps = repetitions_for_confidence(acc.delta);
     let required = required_survivors(&acc, reps);
-    let pass_orders = PassOrders::PerPass(vec![orders[0].clone(), orders[1].clone()]);
-    let instance = |seed: u64| {
-        TwoPassFourCycle::new(TwoPassFourCycleConfig {
-            seed,
-            edge_sample_size: budget,
-            estimator: FourCycleEstimator::DistinctCycles,
-            max_wedges: None,
-        })
-    };
-    match acc.engine {
-        Engine::Sequential => {
-            let sink = Metrics::from_flag(acc.collect_metrics);
-            let runs = sequential_runs(reps, &acc, |seed| {
-                let (est, rep) = Runner::try_run_observed(g, instance(seed), &pass_orders, &sink)
-                    .unwrap_or_else(|e| panic!("stream execution failed: {e}"));
-                (est.estimate, rep.peak_state_bytes)
-            })?;
-            let report = median_of_survivors(&runs, required)?;
-            Ok(CountEstimate {
-                count: report.median,
-                budget,
-                repetitions: reps,
-                report,
-                stream_passes: 2 * reps,
-                batch: None,
-                metrics: sink.snapshot(),
+    let instances: Vec<TwoPassFourCycle> = (0..reps)
+        .map(|i| {
+            TwoPassFourCycle::new(TwoPassFourCycleConfig {
+                seed: acc.seed.wrapping_add(i as u64),
+                edge_sample_size: budget,
+                estimator: FourCycleEstimator::DistinctCycles,
+                max_wedges: None,
             })
-        }
-        Engine::Batched => {
-            let instances: Vec<TwoPassFourCycle> = (0..reps)
-                .map(|i| instance(acc.seed.wrapping_add(i as u64)))
-                .collect();
-            let out = BatchRunner::try_run(g, instances, &pass_orders, &batch_config(&acc))?;
-            let runs: Vec<Option<f64>> = out
-                .outputs
-                .iter()
-                .map(|e| e.as_ref().map(|e| e.estimate))
-                .collect();
-            let report = median_of_survivors(&runs, required)?;
-            let passes = out.report.passes;
-            Ok(estimate_from_batch(
-                report, budget, reps, passes, out.report,
-            ))
-        }
-    }
+        })
+        .collect();
+    let out = run_batch(
+        BatchJob::new(instances, &batch_config(&acc))?,
+        g,
+        &PassOrders::PerPass(vec![orders[0].clone(), orders[1].clone()]),
+        None,
+    )?;
+    let report = median_of_survivors(&estimates(&out.outputs, |e| e.estimate), required)?;
+    Ok(estimate_from_batch(report, budget, reps, out.report))
 }
 
 /// Panicking convenience wrapper around [`try_estimate_four_cycles`].
@@ -707,6 +512,7 @@ pub fn estimate_four_cycles(
 mod tests {
     use super::*;
     use adjstream_graph::{exact, gen};
+    use adjstream_stream::Runner;
 
     fn acc() -> Accuracy {
         Accuracy {
@@ -714,16 +520,47 @@ mod tests {
             delta: 0.2,
             seed: 5,
             threads: 2,
-            engine: Engine::Batched,
             ..Accuracy::default()
         }
     }
 
-    fn seq() -> Accuracy {
-        Accuracy {
-            engine: Engine::Sequential,
-            ..acc()
-        }
+    /// The reference path: one [`Runner::try_run`] per repetition seed,
+    /// quarantining any repetition whose peak breaks the per-instance byte
+    /// limit.
+    fn per_seed_runs<A: MultiPassAlgorithm>(
+        g: &Graph,
+        orders: &PassOrders,
+        a: &Accuracy,
+        instance: impl Fn(u64) -> A,
+        estimate: impl Fn(A::Output) -> f64,
+    ) -> Vec<Option<f64>> {
+        let reps = repetitions_for_confidence(a.delta);
+        (0..reps)
+            .map(|i| {
+                let algo = instance(a.seed.wrapping_add(i as u64));
+                let (out, report) = Runner::try_run(g, algo, orders).unwrap();
+                a.budget
+                    .max_bytes_per_instance
+                    .is_none_or(|limit| report.peak_state_bytes <= limit)
+                    .then(|| estimate(out))
+            })
+            .collect()
+    }
+
+    fn per_seed_triangle_runs(
+        g: &Graph,
+        order: &StreamOrder,
+        t_lower: u64,
+        a: &Accuracy,
+    ) -> Vec<Option<f64>> {
+        let budget = triangle_budget(g.edge_count(), t_lower, a.epsilon);
+        per_seed_runs(
+            g,
+            &PassOrders::Same(order.clone()),
+            a,
+            |seed| triangle_instance(seed, budget),
+            |e| e.estimate,
+        )
     }
 
     #[test]
@@ -745,31 +582,25 @@ mod tests {
     fn estimate_triangles_with_bound() {
         let g = gen::disjoint_cliques(6, 12); // T = 240
         let order = StreamOrder::shuffled(g.vertex_count(), 3);
-        for a in [acc(), seq()] {
-            let est = estimate_triangles(&g, &order, 240, a);
-            let rel = (est.count - 240.0).abs() / 240.0;
-            assert!(rel < 0.3, "estimate {} ({})", est.count, a.engine);
-            assert!(est.repetitions >= 3);
-            assert!(est.budget <= g.edge_count());
-        }
+        let est = estimate_triangles(&g, &order, 240, acc());
+        let rel = (est.count - 240.0).abs() / 240.0;
+        assert!(rel < 0.3, "estimate {}", est.count);
+        assert!(est.repetitions >= 3);
+        assert!(est.budget <= g.edge_count());
     }
 
     #[test]
-    fn engines_agree_bit_for_bit() {
+    fn batched_runs_match_per_seed_runs_bit_for_bit() {
         let g = gen::disjoint_cliques(5, 10);
         let order = StreamOrder::shuffled(g.vertex_count(), 7);
         for threads in [1, 3] {
-            let a = Accuracy { threads, ..seq() };
-            let b = Accuracy {
-                threads,
-                engine: Engine::Batched,
-                ..a
-            };
-            let s = estimate_triangles(&g, &order, 100, a);
-            let t = estimate_triangles(&g, &order, 100, b);
-            assert_eq!(s.report.runs, t.report.runs, "threads = {threads}");
-            assert_eq!(s.count, t.count);
-            assert!(t.stream_passes < s.stream_passes);
+            let a = Accuracy { threads, ..acc() };
+            let runs = per_seed_triangle_runs(&g, &order, 100, &a);
+            let want = median_of_survivors(&runs, quorum(runs.len())).unwrap();
+            let got = estimate_triangles(&g, &order, 100, a);
+            assert_eq!(got.report.runs, want.runs, "threads = {threads}");
+            assert_eq!(got.count.to_bits(), want.median.to_bits());
+            assert_eq!(got.stream_passes, 2);
         }
     }
 
@@ -794,31 +625,30 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_rejects_the_sequential_engine() {
-        let g = gen::disjoint_cliques(3, 6);
-        let order = StreamOrder::natural(g.vertex_count());
-        let path = std::env::temp_dir().join("adjstream-never-written.bin");
-        let err =
-            try_estimate_triangles_checkpointed(&g, &order, 10, seq(), &path, false).unwrap_err();
-        assert!(matches!(
-            err,
-            EstimateError::Run(RunError::Checkpoint { .. })
-        ));
-        assert!(err.to_string().contains("batched engine"));
-    }
-
-    #[test]
-    fn four_cycle_engines_agree_bit_for_bit() {
+    fn four_cycle_runs_match_per_seed_runs_bit_for_bit() {
         let g = gen::disjoint_four_cycles(60);
         let o1 = StreamOrder::shuffled(g.vertex_count(), 1);
         let o2 = StreamOrder::shuffled(g.vertex_count(), 2);
-        let s = estimate_four_cycles(&g, [&o1, &o2], 60, seq());
+        let budget = four_cycle_budget(g.edge_count(), 60);
+        let runs = per_seed_runs(
+            &g,
+            &PassOrders::PerPass(vec![o1.clone(), o2.clone()]),
+            &acc(),
+            |seed| {
+                TwoPassFourCycle::new(TwoPassFourCycleConfig {
+                    seed,
+                    edge_sample_size: budget,
+                    estimator: FourCycleEstimator::DistinctCycles,
+                    max_wedges: None,
+                })
+            },
+            |e| e.estimate,
+        );
         let t = estimate_four_cycles(&g, [&o1, &o2], 60, acc());
-        assert_eq!(s.report.runs, t.report.runs);
+        assert_eq!(t.report.runs, median_of_survivors(&runs, 1).unwrap().runs);
         // Two distinct per-pass orders: the batch generated the stream
         // twice but still took only 2 passes total.
-        let batch = t.batch.expect("batched engine reports");
-        assert_eq!(batch.stream_generations, 2);
+        assert_eq!(t.batch.stream_generations, 2);
         assert_eq!(t.stream_passes, 2);
     }
 
@@ -826,11 +656,9 @@ mod tests {
     fn auto_mode_finds_t_without_a_bound() {
         let g = gen::disjoint_cliques(6, 12); // T = 240, m = 180
         let order = StreamOrder::shuffled(g.vertex_count(), 4);
-        for a in [acc(), seq()] {
-            let est = estimate_triangles_auto(&g, &order, a);
-            let rel = (est.count - 240.0).abs() / 240.0;
-            assert!(rel < 0.35, "auto estimate {} ({})", est.count, a.engine);
-        }
+        let est = estimate_triangles_auto(&g, &order, acc());
+        let rel = (est.count - 240.0).abs() / 240.0;
+        assert!(rel < 0.35, "auto estimate {}", est.count);
     }
 
     #[test]
@@ -839,41 +667,56 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let g = gen::bipartite_gnm(30, 30, 250, &mut rng);
         let order = StreamOrder::shuffled(g.vertex_count(), 1);
-        for a in [acc(), seq()] {
-            let est = estimate_triangles_auto(&g, &order, a);
-            assert_eq!(est.count, 0.0, "{}", a.engine);
-        }
+        assert_eq!(estimate_triangles_auto(&g, &order, acc()).count, 0.0);
     }
 
     #[test]
-    fn auto_engines_accept_the_same_level() {
+    fn auto_accepts_the_level_a_per_level_search_stops_at() {
         let g = gen::disjoint_cliques(4, 9);
         let order = StreamOrder::shuffled(g.vertex_count(), 8);
-        let s = estimate_triangles_auto(&g, &order, seq());
         let t = estimate_triangles_auto(&g, &order, acc());
-        assert_eq!(s.budget, t.budget, "same accepted level");
-        assert_eq!(s.report.runs, t.report.runs);
-        assert_eq!(s.count, t.count);
+        // Reference ladder: per-seed runs level by level, stopping at the
+        // first level whose median reaches half its guess.
+        let mut guess = (g.edge_count() as f64).powf(1.5);
+        let mut level = 0;
+        let (budget, runs) = loop {
+            let a = Accuracy {
+                seed: level_seed(acc().seed, level),
+                ..acc()
+            };
+            let runs = per_seed_triangle_runs(&g, &order, guess as u64, &a);
+            let median = median_of_survivors(&runs, quorum(runs.len()))
+                .unwrap()
+                .median;
+            if median >= guess / 2.0 || guess / 4.0 < 1.0 {
+                break (
+                    triangle_budget(g.edge_count(), guess as u64, a.epsilon),
+                    runs,
+                );
+            }
+            guess /= 4.0;
+            level += 1;
+        };
+        assert_eq!(t.budget, budget, "same accepted level");
+        assert_eq!(t.report.runs, median_of_survivors(&runs, 1).unwrap().runs);
     }
 
     #[test]
     fn auto_batched_takes_exactly_two_passes() {
-        // The acceptance criterion of the batched rewrite: pass count is
-        // the algorithm's own (2), independent of how many guess levels the
-        // ladder has.
+        // Pass count is the algorithm's own (2), independent of how many
+        // guess levels the ladder has.
         let g = gen::disjoint_cliques(6, 12);
         let order = StreamOrder::shuffled(g.vertex_count(), 4);
         let est = estimate_triangles_auto(&g, &order, acc());
         assert_eq!(est.stream_passes, 2);
-        let batch = est.batch.expect("batched engine reports");
-        assert_eq!(batch.passes, 2);
-        assert_eq!(batch.stream_generations, 1, "same order ⇒ one generation");
+        assert_eq!(est.batch.passes, 2);
+        assert_eq!(
+            est.batch.stream_generations, 1,
+            "same order ⇒ one generation"
+        );
         // Many levels really were resident: more instances than one level's
         // repetitions.
-        assert!(batch.instances > est.repetitions);
-        // …while the sequential engine pays per level.
-        let s = estimate_triangles_auto(&g, &order, seq());
-        assert!(s.stream_passes > 2);
+        assert!(est.batch.instances > est.repetitions);
     }
 
     #[test]
@@ -903,17 +746,14 @@ mod tests {
         let truth = exact::count_four_cycles(&g) as f64;
         let o1 = StreamOrder::shuffled(g.vertex_count(), 1);
         let o2 = StreamOrder::shuffled(g.vertex_count(), 2);
-        for a in [acc(), seq()] {
-            let est = estimate_four_cycles(&g, [&o1, &o2], 200, a);
-            let ratio = est.count / truth;
-            assert!((0.2..=5.0).contains(&ratio), "ratio {ratio} ({})", a.engine);
-        }
+        let est = estimate_four_cycles(&g, [&o1, &o2], 200, acc());
+        let ratio = est.count / truth;
+        assert!((0.2..=5.0).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
     fn accuracy_validation_boundaries() {
-        // threads = 0 clamps to 1 rather than accidentally selecting the
-        // sequential fallback path.
+        // threads = 0 clamps to 1 (run on the calling thread).
         let v = Accuracy {
             threads: 0,
             ..acc()
@@ -925,7 +765,6 @@ mod tests {
         assert_eq!(v.threads, 2);
         assert_eq!(v.epsilon, 0.3);
     }
-
     #[test]
     #[should_panic(expected = "epsilon must be positive and finite")]
     fn accuracy_rejects_nonpositive_epsilon() {
@@ -967,15 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_parse_round_trips() {
-        for e in [Engine::Sequential, Engine::Batched] {
-            assert_eq!(Engine::parse(&e.to_string()), Some(e));
-        }
-        assert_eq!(Engine::parse("warp"), None);
-        assert_eq!(Engine::default(), Engine::Batched);
-    }
-
-    #[test]
     fn theoretical_space_budget_tracks_the_theorem() {
         // More edges ⇒ more space; a better T bound ⇒ less space.
         let base = theoretical_space_budget(10_000, 1_000, 1_000, 0.5);
@@ -987,30 +817,29 @@ mod tests {
     }
 
     #[test]
-    fn tiny_instance_budget_degrades_both_engines_identically() {
-        // 1 byte per instance quarantines every repetition in both engines
-        // (each stores at least a sampler), so both fail the quorum with the
-        // same typed error.
+    fn tiny_instance_budget_degrades_like_the_per_seed_reference() {
+        // 1 byte per instance quarantines every repetition (each stores at
+        // least a sampler), so the batch and the per-seed reference both
+        // fail the quorum with the same typed error.
         let g = gen::disjoint_cliques(5, 10);
         let order = StreamOrder::shuffled(g.vertex_count(), 7);
-        let strangle = |engine| Accuracy {
-            engine,
+        let strangled = Accuracy {
             budget: Budget {
                 max_bytes_per_instance: Some(1),
                 ..Budget::default()
             },
             ..acc()
         };
-        let s = try_estimate_triangles(&g, &order, 100, strangle(Engine::Sequential));
-        let b = try_estimate_triangles(&g, &order, 100, strangle(Engine::Batched));
         let reps = repetitions_for_confidence(acc().delta);
-        let want = EstimateError::Degraded(DegradedRun {
+        let want = DegradedRun {
             survivors: 0,
             required: quorum(reps),
             repetitions: reps,
-        });
-        assert_eq!(s.unwrap_err(), want);
-        assert_eq!(b.unwrap_err(), want);
+        };
+        let runs = per_seed_triangle_runs(&g, &order, 100, &strangled);
+        assert_eq!(median_of_survivors(&runs, quorum(reps)).unwrap_err(), want);
+        let err = try_estimate_triangles(&g, &order, 100, strangled).unwrap_err();
+        assert_eq!(err, EstimateError::Degraded(want));
     }
 
     #[test]
@@ -1032,49 +861,42 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_is_a_typed_error_in_both_engines() {
+    fn zero_deadline_is_a_typed_error() {
         let g = gen::disjoint_cliques(4, 8);
         let order = StreamOrder::shuffled(g.vertex_count(), 2);
-        for engine in [Engine::Sequential, Engine::Batched] {
-            let a = Accuracy {
-                engine,
-                budget: Budget {
-                    deadline: Some(std::time::Duration::ZERO),
-                    ..Budget::default()
-                },
-                ..acc()
-            };
-            let err = try_estimate_triangles(&g, &order, 100, a).unwrap_err();
-            assert_eq!(
-                err,
-                EstimateError::Run(RunError::DeadlineExceeded { limit_ms: 0 }),
-                "{engine}"
-            );
-        }
+        let a = Accuracy {
+            budget: Budget {
+                deadline: Some(std::time::Duration::ZERO),
+                ..Budget::default()
+            },
+            ..acc()
+        };
+        let err = try_estimate_triangles(&g, &order, 100, a).unwrap_err();
+        assert_eq!(
+            err,
+            EstimateError::Run(RunError::DeadlineExceeded { limit_ms: 0 })
+        );
     }
 
     #[test]
-    fn aggregate_budget_aborts_both_engines() {
+    fn aggregate_budget_aborts_the_estimate() {
         let g = gen::disjoint_cliques(4, 8);
         let order = StreamOrder::shuffled(g.vertex_count(), 2);
-        for engine in [Engine::Sequential, Engine::Batched] {
-            let a = Accuracy {
-                engine,
-                budget: Budget {
-                    max_total_bytes: Some(1),
-                    ..Budget::default()
-                },
-                ..acc()
-            };
-            let err = try_estimate_triangles(&g, &order, 100, a).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    EstimateError::Run(RunError::SpaceBudgetExceeded { limit: 1, .. })
-                ),
-                "{engine}: {err:?}"
-            );
-        }
+        let a = Accuracy {
+            budget: Budget {
+                max_total_bytes: Some(1),
+                ..Budget::default()
+            },
+            ..acc()
+        };
+        let err = try_estimate_triangles(&g, &order, 100, a).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EstimateError::Run(RunError::SpaceBudgetExceeded { limit: 1, .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

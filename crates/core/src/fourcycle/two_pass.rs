@@ -658,7 +658,7 @@ mod wedge_cap_tests {
     #[test]
     fn checkpoint_roundtrip_at_the_pass_boundary_is_bit_for_bit() {
         use adjstream_stream::meter::PeakTracker;
-        use adjstream_stream::runner::drive_pass;
+        use adjstream_stream::runner::drive_pass_slice;
         use adjstream_stream::AdjListStream;
         use rand::{rngs::StdRng, SeedableRng};
 
@@ -671,10 +671,10 @@ mod wedge_cap_tests {
         let mut peak = PeakTracker::new();
         let mut processed = 0usize;
         let mut original = TwoPassFourCycle::new(cfg);
-        drive_pass(
+        drive_pass_slice(
             &mut original,
             0,
-            AdjListStream::new(&g, orders[0].clone()).items(),
+            &AdjListStream::new(&g, orders[0].clone()).collect_items(),
             &mut peak,
             &mut processed,
         )
@@ -691,10 +691,10 @@ mod wedge_cap_tests {
         assert_eq!(got, want, "edge sample must survive the roundtrip");
 
         for algo in [&mut original, &mut restored] {
-            drive_pass(
+            drive_pass_slice(
                 algo,
                 1,
-                AdjListStream::new(&g, orders[1].clone()).items(),
+                &AdjListStream::new(&g, orders[1].clone()).collect_items(),
                 &mut peak,
                 &mut processed,
             )

@@ -22,7 +22,7 @@
 //!   adjacency-list order),
 //! * [`triangle::ShardedTriangle`] — a shard-mergeable three-pass variant
 //!   of Theorem 3.7 whose per-pass state composes across graph shards
-//!   ([`adjstream_stream::shard::run_sharded`]), bit-identical to its own
+//!   ([`adjstream_stream::shard::run_sharded_hooked`]), bit-identical to its own
 //!   sequential run at any shard count,
 //! * [`exact_stream`] — trivial `O(m)`-space exact counters (the "store the
 //!   graph" row every sublinear bound is measured against).

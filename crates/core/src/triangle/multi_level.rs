@@ -1,12 +1,11 @@
 //! Pass-optimal unknown-`T` triangle estimation: all guess levels in one
 //! two-pass execution.
 //!
-//! [`crate::estimate::estimate_triangles_auto`] under
-//! [`Engine::Sequential`](crate::estimate::Engine::Sequential) runs
-//! guess-and-verify levels one after another, paying two passes per level
-//! (its default batched engine instead folds the levels into one shared
-//! execution via [`adjstream_stream::batch::BatchRunner`]). This algorithm
-//! is the *single-instance* counterpart of that idea: it runs
+//! A level-by-level guess-and-verify search pays two passes per level;
+//! [`crate::estimate::estimate_triangles_auto`] instead folds every level's
+//! repetitions into one shared execution via
+//! [`adjstream_stream::batch::BatchJob`]. This algorithm is the
+//! *single-instance* counterpart of that idea: it runs
 //! every level **in parallel inside a single two-pass execution**: level
 //! `i` is a full [`TwoPassTriangle`] instance with budget
 //! `m₀·2^i`, all fed the same items. At finish, the coarsest (cheapest)

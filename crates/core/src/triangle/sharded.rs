@@ -6,7 +6,7 @@
 //! arrival-time test, and `H` activation is keyed on locally counted list
 //! positions. [`ShardedTriangle`] trades the second pass for per-pass
 //! write-state that is a commutative monoid, which is exactly what
-//! [`adjstream_stream::shard::run_sharded`] needs to produce estimates
+//! [`adjstream_stream::shard::run_sharded_hooked`] needs to produce estimates
 //! **bit-identical** to a sequential run at any shard count:
 //!
 //! * **Pass 0 (sample).** Offer every edge key to the sampler and count
@@ -719,7 +719,7 @@ mod tests {
     use adjstream_graph::{exact, gen};
     use adjstream_stream::obs::Metrics;
     use adjstream_stream::runner::run_slice_passes;
-    use adjstream_stream::shard::{run_sharded, ShardPlan};
+    use adjstream_stream::shard::{run_sharded_hooked, ShardPlan};
     use adjstream_stream::{AdjListStream, StreamOrder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -810,11 +810,12 @@ mod tests {
             let want = run_seq(cfg, &items);
             for shards in [1usize, 2, 4, 8] {
                 let plan = ShardPlan::build(&items, shards);
-                let (got, _) = run_sharded(
+                let (got, _) = run_sharded_hooked(
                     ShardedTriangle::new(cfg),
                     &plan,
                     &items,
                     &Metrics::disabled(),
+                    |_| Ok(()),
                 )
                 .expect("sharded run");
                 assert_eq!(got, want, "shards={shards} cfg={cfg:?}");

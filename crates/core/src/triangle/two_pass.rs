@@ -1044,7 +1044,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_at_the_pass_boundary_is_bit_for_bit() {
         use adjstream_stream::meter::PeakTracker;
-        use adjstream_stream::runner::drive_pass;
+        use adjstream_stream::runner::drive_pass_slice;
         use adjstream_stream::AdjListStream;
 
         let mut rng = StdRng::seed_from_u64(77);
@@ -1062,10 +1062,10 @@ mod tests {
             let mut peak = PeakTracker::new();
             let mut processed = 0usize;
             let mut original = TwoPassTriangle::new(cfg);
-            drive_pass(
+            drive_pass_slice(
                 &mut original,
                 0,
-                AdjListStream::new(&g, order.clone()).items(),
+                &AdjListStream::new(&g, order.clone()).collect_items(),
                 &mut peak,
                 &mut processed,
             )
@@ -1095,10 +1095,10 @@ mod tests {
             );
 
             for algo in [&mut original, &mut restored] {
-                drive_pass(
+                drive_pass_slice(
                     algo,
                     1,
-                    AdjListStream::new(&g, order.clone()).items(),
+                    &AdjListStream::new(&g, order.clone()).collect_items(),
                     &mut peak,
                     &mut processed,
                 )

@@ -14,7 +14,7 @@ use adjstream_core::triangle::{ShardedTriangle, ShardedTriangleConfig};
 use adjstream_graph::VertexId;
 use adjstream_stream::fault::{FaultKind, FaultPlan};
 use adjstream_stream::runner::{run_slice_passes, GuardStats, MultiPassAlgorithm};
-use adjstream_stream::shard::{run_sharded, shard_of, ShardPlan};
+use adjstream_stream::shard::{run_sharded_hooked, shard_of, ShardPlan};
 use adjstream_stream::{GuardPolicy, Guarded, Metrics, SpaceUsage, StreamItem};
 use proptest::prelude::*;
 
@@ -131,7 +131,7 @@ proptest! {
         for shards in [1usize, 2, 4, 8] {
             let plan = ShardPlan::build(&items, shards);
             let (got, report) =
-                run_sharded(ShardedTriangle::new(cfg), &plan, &items, &Metrics::disabled())
+                run_sharded_hooked(ShardedTriangle::new(cfg), &plan, &items, &Metrics::disabled(), |_| Ok(()))
                     .expect("sharded run");
             prop_assert_eq!(got.estimate.to_bits(), want.estimate.to_bits(),
                 "estimate diverged at {} shards", shards);
@@ -175,7 +175,7 @@ proptest! {
         for shards in [1usize, 2, 4, 8] {
             let plan = ShardPlan::build(&fixed, shards);
             let (got, _) =
-                run_sharded(ShardedTriangle::new(cfg), &plan, &fixed, &Metrics::disabled())
+                run_sharded_hooked(ShardedTriangle::new(cfg), &plan, &fixed, &Metrics::disabled(), |_| Ok(()))
                     .expect("sharded run over repaired stream");
             prop_assert_eq!(got, want, "diverged at {} shards", shards);
         }

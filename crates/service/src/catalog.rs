@@ -3,7 +3,7 @@
 //! Registration validates the trace eagerly and records its dimensions
 //! *and kind*: a static `.adjb` adjacency-list trace (model conformance
 //! via [`ItemTrace::read`]) or a dynamic `.adjbu` update trace (semantic
-//! validation via [`read_updates`]'s sniffing decoder). Jobs then refer
+//! validation via [`read_updates`](adjstream_stream::read_updates)'s sniffing decoder). Jobs then refer
 //! to traces by name, so a submission against a missing, since-deleted,
 //! or wrong-kind trace is a typed rejection rather than a worker-side
 //! I/O surprise.

@@ -49,7 +49,7 @@ use adjstream_stream::checkpoint::{
 };
 use adjstream_stream::estimator::repetitions_for_confidence;
 use adjstream_stream::runner::{MultiPassAlgorithm, RunError};
-use adjstream_stream::shard::{run_sharded, ShardPlan};
+use adjstream_stream::shard::{run_sharded_hooked, ShardPlan};
 use adjstream_stream::trace::ItemTrace;
 use adjstream_stream::update_guard::GuardedUpdate;
 use adjstream_stream::{
@@ -1416,7 +1416,13 @@ fn run_sharded_triangles(
             edge_sampling: EdgeSampling::BottomK { k: budget },
             pair_capacity: budget,
         };
-        match run_sharded(ShardedTriangle::new(cfg), &plan, trace.items(), &sink) {
+        match run_sharded_hooked(
+            ShardedTriangle::new(cfg),
+            &plan,
+            trace.items(),
+            &sink,
+            |_| Ok(()),
+        ) {
             Ok((out, report)) => {
                 let over = spec
                     .budget

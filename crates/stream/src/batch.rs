@@ -3,19 +3,22 @@
 //!
 //! The amplification layer (Theorems 3.7 and 4.6) runs `Θ(log 1/δ)`
 //! independent repetitions of the same multi-pass algorithm, and the
-//! guess-and-verify driver multiplies that by `O(log T)` guess levels. The
-//! sequential driver replays the full adjacency-list stream for every
-//! repetition of every level — pass-wasteful in exactly the sense the model
-//! charges for. [`BatchRunner`] restores pass-optimality: each pass's item
-//! sequence is generated **once** and every item is fanned out to all `R`
-//! resident [`MultiPassAlgorithm`] instances, so the whole batch costs as
-//! many stream passes as a *single* instance would.
+//! guess-and-verify driver multiplies that by `O(log T)` guess levels.
+//! Replaying the full adjacency-list stream for every repetition of every
+//! level is pass-wasteful in exactly the sense the model charges for. A
+//! [`BatchJob`] restores pass-optimality: each pass's item sequence is
+//! replayed **once** and every item is fanned out to all `R` resident
+//! [`MultiPassAlgorithm`] instances, so the whole batch costs as many
+//! stream passes as a *single* instance would. `R = 1` is plain sequential
+//! replay.
 //!
 //! Execution model:
 //!
-//! * With `threads ≤ 1` the instances are driven inline, in index order, by
-//!   the same boundary-detecting loop ([`drive_pass`]) the sequential
-//!   [`Runner`](crate::runner::Runner) uses.
+//! * The fan-out is itself driven as one algorithm by the shared
+//!   [`drive_pass_slice`](crate::runner::drive_pass_slice) loop, so list
+//!   boundaries, peak sampling, and abort polling are exactly the
+//!   sequential driver's.
+//! * With `threads ≤ 1` the instances are driven inline, in index order.
 //! * With `threads > 1` the instances are sharded across worker threads
 //!   (contiguous index ranges, mirroring `median_of_runs`' chunking). The
 //!   driving thread batches stream events into chunks and broadcasts each
@@ -44,14 +47,16 @@
 //!
 //! # Checkpoint / resume
 //!
-//! [`BatchRunner::try_run_checkpointed`] writes a checkpoint of the whole
-//! batch (every live instance, every quarantined outcome, the shared guard)
-//! at each interior pass boundary, atomically, via
-//! [`crate::checkpoint::write_checkpoint_file`]. A run killed between passes
-//! is picked up by [`BatchRunner::resume`], which replays only the remaining
-//! passes and produces bit-for-bit the per-instance outputs of an
-//! uninterrupted run. (`stream_generations` counts regeneration work and
-//! will differ on a resumed run; the determinism contract covers outputs.)
+//! [`BatchJob::write_checkpoint`] captures the whole batch (every live
+//! instance, every quarantined outcome, the shared guard) at an interior
+//! pass boundary, atomically, via
+//! [`crate::checkpoint::write_checkpoint_file`]; [`BatchJob::run`]'s
+//! after-pass hook is where a one-shot run writes it. A run killed between
+//! passes is picked up by [`BatchJob::restore_from_file`] followed by the
+//! same [`BatchJob::run`], which replays only the remaining passes and
+//! produces bit-for-bit the per-instance outputs of an uninterrupted run.
+//! (`stream_generations` counts regeneration work and will differ on a
+//! resumed run; the determinism contract covers outputs.)
 //!
 //! Ingestion guarding composes at the *stream* level, not per instance:
 //! [`BatchConfig::guard`] wraps the fan-out itself in a single
@@ -60,13 +65,6 @@
 //! reach any instance). Running `R` validators for `R` instances of the
 //! same stream would multiply validation cost and memory for no extra
 //! information.
-//!
-//! Space note: for replayed passes over the same [`StreamOrder`], the
-//! engine materializes one pass's items (`2m` items, 8 bytes each) so later
-//! passes and later levels never regenerate the stream. This buffer is
-//! harness state, not algorithm state — it is never reported through
-//! [`SpaceUsage`], exactly as the sequential `AdjListStream` generator's
-//! internal state is not.
 //!
 //! [`OnlineValidator`]: crate::validate::OnlineValidator
 
@@ -77,9 +75,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use adjstream_graph::{Graph, VertexId};
+use adjstream_graph::VertexId;
 
-use crate::adjlist::AdjListStream;
 use crate::checkpoint::{
     read_bytes, read_checkpoint_file, read_u32, read_u8, read_usize, write_bytes,
     write_checkpoint_file, write_u32, write_u8, write_usize, Checkpoint,
@@ -87,11 +84,8 @@ use crate::checkpoint::{
 use crate::guard::{decode_mode, decode_policy, encode_mode, encode_policy, GuardPolicy, Guarded};
 use crate::item::StreamItem;
 use crate::meter::{vec_bytes, PeakTracker, SpaceUsage};
-use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, PassMetrics};
-use crate::order::StreamOrder;
-use crate::runner::{
-    drive_pass, drive_pass_slice, GuardStats, MultiPassAlgorithm, PassOrders, RunError,
-};
+use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, PassMetrics, RunObserver};
+use crate::runner::{drive_pass_slice_observed, GuardStats, MultiPassAlgorithm, RunError};
 use crate::validate::ValidatorMode;
 
 /// Resource limits enforced on a batched run.
@@ -115,30 +109,29 @@ pub struct Budget {
     pub deadline: Option<Duration>,
 }
 
+/// Stream events buffered per replay chunk. Inline mode replays each full
+/// chunk through one instance at a time, so larger chunks keep an
+/// instance's state hot in cache across many events instead of touching all
+/// `R` states per event; threaded mode ships whole chunks over the
+/// channels, amortizing send overhead. Smaller chunks tighten backpressure
+/// and shrink the buffer; this size trades ~2 MiB of buffer for
+/// near-saturated replay throughput.
+#[cfg(not(test))]
+const CHUNK_EVENTS: usize = 128 * 1024;
+/// Unit tests use tiny chunks so small streams still cross many chunk
+/// boundaries.
+#[cfg(test)]
+const CHUNK_EVENTS: usize = 64;
+
+/// Bounded-channel depth per worker, in chunks.
+const CHANNEL_DEPTH: usize = 4;
+
 /// Knobs for a batched run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchConfig {
     /// Worker threads the instances are sharded over; `0` or `1` drives
     /// them inline on the calling thread.
     pub threads: usize,
-    /// Stream events buffered per replay chunk. Inline mode replays each
-    /// full chunk through one instance at a time, so larger chunks keep an
-    /// instance's state hot in cache across many events instead of touching
-    /// all `R` states per event; threaded mode ships whole chunks over the
-    /// channels, amortizing send overhead. Smaller chunks tighten
-    /// backpressure and shrink the buffer. The default trades ~2 MiB of
-    /// buffer for near-saturated replay throughput.
-    pub chunk_events: usize,
-    /// Bounded-channel depth per worker, in chunks.
-    pub channel_depth: usize,
-    /// Deliver whole adjacency-list runs through
-    /// [`MultiPassAlgorithm::feed_slice`] instead of one
-    /// [`MultiPassAlgorithm::item`] call per item (the default). Slice and
-    /// per-item dispatch are observationally identical — `feed_slice`'s
-    /// default is a per-item loop and native overrides must match it — so
-    /// this knob exists for differential tests and benchmarks, not as a
-    /// compatibility escape hatch.
-    pub slice_dispatch: bool,
     /// Wrap the *shared stream* in one [`Guarded`] validator with this
     /// policy and mode. `None` trusts the stream (the graph-backed
     /// generator always satisfies the promise).
@@ -148,20 +141,6 @@ pub struct BatchConfig {
     /// Collect structured run metrics into [`BatchReport::metrics`].
     /// Default off; turning it on never changes what the run computes.
     pub metrics: bool,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            threads: 1,
-            chunk_events: 128 * 1024,
-            channel_depth: 4,
-            slice_dispatch: true,
-            guard: None,
-            budget: Budget::default(),
-            metrics: false,
-        }
-    }
 }
 
 impl BatchConfig {
@@ -231,9 +210,11 @@ pub struct BatchReport {
     /// Items driven through the shared stream, summed over passes. Each
     /// item is counted once here no matter how many instances consumed it.
     pub stream_items: usize,
-    /// Times a pass's item sequence was actually generated from the graph;
-    /// replayed passes over an identical order reuse the materialized
-    /// buffer and do not count.
+    /// Item sequences the pass source generated, as recorded through
+    /// [`BatchJob::set_source_generations`] (e.g.
+    /// [`GraphPasses::generations`](crate::runner::GraphPasses::generations):
+    /// passes replaying an identical order share one buffer and do not
+    /// count), plus those of the checkpointed run a job was restored from.
     pub stream_generations: usize,
     /// Total item deliveries across instances (≈ `stream_items ×
     /// instances`, minus items a shared repair guard dropped before
@@ -273,12 +254,12 @@ pub struct BatchOutcome<T> {
 }
 
 /// One stream event, as broadcast to every instance. Mirrors the calls
-/// [`drive_pass`] / [`drive_pass_slice`] make on a [`MultiPassAlgorithm`].
+/// [`drive_pass_slice`](crate::runner::drive_pass_slice) makes on a
+/// [`MultiPassAlgorithm`].
 #[derive(Debug, Clone, Copy)]
 enum Event {
     BeginPass(usize),
     BeginList(VertexId),
-    Item(VertexId, VertexId),
     /// A same-source run, stored as a range into the carrying [`Chunk`]'s
     /// item buffer; delivered via [`MultiPassAlgorithm::feed_slice`].
     Run {
@@ -290,9 +271,7 @@ enum Event {
 }
 
 /// A broadcast unit: buffered events plus the item buffer that the chunk's
-/// [`Event::Run`] ranges index into. Per-item dispatch leaves `items`
-/// empty; slice dispatch leaves `events` holding one `Run` per forwarded
-/// segment instead of one `Item` per item.
+/// [`Event::Run`] ranges index into.
 #[derive(Debug, Default)]
 struct Chunk {
     events: Vec<Event>,
@@ -320,9 +299,9 @@ enum InstanceStatus {
 }
 
 /// An instance plus its driver-side bookkeeping. Applying events through
-/// this struct reproduces `drive_pass`'s per-instance behavior exactly:
-/// peak state sampled at list and pass boundaries, abort polled after every
-/// item and at pass end, budget checked at the sampling points.
+/// this struct reproduces `drive_pass_slice`'s per-instance behavior
+/// exactly: peak state sampled at list and pass boundaries, abort polled
+/// after every run and at pass end, budget checked at the sampling points.
 struct InstanceState<A: MultiPassAlgorithm> {
     /// Position in the caller's instance vector (stable across sharding).
     index: usize,
@@ -380,16 +359,6 @@ impl<A: MultiPassAlgorithm> InstanceState<A> {
                 algo.begin_pass(p);
             }
             Event::BeginList(owner) => algo.begin_list(owner),
-            Event::Item(src, dst) => {
-                algo.item(src, dst);
-                self.items += 1;
-                if let Some(error) = algo.abort_error() {
-                    self.status = InstanceStatus::Failed(RunError::Invalid {
-                        pass: self.pass,
-                        error,
-                    });
-                }
-            }
             Event::Run { start, len } => {
                 algo.feed_slice(&chunk_items[start..start + len]);
                 self.items += len;
@@ -488,14 +457,13 @@ struct PassWorkers<A: MultiPassAlgorithm> {
 }
 
 /// The fan-out itself, viewed as one [`MultiPassAlgorithm`] so the shared
-/// [`drive_pass`] loop (and a shared [`Guarded`] wrapper) can drive it.
+/// `drive_pass_slice` loop (and a shared [`Guarded`] wrapper) can drive it.
 /// Unlike a plain algorithm it owns its instances *between* passes — worker
 /// crews exist only while a pass is in flight — which is what lets the
 /// engine checkpoint and budget-check at boundaries.
 struct FanOut<A: MultiPassAlgorithm> {
     passes: usize,
     same_order: bool,
-    chunk_events: usize,
     buf: Vec<Event>,
     /// Item buffer the current chunk's [`Event::Run`] ranges index into.
     item_buf: Vec<StreamItem>,
@@ -517,10 +485,9 @@ impl<A: MultiPassAlgorithm> FanOut<A> {
     /// independent, so chunked delivery is observationally identical.
     fn emit(&mut self, ev: Event) {
         self.buf.push(ev);
-        // Slice dispatch packs many items behind one `Run` event, so the
-        // item buffer needs its own trigger to keep chunk memory bounded by
-        // the same knob.
-        if self.buf.len() >= self.chunk_events || self.item_buf.len() >= self.chunk_events {
+        // A `Run` event packs many items, so the item buffer needs its own
+        // trigger to keep chunk memory bounded by the same size.
+        if self.buf.len() >= CHUNK_EVENTS || self.item_buf.len() >= CHUNK_EVENTS {
             self.flush();
         }
     }
@@ -633,7 +600,7 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for FanOut<A> {
     }
 
     fn item(&mut self, src: VertexId, dst: VertexId) {
-        self.emit(Event::Item(src, dst));
+        self.feed_slice(&[StreamItem::new(src, dst)]);
     }
 
     fn feed_slice(&mut self, items: &[StreamItem]) {
@@ -664,64 +631,6 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for FanOut<A> {
     fn finish(self) -> Self::Output {}
 }
 
-/// Where a batched run's per-pass items come from.
-enum PassSource<'a> {
-    /// Generate from a graph under `orders`, materializing each generated
-    /// pass so identical later orders replay the buffer.
-    Graph {
-        graph: &'a Graph,
-        orders: &'a PassOrders,
-        cache: Option<(StreamOrder, Vec<StreamItem>)>,
-        generations: usize,
-    },
-    /// Explicit per-pass sequences (corrupted streams, traces). Never
-    /// cached: fault plans may replay differently per pass by design.
-    Items {
-        supply: Box<dyn FnMut(usize) -> Vec<StreamItem> + 'a>,
-        current: Vec<StreamItem>,
-        generations: usize,
-    },
-}
-
-impl<'a> PassSource<'a> {
-    fn items_for(&mut self, pass: usize) -> &[StreamItem] {
-        match self {
-            PassSource::Graph {
-                graph,
-                orders,
-                cache,
-                generations,
-            } => {
-                let order = orders.order_for(pass);
-                let hit = cache.as_ref().is_some_and(|(o, _)| o == order);
-                if !hit {
-                    *generations += 1;
-                    let items = AdjListStream::new(graph, order.clone()).collect_items();
-                    *cache = Some((order.clone(), items));
-                }
-                &cache.as_ref().expect("cache populated").1
-            }
-            PassSource::Items {
-                supply,
-                current,
-                generations,
-            } => {
-                *generations += 1;
-                *current = supply(pass);
-                current
-            }
-        }
-    }
-
-    fn generations(&self) -> usize {
-        match self {
-            PassSource::Graph { generations, .. } | PassSource::Items { generations, .. } => {
-                *generations
-            }
-        }
-    }
-}
-
 /// The fan-out, optionally behind the shared ingestion guard. One exists
 /// per batch run, so the variant size gap is irrelevant.
 #[allow(clippy::large_enum_variant)]
@@ -749,19 +658,13 @@ impl<A: MultiPassAlgorithm> Driven<A> {
         &mut self,
         pass: usize,
         items: &[StreamItem],
-        slice_dispatch: bool,
         peak: &mut PeakTracker,
         processed: &mut usize,
+        obs: &mut RunObserver,
     ) -> Result<(), RunError> {
-        match (self, slice_dispatch) {
-            (Driven::Plain(f), true) => drive_pass_slice(f, pass, items, peak, processed),
-            (Driven::Guarded(g), true) => drive_pass_slice(g, pass, items, peak, processed),
-            (Driven::Plain(f), false) => {
-                drive_pass(f, pass, items.iter().copied(), peak, processed)
-            }
-            (Driven::Guarded(g), false) => {
-                drive_pass(g, pass, items.iter().copied(), peak, processed)
-            }
+        match self {
+            Driven::Plain(f) => drive_pass_slice_observed(f, pass, items, peak, processed, obs),
+            Driven::Guarded(g) => drive_pass_slice_observed(g, pass, items, peak, processed, obs),
         }
     }
 
@@ -792,10 +695,6 @@ impl<A: MultiPassAlgorithm> Driven<A> {
     }
 }
 
-/// Callback invoked at interior pass boundaries by [`BatchRunner::drive`];
-/// the checkpoint-writing hooks of the one-shot entry points live here.
-type BoundaryHook<'a, A> = dyn FnMut(&BatchJob<A>) -> Result<(), RunError> + 'a;
-
 /// Driver-side counters a job starts from: zero for a fresh run, the
 /// checkpointed values for a restored one.
 #[derive(Debug, Clone, Copy, Default)]
@@ -807,33 +706,30 @@ struct JobStart {
     resumed_from: Option<usize>,
 }
 
-/// A batched run held *between* passes: the execution half of
-/// [`BatchRunner`], decoupled from pass-source ownership and the
-/// run-to-completion loop.
+/// A batched run held *between* passes. Runs many instances of one
+/// algorithm over a single shared stream replay; see the module docs for
+/// the execution model.
 ///
-/// [`BatchRunner`]'s one-shot entry points construct a job and immediately
-/// loop it over a graph- or item-backed pass source. A long-running host —
-/// the `adjstreamd` estimation service — owns the loop itself instead: it
-/// feeds each pass's items via [`BatchJob::run_pass`], persists the
-/// boundary via [`BatchJob::write_checkpoint`], and may simply stop between
-/// passes (preemption, eviction, daemon shutdown), picking the job back up
-/// later — in the same process or after a crash — via
-/// [`BatchJob::restore_from_file`]. The per-pass execution — chunked event
-/// broadcast, sharded worker crews, panic quarantine, per-instance and
-/// batch-wide budget checks — is the *same code path* the one-shot drivers
-/// use, so stepped, suspended, and resumed runs produce bit-for-bit the
-/// per-instance outputs of an uninterrupted [`BatchRunner::try_run`].
+/// One-shot callers hand the whole pass loop to [`BatchJob::run`]. A
+/// long-running host — the `adjstreamd` estimation service — owns the loop
+/// itself instead: it feeds each pass's items via [`BatchJob::run_pass`],
+/// persists the boundary via [`BatchJob::write_checkpoint`], and may simply
+/// stop between passes (preemption, eviction, daemon shutdown), picking the
+/// job back up later — in the same process or after a crash — via
+/// [`BatchJob::restore_from_file`]. Both loops step the same
+/// [`BatchJob::run_pass`], so stepped, suspended, and resumed runs produce
+/// bit-for-bit the per-instance outputs of an uninterrupted run.
 ///
-/// The caller contract mirrors [`BatchRunner::resume`]: the items fed to
-/// each pass must describe the same stream the job was constructed (or
-/// checkpointed) against, and a restored job's [`BatchConfig`] must request
-/// the same guard configuration.
+/// The caller contract: the items fed to each pass must describe the same
+/// stream the job was constructed (or checkpointed) against — unverifiable
+/// from a checkpoint alone, exactly as seeds are — and a restored job's
+/// [`BatchConfig`] must request the same guard configuration.
 pub struct BatchJob<A: MultiPassAlgorithm> {
     driven: Driven<A>,
     total_passes: usize,
     same_order: bool,
     completed: usize,
-    cfg: BatchConfig,
+    budget: Budget,
     threads: usize,
     shard_size: usize,
     peak: PeakTracker,
@@ -847,12 +743,27 @@ pub struct BatchJob<A: MultiPassAlgorithm> {
 
 impl<A: MultiPassAlgorithm> BatchJob<A> {
     /// Build a job over `instances` under `cfg`. All instances must agree
-    /// on `passes()` and `requires_same_order()`; an empty batch returns
+    /// on `passes()` and `requires_same_order()` (they are copies of one
+    /// algorithm at different seeds); an empty batch returns
     /// [`RunError::EmptyBatch`] and disagreeing instances return
     /// [`RunError::MixedPassContracts`]. No pass runs yet.
     pub fn new(instances: Vec<A>, cfg: &BatchConfig) -> Result<Self, RunError> {
-        let contract = BatchRunner::contract(&instances)?;
-        let states = BatchRunner::make_states(instances, cfg);
+        let Some(first) = instances.first() else {
+            return Err(RunError::EmptyBatch);
+        };
+        let contract = (first.passes(), first.requires_same_order());
+        if instances
+            .iter()
+            .any(|a| (a.passes(), a.requires_same_order()) != contract)
+        {
+            return Err(RunError::MixedPassContracts);
+        }
+        let limit = cfg.budget.max_bytes_per_instance;
+        let states = instances
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| InstanceState::new(a, i, limit))
+            .collect();
         let sink = Metrics::from_flag(cfg.metrics);
         Self::assemble(states, contract, cfg, JobStart::default(), None, sink)
     }
@@ -878,8 +789,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
         let fanout = FanOut {
             passes: total_passes,
             same_order,
-            chunk_events: cfg.chunk_events.max(1),
-            buf: Vec::with_capacity(cfg.chunk_events.min(1 << 20)),
+            buf: Vec::with_capacity(CHUNK_EVENTS),
             item_buf: Vec::new(),
             states,
             workers: None,
@@ -904,7 +814,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
             total_passes,
             same_order,
             completed: start.completed,
-            cfg: cfg.clone(),
+            budget: cfg.budget,
             threads,
             shard_size,
             peak,
@@ -1053,9 +963,9 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
         let pass = self.completed;
         let pass_t0 = self.sink.is_enabled().then(Instant::now);
         let items_before = self.processed;
+        let mut obs = RunObserver::for_sink(&self.sink);
         let scope_result = crossbeam::thread::scope(|scope| -> Result<(), RunError> {
             if self.threads > 1 {
-                let depth = self.cfg.channel_depth.max(1);
                 let fanout = self.driven.fanout_mut();
                 let instance_states = std::mem::take(&mut fanout.states);
                 let (done_tx, done_rx) = crossbeam::channel::bounded(self.threads);
@@ -1064,7 +974,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
                 while iter.peek().is_some() {
                     let shard_states: Vec<InstanceState<A>> =
                         iter.by_ref().take(self.shard_size).collect();
-                    let (tx, rx) = crossbeam::channel::bounded::<Arc<Chunk>>(depth);
+                    let (tx, rx) = crossbeam::channel::bounded::<Arc<Chunk>>(CHANNEL_DEPTH);
                     senders.push(tx);
                     let done_tx = done_tx.clone();
                     scope.spawn(move |_| {
@@ -1083,38 +993,35 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
                     done: done_rx,
                 });
             }
-            let res = self.driven.drive(
-                pass,
-                items,
-                self.cfg.slice_dispatch,
-                &mut self.peak,
-                &mut self.processed,
-            );
+            let res = self
+                .driven
+                .drive(pass, items, &mut self.peak, &mut self.processed, &mut obs);
             self.driven.fanout_mut().join_pass_workers();
-            if let Some(t0) = pass_t0 {
-                // Per-pass aggregate: `peak_bytes` is the batch's live
-                // state across all instances at the boundary (the
-                // residency a budget would see), not any single
-                // instance's peak — those are in the per-instance
-                // reports.
-                self.pass_metrics.push(PassMetrics {
-                    pass: pass as u32,
-                    wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    items: (self.processed - items_before) as u64,
-                    slices: 0,
-                    lists: 0,
-                    peak_bytes: self.driven.fanout().total_live_bytes() as u64,
-                    series: Vec::new(),
-                });
-            }
             res
         });
+        if let Some(t0) = pass_t0 {
+            // Lists and slices come from the shared loop's observer. The
+            // wall covers worker spawn and join, and `peak_bytes` is the
+            // batch's live state across all instances at the boundary (the
+            // residency a budget would see), not any single instance's
+            // peak — those are in the per-instance reports.
+            let counted = obs.into_passes().pop().unwrap_or_default();
+            self.pass_metrics.push(PassMetrics {
+                pass: pass as u32,
+                wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                items: (self.processed - items_before) as u64,
+                slices: counted.slices,
+                lists: counted.lists,
+                peak_bytes: self.driven.fanout().total_live_bytes() as u64,
+                series: Vec::new(),
+            });
+        }
         match scope_result {
             Ok(run_result) => run_result?,
             Err(panic) => std::panic::resume_unwind(panic),
         }
         // Pass boundary: every instance is back on this thread.
-        if let Some(limit) = self.cfg.budget.max_total_bytes {
+        if let Some(limit) = self.budget.max_total_bytes {
             let used = self.driven.fanout().total_live_bytes();
             if used > limit {
                 return Err(RunError::SpaceBudgetExceeded { used, limit });
@@ -1168,8 +1075,43 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
         Ok(())
     }
 
-    /// Disassemble a complete job into its outputs and report, exactly as
-    /// [`BatchRunner::try_run`] would return them.
+    /// Run every remaining pass, then [`finish`](BatchJob::finish).
+    ///
+    /// `items_for_pass` supplies each pass's full item sequence (called
+    /// once per pass with its 0-based index, shaped like
+    /// [`run_slice_passes`](crate::runner::run_slice_passes)'s supplier);
+    /// [`GraphPasses::items`](crate::runner::GraphPasses::items) serves
+    /// graph-backed runs. `after_pass` is called at every interior pass
+    /// boundary — after pass `p`, before pass `p + 1` — where the job is
+    /// observable and checkpointable (e.g. `|job|
+    /// job.write_checkpoint(path)`); an error from it aborts the run.
+    ///
+    /// A strict shared guard aborts the whole batch with
+    /// [`RunError::Invalid`], and batch-wide budgets with their typed
+    /// errors; individual instance failures (panic, per-instance budget)
+    /// only quarantine that instance.
+    pub fn run<F, I, H>(
+        mut self,
+        mut items_for_pass: F,
+        mut after_pass: H,
+    ) -> Result<BatchOutcome<A::Output>, RunError>
+    where
+        A: Send,
+        F: FnMut(usize) -> I,
+        I: AsRef<[StreamItem]>,
+        H: FnMut(&BatchJob<A>) -> Result<(), RunError>,
+    {
+        while !self.is_complete() {
+            let items = items_for_pass(self.completed);
+            self.run_pass(items.as_ref())?;
+            if !self.is_complete() {
+                after_pass(&self)?;
+            }
+        }
+        Ok(self.finish())
+    }
+
+    /// Disassemble a complete job into its outputs and report.
     ///
     /// # Panics
     ///
@@ -1261,186 +1203,6 @@ struct PassBoundary<'a, A: MultiPassAlgorithm> {
 fn ckpt_err(e: impl std::fmt::Display) -> RunError {
     RunError::Checkpoint {
         message: e.to_string(),
-    }
-}
-
-/// Runs many instances of one algorithm over a single shared stream replay.
-/// See the module docs for the execution model.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BatchRunner;
-
-impl BatchRunner {
-    /// Run every instance in `instances` over `graph` streamed per
-    /// `orders`, generating each pass once.
-    ///
-    /// All instances must agree on `passes()` and `requires_same_order()`
-    /// (they are copies of one algorithm at different seeds); an empty
-    /// batch returns [`RunError::EmptyBatch`] and disagreeing instances
-    /// return [`RunError::MixedPassContracts`]. Order-contract violations
-    /// return the same typed [`RunError`]s as
-    /// [`Runner::try_run`](crate::runner::Runner::try_run); a strict shared
-    /// guard aborts the whole batch with [`RunError::Invalid`]. Individual
-    /// instance failures (panic, per-instance budget) do **not** fail the
-    /// batch: the instance is quarantined, its output slot is `None`, and
-    /// its [`InstanceReport::outcome`] says why.
-    pub fn try_run<A>(
-        graph: &Graph,
-        instances: Vec<A>,
-        orders: &PassOrders,
-        cfg: &BatchConfig,
-    ) -> Result<BatchOutcome<A::Output>, RunError>
-    where
-        A: MultiPassAlgorithm + Send,
-        A::Output: Send,
-    {
-        let job = BatchJob::new(instances, cfg)?;
-        orders.check(job.passes(), job.requires_same_order())?;
-        let mut source = PassSource::Graph {
-            graph,
-            orders,
-            cache: None,
-            generations: 0,
-        };
-        Self::drive(job, &mut source, None)
-    }
-
-    /// Run every instance over explicit per-pass item sequences (which may
-    /// differ per pass, e.g. [`crate::fault::FaultPlan`] replays). No order
-    /// contract is checked — raw item sequences carry no declared order,
-    /// exactly as with [`crate::runner::run_item_passes`].
-    pub fn try_run_items<A, F>(
-        instances: Vec<A>,
-        supply: F,
-        cfg: &BatchConfig,
-    ) -> Result<BatchOutcome<A::Output>, RunError>
-    where
-        A: MultiPassAlgorithm + Send,
-        A::Output: Send,
-        F: FnMut(usize) -> Vec<StreamItem>,
-    {
-        let job = BatchJob::new(instances, cfg)?;
-        let mut supply = supply;
-        let mut source = PassSource::Items {
-            supply: Box::new(&mut supply),
-            current: Vec::new(),
-            generations: 0,
-        };
-        Self::drive(job, &mut source, None)
-    }
-
-    /// Like [`BatchRunner::try_run`], additionally writing a checkpoint of
-    /// the whole batch to `path` at every interior pass boundary (atomic
-    /// write: temp file + rename). A process killed between passes leaves a
-    /// complete checkpoint that [`BatchRunner::resume`] picks up.
-    ///
-    /// The checkpoint written at the last interior boundary is left in
-    /// place after a successful run, so callers can inspect or discard it.
-    pub fn try_run_checkpointed<A>(
-        graph: &Graph,
-        instances: Vec<A>,
-        orders: &PassOrders,
-        cfg: &BatchConfig,
-        path: &Path,
-    ) -> Result<BatchOutcome<A::Output>, RunError>
-    where
-        A: MultiPassAlgorithm + Checkpoint + Send,
-        A::Output: Send,
-    {
-        let job = BatchJob::new(instances, cfg)?;
-        orders.check(job.passes(), job.requires_same_order())?;
-        let mut source = PassSource::Graph {
-            graph,
-            orders,
-            cache: None,
-            generations: 0,
-        };
-        let mut hook = |job: &BatchJob<A>| job.write_checkpoint(path);
-        Self::drive(job, &mut source, Some(&mut hook))
-    }
-
-    /// Resume a batch from a checkpoint written by
-    /// [`BatchRunner::try_run_checkpointed`], replaying only the remaining
-    /// passes. The resumed run produces bit-for-bit the per-instance
-    /// outputs of the uninterrupted run and keeps checkpointing to the same
-    /// `path` at later boundaries.
-    ///
-    /// `cfg` must request the same guard configuration the checkpointed run
-    /// used (the guard's cross-pass state is part of the checkpoint);
-    /// mismatches return [`RunError::Checkpoint`]. `orders` must describe
-    /// the same stream — that is unverifiable from the checkpoint alone and
-    /// is the caller's contract, exactly as seeds are.
-    pub fn resume<A>(
-        graph: &Graph,
-        orders: &PassOrders,
-        cfg: &BatchConfig,
-        path: &Path,
-    ) -> Result<BatchOutcome<A::Output>, RunError>
-    where
-        A: MultiPassAlgorithm + Checkpoint + Send,
-        A::Output: Send,
-    {
-        let job = BatchJob::<A>::restore_from_file(path, cfg)?;
-        orders.check(job.passes(), job.requires_same_order())?;
-        let mut source = PassSource::Graph {
-            graph,
-            orders,
-            cache: None,
-            generations: 0,
-        };
-        let mut hook = |job: &BatchJob<A>| job.write_checkpoint(path);
-        Self::drive(job, &mut source, Some(&mut hook))
-    }
-
-    fn make_states<A: MultiPassAlgorithm>(
-        instances: Vec<A>,
-        cfg: &BatchConfig,
-    ) -> Vec<InstanceState<A>> {
-        let limit = cfg.budget.max_bytes_per_instance;
-        instances
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| InstanceState::new(a, i, limit))
-            .collect()
-    }
-
-    fn contract<A: MultiPassAlgorithm>(instances: &[A]) -> Result<(usize, bool), RunError> {
-        let Some(first) = instances.first() else {
-            return Err(RunError::EmptyBatch);
-        };
-        let passes = first.passes();
-        let same_order = first.requires_same_order();
-        if instances
-            .iter()
-            .any(|a| a.passes() != passes || a.requires_same_order() != same_order)
-        {
-            return Err(RunError::MixedPassContracts);
-        }
-        Ok((passes, same_order))
-    }
-
-    /// Loop `job` to completion over `source`, invoking `at_boundary`
-    /// (where the one-shot checkpoint hooks live) at every interior pass
-    /// boundary.
-    fn drive<A>(
-        mut job: BatchJob<A>,
-        source: &mut PassSource<'_>,
-        mut at_boundary: Option<&mut BoundaryHook<'_, A>>,
-    ) -> Result<BatchOutcome<A::Output>, RunError>
-    where
-        A: MultiPassAlgorithm + Send,
-        A::Output: Send,
-    {
-        while !job.is_complete() {
-            let items = source.items_for(job.completed_passes());
-            job.run_pass(items)?;
-            job.set_source_generations(source.generations());
-            if !job.is_complete() {
-                if let Some(hook) = at_boundary.as_deref_mut() {
-                    hook(&job)?;
-                }
-            }
-        }
-        Ok(job.finish())
     }
 }
 
@@ -1605,12 +1367,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjlist::AdjListStream;
     use crate::checkpoint::{read_u64, write_u64};
-    use crate::fault::{FaultKind, FaultPlan};
+    use crate::fault::{CorruptedStream, FaultKind, FaultPlan};
     use crate::guard::GuardPolicy;
-    use crate::runner::{run_item_passes, Runner};
+    use crate::order::StreamOrder;
+    use crate::runner::{run_slice_passes, GraphPasses, PassOrders, Runner};
     use crate::validate::{StreamError, ValidatorMode};
-    use adjstream_graph::gen;
+    use adjstream_graph::{gen, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1738,6 +1502,63 @@ mod tests {
             .collect()
     }
 
+    /// Loop `job` over `g` streamed per `orders`, checkpointing to `path`
+    /// (when given) at every interior boundary.
+    fn run_job(
+        mut job: BatchJob<Digest>,
+        g: &Graph,
+        orders: &PassOrders,
+        path: Option<&Path>,
+    ) -> Result<BatchOutcome<u64>, RunError> {
+        let source = GraphPasses::new(g, orders, job.passes(), job.requires_same_order())?;
+        job.set_source_generations(source.generations());
+        job.run(
+            |p| source.items(p),
+            |job| path.map_or(Ok(()), |path| job.write_checkpoint(path)),
+        )
+    }
+
+    fn run_graph(
+        g: &Graph,
+        instances: Vec<Digest>,
+        orders: &PassOrders,
+        cfg: &BatchConfig,
+    ) -> Result<BatchOutcome<u64>, RunError> {
+        run_job(BatchJob::new(instances, cfg)?, g, orders, None)
+    }
+
+    fn run_checkpointed(
+        g: &Graph,
+        instances: Vec<Digest>,
+        orders: &PassOrders,
+        cfg: &BatchConfig,
+        path: &Path,
+    ) -> Result<BatchOutcome<u64>, RunError> {
+        run_job(BatchJob::new(instances, cfg)?, g, orders, Some(path))
+    }
+
+    fn resume(
+        g: &Graph,
+        orders: &PassOrders,
+        cfg: &BatchConfig,
+        path: &Path,
+    ) -> Result<BatchOutcome<u64>, RunError> {
+        run_job(
+            BatchJob::restore_from_file(path, cfg)?,
+            g,
+            orders,
+            Some(path),
+        )
+    }
+
+    fn run_items(
+        instances: Vec<Digest>,
+        c: &CorruptedStream,
+        cfg: &BatchConfig,
+    ) -> Result<BatchOutcome<u64>, RunError> {
+        BatchJob::new(instances, cfg)?.run(|p| c.items_for_pass(p), |_| Ok(()))
+    }
+
     fn ckpt_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -1771,13 +1592,12 @@ mod tests {
             .collect();
         for threads in [1, 2, 4, 16] {
             let instances: Vec<Digest> = seeds.iter().map(|&s| Digest::new(s, 2, false)).collect();
-            let out = BatchRunner::try_run(
+            let out = run_graph(
                 &g,
                 instances,
                 &orders,
                 &BatchConfig {
                     threads,
-                    chunk_events: 64,
                     ..BatchConfig::default()
                 },
             )
@@ -1799,14 +1619,14 @@ mod tests {
         let g = er_graph(5);
         let orders = PassOrders::Same(StreamOrder::shuffled(40, 2));
         let instances: Vec<Digest> = (0..4).map(|s| Digest::new(s, 2, false)).collect();
-        let out = BatchRunner::try_run(&g, instances, &orders, &BatchConfig::default()).unwrap();
+        let out = run_graph(&g, instances, &orders, &BatchConfig::default()).unwrap();
         assert_eq!(out.report.stream_generations, 1);
         assert_eq!(out.report.stream_items, 2 * 2 * 160); // 2 passes × 2m
         assert_eq!(out.report.items_fanned_out, 4 * 2 * 2 * 160);
         // Differing per-pass orders regenerate.
         let orders = PassOrders::PerPass(vec![StreamOrder::natural(40), StreamOrder::reversed(40)]);
         let instances: Vec<Digest> = (0..4).map(|s| Digest::new(s, 2, false)).collect();
-        let out = BatchRunner::try_run(&g, instances, &orders, &BatchConfig::default()).unwrap();
+        let out = run_graph(&g, instances, &orders, &BatchConfig::default()).unwrap();
         assert_eq!(out.report.stream_generations, 2);
     }
 
@@ -1815,7 +1635,7 @@ mod tests {
         let g = er_graph(7);
         // PerPass length mismatch.
         let instances: Vec<Digest> = (0..3).map(|s| Digest::new(s, 2, false)).collect();
-        let err = BatchRunner::try_run(
+        let err = run_graph(
             &g,
             instances,
             &PassOrders::PerPass(vec![StreamOrder::natural(40)]),
@@ -1831,7 +1651,7 @@ mod tests {
         );
         // requires_same_order violated.
         let instances: Vec<Digest> = (0..3).map(|s| Digest::new(s, 2, true)).collect();
-        let err = BatchRunner::try_run(
+        let err = run_graph(
             &g,
             instances,
             &PassOrders::PerPass(vec![StreamOrder::natural(40), StreamOrder::reversed(40)]),
@@ -1842,7 +1662,7 @@ mod tests {
         // Equal PerPass entries satisfy the same-order requirement.
         let order = StreamOrder::shuffled(40, 4);
         let instances: Vec<Digest> = (0..3).map(|s| Digest::new(s, 2, true)).collect();
-        assert!(BatchRunner::try_run(
+        assert!(run_graph(
             &g,
             instances,
             &PassOrders::PerPass(vec![order.clone(), order]),
@@ -1857,7 +1677,7 @@ mod tests {
         let orders = PassOrders::Same(StreamOrder::natural(40));
         let instances: Vec<Digest> = (0..10).map(|s| Digest::new(s, 2, false)).collect();
         let cfg = BatchConfig::with_threads(3);
-        let out = BatchRunner::try_run(&g, instances, &orders, &cfg).unwrap();
+        let out = run_graph(&g, instances, &orders, &cfg).unwrap();
         assert_eq!(out.report.per_instance.len(), 10);
         assert_eq!(out.report.threads, 3);
         // Chunked sharding: ⌈10/3⌉ = 4 → shards 0,0,0,0,1,1,1,1,2,2.
@@ -1884,8 +1704,7 @@ mod tests {
                 guard: Some((GuardPolicy::Strict, ValidatorMode::Exact)),
                 ..BatchConfig::default()
             };
-            let err = BatchRunner::try_run_items(instances, |p| c.items_for_pass(p).to_vec(), &cfg)
-                .unwrap_err();
+            let err = run_items(instances, &c, &cfg).unwrap_err();
             let RunError::Invalid { pass: 0, error } = err else {
                 panic!("expected Invalid, got {err:?}");
             };
@@ -1903,9 +1722,9 @@ mod tests {
             .with(FaultKind::InjectSelfLoop, 1)
             .apply(&items);
         // Sequential reference: one instance behind its own guard.
-        let (_, seq_report) = run_item_passes(
+        let (_, seq_report) = run_slice_passes(
             Guarded::new(Digest::new(0, 2, false), GuardPolicy::Repair),
-            |p| c.items_for_pass(p).to_vec(),
+            |p| c.items_for_pass(p),
         )
         .unwrap();
         let want = seq_report.guard.expect("guarded run has stats");
@@ -1916,8 +1735,7 @@ mod tests {
                 guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
                 ..BatchConfig::default()
             };
-            let out = BatchRunner::try_run_items(instances, |p| c.items_for_pass(p).to_vec(), &cfg)
-                .unwrap();
+            let out = run_items(instances, &c, &cfg).unwrap();
             let got = out.report.guard.expect("shared guard publishes stats");
             // Seeded hashing makes the validator's map capacities — and so
             // its peak bytes — a pure function of the stream, so the whole
@@ -1946,9 +1764,9 @@ mod tests {
             .iter()
             .map(|&s| {
                 Some(
-                    run_item_passes(
+                    run_slice_passes(
                         Guarded::new(Digest::new(s, 2, false), GuardPolicy::Repair),
-                        |p| c.items_for_pass(p).to_vec(),
+                        |p| c.items_for_pass(p),
                     )
                     .unwrap()
                     .0,
@@ -1958,19 +1776,17 @@ mod tests {
         let instances: Vec<Digest> = seeds.iter().map(|&s| Digest::new(s, 2, false)).collect();
         let cfg = BatchConfig {
             threads: 4,
-            chunk_events: 32,
             guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
             ..BatchConfig::default()
         };
-        let out =
-            BatchRunner::try_run_items(instances, |p| c.items_for_pass(p).to_vec(), &cfg).unwrap();
+        let out = run_items(instances, &c, &cfg).unwrap();
         assert_eq!(out.outputs, want);
     }
 
     #[test]
     fn empty_batch_is_a_typed_error() {
         let g = er_graph(1);
-        let err = BatchRunner::try_run(
+        let err = run_graph(
             &g,
             Vec::<Digest>::new(),
             &PassOrders::Same(StreamOrder::natural(40)),
@@ -1983,7 +1799,7 @@ mod tests {
     #[test]
     fn mixed_pass_contracts_are_a_typed_error() {
         let g = er_graph(1);
-        let err = BatchRunner::try_run(
+        let err = run_graph(
             &g,
             vec![Digest::new(0, 1, false), Digest::new(1, 2, false)],
             &PassOrders::Same(StreamOrder::natural(40)),
@@ -1998,8 +1814,7 @@ mod tests {
         let g = er_graph(2);
         let orders = PassOrders::Same(StreamOrder::natural(40));
         let instances: Vec<Digest> = (0..2).map(|s| Digest::new(s, 1, false)).collect();
-        let out =
-            BatchRunner::try_run(&g, instances, &orders, &BatchConfig::with_threads(8)).unwrap();
+        let out = run_graph(&g, instances, &orders, &BatchConfig::with_threads(8)).unwrap();
         assert_eq!(out.report.threads, 2);
         assert_eq!(out.outputs.len(), 2);
     }
@@ -2026,13 +1841,12 @@ mod tests {
                 })
                 .collect();
             let out = quietly(|| {
-                BatchRunner::try_run(
+                run_graph(
                     &g,
                     instances,
                     &orders,
                     &BatchConfig {
                         threads,
-                        chunk_events: 64,
                         ..BatchConfig::default()
                     },
                 )
@@ -2068,7 +1882,7 @@ mod tests {
             Digest::new(301, 2, false).growing(100),
             Digest::new(302, 2, false),
         ];
-        let out = BatchRunner::try_run(
+        let out = run_graph(
             &g,
             instances,
             &orders,
@@ -2101,7 +1915,7 @@ mod tests {
         let g = er_graph(41);
         let orders = PassOrders::Same(StreamOrder::natural(40));
         let instances: Vec<Digest> = (0..3).map(|s| Digest::new(s, 2, false)).collect();
-        let err = BatchRunner::try_run(
+        let err = run_graph(
             &g,
             instances,
             &orders,
@@ -2125,7 +1939,7 @@ mod tests {
         let g = er_graph(43);
         let orders = PassOrders::Same(StreamOrder::natural(40));
         let instances: Vec<Digest> = (0..2).map(|s| Digest::new(s, 2, false)).collect();
-        let err = BatchRunner::try_run(
+        let err = run_graph(
             &g,
             instances,
             &orders,
@@ -2156,21 +1970,14 @@ mod tests {
         // file left at the pass-0/1 boundary — exactly what a process
         // killed after the boundary write would leave behind.
         let instances: Vec<Digest> = seeds.iter().map(|&s| Digest::new(s, 2, false)).collect();
-        let out = BatchRunner::try_run_checkpointed(
-            &g,
-            instances,
-            &orders,
-            &BatchConfig::default(),
-            &path,
-        )
-        .unwrap();
+        let out = run_checkpointed(&g, instances, &orders, &BatchConfig::default(), &path).unwrap();
         assert_eq!(out.outputs, want);
         assert_eq!(out.report.resumed_from, None);
         assert!(path.exists(), "boundary checkpoint persists");
         // Resume from that checkpoint at several thread counts: pass 1
         // replays, outputs are bit-for-bit those of the full run.
         for threads in [1, 3] {
-            let resumed = BatchRunner::resume::<Digest>(
+            let resumed = resume(
                 &g,
                 &orders,
                 &BatchConfig {
@@ -2212,18 +2019,10 @@ mod tests {
             })
             .collect();
         let out = quietly(|| {
-            BatchRunner::try_run_checkpointed(
-                &g,
-                instances,
-                &orders,
-                &BatchConfig::default(),
-                &path,
-            )
-            .unwrap()
+            run_checkpointed(&g, instances, &orders, &BatchConfig::default(), &path).unwrap()
         });
         assert_eq!(out.report.survivors(), 3);
-        let resumed =
-            BatchRunner::resume::<Digest>(&g, &orders, &BatchConfig::default(), &path).unwrap();
+        let resumed = resume(&g, &orders, &BatchConfig::default(), &path).unwrap();
         assert_eq!(resumed.report.survivors(), 3);
         for (i, output) in resumed.outputs.iter().enumerate() {
             if i == 2 {
@@ -2246,14 +2045,13 @@ mod tests {
         let path = ckpt_path("reject");
         let _ = std::fs::remove_file(&path);
         let instances: Vec<Digest> = (0..3).map(|s| Digest::new(s, 2, false)).collect();
-        BatchRunner::try_run_checkpointed(&g, instances, &orders, &BatchConfig::default(), &path)
-            .unwrap();
+        run_checkpointed(&g, instances, &orders, &BatchConfig::default(), &path).unwrap();
         // Guard config mismatch.
         let cfg = BatchConfig {
             guard: Some((GuardPolicy::Strict, ValidatorMode::Exact)),
             ..BatchConfig::default()
         };
-        let err = BatchRunner::resume::<Digest>(&g, &orders, &cfg, &path).unwrap_err();
+        let err = resume(&g, &orders, &cfg, &path).unwrap_err();
         assert!(
             matches!(&err, RunError::Checkpoint { message } if message.contains("guard config")),
             "{err:?}"
@@ -2263,8 +2061,7 @@ mod tests {
         let n = raw.len();
         raw[n - 12] ^= 0x20;
         std::fs::write(&path, &raw).unwrap();
-        let err =
-            BatchRunner::resume::<Digest>(&g, &orders, &BatchConfig::default(), &path).unwrap_err();
+        let err = resume(&g, &orders, &BatchConfig::default(), &path).unwrap_err();
         assert!(matches!(err, RunError::Checkpoint { .. }), "{err:?}");
         std::fs::remove_file(&path).unwrap();
     }

@@ -21,7 +21,7 @@ use adjstream_graph::VertexId;
 
 use crate::hashing::SplitMix64;
 use crate::item::StreamItem;
-use crate::runner::{run_item_passes, MultiPassAlgorithm, RunError, RunReport};
+use crate::runner::{run_slice_passes, MultiPassAlgorithm, RunError, RunReport};
 use crate::validate::pack_edge;
 
 /// The classes of promise violation a [`FaultPlan`] can inject.
@@ -193,7 +193,7 @@ impl CorruptedStream {
         &self,
         algo: A,
     ) -> Result<(A::Output, RunReport), RunError> {
-        run_item_passes(algo, |pass| self.items_for_pass(pass).iter().copied())
+        run_slice_passes(algo, |pass| self.items_for_pass(pass))
     }
 }
 

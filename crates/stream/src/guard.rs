@@ -588,8 +588,7 @@ mod tests {
     use crate::adjlist::AdjListStream;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::order::StreamOrder;
-    use crate::runner::RunError;
-    use crate::trace::ItemTrace;
+    use crate::runner::{run_slice_passes, RunError};
     use adjstream_graph::gen;
 
     /// Counts items and list boundaries per pass; order-sensitivity is
@@ -654,8 +653,7 @@ mod tests {
             GuardPolicy::Observe,
         ] {
             let guarded = Guarded::new(Probe::new(2, false), policy);
-            let trace = ItemTrace::new_unchecked(items.clone());
-            let ((n, _), report) = trace.try_run(guarded).unwrap();
+            let ((n, _), report) = run_slice_passes(guarded, |_| &items[..]).unwrap();
             assert_eq!(n, 240, "{policy}");
             let stats = report.guard.unwrap();
             assert_eq!(stats.faults_detected, 0);

@@ -19,18 +19,19 @@
 //! * [`guard`] — wrap any algorithm with online validation and an explicit
 //!   degradation policy (strict / repair / observe),
 //! * [`runner`] — drive a [`runner::MultiPassAlgorithm`] over one or more
-//!   passes, recording the peak state size; fallible `try_run` entry points
-//!   degrade to typed [`runner::RunError`]s instead of panicking,
-//! * [`batch`] — the stream-once batched engine: generate each pass once
-//!   and fan every item out to `R` algorithm instances sharded across
-//!   worker threads, bitwise-reproducible against the sequential runner,
-//!   with per-instance panic isolation, resource budgets, and pass-boundary
+//!   passes through the one pass loop, [`runner::drive_pass_slice`],
+//!   recording the peak state size; runs degrade to typed
+//!   [`runner::RunError`]s instead of panicking,
+//! * [`batch`] — the stream-once batched engine: replay each pass once and
+//!   fan every item out to `R` algorithm instances sharded across worker
+//!   threads, bitwise-reproducible against the sequential runner, with
+//!   per-instance panic isolation, resource budgets, and pass-boundary
 //!   checkpoint/resume,
 //! * [`checkpoint`] — the [`checkpoint::Checkpoint`] trait and the
 //!   versioned, checksummed, atomically-written on-disk container behind
-//!   [`batch::BatchRunner::resume`],
+//!   [`batch::BatchJob::restore_from_file`],
 //! * [`shard`] — graph-sharded scale-out: [`shard::ShardPlan`] partitions a
-//!   trace by list-owner vertex and [`shard::run_sharded`] executes a
+//!   trace by list-owner vertex and [`shard::run_sharded_hooked`] executes a
 //!   [`shard::ShardAlgorithm`] per shard (threads or one checkpointed pass
 //!   per process), merging per-pass partial states into results
 //!   bit-identical to the sequential driver,
@@ -87,8 +88,7 @@ pub mod validate;
 pub use adjlist::AdjListStream;
 pub use arbitrary::ArbitraryOrderStream;
 pub use batch::{
-    BatchConfig, BatchJob, BatchOutcome, BatchReport, BatchRunner, Budget, InstanceOutcome,
-    InstanceReport,
+    BatchConfig, BatchJob, BatchOutcome, BatchReport, Budget, InstanceOutcome, InstanceReport,
 };
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use fault::{CorruptedStream, FaultKind, FaultPlan, InjectedFault};
@@ -100,11 +100,10 @@ pub use mmapfile::{MappedTrace, VerifyCursor};
 pub use obs::{Metrics, MetricsSnapshot, ObsCounters, METRICS_SCHEMA_VERSION};
 pub use order::{StreamOrder, WithinListOrder};
 pub use runner::{
-    drive_pass_slice, run_item_passes, run_item_passes_observed, run_slice_passes,
-    run_slice_passes_observed, GuardStats, MultiPassAlgorithm, PassOrders, RunError, RunReport,
-    Runner,
+    drive_pass_slice, run_slice_passes, run_slice_passes_observed, GraphPasses, GuardStats,
+    MultiPassAlgorithm, PassOrders, RunError, RunReport, Runner,
 };
-pub use shard::{run_sharded, run_sharded_hooked, ShardAlgorithm, ShardError, ShardPlan, ShardRun};
+pub use shard::{run_sharded_hooked, ShardAlgorithm, ShardError, ShardPlan, ShardRun};
 pub use trace::{ItemTrace, TraceError, ADJB_MAGIC, ADJB_VERSION};
 pub use update::{
     run_update_batches, ChurnConfig, UpdateAlgorithm, UpdateBatchReport, UpdateEvent,

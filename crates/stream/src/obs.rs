@@ -22,8 +22,8 @@
 //!   algorithms accumulate internally (plain integer increments on paths
 //!   they already branch on) and publish through
 //!   [`MultiPassAlgorithm::obs_counters`](crate::runner::MultiPassAlgorithm::obs_counters).
-//! * [`RunObserver`] — the per-run recorder the sequential drivers thread
-//!   through [`crate::runner::drive_pass`]'s boundary loop.
+//! * [`RunObserver`] — the per-run recorder the drivers thread through
+//!   [`crate::runner::drive_pass_slice`]'s boundary loop.
 //!
 //! Aggregation is additive: absorbing several runs into one sink sums
 //! wall times, items, and counters pass-wise, keeps byte peaks as maxima,
@@ -148,8 +148,7 @@ pub struct PassMetrics {
     pub wall_nanos: u64,
     /// Items dispatched in the pass, summed over merged runs.
     pub items: u64,
-    /// Same-source slices delivered via `feed_slice` (0 under per-item
-    /// dispatch).
+    /// Same-source slices delivered via `feed_slice`.
     pub slices: u64,
     /// Adjacency lists the pass announced.
     pub lists: u64,
@@ -624,6 +623,11 @@ impl RunObserver {
                 series: a.series.points,
             });
         }
+    }
+
+    /// The passes recorded so far (empty when disabled).
+    pub(crate) fn into_passes(self) -> Vec<PassMetrics> {
+        self.passes
     }
 
     /// Package the observations of one finished run (`None` when

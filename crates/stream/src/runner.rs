@@ -1,13 +1,15 @@
 //! Driving multi-pass algorithms over adjacency list streams.
 //!
-//! All entry points — [`Runner`] for generated streams, [`run_item_passes`]
-//! for raw per-pass item sequences, and [`crate::trace::ItemTrace`] for
-//! validated traces — share one pass driver, [`drive_pass`]: it detects list
-//! boundaries, announces them to the algorithm, samples peak state at every
-//! boundary, and aborts with a typed [`RunError`] if the algorithm (e.g. a
+//! Every sequential entry point — [`run_slice_passes`] for per-pass item
+//! slices (traces, corrupted streams, mmapped files) and [`Runner`] for
+//! generated streams, which replays [`GraphPasses`] through it — shares one
+//! pass driver, [`drive_pass_slice`]: it detects list boundaries, delivers
+//! each list's items as one slice, samples peak state at every boundary,
+//! and aborts with a typed [`RunError`] if the algorithm (e.g. a
 //! [`crate::guard::Guarded`] wrapper in strict mode) reports a fatal stream
-//! violation. The panicking entry points are thin wrappers over the fallible
-//! ones.
+//! violation. The batched engine ([`crate::batch`]) drives its fan-out
+//! through the same loop. The panicking entry point is a thin wrapper over
+//! the fallible one.
 
 use adjstream_graph::{Graph, VertexId};
 
@@ -58,10 +60,9 @@ pub trait MultiPassAlgorithm: SpaceUsage {
     /// chose to batch (drivers deliver whole lists, but implementations
     /// must not assume that — a repair guard may forward a list in
     /// several admitted segments). The default delegates to
-    /// [`item`](Self::item) per element, so per-item and slice dispatch
-    /// are observationally identical for every implementation; algorithms
-    /// with a cheaper batched path (e.g. one hash probe per run instead
-    /// of per item) override it.
+    /// [`item`](Self::item) per element; algorithms with a cheaper batched
+    /// path (e.g. one hash probe per run instead of per item) override it,
+    /// and an override must be observationally identical to that loop.
     fn feed_slice(&mut self, items: &[StreamItem]) {
         for it in items {
             self.item(it.src, it.dst);
@@ -80,8 +81,8 @@ pub trait MultiPassAlgorithm: SpaceUsage {
 
     /// A fatal stream violation this algorithm wants the run aborted for.
     ///
-    /// Fallible drivers poll this after every item and pass boundary; a
-    /// `Some` stops the run with [`RunError::Invalid`]. Plain algorithms
+    /// The driver polls this after every delivered list run and at pass
+    /// end; a `Some` stops the run with [`RunError::Invalid`]. Plain algorithms
     /// never abort (the default); [`crate::guard::Guarded`] overrides this
     /// to surface validation failures under the strict policy.
     fn abort_error(&self) -> Option<StreamError> {
@@ -148,8 +149,8 @@ impl PassOrders {
     /// [`PassOrders::PerPass`] list must have one order per pass, and an
     /// algorithm that [requires identical pass
     /// orders](MultiPassAlgorithm::requires_same_order) must not be given
-    /// differing ones. Shared by [`Runner`] and the batched engine
-    /// ([`crate::batch::BatchRunner`]).
+    /// differing ones. [`GraphPasses::new`] applies it for every
+    /// graph-backed run, sequential or batched.
     pub fn check(&self, passes: usize, requires_same_order: bool) -> Result<(), RunError> {
         if requires_same_order && !self.is_same_order() {
             return Err(RunError::OrderMismatch);
@@ -276,8 +277,8 @@ pub struct RunReport {
     pub passes: usize,
     /// Ingestion-guard counters, when the algorithm was wrapped in one.
     pub guard: Option<GuardStats>,
-    /// Structured observations of the run — `Some` only for the
-    /// `*_observed` entry points given an enabled [`Metrics`] sink. The
+    /// Structured observations of the run — `Some` only for
+    /// [`run_slice_passes_observed`] given an enabled [`Metrics`] sink. The
     /// deterministic fields (`peak_state_bytes`, per-pass items/lists,
     /// sampler counters, guard counters) duplicate what the report and
     /// algorithm already expose; wall times are the only
@@ -285,105 +286,18 @@ pub struct RunReport {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Drive one pass of `items` through `algo`: announce the pass and every
-/// list boundary, sample peak state at each boundary, and poll
-/// [`MultiPassAlgorithm::abort_error`] and
-/// [`MultiPassAlgorithm::abort_run`] after every item and at pass end.
-///
-/// This is the single boundary-detection loop every runner in this crate
-/// uses; `items` may be any item sequence, including malformed ones fed to
-/// a [`crate::guard::Guarded`] algorithm.
-pub fn drive_pass<A, I>(
-    algo: &mut A,
-    pass: usize,
-    items: I,
-    peak: &mut PeakTracker,
-    processed: &mut usize,
-) -> Result<(), RunError>
-where
-    A: MultiPassAlgorithm,
-    I: IntoIterator<Item = StreamItem>,
-{
-    drive_pass_observed(
-        algo,
-        pass,
-        items,
-        peak,
-        processed,
-        &mut RunObserver::disabled(),
-    )
-}
-
-/// [`drive_pass`] with an attached [`RunObserver`]. The observer is
-/// consulted only at the boundaries where the driver already samples
-/// state, so a disabled observer keeps the unobserved hot path.
-pub(crate) fn drive_pass_observed<A, I>(
-    algo: &mut A,
-    pass: usize,
-    items: I,
-    peak: &mut PeakTracker,
-    processed: &mut usize,
-    obs: &mut RunObserver,
-) -> Result<(), RunError>
-where
-    A: MultiPassAlgorithm,
-    I: IntoIterator<Item = StreamItem>,
-{
-    obs.begin_pass(pass, *processed);
-    algo.begin_pass(pass);
-    let mut current: Option<VertexId> = None;
-    for item in items {
-        if current != Some(item.src) {
-            if let Some(prev) = current {
-                algo.end_list(prev);
-                let bytes = algo.space_bytes();
-                peak.observe(bytes);
-                obs.boundary(bytes, *processed);
-            }
-            algo.begin_list(item.src);
-            current = Some(item.src);
-        }
-        algo.item(item.src, item.dst);
-        *processed += 1;
-        if let Some(error) = algo.abort_error() {
-            return Err(RunError::Invalid { pass, error });
-        }
-        if let Some(err) = algo.abort_run() {
-            return Err(err);
-        }
-    }
-    if let Some(prev) = current {
-        algo.end_list(prev);
-        let bytes = algo.space_bytes();
-        peak.observe(bytes);
-        obs.boundary(bytes, *processed);
-    }
-    algo.end_pass(pass);
-    let bytes = algo.space_bytes();
-    peak.observe(bytes);
-    obs.end_pass(bytes, *processed);
-    if let Some(error) = algo.abort_error() {
-        return Err(RunError::Invalid { pass, error });
-    }
-    if let Some(err) = algo.abort_run() {
-        return Err(err);
-    }
-    Ok(())
-}
-
 /// Drive one pass of `items` through `algo` with slice-batched dispatch:
 /// split `items` into maximal runs of one source vertex and deliver each
 /// run through [`MultiPassAlgorithm::feed_slice`] between its list
 /// boundaries.
 ///
-/// Callback order, boundary placement, and the peak-state sampling points
-/// are identical to [`drive_pass`]; only the granularity of delivery and
-/// abort polling changes (per run instead of per item). Outputs and
-/// [`RunReport`]s therefore match `drive_pass` bit for bit on successful
-/// runs. On aborting runs the surfaced error is the same — an algorithm
-/// that latches a fatal error ignores later input (see
-/// [`crate::guard::Guarded`]) — though the abort may be detected a few
-/// items later, after the offending run completes.
+/// `begin_list`/`end_list` bracket every run, and peak state is sampled at
+/// each list boundary and at pass end. Because
+/// [`MultiPassAlgorithm::feed_slice`] must match a per-item
+/// [`MultiPassAlgorithm::item`] loop, outputs and [`RunReport`]s are those
+/// of item-by-item delivery. Aborts are polled per run: an algorithm that
+/// latches a fatal error ignores later input (see
+/// [`crate::guard::Guarded`]), so the surfaced error is the first one.
 pub fn drive_pass_slice<A>(
     algo: &mut A,
     pass: usize,
@@ -404,8 +318,9 @@ where
     )
 }
 
-/// [`drive_pass_slice`] with an attached [`RunObserver`]; same
-/// boundary-only consultation contract as [`drive_pass_observed`].
+/// [`drive_pass_slice`] with an attached [`RunObserver`]. The observer is
+/// consulted only at the boundaries where the driver already samples
+/// state, so a disabled observer keeps the unobserved hot path.
 pub(crate) fn drive_pass_slice_observed<A>(
     algo: &mut A,
     pass: usize,
@@ -481,55 +396,6 @@ pub(crate) fn find_run_end(items: &[StreamItem], start: usize) -> usize {
     i
 }
 
-/// Run `algo` over explicit per-pass item sequences produced by
-/// `items_for_pass` (called once per pass, 0-based).
-///
-/// This is the entry point for streams that exist only as raw items — e.g.
-/// corrupted sequences from [`crate::fault::FaultPlan`], which may replay
-/// *differently* per pass to model reorder faults.
-pub fn run_item_passes<A, F, I>(
-    algo: A,
-    items_for_pass: F,
-) -> Result<(A::Output, RunReport), RunError>
-where
-    A: MultiPassAlgorithm,
-    F: FnMut(usize) -> I,
-    I: IntoIterator<Item = StreamItem>,
-{
-    run_item_passes_observed(algo, items_for_pass, &Metrics::disabled())
-}
-
-/// [`run_item_passes`] reporting into a [`Metrics`] sink: with an enabled
-/// sink the returned [`RunReport::metrics`] carries the run's snapshot
-/// and the sink absorbs it; with a disabled sink this *is*
-/// [`run_item_passes`] — outputs and reports are bit-for-bit identical.
-pub fn run_item_passes_observed<A, F, I>(
-    mut algo: A,
-    mut items_for_pass: F,
-    sink: &Metrics,
-) -> Result<(A::Output, RunReport), RunError>
-where
-    A: MultiPassAlgorithm,
-    F: FnMut(usize) -> I,
-    I: IntoIterator<Item = StreamItem>,
-{
-    let mut peak = PeakTracker::new();
-    let mut processed = 0usize;
-    let mut obs = RunObserver::for_sink(sink);
-    let passes = algo.passes();
-    for pass in 0..passes {
-        drive_pass_observed(
-            &mut algo,
-            pass,
-            items_for_pass(pass),
-            &mut peak,
-            &mut processed,
-            &mut obs,
-        )?;
-    }
-    Ok(finish_run(algo, peak, processed, passes, obs, sink))
-}
-
 /// Package a completed run: pull guard stats and sampler counters through
 /// the trait hooks, fold the observer into a snapshot, and absorb it into
 /// the sink.
@@ -559,13 +425,14 @@ fn finish_run<A: MultiPassAlgorithm>(
     )
 }
 
-/// Run `algo` over explicit per-pass item slices with slice-batched
-/// dispatch ([`drive_pass_slice`]) — the sequential counterpart of
-/// [`run_item_passes`] for materialized streams such as
-/// [`crate::trace::ItemTrace`] replays.
+/// Run `algo` over explicit per-pass item slices produced by
+/// `items_for_pass` (called once per pass, 0-based), one
+/// [`drive_pass_slice`] per pass.
 ///
-/// `items_for_pass` is called once per pass and may return anything that
-/// derefs to a slice (a borrowed `&[StreamItem]`, a `Vec`, …).
+/// `items_for_pass` may return anything that derefs to a slice (a borrowed
+/// `&[StreamItem]`, a `Vec`, …), and may return *different* sequences per
+/// pass — e.g. corrupted streams from [`crate::fault::FaultPlan`] that
+/// model reorder faults.
 pub fn run_slice_passes<A, F, I>(
     algo: A,
     items_for_pass: F,
@@ -578,9 +445,10 @@ where
     run_slice_passes_observed(algo, items_for_pass, &Metrics::disabled())
 }
 
-/// [`run_slice_passes`] reporting into a [`Metrics`] sink — the
-/// slice-dispatch counterpart of [`run_item_passes_observed`], with the
-/// same disabled-sink identity guarantee.
+/// [`run_slice_passes`] reporting into a [`Metrics`] sink: with an enabled
+/// sink the returned [`RunReport::metrics`] carries the run's snapshot and
+/// the sink absorbs it; with a disabled sink this *is*
+/// [`run_slice_passes`] — outputs and reports are bit-for-bit identical.
 pub fn run_slice_passes_observed<A, F, I>(
     mut algo: A,
     mut items_for_pass: F,
@@ -609,6 +477,57 @@ where
     Ok(finish_run(algo, peak, processed, passes, obs, sink))
 }
 
+/// The per-pass item sequences of a graph streamed per [`PassOrders`],
+/// materialized once per distinct order: passes replaying an order share
+/// its buffer instead of regenerating it. This buffer is harness state, not
+/// algorithm state — it is never reported through [`SpaceUsage`].
+#[derive(Debug, Clone)]
+pub struct GraphPasses {
+    /// One item sequence per distinct order, in first-use order.
+    streams: Vec<Vec<StreamItem>>,
+    /// Index into `streams` of each pass's sequence.
+    of_pass: Vec<usize>,
+}
+
+impl GraphPasses {
+    /// Check `orders` against a `passes`-pass contract ([`PassOrders::check`])
+    /// and generate each distinct order's items from `graph`.
+    pub fn new(
+        graph: &Graph,
+        orders: &PassOrders,
+        passes: usize,
+        requires_same_order: bool,
+    ) -> Result<Self, RunError> {
+        orders.check(passes, requires_same_order)?;
+        let mut distinct: Vec<&StreamOrder> = Vec::new();
+        let mut streams = Vec::new();
+        let of_pass = (0..passes)
+            .map(|pass| {
+                let order = orders.order_for(pass);
+                distinct
+                    .iter()
+                    .position(|o| *o == order)
+                    .unwrap_or_else(|| {
+                        distinct.push(order);
+                        streams.push(AdjListStream::new(graph, order.clone()).collect_items());
+                        streams.len() - 1
+                    })
+            })
+            .collect();
+        Ok(GraphPasses { streams, of_pass })
+    }
+
+    /// Items of pass `pass` (0-based).
+    pub fn items(&self, pass: usize) -> &[StreamItem] {
+        &self.streams[self.of_pass[pass]]
+    }
+
+    /// How many item sequences were generated from the graph.
+    pub fn generations(&self) -> usize {
+        self.streams.len()
+    }
+}
+
 /// Drives algorithms over graphs and records space usage.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Runner;
@@ -621,35 +540,8 @@ impl Runner {
         algo: A,
         orders: &PassOrders,
     ) -> Result<(A::Output, RunReport), RunError> {
-        Self::try_run_observed(graph, algo, orders, &Metrics::disabled())
-    }
-
-    /// [`Runner::try_run`] reporting into a [`Metrics`] sink: an enabled
-    /// sink fills [`RunReport::metrics`] and absorbs the run's snapshot; a
-    /// disabled sink reproduces [`Runner::try_run`] bit for bit.
-    pub fn try_run_observed<A: MultiPassAlgorithm>(
-        graph: &Graph,
-        mut algo: A,
-        orders: &PassOrders,
-        sink: &Metrics,
-    ) -> Result<(A::Output, RunReport), RunError> {
-        orders.check(algo.passes(), algo.requires_same_order())?;
-        let mut peak = PeakTracker::new();
-        let mut processed = 0usize;
-        let mut obs = RunObserver::for_sink(sink);
-        let passes = algo.passes();
-        for pass in 0..passes {
-            let stream = AdjListStream::new(graph, orders.order_for(pass).clone());
-            drive_pass_observed(
-                &mut algo,
-                pass,
-                stream.items(),
-                &mut peak,
-                &mut processed,
-                &mut obs,
-            )?;
-        }
-        Ok(finish_run(algo, peak, processed, passes, obs, sink))
+        let source = GraphPasses::new(graph, orders, algo.passes(), algo.requires_same_order())?;
+        run_slice_passes(algo, |pass| source.items(pass))
     }
 
     /// Run `algo` to completion over `graph` streamed per `orders`.
@@ -870,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn run_item_passes_allows_per_pass_divergence() {
+    fn run_slice_passes_allows_per_pass_divergence() {
         use crate::item::StreamItem;
         let p0 = vec![
             StreamItem::new(VertexId(0), VertexId(1)),
@@ -878,7 +770,7 @@ mod tests {
         ];
         let p1: Vec<StreamItem> = p0.iter().rev().copied().collect();
         let passes = [p0, p1];
-        let (seen, report) = run_item_passes(
+        let (seen, report) = run_slice_passes(
             BoundaryRecorder {
                 passes: 2,
                 same_order: false,

@@ -9,7 +9,7 @@
 //! processes, and machines. Shards borrow sub-ranges of the one shared
 //! item slice; nothing is copied.
 //!
-//! [`run_sharded`] then executes each pass of a [`ShardAlgorithm`] once
+//! [`run_sharded_hooked`] then executes each pass of a [`ShardAlgorithm`] once
 //! per shard: the pass-boundary state is serialized through the
 //! [`Checkpoint`] wire format, each shard restores a private replica,
 //! drives only its own lists (with their *global* list positions
@@ -328,20 +328,13 @@ pub fn merge_shard_states<A: ShardAlgorithm>(
 /// shard-aware pass metrics: residency (`peak_bytes`) is the **max** over
 /// shards, items/slices/lists are **sums**, and pass wall time is the
 /// **max** over the concurrently running shards.
-pub fn run_sharded<A: ShardAlgorithm>(
-    algo: A,
-    plan: &ShardPlan,
-    items: &[StreamItem],
-    sink: &Metrics,
-) -> Result<(A::Output, RunReport), ShardError> {
-    run_sharded_hooked(algo, plan, items, sink, |_pass| Ok(()))
-}
-
-/// [`run_sharded`] with an `after_pass` hook invoked at every merged pass
-/// boundary (after pass `p`'s shards have joined and merged, before pass
-/// `p+1` begins). Lets callers defer work that must not race the pass —
-/// e.g. finishing a windowed checksum over an mmapped trace once pass 0
-/// has faulted every page in. A hook error aborts the run.
+///
+/// `after_pass` is invoked at every merged pass boundary (after pass `p`'s
+/// shards have joined and merged, before pass `p+1` begins); pass
+/// `|_| Ok(())` when there is nothing to do there. It lets callers defer
+/// work that must not race the pass — e.g. finishing a windowed checksum
+/// over an mmapped trace once pass 0 has faulted every page in. A hook
+/// error aborts the run.
 pub fn run_sharded_hooked<A, F>(
     mut algo: A,
     plan: &ShardPlan,
@@ -624,8 +617,14 @@ mod tests {
             run_slice_passes(PosSum::default(), |_pass| &items[..]).expect("sequential");
         for shards in [1usize, 2, 3, 4, 8, 16] {
             let plan = ShardPlan::build(&items, shards);
-            let (got, report) = run_sharded(PosSum::default(), &plan, &items, &Metrics::disabled())
-                .expect("sharded");
+            let (got, report) = run_sharded_hooked(
+                PosSum::default(),
+                &plan,
+                &items,
+                &Metrics::disabled(),
+                |_| Ok(()),
+            )
+            .expect("sharded");
             assert_eq!(got, want, "shards={shards}");
             assert_eq!(report.items_processed, want_report.items_processed);
             assert_eq!(report.passes, 2);
@@ -636,8 +635,14 @@ mod tests {
     fn process_mode_helpers_reproduce_thread_mode() {
         let items = cycle_items(53);
         let plan = ShardPlan::build(&items, 4);
-        let (want, _) =
-            run_sharded(PosSum::default(), &plan, &items, &Metrics::disabled()).expect("threads");
+        let (want, _) = run_sharded_hooked(
+            PosSum::default(),
+            &plan,
+            &items,
+            &Metrics::disabled(),
+            |_| Ok(()),
+        )
+        .expect("threads");
 
         // Drive the same execution through the blob-level helpers, as the
         // process-per-shard parent would.
@@ -661,8 +666,14 @@ mod tests {
     fn empty_trace_runs_clean() {
         let items: Vec<StreamItem> = Vec::new();
         let plan = ShardPlan::build(&items, 4);
-        let (out, report) =
-            run_sharded(PosSum::default(), &plan, &items, &Metrics::disabled()).expect("empty");
+        let (out, report) = run_sharded_hooked(
+            PosSum::default(),
+            &plan,
+            &items,
+            &Metrics::disabled(),
+            |_| Ok(()),
+        )
+        .expect("empty");
         assert_eq!(out, (0, 0, 0));
         assert_eq!(report.items_processed, 0);
     }
@@ -672,7 +683,8 @@ mod tests {
         let items = cycle_items(40);
         let plan = ShardPlan::build(&items, 4);
         let sink = Metrics::enabled();
-        let (_, report) = run_sharded(PosSum::default(), &plan, &items, &sink).expect("run");
+        let (_, report) =
+            run_sharded_hooked(PosSum::default(), &plan, &items, &sink, |_| Ok(())).expect("run");
         let snap = report.metrics.expect("metrics collected");
         assert_eq!(snap.passes.len(), 2);
         for p in &snap.passes {

@@ -4,14 +4,15 @@
 //! a *trace* is the reverse direction — a raw sequence of `src dst` items
 //! (e.g. produced by another system, or the CLI's `stream` command) that is
 //! validated against the adjacency-list promise and then driven through any
-//! [`MultiPassAlgorithm`]. Multi-pass algorithms replay the same trace per
+//! [`MultiPassAlgorithm`](crate::runner::MultiPassAlgorithm). Multi-pass algorithms replay the same trace per
 //! pass, which is exactly the model's "same ordering" semantics.
 //!
 //! Traces built by [`ItemTrace::new`]/[`ItemTrace::read`] are certified
 //! valid up front. [`ItemTrace::new_unchecked`] skips certification so that
 //! corrupted streams (from [`crate::fault::FaultPlan`] or hostile inputs)
 //! can be driven through a [`crate::guard::Guarded`] algorithm via
-//! [`ItemTrace::try_run`], which degrades to a typed [`RunError`] instead
+//! [`run_slice_passes`](crate::runner::run_slice_passes)`(algo, |_| trace.items())`,
+//! which degrades to a typed [`RunError`](crate::runner::RunError) instead
 //! of panicking.
 //!
 //! # Binary trace format (`.adjb`)
@@ -49,7 +50,6 @@ use adjstream_graph::VertexId;
 
 use crate::hashing::checksum64;
 use crate::item::StreamItem;
-use crate::runner::{run_slice_passes, MultiPassAlgorithm, RunError, RunReport};
 use crate::validate::{validate_stream, StreamError};
 
 /// Magic bytes opening every binary (`.adjb`) trace file.
@@ -397,25 +397,6 @@ impl ItemTrace {
     pub fn into_items(self) -> Vec<StreamItem> {
         self.items
     }
-
-    /// Drive a multi-pass algorithm over the trace, replaying it for each
-    /// pass, reporting failures as typed [`RunError`]s instead of panicking.
-    /// Whole adjacency-list runs are delivered as slices through
-    /// [`MultiPassAlgorithm::feed_slice`].
-    pub fn try_run<A: MultiPassAlgorithm>(
-        &self,
-        algo: A,
-    ) -> Result<(A::Output, RunReport), RunError> {
-        run_slice_passes(algo, |_pass| self.items.as_slice())
-    }
-
-    /// Drive a multi-pass algorithm over the trace, replaying it for each
-    /// pass and reporting peak state, exactly like
-    /// [`crate::runner::Runner::run`] does for generated streams.
-    pub fn run<A: MultiPassAlgorithm>(&self, algo: A) -> (A::Output, RunReport) {
-        self.try_run(algo)
-            .unwrap_or_else(|e| panic!("stream validation failed: {e}"))
-    }
 }
 
 /// Backoff/retry policy for [`RetryingSource`].
@@ -564,7 +545,7 @@ impl<F> RetryingSource<F> {
         self.run_attempts(ItemTrace::read_unchecked)
     }
 
-    /// Like [`Self::read_trace`]/[`read_trace_unchecked`] but for openers
+    /// Like [`Self::read_trace`]/[`Self::read_trace_unchecked`] but for openers
     /// yielding the source's complete bytes (e.g. `std::fs::read`): decode
     /// happens in place via [`ItemTrace::from_bytes`], so a binary `.adjb`
     /// source costs one exact-size byte buffer plus the item vector —
@@ -1077,7 +1058,7 @@ mod tests {
 
     #[test]
     fn runs_algorithms_identically_to_the_runner() {
-        use crate::runner::{PassOrders, Runner};
+        use crate::runner::{run_slice_passes, MultiPassAlgorithm, PassOrders, Runner};
         use crate::SpaceUsage;
         struct ListCounter {
             lists: usize,
@@ -1110,7 +1091,8 @@ mod tests {
         let order = StreamOrder::shuffled(20, 7);
         let s = AdjListStream::new(&g, order.clone());
         let trace = ItemTrace::new(s.collect_items()).unwrap();
-        let (from_trace, rep_t) = trace.run(ListCounter { lists: 0, items: 0 });
+        let (from_trace, rep_t) =
+            run_slice_passes(ListCounter { lists: 0, items: 0 }, |_| trace.items()).unwrap();
         let (from_runner, rep_r) = Runner::run(
             &g,
             ListCounter { lists: 0, items: 0 },

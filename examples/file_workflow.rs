@@ -6,7 +6,7 @@
 //! cargo run --release --example file_workflow
 //! ```
 
-use adjstream::algo::estimate::{estimate_triangles_auto, Accuracy, Engine};
+use adjstream::algo::estimate::{estimate_triangles_auto, Accuracy};
 use adjstream::graph::io::{load_edge_list, save_edge_list};
 use adjstream::graph::{exact, gen};
 use adjstream::stream::StreamOrder;
@@ -31,8 +31,8 @@ fn main() {
     );
 
     // 3. Estimate T with no prior bound: geometric guess-and-verify over
-    //    the two-pass algorithm. The default batched engine folds every
-    //    guess level into one shared two-pass execution.
+    //    the two-pass algorithm. The driver folds every guess level into
+    //    one shared two-pass execution.
     let order = StreamOrder::shuffled(loaded.graph.vertex_count(), 11);
     let est = estimate_triangles_auto(
         &loaded.graph,
@@ -42,7 +42,6 @@ fn main() {
             delta: 0.1,
             seed: 99,
             threads: 4,
-            engine: Engine::Batched,
             ..Accuracy::default()
         },
     );

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use adjstream::algo::estimate::{
     theoretical_space_budget, try_estimate_four_cycles, try_estimate_triangles,
     try_estimate_triangles_auto, try_estimate_triangles_checkpointed, Accuracy, CountEstimate,
-    Engine, EstimateError,
+    EstimateError,
 };
 use adjstream::graph::analysis::{connected_components, degeneracy, DegreeStats};
 use adjstream::graph::io::{load_edge_list, save_edge_list};
@@ -183,9 +183,9 @@ const USAGE: &str = "usage:
   adjstream-cli info FILE
   adjstream-cli count FILE --kind <triangles|c4|cycles> [--len L]
   adjstream-cli estimate FILE --kind <triangles|c4> [--epsilon E] [--delta D] [--t-lower T] [--seed S]
-                [--engine batched|sequential] [--max-bytes N|auto] [--max-total-bytes N]
-                [--deadline-secs S] [--min-survivors Q] [--checkpoint-dir DIR] [--resume]
-                [--job-id N] [--checkpoint-retention-secs S] [--metrics-out FILE]
+                [--max-bytes N|auto] [--max-total-bytes N] [--deadline-secs S]
+                [--min-survivors Q] [--checkpoint-dir DIR] [--resume] [--job-id N]
+                [--checkpoint-retention-secs S] [--metrics-out FILE]
   adjstream-cli stream FILE [--seed S] [-o FILE]
   adjstream-cli validate-stream FILE [--mode offline|online|bounded] [--seed S] [--window W] [--retries N]
   adjstream-cli corrupt FILE --faults KIND[:N][,KIND[:N]...] [--seed S] [-o FILE] [--replay-o FILE]
@@ -441,12 +441,12 @@ fn write_metrics(
     Ok(())
 }
 
-fn print_estimate(est: &CountEstimate, g: &Graph, acc: &Accuracy, suffix: &str) {
+fn print_estimate(est: &CountEstimate, g: &Graph, suffix: &str) {
     println!("estimate      {:.1}{suffix}", est.count);
     println!("edge budget   {} of {}", est.budget, g.edge_count());
     println!("repetitions   {}", est.repetitions);
     println!("run std-dev   {:.1}", est.report.variance.sqrt());
-    println!("stream passes {} ({})", est.stream_passes, acc.engine);
+    println!("stream passes {}", est.stream_passes);
     if est.report.dead_runs > 0 {
         println!(
             "survivors     {} of {} repetitions (the rest exceeded their budget)",
@@ -470,12 +470,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
     let g = load(args.first())?;
     let flags = parse_flags(&args[1..])?;
-    let engine = match flags.get("engine") {
-        Some(s) => {
-            Engine::parse(s).ok_or_else(|| CliFailure::usage(format!("unknown engine {s:?}")))?
-        }
-        None => Engine::Batched,
-    };
     let t_lower_flag: Option<u64> = match flags.get("t-lower") {
         Some(t) => Some(t.parse().map_err(|_| "invalid --t-lower")?),
         None => None,
@@ -495,7 +489,6 @@ fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
         delta: get(&flags, "delta", 0.1)?,
         seed: get(&flags, "seed", 2019)?,
         threads: get(&flags, "threads", 4)?,
-        engine,
         budget,
         min_survivors,
         collect_metrics: metrics_out.is_some(),
@@ -560,7 +553,7 @@ fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
                     None => try_estimate_triangles_auto(&g, &order, acc)?,
                 },
             };
-            print_estimate(&est, &g, &acc, "");
+            print_estimate(&est, &g, "");
             if let Some(path) = &metrics_out {
                 write_metrics(est.metrics.as_ref(), path)?;
             }
@@ -574,7 +567,7 @@ fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
             let t_lower = t_lower_flag.unwrap_or(1);
             let o2 = StreamOrder::shuffled(g.vertex_count(), acc.seed ^ 0xC4);
             let est = try_estimate_four_cycles(&g, [&order, &o2], t_lower, acc)?;
-            print_estimate(&est, &g, &acc, " (O(1)-factor approximation)");
+            print_estimate(&est, &g, " (O(1)-factor approximation)");
             if let Some(path) = &metrics_out {
                 write_metrics(est.metrics.as_ref(), path)?;
             }
@@ -2292,20 +2285,24 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!((err.exit, err.kind), (EXIT_SPACE, "space-budget"));
-        // Checkpoint failures (sequential engine cannot checkpoint).
-        let dir = std::env::temp_dir().to_string_lossy().to_string();
+        // Checkpoint failures: resuming over a truncated checkpoint.
+        let dir = std::env::temp_dir().join(format!("adjstream-cli-exit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("triangles-{:016x}.ckpt", 3)), b"ADJ").unwrap();
         let err = run(&args(&[
             "estimate",
             &gs,
             "--t-lower",
             "50",
-            "--engine",
-            "sequential",
             "--checkpoint-dir",
-            &dir,
+            &dir.to_string_lossy(),
+            "--job-id",
+            "3",
+            "--resume",
         ]))
         .unwrap_err();
         assert_eq!((err.exit, err.kind), (EXIT_CHECKPOINT, "checkpoint"));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&gs).ok();
     }
 
@@ -2431,21 +2428,6 @@ mod tests {
         assert!(body.starts_with("{\"schema\": 1,"), "{body}");
         assert!(body.contains("\"peak_state_bytes\":"), "{body}");
         assert!(body.contains("\"sampler\":"), "{body}");
-        // Sequential engine reports through the same sink.
-        run(&args(&[
-            "estimate",
-            &gs,
-            "--t-lower",
-            "50",
-            "--engine",
-            "sequential",
-            "--metrics-out",
-            &m1,
-        ]))
-        .unwrap();
-        assert!(std::fs::read_to_string(&m1)
-            .unwrap()
-            .starts_with("{\"schema\": 1,"));
         run(&args(&["stream", &gs, "--seed", "3", "-o", &ss])).unwrap();
         run(&args(&[
             "estimate-stream",

@@ -1,19 +1,28 @@
 //! Integration tests of the batched shared-pass engine against the
-//! sequential drivers, through the public facade API: order-contract error
-//! paths, engine agreement at every level of the stack, the restored
-//! pass-optimality of guess-and-verify, and a proptest that both engines
-//! report identical guard statistics on fault-injected streams.
+//! sequential per-seed reference, through the public facade API:
+//! order-contract error paths, driver agreement with the reference, the
+//! pass-optimality of guess-and-verify, guard-stat parity under injected
+//! faults, and the `feed_slice` == per-item contract for every algorithm
+//! with a native slice path.
 
+mod common;
+
+use std::fmt::Debug;
+
+use adjstream::algo::amplify::{median_of_survivors, quorum};
 use adjstream::algo::common::EdgeSampling;
-use adjstream::algo::estimate::{estimate_triangles, estimate_triangles_auto, Accuracy, Engine};
-use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
-use adjstream::graph::{gen, Graph};
-use adjstream::stream::batch::{BatchConfig, BatchRunner};
+use adjstream::algo::estimate::{estimate_triangles, estimate_triangles_auto, Accuracy};
+use adjstream::algo::fourcycle::{TwoPassFourCycle, TwoPassFourCycleConfig};
+use adjstream::algo::triangle::{MultiLevelTriangle, TwoPassTriangle, TwoPassTriangleConfig};
+use adjstream::graph::{gen, Graph, VertexId};
+use adjstream::stream::batch::{BatchConfig, BatchJob, BatchOutcome};
 use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{
-    run_item_passes, run_slice_passes, AdjListStream, FaultKind, FaultPlan, GuardPolicy, Guarded,
-    PassOrders, RunError, StreamOrder, ValidatorMode,
+    run_slice_passes, AdjListStream, FaultKind, FaultPlan, GraphPasses, GuardPolicy, GuardStats,
+    Guarded, MultiPassAlgorithm, ObsCounters, PassOrders, RunError, SpaceUsage, StreamError,
+    StreamItem, StreamOrder, ValidatorMode,
 };
+use common::per_seed_triangle_runs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,22 +32,135 @@ fn er_graph(seed: u64) -> Graph {
     gen::gnm(120, 600, &mut rng)
 }
 
+fn triangle_algo(seed: u64, budget: usize) -> TwoPassTriangle {
+    TwoPassTriangle::new(TwoPassTriangleConfig {
+        seed,
+        edge_sampling: EdgeSampling::BottomK { k: budget },
+        pair_capacity: budget,
+    })
+}
+
 fn triangle_instances(reps: usize, base_seed: u64, budget: usize) -> Vec<TwoPassTriangle> {
     (0..reps)
-        .map(|i| {
-            TwoPassTriangle::new(TwoPassTriangleConfig {
-                seed: base_seed.wrapping_add(i as u64),
-                edge_sampling: EdgeSampling::BottomK { k: budget },
-                pair_capacity: budget,
-            })
-        })
+        .map(|i| triangle_algo(base_seed.wrapping_add(i as u64), budget))
         .collect()
+}
+
+/// A batched run over `g` streamed per `orders`.
+fn run_graph<A>(
+    g: &Graph,
+    instances: Vec<A>,
+    orders: &PassOrders,
+    cfg: &BatchConfig,
+) -> Result<BatchOutcome<A::Output>, RunError>
+where
+    A: MultiPassAlgorithm + Send,
+{
+    let job = BatchJob::new(instances, cfg)?;
+    let source = GraphPasses::new(g, orders, job.passes(), job.requires_same_order())?;
+    job.run(|pass| source.items(pass), |_| Ok(()))
+}
+
+/// Test-only adapter whose `feed_slice` is a loop of `item` calls, so
+/// driving it through any slice driver reproduces per-item dispatch of the
+/// wrapped algorithm.
+struct ItemByItem<A>(A);
+
+impl<A: SpaceUsage> SpaceUsage for ItemByItem<A> {
+    fn space_bytes(&self) -> usize {
+        self.0.space_bytes()
+    }
+}
+
+impl<A: MultiPassAlgorithm> MultiPassAlgorithm for ItemByItem<A> {
+    type Output = A::Output;
+    fn passes(&self) -> usize {
+        self.0.passes()
+    }
+    fn requires_same_order(&self) -> bool {
+        self.0.requires_same_order()
+    }
+    fn begin_pass(&mut self, pass: usize) {
+        self.0.begin_pass(pass)
+    }
+    fn begin_list(&mut self, owner: VertexId) {
+        self.0.begin_list(owner)
+    }
+    fn item(&mut self, src: VertexId, dst: VertexId) {
+        self.0.item(src, dst)
+    }
+    fn feed_slice(&mut self, items: &[StreamItem]) {
+        for it in items {
+            self.0.item(it.src, it.dst);
+        }
+    }
+    fn end_list(&mut self, owner: VertexId) {
+        self.0.end_list(owner)
+    }
+    fn end_pass(&mut self, pass: usize) {
+        self.0.end_pass(pass)
+    }
+    fn abort_error(&self) -> Option<StreamError> {
+        self.0.abort_error()
+    }
+    fn guard_stats(&self) -> Option<GuardStats> {
+        self.0.guard_stats()
+    }
+    fn obs_counters(&self) -> Option<ObsCounters> {
+        self.0.obs_counters()
+    }
+    fn finish(self) -> A::Output {
+        self.0.finish()
+    }
+}
+
+/// `make(seed)` driven slice by slice must be bit-identical to its
+/// item-by-item twin: outputs (compared in `Debug` form, which is exact
+/// for `f64`), peak bytes, item counts, and guard statistics — under the
+/// sequential driver and the batched engine at 1 and 4 threads (the
+/// batch optionally behind a shared `guard`).
+fn assert_slices_match_items<A>(
+    make: impl Fn(u64) -> A,
+    seed: u64,
+    items_for_pass: impl Fn(usize) -> Vec<StreamItem>,
+    guard: Option<(GuardPolicy, ValidatorMode)>,
+) where
+    A: MultiPassAlgorithm + Send,
+    A::Output: Debug,
+{
+    let (want, want_report) =
+        run_slice_passes(ItemByItem(make(seed)), &items_for_pass).expect("item-by-item run");
+    let (got, got_report) = run_slice_passes(make(seed), &items_for_pass).expect("slice run");
+    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    prop_assert_eq!(got_report, want_report);
+    for threads in [1usize, 4] {
+        let cfg = BatchConfig {
+            threads,
+            guard,
+            ..BatchConfig::default()
+        };
+        let seeds = seed..seed + 3;
+        let want = BatchJob::new(seeds.clone().map(|s| ItemByItem(make(s))).collect(), &cfg)
+            .and_then(|job| job.run(&items_for_pass, |_| Ok(())))
+            .expect("item-by-item batch");
+        let got = BatchJob::new(seeds.map(&make).collect(), &cfg)
+            .and_then(|job| job.run(&items_for_pass, |_| Ok(())))
+            .expect("slice batch");
+        prop_assert_eq!(
+            format!("{:?}", got.outputs),
+            format!("{:?}", want.outputs),
+            "threads {}",
+            threads
+        );
+        prop_assert_eq!(&got.report.per_instance, &want.report.per_instance);
+        prop_assert_eq!(got.report.guard, want.report.guard);
+    }
 }
 
 #[test]
 fn batched_engine_rejects_wrong_order_count() {
     let g = er_graph(1);
-    let err = BatchRunner::try_run(
+    let err = run_graph(
         &g,
         triangle_instances(3, 9, 64),
         &PassOrders::PerPass(vec![StreamOrder::natural(120)]),
@@ -58,7 +180,7 @@ fn batched_engine_rejects_wrong_order_count() {
 fn batched_engine_rejects_order_mismatch_for_order_sensitive_algorithms() {
     let g = er_graph(2);
     // TwoPassTriangle requires identical pass orders.
-    let err = BatchRunner::try_run(
+    let err = run_graph(
         &g,
         triangle_instances(3, 9, 64),
         &PassOrders::PerPass(vec![StreamOrder::natural(120), StreamOrder::reversed(120)]),
@@ -68,7 +190,7 @@ fn batched_engine_rejects_order_mismatch_for_order_sensitive_algorithms() {
     assert_eq!(err, RunError::OrderMismatch);
     // Equal PerPass entries satisfy the contract, exactly as with Runner.
     let order = StreamOrder::shuffled(120, 5);
-    assert!(BatchRunner::try_run(
+    assert!(run_graph(
         &g,
         triangle_instances(3, 9, 64),
         &PassOrders::PerPass(vec![order.clone(), order]),
@@ -85,25 +207,15 @@ fn driver_runs_vectors_are_engine_invariant() {
         epsilon: 0.4,
         delta: 0.25,
         seed: 77,
-        threads: 1,
-        engine: Engine::Sequential,
         ..Accuracy::default()
     };
-    let seq = estimate_triangles(&g, &order, 50, base);
+    let runs = per_seed_triangle_runs(&g, &order, 50, &base);
+    let want = median_of_survivors(&runs, quorum(runs.len())).unwrap();
     for threads in [1, 4] {
-        let bat = estimate_triangles(
-            &g,
-            &order,
-            50,
-            Accuracy {
-                threads,
-                engine: Engine::Batched,
-                ..base
-            },
-        );
-        assert_eq!(seq.report.runs, bat.report.runs, "threads = {threads}");
-        assert_eq!(seq.count, bat.count);
-        assert_eq!(seq.report.nan_runs, bat.report.nan_runs);
+        let bat = estimate_triangles(&g, &order, 50, Accuracy { threads, ..base });
+        assert_eq!(bat.report.runs, want.runs, "threads = {threads}");
+        assert_eq!(bat.count.to_bits(), want.median.to_bits());
+        assert_eq!(bat.report.nan_runs, want.nan_runs);
     }
 }
 
@@ -116,32 +228,23 @@ fn auto_driver_is_pass_optimal_under_the_batched_engine() {
         delta: 0.2,
         seed: 31,
         threads: 2,
-        engine: Engine::Batched,
         ..Accuracy::default()
     };
     let est = estimate_triangles_auto(&g, &order, acc);
     assert_eq!(est.stream_passes, 2, "all guess levels share one execution");
-    let batch = est.batch.expect("batched engine attaches its report");
-    assert_eq!(batch.stream_generations, 1);
-    assert!(batch.instances > est.repetitions, "many levels resident");
-    let seq = estimate_triangles_auto(
-        &g,
-        &order,
-        Accuracy {
-            engine: Engine::Sequential,
-            ..acc
-        },
+    assert_eq!(est.batch.stream_generations, 1);
+    assert!(
+        est.batch.instances > est.repetitions,
+        "many levels resident"
     );
-    assert!(seq.stream_passes >= 2 * seq.repetitions);
-    assert_eq!(seq.report.runs, est.report.runs, "same accepted level");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batched and sequential executions of guarded ingestion must agree on
-    /// the guard's fault counters for any injected fault mix: the shared
-    /// validator sees the same corrupted item sequence either way.
+    /// The per-seed sequential reference and the batched engine must agree
+    /// on the guard's fault counters for any injected fault mix: the
+    /// shared validator sees the same corrupted item sequence either way.
     #[test]
     fn engines_agree_on_guard_stats_under_faults(
         graph_seed in 0u64..500,
@@ -160,33 +263,21 @@ proptest! {
             .with(FaultKind::InjectSelfLoop, self_loops)
             .apply(&items);
 
-        // Sequential reference: one guarded instance driven by the shared
-        // single-instance loop.
-        let (_, seq_report) = run_item_passes(
-            Guarded::new(
-                TwoPassTriangle::new(TwoPassTriangleConfig {
-                    seed: 3,
-                    edge_sampling: EdgeSampling::BottomK { k: 32 },
-                    pair_capacity: 32,
-                }),
-                GuardPolicy::Repair,
-            ),
-            |p| corrupted.items_for_pass(p).to_vec(),
-        )
-        .expect("repair policy never aborts on these fault kinds");
+        // Sequential reference: one guarded instance.
+        let (_, seq_report) = corrupted
+            .try_run(Guarded::new(triangle_algo(3, 32), GuardPolicy::Repair))
+            .expect("repair policy never aborts on these fault kinds");
         let want = seq_report.guard.expect("guarded run publishes stats");
 
         // Batched run: several instances behind ONE shared validator.
-        let out = BatchRunner::try_run_items(
-            triangle_instances(5, 3, 32),
-            |p| corrupted.items_for_pass(p).to_vec(),
-            &BatchConfig {
-                threads,
-                guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-                ..BatchConfig::default()
-            },
-        )
-        .expect("repair policy never aborts on these fault kinds");
+        let cfg = BatchConfig {
+            threads,
+            guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
+            ..BatchConfig::default()
+        };
+        let out = BatchJob::new(triangle_instances(5, 3, 32), &cfg)
+            .and_then(|job| job.run(|p| corrupted.items_for_pass(p), |_| Ok(())))
+            .expect("repair policy never aborts on these fault kinds");
         let got = out.report.guard.expect("shared guard publishes stats");
 
         // Seeded hashing makes the validator's map capacities — and so its
@@ -199,13 +290,14 @@ proptest! {
         prop_assert!(per_items.iter().all(|&i| i == per_items[0]));
     }
 
-    /// Slice-batched dispatch is a pure performance change: estimates
-    /// (bit for bit), peak byte meters, and guard statistics must be
-    /// identical to per-item dispatch across the sequential drivers and
-    /// both batched-engine configurations at 1 and 4 threads — including
-    /// on fault-injected streams behind a repair guard.
+    /// `feed_slice` is a pure performance path: for every algorithm with a
+    /// native override (and the repair guard, which splits lists into
+    /// admitted segments), slice delivery is bit-identical to item-by-item
+    /// delivery — estimates, peak byte meters, and guard statistics —
+    /// sequentially and batched at 1 and 4 threads, including on
+    /// fault-injected streams.
     #[test]
-    fn slice_dispatch_is_bit_identical_to_per_item(
+    fn feed_slice_is_bit_identical_to_item_by_item(
         graph_seed in 0u64..300,
         algo_seed in 0u64..100,
         dropped in 0usize..3,
@@ -213,76 +305,39 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(graph_seed);
         let g = gen::gnm(40, 160, &mut rng);
-        let items = AdjListStream::new(&g, StreamOrder::shuffled(40, graph_seed)).collect_items();
+        let clean = AdjListStream::new(&g, StreamOrder::shuffled(40, graph_seed)).collect_items();
         let corrupted = FaultPlan::new(graph_seed ^ 0xFA)
             .with(FaultKind::DropDirection, dropped)
             .with(FaultKind::InjectSelfLoop, self_loops)
-            .apply(&items);
-        let algo = |seed: u64| {
-            TwoPassTriangle::new(TwoPassTriangleConfig {
-                seed,
-                edge_sampling: EdgeSampling::BottomK { k: 48 },
-                pair_capacity: 48,
-            })
-        };
+            .apply(&clean);
+        let clean_passes = |_: usize| clean.clone();
+        let faulty_passes = |p: usize| corrupted.items_for_pass(p).to_vec();
 
-        // Sequential per-item reference.
-        let (ref_est, ref_report) = run_item_passes(
-            Guarded::new(algo(algo_seed), GuardPolicy::Repair),
-            |p| corrupted.items_for_pass(p).to_vec(),
-        )
-        .expect("repair policy never aborts on these fault kinds");
-        let ref_guard = ref_report.guard.expect("guarded run publishes stats");
-
-        // Sequential slice driver.
-        let (slice_est, slice_report) = run_slice_passes(
-            Guarded::new(algo(algo_seed), GuardPolicy::Repair),
-            |p| corrupted.items_for_pass(p).to_vec(),
-        )
-        .expect("same stream, same policy");
-        prop_assert_eq!(slice_est.estimate.to_bits(), ref_est.estimate.to_bits());
-        prop_assert_eq!(slice_est, ref_est);
-        prop_assert_eq!(slice_report.peak_state_bytes, ref_report.peak_state_bytes);
-        prop_assert_eq!(slice_report.items_processed, ref_report.items_processed);
-        prop_assert_eq!(
-            slice_report.guard.expect("guarded run publishes stats"),
-            ref_guard
+        assert_slices_match_items(|s| triangle_algo(s, 48), algo_seed, clean_passes, None);
+        assert_slices_match_items(
+            |s| TwoPassFourCycle::new(TwoPassFourCycleConfig::paper(s, 48)),
+            algo_seed,
+            clean_passes,
+            None,
         );
-
-        // Batched engine, slice dispatch on and off, single- and
-        // multi-threaded: all must reproduce the reference run of each
-        // instance seed exactly.
-        for threads in [1usize, 4] {
-            for slice_dispatch in [true, false] {
-                let out = BatchRunner::try_run_items(
-                    (0..3).map(|i| algo(algo_seed.wrapping_add(i))).collect::<Vec<_>>(),
-                    |p| corrupted.items_for_pass(p).to_vec(),
-                    &BatchConfig {
-                        threads,
-                        slice_dispatch,
-                        guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-                        ..BatchConfig::default()
-                    },
-                )
-                .expect("repair policy never aborts on these fault kinds");
-                let (want, _) = run_item_passes(
-                    Guarded::new(algo(algo_seed), GuardPolicy::Repair),
-                    |p| corrupted.items_for_pass(p).to_vec(),
-                )
-                .unwrap();
-                let got = out.outputs[0].as_ref().expect("instance finished");
-                prop_assert_eq!(
-                    got.estimate.to_bits(),
-                    want.estimate.to_bits(),
-                    "threads {} slice {}",
-                    threads,
-                    slice_dispatch
-                );
-                let stats = out.report.guard.expect("shared guard publishes stats");
-                prop_assert_eq!(stats.faults_detected, ref_guard.faults_detected);
-                prop_assert_eq!(stats.items_repaired, ref_guard.items_repaired);
-            }
-        }
+        assert_slices_match_items(
+            |s| MultiLevelTriangle::new(s, 16, 3),
+            algo_seed,
+            clean_passes,
+            None,
+        );
+        assert_slices_match_items(
+            |s| Guarded::new(triangle_algo(s, 48), GuardPolicy::Repair),
+            algo_seed,
+            faulty_passes,
+            None,
+        );
+        assert_slices_match_items(
+            |s| triangle_algo(s, 48),
+            algo_seed,
+            faulty_passes,
+            Some((GuardPolicy::Repair, ValidatorMode::Exact)),
+        );
     }
 
     /// A trace serialized to the binary container and loaded back (through

@@ -9,8 +9,8 @@ use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::{exact, gen, GraphBuilder};
 use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{
-    validate_online, validate_stream, AdjListStream, FaultKind, FaultPlan, GuardPolicy, Guarded,
-    OnlineValidator, RunError, StreamItem, StreamOrder,
+    run_slice_passes, validate_online, validate_stream, AdjListStream, FaultKind, FaultPlan,
+    GuardPolicy, Guarded, OnlineValidator, RunError, StreamItem, StreamOrder,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -117,8 +117,7 @@ fn strict_policy_rejects_every_fault_class() {
     }
     // And the clean stream sails through.
     let guarded = Guarded::new(TwoPassTriangle::new(cfg), GuardPolicy::Strict);
-    let trace = ItemTrace::new_unchecked(items);
-    let (_, report) = trace.try_run(guarded).unwrap();
+    let (_, report) = run_slice_passes(guarded, |_| &items[..]).unwrap();
     assert_eq!(report.guard.unwrap().faults_detected, 0);
 }
 
@@ -228,7 +227,6 @@ fn malformed_input_never_panics_through_the_fallible_paths() {
         pair_capacity: usize::MAX,
     };
     for (i, items) in hostile.into_iter().enumerate() {
-        let trace = ItemTrace::new_unchecked(items);
         for policy in [
             GuardPolicy::Strict,
             GuardPolicy::Repair,
@@ -236,7 +234,7 @@ fn malformed_input_never_panics_through_the_fallible_paths() {
         ] {
             let guarded = Guarded::new(TwoPassTriangle::new(cfg), policy);
             // Err is fine; panicking is not.
-            let _ = trace.try_run(guarded);
+            let _ = run_slice_passes(guarded, |_| &items[..]);
             let _ = (i, policy);
         }
     }

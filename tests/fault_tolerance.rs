@@ -2,19 +2,22 @@
 //! facade: panic isolation with survivor quorums (the ISSUE's R = 15
 //! acceptance scenario), pass-boundary checkpoint/resume of the real
 //! Theorem 3.7 algorithm, typed budget failures at the driver level, and a
-//! proptest matrix checking that guard statistics and survivor medians are
-//! engine-invariant under every [`FaultKind`].
+//! proptest matrix checking that guard statistics and survivor medians
+//! match the per-seed sequential reference under every [`FaultKind`].
+
+mod common;
 
 use adjstream::algo::amplify::{median_of_survivors, quorum, DegradedRun};
 use adjstream::algo::common::EdgeSampling;
-use adjstream::algo::estimate::{try_estimate_triangles, Accuracy, Engine, EstimateError};
+use adjstream::algo::estimate::{try_estimate_triangles, Accuracy, EstimateError};
 use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::{gen, Graph, VertexId};
-use adjstream::stream::batch::{BatchConfig, BatchRunner, Budget, InstanceOutcome};
+use adjstream::stream::batch::{BatchConfig, BatchJob, BatchOutcome, Budget, InstanceOutcome};
 use adjstream::stream::{
-    run_item_passes, AdjListStream, FaultKind, FaultPlan, GuardPolicy, Guarded, MultiPassAlgorithm,
+    AdjListStream, FaultKind, FaultPlan, GraphPasses, GuardPolicy, Guarded, MultiPassAlgorithm,
     PassOrders, RunError, SpaceUsage, StreamOrder, ValidatorMode,
 };
+use common::per_seed_triangle_runs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,6 +37,18 @@ fn triangle_instances(reps: usize, base_seed: u64, budget: usize) -> Vec<TwoPass
             })
         })
         .collect()
+}
+
+/// Run `job` to completion over `g` streamed per `orders`, calling
+/// `after_pass` at every interior pass boundary.
+fn run_graph<A: MultiPassAlgorithm + Send>(
+    job: BatchJob<A>,
+    g: &Graph,
+    orders: &PassOrders,
+    after_pass: impl FnMut(&BatchJob<A>) -> Result<(), RunError>,
+) -> Result<BatchOutcome<A::Output>, RunError> {
+    let source = GraphPasses::new(g, orders, job.passes(), job.requires_same_order())?;
+    job.run(|pass| source.items(pass), after_pass)
 }
 
 /// Run a closure with the default panic hook silenced, so injected panics
@@ -119,13 +134,9 @@ fn one_panic_in_fifteen_meets_the_quorum_at_both_thread_counts() {
     let mut reference: Option<Vec<Option<f64>>> = None;
     for threads in [1usize, 4] {
         let out = quietly(|| {
-            BatchRunner::try_run(
-                &g,
-                probes(reps, &[7]),
-                &orders,
-                &BatchConfig::with_threads(threads),
-            )
-            .expect("a panicking instance is quarantined, not fatal")
+            let job = BatchJob::new(probes(reps, &[7]), &BatchConfig::with_threads(threads));
+            run_graph(job.unwrap(), &g, &orders, |_| Ok(()))
+                .expect("a panicking instance is quarantined, not fatal")
         });
         assert_eq!(out.report.survivors(), 14, "threads = {threads}");
         assert!(matches!(
@@ -153,13 +164,9 @@ fn eight_panics_in_fifteen_is_a_typed_degraded_run() {
     let dead: Vec<usize> = (0..8).collect();
     for threads in [1usize, 4] {
         let out = quietly(|| {
-            BatchRunner::try_run(
-                &g,
-                probes(reps, &dead),
-                &orders,
-                &BatchConfig::with_threads(threads),
-            )
-            .expect("panics quarantine instances, not the batch")
+            let job = BatchJob::new(probes(reps, &dead), &BatchConfig::with_threads(threads));
+            run_graph(job.unwrap(), &g, &orders, |_| Ok(()))
+                .expect("panics quarantine instances, not the batch")
         });
         assert_eq!(out.report.survivors(), 7, "threads = {threads}");
         let err = median_of_survivors(&out.outputs, quorum(reps))
@@ -182,7 +189,8 @@ fn killed_at_the_pass_boundary_resumes_bit_for_bit() {
     let orders = PassOrders::Same(StreamOrder::shuffled(g.vertex_count(), 3));
     let cfg = BatchConfig::default();
     // Uninterrupted reference run.
-    let full = BatchRunner::try_run(&g, triangle_instances(6, 21, 64), &orders, &cfg).unwrap();
+    let job = || BatchJob::new(triangle_instances(6, 21, 64), &cfg).unwrap();
+    let full = run_graph(job(), &g, &orders, |_| Ok(())).unwrap();
     assert!(full.outputs.iter().all(Option::is_some));
     // Checkpointed run: the boundary file it leaves behind is exactly what
     // a process killed after the pass-0/1 boundary write would leave.
@@ -191,21 +199,18 @@ fn killed_at_the_pass_boundary_resumes_bit_for_bit() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    let out =
-        BatchRunner::try_run_checkpointed(&g, triangle_instances(6, 21, 64), &orders, &cfg, &path)
-            .unwrap();
+    let out = run_graph(job(), &g, &orders, |job| job.write_checkpoint(&path)).unwrap();
     assert_eq!(out.outputs, full.outputs, "checkpointing changes nothing");
     assert!(path.exists(), "the boundary checkpoint persists");
     // Resume the "killed" run at several thread counts: pass 1 replays and
     // the estimates come out bit-for-bit identical.
     for threads in [1usize, 4] {
-        let resumed = BatchRunner::resume::<TwoPassTriangle>(
-            &g,
-            &orders,
-            &BatchConfig::with_threads(threads),
+        let restored = BatchJob::<TwoPassTriangle>::restore_from_file(
             &path,
+            &BatchConfig::with_threads(threads),
         )
         .unwrap();
+        let resumed = run_graph(restored, &g, &orders, |job| job.write_checkpoint(&path)).unwrap();
         assert_eq!(resumed.outputs, full.outputs, "threads = {threads}");
         assert_eq!(resumed.report.resumed_from, Some(1));
         assert_eq!(resumed.report.passes, 2);
@@ -225,38 +230,33 @@ fn budget_failures_are_typed_at_the_driver_level() {
         threads: 2,
         ..Accuracy::default()
     };
-    for engine in [Engine::Sequential, Engine::Batched] {
-        // An expired deadline is a whole-run error...
-        let acc = Accuracy {
-            engine,
-            budget: Budget {
-                deadline: Some(std::time::Duration::ZERO),
-                ..Budget::default()
-            },
-            ..base
-        };
-        let err = try_estimate_triangles(&g, &order, 60, acc).unwrap_err();
-        assert_eq!(
-            err,
-            EstimateError::Run(RunError::DeadlineExceeded { limit_ms: 0 }),
-            "{engine}"
-        );
-        // ...while a starved per-instance budget degrades below quorum.
-        let acc = Accuracy {
-            engine,
-            budget: Budget {
-                max_bytes_per_instance: Some(1),
-                ..Budget::default()
-            },
-            ..base
-        };
-        let err = try_estimate_triangles(&g, &order, 60, acc).unwrap_err();
-        let EstimateError::Degraded(d) = err else {
-            panic!("expected a degraded run under {engine}");
-        };
-        assert_eq!(d.survivors, 0);
-        assert!(d.required >= 1);
-    }
+    // An expired deadline is a whole-run error...
+    let acc = Accuracy {
+        budget: Budget {
+            deadline: Some(std::time::Duration::ZERO),
+            ..Budget::default()
+        },
+        ..base
+    };
+    let err = try_estimate_triangles(&g, &order, 60, acc).unwrap_err();
+    assert_eq!(
+        err,
+        EstimateError::Run(RunError::DeadlineExceeded { limit_ms: 0 })
+    );
+    // ...while a starved per-instance budget degrades below quorum, exactly
+    // as the per-seed reference quarantines every repetition.
+    let acc = Accuracy {
+        budget: Budget {
+            max_bytes_per_instance: Some(1),
+            ..Budget::default()
+        },
+        ..base
+    };
+    let runs = per_seed_triangle_runs(&g, &order, 60, &acc);
+    let want = median_of_survivors(&runs, quorum(runs.len())).unwrap_err();
+    assert_eq!(want.survivors, 0);
+    let err = try_estimate_triangles(&g, &order, 60, acc).unwrap_err();
+    assert_eq!(err, EstimateError::Degraded(want));
 }
 
 const ALL_FAULT_KINDS: [FaultKind; 7] = [
@@ -299,7 +299,7 @@ proptest! {
                     triangle_instances(1, 3 + i as u64, 32).pop().unwrap(),
                     GuardPolicy::Repair,
                 );
-                match run_item_passes(algo, |p| corrupted.items_for_pass(p).to_vec()) {
+                match corrupted.try_run(algo) {
                     Ok((est, rep)) => {
                         want_runs.push(Some(est.estimate));
                         want_stats = rep.guard;
@@ -315,15 +315,13 @@ proptest! {
                 let instances: Vec<TwoPassTriangle> = (0..reps)
                     .map(|i| triangle_instances(1, 3 + i as u64, 32).pop().unwrap())
                     .collect();
-                let batched = BatchRunner::try_run_items(
-                    instances,
-                    |p| corrupted.items_for_pass(p).to_vec(),
-                    &BatchConfig {
-                        threads,
-                        guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-                        ..BatchConfig::default()
-                    },
-                );
+                let cfg = BatchConfig {
+                    threads,
+                    guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
+                    ..BatchConfig::default()
+                };
+                let batched = BatchJob::new(instances, &cfg)
+                    .and_then(|job| job.run(|p| corrupted.items_for_pass(p), |_| Ok(())));
                 match batched {
                     Ok(out) => {
                         prop_assert!(

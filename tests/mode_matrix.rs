@@ -10,19 +10,23 @@
 //!   threads), graph sharding (1/2/4/8 shards), and zero-copy mmap
 //!   replay of the serialized `.adjb` trace;
 //! * the high-level triangle driver returns bit-identical
-//!   [`CountEstimate`]s under `Engine::Sequential` and `Engine::Batched`
-//!   at any thread count.
+//!   [`CountEstimate`]s to the per-seed `Runner::try_run` reference at any
+//!   thread count.
 
+mod common;
+
+use adjstream::algo::amplify::{median_of_survivors, quorum};
 use adjstream::algo::common::EdgeSampling;
-use adjstream::algo::estimate::{try_estimate_triangles, Accuracy, Engine};
+use adjstream::algo::estimate::{try_estimate_triangles, Accuracy};
 use adjstream::algo::triangle::{ShardedTriangle, ShardedTriangleConfig};
 use adjstream::graph::{gen, VertexId};
-use adjstream::stream::batch::{BatchConfig, BatchRunner};
+use adjstream::stream::batch::{BatchConfig, BatchJob};
 use adjstream::stream::mmapfile::MappedTrace;
 use adjstream::stream::runner::run_slice_passes;
-use adjstream::stream::shard::{run_sharded, ShardPlan};
+use adjstream::stream::shard::{run_sharded_hooked, ShardPlan};
 use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{Metrics, StreamItem, StreamOrder};
+use common::per_seed_triangle_runs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,12 +100,10 @@ proptest! {
             .expect("sequential run");
 
         for threads in [1usize, 4] {
-            let outcome = BatchRunner::try_run_items(
-                vec![ShardedTriangle::new(cfg)],
-                |_pass| items.clone(),
-                &BatchConfig::with_threads(threads),
-            )
-            .expect("batched run");
+            let outcome =
+                BatchJob::new(vec![ShardedTriangle::new(cfg)], &BatchConfig::with_threads(threads))
+                    .and_then(|job| job.run(|_pass| &items[..], |_| Ok(())))
+                    .expect("batched run");
             let got = outcome.outputs[0].as_ref().expect("instance survived");
             prop_assert_eq!(
                 got.estimate.to_bits(), want.estimate.to_bits(),
@@ -112,9 +114,14 @@ proptest! {
 
         for shards in [1usize, 2, 4, 8] {
             let plan = ShardPlan::build(&items, shards);
-            let (got, _) =
-                run_sharded(ShardedTriangle::new(cfg), &plan, &items, &Metrics::disabled())
-                    .expect("sharded run");
+            let (got, _) = run_sharded_hooked(
+                ShardedTriangle::new(cfg),
+                &plan,
+                &items,
+                &Metrics::disabled(),
+                |_| Ok(()),
+            )
+            .expect("sharded run");
             prop_assert_eq!(
                 got.estimate.to_bits(), want.estimate.to_bits(),
                 "sharded diverged at {} shards", shards
@@ -141,8 +148,8 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The high-level driver: `CountEstimate`s are engine- and
-    /// thread-count-invariant on random graphs.
+    /// The high-level driver: `CountEstimate`s equal the per-seed
+    /// reference's median and are thread-count-invariant on random graphs.
     #[test]
     fn count_estimates_are_engine_invariant(
         seed in any::<u64>(),
@@ -152,26 +159,25 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gen::gnm(n, n * m_factor, &mut rng);
         let order = StreamOrder::shuffled(g.vertex_count(), seed ^ 0x0DDE);
-        let acc = |engine: Engine, threads: usize| Accuracy {
+        let acc = |threads: usize| Accuracy {
             epsilon: 0.5,
             delta: 0.2,
             seed: seed ^ 0xACC,
             threads,
-            engine,
             ..Accuracy::default()
         };
-        let want = try_estimate_triangles(&g, &order, 1, acc(Engine::Sequential, 1))
-            .expect("sequential estimate");
+        let runs = per_seed_triangle_runs(&g, &order, 1, &acc(1));
+        let want = median_of_survivors(&runs, quorum(runs.len())).expect("per-seed median");
         for threads in [1usize, 2, 4] {
-            let got = try_estimate_triangles(&g, &order, 1, acc(Engine::Batched, threads))
+            let got = try_estimate_triangles(&g, &order, 1, acc(threads))
                 .expect("batched estimate");
             prop_assert_eq!(
-                got.count.to_bits(), want.count.to_bits(),
-                "CountEstimate diverged: batched×{} {} vs sequential {}",
-                threads, got.count, want.count
+                got.count.to_bits(), want.median.to_bits(),
+                "CountEstimate diverged: batched×{} {} vs per-seed {}",
+                threads, got.count, want.median
             );
-            prop_assert_eq!(got.budget, want.budget);
-            prop_assert_eq!(got.repetitions, want.repetitions);
+            prop_assert_eq!(&got.report.runs, &want.runs);
+            prop_assert_eq!(got.repetitions, runs.len());
         }
     }
 }

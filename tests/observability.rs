@@ -2,22 +2,27 @@
 //! what a run computes.
 //!
 //! The contract under test is the one the drivers document — turning
-//! metrics on (or moving between the sequential and batched engines, or
-//! changing the batch thread count) leaves estimates, peak byte counts,
-//! and guard statistics bit-for-bit identical; only the `metrics` field
-//! gains content. Wall-clock fields inside a snapshot are nondeterministic
-//! and are never compared.
+//! metrics on (or moving between the per-seed reference and the batched
+//! driver, or changing the batch thread count) leaves estimates, peak byte
+//! counts, and guard statistics bit-for-bit identical; only the `metrics`
+//! field gains content. Wall-clock fields inside a snapshot are
+//! nondeterministic and are never compared.
 
+mod common;
+
+use adjstream::algo::amplify::{median_of_survivors, quorum};
 use adjstream::algo::common::EdgeSampling;
 use adjstream::algo::estimate::{
-    try_estimate_triangles, try_estimate_triangles_checkpointed, Accuracy, Engine,
+    try_estimate_triangles, try_estimate_triangles_checkpointed, Accuracy,
 };
 use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::{gen, Graph, GraphBuilder};
 use adjstream::stream::{
-    run_slice_passes, run_slice_passes_observed, AdjListStream, FaultKind, FaultPlan, GuardPolicy,
-    Guarded, Metrics, PassOrders, Runner, StreamOrder, METRICS_SCHEMA_VERSION,
+    run_slice_passes, run_slice_passes_observed, AdjListStream, BatchConfig, BatchJob, FaultKind,
+    FaultPlan, GraphPasses, GuardPolicy, Guarded, Metrics, PassOrders, Runner, StreamOrder,
+    METRICS_SCHEMA_VERSION,
 };
+use common::per_seed_triangle_runs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,20 +79,19 @@ fn assert_estimate_parity(g: &Graph, acc: Accuracy) {
     assert_eq!(snap.runs as usize, on.repetitions);
     assert!(snap.counters.admissions > 0, "sampler never admitted?");
     assert!(!snap.passes.is_empty());
+    // Both sides reproduce the per-seed reference runs.
+    let runs = per_seed_triangle_runs(g, &order, t_lower, &acc);
+    let want = median_of_survivors(&runs, quorum(runs.len())).expect("reference median");
+    assert_eq!(on.report.runs, want.runs);
 }
 
 #[test]
 fn estimate_parity_holds_across_engines_and_thread_counts() {
     let g = fixture_graph(1);
-    for (engine, threads) in [
-        (Engine::Sequential, 1),
-        (Engine::Batched, 1),
-        (Engine::Batched, 4),
-    ] {
+    for threads in [1, 4] {
         assert_estimate_parity(
             &g,
             Accuracy {
-                engine,
                 threads,
                 seed: 77,
                 ..Accuracy::default()
@@ -134,8 +138,10 @@ fn runner_observed_reproduces_unobserved_reports_exactly() {
     let (plain_est, plain_rep) =
         Runner::try_run(&g, triangle_algo(11, 200), &orders).expect("plain run");
     let sink = Metrics::enabled();
+    let source = GraphPasses::new(&g, &orders, 2, true).expect("valid orders");
     let (obs_est, obs_rep) =
-        Runner::try_run_observed(&g, triangle_algo(11, 200), &orders, &sink).expect("observed run");
+        run_slice_passes_observed(triangle_algo(11, 200), |p| source.items(p), &sink)
+            .expect("observed run");
     assert_eq!(plain_est.estimate.to_bits(), obs_est.estimate.to_bits());
     assert_eq!(plain_rep.peak_state_bytes, obs_rep.peak_state_bytes);
     assert_eq!(plain_rep.items_processed, obs_rep.items_processed);
@@ -151,6 +157,40 @@ fn runner_observed_reproduces_unobserved_reports_exactly() {
     let absorbed = sink.snapshot().expect("sink collected");
     assert_eq!(absorbed.peak_state_bytes, snap.peak_state_bytes);
     assert_eq!(absorbed.counters, snap.counters);
+}
+
+#[test]
+fn batched_pass_metrics_count_lists_and_slices_like_the_sequential_loop() {
+    let g = fixture_graph(7);
+    let orders = PassOrders::Same(StreamOrder::shuffled(g.vertex_count(), 4));
+    let source = GraphPasses::new(&g, &orders, 2, true).expect("valid orders");
+    let (_, seq) = run_slice_passes_observed(
+        triangle_algo(3, 100),
+        |p| source.items(p),
+        &Metrics::enabled(),
+    )
+    .expect("observed run");
+    let want = seq.metrics.expect("observed run carries metrics").passes;
+    assert!(want.iter().all(|p| p.lists > 0 && p.slices > 0));
+    for threads in [1, 4] {
+        let cfg = BatchConfig {
+            threads,
+            metrics: true,
+            ..BatchConfig::default()
+        };
+        let out = BatchJob::new(vec![triangle_algo(3, 100), triangle_algo(4, 100)], &cfg)
+            .and_then(|job| job.run(|p| source.items(p), |_| Ok(())))
+            .expect("batched run");
+        let got = out.report.metrics.expect("metrics on").passes;
+        assert_eq!(got.len(), want.len(), "threads {threads}");
+        for (b, s) in got.iter().zip(&want) {
+            assert_eq!(
+                (b.pass, b.items, b.lists, b.slices),
+                (s.pass, s.items, s.lists, s.slices),
+                "threads {threads}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -277,8 +317,9 @@ proptest! {
         let (plain_est, plain_rep) =
             Runner::try_run(&g, triangle_algo(seed, budget), &orders).expect("plain");
         let sink = Metrics::enabled();
+        let source = GraphPasses::new(&g, &orders, 2, true).expect("valid orders");
         let (obs_est, obs_rep) =
-            Runner::try_run_observed(&g, triangle_algo(seed, budget), &orders, &sink)
+            run_slice_passes_observed(triangle_algo(seed, budget), |p| source.items(p), &sink)
                 .expect("observed");
         prop_assert_eq!(plain_est.estimate.to_bits(), obs_est.estimate.to_bits());
         prop_assert_eq!(plain_rep.peak_state_bytes, obs_rep.peak_state_bytes);
