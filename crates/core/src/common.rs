@@ -8,7 +8,6 @@ use adjstream_stream::checkpoint::{
     corrupt, read_u32, read_u64, read_usize, write_u32, write_u64, write_usize, Checkpoint,
 };
 use adjstream_stream::hashing::{FastMap, FastSet};
-use adjstream_stream::item::StreamItem;
 use adjstream_stream::meter::{hashmap_bytes, SpaceUsage};
 use adjstream_stream::obs::ObsCounters;
 
@@ -196,16 +195,20 @@ impl PairWatcher {
             }
         }
     }
+}
 
-    /// Process a whole same-source run at once, invoking `completed`
-    /// exactly as the equivalent [`PairWatcher::on_item`] loop would. The
-    /// slice skips the per-item `incident` probe for destinations that
-    /// watch nothing, which is the common case on sparse watch sets.
-    pub fn on_items<F: FnMut(u64)>(&mut self, items: &[StreamItem], mut completed: F) {
-        for it in items {
-            self.on_item(it.dst, &mut completed);
-        }
+/// Read a length-prefixed sequence of `elem`s. Preallocation is capped, so
+/// a corrupt length cannot reserve more than the input can back.
+pub(crate) fn read_seq<T>(
+    r: &mut dyn Read,
+    mut elem: impl FnMut(&mut dyn Read) -> io::Result<T>,
+) -> io::Result<Vec<T>> {
+    let n = read_usize(r)?;
+    let mut out = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        out.push(elem(r)?);
     }
+    Ok(out)
 }
 
 /// Count elements shared by two neighbor sets, probing the smaller list
@@ -273,15 +276,10 @@ impl Checkpoint for PairWatcher {
         let mut entries = 0usize;
         for _ in 0..n {
             let v = read_u32(r)?;
-            let len = read_usize(r)?;
-            let mut keys = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                let key = read_u64(r)?;
-                if !refcount.contains_key(&key) {
-                    return Err(corrupt("incident pair is not watched"));
-                }
-                keys.push(key);
-            }
+            let keys = read_seq(r, |r| match read_u64(r)? {
+                key if refcount.contains_key(&key) => Ok(key),
+                _ => Err(corrupt("incident pair is not watched")),
+            })?;
             entries += keys.len();
             incident_vec_bytes += keys.capacity() * 8 + 24;
             incident.insert(v, keys);

@@ -2,6 +2,7 @@
 //! rows).
 
 mod distinguish;
+mod kernel;
 mod multi_level;
 mod one_pass;
 mod random_order;
@@ -15,12 +16,13 @@ pub(crate) use triest::SampleAdjacency;
 mod wedge_sampler;
 
 pub use distinguish::{DistinguishVerdict, TriangleDistinguisher};
+pub use kernel::TriangleEstimate;
 pub use multi_level::{MultiLevelEstimate, MultiLevelTriangle};
 pub use one_pass::{OnePassEstimate, OnePassTriangle};
 pub use random_order::{RandomOrderEstimate, RandomOrderTriangle};
 pub use sharded::{ShardedTriangle, ShardedTriangleConfig};
-pub use three_pass::{ThreePassEstimate, ThreePassTriangle};
+pub use three_pass::ThreePassTriangle;
 pub use triest::{TriestBase, TriestEstimate};
 pub use triest_fd::TriestFd;
-pub use two_pass::{TriangleEstimate, TwoPassTriangle, TwoPassTriangleConfig};
+pub use two_pass::{TwoPassTriangle, TwoPassTriangleConfig};
 pub use wedge_sampler::{WedgeSamplerEstimate, WedgeSamplerTriangle};

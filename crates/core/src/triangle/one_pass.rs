@@ -16,9 +16,9 @@ use adjstream_graph::VertexId;
 use adjstream_stream::hashing::FastMap;
 use adjstream_stream::meter::{hashmap_bytes, SpaceUsage};
 use adjstream_stream::runner::MultiPassAlgorithm;
-use adjstream_stream::sampling::{BottomKEvent, BottomKSampler, ThresholdSampler};
 
-use crate::common::{pack_pair, EdgeSampling, PairWatcher};
+use super::kernel::{EdgeSampler, Offer};
+use crate::common::{pack_pair, unpack_pair, EdgeSampling, PairWatcher};
 
 /// Result of a [`OnePassTriangle`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,14 +33,9 @@ pub struct OnePassEstimate {
     pub m: u64,
 }
 
-enum Sampler {
-    Threshold(ThresholdSampler),
-    BottomK(BottomKSampler),
-}
-
 /// The one-pass sampled-edge triangle estimator. See module docs.
 pub struct OnePassTriangle {
-    sampler: Sampler,
+    sampler: EdgeSampler,
     sampling: EdgeSampling,
     /// Completions credited per sampled edge (needed to roll back on
     /// bottom-k eviction).
@@ -54,12 +49,8 @@ pub struct OnePassTriangle {
 impl OnePassTriangle {
     /// Build with the given seed and sampling mode.
     pub fn new(seed: u64, sampling: EdgeSampling) -> Self {
-        let sampler = match sampling {
-            EdgeSampling::Threshold { p } => Sampler::Threshold(ThresholdSampler::new(seed, p)),
-            EdgeSampling::BottomK { k } => Sampler::BottomK(BottomKSampler::new(seed, k)),
-        };
         OnePassTriangle {
-            sampler,
+            sampler: EdgeSampler::new(seed, sampling),
             sampling,
             credits: FastMap::default(),
             watcher: PairWatcher::new(),
@@ -72,12 +63,7 @@ impl OnePassTriangle {
 
 impl SpaceUsage for OnePassTriangle {
     fn space_bytes(&self) -> usize {
-        hashmap_bytes(&self.credits)
-            + self.watcher.space_bytes()
-            + match &self.sampler {
-                Sampler::Threshold(_) => 32,
-                Sampler::BottomK(b) => b.space_bytes(),
-            }
+        hashmap_bytes(&self.credits) + self.watcher.space_bytes() + self.sampler.space_bytes()
     }
 }
 
@@ -97,28 +83,18 @@ impl MultiPassAlgorithm for OnePassTriangle {
     fn item(&mut self, src: VertexId, dst: VertexId) {
         self.items += 1;
         let key = pack_pair(src, dst);
-        match &mut self.sampler {
-            Sampler::Threshold(t) => {
-                if t.accepts(key) && !self.credits.contains_key(&key) {
-                    self.credits.insert(key, 0);
-                    self.watcher.watch(src, dst);
-                }
-            }
-            Sampler::BottomK(b) => match b.offer(key) {
-                BottomKEvent::Inserted => {
-                    self.credits.insert(key, 0);
-                    self.watcher.watch(src, dst);
-                }
-                BottomKEvent::InsertedEvicting(old) => {
-                    self.credits.insert(key, 0);
-                    self.watcher.watch(src, dst);
-                    let lost = self.credits.remove(&old).expect("evictee tracked");
-                    self.completions -= lost;
-                    let (a, b2) = crate::common::unpack_pair(old);
-                    self.watcher.unwatch(a, b2);
-                }
-                BottomKEvent::AlreadyPresent | BottomKEvent::Rejected => {}
-            },
+        let credits = &self.credits;
+        let offer = self.sampler.offer(key, |k| credits.contains_key(k));
+        if let Offer::New | Offer::NewEvicting(_) = offer {
+            self.credits.insert(key, 0);
+            self.watcher.watch(src, dst);
+        }
+        if let Offer::NewEvicting(old) = offer {
+            // Roll back the evicted edge's credits.
+            let lost = self.credits.remove(&old).expect("evictee tracked");
+            self.completions -= lost;
+            let (a, b) = unpack_pair(old);
+            self.watcher.unwatch(a, b);
         }
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();

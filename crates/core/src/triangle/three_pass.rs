@@ -18,62 +18,28 @@
 //! Without the reservoir (`pair_capacity = ∞`) its space includes the
 //! `Θ(T/k)` collected pairs, reproducing the `max(m/T^{2/3}, T^{1/3})`
 //! discussion in Section 2.1 — ablation A3.
+//!
+//! The edge sampler, the lightest-edge rule and the estimate formula are
+//! the shared [`super::kernel`]; what is this variant's own is the exact
+//! `T(f)` pass.
 
 use adjstream_graph::VertexId;
 use adjstream_stream::hashing::{FastMap, FastSet};
 use adjstream_stream::meter::{hashmap_bytes, hashset_bytes, SpaceUsage};
 use adjstream_stream::runner::MultiPassAlgorithm;
-use adjstream_stream::sampling::{BottomKSampler, Reservoir, ReservoirEvent, ThresholdSampler};
+use adjstream_stream::sampling::{Reservoir, ReservoirEvent};
 
+use super::kernel::{EdgeSampler, Offer, TriangleEstimate, TriangleSlots};
 use crate::common::{pack_pair, unpack_pair, EdgeSampling, PairWatcher};
-
-/// Result of a [`ThreePassTriangle`] run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreePassEstimate {
-    /// The estimate.
-    pub estimate: f64,
-    /// Discovered pair count `T′`.
-    pub pairs_discovered: u64,
-    /// Pairs retained in `Q`.
-    pub q_size: usize,
-    /// Pairs winning the exact lightest-edge rule.
-    pub counted: u64,
-    /// Final sampled-edge count.
-    pub edges_sampled: usize,
-    /// Edge count.
-    pub m: u64,
-}
-
-/// A collected pair: triangle vertices with `e = {u, v}` sampled.
-#[derive(Debug, Clone, Copy)]
-struct Pair3 {
-    verts: [VertexId; 3],
-}
-
-impl Pair3 {
-    fn slot_edge(&self, slot: usize) -> u64 {
-        let [u, v, w] = self.verts;
-        match slot {
-            0 => pack_pair(u, v),
-            1 => pack_pair(u, w),
-            _ => pack_pair(v, w),
-        }
-    }
-}
-
-enum Sampler {
-    Threshold(ThresholdSampler),
-    BottomK(BottomKSampler),
-}
 
 /// Three-pass triangle counter with exact per-edge lightness. See module docs.
 pub struct ThreePassTriangle {
     pass: usize,
-    sampler: Sampler,
+    sampler: EdgeSampler,
     sampling: EdgeSampling,
     s_edges: FastSet<u64>,
     discovered: u64,
-    q: Reservoir<Pair3>,
+    q: Reservoir<TriangleSlots>,
     /// Exact triangle counts per monitored edge (pass 3).
     t_counts: FastMap<u64, u64>,
     /// Refcount of monitored edges (several pairs may share an edge).
@@ -87,13 +53,9 @@ impl ThreePassTriangle {
     /// Build with a sampling mode for `S` and a reservoir capacity for `Q`
     /// (`usize::MAX` disables subsampling — ablation A3).
     pub fn new(seed: u64, sampling: EdgeSampling, pair_capacity: usize) -> Self {
-        let sampler = match sampling {
-            EdgeSampling::Threshold { p } => Sampler::Threshold(ThresholdSampler::new(seed, p)),
-            EdgeSampling::BottomK { k } => Sampler::BottomK(BottomKSampler::new(seed, k)),
-        };
         ThreePassTriangle {
             pass: 0,
-            sampler,
+            sampler: EdgeSampler::new(seed, sampling),
             sampling,
             s_edges: FastSet::default(),
             discovered: 0,
@@ -106,7 +68,7 @@ impl ThreePassTriangle {
         }
     }
 
-    fn unmonitor_pair(&mut self, p: &Pair3) {
+    fn unmonitor_pair(&mut self, p: &TriangleSlots) {
         for slot in 0..3 {
             let e = p.slot_edge(slot);
             let rc = self.monitored.get_mut(&e).expect("monitored");
@@ -119,7 +81,7 @@ impl ThreePassTriangle {
         }
     }
 
-    fn monitor_pair(&mut self, p: &Pair3) {
+    fn monitor_pair(&mut self, p: &TriangleSlots) {
         for slot in 0..3 {
             let e = p.slot_edge(slot);
             *self.monitored.entry(e).or_insert(0) += 1;
@@ -136,15 +98,12 @@ impl SpaceUsage for ThreePassTriangle {
             + hashmap_bytes(&self.t_counts)
             + hashmap_bytes(&self.monitored)
             + self.watcher.space_bytes()
-            + match &self.sampler {
-                Sampler::Threshold(_) => 32,
-                Sampler::BottomK(b) => b.space_bytes(),
-            }
+            + self.sampler.space_bytes()
     }
 }
 
 impl MultiPassAlgorithm for ThreePassTriangle {
-    type Output = ThreePassEstimate;
+    type Output = TriangleEstimate;
 
     fn passes(&self) -> usize {
         3
@@ -155,8 +114,8 @@ impl MultiPassAlgorithm for ThreePassTriangle {
         if pass == 1 {
             // Freeze S; watch sampled edges for collection.
             let mut keys: Vec<u64> = match &self.sampler {
-                Sampler::Threshold(_) => Vec::new(), // inserted lazily below
-                Sampler::BottomK(b) => b.keys().collect(),
+                EdgeSampler::Threshold(_) => Vec::new(), // inserted lazily below
+                EdgeSampler::BottomK(b) => b.keys().collect(),
             };
             // Sort so the watch-registration order — and hence downstream
             // completion-callback order — is a function of S alone, not of
@@ -175,111 +134,64 @@ impl MultiPassAlgorithm for ThreePassTriangle {
     }
 
     fn item(&mut self, src: VertexId, dst: VertexId) {
-        let key = pack_pair(src, dst);
-        match self.pass {
-            0 => {
-                self.items += 1;
-                match &mut self.sampler {
-                    // Threshold membership is a pure hash function; edges
-                    // are inserted (and watched) at their first appearance
-                    // so that S is complete — and fully watched — before
-                    // pass 2 begins collecting.
-                    Sampler::Threshold(t) => {
-                        if t.accepts(key) && !self.s_edges.contains(&key) {
-                            self.s_edges.insert(key);
-                            self.watcher.watch(src, dst);
-                        }
-                    }
-                    Sampler::BottomK(b) => {
-                        b.offer(key);
-                    }
-                }
+        if self.pass == 0 {
+            self.items += 1;
+            let key = pack_pair(src, dst);
+            let s_edges = &self.s_edges;
+            let offer = self.sampler.offer(key, |k| s_edges.contains(k));
+            // Threshold membership is a pure hash function; edges are
+            // inserted (and watched) at their first appearance so that S is
+            // complete — and fully watched — before pass 2 begins
+            // collecting. A bottom-k S is frozen by `begin_pass(1)`.
+            if offer == Offer::New && matches!(self.sampler, EdgeSampler::Threshold(_)) {
+                self.s_edges.insert(key);
+                self.watcher.watch(src, dst);
             }
-            1 => {
-                let mut buf = std::mem::take(&mut self.buf);
-                buf.clear();
-                self.watcher.on_item(dst, |k| buf.push(k));
-                for &k in &buf {
-                    if self.s_edges.contains(&k) {
-                        // Discovery of (k, triangle k+src).
-                        self.discovered += 1;
-                        let (u, v) = unpack_pair(k);
-                        let pair = Pair3 { verts: [u, v, src] };
-                        match self.q.offer(pair) {
-                            ReservoirEvent::Stored { .. } => self.monitor_pair(&pair),
-                            ReservoirEvent::Replaced { evicted, .. } => {
-                                self.monitor_pair(&pair);
-                                self.unmonitor_pair(&evicted);
-                            }
-                            ReservoirEvent::Rejected => {}
-                        }
+            return;
+        }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        self.watcher.on_item(dst, |k| buf.push(k));
+        for &k in &buf {
+            if self.pass == 1 && self.s_edges.contains(&k) {
+                // Discovery of (k, triangle k+src).
+                self.discovered += 1;
+                let pair = TriangleSlots::new(k, src);
+                match self.q.offer(pair) {
+                    ReservoirEvent::Stored { .. } => self.monitor_pair(&pair),
+                    ReservoirEvent::Replaced { evicted, .. } => {
+                        self.monitor_pair(&pair);
+                        self.unmonitor_pair(&evicted);
                     }
+                    ReservoirEvent::Rejected => {}
                 }
-                self.buf = buf;
-            }
-            _ => {
+            } else if self.pass == 2 && self.monitored.contains_key(&k) {
                 // Pass 3: exact per-edge triangle counts.
-                let mut buf = std::mem::take(&mut self.buf);
-                buf.clear();
-                self.watcher.on_item(dst, |k| buf.push(k));
-                for &k in &buf {
-                    if self.monitored.contains_key(&k) {
-                        *self.t_counts.entry(k).or_insert(0) += 1;
-                    }
-                }
-                self.buf = buf;
+                *self.t_counts.entry(k).or_insert(0) += 1;
             }
         }
+        self.buf = buf;
     }
 
-    fn finish(self) -> ThreePassEstimate {
-        let m = self.items / 2;
+    fn finish(self) -> TriangleEstimate {
         // In pass 2, a triangle completes once per apex list scan: the apex
         // of (e, τ) is scanned exactly once, so each pair is discovered
         // exactly once. A sampled edge's own lists cannot complete it.
-        let s_len = self.s_edges.len();
-        let k = match self.sampling {
-            EdgeSampling::Threshold { p } => {
-                if p > 0.0 {
-                    1.0 / p
-                } else {
-                    0.0
-                }
-            }
-            EdgeSampling::BottomK { .. } => {
-                if s_len == 0 {
-                    0.0
-                } else {
-                    (m as f64 / s_len as f64).max(1.0)
-                }
-            }
-        };
-        let mut counted = 0u64;
-        for pair in self.q.items() {
-            let best = (0..3)
-                .min_by_key(|&s| {
-                    let e = pair.slot_edge(s);
-                    (self.t_counts.get(&e).copied().unwrap_or(0), e)
-                })
-                .expect("three slots");
-            if best == 0 {
-                counted += 1;
-            }
-        }
-        let q_size = self.q.len();
-        let scale = if q_size == 0 {
-            0.0
-        } else {
-            self.discovered as f64 / q_size as f64
-        };
-        ThreePassEstimate {
-            estimate: k * scale * counted as f64,
-            pairs_discovered: self.discovered,
-            q_size,
+        let t_of = |e: u64| self.t_counts.get(&e).copied().unwrap_or(0);
+        let counted = self
+            .q
+            .items()
+            .iter()
+            .filter(|p| p.lightest_slot([0, 1, 2].map(|s| t_of(p.slot_edge(s)))) == 0)
+            .count() as u64;
+        TriangleEstimate::assemble(
+            self.sampling,
+            self.items / 2,
+            self.s_edges.len(),
+            self.discovered,
+            self.q.len(),
             counted,
-            edges_sampled: s_len,
-            m,
-        }
+        )
     }
 }
 
@@ -297,7 +209,7 @@ mod tests {
         sampling: EdgeSampling,
         cap: usize,
         order_seed: u64,
-    ) -> ThreePassEstimate {
+    ) -> TriangleEstimate {
         let n = g.vertex_count();
         let (est, _) = Runner::run(
             g,

@@ -12,27 +12,32 @@
 //! ```
 //!
 //! and finally counts `τ` only if its sampled edge minimizes `H` — the
-//! lightest-edge rule that tames heavy-edge variance (Lemma 3.2). The
-//! estimate is `k · (T′/|Q|) · |{(e,τ) ∈ Q : ρ(τ) = e}|` where `T′` is the
-//! number of discovered pairs and `k` the inverse edge-sampling rate.
+//! lightest-edge rule that tames heavy-edge variance (Lemma 3.2).
+//!
+//! The edge sampler, the lightest-edge rule, the estimate formula and the
+//! configuration codec are the shared [`super::kernel`]; what is this
+//! variant's own is the reservoir slab of `Q` records whose `H` counters
+//! grow incrementally during pass 2.
 
 use std::io::{self, Read, Write};
 
 use adjstream_graph::VertexId;
 use adjstream_stream::checkpoint::{
-    corrupt, read_f64, read_u32, read_u64, read_u8, read_usize, write_f64, write_u32, write_u64,
-    write_u8, write_usize, Checkpoint,
+    corrupt, read_u32, read_u64, read_u8, read_usize, write_u32, write_u64, write_u8, write_usize,
+    Checkpoint,
 };
 use adjstream_stream::hashing::FastMap;
 use adjstream_stream::item::StreamItem;
 use adjstream_stream::meter::{hashmap_bytes, vec_bytes, SpaceUsage};
 use adjstream_stream::obs::ObsCounters;
 use adjstream_stream::runner::MultiPassAlgorithm;
-use adjstream_stream::sampling::{
-    BottomKEvent, BottomKSampler, Reservoir, ReservoirEvent, ThresholdSampler,
-};
+use adjstream_stream::sampling::{Reservoir, ReservoirEvent};
 
-use crate::common::{pack_pair, EdgeSampling, PairWatcher};
+use super::kernel::{
+    published_counters, restore_config, save_config, EdgeSampler, Offer, TriangleEstimate,
+    TriangleSlots,
+};
+use crate::common::{pack_pair, read_seq, unpack_pair, EdgeSampling, PairWatcher};
 
 /// Configuration for [`TwoPassTriangle`].
 #[derive(Debug, Clone, Copy)]
@@ -46,71 +51,26 @@ pub struct TwoPassTriangleConfig {
     pub pair_capacity: usize,
 }
 
-/// Result of one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TriangleEstimate {
-    /// The triangle count estimate `T̂`.
-    pub estimate: f64,
-    /// Edges in the final sample `S`.
-    pub edges_sampled: usize,
-    /// Discovered `(edge, triangle)` pairs `T′` (valid at end of run).
-    pub pairs_discovered: u64,
-    /// Pairs retained in `Q`.
-    pub q_size: usize,
-    /// Pairs whose sampled edge won the lightest-edge rule.
-    pub counted: u64,
-    /// Edge count `m` observed in pass 1.
-    pub m: u64,
-    /// The estimate a *naive* sampler (no lightest-edge rule) would return
-    /// from the same run: `k·T′/3`, which counts each triangle once per
-    /// sampled edge. Exposed for ablation A1 — on heavy-edge graphs its
-    /// variance explodes while `estimate` stays controlled.
-    pub naive_estimate: f64,
-}
-
 /// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state.
 #[derive(Debug, Clone)]
 struct PairRecord {
     /// Generation tag guarding against slab-slot reuse.
     gen: u32,
-    /// Triangle vertices `[u, v, w]`: `e = {u, v}` (canonical), `w` apex.
-    verts: [VertexId; 3],
-    /// `H` counters for slot edges `[{u,v}, {u,w}, {v,w}]`.
+    /// The pair's triangle; slot 0 is the sampled edge `e`.
+    tri: TriangleSlots,
+    /// `H` counters, one per triangle slot.
     h: [u64; 3],
     /// Whether each slot has passed its activation point in pass 2 (the
     /// end of the opposite vertex's list).
     active: [bool; 3],
 }
 
-impl PairRecord {
-    /// The slot's edge as a packed canonical pair.
-    fn slot_edge(&self, slot: usize) -> u64 {
-        let [u, v, w] = self.verts;
-        match slot {
-            0 => pack_pair(u, v),
-            1 => pack_pair(u, w),
-            _ => pack_pair(v, w),
-        }
-    }
+/// Key → `(slab, gen, slot)` references into the record slab.
+type SlotRefs<K> = FastMap<K, Vec<(u32, u32, u8)>>;
 
-    /// The vertex opposite the slot's edge (`τ^{-f}`).
-    fn opposite(&self, slot: usize) -> VertexId {
-        let [u, v, w] = self.verts;
-        match slot {
-            0 => w,
-            1 => v,
-            _ => u,
-        }
-    }
-
-    /// Slot of the lightest edge: argmin over `(H, edge key)`. The edge-key
-    /// tiebreak depends only on the triangle, so every pair of the same
-    /// triangle agrees on `ρ(τ)` as the paper requires.
-    fn rho_slot(&self) -> usize {
-        (0..3)
-            .min_by_key(|&s| (self.h[s], self.slot_edge(s)))
-            .expect("three slots")
-    }
+/// The record in slab slot `s` if it is still generation `g`.
+fn live(slab: &[Option<PairRecord>], s: u32, g: u32) -> Option<&PairRecord> {
+    slab.get(s as usize)?.as_ref().filter(|r| r.gen == g)
 }
 
 /// Per-sampled-edge bookkeeping.
@@ -123,11 +83,6 @@ struct EdgeInfo {
     discoveries: u64,
 }
 
-enum Sampler {
-    Threshold(ThresholdSampler),
-    BottomK(BottomKSampler),
-}
-
 /// The Section 3 two-pass triangle counting algorithm. See module docs.
 pub struct TwoPassTriangle {
     cfg: TwoPassTriangleConfig,
@@ -136,7 +91,7 @@ pub struct TwoPassTriangle {
     pos: u32,
     next_pos: u32,
     items_pass1: u64,
-    sampler: Sampler,
+    sampler: EdgeSampler,
     /// Packed edge → info, for edges currently in `S`.
     s_edges: FastMap<u64, EdgeInfo>,
     /// Valid discovered pair count `T′`.
@@ -148,12 +103,12 @@ pub struct TwoPassTriangle {
     /// Next generation for freed slab slots.
     free_gens: FastMap<u32, u32>,
     /// Packed edge → monitoring pairs `(slab, gen, slot)`.
-    monitors: FastMap<u64, Vec<(u32, u32, u8)>>,
+    monitors: SlotRefs<u64>,
     /// Bytes held by `monitors`' inner vectors, maintained incrementally so
     /// `space_bytes` (sampled at every list boundary) stays O(1).
     monitors_vec_bytes: usize,
     /// Opposite vertex → pending slot activations `(slab, gen, slot)`.
-    activations: FastMap<u32, Vec<(u32, u32, u8)>>,
+    activations: SlotRefs<u32>,
     /// Bytes held by `activations`' inner vectors (see `monitors_vec_bytes`).
     activations_vec_bytes: usize,
     watcher: PairWatcher,
@@ -167,17 +122,13 @@ pub struct TwoPassTriangle {
 impl TwoPassTriangle {
     /// Build the algorithm from its configuration.
     pub fn new(cfg: TwoPassTriangleConfig) -> Self {
-        let sampler = match cfg.edge_sampling {
-            EdgeSampling::Threshold { p } => Sampler::Threshold(ThresholdSampler::new(cfg.seed, p)),
-            EdgeSampling::BottomK { k } => Sampler::BottomK(BottomKSampler::new(cfg.seed, k)),
-        };
         TwoPassTriangle {
             cfg,
             pass: 0,
             pos: 0,
             next_pos: 0,
             items_pass1: 0,
-            sampler,
+            sampler: EdgeSampler::new(cfg.seed, cfg.edge_sampling),
             s_edges: FastMap::default(),
             discovered: 0,
             q: Reservoir::new(cfg.seed ^ 0x9_1E57_0A1C, cfg.pair_capacity),
@@ -194,42 +145,38 @@ impl TwoPassTriangle {
         }
     }
 
-    fn record_live(&self, slab: u32, gen: u32) -> bool {
-        self.slab
-            .get(slab as usize)
-            .and_then(|r| r.as_ref())
-            .is_some_and(|r| r.gen == gen)
-    }
-
     /// Register watches/monitors/activations for a freshly stored record.
     fn attach(&mut self, slab: u32, gen: u32) {
-        let rec = self.slab[slab as usize].as_ref().expect("just stored");
-        let verts = rec.verts;
+        let tri = self.slab[slab as usize].as_ref().expect("just stored").tri;
         for slot in 0..3u8 {
-            let rec = self.slab[slab as usize].as_ref().expect("live");
-            let edge = rec.slot_edge(slot as usize);
-            let opp = rec.opposite(slot as usize);
-            let (a, b) = crate::common::unpack_pair(edge);
+            let edge = tri.slot_edge(slot as usize);
+            let opp = tri.opposite(slot as usize);
+            let (a, b) = unpack_pair(edge);
             self.watcher.watch(a, b);
             self.monitors_vec_bytes +=
                 crate::common::push_map_vec(&mut self.monitors, edge, (slab, gen, slot), 12);
             self.activations_vec_bytes +=
                 crate::common::push_map_vec(&mut self.activations, opp.0, (slab, gen, slot), 12);
         }
-        let _ = verts;
     }
 
     /// Tear down a record (unwatch; slab slot freed). Monitor and activation
     /// entries are cleaned lazily via generation checks.
     fn destroy(&mut self, slab: u32, gen: u32) {
-        if !self.record_live(slab, gen) {
+        let record = self.slab.get_mut(slab as usize);
+        let Some(rec) = record.and_then(|r| r.take_if(|r| r.gen == gen)) else {
             return;
-        }
-        let rec = self.slab[slab as usize].take().expect("live record");
+        };
         for slot in 0..3 {
-            let (a, b) = crate::common::unpack_pair(rec.slot_edge(slot));
+            let (a, b) = unpack_pair(rec.tri.slot_edge(slot));
             self.watcher.unwatch(a, b);
         }
+        self.release(slab, gen);
+    }
+
+    /// Return an emptied slab slot to the free list under its next
+    /// generation.
+    fn release(&mut self, slab: u32, gen: u32) {
         self.free.push(slab);
         self.free_gens.insert(slab, gen.wrapping_add(1));
     }
@@ -241,8 +188,7 @@ impl TwoPassTriangle {
         if let Some(info) = self.s_edges.get_mut(&e_key) {
             info.discoveries += 1;
         }
-        let (u, v) = crate::common::unpack_pair(e_key);
-        let (slab, gen) = self.allocate_with_gen([u, v, w]);
+        let (slab, gen) = self.allocate_with_gen(TriangleSlots::new(e_key, w));
         match self.q.offer((slab, gen)) {
             ReservoirEvent::Stored { .. } => {
                 self.counters.pairs_stored += 1;
@@ -258,8 +204,7 @@ impl TwoPassTriangle {
                 self.counters.pairs_rejected += 1;
                 // Not sampled: roll the allocation back.
                 self.slab[slab as usize] = None;
-                self.free.push(slab);
-                self.free_gens.insert(slab, gen.wrapping_add(1));
+                self.release(slab, gen);
             }
         }
     }
@@ -269,7 +214,7 @@ impl TwoPassTriangle {
         let Some(info) = self.s_edges.remove(&e_key) else {
             return;
         };
-        let (a, b) = crate::common::unpack_pair(e_key);
+        let (a, b) = unpack_pair(e_key);
         self.watcher.unwatch(a, b);
         self.discovered -= info.discoveries;
         // Destroy pairs discovered at this edge.
@@ -278,24 +223,16 @@ impl TwoPassTriangle {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| {
-                r.as_ref().and_then(|rec| {
-                    if rec.slot_edge(0) == e_key {
-                        Some((i as u32, rec.gen))
-                    } else {
-                        None
-                    }
-                })
+                r.as_ref()
+                    .filter(|rec| rec.tri.slot_edge(0) == e_key)
+                    .map(|rec| (i as u32, rec.gen))
             })
             .collect();
         for (s, g) in victims {
             self.destroy(s, g);
         }
         let slab = &self.slab;
-        self.q.retain(|&(s, g)| {
-            slab.get(s as usize)
-                .and_then(|r| r.as_ref())
-                .is_some_and(|r| r.gen == g)
-        });
+        self.q.retain(|&(s, g)| live(slab, s, g).is_some());
         self.q.set_seen(self.discovered);
     }
 
@@ -303,12 +240,7 @@ impl TwoPassTriangle {
     fn on_completion(&mut self, key: u64, owner: VertexId) {
         // Discovery path: `key` is a sampled edge and `owner` its apex.
         if let Some(info) = self.s_edges.get(&key) {
-            let is_discovery = if self.pass == 0 {
-                true
-            } else {
-                self.pos < info.first_pos
-            };
-            if is_discovery {
+            if self.pass == 0 || self.pos < info.first_pos {
                 self.discover(key, owner);
             }
         }
@@ -339,75 +271,39 @@ impl TwoPassTriangle {
     /// Pass-1 edge sampling on every item.
     fn sample_edge(&mut self, src: VertexId, dst: VertexId) {
         let key = pack_pair(src, dst);
-        match &mut self.sampler {
-            Sampler::Threshold(t) => {
-                if t.accepts(key) {
-                    if !self.s_edges.contains_key(&key) {
-                        self.counters.admissions += 1;
-                        self.s_edges.insert(
-                            key,
-                            EdgeInfo {
-                                first_pos: self.pos,
-                                discoveries: 0,
-                            },
-                        );
-                        self.watcher.watch(src, dst);
-                    }
-                } else {
-                    self.counters.rejections += 1;
-                }
-            }
-            Sampler::BottomK(b) => match b.offer(key) {
-                BottomKEvent::Inserted => {
-                    self.counters.admissions += 1;
-                    self.s_edges.insert(
-                        key,
-                        EdgeInfo {
-                            first_pos: self.pos,
-                            discoveries: 0,
-                        },
-                    );
-                    self.watcher.watch(src, dst);
-                }
-                BottomKEvent::InsertedEvicting(old) => {
-                    self.counters.admissions += 1;
-                    self.counters.evictions += 1;
-                    self.s_edges.insert(
-                        key,
-                        EdgeInfo {
-                            first_pos: self.pos,
-                            discoveries: 0,
-                        },
-                    );
-                    self.watcher.watch(src, dst);
-                    self.purge_edge(old);
-                }
-                BottomKEvent::AlreadyPresent => {}
-                BottomKEvent::Rejected => self.counters.rejections += 1,
-            },
+        let s_edges = &self.s_edges;
+        let offer = self.sampler.offer(key, |k| s_edges.contains_key(k));
+        offer.count(&mut self.counters);
+        if let Offer::New | Offer::NewEvicting(_) = offer {
+            self.s_edges.insert(
+                key,
+                EdgeInfo {
+                    first_pos: self.pos,
+                    discoveries: 0,
+                },
+            );
+            self.watcher.watch(src, dst);
+        }
+        if let Offer::NewEvicting(old) = offer {
+            self.purge_edge(old);
         }
     }
 
-    fn allocate_with_gen(&mut self, verts: [VertexId; 3]) -> (u32, u32) {
-        if let Some(idx) = self.free.pop() {
-            let gen = self.free_gens.remove(&idx).unwrap_or(1);
-            self.slab[idx as usize] = Some(PairRecord {
-                gen,
-                verts,
-                h: [0; 3],
-                active: [false; 3],
-            });
-            (idx, gen)
-        } else {
-            let idx = self.slab.len() as u32;
-            self.slab.push(Some(PairRecord {
-                gen: 0,
-                verts,
-                h: [0; 3],
-                active: [false; 3],
-            }));
-            (idx, 0)
-        }
+    fn allocate_with_gen(&mut self, tri: TriangleSlots) -> (u32, u32) {
+        let (idx, gen) = match self.free.pop() {
+            Some(idx) => (idx, self.free_gens.remove(&idx).unwrap_or(1)),
+            None => {
+                self.slab.push(None);
+                (self.slab.len() as u32 - 1, 0)
+            }
+        };
+        self.slab[idx as usize] = Some(PairRecord {
+            gen,
+            tri,
+            h: [0; 3],
+            active: [false; 3],
+        });
+        (idx, gen)
     }
 }
 
@@ -423,10 +319,7 @@ impl SpaceUsage for TwoPassTriangle {
             + self.watcher.space_bytes()
             + self.q.space_bytes()
             + hashmap_bytes(&self.free_gens)
-            + match &self.sampler {
-                Sampler::Threshold(_) => 32,
-                Sampler::BottomK(b) => b.space_bytes(),
-            }
+            + self.sampler.space_bytes()
     }
 }
 
@@ -454,22 +347,11 @@ impl MultiPassAlgorithm for TwoPassTriangle {
     }
 
     fn item(&mut self, src: VertexId, dst: VertexId) {
-        if self.pass == 0 {
-            self.items_pass1 += 1;
-            self.sample_edge(src, dst);
-        }
-        let mut buf = std::mem::take(&mut self.completed_buf);
-        buf.clear();
-        self.watcher.on_item(dst, |k| buf.push(k));
-        for &key in &buf {
-            self.on_completion(key, src);
-        }
-        self.completed_buf = buf;
+        self.feed_slice(&[StreamItem::new(src, dst)]);
     }
 
-    /// Native slice path: identical work to the per-item loop, with the
-    /// completion scratch buffer swapped in and out once per run instead of
-    /// once per item.
+    /// Native slice path: the completion scratch buffer is swapped in and
+    /// out once per run instead of once per item.
     fn feed_slice(&mut self, items: &[StreamItem]) {
         let mut buf = std::mem::take(&mut self.completed_buf);
         for it in items {
@@ -502,88 +384,47 @@ impl MultiPassAlgorithm for TwoPassTriangle {
     }
 
     fn obs_counters(&self) -> Option<ObsCounters> {
-        let mut c = self.counters;
-        c.merge(&self.watcher.obs_counters());
-        // Saturation snapshot, taken at publication time: each bounded
-        // structure currently frozen at capacity counts once.
-        if let Sampler::BottomK(b) = &self.sampler {
-            if b.capacity() > 0 && b.len() == b.capacity() {
-                c.freezes += 1;
-            }
-        }
-        if self.q.capacity() > 0 && self.q.len() == self.q.capacity() {
-            c.freezes += 1;
-        }
-        Some(c)
+        let q_full = self.q.capacity() > 0 && self.q.len() == self.q.capacity();
+        Some(published_counters(
+            self.counters,
+            &self.watcher,
+            &self.sampler,
+            q_full,
+        ))
     }
 
     fn finish(self) -> TriangleEstimate {
-        let m = self.items_pass1 / 2;
-        let s_len = self.s_edges.len();
-        let k = match self.cfg.edge_sampling {
-            EdgeSampling::Threshold { p } => {
-                if p > 0.0 {
-                    1.0 / p
-                } else {
-                    0.0
-                }
-            }
-            EdgeSampling::BottomK { .. } => {
-                if s_len == 0 {
-                    0.0
-                } else {
-                    (m as f64 / s_len as f64).max(1.0)
-                }
-            }
-        };
-        let mut counted = 0u64;
-        for &(s, g) in self.q.items() {
-            if let Some(rec) = self.slab.get(s as usize).and_then(|r| r.as_ref()) {
-                if rec.gen == g && rec.rho_slot() == 0 {
-                    counted += 1;
-                }
-            }
-        }
-        let q_size = self.q.len();
-        let subsample_scale = if q_size == 0 {
-            0.0
-        } else {
-            self.discovered as f64 / q_size as f64
-        };
-        TriangleEstimate {
-            estimate: k * subsample_scale * counted as f64,
-            edges_sampled: s_len,
-            pairs_discovered: self.discovered,
-            q_size,
+        let counted = self
+            .q
+            .items()
+            .iter()
+            .filter_map(|&(s, g)| live(&self.slab, s, g))
+            .filter(|rec| rec.tri.lightest_slot(rec.h) == 0)
+            .count() as u64;
+        TriangleEstimate::assemble(
+            self.cfg.edge_sampling,
+            self.items_pass1 / 2,
+            self.s_edges.len(),
+            self.discovered,
+            self.q.len(),
             counted,
-            m,
-            naive_estimate: k * self.discovered as f64 / 3.0,
-        }
+        )
     }
 }
 
 /// Pass-boundary serialization for checkpoint/resume. The mid-list cursors
 /// (`pos`, `next_pos`) and the completion scratch buffer are reset rather
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
-/// the resumed run enters pass 2. The bottom-k sampler is rebuilt by
-/// re-offering the sampled edge keys (the final bottom-k set *is*
-/// `s_edges.keys()`, and membership is a pure function of the seeded hash,
-/// so re-offering reproduces it regardless of order); the threshold sampler
-/// is stateless and rebuilds from the config.
+/// the resumed run enters pass 2. The sampler is rebuilt from the saved
+/// `S` (see [`EdgeSampler::rebuild`]).
 impl Checkpoint for TwoPassTriangle {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_u64(w, self.cfg.seed)?;
-        match self.cfg.edge_sampling {
-            EdgeSampling::Threshold { p } => {
-                write_u8(w, 0)?;
-                write_f64(w, p)?;
-            }
-            EdgeSampling::BottomK { k } => {
-                write_u8(w, 1)?;
-                write_usize(w, k)?;
-            }
-        }
-        write_usize(w, self.cfg.pair_capacity)?;
+        save_config(
+            w,
+            self.cfg.seed,
+            self.cfg.edge_sampling,
+            self.cfg.pair_capacity,
+        )?;
         write_usize(w, self.pass)?;
         write_u64(w, self.items_pass1)?;
         write_u64(w, self.discovered)?;
@@ -609,7 +450,7 @@ impl Checkpoint for TwoPassTriangle {
                 Some(rec) => {
                     write_u8(w, 1)?;
                     write_u32(w, rec.gen)?;
-                    for v in rec.verts {
+                    for v in rec.tri.0 {
                         write_u32(w, v.0)?;
                     }
                     for h in rec.h {
@@ -630,28 +471,14 @@ impl Checkpoint for TwoPassTriangle {
             write_u32(w, slot)?;
             write_u32(w, gen)?;
         }
-        save_ref_map(w, &self.monitors, |w, &(s, g, slot)| {
-            write_u32(w, s)?;
-            write_u32(w, g)?;
-            write_u8(w, slot)
-        })?;
-        save_ref_map(w, &self.activations, |w, &(s, g, slot)| {
-            write_u32(w, s)?;
-            write_u32(w, g)?;
-            write_u8(w, slot)
-        })?;
+        save_ref_map(w, &self.monitors)?;
+        save_ref_map(w, &self.activations)?;
         self.watcher.save(w)?;
         self.counters.save(w)
     }
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
-        let seed = read_u64(r)?;
-        let edge_sampling = match read_u8(r)? {
-            0 => EdgeSampling::Threshold { p: read_f64(r)? },
-            1 => EdgeSampling::BottomK { k: read_usize(r)? },
-            other => return Err(corrupt(format!("unknown edge-sampling tag {other}"))),
-        };
-        let pair_capacity = read_usize(r)?;
+        let (seed, edge_sampling, pair_capacity) = restore_config(r)?;
         let cfg = TwoPassTriangleConfig {
             seed,
             edge_sampling,
@@ -678,18 +505,10 @@ impl Checkpoint for TwoPassTriangle {
         let capacity = read_usize(r)?;
         let seen = read_u64(r)?;
         let rng_state = read_u64(r)?;
-        let q_len = read_usize(r)?;
-        let mut q_items = Vec::with_capacity(q_len.min(1 << 16));
-        for _ in 0..q_len {
-            let s = read_u32(r)?;
-            let g = read_u32(r)?;
-            q_items.push((s, g));
-        }
+        let q_items = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?)))?;
         let q = Reservoir::from_parts(capacity, seen, rng_state, q_items);
-        let n = read_usize(r)?;
-        let mut slab = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            slab.push(match read_u8(r)? {
+        let slab = read_seq(r, |r| {
+            Ok(match read_u8(r)? {
                 0 => None,
                 1 => {
                     let gen = read_u32(r)?;
@@ -707,19 +526,15 @@ impl Checkpoint for TwoPassTriangle {
                     }
                     Some(PairRecord {
                         gen,
-                        verts,
+                        tri: TriangleSlots(verts),
                         h,
                         active,
                     })
                 }
                 other => return Err(corrupt(format!("unknown slab slot tag {other}"))),
-            });
-        }
-        let n = read_usize(r)?;
-        let mut free = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            free.push(read_u32(r)?);
-        }
+            })
+        })?;
+        let free = read_seq(r, read_u32)?;
         let n = read_usize(r)?;
         let mut free_gens = FastMap::default();
         free_gens.reserve(n.min(1 << 16));
@@ -728,25 +543,11 @@ impl Checkpoint for TwoPassTriangle {
             let gen = read_u32(r)?;
             free_gens.insert(slot, gen);
         }
-        let (monitors, monitors_vec_bytes) =
-            restore_ref_map(r, 12, |r| Ok((read_u32(r)?, read_u32(r)?, read_u8(r)?)))?;
-        let (activations, activations_vec_bytes) =
-            restore_ref_map(r, 12, |r| Ok((read_u32(r)?, read_u32(r)?, read_u8(r)?)))?;
+        let (monitors, monitors_vec_bytes) = restore_ref_map(r)?;
+        let (activations, activations_vec_bytes) = restore_ref_map(r)?;
         let watcher = PairWatcher::restore(r)?;
         let counters = ObsCounters::restore(r)?;
-        let sampler = match cfg.edge_sampling {
-            EdgeSampling::Threshold { p } => Sampler::Threshold(ThresholdSampler::new(seed, p)),
-            EdgeSampling::BottomK { k } => {
-                let mut b = BottomKSampler::new(seed, k);
-                if s_edges.len() > k {
-                    return Err(corrupt("more sampled edges than the bottom-k capacity"));
-                }
-                for &key in s_edges.keys() {
-                    b.offer(key);
-                }
-                Sampler::BottomK(b)
-            }
-        };
+        let sampler = EdgeSampler::rebuild(seed, edge_sampling, s_edges.keys().copied())?;
         Ok(TwoPassTriangle {
             cfg,
             pass,
@@ -771,14 +572,10 @@ impl Checkpoint for TwoPassTriangle {
     }
 }
 
-/// Serialize a `u64-or-u32 key → Vec<entry>` reference map, preserving
+/// Serialize a `key → Vec<(slab, gen, slot)>` reference map, preserving
 /// vector order (iteration order inside each vector is behaviorally
 /// significant; map-level order is not).
-fn save_ref_map<K, T>(
-    w: &mut dyn Write,
-    map: &FastMap<K, Vec<T>>,
-    mut entry: impl FnMut(&mut dyn Write, &T) -> io::Result<()>,
-) -> io::Result<()>
+fn save_ref_map<K>(w: &mut dyn Write, map: &SlotRefs<K>) -> io::Result<()>
 where
     K: Copy + Into<u64>,
 {
@@ -786,8 +583,10 @@ where
     for (&key, entries) in map {
         write_u64(w, key.into())?;
         write_usize(w, entries.len())?;
-        for e in entries {
-            entry(w, e)?;
+        for &(s, g, slot) in entries {
+            write_u32(w, s)?;
+            write_u32(w, g)?;
+            write_u8(w, slot)?;
         }
     }
     Ok(())
@@ -796,11 +595,7 @@ where
 /// Inverse of [`save_ref_map`], returning the map plus the incremental
 /// byte count of its inner vectors (recomputed from the restored
 /// capacities, which is exactly what the incremental counters track).
-fn restore_ref_map<K, T>(
-    r: &mut dyn Read,
-    elem_bytes: usize,
-    mut entry: impl FnMut(&mut dyn Read) -> io::Result<T>,
-) -> io::Result<(FastMap<K, Vec<T>>, usize)>
+fn restore_ref_map<K>(r: &mut dyn Read) -> io::Result<(SlotRefs<K>, usize)>
 where
     K: Eq + std::hash::Hash + TryFrom<u64>,
 {
@@ -811,12 +606,8 @@ where
     for _ in 0..n {
         let raw = read_u64(r)?;
         let key = K::try_from(raw).map_err(|_| corrupt(format!("map key {raw} out of range")))?;
-        let len = read_usize(r)?;
-        let mut entries = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            entries.push(entry(r)?);
-        }
-        vec_bytes += entries.capacity() * elem_bytes + 24;
+        let entries = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?, read_u8(r)?)))?;
+        vec_bytes += entries.capacity() * 12 + 24;
         map.insert(key, entries);
     }
     Ok((map, vec_bytes))
@@ -1118,14 +909,5 @@ mod tests {
             .err()
             .expect("truncated input must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-        // A bad edge-sampling tag is a typed corruption error.
-        let mut buf = Vec::new();
-        write_u64(&mut buf, 1).unwrap();
-        write_u8(&mut buf, 7).unwrap();
-        let err = TwoPassTriangle::restore(&mut &buf[..])
-            .err()
-            .expect("bad tag must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("edge-sampling tag"));
     }
 }

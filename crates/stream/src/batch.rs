@@ -85,7 +85,7 @@ use crate::guard::{decode_mode, decode_policy, encode_mode, encode_policy, Guard
 use crate::item::StreamItem;
 use crate::meter::{vec_bytes, PeakTracker, SpaceUsage};
 use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, PassMetrics, RunObserver};
-use crate::runner::{drive_pass_slice_observed, GuardStats, MultiPassAlgorithm, RunError};
+use crate::runner::{drive_pass_runs, list_runs, GuardStats, MultiPassAlgorithm, RunError};
 use crate::validate::ValidatorMode;
 
 /// Resource limits enforced on a batched run.
@@ -663,8 +663,12 @@ impl<A: MultiPassAlgorithm> Driven<A> {
         obs: &mut RunObserver,
     ) -> Result<(), RunError> {
         match self {
-            Driven::Plain(f) => drive_pass_slice_observed(f, pass, items, peak, processed, obs),
-            Driven::Guarded(g) => drive_pass_slice_observed(g, pass, items, peak, processed, obs),
+            Driven::Plain(f) => {
+                drive_pass_runs(f, pass, items, list_runs(items), peak, processed, obs)
+            }
+            Driven::Guarded(g) => {
+                drive_pass_runs(g, pass, items, list_runs(items), peak, processed, obs)
+            }
         }
     }
 

@@ -176,10 +176,8 @@ pub struct MappedTrace {
     payload_end: usize,
     /// Checksum recorded in the container trailer.
     expected: u64,
-    /// Payload bytes already absorbed by `hasher`.
-    verify_cursor: usize,
-    hasher: Checksum64,
-    verified: bool,
+    /// The owned verification state behind [`Self::verify_step`].
+    verify: VerifyState,
     /// Owned decode, used only where the in-place cast is unavailable.
     #[cfg(not(target_endian = "little"))]
     decoded: Vec<StreamItem>,
@@ -270,9 +268,7 @@ impl MappedTrace {
             len: n,
             payload_end,
             expected,
-            verify_cursor: PAYLOAD_START,
-            hasher: Checksum64::new(),
-            verified: false,
+            verify: VerifyState::new(),
             #[cfg(not(target_endian = "little"))]
             decoded,
         })
@@ -320,7 +316,7 @@ impl MappedTrace {
 
     /// Whether the payload checksum has been fully verified.
     pub fn is_verified(&self) -> bool {
-        self.verified
+        self.verify.done
     }
 
     /// Absorb up to `window` further payload bytes into the checksum.
@@ -328,26 +324,8 @@ impl MappedTrace {
     /// the recorded checksum (idempotent afterwards), `Ok(false)` if more
     /// windows remain, and [`TraceError::ChecksumMismatch`] on corruption.
     pub fn verify_step(&mut self, window: usize) -> Result<bool, TraceError> {
-        if self.verified {
-            return Ok(true);
-        }
-        let window = window.max(1);
-        let end = self.payload_end.min(self.verify_cursor + window);
-        self.hasher
-            .update(&self.backing.bytes()[self.verify_cursor..end]);
-        self.verify_cursor = end;
-        if self.verify_cursor < self.payload_end {
-            return Ok(false);
-        }
-        let actual = self.hasher.clone().finalize();
-        if actual != self.expected {
-            return Err(TraceError::ChecksumMismatch {
-                expected: self.expected,
-                actual,
-            });
-        }
-        self.verified = true;
-        Ok(true)
+        let payload = &self.backing.bytes()[..self.payload_end];
+        self.verify.step(payload, self.expected, window)
     }
 
     /// Drive [`verify_step`](Self::verify_step) to completion in
@@ -365,55 +343,72 @@ impl MappedTrace {
     /// [`is_verified`](Self::is_verified).
     pub fn verify_cursor(&self) -> VerifyCursor<'_> {
         VerifyCursor {
-            bytes: self.backing.bytes(),
-            payload_end: self.payload_end,
+            payload: &self.backing.bytes()[..self.payload_end],
             expected: self.expected,
+            state: VerifyState::new(),
+        }
+    }
+}
+
+/// How far a windowed checksum has absorbed a `.adjb` payload — the one
+/// verification body behind both [`MappedTrace::verify_step`] and
+/// [`VerifyCursor::step`].
+struct VerifyState {
+    /// Payload bytes already absorbed by `hasher`.
+    cursor: usize,
+    hasher: Checksum64,
+    done: bool,
+}
+
+impl VerifyState {
+    fn new() -> Self {
+        VerifyState {
             cursor: PAYLOAD_START,
             hasher: Checksum64::new(),
             done: false,
         }
+    }
+
+    /// Absorb up to `window` further bytes of `payload` (the file bytes
+    /// up to the checksum trailer); see [`MappedTrace::verify_step`].
+    fn step(&mut self, payload: &[u8], expected: u64, window: usize) -> Result<bool, TraceError> {
+        if self.done {
+            return Ok(true);
+        }
+        let end = payload.len().min(self.cursor + window.max(1));
+        self.hasher.update(&payload[self.cursor..end]);
+        self.cursor = end;
+        if self.cursor < payload.len() {
+            return Ok(false);
+        }
+        let actual = self.hasher.clone().finalize();
+        if actual != expected {
+            return Err(TraceError::ChecksumMismatch { expected, actual });
+        }
+        self.done = true;
+        Ok(true)
     }
 }
 
 /// Incremental payload-checksum verification over a shared borrow of a
 /// [`MappedTrace`]. See [`MappedTrace::verify_cursor`].
 pub struct VerifyCursor<'a> {
-    bytes: &'a [u8],
-    payload_end: usize,
+    /// The file bytes up to the checksum trailer.
+    payload: &'a [u8],
     expected: u64,
-    cursor: usize,
-    hasher: Checksum64,
-    done: bool,
+    state: VerifyState,
 }
 
 impl VerifyCursor<'_> {
     /// Absorb up to `window` further payload bytes; same contract as
     /// [`MappedTrace::verify_step`].
     pub fn step(&mut self, window: usize) -> Result<bool, TraceError> {
-        if self.done {
-            return Ok(true);
-        }
-        let window = window.max(1);
-        let end = self.payload_end.min(self.cursor + window);
-        self.hasher.update(&self.bytes[self.cursor..end]);
-        self.cursor = end;
-        if self.cursor < self.payload_end {
-            return Ok(false);
-        }
-        let actual = self.hasher.clone().finalize();
-        if actual != self.expected {
-            return Err(TraceError::ChecksumMismatch {
-                expected: self.expected,
-                actual,
-            });
-        }
-        self.done = true;
-        Ok(true)
+        self.state.step(self.payload, self.expected, window)
     }
 
     /// Whether the whole payload has been absorbed and matched.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.state.done
     }
 
     /// Drive [`step`](Self::step) to completion in `window`-byte windows.

@@ -8,7 +8,8 @@
 //! and aborts with a typed [`RunError`] if the algorithm (e.g. a
 //! [`crate::guard::Guarded`] wrapper in strict mode) reports a fatal stream
 //! violation. The batched engine ([`crate::batch`]) drives its fan-out
-//! through the same loop. The panicking entry point is a thin wrapper over
+//! through the same loop, and a graph shard ([`crate::shard`]) drives its
+//! plan's runs through it. The panicking entry point is a thin wrapper over
 //! the fallible one.
 
 use adjstream_graph::{Graph, VertexId};
@@ -18,6 +19,7 @@ use crate::item::StreamItem;
 use crate::meter::{PeakTracker, SpaceUsage};
 use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, RunObserver};
 use crate::order::StreamOrder;
+use crate::shard::ShardRun;
 use crate::validate::StreamError;
 
 /// A streaming algorithm taking one or more passes over an adjacency list
@@ -47,6 +49,18 @@ pub trait MultiPassAlgorithm: SpaceUsage {
     /// A new adjacency list (owned by `owner`) is starting.
     fn begin_list(&mut self, owner: VertexId) {
         let _ = owner;
+    }
+
+    /// A new adjacency list (owned by `owner`) is starting at global
+    /// arrival index `global_pos` — its 0-based position among all lists of
+    /// the pass. The pass loop always announces lists through this hook;
+    /// the default forwards to [`begin_list`](Self::begin_list). An
+    /// algorithm keyed on list positions overrides it: a sharded pass
+    /// delivers only its own shard's lists, so a locally counted position
+    /// would be wrong (see [`crate::shard::ShardAlgorithm`]).
+    fn begin_list_at(&mut self, owner: VertexId, global_pos: u64) {
+        let _ = global_pos;
+        self.begin_list(owner);
     }
 
     /// One stream item `src → dst` (always within `src`'s list).
@@ -308,23 +322,29 @@ pub fn drive_pass_slice<A>(
 where
     A: MultiPassAlgorithm,
 {
-    drive_pass_slice_observed(
+    drive_pass_runs(
         algo,
         pass,
         items,
+        list_runs(items),
         peak,
         processed,
         &mut RunObserver::disabled(),
     )
 }
 
-/// [`drive_pass_slice`] with an attached [`RunObserver`]. The observer is
-/// consulted only at the boundaries where the driver already samples
-/// state, so a disabled observer keeps the unobserved hot path.
-pub(crate) fn drive_pass_slice_observed<A>(
+/// The one pass loop behind every entry point: [`drive_pass_slice`] over
+/// the given `runs` of `items` with an attached [`RunObserver`]. Sequential
+/// callers pass every list ([`list_runs`]); a sharded pass passes only its
+/// shard's runs, whose global positions reach the algorithm through
+/// [`MultiPassAlgorithm::begin_list_at`]. The observer is consulted only at
+/// the boundaries where the loop already samples state, so a disabled
+/// observer keeps the unobserved hot path.
+pub(crate) fn drive_pass_runs<A>(
     algo: &mut A,
     pass: usize,
     items: &[StreamItem],
+    runs: impl IntoIterator<Item = ShardRun>,
     peak: &mut PeakTracker,
     processed: &mut usize,
     obs: &mut RunObserver,
@@ -334,13 +354,12 @@ where
 {
     obs.begin_pass(pass, *processed);
     algo.begin_pass(pass);
-    let mut start = 0usize;
-    while start < items.len() {
-        let src = items[start].src;
-        let end = find_run_end(items, start);
-        algo.begin_list(src);
-        algo.feed_slice(&items[start..end]);
-        *processed += end - start;
+    for run in runs {
+        let slice = &items[run.start..run.end];
+        let src = slice[0].src;
+        algo.begin_list_at(src, run.global_pos);
+        algo.feed_slice(slice);
+        *processed += slice.len();
         obs.slice();
         algo.end_list(src);
         let bytes = algo.space_bytes();
@@ -352,7 +371,6 @@ where
         if let Some(err) = algo.abort_run() {
             return Err(err);
         }
-        start = end;
     }
     algo.end_pass(pass);
     let bytes = algo.space_bytes();
@@ -367,6 +385,24 @@ where
     Ok(())
 }
 
+/// Every adjacency list of `items` — each maximal same-source run — in
+/// arrival order, with its global position.
+pub(crate) fn list_runs(items: &[StreamItem]) -> impl Iterator<Item = ShardRun> + '_ {
+    let mut start = 0usize;
+    (0u64..).map_while(move |global_pos| {
+        (start < items.len()).then(|| {
+            let end = find_run_end(items, start);
+            let run = ShardRun {
+                start,
+                end,
+                global_pos,
+            };
+            start = end;
+            run
+        })
+    })
+}
+
 /// End (exclusive) of the maximal same-source run starting at `start`.
 ///
 /// This boundary scan is the per-item hot loop of slice dispatch — every
@@ -377,7 +413,7 @@ where
 /// adjacency lists) this retires ~1 branch per 8 items instead of 1 per
 /// item, and the compiler is free to vectorize the compare/shift lanes.
 #[inline]
-pub(crate) fn find_run_end(items: &[StreamItem], start: usize) -> usize {
+fn find_run_end(items: &[StreamItem], start: usize) -> usize {
     let src = items[start].src;
     let mut i = start + 1;
     while i + 8 <= items.len() {
@@ -465,10 +501,12 @@ where
     let passes = algo.passes();
     for pass in 0..passes {
         let items = items_for_pass(pass);
-        drive_pass_slice_observed(
+        let items = items.as_ref();
+        drive_pass_runs(
             &mut algo,
             pass,
-            items.as_ref(),
+            items,
+            list_runs(items),
             &mut peak,
             &mut processed,
             &mut obs,

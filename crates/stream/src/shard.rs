@@ -12,8 +12,9 @@
 //! [`run_sharded_hooked`] then executes each pass of a [`ShardAlgorithm`] once
 //! per shard: the pass-boundary state is serialized through the
 //! [`Checkpoint`] wire format, each shard restores a private replica,
-//! drives only its own lists (with their *global* list positions
-//! injected via [`ShardAlgorithm::begin_list_at`]), and the per-shard
+//! drives only its own lists through the one pass loop of
+//! [`crate::runner`] (with their *global* list positions injected via
+//! [`MultiPassAlgorithm::begin_list_at`]), and the per-shard
 //! partials are folded back in shard order with
 //! [`ShardAlgorithm::merge_pass`]. An algorithm whose per-pass writes are
 //! order-independent and start empty at every pass boundary (see the
@@ -36,8 +37,8 @@ use crate::checkpoint::Checkpoint;
 use crate::hashing::FastBuildHasher;
 use crate::item::StreamItem;
 use crate::meter::PeakTracker;
-use crate::obs::{Metrics, MetricsSnapshot, PassMetrics, METRICS_SCHEMA_VERSION};
-use crate::runner::{find_run_end, MultiPassAlgorithm, RunError, RunReport};
+use crate::obs::{Metrics, MetricsSnapshot, PassMetrics, RunObserver, METRICS_SCHEMA_VERSION};
+use crate::runner::{drive_pass_runs, list_runs, MultiPassAlgorithm, RunError, RunReport};
 
 /// One adjacency list assigned to a shard: a sub-range of the shared item
 /// slice plus the list's global position (its 0-based index among all
@@ -76,10 +77,10 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Partition `items` into `shards` shards (clamped to at least 1).
     ///
-    /// One linear scan: run boundaries come from the same vectorized
-    /// source-change detector the slice driver uses, so plan construction
-    /// costs one branch per ~8 items. The payload is never copied — a
-    /// [`ShardRun`] is just an index range into `items`.
+    /// One linear scan: runs are the lists the sequential pass loop
+    /// delivers, found by the same vectorized source-change detector, so
+    /// plan construction costs one branch per ~8 items. The payload is
+    /// never copied — a [`ShardRun`] is just an index range into `items`.
     pub fn build(items: &[StreamItem], shards: usize) -> ShardPlan {
         let n = shards.max(1);
         let mut plan = ShardPlan {
@@ -87,17 +88,9 @@ impl ShardPlan {
             total_runs: 0,
             items_len: items.len(),
         };
-        let mut start = 0usize;
-        while start < items.len() {
-            let end = find_run_end(items, start);
-            let owner = items[start].src;
-            plan.shards[shard_of(owner, n)].push(ShardRun {
-                start,
-                end,
-                global_pos: plan.total_runs,
-            });
+        for run in list_runs(items) {
+            plan.shards[shard_of(items[run.start].src, n)].push(run);
             plan.total_runs += 1;
-            start = end;
         }
         plan
     }
@@ -193,29 +186,13 @@ impl From<RunError> for ShardError {
 ///   partitioned.
 /// * **Global positions, not local ones.** Any order-sensitive quantity
 ///   must be keyed on the *global* list position delivered via
-///   [`begin_list_at`](Self::begin_list_at) — never on a locally
+///   [`MultiPassAlgorithm::begin_list_at`] — never on a locally
 ///   maintained arrival counter, which would differ per shard.
 pub trait ShardAlgorithm: MultiPassAlgorithm + Checkpoint + Send + Sized {
-    /// A new adjacency list (owned by `owner`) starts at global arrival
-    /// index `global_pos` within the pass. Sequential drivers call
-    /// [`MultiPassAlgorithm::begin_list`] instead; implementations must
-    /// treat the two identically apart from the position source.
-    fn begin_list_at(&mut self, owner: VertexId, global_pos: u64);
-
     /// Fold `other`'s current-pass write state into `self`. Both sides
     /// must descend from the same pass-boundary base state; return a
     /// human-readable detail string if they demonstrably do not.
     fn merge_pass(&mut self, other: Self, pass: usize) -> Result<(), String>;
-}
-
-/// What one shard's pass produced, before merging.
-struct ShardPassOutcome<A> {
-    algo: A,
-    peak: usize,
-    processed: usize,
-    lists: u64,
-    slices: u64,
-    wall_nanos: u64,
 }
 
 /// Per-shard stats from one pass, for process-mode callers that merge
@@ -232,74 +209,50 @@ pub struct ShardPassStats {
     pub slices: u64,
 }
 
-/// Drive one shard's share of one pass: `begin_pass`, then each assigned
-/// run between `begin_list_at`/`end_list` with peak sampling and abort
-/// polling at every boundary (the same contract as
-/// [`crate::runner::drive_pass_slice`]), then `end_pass`.
-pub fn drive_shard_pass<A: ShardAlgorithm>(
-    algo: &mut A,
+/// One shard × one pass: restore a replica from the serialized
+/// pass-boundary state `base` and drive the shard's runs through the one
+/// pass loop, each run one list delivered as one slice.
+fn run_shard_pass<A: ShardAlgorithm>(
+    base: &[u8],
     pass: usize,
     items: &[StreamItem],
     runs: &[ShardRun],
-    peak: &mut PeakTracker,
-    processed: &mut usize,
-) -> Result<(u64, u64), RunError> {
-    algo.begin_pass(pass);
-    let (mut lists, mut slices) = (0u64, 0u64);
-    for run in runs {
-        let slice = &items[run.start..run.end];
-        let owner = slice[0].src;
-        algo.begin_list_at(owner, run.global_pos);
-        algo.feed_slice(slice);
-        *processed += slice.len();
-        lists += 1;
-        slices += 1;
-        algo.end_list(owner);
-        peak.observe(algo.space_bytes());
-        if let Some(error) = algo.abort_error() {
-            return Err(RunError::Invalid { pass, error });
-        }
-        if let Some(err) = algo.abort_run() {
-            return Err(err);
-        }
-    }
-    algo.end_pass(pass);
-    peak.observe(algo.space_bytes());
-    if let Some(error) = algo.abort_error() {
-        return Err(RunError::Invalid { pass, error });
-    }
-    if let Some(err) = algo.abort_run() {
-        return Err(err);
-    }
-    Ok((lists, slices))
+) -> Result<(A, ShardPassStats), ShardError> {
+    let mut algo = A::restore(&mut &base[..]).map_err(ShardError::State)?;
+    let mut peak = PeakTracker::new();
+    let mut processed = 0usize;
+    drive_pass_runs(
+        &mut algo,
+        pass,
+        items,
+        runs.iter().copied(),
+        &mut peak,
+        &mut processed,
+        &mut RunObserver::disabled(),
+    )?;
+    let lists = runs.len() as u64;
+    let stats = ShardPassStats {
+        peak_state_bytes: peak.peak(),
+        items_processed: processed,
+        lists,
+        slices: lists,
+    };
+    Ok((algo, stats))
 }
 
 /// One shard × one pass from a serialized pass-boundary state — the body
-/// of a process-per-shard worker. Restores a replica from `base`, drives
-/// the shard's runs, and returns the partial state re-serialized through
-/// the same [`Checkpoint`] wire format plus the shard's stats.
+/// of a process-per-shard worker. Returns the partial state re-serialized
+/// through the same [`Checkpoint`] wire format plus the shard's stats.
 pub fn run_shard_pass_blob<A: ShardAlgorithm>(
     base: &[u8],
     pass: usize,
     items: &[StreamItem],
     runs: &[ShardRun],
 ) -> Result<(Vec<u8>, ShardPassStats), ShardError> {
-    let mut algo = A::restore(&mut &base[..]).map_err(ShardError::State)?;
-    let mut peak = PeakTracker::new();
-    let mut processed = 0usize;
-    let (lists, slices) =
-        drive_shard_pass(&mut algo, pass, items, runs, &mut peak, &mut processed)?;
+    let (algo, stats) = run_shard_pass::<A>(base, pass, items, runs)?;
     let mut blob = Vec::new();
     algo.save(&mut blob).map_err(ShardError::State)?;
-    Ok((
-        blob,
-        ShardPassStats {
-            peak_state_bytes: peak.peak(),
-            items_processed: processed,
-            lists,
-            slices,
-        },
-    ))
+    Ok((blob, stats))
 }
 
 /// Restore per-shard partial blobs (in shard order) and fold them into one
@@ -359,32 +312,17 @@ where
     for pass in 0..passes {
         let mut blob = Vec::new();
         algo.save(&mut blob).map_err(ShardError::State)?;
-        let results: Vec<Result<ShardPassOutcome<A>, ShardError>> = std::thread::scope(|scope| {
+        type Outcome<A> = Result<(A, ShardPassStats, u64), ShardError>;
+        let results: Vec<Outcome<A>> = std::thread::scope(|scope| {
             let blob = &blob;
             let handles: Vec<_> = (0..plan.shard_count())
                 .map(|shard| {
-                    let runs = plan.runs_for(shard);
-                    scope.spawn(move || -> Result<ShardPassOutcome<A>, ShardError> {
+                    scope.spawn(move || -> Outcome<A> {
                         let t0 = Instant::now();
-                        let mut replica = A::restore(&mut &blob[..]).map_err(ShardError::State)?;
-                        let mut peak = PeakTracker::new();
-                        let mut processed = 0usize;
-                        let (lists, slices) = drive_shard_pass(
-                            &mut replica,
-                            pass,
-                            items,
-                            runs,
-                            &mut peak,
-                            &mut processed,
-                        )?;
-                        Ok(ShardPassOutcome {
-                            algo: replica,
-                            peak: peak.peak(),
-                            processed,
-                            lists,
-                            slices,
-                            wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        })
+                        let (replica, stats) =
+                            run_shard_pass::<A>(blob, pass, items, plan.runs_for(shard))?;
+                        let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        Ok((replica, stats, wall_nanos))
                     })
                 })
                 .collect();
@@ -400,20 +338,20 @@ where
             ..PassMetrics::default()
         };
         for res in results {
-            let out = res?;
-            peak_overall = peak_overall.max(out.peak);
-            processed_total += out.processed;
+            let (replica, stats, wall_nanos) = res?;
+            peak_overall = peak_overall.max(stats.peak_state_bytes);
+            processed_total += stats.items_processed;
             if collect {
-                pm.wall_nanos = pm.wall_nanos.max(out.wall_nanos);
-                pm.items += out.processed as u64;
-                pm.slices += out.slices;
-                pm.lists += out.lists;
-                pm.peak_bytes = pm.peak_bytes.max(out.peak as u64);
+                pm.wall_nanos = pm.wall_nanos.max(wall_nanos);
+                pm.items += stats.items_processed as u64;
+                pm.slices += stats.slices;
+                pm.lists += stats.lists;
+                pm.peak_bytes = pm.peak_bytes.max(stats.peak_state_bytes as u64);
             }
             merged = Some(match merged {
-                None => out.algo,
+                None => replica,
                 Some(mut m) => {
-                    m.merge_pass(out.algo, pass)
+                    m.merge_pass(replica, pass)
                         .map_err(|detail| ShardError::Merge { pass, detail })?;
                     m
                 }
@@ -509,9 +447,13 @@ mod tests {
             self.auto_pos = 0;
         }
 
-        fn begin_list(&mut self, _owner: VertexId) {
-            self.cur_pos = self.auto_pos;
-            self.auto_pos += 1;
+        fn begin_list(&mut self, owner: VertexId) {
+            self.begin_list_at(owner, self.auto_pos);
+        }
+
+        fn begin_list_at(&mut self, _owner: VertexId, global_pos: u64) {
+            self.cur_pos = global_pos;
+            self.auto_pos = global_pos + 1;
         }
 
         fn item(&mut self, src: VertexId, dst: VertexId) {
@@ -549,11 +491,6 @@ mod tests {
     }
 
     impl ShardAlgorithm for PosSum {
-        fn begin_list_at(&mut self, _owner: VertexId, global_pos: u64) {
-            self.cur_pos = global_pos;
-            self.auto_pos = global_pos + 1;
-        }
-
         fn merge_pass(&mut self, other: Self, pass: usize) -> Result<(), String> {
             match pass {
                 0 => {

@@ -350,19 +350,16 @@ impl ItemTrace {
             payload.extend_from_slice(&it.src.0.to_le_bytes());
             payload.extend_from_slice(&it.dst.0.to_le_bytes());
         }
-        let mut run_lens: Vec<u32> = Vec::new();
-        let mut i = 0usize;
-        while i < self.items.len() {
-            let j = crate::runner::find_run_end(&self.items, i);
-            let len = u32::try_from(j - i).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "adjacency list run exceeds u32 items",
-                )
-            })?;
-            run_lens.push(len);
-            i = j;
-        }
+        let run_lens = crate::runner::list_runs(&self.items)
+            .map(|run| {
+                u32::try_from(run.end - run.start).map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        "adjacency list run exceeds u32 items",
+                    )
+                })
+            })
+            .collect::<std::io::Result<Vec<u32>>>()?;
         payload.extend_from_slice(&(run_lens.len() as u64).to_le_bytes());
         for len in &run_lens {
             payload.extend_from_slice(&len.to_le_bytes());

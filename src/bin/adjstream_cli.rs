@@ -456,15 +456,10 @@ fn print_estimate(est: &CountEstimate, g: &Graph, suffix: &str) {
     }
 }
 
-/// FNV-1a over raw bytes: the stable default job id for checkpoint
-/// namespacing (`triangles-<id>.ckpt`), derived from the run identity.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// The stable default job id for checkpoint namespacing
+/// (`triangles-<id>.ckpt`): FNV-1a of the run identity.
+fn default_job_id(input: &str, t_lower: u64, seed: u64, epsilon: f64) -> u64 {
+    adjstream::stream::checkpoint::fnv1a(format!("{input}|{t_lower}|{seed}|{epsilon}").as_bytes())
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
@@ -519,13 +514,12 @@ fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
                         Some(v) => v
                             .parse()
                             .map_err(|_| CliFailure::usage(format!("invalid --job-id {v:?}")))?,
-                        None => {
-                            let input = args.first().map(String::as_str).unwrap_or("");
-                            fnv1a(
-                                format!("{input}|{t_lower}|{}|{}", acc.seed, acc.epsilon)
-                                    .as_bytes(),
-                            )
-                        }
+                        None => default_job_id(
+                            args.first().map(String::as_str).unwrap_or(""),
+                            t_lower,
+                            acc.seed,
+                            acc.epsilon,
+                        ),
                     };
                     let path =
                         std::path::Path::new(dir).join(format!("triangles-{job_id:016x}.ckpt"));
@@ -2383,6 +2377,18 @@ mod tests {
         assert_eq!((err.exit, err.kind), (EXIT_CHECKPOINT, "checkpoint"));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&gs).ok();
+    }
+
+    /// Default job ids must never move, or `--resume` would miss the
+    /// checkpoint an earlier build wrote. The expected name was computed
+    /// by the CLI's former private FNV-1a copy.
+    #[test]
+    fn default_checkpoint_name_is_stable() {
+        let id = default_job_id("g.txt", 9000, 5, 0.15);
+        assert_eq!(
+            format!("triangles-{id:016x}.ckpt"),
+            "triangles-b18f7bdf833a6d92.ckpt"
+        );
     }
 
     #[test]
