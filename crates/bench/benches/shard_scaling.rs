@@ -66,14 +66,16 @@ fn sharded_critical_path(items: &[StreamItem], n: usize, budget: usize) -> (f64,
         let mut blobs = Vec::with_capacity(n);
         for shard in 0..n {
             let t0 = Instant::now();
-            let (blob, _stats) =
+            let blob =
                 run_shard_pass_blob::<ShardedTriangle>(&base, pass, items, plan.runs_for(shard))
                     .expect("shard pass");
             slowest = slowest.max(t0.elapsed().as_secs_f64());
             blobs.push(blob);
         }
         critical += slowest;
-        algo = merge_shard_states::<ShardedTriangle>(&blobs, pass).expect("merge");
+        algo = merge_shard_states::<ShardedTriangle>(&blobs, pass)
+            .expect("merge")
+            .0;
     }
     (algo.finish().estimate, critical)
 }

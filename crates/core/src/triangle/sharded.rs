@@ -712,7 +712,7 @@ mod tests {
     /// resumed run must reproduce the estimate exactly.
     #[test]
     fn checkpoint_roundtrip_reproduces_the_run() {
-        use adjstream_stream::shard::run_shard_pass_blob;
+        use adjstream_stream::shard::{merge_shard_states, run_shard_pass_blob};
 
         let mut rng = StdRng::seed_from_u64(8);
         let g = gen::gnm(60, 500, &mut rng);
@@ -729,9 +729,11 @@ mod tests {
         for pass in 0..3 {
             let mut blob = Vec::new();
             algo.save(&mut blob).expect("save");
-            let (partial, _) =
+            let payload =
                 run_shard_pass_blob::<ShardedTriangle>(&blob, pass, &items, runs).expect("pass");
-            algo = ShardedTriangle::restore(&mut &partial[..]).expect("restore");
+            algo = merge_shard_states::<ShardedTriangle>(&[payload], pass)
+                .expect("restore")
+                .0;
         }
         let got = algo.finish();
         assert_eq!(got, want);

@@ -17,7 +17,7 @@ use adjstream_core::triangle::{
     TwoPassTriangle, TwoPassTriangleConfig,
 };
 use adjstream_graph::gen;
-use adjstream_stream::checkpoint::{fnv1a, Checkpoint};
+use adjstream_stream::checkpoint::Checkpoint;
 use adjstream_stream::meter::PeakTracker;
 use adjstream_stream::obs::{Metrics, ObsCounters};
 use adjstream_stream::runner::{drive_pass_slice, MultiPassAlgorithm};
@@ -64,10 +64,15 @@ fn flat(c: ObsCounters) -> [u64; 9] {
     ]
 }
 
+/// FNV-1a over the checkpoint payload: the digest the pinned rows were
+/// generated with, kept local so the table does not depend on which
+/// checksum the container format uses.
 fn digest<A: Checkpoint>(algo: &A) -> u64 {
     let mut blob = Vec::new();
     algo.save(&mut blob).expect("save");
-    fnv1a(&blob)
+    blob.iter().fold(0xCBF2_9CE4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Drive `algo` sequentially over `items`, calling `at_boundary` between

@@ -1204,7 +1204,7 @@ fn run_update_job(
         }
         if evict.swap(false, Ordering::SeqCst) {
             match encode_update_ckpt(next_batch, previous, &rows, &guard)
-                .map_err(adjstream_stream::CheckpointError::Io)
+                .map_err(adjstream_stream::FrameError::Io)
                 .and_then(|payload| write_checkpoint_file(&ckpt, &payload))
             {
                 Ok(()) => {}
@@ -1243,7 +1243,7 @@ fn run_update_job(
         }
         if evict.swap(false, Ordering::SeqCst) {
             match encode_update_ckpt(next_batch, previous, &rows, &guard)
-                .map_err(adjstream_stream::CheckpointError::Io)
+                .map_err(adjstream_stream::FrameError::Io)
                 .and_then(|payload| write_checkpoint_file(&ckpt, &payload))
             {
                 Ok(()) => {}
@@ -1320,7 +1320,7 @@ fn run_update_job(
 
         if next_batch < total_batches {
             match encode_update_ckpt(next_batch, previous, &rows, &guard)
-                .map_err(adjstream_stream::CheckpointError::Io)
+                .map_err(adjstream_stream::FrameError::Io)
                 .and_then(|payload| write_checkpoint_file(&ckpt, &payload))
             {
                 Ok(()) => {}

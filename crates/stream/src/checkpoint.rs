@@ -18,34 +18,27 @@
 //!
 //! # On-disk container
 //!
-//! [`write_checkpoint_file`] wraps an opaque payload in a fixed frame:
-//!
-//! ```text
-//! magic   8 bytes  b"ADJSCKPT"
-//! version u32 LE   FORMAT_VERSION
-//! length  u64 LE   payload byte count
-//! payload length bytes
-//! check   u64 LE   FNV-1a over payload
-//! ```
-//!
-//! Files are written atomically — the frame goes to a sibling temp file
-//! which is then renamed over the destination — so a crash mid-write leaves
-//! either the previous complete checkpoint or none, never a torn one.
-//! [`read_checkpoint_file`] verifies magic, version, length, and checksum
-//! before releasing the payload.
+//! [`write_checkpoint_file`] wraps an opaque payload in the workspace's one
+//! framed container ([`crate::frame`], magic [`MAGIC`]). Files are written
+//! atomically — the frame goes to a sibling temp file which is fsynced and
+//! then renamed over the destination — so a crash mid-write leaves either
+//! the previous complete checkpoint or none, never a torn one.
+//! [`read_checkpoint_file`] verifies the frame before releasing the
+//! payload; every rejection is a typed [`FrameError`].
 
-use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
+
+use crate::frame::{write_frame, Frame, FrameError};
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"ADJSCKPT";
 
 /// Current checkpoint container format version. Bumped on any incompatible
 /// layout change; readers reject other versions with
-/// [`CheckpointError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 1;
+/// [`FrameError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// State that can be persisted at a pass boundary and later restored.
 ///
@@ -62,96 +55,23 @@ pub trait Checkpoint: Sized {
     fn restore(r: &mut dyn Read) -> io::Result<Self>;
 }
 
-/// Failure modes of the on-disk checkpoint container.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The underlying filesystem operation failed.
-    Io(io::Error),
-    /// The file does not start with [`MAGIC`] — not a checkpoint.
-    BadMagic,
-    /// The file's format version is not readable by this build.
-    UnsupportedVersion {
-        /// Version recorded in the file.
-        found: u32,
-        /// Version this build writes and reads.
-        supported: u32,
-    },
-    /// The file ended before the declared payload + checksum.
-    Truncated,
-    /// The payload bytes do not hash to the recorded checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a checkpoint file (bad magic)"),
-            CheckpointError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "unsupported checkpoint format version {found} (this build reads {supported})"
-            ),
-            CheckpointError::Truncated => write!(f, "checkpoint file is truncated"),
-            CheckpointError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "checkpoint payload corrupt: checksum {actual:#018x} != recorded {expected:#018x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-/// FNV-1a over `bytes` — the container's integrity checksum. Not
-/// cryptographic; it guards against torn writes and bit rot, not tampering.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Frame `payload` and write it atomically to `path`: the container goes to
 /// a sibling `<name>.tmp` file which is fsynced and renamed into place.
-pub fn write_checkpoint_file(path: &Path, payload: &[u8]) -> Result<(), CheckpointError> {
+pub fn write_checkpoint_file(path: &Path, payload: &[u8]) -> Result<(), FrameError> {
     let mut name = path
         .file_name()
         .ok_or_else(|| {
-            CheckpointError::Io(io::Error::new(
+            io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "checkpoint path has no file name",
-            ))
+            )
         })?
         .to_os_string();
     name.push(".tmp");
     let tmp = path.with_file_name(name);
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(&MAGIC)?;
-        f.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        f.write_all(&(payload.len() as u64).to_le_bytes())?;
-        f.write_all(payload)?;
-        f.write_all(&fnv1a(payload).to_le_bytes())?;
+        write_frame(&mut f, &MAGIC, FORMAT_VERSION, payload)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -159,41 +79,9 @@ pub fn write_checkpoint_file(path: &Path, payload: &[u8]) -> Result<(), Checkpoi
 }
 
 /// Read and verify a checkpoint container, returning its payload.
-pub fn read_checkpoint_file(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+pub fn read_checkpoint_file(path: &Path) -> Result<Vec<u8>, FrameError> {
     let bytes = fs::read(path)?;
-    let header = MAGIC.len() + 4 + 8;
-    if bytes.len() < header {
-        return Err(if bytes.starts_with(&MAGIC) || bytes.is_empty() {
-            CheckpointError::Truncated
-        } else {
-            CheckpointError::BadMagic
-        });
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    if bytes.len() < header + len + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let payload = &bytes[header..header + len];
-    let expected = u64::from_le_bytes(
-        bytes[header + len..header + len + 8]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let actual = fnv1a(payload);
-    if actual != expected {
-        return Err(CheckpointError::ChecksumMismatch { expected, actual });
-    }
-    Ok(payload.to_vec())
+    Ok(Frame::open(&bytes, &MAGIC, FORMAT_VERSION)?.to_vec())
 }
 
 /// Garbage-collect stale checkpoint files from `dir`.
@@ -509,51 +397,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A 28-byte container whose length field claims `u64::MAX` bytes
+    /// (and one claiming far more than the file holds) is `Truncated`:
+    /// the length is checked against the input, never cast and sliced or
+    /// used to size an allocation.
     #[test]
-    fn corrupt_payload_is_rejected() {
-        let path = tmp_path("corrupt");
-        write_checkpoint_file(&path, b"fragile bytes").unwrap();
-        let mut raw = std::fs::read(&path).unwrap();
-        let flip = MAGIC.len() + 4 + 8 + 3;
-        raw[flip] ^= 0x40;
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(
-            read_checkpoint_file(&path),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn version_and_magic_are_checked() {
-        let path = tmp_path("version");
-        write_checkpoint_file(&path, b"x").unwrap();
-        let mut raw = std::fs::read(&path).unwrap();
-        raw[8] = 0xFF; // version LSB
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(
-            read_checkpoint_file(&path),
-            Err(CheckpointError::UnsupportedVersion { .. })
-        ));
-        raw[0] = b'X';
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(
-            read_checkpoint_file(&path),
-            Err(CheckpointError::BadMagic)
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncated_file_is_rejected() {
-        let path = tmp_path("truncated");
-        write_checkpoint_file(&path, b"0123456789").unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..raw.len() - 6]).unwrap();
-        assert!(matches!(
-            read_checkpoint_file(&path),
-            Err(CheckpointError::Truncated)
-        ));
+    fn crafted_length_field_is_truncated_not_a_panic() {
+        let path = tmp_path("crafted-length");
+        for len in [u64::MAX, 1 << 62, 9] {
+            let mut raw = MAGIC.to_vec();
+            raw.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            raw.extend_from_slice(&len.to_le_bytes());
+            raw.extend_from_slice(&[0u8; 8]);
+            assert_eq!(raw.len(), 28);
+            std::fs::write(&path, &raw).unwrap();
+            assert!(
+                matches!(read_checkpoint_file(&path), Err(FrameError::Truncated)),
+                "length {len}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

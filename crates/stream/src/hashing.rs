@@ -93,10 +93,10 @@ impl HashFn {
 ///
 /// Processes the input as four independent lanes of 8-byte little-endian
 /// words, each folded through SplitMix64's finalizer, then combines the
-/// lanes with the total length. The byte-serial FNV-1a in
-/// [`crate::checkpoint`] carries a multiply dependency per *byte*; here the
-/// three multiplies per word overlap across lanes, which matters because
-/// file-backed replay re-verifies a trace's checksum on every pass. Detects
+/// lanes with the total length: the three multiplies per word overlap
+/// across lanes instead of chaining a multiply per byte, which matters
+/// because file-backed replay re-verifies a trace's checksum on every pass.
+/// It is the trailer of every [`crate::frame`] container. Detects
 /// corruption (any flipped bit reaches the output); not cryptographic.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut ck = Checksum64::new();

@@ -3,13 +3,13 @@
 //! [`adjstream_graph::import`] turns a SNAP-style edge list into grouped
 //! adjacency lists in bounded memory; this module is the other half — it
 //! writes those lists straight into the checksummed `.adjb` container
-//! ([`crate::trace`]) without ever materializing the item vector. The pair
-//! region is spooled to a temp file while the lists stream through (the
-//! item count, which the container's header needs, is only known at the
-//! end); finalization then writes magic + version, re-reads the spool
-//! through the incremental [`Checksum64`] hasher into the output, appends
-//! the run-length region, and seals the payload checksum. Peak memory is
-//! the importer's own bound plus `O(lists)` for the run lengths.
+//! ([`crate::trace`], framed by [`crate::frame`]) without ever
+//! materializing the item vector. The pair region is spooled to a temp
+//! file while the lists stream through (the item count and the payload
+//! length, which the frame header declares, are only known at the end);
+//! finalization then opens a [`FrameWriter`], copies the spool through it,
+//! appends the run-length region, and seals the payload checksum. Peak
+//! memory is the importer's own bound plus `O(lists)` for the run lengths.
 //!
 //! The output is written atomically (temp file + rename), and its bytes
 //! are a pure function of the input text and [`ImportConfig::seed`]: the
@@ -17,12 +17,12 @@
 //! the container encodes nothing else.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use adjstream_graph::import::{import_edge_list, ImportConfig, ImportError, ImportStats};
 
-use crate::hashing::Checksum64;
+use crate::frame::{FrameWriter, HEADER_LEN, TRAILER_LEN};
 use crate::trace::{ADJB_MAGIC, ADJB_VERSION};
 
 /// Why an edge-list → `.adjb` import failed.
@@ -141,40 +141,24 @@ fn assemble<R: BufRead>(
         .map_err(|e| io::Error::from(e.error().kind()))?;
     spool.flush()?;
     spool.seek(SeekFrom::Start(0))?;
-    let mut spool = BufReader::new(spool);
+    // Copy the spool in 64 KiB chunks: each one passes straight through the
+    // output buffer and the hasher instead of being split into 8 KiB ones.
+    let mut spool = BufReader::with_capacity(1 << 16, spool);
 
-    // Payload = items u64 · pairs · runs u64 · run lengths, hashed
-    // incrementally while it is written.
-    let mut w = BufWriter::new(File::create(tmp_out_path)?);
-    let mut hasher = Checksum64::new();
-    let mut bytes_written = 0u64;
-    let mut emit =
-        |w: &mut BufWriter<File>, hasher: &mut Checksum64, bytes: &[u8]| -> io::Result<()> {
-            hasher.update(bytes);
-            bytes_written += bytes.len() as u64;
-            w.write_all(bytes)
-        };
-
-    w.write_all(&ADJB_MAGIC)?;
-    w.write_all(&ADJB_VERSION.to_le_bytes())?;
-    emit(&mut w, &mut hasher, &stats.items.to_le_bytes())?;
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        let n = spool.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        emit(&mut w, &mut hasher, &buf[..n])?;
-    }
-    emit(&mut w, &mut hasher, &(run_lens.len() as u64).to_le_bytes())?;
+    // Payload = items u64 · pairs · runs u64 · run lengths, hashed by the
+    // frame writer while it is written.
+    let len = 8 + stats.items * 8 + 8 + run_lens.len() as u64 * 4;
+    let out_file = BufWriter::new(File::create(tmp_out_path)?);
+    let mut w = FrameWriter::new(out_file, &ADJB_MAGIC, ADJB_VERSION, len)?;
+    w.write_all(&stats.items.to_le_bytes())?;
+    io::copy(&mut spool, &mut w)?;
+    w.write_all(&(run_lens.len() as u64).to_le_bytes())?;
     for len in &run_lens {
-        emit(&mut w, &mut hasher, &len.to_le_bytes())?;
+        w.write_all(&len.to_le_bytes())?;
     }
-    let checksum = hasher.finalize();
-    let total = bytes_written + (ADJB_MAGIC.len() + 4 + 8) as u64;
-    w.write_all(&checksum.to_le_bytes())?;
-    w.flush()?;
-    w.into_inner()
+    let (checksum, out_file) = w.finish()?;
+    out_file
+        .into_inner()
         .map_err(|e| io::Error::from(e.error().kind()))?
         .sync_all()?;
     std::fs::rename(tmp_out_path, out)?;
@@ -183,7 +167,7 @@ fn assemble<R: BufRead>(
         stats,
         original_ids,
         checksum,
-        bytes_written: total,
+        bytes_written: (HEADER_LEN + TRAILER_LEN) as u64 + len,
     })
 }
 

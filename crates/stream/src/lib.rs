@@ -27,8 +27,11 @@
 //!   threads, bitwise-reproducible against the sequential runner, with
 //!   per-instance panic isolation, resource budgets, and pass-boundary
 //!   checkpoint/resume,
+//! * [`frame`] — the one framed container (magic, version, length,
+//!   payload, checksum) behind `.adjb`, `.adjbu`, checkpoints and
+//!   shard-worker payloads, with its one typed [`frame::FrameError`],
 //! * [`checkpoint`] — the [`checkpoint::Checkpoint`] trait and the
-//!   versioned, checksummed, atomically-written on-disk container behind
+//!   atomically-written checkpoint file behind
 //!   [`batch::BatchJob::restore_from_file`],
 //! * [`shard`] — graph-sharded scale-out: [`shard::ShardPlan`] partitions a
 //!   trace by list-owner vertex and [`shard::run_sharded_hooked`] executes a
@@ -67,6 +70,7 @@ pub mod batch;
 pub mod checkpoint;
 pub mod estimator;
 pub mod fault;
+pub mod frame;
 pub mod guard;
 pub mod hashing;
 pub mod import;
@@ -90,8 +94,9 @@ pub use arbitrary::ArbitraryOrderStream;
 pub use batch::{
     BatchConfig, BatchJob, BatchOutcome, BatchReport, Budget, InstanceOutcome, InstanceReport,
 };
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::Checkpoint;
 pub use fault::{CorruptedStream, FaultKind, FaultPlan, InjectedFault};
+pub use frame::FrameError;
 pub use guard::{GuardPolicy, Guarded};
 pub use hashing::{FastBuildHasher, FastMap, FastSet};
 pub use item::StreamItem;

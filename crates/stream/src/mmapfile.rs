@@ -12,11 +12,13 @@
 //!
 //! # Windowed checksum verification
 //!
-//! The container's trailing [`crate::hashing::checksum64`] covers the whole
+//! The container ([`crate::frame`]) closes with a checksum over the whole
 //! payload. Verifying it eagerly would fault in every page before the first
 //! item is served, recreating slurp latency. [`MappedTrace::open`] therefore
-//! only checks *structure* (magic, version, offsets, run-length totals —
-//! a few dozen bytes plus the run-length region) and exposes verification
+//! parses the frame without [`Frame::verify`] and checks only *structure*
+//! (magic, version, length, the `.adjb` payload layout shared with
+//! [`crate::trace::ItemTrace`] — a few dozen bytes plus the run-length
+//! region) and exposes verification
 //! as an incremental cursor: [`verify_step`](MappedTrace::verify_step)
 //! absorbs one bounded window of payload into a streaming
 //! [`Checksum64`] per call, and [`verify_all`](MappedTrace::verify_all)
@@ -30,7 +32,7 @@
 //! Every estimator in this workspace takes at least two passes, and
 //! replay drivers complete verification at the first pass boundary —
 //! before any estimate is emitted — so a corrupt container is always
-//! rejected with [`TraceError::ChecksumMismatch`] and never silently
+//! rejected with [`FrameError::ChecksumMismatch`] and never silently
 //! shapes a published number. The file must not be mutated concurrently;
 //! the mapping is `MAP_PRIVATE` read-only, so external truncation is the
 //! only hazard (as with any mmap consumer), and traces are written
@@ -41,18 +43,16 @@
 use std::fs::File;
 use std::path::Path;
 
+use crate::frame::{self, Frame, FrameError, HEADER_LEN};
 use crate::hashing::Checksum64;
 use crate::item::StreamItem;
-use crate::trace::{TraceError, ADJB_MAGIC, ADJB_VERSION};
+use crate::trace::{adjb_pairs, TraceError, ADJB_MAGIC, ADJB_VERSION};
 
-/// Byte offset of the payload (`items` count) in a `.adjb` file:
-/// 8 magic + 4 version.
-const PAYLOAD_START: usize = 12;
-
-/// Byte offset of the pair region: payload start + 8-byte item count.
-/// Divisible by [`StreamItem`]'s alignment (4), so a page-aligned mapping
-/// keeps the pair region aligned for the zero-copy cast.
-const PAIRS_START: usize = 20;
+/// Byte offset of the pair region: the frame header plus the payload's
+/// 8-byte item count. Divisible by [`StreamItem`]'s alignment (4), so a
+/// page-aligned mapping keeps the pair region aligned for the zero-copy
+/// cast.
+const PAIRS_START: usize = HEADER_LEN + 8;
 
 #[cfg(unix)]
 mod sys {
@@ -192,7 +192,7 @@ impl MappedTrace {
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         let file = File::open(path).map_err(TraceError::Io)?;
         let file_len = file.metadata().map_err(TraceError::Io)?.len();
-        let file_len = usize::try_from(file_len).map_err(|_| TraceError::Truncated)?;
+        let file_len = usize::try_from(file_len).map_err(|_| FrameError::Truncated)?;
         #[cfg(unix)]
         let backing = Backing::Mapped(MmapRegion::map(&file, file_len).map_err(TraceError::Io)?);
         #[cfg(not(unix))]
@@ -201,71 +201,16 @@ impl MappedTrace {
     }
 
     fn from_backing(backing: Backing) -> Result<Self, TraceError> {
-        let bytes = backing.bytes();
-        let take = |range: std::ops::Range<usize>| -> Result<&[u8], TraceError> {
-            bytes.get(range).ok_or(TraceError::Truncated)
-        };
-        let read_u32_at = |at: usize| -> Result<u32, TraceError> {
-            Ok(u32::from_le_bytes(
-                take(at..at + 4)?.try_into().expect("4 bytes"),
-            ))
-        };
-        let read_u64_at = |at: usize| -> Result<u64, TraceError> {
-            Ok(u64::from_le_bytes(
-                take(at..at + 8)?.try_into().expect("8 bytes"),
-            ))
-        };
-        if take(0..8)? != ADJB_MAGIC {
-            // mmap replay is binary-only; text traces have no checksum to
-            // window and no fixed-layout pairs to borrow.
-            return Err(TraceError::Malformed { line: 1 });
-        }
-        let version = read_u32_at(8)?;
-        if version != ADJB_VERSION {
-            return Err(TraceError::UnsupportedVersion {
-                found: version,
-                supported: ADJB_VERSION,
-            });
-        }
-        let n64 = read_u64_at(PAYLOAD_START)?;
-        let n = usize::try_from(n64).map_err(|_| TraceError::Truncated)?;
-        let pairs_len = n.checked_mul(8).ok_or(TraceError::Truncated)?;
-        let runs_at = PAIRS_START
-            .checked_add(pairs_len)
-            .ok_or(TraceError::Truncated)?;
-        let runs = usize::try_from(read_u64_at(runs_at)?).map_err(|_| TraceError::Truncated)?;
-        let lens_start = runs_at + 8;
-        let lens_len = runs.checked_mul(4).ok_or(TraceError::Truncated)?;
-        let payload_end = lens_start
-            .checked_add(lens_len)
-            .ok_or(TraceError::Truncated)?;
-        let expected = read_u64_at(payload_end)?;
-        let run_total: u64 = take(lens_start..payload_end)?
-            .chunks_exact(4)
-            .map(|c| u64::from(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .sum();
-        if run_total != n64 {
-            return Err(TraceError::InconsistentRuns {
-                items: n64,
-                run_total,
-            });
-        }
+        let frame = Frame::parse(backing.bytes(), &ADJB_MAGIC, ADJB_VERSION)?;
+        let pairs = adjb_pairs(frame.payload)?;
+        let len = pairs.len() / 8;
+        let payload_end = HEADER_LEN + frame.payload.len();
+        let expected = frame.checksum;
         #[cfg(not(target_endian = "little"))]
-        let decoded = {
-            let mut items = Vec::with_capacity(n);
-            for pair in bytes[PAIRS_START..runs_at].chunks_exact(8) {
-                let src = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-                let dst = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-                items.push(StreamItem::new(
-                    adjstream_graph::VertexId(src),
-                    adjstream_graph::VertexId(dst),
-                ));
-            }
-            items
-        };
+        let decoded = crate::trace::decode_pairs(pairs);
         Ok(MappedTrace {
             backing,
-            len: n,
+            len,
             payload_end,
             expected,
             verify: VerifyState::new(),
@@ -299,7 +244,7 @@ impl MappedTrace {
         assert_eq!(
             bytes.as_ptr() as usize % std::mem::align_of::<StreamItem>(),
             0,
-            "pair region must be 4-byte aligned (page-aligned mapping + offset 20)"
+            "pair region must be 4-byte aligned (page-aligned mapping + offset 28)"
         );
         // SAFETY: `StreamItem` is `repr(C)` `{ u32, u32 }` with no padding
         // and no invalid bit patterns; the region holds exactly `len`
@@ -322,7 +267,7 @@ impl MappedTrace {
     /// Absorb up to `window` further payload bytes into the checksum.
     /// Returns `Ok(true)` once the whole payload is absorbed and matches
     /// the recorded checksum (idempotent afterwards), `Ok(false)` if more
-    /// windows remain, and [`TraceError::ChecksumMismatch`] on corruption.
+    /// windows remain, and [`FrameError::ChecksumMismatch`] on corruption.
     pub fn verify_step(&mut self, window: usize) -> Result<bool, TraceError> {
         let payload = &self.backing.bytes()[..self.payload_end];
         self.verify.step(payload, self.expected, window)
@@ -363,7 +308,7 @@ struct VerifyState {
 impl VerifyState {
     fn new() -> Self {
         VerifyState {
-            cursor: PAYLOAD_START,
+            cursor: HEADER_LEN,
             hasher: Checksum64::new(),
             done: false,
         }
@@ -381,10 +326,7 @@ impl VerifyState {
         if self.cursor < payload.len() {
             return Ok(false);
         }
-        let actual = self.hasher.clone().finalize();
-        if actual != expected {
-            return Err(TraceError::ChecksumMismatch { expected, actual });
-        }
+        frame::check(expected, self.hasher.clone().finalize())?;
         self.done = true;
         Ok(true)
     }
@@ -498,7 +440,7 @@ mod tests {
         assert_eq!(mapped.len(), trace.len());
         let err = mapped.verify_all(8).expect_err("checksum must fail");
         assert!(
-            matches!(err, TraceError::ChecksumMismatch { .. }),
+            matches!(err, TraceError::Frame(FrameError::ChecksumMismatch { .. })),
             "{err:?}"
         );
         std::fs::remove_file(&path).ok();
@@ -514,23 +456,14 @@ mod tests {
         std::fs::write(&path, &good[..PAIRS_START + 5]).expect("truncate");
         assert!(matches!(
             MappedTrace::open(&path),
-            Err(TraceError::Truncated)
+            Err(TraceError::Frame(FrameError::Truncated))
         ));
 
-        // Bad version.
-        let mut bad = good.clone();
-        bad[8] = 0xFF;
-        std::fs::write(&path, &bad).expect("rewrite");
-        assert!(matches!(
-            MappedTrace::open(&path),
-            Err(TraceError::UnsupportedVersion { .. })
-        ));
-
-        // Not a binary trace at all.
+        // Not a binary trace at all: mmap replay is binary-only.
         std::fs::write(&path, b"0 1\n1 0\n").expect("rewrite");
         assert!(matches!(
             MappedTrace::open(&path),
-            Err(TraceError::Malformed { .. })
+            Err(TraceError::Frame(FrameError::BadMagic))
         ));
         std::fs::remove_file(&path).ok();
     }

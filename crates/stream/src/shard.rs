@@ -24,16 +24,19 @@
 //! The same per-pass building blocks ([`run_shard_pass_blob`],
 //! [`merge_shard_states`]) are exposed for process-per-shard execution:
 //! a parent writes the boundary blob to disk, spawns one worker process
-//! per shard, and merges the partial blobs the workers write back — the
-//! checkpoint container doubles as the shard-merge wire format, exactly
-//! as the lower-bound protocol simulator treats algorithm state as
-//! message-sized.
+//! per shard, and merges the payloads the workers write back. This module
+//! owns that payload — the shard's [`ShardPassStats`] (`peak, items,
+//! lists, slices` as four u64 LE words) followed by the partial state in
+//! the [`Checkpoint`] encoding — and the checkpoint container
+//! ([`crate::checkpoint`], one [`crate::frame`]) carries it across the
+//! process boundary, exactly as the lower-bound protocol simulator treats
+//! algorithm state as message-sized.
 
 use std::time::Instant;
 
 use adjstream_graph::VertexId;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{read_u64, read_usize, write_u64, write_usize, Checkpoint};
 use crate::hashing::FastBuildHasher;
 use crate::item::StreamItem;
 use crate::meter::PeakTracker;
@@ -209,6 +212,35 @@ pub struct ShardPassStats {
     pub slices: u64,
 }
 
+impl ShardPassStats {
+    /// Fold this shard's pass into a merged pass row: volumes sum,
+    /// residency is the max over the concurrently running shards.
+    pub fn fold_into(&self, pm: &mut PassMetrics) {
+        pm.items += self.items_processed as u64;
+        pm.slices += self.slices;
+        pm.lists += self.lists;
+        pm.peak_bytes = pm.peak_bytes.max(self.peak_state_bytes as u64);
+    }
+}
+
+impl Checkpoint for ShardPassStats {
+    fn save(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
+        write_usize(w, self.peak_state_bytes)?;
+        write_usize(w, self.items_processed)?;
+        write_u64(w, self.lists)?;
+        write_u64(w, self.slices)
+    }
+
+    fn restore(r: &mut dyn std::io::Read) -> std::io::Result<Self> {
+        Ok(ShardPassStats {
+            peak_state_bytes: read_usize(r)?,
+            items_processed: read_usize(r)?,
+            lists: read_u64(r)?,
+            slices: read_u64(r)?,
+        })
+    }
+}
+
 /// One shard × one pass: restore a replica from the serialized
 /// pass-boundary state `base` and drive the shard's runs through the one
 /// pass loop, each run one list delivered as one slice.
@@ -241,39 +273,63 @@ fn run_shard_pass<A: ShardAlgorithm>(
 }
 
 /// One shard × one pass from a serialized pass-boundary state — the body
-/// of a process-per-shard worker. Returns the partial state re-serialized
-/// through the same [`Checkpoint`] wire format plus the shard's stats.
+/// of a process-per-shard worker. Returns the worker payload: the shard's
+/// [`ShardPassStats`], then the partial state re-serialized through the
+/// same [`Checkpoint`] wire format.
 pub fn run_shard_pass_blob<A: ShardAlgorithm>(
     base: &[u8],
     pass: usize,
     items: &[StreamItem],
     runs: &[ShardRun],
-) -> Result<(Vec<u8>, ShardPassStats), ShardError> {
+) -> Result<Vec<u8>, ShardError> {
     let (algo, stats) = run_shard_pass::<A>(base, pass, items, runs)?;
-    let mut blob = Vec::new();
-    algo.save(&mut blob).map_err(ShardError::State)?;
-    Ok((blob, stats))
+    let mut payload = Vec::new();
+    stats.save(&mut payload).map_err(ShardError::State)?;
+    algo.save(&mut payload).map_err(ShardError::State)?;
+    Ok(payload)
 }
 
-/// Restore per-shard partial blobs (in shard order) and fold them into one
-/// merged state — the parent half of process-per-shard execution.
+/// Decode per-shard worker payloads (in shard order) and fold their
+/// partial states into one merged state — the parent half of
+/// process-per-shard execution. Returns the merged state and each shard's
+/// stats; a short or garbled payload is [`ShardError::State`].
 pub fn merge_shard_states<A: ShardAlgorithm>(
-    blobs: &[Vec<u8>],
+    payloads: &[Vec<u8>],
+    pass: usize,
+) -> Result<(A, Vec<ShardPassStats>), ShardError> {
+    let mut stats = Vec::with_capacity(payloads.len());
+    let replicas = payloads.iter().map(|payload| {
+        let r = &mut payload.as_slice();
+        stats.push(ShardPassStats::restore(r).map_err(ShardError::State)?);
+        A::restore(r).map_err(ShardError::State)
+    });
+    let merged = merge_replicas(replicas, pass)?;
+    Ok((merged, stats))
+}
+
+/// Fold per-shard replicas, in shard order, into one state with
+/// [`ShardAlgorithm::merge_pass`] — the one merge loop behind both the
+/// thread and the process shard modes.
+fn merge_replicas<A: ShardAlgorithm>(
+    replicas: impl IntoIterator<Item = Result<A, ShardError>>,
     pass: usize,
 ) -> Result<A, ShardError> {
-    let mut iter = blobs.iter();
-    let first = iter.next().ok_or_else(|| ShardError::Merge {
+    let mut merged: Option<A> = None;
+    for replica in replicas {
+        let replica = replica?;
+        merged = Some(match merged {
+            None => replica,
+            Some(mut m) => {
+                m.merge_pass(replica, pass)
+                    .map_err(|detail| ShardError::Merge { pass, detail })?;
+                m
+            }
+        });
+    }
+    merged.ok_or_else(|| ShardError::Merge {
         pass,
         detail: "no shard states to merge".into(),
-    })?;
-    let mut merged = A::restore(&mut first.as_slice()).map_err(ShardError::State)?;
-    for blob in iter {
-        let partial = A::restore(&mut blob.as_slice()).map_err(ShardError::State)?;
-        merged
-            .merge_pass(partial, pass)
-            .map_err(|detail| ShardError::Merge { pass, detail })?;
-    }
-    Ok(merged)
+    })
 }
 
 /// Execute `algo` over `items` sharded per `plan`, one worker thread per
@@ -332,32 +388,21 @@ where
                 .map(|(shard, h)| h.join().unwrap_or(Err(ShardError::Panicked { shard })))
                 .collect()
         });
-        let mut merged: Option<A> = None;
         let mut pm = PassMetrics {
             pass: pass as u32,
             ..PassMetrics::default()
         };
-        for res in results {
+        let replicas = results.into_iter().map(|res| {
             let (replica, stats, wall_nanos) = res?;
             peak_overall = peak_overall.max(stats.peak_state_bytes);
             processed_total += stats.items_processed;
             if collect {
                 pm.wall_nanos = pm.wall_nanos.max(wall_nanos);
-                pm.items += stats.items_processed as u64;
-                pm.slices += stats.slices;
-                pm.lists += stats.lists;
-                pm.peak_bytes = pm.peak_bytes.max(stats.peak_state_bytes as u64);
+                stats.fold_into(&mut pm);
             }
-            merged = Some(match merged {
-                None => replica,
-                Some(mut m) => {
-                    m.merge_pass(replica, pass)
-                        .map_err(|detail| ShardError::Merge { pass, detail })?;
-                    m
-                }
-            });
-        }
-        algo = merged.expect("shard_count() >= 1");
+            Ok(replica)
+        });
+        algo = merge_replicas(replicas, pass)?;
         if collect {
             pass_metrics.push(pm);
         }
@@ -394,7 +439,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{read_u64, read_usize, write_u64, write_usize};
     use crate::meter::SpaceUsage;
     use crate::runner::run_slice_passes;
     use std::io::{Read, Write};
@@ -587,14 +631,24 @@ mod tests {
         for pass in 0..2 {
             let mut base = Vec::new();
             algo.save(&mut base).expect("save");
-            let blobs: Vec<Vec<u8>> = (0..plan.shard_count())
+            let payloads: Vec<Vec<u8>> = (0..plan.shard_count())
                 .map(|s| {
                     run_shard_pass_blob::<PosSum>(&base, pass, &items, plan.runs_for(s))
                         .expect("shard pass")
-                        .0
                 })
                 .collect();
-            algo = merge_shard_states::<PosSum>(&blobs, pass).expect("merge");
+            let (merged, stats) = merge_shard_states::<PosSum>(&payloads, pass).expect("merge");
+            let items_seen: usize = stats.iter().map(|s| s.items_processed).sum();
+            assert_eq!(items_seen, items.len());
+            // A cut payload is a typed error, never a panic.
+            for cut in [0, 8, 31, payloads[0].len() - 1] {
+                let short = vec![payloads[0][..cut].to_vec()];
+                assert!(matches!(
+                    merge_shard_states::<PosSum>(&short, pass),
+                    Err(ShardError::State(_))
+                ));
+            }
+            algo = merged;
         }
         assert_eq!(algo.finish(), want);
     }

@@ -19,21 +19,19 @@
 //!
 //! Text traces pay a per-line `String` allocation and two `str::parse`s per
 //! item on every load — and file-backed replay drivers reload per
-//! generation. [`ItemTrace::write_adjb`] serializes a trace into a compact
-//! little-endian container (mirroring the checkpoint container in
-//! [`crate::checkpoint`]) that loads in one buffered read with no parsing:
+//! generation. [`ItemTrace::write_adjb`] serializes a trace into the
+//! workspace's one framed container ([`crate::frame`], magic
+//! [`ADJB_MAGIC`]), which loads in one buffered read with no parsing. The
+//! payload is
 //!
 //! ```text
-//! magic    8 bytes  b"ADJBTRAC"
-//! version  u32 LE   ADJB_VERSION
-//! payload:
-//!   items  u64 LE   item count N
-//!   pairs  N × (u32 src LE, u32 dst LE)
-//!   runs   u64 LE   run count R (maximal same-source runs)
-//!   lens   R × u32 LE  run lengths (must sum to N)
-//! check    u64 LE   [`crate::hashing::checksum64`] over payload
+//! items  u64 LE      item count N
+//! pairs  N × (u32 src LE, u32 dst LE)
+//! runs   u64 LE      run count R (maximal same-source runs)
+//! lens   R × u32 LE  run lengths (must sum to N)
 //! ```
 //!
+//! and its counts must fill the frame's declared length exactly.
 //! [`ItemTrace::read`] and [`ItemTrace::read_unchecked`] sniff the first 8
 //! bytes and accept either format transparently; corrupt binary inputs are
 //! rejected with typed [`TraceError`]s before any item reaches an
@@ -48,7 +46,7 @@ use std::time::Duration;
 
 use adjstream_graph::VertexId;
 
-use crate::hashing::checksum64;
+use crate::frame::{take_counted, Frame, FrameError, FrameWriter};
 use crate::item::StreamItem;
 use crate::validate::{validate_stream, StreamError};
 
@@ -57,8 +55,8 @@ pub const ADJB_MAGIC: [u8; 8] = *b"ADJBTRAC";
 
 /// Current binary trace format version. Bumped on any incompatible layout
 /// change; readers reject other versions with
-/// [`TraceError::UnsupportedVersion`].
-pub const ADJB_VERSION: u32 = 1;
+/// [`FrameError::UnsupportedVersion`].
+pub const ADJB_VERSION: u32 = 2;
 
 /// A replayable item trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,22 +77,8 @@ pub enum TraceError {
     },
     /// The items violate the adjacency-list promise.
     Invalid(StreamError),
-    /// A binary trace's format version is not readable by this build.
-    UnsupportedVersion {
-        /// Version recorded in the file.
-        found: u32,
-        /// Version this build writes and reads.
-        supported: u32,
-    },
-    /// A binary trace ended before its declared payload + checksum.
-    Truncated,
-    /// A binary trace's payload bytes do not hash to the recorded checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
+    /// A binary trace's container was rejected.
+    Frame(FrameError),
     /// A binary trace's run lengths do not sum to its item count.
     InconsistentRuns {
         /// Declared item count.
@@ -110,15 +94,7 @@ impl std::fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "I/O error: {e}"),
             TraceError::Malformed { line } => write!(f, "malformed trace at line {line}"),
             TraceError::Invalid(e) => write!(f, "invalid stream: {e}"),
-            TraceError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "unsupported binary trace version {found} (this build reads {supported})"
-            ),
-            TraceError::Truncated => write!(f, "binary trace is truncated"),
-            TraceError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "binary trace corrupt: checksum {actual:#018x} != recorded {expected:#018x}"
-            ),
+            TraceError::Frame(e) => write!(f, "binary trace rejected: {e}"),
             TraceError::InconsistentRuns { items, run_total } => write!(
                 f,
                 "binary trace corrupt: run lengths sum to {run_total}, expected {items} items"
@@ -128,6 +104,70 @@ impl std::fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+impl From<FrameError> for TraceError {
+    fn from(e: FrameError) -> Self {
+        TraceError::Frame(e)
+    }
+}
+
+/// Locate the pair region of an `.adjb` payload (layout in the module
+/// docs): the counts must fill `payload` exactly and the run lengths must
+/// sum to the item count. The one layout walk behind both
+/// [`ItemTrace`]'s decode and [`crate::mmapfile::MappedTrace::open`].
+pub(crate) fn adjb_pairs(payload: &[u8]) -> Result<&[u8], TraceError> {
+    let mut rest = payload;
+    let (items, pairs) = take_counted(&mut rest, 8)?;
+    let (_, lens) = take_counted(&mut rest, 4)?;
+    if !rest.is_empty() {
+        return Err(FrameError::Truncated.into());
+    }
+    let run_total: u64 = lens
+        .chunks_exact(4)
+        .map(|c| u64::from(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
+        .sum();
+    if run_total != items {
+        return Err(TraceError::InconsistentRuns { items, run_total });
+    }
+    Ok(pairs)
+}
+
+/// Decode a `(u32 src, u32 dst)` little-endian pair region into items.
+///
+/// On little-endian targets `StreamItem`'s `repr(C)` layout *is* the
+/// on-disk encoding, so the whole region is materialized with one
+/// `memcpy` instead of a bounds-checked per-pair push loop — the
+/// dominant cost of `.adjb` decode on 10⁸-item traces. Other targets
+/// keep the portable per-pair loop.
+pub(crate) fn decode_pairs(pairs: &[u8]) -> Vec<StreamItem> {
+    let n = pairs.len() / 8;
+    debug_assert_eq!(pairs.len(), n * 8);
+    #[cfg(target_endian = "little")]
+    {
+        let mut items = Vec::<StreamItem>::with_capacity(n);
+        // SAFETY: `StreamItem` is `repr(C)` over two `repr(transparent)`
+        // u32 newtypes (size 8, no padding, every bit pattern valid),
+        // the source region holds exactly `n` such 8-byte records, and
+        // the destination allocation holds `n` items. Byte-wise copy is
+        // value-preserving because the encoding is little-endian.
+        unsafe {
+            std::ptr::copy_nonoverlapping(pairs.as_ptr(), items.as_mut_ptr().cast::<u8>(), n * 8);
+            items.set_len(n);
+        }
+        items
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        pairs
+            .chunks_exact(8)
+            .map(|pair| {
+                let src = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
+                let dst = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
+                StreamItem::new(VertexId(src), VertexId(dst))
+            })
+            .collect()
+    }
+}
 
 impl ItemTrace {
     /// Build from items, validating the promise.
@@ -182,9 +222,10 @@ impl ItemTrace {
 
     /// Slice twin of [`ItemTrace::parse_items`].
     fn parse_items_bytes(bytes: &[u8]) -> Result<Vec<StreamItem>, TraceError> {
-        match bytes.strip_prefix(&ADJB_MAGIC) {
-            Some(rest) => Self::decode_adjb(rest),
-            None => Self::parse_text(bytes),
+        if bytes.starts_with(&ADJB_MAGIC) {
+            Self::decode_adjb(bytes)
+        } else {
+            Self::parse_text(bytes)
         }
     }
 
@@ -200,114 +241,21 @@ impl ItemTrace {
             }
         }
         if got == head.len() && head == ADJB_MAGIC {
-            Self::parse_adjb(reader)
+            // One buffered read of the whole container; all decoding below
+            // is slicing, no further I/O.
+            let mut bytes = head.to_vec();
+            reader.read_to_end(&mut bytes).map_err(TraceError::Io)?;
+            Self::decode_adjb(&bytes)
         } else {
             Self::parse_text((&head[..got]).chain(reader))
         }
     }
 
-    /// Drain the reader after a sniffed [`ADJB_MAGIC`], then decode.
-    fn parse_adjb<R: Read>(mut reader: R) -> Result<Vec<StreamItem>, TraceError> {
-        // One buffered read of everything after the magic; all decoding
-        // below is slicing, no further I/O.
-        let mut rest = Vec::new();
-        reader.read_to_end(&mut rest).map_err(TraceError::Io)?;
-        Self::decode_adjb(&rest)
-    }
-
-    /// Decode the binary payload following a sniffed [`ADJB_MAGIC`].
-    fn decode_adjb(rest: &[u8]) -> Result<Vec<StreamItem>, TraceError> {
-        let take = |range: std::ops::Range<usize>| -> Result<&[u8], TraceError> {
-            rest.get(range).ok_or(TraceError::Truncated)
-        };
-        let read_u32_at = |at: usize| -> Result<u32, TraceError> {
-            Ok(u32::from_le_bytes(
-                take(at..at + 4)?.try_into().expect("4 bytes"),
-            ))
-        };
-        let read_u64_at = |at: usize| -> Result<u64, TraceError> {
-            Ok(u64::from_le_bytes(
-                take(at..at + 8)?.try_into().expect("8 bytes"),
-            ))
-        };
-        let version = read_u32_at(0)?;
-        if version != ADJB_VERSION {
-            return Err(TraceError::UnsupportedVersion {
-                found: version,
-                supported: ADJB_VERSION,
-            });
-        }
-        let payload_start = 4usize;
-        let n64 = read_u64_at(payload_start)?;
-        let n = usize::try_from(n64).map_err(|_| TraceError::Truncated)?;
-        let pairs_start = payload_start + 8;
-        let pairs_len = n.checked_mul(8).ok_or(TraceError::Truncated)?;
-        let runs_at = pairs_start
-            .checked_add(pairs_len)
-            .ok_or(TraceError::Truncated)?;
-        let r64 = read_u64_at(runs_at)?;
-        let runs = usize::try_from(r64).map_err(|_| TraceError::Truncated)?;
-        let lens_start = runs_at + 8;
-        let lens_len = runs.checked_mul(4).ok_or(TraceError::Truncated)?;
-        let payload_end = lens_start
-            .checked_add(lens_len)
-            .ok_or(TraceError::Truncated)?;
-        let payload = take(payload_start..payload_end)?;
-        let expected = read_u64_at(payload_end)?;
-        let actual = checksum64(payload);
-        if actual != expected {
-            return Err(TraceError::ChecksumMismatch { expected, actual });
-        }
-        let run_total: u64 = take(lens_start..payload_end)?
-            .chunks_exact(4)
-            .map(|c| u64::from(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .sum();
-        if run_total != n64 {
-            return Err(TraceError::InconsistentRuns {
-                items: n64,
-                run_total,
-            });
-        }
-        Ok(Self::decode_pairs(take(pairs_start..runs_at)?, n))
-    }
-
-    /// Decode the `(u32 src, u32 dst)` little-endian pair region into items.
-    ///
-    /// On little-endian targets `StreamItem`'s `repr(C)` layout *is* the
-    /// on-disk encoding, so the whole region is materialized with one
-    /// `memcpy` instead of a bounds-checked per-pair push loop — the
-    /// dominant cost of `.adjb` decode on 10⁸-item traces. Other targets
-    /// keep the portable per-pair loop.
-    fn decode_pairs(pairs: &[u8], n: usize) -> Vec<StreamItem> {
-        debug_assert_eq!(pairs.len(), n * 8);
-        #[cfg(target_endian = "little")]
-        {
-            let mut items = Vec::<StreamItem>::with_capacity(n);
-            // SAFETY: `StreamItem` is `repr(C)` over two `repr(transparent)`
-            // u32 newtypes (size 8, no padding, every bit pattern valid),
-            // the source region holds exactly `n` such 8-byte records, and
-            // the destination allocation holds `n` items. Byte-wise copy is
-            // value-preserving because the encoding is little-endian.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    pairs.as_ptr(),
-                    items.as_mut_ptr().cast::<u8>(),
-                    n * 8,
-                );
-                items.set_len(n);
-            }
-            items
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            let mut items = Vec::with_capacity(n);
-            for pair in pairs.chunks_exact(8) {
-                let src = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-                let dst = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-                items.push(StreamItem::new(VertexId(src), VertexId(dst)));
-            }
-            items
-        }
+    /// Decode a whole `.adjb` container: verify the frame, then walk the
+    /// payload layout.
+    fn decode_adjb(bytes: &[u8]) -> Result<Vec<StreamItem>, TraceError> {
+        let payload = Frame::open(bytes, &ADJB_MAGIC, ADJB_VERSION)?;
+        Ok(decode_pairs(adjb_pairs(payload)?))
     }
 
     /// Parse the text form, reusing one line buffer across the whole file
@@ -343,13 +291,6 @@ impl ItemTrace {
     /// docs for the layout). A trace written here and loaded back through
     /// [`ItemTrace::read`] compares equal item for item.
     pub fn write_adjb<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut payload =
-            Vec::with_capacity(8 + self.items.len() * 8 + 8 + self.items.len() / 2 * 4);
-        payload.extend_from_slice(&(self.items.len() as u64).to_le_bytes());
-        for it in &self.items {
-            payload.extend_from_slice(&it.src.0.to_le_bytes());
-            payload.extend_from_slice(&it.dst.0.to_le_bytes());
-        }
         let run_lens = crate::runner::list_runs(&self.items)
             .map(|run| {
                 u32::try_from(run.end - run.start).map_err(|_| {
@@ -360,14 +301,27 @@ impl ItemTrace {
                 })
             })
             .collect::<std::io::Result<Vec<u32>>>()?;
-        payload.extend_from_slice(&(run_lens.len() as u64).to_le_bytes());
-        for len in &run_lens {
-            payload.extend_from_slice(&len.to_le_bytes());
+        let len = 8 + self.items.len() * 8 + 8 + run_lens.len() * 4;
+        let mut fw = FrameWriter::new(w, &ADJB_MAGIC, ADJB_VERSION, len as u64)?;
+        fw.write_all(&(self.items.len() as u64).to_le_bytes())?;
+        // Encode through one reused chunk buffer rather than a payload-sized
+        // copy of the trace.
+        let mut buf = Vec::with_capacity(8 << 12);
+        for chunk in self.items.chunks(1 << 12) {
+            buf.clear();
+            for it in chunk {
+                buf.extend_from_slice(&it.src.0.to_le_bytes());
+                buf.extend_from_slice(&it.dst.0.to_le_bytes());
+            }
+            fw.write_all(&buf)?;
         }
-        w.write_all(&ADJB_MAGIC)?;
-        w.write_all(&ADJB_VERSION.to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.write_all(&checksum64(&payload).to_le_bytes())
+        fw.write_all(&(run_lens.len() as u64).to_le_bytes())?;
+        buf.clear();
+        for len in &run_lens {
+            buf.extend_from_slice(&len.to_le_bytes());
+        }
+        fw.write_all(&buf)?;
+        fw.finish().map(drop)
     }
 
     /// Number of items.
@@ -788,49 +742,6 @@ mod tests {
         assert!(back.is_empty());
     }
 
-    fn sample_adjb() -> Vec<u8> {
-        let trace = ItemTrace::read("0 1\n0 2\n1 0\n2 0\n".as_bytes()).unwrap();
-        let mut bytes = Vec::new();
-        trace.write_adjb(&mut bytes).unwrap();
-        bytes
-    }
-
-    #[test]
-    fn binary_rejects_unsupported_version() {
-        let mut bytes = sample_adjb();
-        bytes[8] = 99; // version u32 LE low byte
-        assert!(matches!(
-            ItemTrace::read(bytes.as_slice()),
-            Err(TraceError::UnsupportedVersion {
-                found: 99,
-                supported: ADJB_VERSION
-            })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_flipped_payload_byte_as_checksum_mismatch() {
-        let mut bytes = sample_adjb();
-        let mid = 12 + (bytes.len() - 12) / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(
-            ItemTrace::read(bytes.as_slice()),
-            Err(TraceError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_truncation_at_every_prefix() {
-        let bytes = sample_adjb();
-        for cut in 8..bytes.len() {
-            let err = ItemTrace::read(&bytes[..cut]).expect_err("prefix must not parse");
-            assert!(
-                matches!(err, TraceError::Truncated),
-                "cut at {cut}: got {err}"
-            );
-        }
-    }
-
     #[test]
     fn binary_rejects_inconsistent_run_lengths() {
         // Rebuild the container with a run-length table that does not sum
@@ -847,10 +758,7 @@ mod tests {
         payload.extend_from_slice(&2u32.to_le_bytes());
         payload.extend_from_slice(&3u32.to_le_bytes()); // ...summing to 5
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&ADJB_MAGIC);
-        bytes.extend_from_slice(&ADJB_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        crate::frame::write_frame(&mut bytes, &ADJB_MAGIC, ADJB_VERSION, &payload).unwrap();
         assert!(matches!(
             ItemTrace::read(bytes.as_slice()),
             Err(TraceError::InconsistentRuns {

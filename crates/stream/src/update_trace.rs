@@ -3,27 +3,22 @@
 //! The text format of [`crate::update`] is convenient to author but slow to
 //! parse and silently tolerant of torn writes (a truncated file is just a
 //! shorter stream). Registered daemon traces need the same integrity story
-//! as static `.adjb` files, so this module mirrors [`crate::trace`] for
-//! [`UpdateStream`]s:
+//! as static `.adjb` files, so [`UpdateStream`]s are written in the
+//! workspace's one framed container ([`crate::frame`], magic
+//! [`ADJBU_MAGIC`]) with the payload
 //!
 //! ```text
-//! magic    8 bytes   b"ADJBUPDT"
-//! version  u32 LE    ADJBU_VERSION
-//! payload:
-//!   count  u64 LE    number of events
-//!   event  17 bytes  op u8 (0 insert, 1 delete), lo u32 LE, hi u32 LE,
-//!                    ts u64 LE — repeated `count` times
-//! check    u64 LE    checksum64(payload)
+//! count  u64 LE    number of events
+//! event  17 bytes  op u8 (0 insert, 1 delete), lo u32 LE, hi u32 LE,
+//!                  ts u64 LE — repeated `count` times
 //! ```
 //!
 //! [`read_updates`] sniffs the first eight bytes: the magic selects the
 //! binary decoder, anything else falls through to the text parser, so every
 //! consumer (CLI, daemon, benches) accepts both formats through one entry
-//! point. Rejection is typed — [`UpdateTraceError::Truncated`],
-//! [`UpdateTraceError::ChecksumMismatch`],
-//! [`UpdateTraceError::UnsupportedVersion`] — and decoded events pass the
-//! same semantic checks as the text parser (no self-loops, non-decreasing
-//! timestamps), reported with the 1-based event index in the
+//! point. A damaged container is [`UpdateTraceError::Frame`], and decoded
+//! events pass the same semantic checks as the text parser (no self-loops,
+//! non-decreasing timestamps), reported with the 1-based event index in the
 //! [`UpdateParseError`]'s `line` field.
 
 use std::fmt;
@@ -31,15 +26,15 @@ use std::io::{self, Read, Write};
 
 use adjstream_graph::{EdgeKey, VertexId};
 
-use crate::hashing::checksum64;
+use crate::frame::{take_counted, write_frame, Frame, FrameError};
 use crate::update::{UpdateEvent, UpdateOp, UpdateParseError, UpdateStream};
 
 /// Magic bytes opening every `.adjbu` binary update trace.
 pub const ADJBU_MAGIC: [u8; 8] = *b"ADJBUPDT";
 
 /// Current `.adjbu` format version; readers reject anything else with
-/// [`UpdateTraceError::UnsupportedVersion`].
-pub const ADJBU_VERSION: u32 = 1;
+/// [`FrameError::UnsupportedVersion`].
+pub const ADJBU_VERSION: u32 = 2;
 
 /// Bytes per encoded event: op tag, two endpoints, timestamp.
 const EVENT_BYTES: usize = 1 + 4 + 4 + 8;
@@ -53,22 +48,8 @@ pub enum UpdateTraceError {
     /// update-stream semantics (for binary traces the error's `line` is the
     /// 1-based event index).
     Parse(UpdateParseError),
-    /// The file's format version is not readable by this build.
-    UnsupportedVersion {
-        /// Version recorded in the file.
-        found: u32,
-        /// Version this build writes and reads.
-        supported: u32,
-    },
-    /// The file ended before the declared events + checksum.
-    Truncated,
-    /// The payload bytes do not hash to the recorded checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
+    /// The binary container was rejected.
+    Frame(FrameError),
     /// An event's op tag was neither 0 (insert) nor 1 (delete).
     BadOp {
         /// 1-based event index.
@@ -78,8 +59,8 @@ pub enum UpdateTraceError {
     },
     /// The file has neither the `.adjbu` magic nor valid UTF-8 text — it
     /// is not an update trace in any dialect this build reads. (Distinct
-    /// from [`UpdateTraceError::Truncated`], which means a *binary* trace
-    /// ended early.)
+    /// from [`FrameError::Truncated`], which means a *binary* trace ended
+    /// early.)
     NotText,
 }
 
@@ -88,15 +69,7 @@ impl fmt::Display for UpdateTraceError {
         match self {
             UpdateTraceError::Io(e) => write!(f, "update trace I/O error: {e}"),
             UpdateTraceError::Parse(e) => write!(f, "invalid update trace: {e}"),
-            UpdateTraceError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "unsupported .adjbu version {found} (this build reads {supported})"
-            ),
-            UpdateTraceError::Truncated => write!(f, ".adjbu file is truncated"),
-            UpdateTraceError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                ".adjbu payload corrupt: checksum {actual:#018x} != recorded {expected:#018x}"
-            ),
+            UpdateTraceError::Frame(e) => write!(f, ".adjbu container rejected: {e}"),
             UpdateTraceError::BadOp { event, found } => {
                 write!(f, "event {event}: bad op tag {found} (expected 0 or 1)")
             }
@@ -123,6 +96,12 @@ impl From<io::Error> for UpdateTraceError {
     }
 }
 
+impl From<FrameError> for UpdateTraceError {
+    fn from(e: FrameError) -> Self {
+        UpdateTraceError::Frame(e)
+    }
+}
+
 impl From<UpdateParseError> for UpdateTraceError {
     fn from(e: UpdateParseError) -> Self {
         UpdateTraceError::Parse(e)
@@ -133,7 +112,7 @@ impl From<UpdateParseError> for UpdateTraceError {
 /// [`parse_update_bytes`] performs, exposed for catalog-style kind
 /// detection that must not pay for a full decode.
 pub fn is_adjbu(bytes: &[u8]) -> bool {
-    bytes.len() >= ADJBU_MAGIC.len() && bytes[..ADJBU_MAGIC.len()] == ADJBU_MAGIC
+    bytes.starts_with(&ADJBU_MAGIC)
 }
 
 /// Serialize `stream` in the `.adjbu` container format.
@@ -149,10 +128,7 @@ pub fn write_adjbu(stream: &UpdateStream, w: &mut dyn Write) -> io::Result<()> {
         payload.extend_from_slice(&ev.edge.hi().0.to_le_bytes());
         payload.extend_from_slice(&ev.ts.to_le_bytes());
     }
-    w.write_all(&ADJBU_MAGIC)?;
-    w.write_all(&ADJBU_VERSION.to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&checksum64(&payload).to_le_bytes())?;
+    write_frame(&mut *w, &ADJBU_MAGIC, ADJBU_VERSION, &payload)?;
     w.flush()
 }
 
@@ -160,17 +136,15 @@ pub fn write_adjbu(stream: &UpdateStream, w: &mut dyn Write) -> io::Result<()> {
 /// [`ADJBU_MAGIC`] prefix selects the binary decoder, anything else is
 /// handed to [`UpdateStream::parse_text`].
 pub fn parse_update_bytes(bytes: &[u8]) -> Result<UpdateStream, UpdateTraceError> {
-    match bytes.strip_prefix(&ADJBU_MAGIC) {
-        Some(rest) => decode_adjbu(rest),
-        None => {
-            // A zero-length file is the empty text trace, not a truncated
-            // binary one — the magic never began, so there is nothing to
-            // have cut short. Likewise non-UTF-8 bytes are "not a trace at
-            // all" rather than Truncated.
-            let text = std::str::from_utf8(bytes).map_err(|_| UpdateTraceError::NotText)?;
-            Ok(UpdateStream::parse_text(text)?)
-        }
+    if is_adjbu(bytes) {
+        return decode_adjbu(bytes);
     }
+    // A zero-length file is the empty text trace, not a truncated binary
+    // one — the magic never began, so there is nothing to have cut short.
+    // Likewise non-UTF-8 bytes are "not a trace at all" rather than
+    // Truncated.
+    let text = std::str::from_utf8(bytes).map_err(|_| UpdateTraceError::NotText)?;
+    Ok(UpdateStream::parse_text(text)?)
 }
 
 /// Read an update trace from `r`, sniffing binary vs text (see
@@ -181,45 +155,19 @@ pub fn read_updates<R: Read>(mut r: R) -> Result<UpdateStream, UpdateTraceError>
     parse_update_bytes(&bytes)
 }
 
-/// Decode the post-magic portion of a `.adjbu` file.
-fn decode_adjbu(rest: &[u8]) -> Result<UpdateStream, UpdateTraceError> {
-    let take = |range: std::ops::Range<usize>| rest.get(range).ok_or(UpdateTraceError::Truncated);
-    let read_u32_at = |at: usize| -> Result<u32, UpdateTraceError> {
-        Ok(u32::from_le_bytes(take(at..at + 4)?.try_into().expect("4")))
-    };
-    let read_u64_at = |at: usize| -> Result<u64, UpdateTraceError> {
-        Ok(u64::from_le_bytes(take(at..at + 8)?.try_into().expect("8")))
-    };
-
-    let version = read_u32_at(0)?;
-    if version != ADJBU_VERSION {
-        return Err(UpdateTraceError::UnsupportedVersion {
-            found: version,
-            supported: ADJBU_VERSION,
-        });
-    }
-    let payload_start = 4;
-    let count = read_u64_at(payload_start)?;
-    let count_usize = usize::try_from(count).map_err(|_| UpdateTraceError::Truncated)?;
-    let events_len = count_usize
-        .checked_mul(EVENT_BYTES)
-        .ok_or(UpdateTraceError::Truncated)?;
-    let payload_end = payload_start
-        .checked_add(8)
-        .and_then(|v| v.checked_add(events_len))
-        .ok_or(UpdateTraceError::Truncated)?;
-    let payload = take(payload_start..payload_end)?;
-    let expected = read_u64_at(payload_end)?;
-    let actual = checksum64(payload);
-    if actual != expected {
-        return Err(UpdateTraceError::ChecksumMismatch { expected, actual });
+/// Decode a whole `.adjbu` container: verify the frame, then decode and
+/// vet each event.
+fn decode_adjbu(bytes: &[u8]) -> Result<UpdateStream, UpdateTraceError> {
+    let mut rest = Frame::open(bytes, &ADJBU_MAGIC, ADJBU_VERSION)?;
+    let (_, records) = take_counted(&mut rest, EVENT_BYTES)?;
+    if !rest.is_empty() {
+        return Err(FrameError::Truncated.into());
     }
 
-    let mut events = Vec::with_capacity(count_usize.min(1 << 20));
+    let mut events = Vec::with_capacity(records.len() / EVENT_BYTES);
     let mut prev_ts = 0u64;
-    for i in 0..count_usize {
-        let at = payload_start + 8 + i * EVENT_BYTES;
-        let op = match rest[at] {
+    for (i, ev) in records.chunks_exact(EVENT_BYTES).enumerate() {
+        let op = match ev[0] {
             0 => UpdateOp::Insert,
             1 => UpdateOp::Delete,
             found => {
@@ -229,9 +177,9 @@ fn decode_adjbu(rest: &[u8]) -> Result<UpdateStream, UpdateTraceError> {
                 })
             }
         };
-        let lo = read_u32_at(at + 1)?;
-        let hi = read_u32_at(at + 5)?;
-        let ts = read_u64_at(at + 9)?;
+        let lo = u32::from_le_bytes(ev[1..5].try_into().expect("4"));
+        let hi = u32::from_le_bytes(ev[5..9].try_into().expect("4"));
+        let ts = u64::from_le_bytes(ev[9..17].try_into().expect("8"));
         if lo == hi {
             return Err(UpdateParseError::SelfLoop {
                 line: i + 1,
@@ -322,41 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn version_is_checked() {
-        let mut bytes = encode(&sample_stream());
-        bytes[8] = 0xFE; // version LSB
-        assert!(matches!(
-            parse_update_bytes(&bytes),
-            Err(UpdateTraceError::UnsupportedVersion { found, supported: 1 }) if found != 1
-        ));
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let bytes = encode(&sample_stream());
-        for cut in [bytes.len() - 1, bytes.len() - 9, 13] {
-            assert!(
-                matches!(
-                    parse_update_bytes(&bytes[..cut]),
-                    Err(UpdateTraceError::Truncated)
-                ),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn bit_flip_fails_checksum() {
-        let mut bytes = encode(&sample_stream());
-        let mid = 12 + bytes.len() / 2 % (bytes.len() - 20);
-        bytes[mid] ^= 0x10;
-        assert!(matches!(
-            parse_update_bytes(&bytes),
-            Err(UpdateTraceError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn semantic_violations_reject_with_event_index() {
         // Hand-build payloads: self-loop at event 2, regression at event 2.
         let build = |events: &[(u8, u32, u32, u64)]| {
@@ -369,10 +282,7 @@ mod tests {
                 payload.extend_from_slice(&ts.to_le_bytes());
             }
             let mut bytes = Vec::new();
-            bytes.extend_from_slice(&ADJBU_MAGIC);
-            bytes.extend_from_slice(&ADJBU_VERSION.to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&checksum64(&payload).to_le_bytes());
+            write_frame(&mut bytes, &ADJBU_MAGIC, ADJBU_VERSION, &payload).unwrap();
             bytes
         };
         assert!(matches!(

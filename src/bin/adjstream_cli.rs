@@ -457,9 +457,9 @@ fn print_estimate(est: &CountEstimate, g: &Graph, suffix: &str) {
 }
 
 /// The stable default job id for checkpoint namespacing
-/// (`triangles-<id>.ckpt`): FNV-1a of the run identity.
+/// (`triangles-<id>.ckpt`): `checksum64` of the run identity.
 fn default_job_id(input: &str, t_lower: u64, seed: u64, epsilon: f64) -> u64 {
-    adjstream::stream::checkpoint::fnv1a(format!("{input}|{t_lower}|{seed}|{epsilon}").as_bytes())
+    adjstream::stream::hashing::checksum64(format!("{input}|{t_lower}|{seed}|{epsilon}").as_bytes())
 }
 
 fn cmd_estimate(args: &[String]) -> Result<(), CliFailure> {
@@ -871,8 +871,12 @@ fn trace_failure(e: adjstream::stream::TraceError) -> CliFailure {
 
 /// Map a checkpoint-container failure (the shard-merge wire format) onto
 /// the checkpoint exit code.
-fn checkpoint_failure(e: adjstream::stream::CheckpointError) -> CliFailure {
-    CliFailure::new(EXIT_CHECKPOINT, "checkpoint", e.to_string())
+fn checkpoint_failure(e: adjstream::stream::FrameError) -> CliFailure {
+    CliFailure::new(
+        EXIT_CHECKPOINT,
+        "checkpoint",
+        format!("checkpoint rejected: {e}"),
+    )
 }
 
 /// Map a sharded-execution failure onto the CLI's exit-code taxonomy:
@@ -1201,8 +1205,7 @@ where
                 .map_err(|e| CliFailure::io(format!("spawn shard {shard} worker: {e}")))?;
             children.push((shard, out, child));
         }
-        let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(shards);
-        let mut acc: Option<MetricsSnapshot> = None;
+        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(shards);
         for (shard, out, mut child) in children {
             let status = child.wait().map_err(|e| CliFailure::io(e.to_string()))?;
             if !status.success() {
@@ -1214,51 +1217,28 @@ where
                     format!("shard {shard} worker failed in pass {pass} (exit {code})"),
                 ));
             }
-            let payload = read_checkpoint_file(&out).map_err(checkpoint_failure)?;
-            if payload.len() < 32 {
-                let _ = std::fs::remove_dir_all(&tmp);
-                return Err(CliFailure::io(format!(
-                    "shard {shard} worker wrote a short payload"
-                )));
-            }
-            let word = |i: usize| u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap());
-            let (w_peak, w_items, w_lists, w_slices) = (word(0), word(1), word(2), word(3));
-            peak_overall = peak_overall.max(w_peak as usize);
-            processed_total += w_items;
-            if collect {
-                let shard_snap = MetricsSnapshot {
-                    passes: vec![PassMetrics {
-                        pass: pass as u32,
-                        items: w_items,
-                        slices: w_slices,
-                        lists: w_lists,
-                        peak_bytes: w_peak,
-                        ..PassMetrics::default()
-                    }],
-                    peak_state_bytes: w_peak,
-                    items_processed: w_items,
-                    ..MetricsSnapshot::default()
-                };
-                match acc.as_mut() {
-                    Some(a) => a.merge_concurrent(&shard_snap),
-                    None => acc = Some(shard_snap),
-                }
-            }
-            blobs.push(payload[32..].to_vec());
+            payloads.push(read_checkpoint_file(&out).map_err(checkpoint_failure)?);
         }
-        algo = merge_shard_states::<ShardedTriangle>(&blobs, pass).map_err(|e| {
-            let _ = std::fs::remove_dir_all(&tmp);
-            shard_failure(e)
-        })?;
+        let (merged, stats) =
+            merge_shard_states::<ShardedTriangle>(&payloads, pass).map_err(|e| {
+                let _ = std::fs::remove_dir_all(&tmp);
+                shard_failure(e)
+            })?;
+        algo = merged;
+        let mut row = PassMetrics {
+            pass: pass as u32,
+            ..PassMetrics::default()
+        };
+        for s in &stats {
+            peak_overall = peak_overall.max(s.peak_state_bytes);
+            processed_total += s.items_processed as u64;
+            s.fold_into(&mut row);
+        }
         after_pass(pass).map_err(|e| {
             let _ = std::fs::remove_dir_all(&tmp);
             shard_failure(e)
         })?;
         if collect {
-            let mut row = acc
-                .and_then(|a| a.passes.into_iter().next())
-                .unwrap_or_default();
-            row.pass = pass as u32;
             // Individual worker walls aren't visible to the parent; the
             // batch wall bounds the max over the concurrent workers.
             row.wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1287,10 +1267,9 @@ where
 /// Hidden subcommand: one shard x one pass of a sharded `estimate-stream`,
 /// spawned by the `--shard-procs` parent. Restores the pass-boundary state
 /// blob, drives only this shard's adjacency lists (rebuilding the same
-/// deterministic plan from the trace), and writes back
-/// `[peak, items, lists, slices]` as little-endian u64s followed by the
-/// re-serialized partial state — all through the checksummed checkpoint
-/// container, which doubles as the shard-merge wire format.
+/// deterministic plan from the trace), and writes back the shard-worker
+/// payload of `run_shard_pass_blob` (stats, then the partial state)
+/// through the checksummed checkpoint container.
 fn cmd_shard_worker(args: &[String]) -> Result<(), CliFailure> {
     use adjstream::algo::triangle::ShardedTriangle;
     use adjstream::stream::checkpoint::{read_checkpoint_file, write_checkpoint_file};
@@ -1324,19 +1303,8 @@ fn cmd_shard_worker(args: &[String]) -> Result<(), CliFailure> {
     let items = source.items();
     let plan = ShardPlan::build(items, shards);
     let base = read_checkpoint_file(std::path::Path::new(state)).map_err(checkpoint_failure)?;
-    let (blob, stats) =
-        run_shard_pass_blob::<ShardedTriangle>(&base, pass, items, plan.runs_for(shard))
-            .map_err(shard_failure)?;
-    let mut payload = Vec::with_capacity(32 + blob.len());
-    for v in [
-        stats.peak_state_bytes as u64,
-        stats.items_processed as u64,
-        stats.lists,
-        stats.slices,
-    ] {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    payload.extend_from_slice(&blob);
+    let payload = run_shard_pass_blob::<ShardedTriangle>(&base, pass, items, plan.runs_for(shard))
+        .map_err(shard_failure)?;
     write_checkpoint_file(std::path::Path::new(out), &payload).map_err(checkpoint_failure)?;
     Ok(())
 }
@@ -2379,15 +2347,17 @@ mod tests {
         std::fs::remove_file(&gs).ok();
     }
 
-    /// Default job ids must never move, or `--resume` would miss the
-    /// checkpoint an earlier build wrote. The expected name was computed
-    /// by the CLI's former private FNV-1a copy.
+    /// Default job ids must not move within a checkpoint format version,
+    /// or `--resume` would miss the checkpoint an earlier build wrote. The
+    /// name is `checksum64` of the run identity; it last moved together
+    /// with the checkpoint version bump to 2, which makes older
+    /// checkpoints unreadable anyway.
     #[test]
     fn default_checkpoint_name_is_stable() {
         let id = default_job_id("g.txt", 9000, 5, 0.15);
         assert_eq!(
             format!("triangles-{id:016x}.ckpt"),
-            "triangles-b18f7bdf833a6d92.ckpt"
+            "triangles-0d63855398f71b3c.ckpt"
         );
     }
 

@@ -7,9 +7,11 @@
 use adjstream::algo::triangle::TriestFd;
 use adjstream::graph::{gen, EdgeKey, VertexId};
 use adjstream::stream::update::{churn, ChurnConfig, UpdateEvent, UpdateOp, UpdateStream};
+use adjstream::stream::FrameError;
 use adjstream::stream::{
     is_adjbu, parse_update_bytes, run_guarded_updates, write_adjbu, GuardPolicy, GuardedUpdate,
     UpdateAlgorithm, UpdateFaultKind, UpdateFaultPlan, UpdateTraceError, ADJBU_MAGIC,
+    ADJBU_VERSION,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -87,12 +89,11 @@ fn encode(stream: &UpdateStream) -> Vec<u8> {
     bytes
 }
 
-/// Header layout of the container: magic (8) + version (4) + count (8),
-/// then 17-byte events, then the u64 checksum trailer. The checksum
-/// covers count + events, so those offsets partition the file into
-/// regions with distinct rejection modes.
+/// Frame header of the container: magic (8) + version (4) + length (8).
+/// The checksummed payload (count + 17-byte events) follows, then the u64
+/// checksum trailer, so those offsets partition the file into regions
+/// with distinct rejection modes.
 const HEADER: usize = 8 + 4 + 8;
-const EVENT_BYTES: usize = 17;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -118,9 +119,8 @@ proptest! {
     }
 
     /// Every single-bit flip anywhere in a non-empty container is caught:
-    /// flips inside the checksummed region (count + events + trailer)
-    /// surface as `ChecksumMismatch` or `Truncated` (when the count field
-    /// itself is damaged), a flipped version byte is
+    /// flips inside the payload (count + events) or the trailer surface
+    /// as `ChecksumMismatch`, a flipped version byte is
     /// `UnsupportedVersion`, and a flipped magic byte demotes the file to
     /// the text path, which rejects the binary payload.
     #[test]
@@ -138,32 +138,24 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         let err = parse_update_bytes(&bytes)
             .expect_err("flipped container must not decode");
-        let events_end = HEADER + stream.len() * EVENT_BYTES;
-        if (HEADER..events_end).contains(&pos) {
+        if pos >= HEADER {
+            // Payload or trailer flip: the stored checksum no longer matches.
             prop_assert!(
-                matches!(err, UpdateTraceError::ChecksumMismatch { .. }),
-                "event-region flip at {} gave {:?}",
-                pos,
-                err
-            );
-        } else if pos >= events_end {
-            // Trailer flip: the stored checksum no longer matches.
-            prop_assert!(
-                matches!(err, UpdateTraceError::ChecksumMismatch { .. }),
-                "trailer flip at {} gave {:?}",
+                matches!(err, UpdateTraceError::Frame(FrameError::ChecksumMismatch { .. })),
+                "payload/trailer flip at {} gave {:?}",
                 pos,
                 err
             );
         } else if (8..12).contains(&pos) {
             prop_assert!(
-                matches!(err, UpdateTraceError::UnsupportedVersion { .. }),
+                matches!(err, UpdateTraceError::Frame(FrameError::UnsupportedVersion { .. })),
                 "version flip at {} gave {:?}",
                 pos,
                 err
             );
         }
-        // Magic flips (0..8) and count flips (12..20) reject with
-        // format-dependent variants; `expect_err` above is the contract.
+        // Magic flips (0..8) and length flips (12..20) reject with
+        // position-dependent variants; `expect_err` above is the contract.
     }
 
     /// Every truncation that preserves the magic is `Truncated`: whatever
@@ -182,7 +174,7 @@ proptest! {
         let err = parse_update_bytes(&bytes[..cut])
             .expect_err("truncated container must not decode");
         prop_assert!(
-            matches!(err, UpdateTraceError::Truncated),
+            matches!(err, UpdateTraceError::Frame(FrameError::Truncated)),
             "cut at {} gave {:?}",
             cut,
             err
@@ -197,13 +189,13 @@ proptest! {
 fn future_version_is_rejected_with_both_versions() {
     let bytes = {
         let mut b = encode(&churn_stream(7));
-        b[8..12].copy_from_slice(&2u32.to_le_bytes());
+        b[8..12].copy_from_slice(&(ADJBU_VERSION + 1).to_le_bytes());
         b
     };
     match parse_update_bytes(&bytes) {
-        Err(UpdateTraceError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 2);
-            assert_eq!(supported, 1);
+        Err(UpdateTraceError::Frame(FrameError::UnsupportedVersion { found, supported })) => {
+            assert_eq!(found, ADJBU_VERSION + 1);
+            assert_eq!(supported, ADJBU_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
