@@ -115,8 +115,9 @@ pub struct JobBudget {
     pub max_instance_bytes: Option<usize>,
     /// Whole-job resident-state cap in bytes (aborts the job).
     pub max_total_bytes: Option<usize>,
-    /// Wall-clock deadline in milliseconds, measured over the job's
-    /// *cumulative* running time (suspension does not reset it).
+    /// Wall-clock deadline in milliseconds, measured per execution
+    /// segment: the clock starts when a worker picks the job up and
+    /// restarts whenever a suspended job resumes.
     pub deadline_ms: Option<u64>,
 }
 

@@ -15,11 +15,13 @@
 //!    channel; a full queue (or a blown job cap / memory budget) is an
 //!    *immediate* typed `Rejected` response. Nothing in the daemon
 //!    buffers submissions without bound.
-//! 2. **Checkpoint-based preemption.** Workers execute jobs one pass at
-//!    a time via [`BatchJob`], writing a checkpoint at every interior
-//!    pass boundary. Eviction (priority preemption, drain, cancel) is
-//!    only ever acted on *at* a boundary, so a suspended job's state is
-//!    always a valid checkpoint and resuming is bit-for-bit.
+//! 2. **Checkpoint-based preemption.** Workers execute every resumable
+//!    job through one boundary loop, `run_units`, one unit at a time (a
+//!    [`BatchJob`] pass, an update batch, or a sharded repetition),
+//!    writing a checkpoint at every interior boundary. Eviction (priority
+//!    preemption, drain, cancel) is only ever acted on *at* a boundary,
+//!    so a suspended job's state is always a valid checkpoint and
+//!    resuming is bit-for-bit.
 //! 3. **Manifests are the truth.** Every state transition persists the
 //!    job manifest before anything else observes it. Recovery after
 //!    `kill -9` is a directory scan: non-terminal manifests re-enter the
@@ -44,16 +46,17 @@ use adjstream_core::triangle::{
 };
 use adjstream_stream::batch::{BatchConfig, BatchJob, Budget};
 use adjstream_stream::checkpoint::{
-    read_checkpoint_file, read_u64, read_usize, write_checkpoint_file, write_u64, write_usize,
-    Checkpoint,
+    corrupt, read_checkpoint_file, read_u64, read_u8, read_usize, write_checkpoint_file, write_u64,
+    write_u8, write_usize, Checkpoint,
 };
 use adjstream_stream::estimator::repetitions_for_confidence;
 use adjstream_stream::runner::{MultiPassAlgorithm, RunError};
 use adjstream_stream::shard::{run_sharded_hooked, ShardPlan};
 use adjstream_stream::trace::ItemTrace;
+use adjstream_stream::update::{apply_update_batch, UpdateBatchReport, UpdateEvent};
 use adjstream_stream::update_guard::GuardedUpdate;
 use adjstream_stream::{
-    validate_stream, GuardPolicy, Metrics, MetricsSnapshot, SpaceUsage, UpdateAlgorithm,
+    validate_stream, FrameError, Metrics, MetricsSnapshot, SpaceUsage, StreamItem, UpdateAlgorithm,
 };
 
 use crate::catalog::{Catalog, TraceKind};
@@ -135,6 +138,16 @@ struct JobEntry {
     cancelled: Arc<AtomicBool>,
 }
 
+impl JobEntry {
+    fn new(record: JobRecord) -> JobEntry {
+        JobEntry {
+            record,
+            evict: Arc::new(AtomicBool::new(false)),
+            cancelled: Arc::new(AtomicBool::new(false)),
+        }
+    }
+}
+
 /// Event a worker reports back to the scheduler.
 enum WorkerEvent {
     /// The job reached a state the scheduler need not reschedule
@@ -186,10 +199,6 @@ impl Inner {
             JobState::Suspended { .. } => c.suspended += 1,
             _ => {}
         }
-    }
-
-    fn absorb_metrics(&self, snap: &MetricsSnapshot) {
-        lock(&self.metrics).merge(snap);
     }
 
     /// Non-terminal job count and summed declared bytes, for admission.
@@ -330,14 +339,7 @@ impl Server {
         {
             let mut jobs = lock(&inner.jobs);
             for rec in all_records {
-                jobs.insert(
-                    rec.id.0,
-                    JobEntry {
-                        record: rec,
-                        evict: Arc::new(AtomicBool::new(false)),
-                        cancelled: Arc::new(AtomicBool::new(false)),
-                    },
-                );
+                jobs.insert(rec.id.0, JobEntry::new(rec));
             }
         }
         {
@@ -456,10 +458,7 @@ fn dispatch_request(inner: &Arc<Inner>, req: Request) -> String {
                 ("kind", Json::Str(entry.kind.name().into())),
                 ("edges", Json::Num(entry.edges as f64)),
                 ("items", Json::Num(entry.items as f64)),
-                (
-                    "checksum64",
-                    Json::Str(format!("{:016x}", entry.checksum64)),
-                ),
+                ("checksum64", hex64(entry.checksum64)),
             ]),
             Err(e) => error_response("register_failed", &e.to_string()),
         },
@@ -474,7 +473,7 @@ fn dispatch_request(inner: &Arc<Inner>, req: Request) -> String {
                         ("kind", Json::Str(e.kind.name().into())),
                         ("edges", Json::Num(e.edges as f64)),
                         ("items", Json::Num(e.items as f64)),
-                        ("checksum64", Json::Str(format!("{:016x}", e.checksum64))),
+                        ("checksum64", hex64(e.checksum64)),
                     ])
                 })
                 .collect();
@@ -533,14 +532,7 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> String {
     if record.persist(&inner.cfg.state_dir).is_err() {
         return error_response("io", "failed to persist job manifest");
     }
-    lock(&inner.jobs).insert(
-        id.0,
-        JobEntry {
-            record,
-            evict: Arc::new(AtomicBool::new(false)),
-            cancelled: Arc::new(AtomicBool::new(false)),
-        },
-    );
+    lock(&inner.jobs).insert(id.0, JobEntry::new(record));
     // Bounded intake: a full queue rolls the admission back and rejects,
     // it never blocks the client or buffers beyond `queue_depth`.
     if inner.intake_tx.try_send(id.0).is_err() {
@@ -553,6 +545,11 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> String {
         ("id", Json::Str(id.to_string())),
         ("state", Json::Str("queued".into())),
     ])
+}
+
+/// A 64-bit pattern (checksum, `f64` bits) as 16 hex digits.
+fn hex64(bits: u64) -> Json {
+    Json::Str(format!("{bits:016x}"))
 }
 
 fn state_fields(record: &JobRecord) -> Vec<(&'static str, Json)> {
@@ -583,10 +580,7 @@ fn state_fields(record: &JobRecord) -> Vec<(&'static str, Json)> {
                 "result",
                 obj(vec![
                     ("estimate", Json::Num(result.estimate)),
-                    (
-                        "estimate_bits",
-                        Json::Str(format!("{:016x}", result.estimate_bits)),
-                    ),
+                    ("estimate_bits", hex64(result.estimate_bits)),
                     ("survivors", Json::Num(result.survivors as f64)),
                     ("repetitions", Json::Num(result.repetitions as f64)),
                     ("passes", Json::Num(result.passes as f64)),
@@ -633,7 +627,7 @@ fn cancel(inner: &Arc<Inner>, id: JobId) -> String {
         return error_response("already_terminal", entry.record.state.name());
     }
     entry.cancelled.store(true, Ordering::SeqCst);
-    // A running worker only looks at flags at pass boundaries; the evict
+    // A running worker only looks at flags at job boundaries; the evict
     // flag makes it look sooner.
     entry.evict.store(true, Ordering::SeqCst);
     drop(jobs);
@@ -688,25 +682,23 @@ fn scheduler_loop(
     let mut heap: BinaryHeap<QueuedJob> = initial.into_iter().collect();
     let mut running: HashMap<u64, u8> = HashMap::new();
     let mut evicting: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    let enqueue = |heap: &mut BinaryHeap<QueuedJob>, id| {
+        if let Some(rec) = inner.job_record(id) {
+            heap.push(QueuedJob {
+                priority: rec.spec.priority,
+                id,
+            });
+        }
+    };
 
     loop {
         // Drain worker events first so `running` is current.
         while let Ok(ev) = event_rx.try_recv() {
-            match ev {
-                WorkerEvent::Settled(id) => {
-                    running.remove(&id);
-                    evicting.remove(&id);
-                }
-                WorkerEvent::Requeue(id) => {
-                    running.remove(&id);
-                    evicting.remove(&id);
-                    if let Some(rec) = inner.job_record(id) {
-                        heap.push(QueuedJob {
-                            priority: rec.spec.priority,
-                            id,
-                        });
-                    }
-                }
+            let (WorkerEvent::Settled(id) | WorkerEvent::Requeue(id)) = ev;
+            running.remove(&id);
+            evicting.remove(&id);
+            if matches!(ev, WorkerEvent::Requeue(_)) {
+                enqueue(&mut heap, id);
             }
         }
 
@@ -722,19 +714,9 @@ fn scheduler_loop(
         // scheduler wakes immediately on submission.
         match intake_rx.recv_timeout(inner.cfg.tick) {
             Ok(id) => {
-                if let Some(rec) = inner.job_record(id) {
-                    heap.push(QueuedJob {
-                        priority: rec.spec.priority,
-                        id,
-                    });
-                }
+                enqueue(&mut heap, id);
                 while let Ok(id) = intake_rx.try_recv() {
-                    if let Some(rec) = inner.job_record(id) {
-                        heap.push(QueuedJob {
-                            priority: rec.spec.priority,
-                            id,
-                        });
-                    }
+                    enqueue(&mut heap, id);
                 }
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
@@ -752,14 +734,8 @@ fn scheduler_loop(
                 .unwrap_or(true);
             if cancelled {
                 heap.pop();
-                inner.set_state(
-                    id,
-                    JobState::Failed {
-                        reason: "cancelled".into(),
-                        detail: "cancelled while queued".into(),
-                    },
-                );
-                let _ = std::fs::remove_file(JobId(id).checkpoint_path(&inner.cfg.state_dir));
+                let state = failed("cancelled", "cancelled while queued");
+                settle(&inner, id, state);
                 continue;
             }
             match run_tx.try_send(id) {
@@ -843,30 +819,20 @@ fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<crossbeam::channel::Receiver<u64
         };
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_job(&inner, job_id)));
-        let settled = match outcome {
-            Ok(requeue) => !requeue,
-            Err(payload) => {
-                // A worker panic is a typed terminal state, not a dead pool.
-                let detail = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".into());
-                inner.set_state(
-                    job_id,
-                    JobState::Failed {
-                        reason: "worker_panic".into(),
-                        detail,
-                    },
-                );
-                let _ = std::fs::remove_file(JobId(job_id).checkpoint_path(&inner.cfg.state_dir));
-                true
-            }
-        };
-        let ev = if settled {
-            WorkerEvent::Settled(job_id)
-        } else {
+        let requeue = outcome.unwrap_or_else(|payload| {
+            // A worker panic is a typed terminal state, not a dead pool.
+            let detail = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic payload".into());
+            let state = failed("worker_panic", detail);
+            settle(&inner, job_id, state)
+        });
+        let ev = if requeue {
             WorkerEvent::Requeue(job_id)
+        } else {
+            WorkerEvent::Settled(job_id)
         };
         if inner.event_tx.send(ev).is_err() {
             return;
@@ -874,14 +840,22 @@ fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<crossbeam::channel::Receiver<u64
     }
 }
 
-/// What one execution segment of a job produced.
-enum Segment {
-    Terminal(JobState),
-    Suspended {
-        pass: usize,
-        reason: String,
-        requeue: bool,
-    },
+/// What every runner needs of its job: the daemon, the job's id and spec,
+/// and the job's two flags.
+#[derive(Clone, Copy)]
+struct JobCtx<'a> {
+    inner: &'a Inner,
+    id: u64,
+    spec: &'a JobSpec,
+    evict: &'a AtomicBool,
+    cancelled: &'a AtomicBool,
+}
+
+fn failed(reason: &str, detail: impl Into<String>) -> JobState {
+    JobState::Failed {
+        reason: reason.into(),
+        detail: detail.into(),
+    }
 }
 
 /// Execute one job until it finishes or suspends. Returns `true` when the
@@ -890,118 +864,133 @@ fn execute_job(inner: &Arc<Inner>, id: u64) -> bool {
     let Some(record) = inner.job_record(id) else {
         return false;
     };
-    let spec = record.spec.clone();
     let (evict, cancelled) = {
         let jobs = lock(&inner.jobs);
         let Some(e) = jobs.get(&id) else { return false };
         (Arc::clone(&e.evict), Arc::clone(&e.cancelled))
     };
+    let ctx = JobCtx {
+        inner,
+        id,
+        spec: &record.spec,
+        evict: &evict,
+        cancelled: &cancelled,
+    };
+    let state = run_job(ctx).unwrap_or_else(|failure| failure);
+    settle(inner, id, state)
+}
+
+/// Load the job's trace and hand its kind's units to [`run_units`]. The
+/// state the segment ended in (finished or suspended) is `Ok`; a failure
+/// that ended it early is `Err`, so `?` can stop at every step.
+fn run_job(ctx: JobCtx) -> Result<JobState, JobState> {
+    let spec = ctx.spec;
     // Update jobs run the batched dynamic path; everything else replays a
-    // static item trace through the pass-based batch engine.
+    // static item trace.
     if let JobKind::Update {
         batch_size,
         capacity,
         guard,
     } = spec.kind
     {
-        let segment = run_update_job(
-            inner, id, &spec, &evict, &cancelled, batch_size, capacity, guard,
+        let stream = ctx
+            .inner
+            .catalog
+            .load_updates(&spec.trace)
+            .map_err(|e| failed("trace_unavailable", e))?;
+        let events = stream.events();
+        let batch_size = batch_size.max(1);
+        return run_units(
+            ctx,
+            |path| {
+                let payload = read_checkpoint_file(path).ok()?;
+                BatchUnits::restore(&payload, events, batch_size).ok()
+            },
+            || {
+                let guard = GuardedUpdate::new(TriestFd::new(spec.seed, capacity), guard);
+                Ok(BatchUnits {
+                    events,
+                    batch_size,
+                    previous: guard.estimate(),
+                    rows: Vec::new(),
+                    guard,
+                })
+            },
         );
-        return settle_segment(inner, id, segment);
     }
 
-    let trace = match inner.catalog.load_items(&spec.trace) {
-        Ok(t) => t,
-        Err(e) => {
-            inner.set_state(
-                id,
-                JobState::Failed {
-                    reason: "trace_unavailable".into(),
-                    detail: e,
-                },
-            );
-            return false;
-        }
-    };
-
-    let segment = match spec.kind {
-        JobKind::Validate => run_validate(&trace),
+    let trace = ctx
+        .inner
+        .catalog
+        .load_items(&spec.trace)
+        .map_err(|e| failed("trace_unavailable", e))?;
+    let items = trace.items();
+    match spec.kind {
+        JobKind::Validate => Ok(run_validate(&trace)),
         JobKind::Triangles { t_lower } if spec.shards > 1 => {
             let budget = triangle_budget(trace.edges(), t_lower, spec.epsilon);
-            run_sharded_triangles(inner, id, &spec, &trace, &cancelled, budget)
+            let reps = repetitions_for_confidence(spec.delta);
+            let units = |runs| RepetitionUnits {
+                plan: ShardPlan::build(items, spec.shards),
+                items,
+                budget,
+                reps,
+                runs,
+                sink: Metrics::from_flag(spec.collect_metrics),
+            };
+            run_units(
+                ctx,
+                |path| {
+                    let payload = read_checkpoint_file(path).ok()?;
+                    decode_runs(&payload, reps).ok().map(units)
+                },
+                || Ok(units(Vec::new())),
+            )
         }
         JobKind::Triangles { t_lower } => {
             let budget = triangle_budget(trace.edges(), t_lower, spec.epsilon);
-            run_estimate(
-                inner,
-                id,
-                &spec,
-                &trace,
-                &evict,
-                &cancelled,
-                budget,
-                |seed| {
-                    TwoPassTriangle::new(TwoPassTriangleConfig {
-                        seed,
-                        edge_sampling: EdgeSampling::BottomK { k: budget },
-                        pair_capacity: budget,
-                    })
-                },
-                |out| out.estimate,
-            )
+            let make = |seed| {
+                TwoPassTriangle::new(TwoPassTriangleConfig {
+                    seed,
+                    edge_sampling: EdgeSampling::BottomK { k: budget },
+                    pair_capacity: budget,
+                })
+            };
+            run_passes(ctx, items, make, |out| out.estimate)
         }
         JobKind::FourCycles { t_lower } => {
             let budget = four_cycle_budget(trace.edges(), t_lower);
-            run_estimate(
-                inner,
-                id,
-                &spec,
-                &trace,
-                &evict,
-                &cancelled,
-                budget,
-                |seed| {
-                    TwoPassFourCycle::new(TwoPassFourCycleConfig {
-                        seed,
-                        edge_sample_size: budget,
-                        estimator: FourCycleEstimator::DistinctCycles,
-                        max_wedges: None,
-                    })
-                },
-                |out| out.estimate,
-            )
+            let make = |seed| {
+                TwoPassFourCycle::new(TwoPassFourCycleConfig {
+                    seed,
+                    edge_sample_size: budget,
+                    estimator: FourCycleEstimator::DistinctCycles,
+                    max_wedges: None,
+                })
+            };
+            run_passes(ctx, items, make, |out| out.estimate)
         }
         JobKind::Update { .. } => unreachable!("update jobs dispatched above"),
-    };
-
-    settle_segment(inner, id, segment)
-}
-
-/// Persist a finished/suspended execution segment; returns `true` when
-/// the scheduler should requeue the job (preemption).
-fn settle_segment(inner: &Arc<Inner>, id: u64, segment: Segment) -> bool {
-    match segment {
-        Segment::Terminal(state) => {
-            let _ = std::fs::remove_file(JobId(id).checkpoint_path(&inner.cfg.state_dir));
-            inner.set_state(id, state);
-            false
-        }
-        Segment::Suspended {
-            pass,
-            reason,
-            requeue,
-        } => {
-            inner.set_state(id, JobState::Suspended { pass, reason });
-            requeue
-        }
     }
 }
 
-fn run_validate(trace: &ItemTrace) -> Segment {
+/// Persist the state an execution segment ended in, removing a terminal
+/// job's checkpoint first; returns `true` when the scheduler should
+/// requeue the job (preemption).
+fn settle(inner: &Inner, id: u64, state: JobState) -> bool {
+    if state.is_terminal() {
+        let _ = std::fs::remove_file(JobId(id).checkpoint_path(&inner.cfg.state_dir));
+    }
+    let requeue = matches!(&state, JobState::Suspended { reason, .. } if reason == "preempted");
+    inner.set_state(id, state);
+    requeue
+}
+
+fn run_validate(trace: &ItemTrace) -> JobState {
     match validate_stream(trace.items().iter().copied()) {
         Ok(edges) => {
             let estimate = edges as f64;
-            Segment::Terminal(JobState::Done {
+            JobState::Done {
                 result: JobResult {
                     estimate,
                     estimate_bits: estimate.to_bits(),
@@ -1010,71 +999,484 @@ fn run_validate(trace: &ItemTrace) -> Segment {
                     passes: 1,
                     resumed_from: None,
                 },
-            })
+            }
         }
-        Err(e) => Segment::Terminal(JobState::Failed {
-            reason: "invalid_stream".into(),
-            detail: e.to_string(),
-        }),
+        Err(e) => failed("invalid_stream", e.to_string()),
     }
 }
 
-/// One completed update batch, as carried in the job checkpoint and the
-/// `.batches` sidecar. `estimate_bits` is the exact bit pattern of the
-/// post-batch estimate — the recovery chaos test compares these, so
-/// "bit-identical per-batch deltas" is literal.
-#[derive(Clone, Copy)]
-struct BatchRow {
-    events: u64,
-    inserts: u64,
-    ts_end: u64,
-    estimate_bits: u64,
-    delta_bits: u64,
+/// One job kind's side of [`run_units`]: its unit of work, its checkpoint
+/// and its terminal state. Everything at the boundaries between units
+/// belongs to the loop.
+trait JobUnits {
+    /// What one unit is called in failure details.
+    const UNIT: &'static str;
+    /// Units finished so far, which is also the next unit's index.
+    fn cursor(&self) -> usize;
+    /// Whether every unit has run.
+    fn is_complete(&self) -> bool;
+    /// Run the next unit; an error is the job's terminal state.
+    fn step(&mut self, ctx: JobCtx) -> Result<(), JobState>;
+    /// Write the boundary as the job's checkpoint file.
+    fn save(&self, path: &Path) -> Result<(), JobState>;
+    /// The terminal state of a complete job.
+    fn finish(self, ctx: JobCtx, resumed_from: Option<usize>) -> JobState;
 }
 
-/// Serialize the update-job checkpoint payload: progress cursor, the
-/// per-batch ledger so far, then the guarded estimator's own state.
-fn encode_update_ckpt(
-    next_batch: usize,
-    previous: f64,
-    rows: &[BatchRow],
-    guard: &GuardedUpdate<TriestFd>,
-) -> std::io::Result<Vec<u8>> {
+/// The one boundary loop every resumable job runs. It restores the job's
+/// checkpoint, or starts fresh when there is none or it fails to restore
+/// (the damaged file is discarded; seeded determinism makes both roads
+/// produce the same bits). Before every unit it reports `Running{cursor}`,
+/// runs the chaos delay, honours cancel and eviction (checkpoint, then
+/// `Suspended{preempted|drain}`), fires the chaos panic and checks the
+/// deadline, which runs per execution segment. After every interior unit
+/// it writes a checkpoint, so `kill -9` always finds a boundary.
+fn run_units<U: JobUnits>(
+    ctx: JobCtx,
+    restore: impl FnOnce(&Path) -> Option<U>,
+    start: impl FnOnce() -> Result<U, JobState>,
+) -> Result<JobState, JobState> {
+    let (inner, spec) = (ctx.inner, ctx.spec);
+    let ckpt = JobId(ctx.id).checkpoint_path(&inner.cfg.state_dir);
+    let (mut units, resumed_from) = match ckpt.exists().then(|| restore(&ckpt)).flatten() {
+        Some(units) => {
+            lock(&inner.counters).resumed += 1;
+            let from = units.cursor();
+            (units, Some(from))
+        }
+        None => {
+            let _ = std::fs::remove_file(&ckpt);
+            (start()?, None)
+        }
+    };
+    let deadline = spec
+        .budget
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+
+    while !units.is_complete() {
+        let (unit, n) = (U::UNIT, units.cursor());
+        inner.set_state(ctx.id, JobState::Running { pass: n });
+
+        // Chaos: widen the unit with a delay, sliced so a cancel or evict
+        // arriving during the sleep still acts at this boundary.
+        let mut remaining = spec.chaos.delay_ms_per_pass;
+        while remaining > 0
+            && !ctx.evict.load(Ordering::SeqCst)
+            && !ctx.cancelled.load(Ordering::SeqCst)
+        {
+            let slice = remaining.min(10);
+            std::thread::sleep(Duration::from_millis(slice));
+            remaining -= slice;
+        }
+        if ctx.cancelled.load(Ordering::SeqCst) {
+            return Err(failed("cancelled", format!("cancelled before {unit} {n}")));
+        }
+        if ctx.evict.swap(false, Ordering::SeqCst) {
+            units.save(&ckpt)?;
+            let draining = inner.draining.load(Ordering::SeqCst);
+            let reason = if draining { "drain" } else { "preempted" };
+            return Ok(JobState::Suspended {
+                pass: n,
+                reason: reason.into(),
+            });
+        }
+
+        // Chaos: a simulated worker crash, caught by the pool's unwind
+        // barrier and mapped to `Failed{worker_panic}`.
+        if spec.chaos.panic_in_pass == Some(n) {
+            panic!("chaos: injected worker panic before {unit} {n}");
+        }
+
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            let limit = spec.budget.deadline_ms.unwrap_or(0);
+            let detail = format!("deadline of {limit} ms expired before {unit} {n}");
+            return Err(failed("deadline", detail));
+        }
+
+        units.step(ctx)?;
+        if !units.is_complete() {
+            units.save(&ckpt)?;
+        }
+    }
+    Ok(units.finish(ctx, resumed_from))
+}
+
+/// Write a job kind's checkpoint payload to `path`.
+fn save_payload(path: &Path, payload: std::io::Result<Vec<u8>>) -> Result<(), JobState> {
+    payload
+        .map_err(FrameError::Io)
+        .and_then(|payload| write_checkpoint_file(path, &payload))
+        .map_err(|e| failed("checkpoint", e.to_string()))
+}
+
+/// The amplified terminal state: the median over the surviving
+/// repetitions, or `Degraded` when fewer than the job's quorum survived.
+fn median_state(
+    spec: &JobSpec,
+    runs: &[Option<f64>],
+    passes: usize,
+    resumed_from: Option<usize>,
+) -> JobState {
+    let reps = runs.len();
+    let required = spec
+        .min_survivors
+        .unwrap_or_else(|| quorum(reps))
+        .clamp(1, reps);
+    let survivors = runs.iter().flatten().count();
+    match median_of_survivors(runs, required) {
+        Ok(report) => JobState::Done {
+            result: JobResult {
+                estimate: report.median,
+                estimate_bits: report.median.to_bits(),
+                survivors,
+                repetitions: reps,
+                passes,
+                resumed_from,
+            },
+        },
+        Err(d) => JobState::Degraded {
+            survivors: d.survivors,
+            required: d.required,
+        },
+    }
+}
+
+/// Map a batch-engine error onto the job's typed failure vocabulary.
+fn failure_from(e: &RunError) -> JobState {
+    let reason = match e {
+        RunError::DeadlineExceeded { .. } => "deadline",
+        RunError::SpaceBudgetExceeded { .. } => "space_budget",
+        RunError::Checkpoint { .. } => "checkpoint",
+        _ => "run_error",
+    };
+    failed(reason, e.to_string())
+}
+
+/// A static estimate's units: one [`BatchJob`] pass over the whole trace,
+/// every repetition an instance of the batch.
+struct PassUnits<'t, A: MultiPassAlgorithm> {
+    job: BatchJob<A>,
+    items: &'t [StreamItem],
+    /// Passes run in this segment, for the engine's generation count.
+    generations: usize,
+    extract: fn(&A::Output) -> f64,
+}
+
+/// Run a static estimate: `make` builds the repetition at a seed and
+/// `extract` reads its estimate.
+fn run_passes<A>(
+    ctx: JobCtx,
+    items: &[StreamItem],
+    make: impl Fn(u64) -> A,
+    extract: fn(&A::Output) -> f64,
+) -> Result<JobState, JobState>
+where
+    A: MultiPassAlgorithm + Checkpoint + Send,
+    A::Output: Send,
+{
+    let spec = ctx.spec;
+    let cfg = BatchConfig {
+        budget: Budget {
+            max_bytes_per_instance: spec.budget.max_instance_bytes,
+            max_total_bytes: spec.budget.max_total_bytes,
+            deadline: spec.budget.deadline_ms.map(Duration::from_millis),
+        },
+        metrics: spec.collect_metrics,
+        ..BatchConfig::with_threads(1)
+    };
+    let units = |job| PassUnits {
+        job,
+        items,
+        generations: 0,
+        extract,
+    };
+    run_units(
+        ctx,
+        |path| BatchJob::restore_from_file(path, &cfg).ok().map(units),
+        || {
+            let reps = repetitions_for_confidence(spec.delta);
+            let instances = (0..reps)
+                .map(|i| make(spec.seed.wrapping_add(i as u64)))
+                .collect();
+            BatchJob::new(instances, &cfg)
+                .map(units)
+                .map_err(|e| failure_from(&e))
+        },
+    )
+}
+
+impl<A> JobUnits for PassUnits<'_, A>
+where
+    A: MultiPassAlgorithm + Checkpoint + Send,
+    A::Output: Send,
+{
+    const UNIT: &'static str = "pass";
+
+    fn cursor(&self) -> usize {
+        self.job.completed_passes()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.job.is_complete()
+    }
+
+    fn step(&mut self, _ctx: JobCtx) -> Result<(), JobState> {
+        self.job
+            .run_pass(self.items)
+            .map_err(|e| failure_from(&e))?;
+        self.generations += 1;
+        self.job.set_source_generations(self.generations);
+        Ok(())
+    }
+
+    fn save(&self, path: &Path) -> Result<(), JobState> {
+        self.job
+            .write_checkpoint(path)
+            .map_err(|e| failure_from(&e))
+    }
+
+    fn finish(self, ctx: JobCtx, resumed_from: Option<usize>) -> JobState {
+        let out = self.job.finish();
+        if let Some(snap) = &out.report.metrics {
+            lock(&ctx.inner.metrics).merge(snap);
+        }
+        let runs: Vec<Option<f64>> = out
+            .outputs
+            .iter()
+            .map(|o| o.as_ref().map(self.extract))
+            .collect();
+        median_state(ctx.spec, &runs, out.report.passes, resumed_from)
+    }
+}
+
+/// A graph-sharded triangles job's units (`spec.shards > 1`): one
+/// repetition of the shard-mergeable three-pass estimator, which
+/// partitions the trace by list-owner vertex, runs one worker thread per
+/// shard and merges per-shard state at every pass boundary. The median
+/// over repetitions amplifies confidence as in the unsharded path. The
+/// checkpoint is the finished repetitions' estimates, so their count is
+/// the cursor. `max_instance_bytes` is enforced against each repetition's
+/// merged peak: an over-budget repetition is quarantined, mirroring the
+/// batch engine's per-instance kill.
+struct RepetitionUnits<'t> {
+    plan: ShardPlan,
+    items: &'t [StreamItem],
+    budget: usize,
+    reps: usize,
+    runs: Vec<Option<f64>>,
+    sink: Metrics,
+}
+
+/// Sharded checkpoint payload: the repetition count, then per finished
+/// repetition a survived flag and its estimate bits.
+fn encode_runs(runs: &[Option<f64>]) -> std::io::Result<Vec<u8>> {
     let mut payload = Vec::new();
-    write_usize(&mut payload, next_batch)?;
-    write_u64(&mut payload, previous.to_bits())?;
-    write_usize(&mut payload, rows.len())?;
-    for row in rows {
-        write_u64(&mut payload, row.events)?;
-        write_u64(&mut payload, row.inserts)?;
-        write_u64(&mut payload, row.ts_end)?;
-        write_u64(&mut payload, row.estimate_bits)?;
-        write_u64(&mut payload, row.delta_bits)?;
+    write_usize(&mut payload, runs.len())?;
+    for run in runs {
+        write_u8(&mut payload, u8::from(run.is_some()))?;
+        write_u64(&mut payload, run.map_or(0, f64::to_bits))?;
     }
-    guard.save(&mut payload)?;
     Ok(payload)
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_update_ckpt(
-    payload: &[u8],
-) -> std::io::Result<(usize, f64, Vec<BatchRow>, GuardedUpdate<TriestFd>)> {
+fn decode_runs(payload: &[u8], reps: usize) -> std::io::Result<Vec<Option<f64>>> {
     let r = &mut &payload[..];
-    let next_batch = read_usize(r)?;
-    let previous = f64::from_bits(read_u64(r)?);
     let n = read_usize(r)?;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        rows.push(BatchRow {
-            events: read_u64(r)?,
-            inserts: read_u64(r)?,
-            ts_end: read_u64(r)?,
-            estimate_bits: read_u64(r)?,
-            delta_bits: read_u64(r)?,
-        });
+    if n > reps {
+        return Err(corrupt(format!("{n} finished repetitions of {reps}")));
     }
-    let guard = GuardedUpdate::<TriestFd>::restore(r)?;
-    Ok((next_batch, previous, rows, guard))
+    (0..n)
+        .map(|_| {
+            let survived = read_u8(r)?;
+            let bits = read_u64(r)?;
+            match survived {
+                0 => Ok(None),
+                1 => Ok(Some(f64::from_bits(bits))),
+                t => Err(corrupt(format!("bad repetition flag {t}"))),
+            }
+        })
+        .collect()
+}
+
+impl JobUnits for RepetitionUnits<'_> {
+    const UNIT: &'static str = "repetition";
+
+    fn cursor(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.runs.len() >= self.reps
+    }
+
+    fn step(&mut self, ctx: JobCtx) -> Result<(), JobState> {
+        let cfg = ShardedTriangleConfig {
+            seed: ctx.spec.seed.wrapping_add(self.runs.len() as u64),
+            edge_sampling: EdgeSampling::BottomK { k: self.budget },
+            pair_capacity: self.budget,
+        };
+        let algo = ShardedTriangle::new(cfg);
+        let (out, report) =
+            run_sharded_hooked(algo, &self.plan, self.items, &self.sink, |_| Ok(()))
+                .map_err(|e| failed("shard_failed", e.to_string()))?;
+        let over = ctx
+            .spec
+            .budget
+            .max_instance_bytes
+            .is_some_and(|limit| report.peak_state_bytes > limit);
+        self.runs.push((!over).then_some(out.estimate));
+        Ok(())
+    }
+
+    fn save(&self, path: &Path) -> Result<(), JobState> {
+        save_payload(path, encode_runs(&self.runs))
+    }
+
+    fn finish(self, ctx: JobCtx, resumed_from: Option<usize>) -> JobState {
+        if let Some(snap) = self.sink.snapshot() {
+            lock(&ctx.inner.metrics).merge(&snap);
+        }
+        median_state(ctx.spec, &self.runs, 3, resumed_from)
+    }
+}
+
+/// An update job's units: one batch of TRIÈST-FD events behind a
+/// `GuardedUpdate`. Every batch boundary is a checkpoint, so eviction,
+/// drain and `kill -9` all land on one and the resumed run's remaining
+/// per-batch estimates are bit-identical to an uninterrupted run's.
+struct BatchUnits<'s> {
+    events: &'s [UpdateEvent],
+    batch_size: usize,
+    /// The estimate at the last boundary.
+    previous: f64,
+    /// Every finished batch, as carried in the checkpoint and the
+    /// `.batches` sidecar.
+    rows: Vec<UpdateBatchReport>,
+    guard: GuardedUpdate<TriestFd>,
+}
+
+impl<'s> BatchUnits<'s> {
+    /// The update checkpoint payload: progress cursor, the estimate at the
+    /// last boundary, the per-batch ledger, then the guarded estimator's
+    /// own state. The ledger keeps exact bit patterns, so "bit-identical
+    /// per-batch deltas" is literal across a resume.
+    fn payload(&self) -> std::io::Result<Vec<u8>> {
+        let mut payload = Vec::new();
+        write_usize(&mut payload, self.rows.len())?;
+        write_u64(&mut payload, self.previous.to_bits())?;
+        write_usize(&mut payload, self.rows.len())?;
+        for row in &self.rows {
+            write_usize(&mut payload, row.events)?;
+            write_usize(&mut payload, row.inserts)?;
+            write_u64(&mut payload, row.ts_end)?;
+            write_u64(&mut payload, row.estimate.to_bits())?;
+            write_u64(&mut payload, row.delta.to_bits())?;
+        }
+        self.guard.save(&mut payload)?;
+        Ok(payload)
+    }
+
+    fn restore(
+        payload: &[u8],
+        events: &'s [UpdateEvent],
+        batch_size: usize,
+    ) -> std::io::Result<Self> {
+        let r = &mut &payload[..];
+        let next_batch = read_usize(r)?;
+        let previous = f64::from_bits(read_u64(r)?);
+        let n = read_usize(r)?;
+        if n != next_batch {
+            return Err(corrupt(format!("cursor {next_batch} over {n} batches")));
+        }
+        let mut rows = Vec::with_capacity(n.min(1 << 20));
+        for batch in 0..n {
+            let (events, inserts) = (read_usize(r)?, read_usize(r)?);
+            rows.push(UpdateBatchReport {
+                batch,
+                events,
+                inserts,
+                deletes: events
+                    .checked_sub(inserts)
+                    .ok_or_else(|| corrupt("inserts > events"))?,
+                ts_end: read_u64(r)?,
+                estimate: f64::from_bits(read_u64(r)?),
+                delta: f64::from_bits(read_u64(r)?),
+            });
+        }
+        Ok(BatchUnits {
+            events,
+            batch_size,
+            previous,
+            rows,
+            guard: GuardedUpdate::restore(r)?,
+        })
+    }
+}
+
+impl JobUnits for BatchUnits<'_> {
+    const UNIT: &'static str = "batch";
+
+    fn cursor(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.rows.len() >= self.events.len().div_ceil(self.batch_size)
+    }
+
+    fn step(&mut self, ctx: JobCtx) -> Result<(), JobState> {
+        let start = self.rows.len() * self.batch_size;
+        let chunk = &self.events[start..self.events.len().min(start + self.batch_size)];
+        // Under Strict the first invalid event is a typed terminal failure;
+        // Repair and Observe never return an error here.
+        let row = apply_update_batch(
+            &mut self.guard,
+            self.rows.len(),
+            chunk,
+            self.previous,
+            |guard, ev| guard.apply_event(ev),
+        )
+        .map_err(|v| failed("guard_violation", v.to_string()))?;
+        if let Some(limit) = ctx.spec.budget.max_total_bytes {
+            let used = self.guard.space_bytes();
+            if used > limit {
+                let detail = format!("update state used {used} bytes, limit {limit}");
+                return Err(failed("space_budget", detail));
+            }
+        }
+        self.previous = row.estimate;
+        self.rows.push(row);
+        lock(&ctx.inner.counters).update_batches += 1;
+        Ok(())
+    }
+
+    fn save(&self, path: &Path) -> Result<(), JobState> {
+        save_payload(path, self.payload())
+    }
+
+    fn finish(self, ctx: JobCtx, resumed_from: Option<usize>) -> JobState {
+        let stats = self.guard.stats();
+        {
+            let mut c = lock(&ctx.inner.counters);
+            c.guard_detections += stats.detections as u64;
+            c.guard_dropped += stats.dropped as u64;
+        }
+        let id = JobId(ctx.id);
+        let path = id.batches_path(&ctx.inner.cfg.state_dir);
+        write_batches_sidecar(&path, id, &ctx.spec.trace, &self.rows, &self.guard);
+        let estimate = self.guard.estimate();
+        JobState::Done {
+            result: JobResult {
+                estimate,
+                estimate_bits: estimate.to_bits(),
+                survivors: 1,
+                repetitions: 1,
+                passes: self.rows.len(),
+                resumed_from,
+            },
+        }
+    }
 }
 
 /// Write the per-batch sidecar an update job leaves next to its manifest:
@@ -1084,27 +1486,20 @@ fn write_batches_sidecar(
     path: &Path,
     id: JobId,
     trace: &str,
-    rows: &[BatchRow],
+    rows: &[UpdateBatchReport],
     guard: &GuardedUpdate<TriestFd>,
 ) {
     let batches: Vec<Json> = rows
         .iter()
-        .enumerate()
-        .map(|(i, row)| {
+        .map(|row| {
             obj(vec![
-                ("batch", Json::Num(i as f64)),
+                ("batch", Json::Num(row.batch as f64)),
                 ("events", Json::Num(row.events as f64)),
                 ("inserts", Json::Num(row.inserts as f64)),
-                (
-                    "deletes",
-                    Json::Num(row.events.saturating_sub(row.inserts) as f64),
-                ),
+                ("deletes", Json::Num(row.deletes as f64)),
                 ("ts_end", Json::Num(row.ts_end as f64)),
-                (
-                    "estimate_bits",
-                    Json::Str(format!("{:016x}", row.estimate_bits)),
-                ),
-                ("delta_bits", Json::Str(format!("{:016x}", row.delta_bits))),
+                ("estimate_bits", hex64(row.estimate.to_bits())),
+                ("delta_bits", hex64(row.delta.to_bits())),
             ])
         })
         .collect();
@@ -1136,519 +1531,6 @@ fn write_batches_sidecar(
     }
 }
 
-/// Execute (or resume) a batched TRIÈST-FD update job. Every batch
-/// boundary is a checkpoint: eviction, drain, and `kill -9` all land on
-/// one, so the resumed run's remaining per-batch estimates are
-/// bit-identical to an uninterrupted run's.
-#[allow(clippy::too_many_arguments)]
-fn run_update_job(
-    inner: &Arc<Inner>,
-    id: u64,
-    spec: &JobSpec,
-    evict: &AtomicBool,
-    cancelled: &AtomicBool,
-    batch_size: usize,
-    capacity: usize,
-    policy: GuardPolicy,
-) -> Segment {
-    let stream = match inner.catalog.load_updates(&spec.trace) {
-        Ok(s) => s,
-        Err(e) => {
-            return Segment::Terminal(JobState::Failed {
-                reason: "trace_unavailable".into(),
-                detail: e,
-            })
-        }
-    };
-    let events = stream.events();
-    let batch_size = batch_size.max(1);
-    let total_batches = events.len().div_ceil(batch_size);
-    let ckpt = JobId(id).checkpoint_path(&inner.cfg.state_dir);
-
-    // Resume from the batch-boundary checkpoint when one survived; a
-    // truncated or corrupt file is discarded and the job recomputes from
-    // scratch — seeded determinism makes both roads produce identical
-    // bits.
-    let mut resumed_from = None;
-    let (mut next_batch, mut previous, mut rows, mut guard) = match read_checkpoint_file(&ckpt)
-        .ok()
-        .and_then(|payload| decode_update_ckpt(&payload).ok())
-    {
-        Some(state) => {
-            lock(&inner.counters).resumed += 1;
-            resumed_from = Some(state.0);
-            state
-        }
-        None => {
-            let _ = std::fs::remove_file(&ckpt);
-            let guard = GuardedUpdate::new(TriestFd::new(spec.seed, capacity), policy);
-            let previous = guard.estimate();
-            (0, previous, Vec::new(), guard)
-        }
-    };
-
-    let deadline = spec
-        .budget
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-
-    while next_batch < total_batches {
-        inner.set_state(id, JobState::Running { pass: next_batch });
-
-        if cancelled.load(Ordering::SeqCst) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(JobState::Failed {
-                reason: "cancelled".into(),
-                detail: format!("cancelled before batch {next_batch}"),
-            });
-        }
-        if evict.swap(false, Ordering::SeqCst) {
-            match encode_update_ckpt(next_batch, previous, &rows, &guard)
-                .map_err(adjstream_stream::FrameError::Io)
-                .and_then(|payload| write_checkpoint_file(&ckpt, &payload))
-            {
-                Ok(()) => {}
-                Err(e) => {
-                    return Segment::Terminal(JobState::Failed {
-                        reason: "checkpoint".into(),
-                        detail: e.to_string(),
-                    })
-                }
-            }
-            let draining = inner.draining.load(Ordering::SeqCst);
-            return Segment::Suspended {
-                pass: next_batch,
-                reason: if draining { "drain" } else { "preempted" }.into(),
-                requeue: !draining,
-            };
-        }
-
-        // Chaos: widen the batch with a delay (sliced so drain/evict
-        // during the sleep still suspends at this boundary).
-        let mut remaining = spec.chaos.delay_ms_per_pass;
-        while remaining > 0 {
-            let slice = remaining.min(10);
-            std::thread::sleep(Duration::from_millis(slice));
-            remaining -= slice;
-            if evict.load(Ordering::SeqCst) || cancelled.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        if cancelled.load(Ordering::SeqCst) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(JobState::Failed {
-                reason: "cancelled".into(),
-                detail: format!("cancelled before batch {next_batch}"),
-            });
-        }
-        if evict.swap(false, Ordering::SeqCst) {
-            match encode_update_ckpt(next_batch, previous, &rows, &guard)
-                .map_err(adjstream_stream::FrameError::Io)
-                .and_then(|payload| write_checkpoint_file(&ckpt, &payload))
-            {
-                Ok(()) => {}
-                Err(e) => {
-                    return Segment::Terminal(JobState::Failed {
-                        reason: "checkpoint".into(),
-                        detail: e.to_string(),
-                    })
-                }
-            }
-            let draining = inner.draining.load(Ordering::SeqCst);
-            return Segment::Suspended {
-                pass: next_batch,
-                reason: if draining { "drain" } else { "preempted" }.into(),
-                requeue: !draining,
-            };
-        }
-
-        // Chaos: simulated worker crash before this batch, caught by the
-        // pool's unwind barrier and mapped to `Failed{worker_panic}`.
-        if spec.chaos.panic_in_pass == Some(next_batch) {
-            panic!("chaos: injected worker panic before batch {next_batch}");
-        }
-
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(JobState::Failed {
-                reason: "deadline".into(),
-                detail: format!(
-                    "deadline of {} ms expired before batch {next_batch}",
-                    spec.budget.deadline_ms.unwrap_or(0)
-                ),
-            });
-        }
-
-        let start = next_batch * batch_size;
-        let chunk = &events[start..events.len().min(start + batch_size)];
-        let mut inserts = 0u64;
-        for ev in chunk {
-            if ev.op == adjstream_stream::update::UpdateOp::Insert {
-                inserts += 1;
-            }
-            // Under Strict the first invalid event is a typed terminal
-            // failure; Repair/Observe never return an error here.
-            if let Err(v) = guard.apply_event(ev) {
-                let _ = std::fs::remove_file(&ckpt);
-                return Segment::Terminal(JobState::Failed {
-                    reason: "guard_violation".into(),
-                    detail: v.to_string(),
-                });
-            }
-        }
-        if let Some(limit) = spec.budget.max_total_bytes {
-            let used = guard.space_bytes();
-            if used > limit {
-                let _ = std::fs::remove_file(&ckpt);
-                return Segment::Terminal(JobState::Failed {
-                    reason: "space_budget".into(),
-                    detail: format!("update state used {used} bytes, limit {limit}"),
-                });
-            }
-        }
-        let estimate = guard.estimate();
-        rows.push(BatchRow {
-            events: chunk.len() as u64,
-            inserts,
-            ts_end: chunk.last().map(|e| e.ts).unwrap_or(0),
-            estimate_bits: estimate.to_bits(),
-            delta_bits: (estimate - previous).to_bits(),
-        });
-        previous = estimate;
-        next_batch += 1;
-        lock(&inner.counters).update_batches += 1;
-
-        if next_batch < total_batches {
-            match encode_update_ckpt(next_batch, previous, &rows, &guard)
-                .map_err(adjstream_stream::FrameError::Io)
-                .and_then(|payload| write_checkpoint_file(&ckpt, &payload))
-            {
-                Ok(()) => {}
-                Err(e) => {
-                    return Segment::Terminal(JobState::Failed {
-                        reason: "checkpoint".into(),
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
-    }
-
-    let stats = guard.stats();
-    {
-        let mut c = lock(&inner.counters);
-        c.guard_detections += stats.detections as u64;
-        c.guard_dropped += stats.dropped as u64;
-    }
-    write_batches_sidecar(
-        &JobId(id).batches_path(&inner.cfg.state_dir),
-        JobId(id),
-        &spec.trace,
-        &rows,
-        &guard,
-    );
-    let estimate = guard.estimate();
-    Segment::Terminal(JobState::Done {
-        result: JobResult {
-            estimate,
-            estimate_bits: estimate.to_bits(),
-            survivors: 1,
-            repetitions: 1,
-            passes: total_batches,
-            resumed_from,
-        },
-    })
-}
-
-/// Map a batch-engine error onto the job's typed failure vocabulary.
-fn failure_from(e: &RunError) -> JobState {
-    let reason = match e {
-        RunError::DeadlineExceeded { .. } => "deadline",
-        RunError::SpaceBudgetExceeded { .. } => "space_budget",
-        RunError::Checkpoint { .. } => "checkpoint",
-        _ => "run_error",
-    };
-    JobState::Failed {
-        reason: reason.into(),
-        detail: e.to_string(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-/// Graph-sharded execution of a triangles job (`spec.shards > 1`): each
-/// repetition partitions the trace by list-owner vertex and runs the
-/// shard-mergeable three-pass estimator, one worker thread per shard,
-/// merging per-shard state at every pass boundary. The median over
-/// repetitions amplifies confidence exactly as in the unsharded path.
-///
-/// Sharded repetitions run to completion: cancellation is honored at
-/// repetition boundaries, and preemption/chaos hooks are not observed
-/// mid-pass (the per-repetition work is bounded, so the scheduler regains
-/// control quickly). `max_instance_bytes` is enforced against each
-/// repetition's merged peak: an over-budget repetition is quarantined,
-/// mirroring the batch engine's per-instance kill.
-fn run_sharded_triangles(
-    inner: &Arc<Inner>,
-    id: u64,
-    spec: &JobSpec,
-    trace: &ItemTrace,
-    cancelled: &AtomicBool,
-    budget: usize,
-) -> Segment {
-    let reps = repetitions_for_confidence(spec.delta);
-    let required = spec
-        .min_survivors
-        .unwrap_or_else(|| quorum(reps))
-        .clamp(1, reps);
-    let plan = ShardPlan::build(trace.items(), spec.shards);
-    let sink = Metrics::from_flag(spec.collect_metrics);
-    let mut runs: Vec<Option<f64>> = Vec::with_capacity(reps);
-    for i in 0..reps {
-        if cancelled.load(Ordering::SeqCst) {
-            return Segment::Terminal(JobState::Failed {
-                reason: "cancelled".into(),
-                detail: format!("cancelled before repetition {i}"),
-            });
-        }
-        inner.set_state(id, JobState::Running { pass: 0 });
-        let cfg = ShardedTriangleConfig {
-            seed: spec.seed.wrapping_add(i as u64),
-            edge_sampling: EdgeSampling::BottomK { k: budget },
-            pair_capacity: budget,
-        };
-        match run_sharded_hooked(
-            ShardedTriangle::new(cfg),
-            &plan,
-            trace.items(),
-            &sink,
-            |_| Ok(()),
-        ) {
-            Ok((out, report)) => {
-                let over = spec
-                    .budget
-                    .max_instance_bytes
-                    .is_some_and(|limit| report.peak_state_bytes > limit);
-                runs.push((!over).then_some(out.estimate));
-            }
-            Err(e) => {
-                return Segment::Terminal(JobState::Failed {
-                    reason: "shard_failed".into(),
-                    detail: e.to_string(),
-                });
-            }
-        }
-    }
-    if let Some(snap) = sink.snapshot() {
-        inner.absorb_metrics(&snap);
-    }
-    let survivors = runs.iter().flatten().count();
-    match median_of_survivors(&runs, required) {
-        Ok(report) => Segment::Terminal(JobState::Done {
-            result: JobResult {
-                estimate: report.median,
-                estimate_bits: report.median.to_bits(),
-                survivors,
-                repetitions: reps,
-                passes: 3,
-                resumed_from: None,
-            },
-        }),
-        Err(d) => Segment::Terminal(JobState::Degraded {
-            survivors: d.survivors,
-            required: d.required,
-        }),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_estimate<A, F, X>(
-    inner: &Arc<Inner>,
-    id: u64,
-    spec: &JobSpec,
-    trace: &ItemTrace,
-    evict: &AtomicBool,
-    cancelled: &AtomicBool,
-    _sample_budget: usize,
-    make: F,
-    extract: X,
-) -> Segment
-where
-    A: MultiPassAlgorithm + Checkpoint + Send,
-    A::Output: Send,
-    F: Fn(u64) -> A,
-    X: Fn(&A::Output) -> f64,
-{
-    let reps = repetitions_for_confidence(spec.delta);
-    let required = spec
-        .min_survivors
-        .unwrap_or_else(|| quorum(reps))
-        .clamp(1, reps);
-    let cfg = BatchConfig {
-        budget: Budget {
-            max_bytes_per_instance: spec.budget.max_instance_bytes,
-            max_total_bytes: spec.budget.max_total_bytes,
-            deadline: spec.budget.deadline_ms.map(Duration::from_millis),
-        },
-        metrics: spec.collect_metrics,
-        ..BatchConfig::with_threads(1)
-    };
-    let ckpt = JobId(id).checkpoint_path(&inner.cfg.state_dir);
-
-    // Restore from the job's checkpoint when one survived; a truncated or
-    // corrupt file is discarded and the job recomputes from scratch —
-    // seeded determinism makes both roads produce identical bits.
-    let mut job: BatchJob<A> = if ckpt.exists() {
-        match BatchJob::restore_from_file(&ckpt, &cfg) {
-            Ok(job) => {
-                lock(&inner.counters).resumed += 1;
-                job
-            }
-            Err(_) => {
-                let _ = std::fs::remove_file(&ckpt);
-                match BatchJob::new(
-                    (0..reps)
-                        .map(|i| make(spec.seed.wrapping_add(i as u64)))
-                        .collect(),
-                    &cfg,
-                ) {
-                    Ok(job) => job,
-                    Err(e) => return Segment::Terminal(failure_from(&e)),
-                }
-            }
-        }
-    } else {
-        match BatchJob::new(
-            (0..reps)
-                .map(|i| make(spec.seed.wrapping_add(i as u64)))
-                .collect(),
-            &cfg,
-        ) {
-            Ok(job) => job,
-            Err(e) => return Segment::Terminal(failure_from(&e)),
-        }
-    };
-
-    // The engine re-arms `Budget::deadline` per segment; this outer clock
-    // additionally covers chaos delays and suspension-free stretches.
-    let deadline = spec
-        .budget
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut generations = 0usize;
-
-    while !job.is_complete() {
-        let pass = job.completed_passes();
-        inner.set_state(id, JobState::Running { pass });
-
-        if cancelled.load(Ordering::SeqCst) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(JobState::Failed {
-                reason: "cancelled".into(),
-                detail: format!("cancelled before pass {pass}"),
-            });
-        }
-        if evict.swap(false, Ordering::SeqCst) {
-            if let Err(e) = job.write_checkpoint(&ckpt) {
-                return Segment::Terminal(failure_from(&e));
-            }
-            let draining = inner.draining.load(Ordering::SeqCst);
-            return Segment::Suspended {
-                pass,
-                reason: if draining { "drain" } else { "preempted" }.into(),
-                requeue: !draining,
-            };
-        }
-
-        // Chaos: widen the pass with a delay (sliced so drain/evict during
-        // the sleep still suspends at this boundary, not a pass later).
-        let mut remaining = spec.chaos.delay_ms_per_pass;
-        while remaining > 0 {
-            let slice = remaining.min(10);
-            std::thread::sleep(Duration::from_millis(slice));
-            remaining -= slice;
-            if evict.load(Ordering::SeqCst) || cancelled.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        if cancelled.load(Ordering::SeqCst) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(JobState::Failed {
-                reason: "cancelled".into(),
-                detail: format!("cancelled before pass {pass}"),
-            });
-        }
-        if evict.swap(false, Ordering::SeqCst) {
-            if let Err(e) = job.write_checkpoint(&ckpt) {
-                return Segment::Terminal(failure_from(&e));
-            }
-            let draining = inner.draining.load(Ordering::SeqCst);
-            return Segment::Suspended {
-                pass,
-                reason: if draining { "drain" } else { "preempted" }.into(),
-                requeue: !draining,
-            };
-        }
-
-        // Chaos: simulated worker crash, caught by the pool's unwind
-        // barrier and mapped to `Failed{worker_panic}`.
-        if spec.chaos.panic_in_pass == Some(pass) {
-            panic!("chaos: injected worker panic before pass {pass}");
-        }
-
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(JobState::Failed {
-                reason: "deadline".into(),
-                detail: format!(
-                    "deadline of {} ms expired before pass {pass}",
-                    spec.budget.deadline_ms.unwrap_or(0)
-                ),
-            });
-        }
-
-        if let Err(e) = job.run_pass(trace.items()) {
-            let _ = std::fs::remove_file(&ckpt);
-            return Segment::Terminal(failure_from(&e));
-        }
-        generations += 1;
-        job.set_source_generations(generations);
-
-        if !job.is_complete() {
-            if let Err(e) = job.write_checkpoint(&ckpt) {
-                return Segment::Terminal(failure_from(&e));
-            }
-        }
-    }
-
-    let resumed_from = job.resumed_from();
-    let out = job.finish();
-    if let Some(snap) = &out.report.metrics {
-        inner.absorb_metrics(snap);
-    }
-    let runs: Vec<Option<f64>> = out
-        .outputs
-        .iter()
-        .map(|o| o.as_ref().map(&extract))
-        .collect();
-    let survivors = runs.iter().flatten().count();
-    match median_of_survivors(&runs, required) {
-        Ok(report) => Segment::Terminal(JobState::Done {
-            result: JobResult {
-                estimate: report.median,
-                estimate_bits: report.median.to_bits(),
-                survivors,
-                repetitions: reps,
-                passes: out.report.passes,
-                resumed_from,
-            },
-        }),
-        Err(d) => Segment::Terminal(JobState::Degraded {
-            survivors: d.survivors,
-            required: d.required,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1670,5 +1552,91 @@ mod tests {
         assert!(matches!(s, JobState::Failed { ref reason, .. } if reason == "deadline"));
         let s = failure_from(&RunError::SpaceBudgetExceeded { used: 9, limit: 1 });
         assert!(matches!(s, JobState::Failed { ref reason, .. } if reason == "space_budget"));
+    }
+
+    /// The update checkpoint payload and the `.batches` sidecar are
+    /// on-disk formats: a resumed job reads the one an older daemon wrote.
+    /// Both are pinned to bytes recorded before the update job moved onto
+    /// the shared batch step (12 events, one dead delete repaired, batches
+    /// of 5, checkpoint taken after batch 1).
+    #[test]
+    fn update_checkpoint_and_sidecar_bytes_are_pinned() {
+        use adjstream_stream::update::UpdateEvent as E;
+        let events = [
+            E::insert(0, 1, 1),
+            E::insert(0, 2, 2),
+            E::insert(1, 2, 3),
+            E::insert(0, 3, 4),
+            E::insert(1, 3, 5),
+            E::delete(5, 6, 6),
+            E::insert(2, 3, 7),
+            E::delete(0, 1, 8),
+            E::insert(0, 1, 9),
+            E::insert(1, 4, 10),
+            E::insert(2, 4, 11),
+            E::insert(0, 4, 12),
+        ];
+        let guard = GuardedUpdate::new(TriestFd::new(7, 4), adjstream_stream::GuardPolicy::Repair);
+        let mut units = BatchUnits {
+            events: &events,
+            batch_size: 5,
+            previous: guard.estimate(),
+            rows: Vec::new(),
+            guard,
+        };
+        let want_ckpt = [
+            "0200000000000000000000000080214002000000000000000500000000000000",
+            "0500000000000000050000000000000000000000000000000000000000000000",
+            "050000000000000003000000000000000a000000000000000000000000802140",
+            "000000000080214001010a000000000000000a000000000000000a0000000000",
+            "0000010000000000000000000000000000000100000000000000000000000000",
+            "0000010000000000000000000000000000000700000000000000010000000000",
+            "0000020000000000000003000000000000000200000001000000030000000100",
+            "0000040000000100000003000000020000000400000000000000070000000000",
+            "000000000000000000000000000000000000010000000000000085e8befb58da",
+            "4cb5040000000000000003000000000000000200000000000000020000000100",
+            "00000300000002000000",
+        ]
+        .concat();
+        for batch in 0..3 {
+            if batch == 2 {
+                let payload = units.payload().unwrap();
+                let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+                assert_eq!(hex, want_ckpt, "update checkpoint payload");
+                let restored = BatchUnits::restore(&payload, &events, 5).unwrap();
+                assert_eq!(restored.payload().unwrap(), payload, "restore round-trips");
+                assert_eq!(restored.rows, units.rows);
+            }
+            let chunk = &events[batch * 5..events.len().min(batch * 5 + 5)];
+            let row =
+                apply_update_batch(&mut units.guard, batch, chunk, units.previous, |g, ev| {
+                    g.apply_event(ev)
+                })
+                .unwrap();
+            units.previous = row.estimate;
+            units.rows.push(row);
+        }
+        let path = std::env::temp_dir().join(format!("pinned-{}.batches", std::process::id()));
+        write_batches_sidecar(&path, JobId(42), "dyn", &units.rows, &units.guard);
+        let sidecar = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(sidecar, "{\"id\":\"000000000000002a\",\"trace\":\"dyn\",\"policy\":\"repair\",\"batches\":[{\"batch\":0,\"events\":5,\"inserts\":5,\"deletes\":0,\"ts_end\":5,\"estimate_bits\":\"0000000000000000\",\"delta_bits\":\"0000000000000000\"},{\"batch\":1,\"events\":5,\"inserts\":3,\"deletes\":2,\"ts_end\":10,\"estimate_bits\":\"4021800000000000\",\"delta_bits\":\"4021800000000000\"},{\"batch\":2,\"events\":2,\"inserts\":2,\"deletes\":0,\"ts_end\":12,\"estimate_bits\":\"0000000000000000\",\"delta_bits\":\"c021800000000000\"}],\"guard\":{\"events\":12,\"detections\":1,\"duplicate_inserts\":0,\"dead_deletes\":1,\"ts_regressions\":0,\"dropped\":1,\"repaired_ts\":0}}\n", ".batches sidecar");
+    }
+
+    #[test]
+    fn sharded_checkpoint_round_trips_and_rejects_overlong_cursors() {
+        let runs = [Some(1.5), None, Some(-0.0)];
+        let payload = encode_runs(&runs).unwrap();
+        let back = decode_runs(&payload, 3).unwrap();
+        let bits = |r: &[Option<f64>]| r.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&runs));
+        assert!(
+            decode_runs(&payload, 2).is_err(),
+            "more runs than repetitions"
+        );
+        assert!(
+            decode_runs(&payload[..payload.len() - 1], 3).is_err(),
+            "truncated"
+        );
     }
 }

@@ -222,35 +222,46 @@ fn injected_worker_panic_maps_to_typed_failure() {
     assert_eq!(counters.completed, 1);
 }
 
+/// The unsharded job and the graph-sharded one (`shards > 1`) cross the
+/// same job boundaries, so the boundary tests run both.
+const SHARDINGS: [&str; 2] = ["", ",\"shards\":2"];
+
 #[test]
 fn deadline_expiry_maps_to_typed_failure() {
     let (handle, socket) = start("deadline", |cfg| cfg.workers = 1);
-    let reply = submit(
-        &socket,
-        &format!(
-            ",\"seed\":{},\"delay_ms_per_pass\":200,\"deadline_ms\":50",
-            chaos_seed(20)
-        ),
-    );
-    let settled = wait_terminal(&socket, &job_id(&reply));
-    assert_eq!(settled.str_field("state"), Some("failed"), "{settled}");
-    assert_eq!(settled.str_field("reason"), Some("deadline"), "{settled}");
+    for shards in SHARDINGS {
+        let reply = submit(
+            &socket,
+            &format!(
+                ",\"seed\":{},\"delay_ms_per_pass\":200,\"deadline_ms\":50{shards}",
+                chaos_seed(20)
+            ),
+        );
+        let settled = wait_terminal(&socket, &job_id(&reply));
+        assert_eq!(settled.str_field("state"), Some("failed"), "{settled}");
+        assert_eq!(settled.str_field("reason"), Some("deadline"), "{settled}");
+    }
     handle.shutdown();
 }
 
 #[test]
 fn cancel_maps_to_typed_failure() {
     let (handle, socket) = start("cancel", |cfg| cfg.workers = 1);
-    let reply = submit(
-        &socket,
-        &format!(",\"seed\":{},\"delay_ms_per_pass\":400", chaos_seed(30)),
-    );
-    let id = job_id(&reply);
-    let reply = req(&socket, &format!("{{\"op\":\"cancel\",\"id\":\"{id}\"}}"));
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-    let settled = wait_terminal(&socket, &id);
-    assert_eq!(settled.str_field("state"), Some("failed"), "{settled}");
-    assert_eq!(settled.str_field("reason"), Some("cancelled"), "{settled}");
+    for shards in SHARDINGS {
+        let reply = submit(
+            &socket,
+            &format!(
+                ",\"seed\":{},\"delay_ms_per_pass\":400{shards}",
+                chaos_seed(30)
+            ),
+        );
+        let id = job_id(&reply);
+        let reply = req(&socket, &format!("{{\"op\":\"cancel\",\"id\":\"{id}\"}}"));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        let settled = wait_terminal(&socket, &id);
+        assert_eq!(settled.str_field("state"), Some("failed"), "{settled}");
+        assert_eq!(settled.str_field("reason"), Some("cancelled"), "{settled}");
+    }
     handle.shutdown();
 }
 
@@ -319,87 +330,98 @@ fn preemption_suspends_and_resumes_lower_priority_work() {
 
 #[test]
 fn drain_restart_resumes_bit_identical_and_truncation_recomputes() {
-    // Uninterrupted baseline for this (trace, seed, t_lower) triple.
-    let seed = chaos_seed(60);
-    let (handle, socket) = start("ckpt-base", |cfg| cfg.workers = 1);
-    let reply = submit(&socket, &format!(",\"seed\":{seed}"));
-    let baseline = estimate_bits(&wait_terminal(&socket, &job_id(&reply)));
-    handle.shutdown();
+    for shards in SHARDINGS {
+        // Uninterrupted baseline for this (trace, seed, t_lower) triple.
+        let seed = chaos_seed(60);
+        let (handle, socket) = start("ckpt-base", |cfg| cfg.workers = 1);
+        let reply = submit(&socket, &format!(",\"seed\":{seed}{shards}"));
+        let baseline = estimate_bits(&wait_terminal(&socket, &job_id(&reply)));
+        handle.shutdown();
 
-    // Interrupted run: drain once the pass-boundary checkpoint exists.
-    let (handle, socket) = start("ckpt", |cfg| cfg.workers = 1);
-    let dir = socket.parent().unwrap().to_path_buf();
-    let reply = submit(
-        &socket,
-        &format!(",\"seed\":{seed},\"delay_ms_per_pass\":300"),
-    );
-    let id = job_id(&reply);
-    let ckpt = dir.join(format!("job-{id}.ckpt"));
-    let start = Instant::now();
-    while !ckpt.exists() {
-        assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "boundary checkpoint never appeared"
+        // Interrupted run: drain once the pass-boundary checkpoint exists.
+        let (handle, socket) = start("ckpt", |cfg| cfg.workers = 1);
+        let dir = socket.parent().unwrap().to_path_buf();
+        let reply = submit(
+            &socket,
+            &format!(",\"seed\":{seed},\"delay_ms_per_pass\":300{shards}"),
         );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let counters = handle.shutdown();
-    assert!(
-        counters.suspended >= 1,
-        "drain suspended nothing: {counters:?}"
-    );
-
-    // Restart: recovery requeues the suspended job; the resumed estimate
-    // must be bit-for-bit the uninterrupted one.
-    let mut cfg = ServiceConfig::at(&dir);
-    cfg.workers = 1;
-    let socket = cfg.socket.clone();
-    let handle = Server::start(cfg).unwrap();
-    let resumed = wait_terminal(&socket, &id);
-    assert_eq!(resumed.str_field("state"), Some("done"), "{resumed}");
-    assert_eq!(estimate_bits(&resumed), baseline, "resume diverged");
-    let counters = handle.counters();
-    assert_eq!(counters.recovered, 1);
-    assert_eq!(counters.resumed, 1);
-
-    // Now corrupt a checkpoint: drain another job mid-flight, truncate its
-    // checkpoint, and restart. The damaged file must be discarded and the
-    // job recomputed from scratch — same bits, no resume.
-    let reply = submit(
-        &socket,
-        &format!(",\"seed\":{seed},\"delay_ms_per_pass\":300"),
-    );
-    let id2 = job_id(&reply);
-    let ckpt2 = dir.join(format!("job-{id2}.ckpt"));
-    let start = Instant::now();
-    while !ckpt2.exists() {
+        let id = job_id(&reply);
+        let ckpt = dir.join(format!("job-{id}.ckpt"));
+        let start = Instant::now();
+        while !ckpt.exists() {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "boundary checkpoint never appeared"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let counters = handle.shutdown();
         assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "second boundary checkpoint never appeared"
+            counters.suspended >= 1,
+            "drain suspended nothing: {counters:?}"
         );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    handle.shutdown();
-    let bytes = std::fs::read(&ckpt2).unwrap();
-    std::fs::write(&ckpt2, &bytes[..bytes.len() / 2]).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(format!("job-{id}.json"))).unwrap();
+        let manifest = parse(&manifest).expect("manifests are JSON");
+        assert_eq!(manifest.str_field("state"), Some("suspended"), "{manifest}");
+        assert_eq!(manifest.str_field("reason"), Some("drain"), "{manifest}");
 
-    let mut cfg = ServiceConfig::at(&dir);
-    cfg.workers = 1;
-    let socket = cfg.socket.clone();
-    let handle = Server::start(cfg).unwrap();
-    let recomputed = wait_terminal(&socket, &id2);
-    assert_eq!(recomputed.str_field("state"), Some("done"), "{recomputed}");
-    assert_eq!(estimate_bits(&recomputed), baseline, "recompute diverged");
-    let resumed_from = recomputed
-        .get("result")
-        .and_then(|r| r.get("resumed_from"))
-        .cloned();
-    assert_eq!(
-        resumed_from,
-        Some(Json::Null),
-        "a truncated checkpoint must not be resumed from"
-    );
-    handle.shutdown();
+        // Restart: recovery requeues the suspended job; the resumed estimate
+        // must be bit-for-bit the uninterrupted one.
+        let mut cfg = ServiceConfig::at(&dir);
+        cfg.workers = 1;
+        let socket = cfg.socket.clone();
+        let handle = Server::start(cfg).unwrap();
+        let resumed = wait_terminal(&socket, &id);
+        assert_eq!(resumed.str_field("state"), Some("done"), "{resumed}");
+        assert_eq!(estimate_bits(&resumed), baseline, "resume diverged");
+        let resumed_from = resumed.get("result").and_then(|r| r.get("resumed_from"));
+        assert!(
+            resumed_from.and_then(Json::as_u64).is_some(),
+            "the drained job resumes from its checkpoint: {resumed}"
+        );
+        let counters = handle.counters();
+        assert_eq!(counters.recovered, 1);
+        assert_eq!(counters.resumed, 1);
+
+        // Now corrupt a checkpoint: drain another job mid-flight, truncate its
+        // checkpoint, and restart. The damaged file must be discarded and the
+        // job recomputed from scratch — same bits, no resume.
+        let reply = submit(
+            &socket,
+            &format!(",\"seed\":{seed},\"delay_ms_per_pass\":300{shards}"),
+        );
+        let id2 = job_id(&reply);
+        let ckpt2 = dir.join(format!("job-{id2}.ckpt"));
+        let start = Instant::now();
+        while !ckpt2.exists() {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "second boundary checkpoint never appeared"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        handle.shutdown();
+        let bytes = std::fs::read(&ckpt2).unwrap();
+        std::fs::write(&ckpt2, &bytes[..bytes.len() / 2]).unwrap();
+
+        let mut cfg = ServiceConfig::at(&dir);
+        cfg.workers = 1;
+        let socket = cfg.socket.clone();
+        let handle = Server::start(cfg).unwrap();
+        let recomputed = wait_terminal(&socket, &id2);
+        assert_eq!(recomputed.str_field("state"), Some("done"), "{recomputed}");
+        assert_eq!(estimate_bits(&recomputed), baseline, "recompute diverged");
+        let resumed_from = recomputed
+            .get("result")
+            .and_then(|r| r.get("resumed_from"))
+            .cloned();
+        assert_eq!(
+            resumed_from,
+            Some(Json::Null),
+            "a truncated checkpoint must not be resumed from"
+        );
+        handle.shutdown();
+    }
 }
 
 #[test]

@@ -302,14 +302,20 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
         Ok(())
     }
 
-    fn observe_validator_peak(&mut self) {
+    /// The guard's own state: validator, quarantine set and order
+    /// fingerprint.
+    fn validator_bytes(&self) -> usize {
         let fp = match &self.fingerprint {
             OrderFingerprint::Off | OrderFingerprint::Rolling { .. } => 16,
             OrderFingerprint::Exact { owners, .. } => {
                 owners.len() * std::mem::size_of::<VertexId>()
             }
         };
-        let bytes = self.validator.space_bytes() + hashset_bytes(&self.quarantined) + fp;
+        self.validator.space_bytes() + hashset_bytes(&self.quarantined) + fp
+    }
+
+    fn observe_validator_peak(&mut self) {
+        let bytes = self.validator_bytes();
         self.stats.validator_peak_bytes = self.stats.validator_peak_bytes.max(bytes);
     }
 
@@ -387,16 +393,7 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
 
 impl<A: MultiPassAlgorithm> SpaceUsage for Guarded<A> {
     fn space_bytes(&self) -> usize {
-        let fp = match &self.fingerprint {
-            OrderFingerprint::Off | OrderFingerprint::Rolling { .. } => 16,
-            OrderFingerprint::Exact { owners, .. } => {
-                owners.len() * std::mem::size_of::<VertexId>()
-            }
-        };
-        self.inner.space_bytes()
-            + self.validator.space_bytes()
-            + hashset_bytes(&self.quarantined)
-            + fp
+        self.inner.space_bytes() + self.validator_bytes()
     }
 }
 

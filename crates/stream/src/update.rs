@@ -386,7 +386,7 @@ pub trait UpdateAlgorithm: SpaceUsage {
     }
 }
 
-/// One batch boundary of a [`run_update_batches`] drive.
+/// One batch boundary of a batched update drive ([`apply_update_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateBatchReport {
     /// 0-based batch index.
@@ -419,6 +419,36 @@ pub struct UpdateRunReport {
     pub peak_state_bytes: usize,
 }
 
+/// Apply `events` — batch number `batch` — to `algo` through `apply`,
+/// then read the estimate and measure it against `previous`, the estimate
+/// at the last boundary. This is the one batch step every batched driver
+/// takes: [`run_update_batches`],
+/// [`run_guarded_updates`](crate::update_guard::run_guarded_updates) and
+/// the daemon's update job. An error from `apply` aborts the batch.
+pub fn apply_update_batch<A: UpdateAlgorithm, E>(
+    algo: &mut A,
+    batch: usize,
+    events: &[UpdateEvent],
+    previous: f64,
+    mut apply: impl FnMut(&mut A, &UpdateEvent) -> Result<(), E>,
+) -> Result<UpdateBatchReport, E> {
+    let mut inserts = 0usize;
+    for ev in events {
+        inserts += usize::from(ev.op == UpdateOp::Insert);
+        apply(algo, ev)?;
+    }
+    let estimate = algo.estimate();
+    Ok(UpdateBatchReport {
+        batch,
+        events: events.len(),
+        inserts,
+        deletes: events.len() - inserts,
+        ts_end: events.last().map_or(0, |e| e.ts),
+        estimate,
+        delta: estimate - previous,
+    })
+}
+
 /// Drive `algo` over `stream` in contiguous batches of `batch_size`
 /// events, querying the estimate at every batch boundary. The algorithm is
 /// taken by `&mut` so callers can keep interrogating (or cross-checking)
@@ -433,25 +463,14 @@ pub fn run_update_batches<A: UpdateAlgorithm>(
     let mut previous = algo.estimate();
     let mut batches = Vec::new();
     for (batch, events) in stream.batches(batch_size).enumerate() {
-        let mut inserts = 0usize;
-        for ev in events {
-            if ev.op == UpdateOp::Insert {
-                inserts += 1;
-            }
-            algo.apply(ev);
-        }
+        let report = apply_update_batch(algo, batch, events, previous, |a, ev| {
+            a.apply(ev);
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {});
         peak.observe(algo.space_bytes());
-        let estimate = algo.estimate();
-        batches.push(UpdateBatchReport {
-            batch,
-            events: events.len(),
-            inserts,
-            deletes: events.len() - inserts,
-            ts_end: events.last().expect("chunks are non-empty").ts,
-            estimate,
-            delta: estimate - previous,
-        });
-        previous = estimate;
+        previous = report.estimate;
+        batches.push(report);
     }
     UpdateRunReport {
         batches,

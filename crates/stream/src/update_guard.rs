@@ -34,7 +34,7 @@ use crate::checkpoint::{
 use crate::guard::GuardPolicy;
 use crate::hashing::FastSet;
 use crate::meter::{PeakTracker, SpaceUsage};
-use crate::update::{UpdateAlgorithm, UpdateBatchReport, UpdateEvent, UpdateOp, UpdateRunReport};
+use crate::update::{apply_update_batch, UpdateAlgorithm, UpdateEvent, UpdateOp, UpdateRunReport};
 
 /// A violation of update-stream semantics, with the event position where
 /// it was detected.
@@ -424,25 +424,10 @@ pub fn run_guarded_updates<A: UpdateAlgorithm>(
     let mut previous = guard.estimate();
     let mut batches = Vec::new();
     for (batch, chunk) in events.chunks(batch_size.max(1)).enumerate() {
-        let mut inserts = 0usize;
-        for ev in chunk {
-            if ev.op == UpdateOp::Insert {
-                inserts += 1;
-            }
-            guard.apply_event(ev)?;
-        }
+        let report = apply_update_batch(guard, batch, chunk, previous, |g, ev| g.apply_event(ev))?;
         peak.observe(guard.space_bytes());
-        let estimate = guard.estimate();
-        batches.push(UpdateBatchReport {
-            batch,
-            events: chunk.len(),
-            inserts,
-            deletes: chunk.len() - inserts,
-            ts_end: chunk.last().expect("chunks are non-empty").ts,
-            estimate,
-            delta: estimate - previous,
-        });
-        previous = estimate;
+        previous = report.estimate;
+        batches.push(report);
     }
     Ok(UpdateRunReport {
         batches,
