@@ -2,7 +2,7 @@
 //!
 //! Registration validates the trace eagerly and records its dimensions
 //! *and kind*: a static `.adjb` adjacency-list trace (model conformance
-//! via [`ItemTrace::read`]) or a dynamic `.adjbu` update trace (semantic
+//! via [`ItemTrace::from_bytes`]) or a dynamic `.adjbu` update trace (semantic
 //! validation via [`read_updates`](adjstream_stream::read_updates)'s sniffing decoder). Jobs then refer
 //! to traces by name, so a submission against a missing, since-deleted,
 //! or wrong-kind trace is a typed rejection rather than a worker-side
@@ -113,7 +113,7 @@ fn classify(bytes: &[u8]) -> Result<(TraceKind, usize, usize), CatalogError> {
             parse_update_bytes(bytes).map_err(|e| CatalogError::InvalidTrace(e.to_string()))?;
         return Ok((TraceKind::Update, stream.final_edges().len(), stream.len()));
     }
-    match ItemTrace::read(bytes) {
+    match ItemTrace::from_bytes(bytes) {
         Ok(trace) => Ok((TraceKind::Static, trace.edges(), trace.len())),
         Err(static_err) => match UpdateStream::parse_text(&String::from_utf8_lossy(bytes)) {
             Ok(stream) => Ok((TraceKind::Update, stream.final_edges().len(), stream.len())),
@@ -275,9 +275,9 @@ impl Catalog {
                 "trace {name:?} is an update trace, not a static item trace"
             ));
         }
-        let file = std::fs::File::open(&entry.path)
-            .map_err(|e| format!("{}: {e}", entry.path.display()))?;
-        ItemTrace::read(std::io::BufReader::new(file)).map_err(|e| e.to_string())
+        let bytes =
+            std::fs::read(&entry.path).map_err(|e| format!("{}: {e}", entry.path.display()))?;
+        ItemTrace::from_bytes(&bytes).map_err(|e| e.to_string())
     }
 
     /// Load the events of a registered *update* trace from disk,

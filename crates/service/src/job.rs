@@ -186,7 +186,7 @@ impl Default for JobSpec {
 /// Result payload of a finished estimation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
-    /// The median estimate. For `Validate` jobs, the item count.
+    /// The median estimate. For `Validate` jobs, the edge count.
     pub estimate: f64,
     /// Exact bit pattern of `estimate` — the chaos and recovery tests
     /// compare this, so "bit-for-bit" is literal.

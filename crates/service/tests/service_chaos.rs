@@ -450,3 +450,19 @@ fn sharded_triangle_jobs_are_shard_count_invariant() {
     assert_eq!(bits[1], bits[2], "4 shards vs 8 shards");
     handle.shutdown();
 }
+
+#[test]
+fn validate_jobs_report_the_certified_edge_count() {
+    let (handle, socket) = start("validate", |cfg| cfg.workers = 1);
+    let g = gen::disjoint_cliques(4, 6);
+    let edges = g.edge_count();
+    let reply = submit(&socket, ",\"kind\":\"validate\"");
+    let done = wait_terminal(&socket, &job_id(&reply));
+    assert_eq!(done.str_field("state"), Some("done"), "{done}");
+    assert_eq!(
+        estimate_bits(&done),
+        format!("{:016x}", (edges as f64).to_bits()),
+        "{done}"
+    );
+    handle.shutdown();
+}

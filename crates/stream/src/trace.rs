@@ -498,19 +498,25 @@ impl<F> RetryingSource<F> {
 
     /// Like [`Self::read_trace`]/[`Self::read_trace_unchecked`] but for openers
     /// yielding the source's complete bytes (e.g. `std::fs::read`): decode
-    /// happens in place via [`ItemTrace::from_bytes`], so a binary `.adjb`
-    /// source costs one exact-size byte buffer plus the item vector —
-    /// instead of the byte buffer, a second drain copy through the generic
-    /// reader path, *and* the item vector.
+    /// happens in place, as in [`ItemTrace::from_bytes`], so a binary
+    /// `.adjb` source costs one exact-size byte buffer plus the item vector
+    /// — instead of the byte buffer, a second drain copy through the
+    /// generic reader path, *and* the item vector. The bytes are dropped
+    /// before validation, so they are never alive next to the validator's
+    /// working memory.
     pub fn read_trace_bytes(self, validate: bool) -> Result<(ItemTrace, usize), RetryError>
     where
         F: FnMut() -> std::io::Result<Vec<u8>>,
     {
-        if validate {
-            self.run_attempts(|bytes: Vec<u8>| ItemTrace::from_bytes(&bytes))
-        } else {
-            self.run_attempts(|bytes: Vec<u8>| ItemTrace::from_bytes_unchecked(&bytes))
-        }
+        self.run_attempts(|bytes: Vec<u8>| {
+            let items = ItemTrace::parse_items_bytes(&bytes)?;
+            drop(bytes);
+            if validate {
+                ItemTrace::new(items).map_err(TraceError::Invalid)
+            } else {
+                Ok(ItemTrace::new_unchecked(items))
+            }
+        })
     }
 
     fn run_attempts<R>(
@@ -551,9 +557,10 @@ impl<F> RetryingSource<F> {
 /// CLI uses. `validate` selects promise validation on or off.
 ///
 /// The file is slurped with one exact-size `std::fs::read` per attempt and
-/// decoded in place through [`ItemTrace::from_bytes`]: binary `.adjb` files
-/// skip the generic reader drain that used to buffer the payload a second
-/// time before decoding.
+/// decoded in place, as [`ItemTrace::from_bytes`] does: binary `.adjb`
+/// files skip the generic reader drain that would buffer the payload a
+/// second time. The bytes are dropped before validation
+/// ([`RetryingSource::read_trace_bytes`]).
 pub fn read_trace_file_with_retry(
     path: &std::path::Path,
     policy: RetryPolicy,

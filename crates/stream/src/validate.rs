@@ -4,9 +4,13 @@
 //! reject malformed inputs rather than silently miscount on them. Two
 //! checkers enforce that promise:
 //!
-//! * [`validate_stream`] — the offline reference: buffers per-edge state for
-//!   the whole stream and reports the first violation. Used to certify test
-//!   inputs and as the ground truth the online checker is tested against.
+//! * [`validate_stream`] — the offline reference: runs the local checks in
+//!   stream order, then decides symmetry with one sort of packed canonical
+//!   edge keys (`min << 32 | max`), reporting the first violation by
+//!   position. Its working memory is 16 B per item (a directed and a
+//!   canonical `u64` key) and never scales with a vertex id. Used to
+//!   certify test inputs and as the ground truth the online checker is
+//!   tested against.
 //! * [`OnlineValidator`] — the incremental checker that runs *inside*
 //!   ingestion (see [`crate::guard::Guarded`]): items are fed one at a time,
 //!   each either accepted or rejected with a [`StreamError`], and the
@@ -25,7 +29,7 @@
 //! 3. no neighbor repeats within one list (simple graph),
 //! 4. each undirected edge appears exactly twice, once per direction.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use adjstream_graph::VertexId;
 
@@ -152,20 +156,28 @@ pub(crate) fn pack_edge(a: VertexId, b: VertexId) -> u64 {
 /// Validate an item sequence against the adjacency-list promise.
 ///
 /// Returns the number of undirected edges on success. This is the offline
-/// reference checker (it stores the full edge set); it certifies test inputs
-/// and serves as the ground truth for [`OnlineValidator`]'s exact mode,
-/// which must agree with it decision-for-decision.
+/// reference checker; it certifies test inputs and serves as the ground
+/// truth for [`OnlineValidator`]'s exact mode, which must agree with it
+/// decision-for-decision.
+///
+/// The local checks (self-loop, contiguity, within-list duplicates) run in
+/// stream order and stop at the first violation. Symmetry is then decided
+/// by one sort of canonical edge keys: once the local checks pass, every
+/// directed pair occurs at most once, so each canonical key must occur
+/// exactly twice. Working memory is two `u64` keys per item (16 B), plus
+/// one set entry per list owner and per neighbour of the current list;
+/// nothing is sized by a vertex id.
 pub fn validate_stream<I>(items: I) -> Result<usize, StreamError>
 where
     I: IntoIterator<Item = StreamItem>,
 {
-    // Per directed pair: index of first appearance. Per source: whether its
-    // list is finished.
-    let mut directed: HashMap<(u32, u32), usize> = HashMap::new();
-    let mut finished: HashSet<u32> = HashSet::new();
+    let items = items.into_iter();
+    // Stream-order directed keys `src << 32 | dst`.
+    let mut directed: Vec<u64> = Vec::with_capacity(items.size_hint().0);
+    let mut finished: FastSet<u32> = FastSet::default();
     let mut current: Option<VertexId> = None;
-    let mut current_seen: HashSet<u32> = HashSet::new();
-    for (position, it) in items.into_iter().enumerate() {
+    let mut current_seen: FastSet<u32> = FastSet::default();
+    for (position, it) in items.enumerate() {
         if it.src == it.dst {
             return Err(StreamError::SelfLoop {
                 vertex: it.src,
@@ -192,24 +204,41 @@ where
                 position,
             });
         }
-        directed.entry((it.src.0, it.dst.0)).or_insert(position);
+        directed.push((u64::from(it.src.0) << 32) | u64::from(it.dst.0));
     }
-    // Symmetry: each direction exactly once. (Within-list duplicates were
-    // already rejected, so counts are 0 or 1.) Report the unmatched
-    // direction that appeared *earliest* so the result is deterministic.
-    let mut earliest: Option<(usize, (u32, u32))> = None;
-    for (&(s, d), &pos) in directed.iter() {
-        if !directed.contains_key(&(d, s)) && earliest.is_none_or(|(p, _)| pos < p) {
-            earliest = Some((pos, (s, d)));
+    drop((finished, current_seen));
+
+    let canonical_of = |key: u64| pack_edge(VertexId((key >> 32) as u32), VertexId(key as u32));
+    let mut canonical: Vec<u64> = directed.iter().map(|&key| canonical_of(key)).collect();
+    canonical.sort_unstable();
+    // Compact the keys that occur once to the front, still sorted (a key
+    // never occurs three times: that would need a repeated direction).
+    let mut unmatched = 0;
+    let mut i = 0;
+    while i < canonical.len() {
+        if canonical.get(i + 1) == Some(&canonical[i]) {
+            i += 2;
+        } else {
+            canonical[unmatched] = canonical[i];
+            unmatched += 1;
+            i += 1;
         }
     }
-    if let Some((_, (s, d))) = earliest {
-        return Err(StreamError::MissingReverse {
-            src: VertexId(s),
-            dst: VertexId(d),
-        });
+    canonical.truncate(unmatched);
+    if canonical.is_empty() {
+        return Ok(directed.len() / 2);
     }
-    Ok(directed.len() / 2)
+    // Report the unmatched direction that appeared *earliest* so the
+    // result is deterministic.
+    let key = directed
+        .iter()
+        .copied()
+        .find(|&key| canonical.binary_search(&canonical_of(key)).is_ok())
+        .expect("an unmatched canonical key came from some item");
+    Err(StreamError::MissingReverse {
+        src: VertexId((key >> 32) as u32),
+        dst: VertexId(key as u32),
+    })
 }
 
 /// Which bookkeeping strategy an [`OnlineValidator`] uses.
@@ -593,6 +622,16 @@ mod tests {
             Err(StreamError::MissingReverse {
                 src: VertexId(0),
                 dst: VertexId(2)
+            })
+        );
+        // Position order, not canonical-key order: 5→9 (position 0, key
+        // {5, 9}) beats the later 7→2 (position 3, smaller key {2, 7}).
+        let items = vec![it(5, 9), it(5, 1), it(1, 5), it(7, 2)];
+        assert_eq!(
+            validate_stream(items),
+            Err(StreamError::MissingReverse {
+                src: VertexId(5),
+                dst: VertexId(9)
             })
         );
     }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use adjstream::algo::common::EdgeSampling;
 use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
-use adjstream::graph::{exact, gen, GraphBuilder};
+use adjstream::graph::{exact, gen, GraphBuilder, VertexId};
 use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{
     run_slice_passes, validate_online, validate_stream, AdjListStream, FaultKind, FaultPlan,
@@ -14,12 +14,37 @@ use adjstream::stream::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{RngExt, SeedableRng};
 
 fn stream_items(n: usize, m: usize, seed: u64) -> Vec<StreamItem> {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::gnm(n, m, &mut rng);
     AdjListStream::new(&g, StreamOrder::shuffled(n, seed ^ 0xF00D)).collect_items()
+}
+
+/// Relabel every vertex id through a seeded injective map into the full
+/// `u32` range, 0 and `u32::MAX` included, so that canonical edge-key
+/// order differs from both id order and stream position order.
+fn relabel_ids(items: &[StreamItem], seed: u64) -> Vec<StreamItem> {
+    let mut ids: Vec<u32> = items.iter().flat_map(|it| [it.src.0, it.dst.0]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut targets = vec![0, u32::MAX];
+    while targets.len() < ids.len() {
+        let t = rng.random::<u32>();
+        if !targets.contains(&t) {
+            targets.push(t);
+        }
+    }
+    targets.truncate(ids.len());
+    targets.shuffle(&mut rng);
+    let map: HashMap<u32, u32> = ids.into_iter().zip(targets).collect();
+    items
+        .iter()
+        .map(|it| StreamItem::new(VertexId(map[&it.src.0]), VertexId(map[&it.dst.0])))
+        .collect()
 }
 
 /// The stream-level fault kinds (everything except `ReorderPass`, which
@@ -47,6 +72,7 @@ proptest! {
         gseed in proptest::prelude::any::<u64>(),
         fseed in proptest::prelude::any::<u64>(),
         fault_ix in 0usize..8,
+        relabel in proptest::prelude::any::<bool>(),
     ) {
         let m = m_raw.min(n * (n - 1) / 2);
         let items = stream_items(n, m, gseed);
@@ -55,6 +81,11 @@ proptest! {
         let corrupted = match STREAM_FAULTS.get(fault_ix) {
             Some(&kind) => FaultPlan::new(fseed).with(kind, 1).apply(&items).items().to_vec(),
             None => items,
+        };
+        let corrupted = if relabel {
+            relabel_ids(&corrupted, gseed ^ fseed)
+        } else {
+            corrupted
         };
         let offline = validate_stream(corrupted.iter().copied());
         let mut v = OnlineValidator::exact();
