@@ -8,7 +8,7 @@ use adjstream_stream::checkpoint::{
     corrupt, read_u32, read_u64, read_usize, write_u32, write_u64, write_usize, Checkpoint,
 };
 use adjstream_stream::hashing::{FastMap, FastSet};
-use adjstream_stream::meter::{hashmap_bytes, SpaceUsage};
+use adjstream_stream::meter::{hashmap_bytes, vec_bytes, SpaceUsage};
 use adjstream_stream::obs::ObsCounters;
 
 /// How the first-pass edge sample `S` is drawn (DESIGN.md §2).
@@ -73,21 +73,44 @@ where
 /// generalized to arbitrary vertex pairs (Section 4 watches wedge leaf pairs
 /// that need not be edges). Pairs are refcounted so several consumers can
 /// watch the same pair; completion is reported once per (pair, list).
+///
+/// Layout: a slot table. `slot_of` maps a packed pair to its slot in
+/// `slots`, which holds the pair's key, refcount and per-list hit epoch;
+/// `incident` lists, per vertex, the slots of the pairs containing it.
+/// [`PairWatcher::on_item`] makes one map probe per item and then indexes
+/// `slots` directly, so the completion flag is an array read, not a hash
+/// lookup. Completion order = incident order: completions fire in the
+/// order of the item's incident list, which grows by push on watch and
+/// shrinks by `swap_remove` on the last unwatch.
 #[derive(Debug, Default)]
 pub struct PairWatcher {
-    /// vertex → packed pairs containing it.
-    incident: FastMap<u32, Vec<u64>>,
+    /// packed pair → slot in `slots`.
+    slot_of: FastMap<u64, u32>,
+    /// Watched pairs by slot; a slot on `free` is stale until reused.
+    slots: Vec<Watched>,
+    /// Released slots, reused last-in first-out.
+    free: Vec<u32>,
+    /// vertex → slots of the pairs containing it, in completion order.
+    incident: FastMap<u32, Vec<u32>>,
     /// Bytes held by `incident`'s inner vectors, maintained incrementally.
     incident_vec_bytes: usize,
-    /// packed pair → number of watchers.
-    refcount: FastMap<u64, u32>,
-    /// packed pair → epoch of its last single hit.
-    hit_epoch: FastMap<u64, u32>,
     epoch: u32,
     /// Lifetime watch registrations (refcount acquisitions).
     watches_started: u64,
     /// Lifetime watch releases (refcount drops).
     watches_retired: u64,
+}
+
+/// One slot of the [`PairWatcher`] table.
+#[derive(Debug, Clone, Copy)]
+struct Watched {
+    /// The packed pair.
+    key: u64,
+    /// Number of watchers.
+    refs: u32,
+    /// Epoch of the pair's last single hit; completion when an endpoint
+    /// arrives while this equals the current list's epoch.
+    epoch: u32,
 }
 
 /// Pack an unordered vertex pair (canonical ascending).
@@ -111,37 +134,57 @@ impl PairWatcher {
 
     /// Begin watching the pair `{a, b}` (increments its refcount).
     pub fn watch(&mut self, a: VertexId, b: VertexId) {
+        use std::collections::hash_map::Entry;
         self.watches_started += 1;
         let key = pack_pair(a, b);
-        let rc = self.refcount.entry(key).or_insert(0);
-        *rc += 1;
-        if *rc == 1 {
-            let (lo, hi) = unpack_pair(key);
-            self.incident_vec_bytes += push_map_vec(&mut self.incident, lo.0, key, 8);
-            self.incident_vec_bytes += push_map_vec(&mut self.incident, hi.0, key, 8);
-        }
+        let entry = match self.slot_of.entry(key) {
+            Entry::Occupied(e) => {
+                self.slots[*e.get() as usize].refs += 1;
+                return;
+            }
+            Entry::Vacant(e) => e,
+        };
+        // An epoch unequal to the current one: the pair has not been hit in
+        // this list, even if its slot was released mid-list and reused.
+        let fresh = Watched {
+            key,
+            refs: 1,
+            epoch: self.epoch.wrapping_sub(1),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.slots.push(fresh);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 watched pairs")
+            }
+        };
+        entry.insert(slot);
+        let (lo, hi) = unpack_pair(key);
+        self.incident_vec_bytes += push_map_vec(&mut self.incident, lo.0, slot, 4);
+        self.incident_vec_bytes += push_map_vec(&mut self.incident, hi.0, slot, 4);
     }
 
     /// Stop one watch of `{a, b}`; fully unregisters at refcount zero.
     pub fn unwatch(&mut self, a: VertexId, b: VertexId) {
         self.watches_retired += 1;
         let key = pack_pair(a, b);
-        let rc = self
-            .refcount
-            .get_mut(&key)
-            .expect("unwatch of unwatched pair");
-        *rc -= 1;
-        if *rc == 0 {
-            self.refcount.remove(&key);
-            self.hit_epoch.remove(&key);
+        let slot = *self.slot_of.get(&key).expect("unwatch of unwatched pair");
+        let watched = &mut self.slots[slot as usize];
+        watched.refs -= 1;
+        if watched.refs == 0 {
+            self.slot_of.remove(&key);
+            self.free.push(slot);
             let (lo, hi) = unpack_pair(key);
             for v in [lo.0, hi.0] {
                 let list = self.incident.get_mut(&v).expect("incident list exists");
-                let pos = list.iter().position(|&p| p == key).expect("pair in list");
+                let pos = list.iter().position(|&s| s == slot).expect("pair in list");
                 list.swap_remove(pos);
                 if list.is_empty() {
                     let dead = self.incident.remove(&v).expect("just seen");
-                    self.incident_vec_bytes -= dead.capacity() * 8 + 24;
+                    self.incident_vec_bytes -= dead.capacity() * 4 + 24;
                 }
             }
         }
@@ -149,12 +192,12 @@ impl PairWatcher {
 
     /// Whether `{a, b}` is currently watched.
     pub fn is_watched(&self, a: VertexId, b: VertexId) -> bool {
-        self.refcount.contains_key(&pack_pair(a, b))
+        self.slot_of.contains_key(&pack_pair(a, b))
     }
 
     /// Number of distinct watched pairs.
     pub fn watched_pairs(&self) -> usize {
-        self.refcount.len()
+        self.slot_of.len()
     }
 
     /// Lifetime watch/unwatch counters, in [`ObsCounters`] shape (only the
@@ -176,22 +219,19 @@ impl PairWatcher {
     /// for every watched pair whose second endpoint this is (i.e. both
     /// endpoints now seen in the current list).
     pub fn on_item<F: FnMut(u64)>(&mut self, x: VertexId, mut completed: F) {
-        let Some(pairs) = self.incident.get(&x.0) else {
+        let Some(slots) = self.incident.get(&x.0) else {
             return;
         };
-        for &key in pairs {
-            match self.hit_epoch.get_mut(&key) {
-                Some(e) if *e == self.epoch => {
-                    // Second endpoint within the same list: completion.
-                    // Bump past the epoch so a (malformed) triple hit
-                    // wouldn't re-report; valid streams never do this.
-                    *e = self.epoch.wrapping_add(u32::MAX / 2);
-                    completed(key);
-                }
-                other => {
-                    let _ = other;
-                    self.hit_epoch.insert(key, self.epoch);
-                }
+        for &slot in slots {
+            let watched = &mut self.slots[slot as usize];
+            if watched.epoch == self.epoch {
+                // Second endpoint within the same list: completion. Bump
+                // past the epoch so a (malformed) triple hit wouldn't
+                // re-report; valid streams never do this.
+                watched.epoch = self.epoch.wrapping_add(u32::MAX / 2);
+                completed(watched.key);
+            } else {
+                watched.epoch = self.epoch;
             }
         }
     }
@@ -223,33 +263,34 @@ pub(crate) fn count_common_neighbors(a: &[u32], b: &[u32]) -> u64 {
 
 impl SpaceUsage for PairWatcher {
     fn space_bytes(&self) -> usize {
-        hashmap_bytes(&self.incident)
+        hashmap_bytes(&self.slot_of)
+            + vec_bytes(&self.slots)
+            + vec_bytes(&self.free)
+            + hashmap_bytes(&self.incident)
             + self.incident_vec_bytes
-            + hashmap_bytes(&self.refcount)
-            + hashmap_bytes(&self.hit_epoch)
     }
 }
 
-/// Pass-boundary serialization. The per-list hit state (`hit_epoch`,
-/// `epoch`) is deliberately *not* saved: at an adjacency-list boundary a
-/// stale hit is behaviorally identical to an absent one (the next
-/// `begin_list` bumps the epoch, so both paths insert the current epoch on
-/// the first sighting), and dropping it keeps the checkpoint free of
-/// mid-list state. The `incident` vectors are saved in order — completion
-/// callbacks fire in that order, which downstream reservoirs observe.
+/// Pass-boundary serialization, in pair keys rather than slot ids. The
+/// per-list hit epochs are deliberately *not* saved: at an adjacency-list
+/// boundary a stale hit is behaviorally identical to no hit (the next
+/// `begin_list` bumps the epoch, so both set the current epoch on the first
+/// sighting), and dropping them keeps the checkpoint free of mid-list
+/// state. The `incident` vectors are saved in order — completion callbacks
+/// fire in that order, which downstream reservoirs observe.
 impl Checkpoint for PairWatcher {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_usize(w, self.refcount.len())?;
-        for (&key, &rc) in &self.refcount {
+        write_usize(w, self.slot_of.len())?;
+        for (&key, &slot) in &self.slot_of {
             write_u64(w, key)?;
-            write_u32(w, rc)?;
+            write_u32(w, self.slots[slot as usize].refs)?;
         }
         write_usize(w, self.incident.len())?;
-        for (&v, keys) in &self.incident {
+        for (&v, slots) in &self.incident {
             write_u32(w, v)?;
-            write_usize(w, keys.len())?;
-            for &key in keys {
-                write_u64(w, key)?;
+            write_usize(w, slots.len())?;
+            for &slot in slots {
+                write_u64(w, self.slots[slot as usize].key)?;
             }
         }
         write_u64(w, self.watches_started)?;
@@ -257,43 +298,73 @@ impl Checkpoint for PairWatcher {
         Ok(())
     }
 
+    /// Rebuilds the slot table and checks the incident index: every watched
+    /// pair is listed exactly once under each of its endpoints and nowhere
+    /// else, so a later `unwatch` always finds what it removes.
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
         let n = read_usize(r)?;
-        let mut refcount = FastMap::default();
-        refcount.reserve(n.min(1 << 16));
+        let mut slot_of = FastMap::default();
+        slot_of.reserve(n.min(1 << 16));
+        let mut slots = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let key = read_u64(r)?;
-            let rc = read_u32(r)?;
-            if rc == 0 {
+            let refs = read_u32(r)?;
+            if refs == 0 {
                 return Err(corrupt("watched pair with zero refcount"));
             }
-            refcount.insert(key, rc);
+            let slot = u32::try_from(slots.len()).map_err(|_| corrupt("too many watched pairs"))?;
+            // A repeated key orphans its earlier slot, which the coverage
+            // check below then rejects.
+            slot_of.insert(key, slot);
+            slots.push(Watched {
+                key,
+                refs,
+                epoch: u32::MAX,
+            });
         }
+        // Per slot: bit 0 once listed under its low endpoint, bit 1 under
+        // its high one (a pair {v, v} is listed twice under v).
+        let mut listed = vec![0u8; slots.len()];
         let n = read_usize(r)?;
-        let mut incident: FastMap<u32, Vec<u64>> = FastMap::default();
+        let mut incident: FastMap<u32, Vec<u32>> = FastMap::default();
         incident.reserve(n.min(1 << 16));
         let mut incident_vec_bytes = 0usize;
-        let mut entries = 0usize;
         for _ in 0..n {
             let v = read_u32(r)?;
-            let keys = read_seq(r, |r| match read_u64(r)? {
-                key if refcount.contains_key(&key) => Ok(key),
-                _ => Err(corrupt("incident pair is not watched")),
+            let list = read_seq(r, |r| {
+                let key = read_u64(r)?;
+                let &slot = slot_of
+                    .get(&key)
+                    .ok_or_else(|| corrupt("incident pair is not watched"))?;
+                let (lo, hi) = unpack_pair(key);
+                let seen = &mut listed[slot as usize];
+                if v == lo.0 && *seen & 1 == 0 {
+                    *seen |= 1;
+                } else if v == hi.0 && *seen & 2 == 0 {
+                    *seen |= 2;
+                } else {
+                    return Err(corrupt(
+                        "incident pair listed twice or under a non-endpoint",
+                    ));
+                }
+                Ok(slot)
             })?;
-            entries += keys.len();
-            incident_vec_bytes += keys.capacity() * 8 + 24;
-            incident.insert(v, keys);
+            incident_vec_bytes += list.capacity() * 4 + 24;
+            if incident.insert(v, list).is_some() {
+                return Err(corrupt("vertex with two incident lists"));
+            }
         }
-        if entries != 2 * refcount.len() {
+        if listed.iter().any(|&seen| seen != 3) {
             return Err(corrupt("incident index does not cover the watched pairs"));
         }
         let watches_started = read_u64(r)?;
         let watches_retired = read_u64(r)?;
         Ok(PairWatcher {
+            slot_of,
+            slots,
+            free: Vec::new(),
             incident,
             incident_vec_bytes,
-            refcount,
-            hit_epoch: FastMap::default(),
             epoch: 0,
             watches_started,
             watches_retired,
@@ -402,7 +473,7 @@ mod tests {
     #[test]
     fn incremental_accounting_matches_rescan() {
         let rescan =
-            |w: &PairWatcher| -> usize { w.incident.values().map(|v| v.capacity() * 8 + 24).sum() };
+            |w: &PairWatcher| -> usize { w.incident.values().map(|v| v.capacity() * 4 + 24).sum() };
         let mut w = PairWatcher::new();
         // Shared vertices force inner vecs to grow past their first
         // allocation; refcounted duplicates exercise the no-op paths.
@@ -418,5 +489,249 @@ mod tests {
         }
         assert_eq!(w.incident_vec_bytes, 0);
         assert!(w.incident.is_empty());
+    }
+
+    /// A watcher checkpoint written field by field, so tests can craft
+    /// indexes that `save` never produces.
+    fn crafted(pairs: &[(u64, u32)], lists: &[(u32, &[u64])]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_usize(&mut buf, pairs.len()).unwrap();
+        for &(key, refs) in pairs {
+            write_u64(&mut buf, key).unwrap();
+            write_u32(&mut buf, refs).unwrap();
+        }
+        write_usize(&mut buf, lists.len()).unwrap();
+        for &(vertex, keys) in lists {
+            write_u32(&mut buf, vertex).unwrap();
+            write_usize(&mut buf, keys.len()).unwrap();
+            for &key in keys {
+                write_u64(&mut buf, key).unwrap();
+            }
+        }
+        write_u64(&mut buf, 0).unwrap();
+        write_u64(&mut buf, 0).unwrap();
+        buf
+    }
+
+    /// Each crafted index keeps `entries == 2 × pairs`, yet a later
+    /// `unwatch` would not find the list it must edit.
+    #[test]
+    fn restore_rejects_a_misplaced_or_duplicated_incident_entry() {
+        let k12 = pack_pair(v(1), v(2));
+        let k13 = pack_pair(v(1), v(3));
+        let sound = crafted(&[(k12, 1)], &[(1, &[k12]), (2, &[k12])]);
+        let mut w = PairWatcher::restore(&mut &sound[..]).expect("sound index");
+        w.unwatch(v(1), v(2));
+        assert_eq!(w.watched_pairs(), 0);
+
+        let misplaced = crafted(&[(k12, 1)], &[(1, &[k12]), (3, &[k12])]);
+        let duplicated = crafted(&[(k12, 1), (k13, 1)], &[(1, &[k12, k12, k13]), (3, &[k13])]);
+        let split = crafted(
+            &[(k12, 1), (k13, 1)],
+            &[(1, &[k12]), (1, &[k13]), (2, &[k12]), (3, &[k13])],
+        );
+        let twice = crafted(&[(k12, 1), (k12, 2)], &[(1, &[k12]), (2, &[k12])]);
+        for (name, bytes) in [
+            ("misplaced", misplaced),
+            ("duplicated", duplicated),
+            ("split", split),
+            ("twice", twice),
+        ] {
+            let err = PairWatcher::restore(&mut &bytes[..])
+                .err()
+                .unwrap_or_else(|| panic!("{name}: crafted index must be rejected"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+        }
+    }
+
+    /// The map-based watcher the slot table replaced, kept as the reference
+    /// model: a refcount map, a hit-epoch map, and incident lists of keys.
+    #[derive(Default)]
+    struct MapWatcher {
+        incident: FastMap<u32, Vec<u64>>,
+        refcount: FastMap<u64, u32>,
+        hit_epoch: FastMap<u64, u32>,
+        epoch: u32,
+        watches_started: u64,
+        watches_retired: u64,
+    }
+
+    impl MapWatcher {
+        fn watch(&mut self, key: u64) {
+            self.watches_started += 1;
+            let rc = self.refcount.entry(key).or_insert(0);
+            *rc += 1;
+            if *rc == 1 {
+                let (lo, hi) = unpack_pair(key);
+                self.incident.entry(lo.0).or_default().push(key);
+                self.incident.entry(hi.0).or_default().push(key);
+            }
+        }
+
+        fn unwatch(&mut self, key: u64) {
+            self.watches_retired += 1;
+            let rc = self.refcount.get_mut(&key).expect("watched");
+            *rc -= 1;
+            if *rc == 0 {
+                self.refcount.remove(&key);
+                self.hit_epoch.remove(&key);
+                let (lo, hi) = unpack_pair(key);
+                for v in [lo.0, hi.0] {
+                    let list = self.incident.get_mut(&v).expect("incident list exists");
+                    let pos = list.iter().position(|&p| p == key).expect("pair in list");
+                    list.swap_remove(pos);
+                    if list.is_empty() {
+                        self.incident.remove(&v);
+                    }
+                }
+            }
+        }
+
+        fn on_item(&mut self, x: u32, completed: &mut Vec<u64>) {
+            let Some(pairs) = self.incident.get(&x) else {
+                return;
+            };
+            for &key in pairs {
+                match self.hit_epoch.get_mut(&key) {
+                    Some(e) if *e == self.epoch => {
+                        *e = self.epoch.wrapping_add(u32::MAX / 2);
+                        completed.push(key);
+                    }
+                    _ => {
+                        self.hit_epoch.insert(key, self.epoch);
+                    }
+                }
+            }
+        }
+
+        fn save(&self) -> Vec<u8> {
+            let mut w = Vec::new();
+            write_usize(&mut w, self.refcount.len()).unwrap();
+            for (&key, &rc) in &self.refcount {
+                write_u64(&mut w, key).unwrap();
+                write_u32(&mut w, rc).unwrap();
+            }
+            write_usize(&mut w, self.incident.len()).unwrap();
+            for (&v, keys) in &self.incident {
+                write_u32(&mut w, v).unwrap();
+                write_usize(&mut w, keys.len()).unwrap();
+                for &key in keys {
+                    write_u64(&mut w, key).unwrap();
+                }
+            }
+            write_u64(&mut w, self.watches_started).unwrap();
+            write_u64(&mut w, self.watches_retired).unwrap();
+            w
+        }
+
+        fn restore(r: &mut dyn Read) -> io::Result<Self> {
+            let n = read_usize(r)?;
+            let mut refcount = FastMap::default();
+            refcount.reserve(n.min(1 << 16));
+            for _ in 0..n {
+                let key = read_u64(r)?;
+                refcount.insert(key, read_u32(r)?);
+            }
+            let n = read_usize(r)?;
+            let mut incident = FastMap::default();
+            incident.reserve(n.min(1 << 16));
+            for _ in 0..n {
+                let v = read_u32(r)?;
+                incident.insert(v, read_seq(r, read_u64)?);
+            }
+            Ok(MapWatcher {
+                incident,
+                refcount,
+                hit_epoch: FastMap::default(),
+                epoch: 0,
+                watches_started: read_u64(r)?,
+                watches_retired: read_u64(r)?,
+            })
+        }
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Vertices drawn mostly from four hubs, so incident lists grow
+        /// long and most items visit many pairs.
+        fn vertex() -> impl Strategy<Value = u32> {
+            (0u32..48).prop_map(|x| if x < 36 { x % 4 } else { x })
+        }
+
+        /// A script of `(op, a, b)` steps; see the match in the test.
+        fn script() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
+            prop::collection::vec((0u8..12, vertex(), vertex()), 0..300)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn slot_table_matches_the_map_watcher(ops in script()) {
+                let mut slots = PairWatcher::new();
+                let mut model = MapWatcher::default();
+                // Live watches as a multiset, and the last pair released.
+                let mut live: Vec<u64> = Vec::new();
+                let mut released: Option<u64> = None;
+                for (step, &(op, a, b)) in ops.iter().enumerate() {
+                    match op {
+                        0 | 1 => {
+                            let key = pack_pair(v(a), v(b));
+                            slots.watch(v(a), v(b));
+                            model.watch(key);
+                            live.push(key);
+                        }
+                        2 | 3 if !live.is_empty() => {
+                            let key = live.swap_remove(a as usize % live.len());
+                            let (lo, hi) = unpack_pair(key);
+                            slots.unwatch(hi, lo);
+                            model.unwatch(key);
+                            released = Some(key);
+                        }
+                        // Re-watch a released pair, usually within the list
+                        // that saw one of its endpoints.
+                        4 => {
+                            if let Some(key) = released.take() {
+                                let (lo, hi) = unpack_pair(key);
+                                slots.watch(lo, hi);
+                                model.watch(key);
+                                live.push(key);
+                            }
+                        }
+                        5..=8 => {
+                            let mut got = Vec::new();
+                            slots.on_item(v(a), |k| got.push(k));
+                            let mut want = Vec::new();
+                            model.on_item(a, &mut want);
+                            prop_assert_eq!(got, want, "step {}: item {}", step, a);
+                        }
+                        10 => {
+                            let mut bytes = Vec::new();
+                            slots.save(&mut bytes).unwrap();
+                            prop_assert_eq!(bytes, model.save(), "step {}: save", step);
+                        }
+                        11 => {
+                            let mut bytes = Vec::new();
+                            slots.save(&mut bytes).unwrap();
+                            let want = model.save();
+                            prop_assert_eq!(&bytes, &want, "step {}: save", step);
+                            slots = PairWatcher::restore(&mut &bytes[..]).unwrap();
+                            model = MapWatcher::restore(&mut &want[..]).unwrap();
+                        }
+                        _ => {}
+                    }
+                    if op >= 9 {
+                        slots.begin_list();
+                        model.epoch = model.epoch.wrapping_add(1);
+                    }
+                    prop_assert_eq!(slots.watched_pairs(), model.refcount.len());
+                }
+                let mut bytes = Vec::new();
+                slots.save(&mut bytes).unwrap();
+                prop_assert_eq!(bytes, model.save());
+            }
+        }
     }
 }

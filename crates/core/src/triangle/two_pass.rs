@@ -217,22 +217,28 @@ impl TwoPassTriangle {
         let (a, b) = unpack_pair(e_key);
         self.watcher.unwatch(a, b);
         self.discovered -= info.discoveries;
-        // Destroy pairs discovered at this edge.
-        let victims: Vec<(u32, u32)> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.as_ref()
-                    .filter(|rec| rec.tri.slot_edge(0) == e_key)
-                    .map(|rec| (i as u32, rec.gen))
-            })
-            .collect();
-        for (s, g) in victims {
-            self.destroy(s, g);
-        }
+        // Destroy the pairs discovered at this edge: every live record
+        // monitors its slot-0 edge, so they are the live slot-0 entries of
+        // `monitors[e_key]`. Slab order keeps the free list and the
+        // watcher's `swap_remove`s as a full slab scan would leave them.
         let slab = &self.slab;
-        self.q.retain(|&(s, g)| live(slab, s, g).is_some());
+        let mut victims: Vec<(u32, u32)> =
+            self.monitors.get(&e_key).map_or_else(Vec::new, |refs| {
+                refs.iter()
+                    .filter(|&&(s, g, slot)| slot == 0 && live(slab, s, g).is_some())
+                    .map(|&(s, g, _)| (s, g))
+                    .collect()
+            });
+        if !victims.is_empty() {
+            victims.sort_unstable();
+            for (s, g) in victims {
+                self.destroy(s, g);
+            }
+            // Every live record is in `Q`, so only a destruction can leave
+            // a dead reference there.
+            let slab = &self.slab;
+            self.q.retain(|&(s, g)| live(slab, s, g).is_some());
+        }
         self.q.set_seen(self.discovered);
     }
 
@@ -769,12 +775,40 @@ mod tests {
         );
     }
 
+    /// Drive both passes of `algo` over `items` item by item, calling
+    /// `check` after every adjacency list and at the end of each pass.
+    fn drive_checked(
+        algo: &mut TwoPassTriangle,
+        items: &[StreamItem],
+        mut check: impl FnMut(&TwoPassTriangle, usize),
+    ) {
+        for pass in 0..2 {
+            algo.begin_pass(pass);
+            let mut current = None;
+            for it in items {
+                if current != Some(it.src) {
+                    if let Some(prev) = current {
+                        algo.end_list(prev);
+                        check(algo, pass);
+                    }
+                    algo.begin_list(it.src);
+                    current = Some(it.src);
+                }
+                algo.item(it.src, it.dst);
+            }
+            if let Some(prev) = current {
+                algo.end_list(prev);
+            }
+            algo.end_pass(pass);
+            check(algo, pass);
+        }
+    }
+
     /// The incremental monitor/activation byte counters must equal a full
     /// value rescan at every list boundary of a real run — otherwise the
     /// O(1) `space_bytes` would drift from the metered truth.
     #[test]
     fn incremental_accounting_matches_rescan_during_runs() {
-        use adjstream_stream::item::StreamItem;
         use adjstream_stream::AdjListStream;
 
         let mut rng = StdRng::seed_from_u64(11);
@@ -791,33 +825,49 @@ mod tests {
             let act: usize = a.activations.values().map(|v| v.capacity() * 12 + 24).sum();
             (mon, act)
         };
-        for pass in 0..2 {
-            algo.begin_pass(pass);
-            let mut current = None;
-            for it in &items {
-                if current != Some(it.src) {
-                    if let Some(prev) = current {
-                        algo.end_list(prev);
-                        assert_eq!(
-                            (algo.monitors_vec_bytes, algo.activations_vec_bytes),
-                            rescan(&algo),
-                            "pass {pass}"
-                        );
-                    }
-                    algo.begin_list(it.src);
-                    current = Some(it.src);
-                }
-                algo.item(it.src, it.dst);
-            }
-            if let Some(prev) = current {
-                algo.end_list(prev);
-            }
-            algo.end_pass(pass);
+        drive_checked(&mut algo, &items, |a, pass| {
             assert_eq!(
-                (algo.monitors_vec_bytes, algo.activations_vec_bytes),
-                rescan(&algo)
+                (a.monitors_vec_bytes, a.activations_vec_bytes),
+                rescan(a),
+                "pass {pass}"
             );
-        }
+        });
+    }
+
+    /// The indexed purge finds every pair discovered at an evicted edge:
+    /// after each list, every live record's sampled edge is still in `S`,
+    /// and `Q` holds exactly the live records.
+    #[test]
+    fn bottom_k_purge_leaves_no_orphaned_pair() {
+        use adjstream_stream::AdjListStream;
+
+        let mut rng = StdRng::seed_from_u64(13);
+        let g = gen::disjoint_cliques(7, 12).disjoint_union(&gen::gnm(40, 160, &mut rng));
+        let order = StreamOrder::shuffled(g.vertex_count(), 6);
+        let items: Vec<StreamItem> = AdjListStream::new(&g, order).collect_items();
+        let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed: 3,
+            edge_sampling: EdgeSampling::BottomK { k: 40 },
+            pair_capacity: 60,
+        });
+        let mut most_live = 0;
+        drive_checked(&mut algo, &items, |a, pass| {
+            let mut live: Vec<(u32, u32)> = Vec::new();
+            for (i, rec) in a.slab.iter().enumerate() {
+                if let Some(rec) = rec {
+                    let e = rec.tri.slot_edge(0);
+                    assert!(a.s_edges.contains_key(&e), "pass {pass}: orphan of {e:#x}");
+                    live.push((i as u32, rec.gen));
+                }
+            }
+            most_live = most_live.max(live.len());
+            let mut q = a.q.items().to_vec();
+            q.sort_unstable();
+            assert_eq!(q, live, "pass {pass}: Q must be the live records");
+        });
+        let counters = algo.obs_counters().expect("published");
+        assert!(counters.evictions > 0, "the sample must evict");
+        assert!(most_live > 0, "pairs must be stored");
     }
 
     #[test]

@@ -204,8 +204,10 @@ fn actual() -> Vec<(String, Pinned)> {
 }
 
 /// The table, generated before the shared-kernel refactor of the
-/// Section 3 estimators. Sharded counters legitimately differ by shard
-/// count (see `shard_equivalence.rs`); estimates and peaks do not.
+/// Section 3 estimators. The peaks were re-pinned when the pair watcher
+/// became a slot table; no estimate, counter or digest moved with them.
+/// Sharded counters legitimately differ by shard count (see
+/// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
     let row = |name: &str, bits: u64, peak: usize, counters, digests| {
         (
@@ -222,85 +224,85 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "one-pass/threshold",
             0x4088380000000000,
-            69840,
+            65096,
             None,
             vec![],
         ),
         row(
             "three-pass/threshold",
             0x4083300000000000,
-            84094,
+            76581,
             None,
             vec![],
         ),
         row(
             "two-pass/threshold",
             0x4088C73333333333,
-            200996,
+            193569,
             Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
             vec![0xEA0B3FF021CB5C02],
         ),
         row(
             "sharded/sequential/threshold",
             0x4084A60000000000,
-            103640,
+            100144,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![0x44FBE2D78EF1C2DA, 0x150ACA9593C72D7A],
         ),
         row(
             "sharded/1/threshold",
             0x4084A60000000000,
-            103640,
+            100144,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/threshold",
             0x4084A60000000000,
-            103640,
+            100144,
             Some([938, 0, 1572, 1, 820, 220, 61, 450, 0]),
             vec![],
         ),
-        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 65105, None, vec![]),
+        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 60214, None, vec![]),
         row(
             "three-pass/bottom-k",
             0x4086B8DCAEF1D896,
-            96853,
+            83076,
             None,
             vec![],
         ),
         row(
             "two-pass/bottom-k",
             0x4087648888888888,
-            217412,
+            201972,
             Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
             vec![0x444B68C36B9E9454],
         ),
         row(
             "sharded/sequential/bottom-k",
             0x40841E237FA89E60,
-            116456,
+            113264,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![0xAE7D662E0758B129, 0x817A8F8E1E192997],
         ),
         row(
             "sharded/1/bottom-k",
             0x40841E237FA89E60,
-            116456,
+            113264,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/bottom-k",
             0x40841E237FA89E60,
-            116456,
+            113264,
             Some([1998, 798, 419, 2, 510, 0, 0, 450, 0]),
             vec![],
         ),
         row(
             "multi-level",
             0x408ABB9B0A3D70A3,
-            579320,
+            554876,
             Some([1760, 1160, 8010, 8, 1272, 359, 155, 5576, 3176]),
             vec![],
         ),
