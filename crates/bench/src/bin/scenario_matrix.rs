@@ -43,10 +43,10 @@ use adjstream_stream::batch::{BatchConfig, BatchJob};
 use adjstream_stream::fault::{FaultKind, FaultPlan};
 use adjstream_stream::mmapfile::MappedTrace;
 use adjstream_stream::obs::Metrics;
-use adjstream_stream::runner::{run_slice_passes, GuardStats, MultiPassAlgorithm};
+use adjstream_stream::runner::{run_slice_passes, GuardStats};
 use adjstream_stream::shard::{run_sharded_hooked, ShardPlan};
 use adjstream_stream::trace::ItemTrace;
-use adjstream_stream::{GuardPolicy, Guarded, SpaceUsage, StreamItem};
+use adjstream_stream::{guard_items, GuardPolicy, Guarded};
 
 /// One mode's result on one scenario.
 struct ModeResult {
@@ -55,38 +55,6 @@ struct ModeResult {
     wall_ms: f64,
     peak_bytes: usize,
     guard: Option<GuardStats>,
-}
-
-/// One-pass collector: repairs a faulty stream once, upstream of the
-/// shard split (the same construction the CLI and the shard-equivalence
-/// suite use).
-#[derive(Default)]
-struct CollectItems {
-    items: Vec<StreamItem>,
-}
-
-impl SpaceUsage for CollectItems {
-    fn space_bytes(&self) -> usize {
-        self.items.len() * std::mem::size_of::<StreamItem>()
-    }
-}
-
-impl MultiPassAlgorithm for CollectItems {
-    type Output = Vec<StreamItem>;
-
-    fn passes(&self) -> usize {
-        1
-    }
-
-    fn begin_pass(&mut self, _pass: usize) {}
-
-    fn item(&mut self, src: adjstream_graph::VertexId, dst: adjstream_graph::VertexId) {
-        self.items.push(StreamItem::new(src, dst));
-    }
-
-    fn finish(self) -> Vec<StreamItem> {
-        self.items
-    }
 }
 
 fn config(seed: u64, items: usize) -> ShardedTriangleConfig {
@@ -224,11 +192,8 @@ fn run_modes(
     {
         // Repair once upstream, then shard — the CLI's construction.
         let t0 = Instant::now();
-        let (fixed, repair_report) = run_slice_passes(
-            Guarded::new(CollectItems::default(), GuardPolicy::Repair),
-            |_pass| corrupted.items(),
-        )
-        .map_err(|e| format!("upstream repair failed: {e}"))?;
+        let (fixed, repair_stats) = guard_items(corrupted.items(), GuardPolicy::Repair)
+            .map_err(|e| format!("upstream repair failed: {e}"))?;
         let plan = ShardPlan::build(&fixed, 2);
         let (got, report) = run_sharded_hooked(
             ShardedTriangle::new(cfg),
@@ -243,7 +208,7 @@ fn run_modes(
             estimate: got.estimate,
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             peak_bytes: report.peak_state_bytes,
-            guard: repair_report.guard,
+            guard: Some(repair_stats),
         });
     }
 

@@ -13,9 +13,9 @@ use adjstream_core::common::EdgeSampling;
 use adjstream_core::triangle::{ShardedTriangle, ShardedTriangleConfig};
 use adjstream_graph::VertexId;
 use adjstream_stream::fault::{FaultKind, FaultPlan};
-use adjstream_stream::runner::{run_slice_passes, GuardStats, MultiPassAlgorithm};
+use adjstream_stream::runner::run_slice_passes;
 use adjstream_stream::shard::{run_sharded_hooked, shard_of, ShardPlan};
-use adjstream_stream::{GuardPolicy, Guarded, Metrics, SpaceUsage, StreamItem};
+use adjstream_stream::{guard_items, GuardPolicy, Metrics, StreamItem};
 use proptest::prelude::*;
 
 /// Tiny deterministic generator for building workloads from a drawn seed.
@@ -72,48 +72,6 @@ fn config(seed: u64, items: usize) -> ShardedTriangleConfig {
     }
 }
 
-/// One-pass collector used to repair a faulty stream once, upstream of
-/// the shard split (the same construction the CLI uses).
-#[derive(Default)]
-struct CollectItems {
-    items: Vec<StreamItem>,
-}
-
-impl SpaceUsage for CollectItems {
-    fn space_bytes(&self) -> usize {
-        self.items.len() * std::mem::size_of::<StreamItem>()
-    }
-}
-
-impl MultiPassAlgorithm for CollectItems {
-    type Output = Vec<StreamItem>;
-
-    fn passes(&self) -> usize {
-        1
-    }
-
-    fn begin_pass(&mut self, _pass: usize) {}
-
-    fn item(&mut self, src: VertexId, dst: VertexId) {
-        self.items.push(StreamItem::new(src, dst));
-    }
-
-    fn finish(self) -> Vec<StreamItem> {
-        self.items
-    }
-}
-
-/// Repair `items` through the guard; returns the repaired stream and the
-/// guard's counters.
-fn repair(items: &[StreamItem]) -> (Vec<StreamItem>, Option<GuardStats>) {
-    let (fixed, report) = run_slice_passes(
-        Guarded::new(CollectItems::default(), GuardPolicy::Repair),
-        |_pass| items,
-    )
-    .expect("repair pass succeeds");
-    (fixed, report.guard)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -164,8 +122,10 @@ proptest! {
             .apply(&clean);
         // The guard is deterministic: repairing twice yields the same
         // stream and the same fault counters.
-        let (fixed, stats) = repair(corrupted.items());
-        let (fixed2, stats2) = repair(corrupted.items());
+        let (fixed, stats) = guard_items(corrupted.items(), GuardPolicy::Repair)
+            .expect("repair pass succeeds");
+        let (fixed2, stats2) = guard_items(corrupted.items(), GuardPolicy::Repair)
+            .expect("repair pass succeeds");
         prop_assert_eq!(&fixed, &fixed2);
         prop_assert_eq!(stats, stats2);
         // Downstream of the one repair, sharding is invisible.

@@ -805,8 +805,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
             Some((policy, mode)) => {
                 let mut g = Guarded::with_validator(fanout, policy, mode);
                 if let Some(blob) = &guard_blob {
-                    g.restore_guard_state(&mut blob.as_slice())
-                        .map_err(ckpt_err)?;
+                    g.restore_guard_state(blob).map_err(ckpt_err)?;
                 }
                 Driven::Guarded(g)
             }

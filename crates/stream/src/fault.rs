@@ -1,114 +1,69 @@
-//! Deterministic, seed-driven fault injection for adjacency list streams.
+//! Deterministic, seed-driven fault injection.
 //!
 //! Robustness claims are only testable if malformed inputs are *replayable*:
-//! a [`FaultPlan`] describes which promise violations to inject and is fully
-//! determined by a `u64` seed, so any failing case reproduces from two
-//! numbers (seed, plan). Plans compose — request several fault kinds and
-//! counts — and [`FaultPlan::apply`] returns a [`CorruptedStream`] that
-//! records every injection along with the number of validator detections it
-//! is expected to cause, so tests can reconcile a
-//! [`GuardStats`](crate::runner::GuardStats) against the plan exactly.
+//! a [`Plan`] describes which violations to inject and is fully determined
+//! by a `u64` seed, so any failing case reproduces from two numbers (seed,
+//! plan). Plans compose — request several fault kinds and counts — and
+//! `apply` returns a [`Corrupted`] stream that records every injection
+//! along with the number of detections it is expected to cause, so tests
+//! can reconcile a guard's counters against the plan exactly.
 //!
-//! Faults are applied in a fixed canonical order (truncate, corrupt, drop,
-//! duplicate, self-loop, split, reorder) chosen so the expected-detection
-//! arithmetic of one fault is not silently altered by another; a fault whose
-//! preconditions cannot be met (e.g. splitting when only one list exists) is
-//! recorded in [`CorruptedStream::skipped`] rather than injected partially.
+//! One core serves two kind sets. [`FaultKind`] breaks the adjacency-list
+//! promise of item streams ([`FaultPlan`], reconciled against
+//! [`GuardStats`](crate::runner::GuardStats)); [`UpdateFaultKind`] breaks
+//! the live-edge and timestamp semantics of update streams
+//! ([`UpdateFaultPlan`](crate::update_fault::UpdateFaultPlan), reconciled
+//! against [`UpdateGuardStats`](crate::update_guard::UpdateGuardStats)).
+//! The plan, the ledger and the injector's run loop are shared; each kind
+//! set supplies only its seven injection steps.
+//!
+//! Faults are applied in a fixed canonical order (each kind set's `ALL`)
+//! chosen so the expected-detection arithmetic of one fault is not silently
+//! altered by another; a fault whose preconditions cannot be met (e.g.
+//! splitting when only one list exists) is recorded in
+//! [`Corrupted::skipped`] rather than injected partially.
+//!
+//! [`UpdateFaultKind`]: crate::update_fault::UpdateFaultKind
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 use adjstream_graph::VertexId;
 
 use crate::hashing::SplitMix64;
 use crate::item::StreamItem;
-use crate::runner::{run_slice_passes, MultiPassAlgorithm, RunError, RunReport};
+use crate::runner::{list_runs, run_slice_passes, MultiPassAlgorithm, RunError, RunReport};
 use crate::validate::pack_edge;
 
-/// The classes of promise violation a [`FaultPlan`] can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// Remove one direction of an edge → `MissingReverse` for the survivor.
-    DropDirection,
-    /// Repeat an item inside its list → `DuplicateNeighbor`.
-    DuplicateItem,
-    /// Move a list suffix elsewhere in the stream → `ListNotContiguous`,
-    /// plus one `MissingReverse` per displaced item once the segment is
-    /// dropped.
-    SplitList,
-    /// Insert `vv` inside `v`'s list → `SelfLoop`.
-    InjectSelfLoop,
-    /// Rewrite one item's neighbor to a fresh vertex id → two
-    /// `MissingReverse` (the orphaned original reverse and the fabricated
-    /// edge).
-    CorruptVertex,
-    /// Drop a run of items from the end of the stream → one
-    /// `MissingReverse` per half-dropped edge.
-    TruncateTail,
-    /// Swap two adjacent lists in the replay used for passes ≥ 2 →
-    /// `PassOrderChanged` for order-sensitive algorithms.
-    ReorderPass,
+/// A set of fault kinds over one stream element type.
+pub trait FaultKindSet: Copy + Eq + Hash + Debug + 'static {
+    /// The element a plan corrupts: a stream item or an update event.
+    type Item: Clone + Debug;
+    /// Where the ledger locates a fault for a guard: `()` when it does not.
+    type Position: Copy + Debug;
+    /// Every kind, in canonical application order.
+    const KINDS: &'static [Self];
 }
 
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            FaultKind::DropDirection => "drop-direction",
-            FaultKind::DuplicateItem => "duplicate-item",
-            FaultKind::SplitList => "split-list",
-            FaultKind::InjectSelfLoop => "self-loop",
-            FaultKind::CorruptVertex => "corrupt-vertex",
-            FaultKind::TruncateTail => "truncate-tail",
-            FaultKind::ReorderPass => "reorder-pass",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FaultKind {
-    /// Parse the CLI spelling produced by [`Display`](std::fmt::Display).
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "drop-direction" => FaultKind::DropDirection,
-            "duplicate-item" => FaultKind::DuplicateItem,
-            "split-list" => FaultKind::SplitList,
-            "self-loop" => FaultKind::InjectSelfLoop,
-            "corrupt-vertex" => FaultKind::CorruptVertex,
-            "truncate-tail" => FaultKind::TruncateTail,
-            "reorder-pass" => FaultKind::ReorderPass,
-            _ => return None,
-        })
-    }
-
-    /// Every fault kind, in canonical application order.
-    pub const ALL: [FaultKind; 7] = [
-        FaultKind::TruncateTail,
-        FaultKind::CorruptVertex,
-        FaultKind::DropDirection,
-        FaultKind::DuplicateItem,
-        FaultKind::InjectSelfLoop,
-        FaultKind::SplitList,
-        FaultKind::ReorderPass,
-    ];
-}
-
-/// A seeded, composable recipe of promise violations.
+/// A seeded, composable recipe of faults from one kind set.
 #[derive(Debug, Clone)]
-pub struct FaultPlan {
+pub struct Plan<K> {
     seed: u64,
-    counts: HashMap<FaultKind, usize>,
+    counts: HashMap<K, usize>,
 }
 
-impl FaultPlan {
+impl<K: FaultKindSet> Plan<K> {
     /// An empty plan drawing all randomness from `seed`.
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
+        Plan {
             seed,
             counts: HashMap::new(),
         }
     }
 
     /// Request `count` more injections of `kind` (builder style).
-    pub fn with(mut self, kind: FaultKind, count: usize) -> Self {
+    pub fn with(mut self, kind: K, count: usize) -> Self {
         *self.counts.entry(kind).or_insert(0) += count;
         self
     }
@@ -119,7 +74,7 @@ impl FaultPlan {
     }
 
     /// Number of injections requested for `kind`.
-    pub fn count(&self, kind: FaultKind) -> usize {
+    pub fn count(&self, kind: K) -> usize {
         self.counts.get(&kind).copied().unwrap_or(0)
     }
 
@@ -127,64 +82,214 @@ impl FaultPlan {
     pub fn total(&self) -> usize {
         self.counts.values().sum()
     }
-
-    /// Corrupt `items` (a valid stream) according to the plan.
-    pub fn apply(&self, items: &[StreamItem]) -> CorruptedStream {
-        Injector::new(self, items.to_vec()).run()
-    }
 }
 
 /// One successfully injected fault.
 #[derive(Debug, Clone)]
-pub struct InjectedFault {
+pub struct Injected<K: FaultKindSet> {
     /// What was injected.
-    pub kind: FaultKind,
-    /// Detections an exact validator is expected to raise for this fault
-    /// (counting the end-of-pass `MissingReverse` cascade of dropped
-    /// segments, see the per-kind docs on [`FaultKind`]).
+    pub kind: K,
+    /// Where a guard detects the violation: the 0-based event position in
+    /// final coordinates for update faults, `()` for item faults.
+    pub position: K::Position,
+    /// Detections a guard is expected to raise for this fault (for item
+    /// faults, counting the end-of-pass `MissingReverse` cascade of dropped
+    /// segments; see the per-kind docs).
     pub expected_detections: usize,
-    /// Human-readable account (vertices/positions involved).
+    /// Human-readable account (vertices/edges/positions involved).
     pub description: String,
 }
 
 /// A corrupted stream plus the ledger of what was done to it.
 #[derive(Debug, Clone)]
-pub struct CorruptedStream {
-    items: Vec<StreamItem>,
-    reordered: Option<Vec<StreamItem>>,
-    injected: Vec<InjectedFault>,
-    skipped: Vec<FaultKind>,
+pub struct Corrupted<K: FaultKindSet> {
+    items: Vec<K::Item>,
+    replay: Option<Vec<K::Item>>,
+    injected: Vec<Injected<K>>,
+    skipped: Vec<K>,
 }
 
-impl CorruptedStream {
-    /// The corrupted item sequence (as seen by pass 1).
-    pub fn items(&self) -> &[StreamItem] {
+impl<K: FaultKindSet> Corrupted<K> {
+    /// The corrupted sequence (as seen by the first pass).
+    pub fn items(&self) -> &[K::Item] {
         &self.items
     }
 
-    /// The item sequence replayed in pass `pass` (differs from
-    /// [`items`](Self::items) only when a [`FaultKind::ReorderPass`] fault
-    /// was injected and `pass ≥ 1`).
-    pub fn items_for_pass(&self, pass: usize) -> &[StreamItem] {
-        match (&self.reordered, pass) {
-            (Some(r), p) if p > 0 => r,
-            _ => &self.items,
-        }
-    }
-
     /// Ledger of injected faults.
-    pub fn injected(&self) -> &[InjectedFault] {
+    pub fn injected(&self) -> &[Injected<K>] {
         &self.injected
     }
 
     /// Requested faults whose preconditions the stream could not meet.
-    pub fn skipped(&self) -> &[FaultKind] {
+    pub fn skipped(&self) -> &[K] {
         &self.skipped
     }
 
     /// Sum of per-fault expected detections.
     pub fn expected_detections(&self) -> usize {
         self.injected.iter().map(|f| f.expected_detections).sum()
+    }
+}
+
+/// Working state of one `apply` call: the generator, the sequence being
+/// corrupted and the ledger. Each kind set adds its injection steps as an
+/// `impl Injector<Kind>` block.
+pub(crate) struct Injector<K: FaultKindSet> {
+    rng: SplitMix64,
+    pub(crate) items: Vec<K::Item>,
+    /// The sequence later passes replay, when a fault rewrote it.
+    pub(crate) replay: Option<Vec<K::Item>>,
+    /// Canonical edges already consumed by a fault; injections never share
+    /// an edge, which keeps each fault's detection count independent.
+    pub(crate) used_edges: HashSet<u64>,
+    /// What faults already rely on: list owners for item faults, event
+    /// positions (final coordinates) for update faults.
+    pub(crate) touched: HashSet<usize>,
+    fresh_id: u32,
+    pub(crate) injected: Vec<Injected<K>>,
+    skipped: Vec<K>,
+}
+
+impl<K: FaultKindSet> Injector<K> {
+    /// Corrupt `items` from `seed`; fresh vertex ids start above
+    /// `max_vertex`.
+    pub(crate) fn new(seed: u64, items: Vec<K::Item>, max_vertex: Option<u32>) -> Self {
+        Injector {
+            rng: SplitMix64::new(seed),
+            items,
+            replay: None,
+            used_edges: HashSet::new(),
+            touched: HashSet::new(),
+            fresh_id: max_vertex.map_or(0, |m| m.saturating_add(1)),
+            injected: Vec::new(),
+            skipped: Vec::new(),
+        }
+    }
+
+    pub(crate) fn below(&mut self, n: usize) -> usize {
+        debug_assert!(n > 0);
+        (self.rng.next_u64() % n as u64) as usize
+    }
+
+    pub(crate) fn pick<T: Copy>(&mut self, candidates: &[T]) -> Option<T> {
+        (!candidates.is_empty()).then(|| candidates[self.below(candidates.len())])
+    }
+
+    /// A vertex id no item of the input uses.
+    pub(crate) fn fresh_vertex(&mut self) -> VertexId {
+        let v = VertexId(self.fresh_id);
+        self.fresh_id = self.fresh_id.saturating_add(1);
+        v
+    }
+
+    pub(crate) fn record(
+        &mut self,
+        kind: K,
+        position: K::Position,
+        expected_detections: usize,
+        description: String,
+    ) {
+        self.injected.push(Injected {
+            kind,
+            position,
+            expected_detections,
+            description,
+        });
+    }
+
+    /// Run `plan` in canonical order. `step(injector, kind, nth)` performs
+    /// the `nth` requested injection of `kind` and returns false when the
+    /// stream cannot host it.
+    pub(crate) fn run(
+        mut self,
+        plan: &Plan<K>,
+        mut step: impl FnMut(&mut Self, K, usize) -> bool,
+    ) -> Corrupted<K> {
+        for &kind in K::KINDS {
+            for nth in 0..plan.count(kind) {
+                if !step(&mut self, kind, nth) {
+                    self.skipped.push(kind);
+                }
+            }
+        }
+        Corrupted {
+            items: self.items,
+            replay: self.replay,
+            injected: self.injected,
+            skipped: self.skipped,
+        }
+    }
+}
+
+named_enum! {
+    /// The classes of adjacency-list promise violation a [`FaultPlan`] can
+    /// inject, in canonical application order.
+    pub enum FaultKind {
+        /// Drop a run of items from the end of the stream → one
+        /// `MissingReverse` per half-dropped edge.
+        TruncateTail = "truncate-tail",
+        /// Rewrite one item's neighbor to a fresh vertex id → two
+        /// `MissingReverse` (the orphaned original reverse and the fabricated
+        /// edge).
+        CorruptVertex = "corrupt-vertex",
+        /// Remove one direction of an edge → `MissingReverse` for the survivor.
+        DropDirection = "drop-direction",
+        /// Repeat an item inside its list → `DuplicateNeighbor`.
+        DuplicateItem = "duplicate-item",
+        /// Insert `vv` inside `v`'s list → `SelfLoop`.
+        InjectSelfLoop = "self-loop",
+        /// Move a list suffix elsewhere in the stream → `ListNotContiguous`,
+        /// plus one `MissingReverse` per displaced item once the segment is
+        /// dropped.
+        SplitList = "split-list",
+        /// Swap two adjacent lists in the replay used for passes ≥ 2 →
+        /// `PassOrderChanged` for order-sensitive algorithms. A plan swaps
+        /// one pair however many reorders it requests.
+        ReorderPass = "reorder-pass",
+    }
+}
+
+impl FaultKindSet for FaultKind {
+    type Item = StreamItem;
+    type Position = ();
+    const KINDS: &'static [Self] = &FaultKind::ALL;
+}
+
+/// A seeded, composable recipe of promise violations.
+pub type FaultPlan = Plan<FaultKind>;
+/// One injected promise violation.
+pub type InjectedFault = Injected<FaultKind>;
+/// A corrupted item stream plus its fault ledger.
+pub type CorruptedStream = Corrupted<FaultKind>;
+
+impl Plan<FaultKind> {
+    /// Corrupt `items` (a valid stream) according to the plan.
+    pub fn apply(&self, items: &[StreamItem]) -> CorruptedStream {
+        let max_vertex = items.iter().map(|i| i.src.0.max(i.dst.0)).max();
+        Injector::new(self.seed, items.to_vec(), max_vertex).run(
+            self,
+            |inj, kind, nth| match kind {
+                FaultKind::TruncateTail => inj.truncate_tail(),
+                FaultKind::CorruptVertex => inj.corrupt_vertex(),
+                FaultKind::DropDirection => inj.drop_direction(),
+                FaultKind::DuplicateItem => inj.duplicate_item(),
+                FaultKind::InjectSelfLoop => inj.inject_self_loop(),
+                FaultKind::SplitList => inj.split_list(),
+                FaultKind::ReorderPass => nth > 0 || inj.reorder_replay(),
+            },
+        )
+    }
+}
+
+impl Corrupted<FaultKind> {
+    /// The item sequence replayed in pass `pass` (differs from
+    /// [`items`](Self::items) only when a [`FaultKind::ReorderPass`] fault
+    /// was injected and `pass ≥ 1`).
+    pub fn items_for_pass(&self, pass: usize) -> &[StreamItem] {
+        match (&self.replay, pass) {
+            (Some(r), p) if p > 0 => r,
+            _ => &self.items,
+        }
     }
 
     /// Drive `algo` over the corrupted stream (per-pass replay included),
@@ -197,57 +302,19 @@ impl CorruptedStream {
     }
 }
 
-/// Working state of one `FaultPlan::apply` call.
-struct Injector<'p> {
-    plan: &'p FaultPlan,
-    rng: SplitMix64,
-    items: Vec<StreamItem>,
-    /// Canonical edges already consumed by drop/corrupt faults.
-    used_edges: HashSet<u64>,
-    /// List owners already targeted by duplicate/self-loop/split faults.
-    touched_lists: HashSet<u32>,
-    fresh_id: u32,
-    injected: Vec<InjectedFault>,
-    skipped: Vec<FaultKind>,
-}
-
-impl<'p> Injector<'p> {
-    fn new(plan: &'p FaultPlan, items: Vec<StreamItem>) -> Self {
-        let fresh_id = items
-            .iter()
-            .map(|i| i.src.0.max(i.dst.0))
-            .max()
-            .map_or(0, |m| m.saturating_add(1));
-        Injector {
-            plan,
-            rng: SplitMix64::new(plan.seed),
-            items,
-            used_edges: HashSet::new(),
-            touched_lists: HashSet::new(),
-            fresh_id,
-            injected: Vec::new(),
-            skipped: Vec::new(),
-        }
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.rng.next_u64() % n as u64) as usize
-    }
-
+impl Injector<FaultKind> {
     /// Contiguous runs of equal source: `(owner, start, end_exclusive)`.
     fn lists(&self) -> Vec<(VertexId, usize, usize)> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.items.len() {
-            let owner = self.items[i].src;
-            let start = i;
-            while i < self.items.len() && self.items[i].src == owner {
-                i += 1;
-            }
-            out.push((owner, start, i));
-        }
-        out
+        list_runs(&self.items)
+            .map(|run| (self.items[run.start].src, run.start, run.end))
+            .collect()
+    }
+
+    /// Lists no duplicate/self-loop/split fault has targeted yet.
+    fn untouched_lists(&self) -> Vec<(VertexId, usize, usize)> {
+        let mut lists = self.lists();
+        lists.retain(|(o, _, _)| !self.touched.contains(&(o.0 as usize)));
+        lists
     }
 
     /// How many directions of each canonical edge are currently present.
@@ -276,44 +343,6 @@ impl<'p> Injector<'p> {
         None
     }
 
-    fn run(mut self) -> CorruptedStream {
-        for kind in FaultKind::ALL {
-            for _ in 0..self.plan.count(kind) {
-                let ok = match kind {
-                    FaultKind::TruncateTail => self.truncate_tail(),
-                    FaultKind::CorruptVertex => self.corrupt_vertex(),
-                    FaultKind::DropDirection => self.drop_direction(),
-                    FaultKind::DuplicateItem => self.duplicate_item(),
-                    FaultKind::InjectSelfLoop => self.inject_self_loop(),
-                    FaultKind::SplitList => self.split_list(),
-                    FaultKind::ReorderPass => true, // handled after the loop
-                };
-                if !ok {
-                    self.skipped.push(kind);
-                }
-            }
-        }
-        let reordered = if self.plan.count(FaultKind::ReorderPass) > 0 {
-            self.reorder_replay()
-        } else {
-            None
-        };
-        CorruptedStream {
-            items: self.items,
-            reordered,
-            injected: self.injected,
-            skipped: self.skipped,
-        }
-    }
-
-    fn record(&mut self, kind: FaultKind, expected_detections: usize, description: String) {
-        self.injected.push(InjectedFault {
-            kind,
-            expected_detections,
-            description,
-        });
-    }
-
     fn truncate_tail(&mut self) -> bool {
         if self.items.len() < 2 {
             return false;
@@ -326,6 +355,7 @@ impl<'p> Injector<'p> {
         let widowed = self.edge_counts().values().filter(|&&c| c == 1).count();
         self.record(
             FaultKind::TruncateTail,
+            (),
             widowed,
             format!("truncated {k} tail items ({widowed} edges lost one direction)"),
         );
@@ -337,13 +367,13 @@ impl<'p> Injector<'p> {
             return false;
         };
         let old = self.items[i];
-        let w = VertexId(self.fresh_id);
-        self.fresh_id = self.fresh_id.saturating_add(1);
+        let w = self.fresh_vertex();
         self.items[i] = StreamItem::new(old.src, w);
         self.used_edges.insert(pack_edge(old.src, old.dst));
         self.used_edges.insert(pack_edge(old.src, w));
         self.record(
             FaultKind::CorruptVertex,
+            (),
             2,
             format!(
                 "item {i}: rewrote {}→{} as {}→{}",
@@ -361,6 +391,7 @@ impl<'p> Injector<'p> {
         self.used_edges.insert(pack_edge(victim.src, victim.dst));
         self.record(
             FaultKind::DropDirection,
+            (),
             1,
             format!("dropped {}→{} (item {i})", victim.src, victim.dst),
         );
@@ -368,21 +399,18 @@ impl<'p> Injector<'p> {
     }
 
     fn duplicate_item(&mut self) -> bool {
-        if self.items.is_empty() {
-            return false;
-        }
         let candidates: Vec<usize> = (0..self.items.len())
-            .filter(|&i| !self.touched_lists.contains(&self.items[i].src.0))
+            .filter(|&i| !self.touched.contains(&(self.items[i].src.0 as usize)))
             .collect();
-        if candidates.is_empty() {
+        let Some(i) = self.pick(&candidates) else {
             return false;
-        }
-        let i = candidates[self.below(candidates.len())];
+        };
         let copy = self.items[i];
         self.items.insert(i + 1, copy);
-        self.touched_lists.insert(copy.src.0);
+        self.touched.insert(copy.src.0 as usize);
         self.record(
             FaultKind::DuplicateItem,
+            (),
             1,
             format!("duplicated {}→{} at item {}", copy.src, copy.dst, i + 1),
         );
@@ -390,22 +418,17 @@ impl<'p> Injector<'p> {
     }
 
     fn inject_self_loop(&mut self) -> bool {
-        let lists = self.lists();
-        let candidates: Vec<&(VertexId, usize, usize)> = lists
-            .iter()
-            .filter(|(o, _, _)| !self.touched_lists.contains(&o.0))
-            .collect();
-        if candidates.is_empty() {
+        let Some((owner, start, end)) = self.pick(&self.untouched_lists()) else {
             return false;
-        }
-        let &&(owner, start, end) = &candidates[self.below(candidates.len())];
+        };
         // Insert strictly inside or at the end of the run so the run stays
         // one contiguous block of `owner`.
         let pos = start + 1 + self.below(end - start);
         self.items.insert(pos, StreamItem::new(owner, owner));
-        self.touched_lists.insert(owner.0);
+        self.touched.insert(owner.0 as usize);
         self.record(
             FaultKind::InjectSelfLoop,
+            (),
             1,
             format!("inserted self-loop {owner}→{owner} at item {pos}"),
         );
@@ -418,14 +441,11 @@ impl<'p> Injector<'p> {
             return false;
         }
         let last_owner = lists.last().unwrap().0;
-        let candidates: Vec<&(VertexId, usize, usize)> = lists
-            .iter()
-            .filter(|(o, s, e)| e - s >= 2 && !self.touched_lists.contains(&o.0))
-            .collect();
-        if candidates.is_empty() {
+        let mut candidates = self.untouched_lists();
+        candidates.retain(|(_, s, e)| e - s >= 2);
+        let Some((owner, start, end)) = self.pick(&candidates) else {
             return false;
-        }
-        let &&(owner, start, end) = &candidates[self.below(candidates.len())];
+        };
         let split_at = start + 1 + self.below(end - start - 1);
         let suffix: Vec<StreamItem> = self.items.drain(split_at..end).collect();
         let n = suffix.len();
@@ -437,9 +457,7 @@ impl<'p> Injector<'p> {
             // the stream, becomes the non-contiguous resumption.
             detect_at = n + start;
             displaced = split_at - start;
-            for (k, it) in suffix.into_iter().enumerate() {
-                self.items.insert(k, it);
-            }
+            self.items.splice(0..0, suffix);
         } else {
             // Move the suffix to the very end; the suffix is the
             // resumption.
@@ -447,23 +465,23 @@ impl<'p> Injector<'p> {
             displaced = n;
             self.items.extend(suffix);
         }
-        self.touched_lists.insert(owner.0);
+        self.touched.insert(owner.0 as usize);
         // One contiguity detection plus, once the displaced segment is
         // dropped by a repairing guard, one MissingReverse per displaced
         // item whose partner stayed behind.
         self.record(
             FaultKind::SplitList,
+            (),
             1 + displaced,
             format!("split list of {owner}: {displaced} displaced items, resumption at item {detect_at}"),
         );
         true
     }
 
-    fn reorder_replay(&mut self) -> Option<Vec<StreamItem>> {
+    fn reorder_replay(&mut self) -> bool {
         let lists = self.lists();
         if lists.len() < 2 {
-            self.skipped.push(FaultKind::ReorderPass);
-            return None;
+            return false;
         }
         let i = self.below(lists.len() - 1);
         let (a, b) = (lists[i], lists[i + 1]);
@@ -472,8 +490,10 @@ impl<'p> Injector<'p> {
         replay.extend_from_slice(&self.items[b.1..b.2]);
         replay.extend_from_slice(&self.items[a.1..a.2]);
         replay.extend_from_slice(&self.items[b.2..]);
+        self.replay = Some(replay);
         self.record(
             FaultKind::ReorderPass,
+            (),
             1,
             format!(
                 "passes ≥ 2 replay lists {} and {} swapped (list indices {i}, {})",
@@ -482,7 +502,7 @@ impl<'p> Injector<'p> {
                 i + 1
             ),
         );
-        Some(replay)
+        true
     }
 }
 

@@ -458,25 +458,39 @@ pub fn run_update_batches<A: UpdateAlgorithm>(
     batch_size: usize,
     algo: &mut A,
 ) -> UpdateRunReport {
+    drive_update_batches(stream.events(), batch_size, algo, |a, ev| {
+        a.apply(ev);
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {})
+}
+
+/// The batch loop behind [`run_update_batches`] and
+/// [`run_guarded_updates`](crate::update_guard::run_guarded_updates):
+/// [`apply_update_batch`] over contiguous batches of `events`, with the
+/// state high-water mark polled at every boundary. An error from `apply`
+/// aborts the drive.
+pub(crate) fn drive_update_batches<A: UpdateAlgorithm, E>(
+    events: &[UpdateEvent],
+    batch_size: usize,
+    algo: &mut A,
+    mut apply: impl FnMut(&mut A, &UpdateEvent) -> Result<(), E>,
+) -> Result<UpdateRunReport, E> {
     let mut peak = PeakTracker::new();
     peak.observe(algo.space_bytes());
     let mut previous = algo.estimate();
     let mut batches = Vec::new();
-    for (batch, events) in stream.batches(batch_size).enumerate() {
-        let report = apply_update_batch(algo, batch, events, previous, |a, ev| {
-            a.apply(ev);
-            Ok::<(), std::convert::Infallible>(())
-        })
-        .unwrap_or_else(|never| match never {});
+    for (batch, chunk) in events.chunks(batch_size.max(1)).enumerate() {
+        let report = apply_update_batch(algo, batch, chunk, previous, &mut apply)?;
         peak.observe(algo.space_bytes());
         previous = report.estimate;
         batches.push(report);
     }
-    UpdateRunReport {
+    Ok(UpdateRunReport {
         batches,
-        events: stream.len(),
+        events: events.len(),
         peak_state_bytes: peak.peak(),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -1,274 +1,126 @@
-//! Deterministic, seed-driven fault injection for update streams.
+//! The update-stream fault kinds: seven injection steps over insert/delete
+//! events, run by the shared core in [`crate::fault`].
 //!
-//! The dynamic counterpart of [`crate::fault`]: an [`UpdateFaultPlan`] is a
-//! seeded, composable recipe of update-semantics violations — deletions of
-//! dead edges, duplicate insertions, timestamp regressions, flipped ops,
-//! corrupted endpoints — applied to a *valid* event sequence. Every
-//! injection is recorded with the event position where a guard must detect
-//! it and the number of detections it is expected to cause, so tests can
-//! reconcile [`UpdateGuardStats`](crate::update_guard::UpdateGuardStats)
+//! An [`UpdateFaultPlan`] injects update-semantics violations — deletions
+//! of dead edges, duplicate insertions, timestamp regressions, flipped ops,
+//! corrupted endpoints — into a *valid* event sequence. Every injection is
+//! recorded with the event position where a guard must detect it, so tests
+//! can reconcile [`UpdateGuardStats`](crate::update_guard::UpdateGuardStats)
 //! against the plan exactly.
 //!
-//! Faults are applied in a fixed canonical order (event-inserting and
-//! value-rewriting kinds first, then the order/timestamp kinds), and each
-//! injection is *self-contained*: targets are chosen so one fault's
+//! Each injection is *self-contained*: targets are chosen so one fault's
 //! expected-detection arithmetic is not altered by another (e.g. an op flip
 //! only targets the last event of its edge, so no downstream event of that
-//! edge turns invalid as a side effect). A fault whose preconditions cannot
-//! be met is recorded in [`CorruptedUpdateStream::skipped`] rather than
-//! injected partially.
+//! edge turns invalid as a side effect), and every fault expects exactly
+//! one detection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use adjstream_graph::{EdgeKey, VertexId};
+use adjstream_graph::EdgeKey;
 
-use crate::hashing::SplitMix64;
+use crate::fault::{Corrupted, FaultKindSet, Injected, Injector, Plan};
 use crate::update::{UpdateEvent, UpdateOp, UpdateStream};
 
-/// The classes of update-semantics violation an [`UpdateFaultPlan`] can
-/// inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UpdateFaultKind {
-    /// Re-delete an edge right after a valid deletion → one `DeadDelete`.
-    DeleteDead,
-    /// Repeat an insertion right after the original → one
-    /// `DuplicateInsert`.
-    DuplicateInsert,
-    /// Delete an edge no event ever inserted → one `DeadDelete`.
-    OrphanDelete,
-    /// Flip the op of its edge's last event: the flipped insert deletes a
-    /// dead edge, the flipped delete re-inserts a live one → one detection
-    /// either way.
-    OpFlip,
-    /// Rewrite one endpoint of its edge's last deletion to a fresh vertex
-    /// → one `DeadDelete` (the rewritten edge was never live).
-    CorruptEndpoint,
-    /// Swap two adjacent events with strictly increasing timestamps (and
-    /// distinct edges) → one `TimestampRegression` at the later position.
-    SwapAdjacent,
-    /// Rewrite one event's timestamp below its predecessor's → one
-    /// `TimestampRegression`.
-    TimestampRegression,
-}
-
-impl std::fmt::Display for UpdateFaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            UpdateFaultKind::DeleteDead => "delete-dead",
-            UpdateFaultKind::DuplicateInsert => "duplicate-insert",
-            UpdateFaultKind::OrphanDelete => "orphan-delete",
-            UpdateFaultKind::OpFlip => "op-flip",
-            UpdateFaultKind::CorruptEndpoint => "corrupt-endpoint",
-            UpdateFaultKind::SwapAdjacent => "swap-adjacent",
-            UpdateFaultKind::TimestampRegression => "ts-regression",
-        };
-        f.write_str(s)
+named_enum! {
+    /// The classes of update-semantics violation an [`UpdateFaultPlan`] can
+    /// inject, in canonical application order: kinds that insert or rewrite
+    /// events first (positions still shift), then the order/timestamp kinds
+    /// over the settled layout.
+    pub enum UpdateFaultKind {
+        /// Re-delete an edge right after a valid deletion → one `DeadDelete`.
+        DeleteDead = "delete-dead",
+        /// Repeat an insertion right after the original → one
+        /// `DuplicateInsert`.
+        DuplicateInsert = "duplicate-insert",
+        /// Delete an edge no event ever inserted → one `DeadDelete`.
+        OrphanDelete = "orphan-delete",
+        /// Flip the op of its edge's last event: the flipped insert deletes a
+        /// dead edge, the flipped delete re-inserts a live one → one detection
+        /// either way.
+        OpFlip = "op-flip",
+        /// Rewrite one endpoint of its edge's last deletion to a fresh vertex
+        /// → one `DeadDelete` (the rewritten edge was never live).
+        CorruptEndpoint = "corrupt-endpoint",
+        /// Swap two adjacent events with strictly increasing timestamps (and
+        /// distinct edges) → one `TimestampRegression` at the later position.
+        SwapAdjacent = "swap-adjacent",
+        /// Rewrite one event's timestamp below its predecessor's → one
+        /// `TimestampRegression`.
+        TimestampRegression = "ts-regression",
     }
 }
 
-impl UpdateFaultKind {
-    /// Parse the CLI spelling produced by [`Display`](std::fmt::Display).
-    pub fn parse(s: &str) -> Option<UpdateFaultKind> {
-        Some(match s {
-            "delete-dead" => UpdateFaultKind::DeleteDead,
-            "duplicate-insert" => UpdateFaultKind::DuplicateInsert,
-            "orphan-delete" => UpdateFaultKind::OrphanDelete,
-            "op-flip" => UpdateFaultKind::OpFlip,
-            "corrupt-endpoint" => UpdateFaultKind::CorruptEndpoint,
-            "swap-adjacent" => UpdateFaultKind::SwapAdjacent,
-            "ts-regression" => UpdateFaultKind::TimestampRegression,
-            _ => return None,
-        })
-    }
-
-    /// Every fault kind, in canonical application order: kinds that insert
-    /// or rewrite events first (positions still shift), then the
-    /// order/timestamp kinds over the settled layout.
-    pub const ALL: [UpdateFaultKind; 7] = [
-        UpdateFaultKind::DeleteDead,
-        UpdateFaultKind::DuplicateInsert,
-        UpdateFaultKind::OrphanDelete,
-        UpdateFaultKind::OpFlip,
-        UpdateFaultKind::CorruptEndpoint,
-        UpdateFaultKind::SwapAdjacent,
-        UpdateFaultKind::TimestampRegression,
-    ];
+impl FaultKindSet for UpdateFaultKind {
+    type Item = UpdateEvent;
+    type Position = usize;
+    const KINDS: &'static [Self] = &UpdateFaultKind::ALL;
 }
 
 /// A seeded, composable recipe of update-stream violations.
-#[derive(Debug, Clone)]
-pub struct UpdateFaultPlan {
-    seed: u64,
-    counts: HashMap<UpdateFaultKind, usize>,
-}
-
-impl UpdateFaultPlan {
-    /// An empty plan drawing all randomness from `seed`.
-    pub fn new(seed: u64) -> Self {
-        UpdateFaultPlan {
-            seed,
-            counts: HashMap::new(),
-        }
-    }
-
-    /// Request `count` more injections of `kind` (builder style).
-    pub fn with(mut self, kind: UpdateFaultKind, count: usize) -> Self {
-        *self.counts.entry(kind).or_insert(0) += count;
-        self
-    }
-
-    /// The seed this plan replays from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of injections requested for `kind`.
-    pub fn count(&self, kind: UpdateFaultKind) -> usize {
-        self.counts.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Total injections requested.
-    pub fn total(&self) -> usize {
-        self.counts.values().sum()
-    }
-
-    /// Corrupt a valid update stream according to the plan.
-    pub fn apply(&self, stream: &UpdateStream) -> CorruptedUpdateStream {
-        UpdateInjector::new(self, stream.events().to_vec()).run()
-    }
-}
-
-/// One successfully injected update fault.
-#[derive(Debug, Clone)]
-pub struct InjectedUpdateFault {
-    /// What was injected.
-    pub kind: UpdateFaultKind,
-    /// 0-based event position where a guard detects the violation (final
-    /// coordinates, after all injections of the plan).
-    pub position: usize,
-    /// Detections a guard is expected to raise for this fault (always 1 —
-    /// targets are chosen so faults stay self-contained — but kept explicit
-    /// so the reconciliation arithmetic mirrors [`crate::fault`]).
-    pub expected_detections: usize,
-    /// Human-readable account (edges/positions involved).
-    pub description: String,
-}
-
-/// A corrupted event sequence plus the ledger of what was done to it.
+pub type UpdateFaultPlan = Plan<UpdateFaultKind>;
+/// One injected update fault; `position` is where a guard detects it.
+pub type InjectedUpdateFault = Injected<UpdateFaultKind>;
+/// A corrupted event sequence plus its fault ledger.
 ///
 /// Unlike [`UpdateStream`], the events here may violate every invariant the
 /// stream type enforces — that is the point — so they are exposed as a raw
 /// slice for [`crate::update_guard::GuardedUpdate`] to vet.
-#[derive(Debug, Clone)]
-pub struct CorruptedUpdateStream {
-    events: Vec<UpdateEvent>,
-    injected: Vec<InjectedUpdateFault>,
-    skipped: Vec<UpdateFaultKind>,
+pub type CorruptedUpdateStream = Corrupted<UpdateFaultKind>;
+
+impl Plan<UpdateFaultKind> {
+    /// Corrupt a valid update stream according to the plan.
+    pub fn apply(&self, stream: &UpdateStream) -> CorruptedUpdateStream {
+        let events = stream.events().to_vec();
+        let max_vertex = events.iter().map(|e| e.edge.hi().0).max();
+        Injector::new(self.seed(), events, max_vertex).run(self, |inj, kind, _| match kind {
+            UpdateFaultKind::DeleteDead => inj.repeat_event(UpdateOp::Delete),
+            UpdateFaultKind::DuplicateInsert => inj.repeat_event(UpdateOp::Insert),
+            UpdateFaultKind::OrphanDelete => inj.orphan_delete(),
+            UpdateFaultKind::OpFlip => inj.op_flip(),
+            UpdateFaultKind::CorruptEndpoint => inj.corrupt_endpoint(),
+            UpdateFaultKind::SwapAdjacent => inj.swap_adjacent(),
+            UpdateFaultKind::TimestampRegression => inj.ts_regression(),
+        })
+    }
 }
 
-impl CorruptedUpdateStream {
+impl Corrupted<UpdateFaultKind> {
     /// The corrupted event sequence.
     pub fn events(&self) -> &[UpdateEvent] {
-        &self.events
-    }
-
-    /// Ledger of injected faults.
-    pub fn injected(&self) -> &[InjectedUpdateFault] {
-        &self.injected
-    }
-
-    /// Requested faults whose preconditions the stream could not meet.
-    pub fn skipped(&self) -> &[UpdateFaultKind] {
-        &self.skipped
-    }
-
-    /// Sum of per-fault expected detections.
-    pub fn expected_detections(&self) -> usize {
-        self.injected.iter().map(|f| f.expected_detections).sum()
+        self.items()
     }
 
     /// Position of the earliest injected violation, `None` when the plan
     /// injected nothing — where a strict guard must stop.
     pub fn first_position(&self) -> Option<usize> {
-        self.injected.iter().map(|f| f.position).min()
+        self.injected().iter().map(|f| f.position).min()
     }
 }
 
-/// Working state of one `UpdateFaultPlan::apply` call.
-struct UpdateInjector<'p> {
-    plan: &'p UpdateFaultPlan,
-    rng: SplitMix64,
-    events: Vec<UpdateEvent>,
-    /// Edges already consumed by a fault; injections never share an edge,
-    /// which is what keeps each fault's detection count independent.
-    used_edges: HashSet<u64>,
-    /// Positions (final coordinates) whose timestamps a fault relies on —
-    /// the order/timestamp kinds keep a one-event buffer around each.
-    ts_touched: HashSet<usize>,
-    fresh_id: u32,
-    injected: Vec<InjectedUpdateFault>,
-    skipped: Vec<UpdateFaultKind>,
-}
-
-impl<'p> UpdateInjector<'p> {
-    fn new(plan: &'p UpdateFaultPlan, events: Vec<UpdateEvent>) -> Self {
-        let fresh_id = events
-            .iter()
-            .map(|e| e.edge.hi().0)
-            .max()
-            .map_or(0, |m| m.saturating_add(1));
-        UpdateInjector {
-            plan,
-            rng: SplitMix64::new(plan.seed),
-            events,
-            used_edges: HashSet::new(),
-            ts_touched: HashSet::new(),
-            fresh_id,
-            injected: Vec::new(),
-            skipped: Vec::new(),
-        }
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.rng.next_u64() % n as u64) as usize
-    }
-
-    fn pick<T: Copy>(&mut self, candidates: &[T]) -> Option<T> {
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[self.below(candidates.len())])
-        }
-    }
-
+impl Injector<UpdateFaultKind> {
     /// 0-based index of the last event touching each edge.
     fn last_occurrence(&self) -> HashMap<u64, usize> {
         let mut last = HashMap::new();
-        for (i, ev) in self.events.iter().enumerate() {
+        for (i, ev) in self.items.iter().enumerate() {
             last.insert(ev.edge.pack(), i);
         }
         last
     }
 
-    fn fresh_vertex(&mut self) -> VertexId {
-        let v = VertexId(self.fresh_id);
-        self.fresh_id = self.fresh_id.saturating_add(1);
-        v
-    }
-
-    fn record(&mut self, kind: UpdateFaultKind, position: usize, description: String) {
-        self.injected.push(InjectedUpdateFault {
-            kind,
-            position,
-            expected_detections: 1,
-            description,
-        });
+    /// Indices of events whose edge no fault has consumed and that pass
+    /// `keep`.
+    fn unused_events(&self, keep: impl Fn(usize, &UpdateEvent) -> bool) -> Vec<usize> {
+        (0..self.items.len())
+            .filter(|&i| {
+                let ev = &self.items[i];
+                !self.used_edges.contains(&ev.edge.pack()) && keep(i, ev)
+            })
+            .collect()
     }
 
     /// Insert `ev` at `at`, shifting previously recorded positions.
     fn insert_event(&mut self, at: usize, ev: UpdateEvent) {
-        self.events.insert(at, ev);
+        self.items.insert(at, ev);
         for f in &mut self.injected {
             if f.position >= at {
                 f.position += 1;
@@ -276,95 +128,37 @@ impl<'p> UpdateInjector<'p> {
         }
     }
 
-    fn run(mut self) -> CorruptedUpdateStream {
-        for kind in UpdateFaultKind::ALL {
-            for _ in 0..self.plan.count(kind) {
-                let ok = match kind {
-                    UpdateFaultKind::DeleteDead => self.delete_dead(),
-                    UpdateFaultKind::DuplicateInsert => self.duplicate_insert(),
-                    UpdateFaultKind::OrphanDelete => self.orphan_delete(),
-                    UpdateFaultKind::OpFlip => self.op_flip(),
-                    UpdateFaultKind::CorruptEndpoint => self.corrupt_endpoint(),
-                    UpdateFaultKind::SwapAdjacent => self.swap_adjacent(),
-                    UpdateFaultKind::TimestampRegression => self.ts_regression(),
-                };
-                if !ok {
-                    self.skipped.push(kind);
-                }
-            }
-        }
-        CorruptedUpdateStream {
-            events: self.events,
-            injected: self.injected,
-            skipped: self.skipped,
-        }
-    }
-
-    /// Duplicate a valid deletion: the copy targets an edge that just died.
-    fn delete_dead(&mut self) -> bool {
-        let candidates: Vec<usize> = (0..self.events.len())
-            .filter(|&i| {
-                self.events[i].op == UpdateOp::Delete
-                    && !self.used_edges.contains(&self.events[i].edge.pack())
-            })
-            .collect();
+    /// Repeat a valid event of `op` right after the original: a repeated
+    /// deletion targets an edge that just died, a repeated insertion one
+    /// already live.
+    fn repeat_event(&mut self, op: UpdateOp) -> bool {
+        let candidates = self.unused_events(|_, ev| ev.op == op);
         let Some(i) = self.pick(&candidates) else {
             return false;
         };
-        let original = self.events[i];
+        let original = self.items[i];
         self.used_edges.insert(original.edge.pack());
-        self.insert_event(
-            i + 1,
-            UpdateEvent {
-                op: UpdateOp::Delete,
-                edge: original.edge,
-                ts: original.ts,
-            },
-        );
-        self.record(
-            UpdateFaultKind::DeleteDead,
-            i + 1,
-            format!("re-deleted dead edge {} at event {}", original.edge, i + 1),
-        );
-        true
-    }
-
-    /// Duplicate a valid insertion: the copy targets an edge already live.
-    fn duplicate_insert(&mut self) -> bool {
-        let candidates: Vec<usize> = (0..self.events.len())
-            .filter(|&i| {
-                self.events[i].op == UpdateOp::Insert
-                    && !self.used_edges.contains(&self.events[i].edge.pack())
-            })
-            .collect();
-        let Some(i) = self.pick(&candidates) else {
-            return false;
+        self.insert_event(i + 1, original);
+        let (kind, what) = match op {
+            UpdateOp::Delete => (UpdateFaultKind::DeleteDead, "re-deleted dead"),
+            UpdateOp::Insert => (UpdateFaultKind::DuplicateInsert, "re-inserted live"),
         };
-        let original = self.events[i];
-        self.used_edges.insert(original.edge.pack());
-        self.insert_event(
-            i + 1,
-            UpdateEvent {
-                op: UpdateOp::Insert,
-                edge: original.edge,
-                ts: original.ts,
-            },
-        );
         self.record(
-            UpdateFaultKind::DuplicateInsert,
+            kind,
             i + 1,
-            format!("re-inserted live edge {} at event {}", original.edge, i + 1),
+            1,
+            format!("{what} edge {} at event {}", original.edge, i + 1),
         );
         true
     }
 
     /// Delete an edge built from fresh vertex ids — never inserted.
     fn orphan_delete(&mut self) -> bool {
-        if self.events.is_empty() {
+        if self.items.is_empty() {
             return false;
         }
-        let at = self.below(self.events.len());
-        let ts = self.events[at].ts;
+        let at = self.below(self.items.len());
+        let ts = self.items[at].ts;
         let (u, v) = (self.fresh_vertex(), self.fresh_vertex());
         let edge = EdgeKey::new(u, v);
         self.used_edges.insert(edge.pack());
@@ -379,6 +173,7 @@ impl<'p> UpdateInjector<'p> {
         self.record(
             UpdateFaultKind::OrphanDelete,
             at,
+            1,
             format!("deleted never-inserted edge {edge} at event {at}"),
         );
         true
@@ -388,28 +183,24 @@ impl<'p> UpdateInjector<'p> {
     /// same edge is invalidated as a side effect.
     fn op_flip(&mut self) -> bool {
         let last = self.last_occurrence();
-        let candidates: Vec<usize> = (0..self.events.len())
-            .filter(|&i| {
-                let key = self.events[i].edge.pack();
-                last.get(&key) == Some(&i) && !self.used_edges.contains(&key)
-            })
-            .collect();
+        let candidates = self.unused_events(|i, ev| last.get(&ev.edge.pack()) == Some(&i));
         let Some(i) = self.pick(&candidates) else {
             return false;
         };
-        let old_op = self.events[i].op;
-        self.events[i].op = match old_op {
+        let old_op = self.items[i].op;
+        self.items[i].op = match old_op {
             UpdateOp::Insert => UpdateOp::Delete,
             UpdateOp::Delete => UpdateOp::Insert,
         };
-        self.used_edges.insert(self.events[i].edge.pack());
-        let edge = self.events[i].edge;
+        let edge = self.items[i].edge;
+        self.used_edges.insert(edge.pack());
         self.record(
             UpdateFaultKind::OpFlip,
             i,
+            1,
             format!(
                 "flipped {old_op} {edge} to {} at event {i}",
-                self.events[i].op
+                self.items[i].op
             ),
         );
         true
@@ -420,25 +211,21 @@ impl<'p> UpdateInjector<'p> {
     /// the lost deletion) has no later events to invalidate.
     fn corrupt_endpoint(&mut self) -> bool {
         let last = self.last_occurrence();
-        let candidates: Vec<usize> = (0..self.events.len())
-            .filter(|&i| {
-                let key = self.events[i].edge.pack();
-                self.events[i].op == UpdateOp::Delete
-                    && last.get(&key) == Some(&i)
-                    && !self.used_edges.contains(&key)
-            })
-            .collect();
+        let candidates = self.unused_events(|i, ev| {
+            ev.op == UpdateOp::Delete && last.get(&ev.edge.pack()) == Some(&i)
+        });
         let Some(i) = self.pick(&candidates) else {
             return false;
         };
-        let old = self.events[i].edge;
+        let old = self.items[i].edge;
         let corrupted = EdgeKey::new(old.lo(), self.fresh_vertex());
-        self.events[i].edge = corrupted;
+        self.items[i].edge = corrupted;
         self.used_edges.insert(old.pack());
         self.used_edges.insert(corrupted.pack());
         self.record(
             UpdateFaultKind::CorruptEndpoint,
             i,
+            1,
             format!("rewrote delete {old} as {corrupted} at event {i}"),
         );
         true
@@ -448,26 +235,25 @@ impl<'p> UpdateInjector<'p> {
     /// distinct edges: one regression at the later slot, no semantic
     /// violation.
     fn swap_adjacent(&mut self) -> bool {
-        let candidates: Vec<usize> = (0..self.events.len().saturating_sub(1))
+        let candidates: Vec<usize> = (0..self.items.len().saturating_sub(1))
             .filter(|&i| {
-                let (a, b) = (self.events[i], self.events[i + 1]);
+                let (a, b) = (self.items[i], self.items[i + 1]);
                 a.ts < b.ts
                     && a.edge != b.edge
                     && !self.used_edges.contains(&a.edge.pack())
                     && !self.used_edges.contains(&b.edge.pack())
-                    && !(i.saturating_sub(1)..=i + 2).any(|p| self.ts_touched.contains(&p))
+                    && !(i.saturating_sub(1)..=i + 2).any(|p| self.touched.contains(&p))
             })
             .collect();
         let Some(i) = self.pick(&candidates) else {
             return false;
         };
-        self.events.swap(i, i + 1);
-        for p in i.saturating_sub(1)..=i + 2 {
-            self.ts_touched.insert(p);
-        }
+        self.items.swap(i, i + 1);
+        self.touched.extend(i.saturating_sub(1)..=i + 2);
         self.record(
             UpdateFaultKind::SwapAdjacent,
             i + 1,
+            1,
             format!("swapped events {i} and {} (timestamps regress)", i + 1),
         );
         true
@@ -477,25 +263,24 @@ impl<'p> UpdateInjector<'p> {
     /// successor's timestamp is at least the predecessor's (valid input),
     /// so exactly one regression appears.
     fn ts_regression(&mut self) -> bool {
-        let candidates: Vec<usize> = (1..self.events.len())
+        let candidates: Vec<usize> = (1..self.items.len())
             .filter(|&i| {
-                self.events[i - 1].ts >= 1
-                    && self.events[i].ts >= self.events[i - 1].ts
-                    && !(i - 1..=i + 1).any(|p| self.ts_touched.contains(&p))
+                self.items[i - 1].ts >= 1
+                    && self.items[i].ts >= self.items[i - 1].ts
+                    && !(i - 1..=i + 1).any(|p| self.touched.contains(&p))
             })
             .collect();
         let Some(i) = self.pick(&candidates) else {
             return false;
         };
-        let previous = self.events[i - 1].ts;
-        let old = self.events[i].ts;
-        self.events[i].ts = previous - 1;
-        for p in i - 1..=i + 1 {
-            self.ts_touched.insert(p);
-        }
+        let previous = self.items[i - 1].ts;
+        let old = self.items[i].ts;
+        self.items[i].ts = previous - 1;
+        self.touched.extend(i - 1..=i + 1);
         self.record(
             UpdateFaultKind::TimestampRegression,
             i,
+            1,
             format!("event {i}: timestamp {old} rewritten to {}", previous - 1),
         );
         true

@@ -32,7 +32,9 @@ use adjstream::lowerbound::problems::{Disj3Instance, DisjInstance, Pj3Instance};
 use adjstream::service::json::{self as sjson, Json};
 use adjstream::stream::batch::Budget;
 use adjstream::stream::trace::{read_trace_file_with_retry, ItemTrace, RetryError, RetryPolicy};
-use adjstream::stream::{validate_stream, AdjListStream, RunError, StreamItem, StreamOrder};
+use adjstream::stream::{
+    validate_stream, AdjListStream, GuardPolicy, RunError, StreamItem, StreamOrder,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -787,7 +789,7 @@ fn write_items(items: &[StreamItem], out: Option<&String>) -> Result<(), String>
 fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     use adjstream::algo::common::EdgeSampling;
     use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
-    use adjstream::stream::{run_slice_passes_observed, GuardPolicy, Guarded, Metrics};
+    use adjstream::stream::{run_slice_passes_observed, Guarded, Metrics};
     let path = args.first().ok_or("missing stream file")?;
     let flags = parse_flags(&args[1..])?;
     // Any scale-out flag routes to the graph-sharded path; the plain
@@ -800,13 +802,7 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     }
     let metrics_out = flags.get("metrics-out").cloned();
     let sink = Metrics::from_flag(metrics_out.is_some());
-    let policy = flags
-        .get("policy")
-        .map(|p| {
-            GuardPolicy::parse(p)
-                .ok_or(format!("--policy must be strict|repair|observe, got {p:?}"))
-        })
-        .transpose()?;
+    let policy = policy_flag(&flags)?;
     // With an explicit policy the guard handles malformed input; without
     // one the trace must certify up front. Transient read failures retry.
     let (trace, attempts) = read_trace_file_with_retry(
@@ -907,37 +903,12 @@ impl ShardSource {
     }
 }
 
-/// One-pass item collector. Run through [`adjstream::stream::Guarded`] it
-/// materializes the *repaired* stream, so a guard policy is applied once,
-/// upstream of the shard split, and every shard replays the same
-/// promise-valid trace.
-#[derive(Default)]
-struct CollectItems {
-    items: Vec<StreamItem>,
-}
-
-impl adjstream::stream::SpaceUsage for CollectItems {
-    fn space_bytes(&self) -> usize {
-        self.items.len() * std::mem::size_of::<StreamItem>()
-    }
-}
-
-impl adjstream::stream::MultiPassAlgorithm for CollectItems {
-    type Output = Vec<StreamItem>;
-
-    fn passes(&self) -> usize {
-        1
-    }
-
-    fn begin_pass(&mut self, _pass: usize) {}
-
-    fn item(&mut self, src: adjstream::graph::VertexId, dst: adjstream::graph::VertexId) {
-        self.items.push(StreamItem::new(src, dst));
-    }
-
-    fn finish(self) -> Vec<StreamItem> {
-        self.items
-    }
+/// The `--policy strict|repair|observe` flag of `estimate-stream`, if given.
+fn policy_flag(flags: &HashMap<String, String>) -> Result<Option<GuardPolicy>, String> {
+    let parse = |p: &String| {
+        GuardPolicy::parse(p).ok_or(format!("--policy must be strict|repair|observe, got {p:?}"))
+    };
+    flags.get("policy").map(parse).transpose()
 }
 
 /// The scale-out variant of `estimate-stream`: partition the trace by
@@ -953,8 +924,7 @@ fn cmd_estimate_stream_sharded(
     use adjstream::algo::common::EdgeSampling;
     use adjstream::algo::triangle::{ShardedTriangle, ShardedTriangleConfig};
     use adjstream::stream::{
-        run_sharded_hooked, run_slice_passes, GuardPolicy, Guarded, MappedTrace, Metrics,
-        ShardError, ShardPlan,
+        guard_items, run_sharded_hooked, MappedTrace, Metrics, ShardError, ShardPlan,
     };
 
     let shards: usize = get(flags, "shards", 1)?;
@@ -965,13 +935,7 @@ fn cmd_estimate_stream_sharded(
     let use_mmap = flags.contains_key("mmap");
     let metrics_out = flags.get("metrics-out").cloned();
     let sink = Metrics::from_flag(metrics_out.is_some());
-    let policy = flags
-        .get("policy")
-        .map(|p| {
-            GuardPolicy::parse(p)
-                .ok_or(format!("--policy must be strict|repair|observe, got {p:?}"))
-        })
-        .transpose()?;
+    let policy = policy_flag(flags)?;
 
     // Acquire the item stream. The mmapped path defers checksum and
     // promise validation to the first pass boundary (unless a guard
@@ -1001,18 +965,13 @@ fn cmd_estimate_stream_sharded(
 
     // With a guard policy the stream is repaired ONCE, upstream of the
     // shard split, so every shard replays the same promise-valid items.
-    let mut guard_stats = None;
-    let repaired: Option<Vec<StreamItem>> = match policy {
+    let (repaired, guard_stats) = match policy {
         Some(policy) => {
-            let (fixed, rep) =
-                run_slice_passes(Guarded::new(CollectItems::default(), policy), |_pass| {
-                    raw_items
-                })
+            let (fixed, stats) = guard_items(raw_items, policy)
                 .map_err(|e| CliFailure::from(EstimateError::Run(e)))?;
-            guard_stats = rep.guard;
-            Some(fixed)
+            (Some(fixed), Some(stats))
         }
-        None => None,
+        None => (None, None),
     };
     let items: &[StreamItem] = repaired.as_deref().unwrap_or(raw_items);
 
