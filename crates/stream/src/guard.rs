@@ -328,8 +328,10 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
         self.validator.space_bytes() + hashset_bytes(&self.quarantined) + fp
     }
 
-    fn observe_validator_peak(&mut self) {
-        let bytes = self.validator_bytes();
+    /// Fold the guard's current bytes, plus `transient` bytes a call is
+    /// about to allocate and free, into the peak.
+    fn observe_validator_peak(&mut self, transient: usize) {
+        let bytes = self.validator_bytes() + transient;
         self.stats.validator_peak_bytes = self.stats.validator_peak_bytes.max(bytes);
     }
 
@@ -487,14 +489,15 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
     }
 
     fn end_list(&mut self, owner: VertexId) {
-        self.observe_validator_peak();
+        self.observe_validator_peak(0);
         self.inner.end_list(owner);
     }
 
     fn end_pass(&mut self, pass: usize) {
         if pass == 0 {
-            if let Err(e) = self.validator.finish() {
-                let unmatched = self.validator.unmatched_edges();
+            self.observe_validator_peak(self.validator.finish_bytes());
+            let (verdict, unmatched) = self.validator.finish_with_unmatched();
+            if let Err(e) = verdict {
                 self.stats.faults_detected += unmatched.len().max(1);
                 // Exact mode names every unmatched edge; bounded mode can
                 // recover at most a single straggler from its sketch. An
@@ -533,7 +536,7 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
                 self.order_violation(at);
             }
         }
-        self.observe_validator_peak();
+        self.observe_validator_peak(0);
         self.inner.end_pass(pass);
     }
 
@@ -596,8 +599,9 @@ pub fn guard_items(
     policy: GuardPolicy,
 ) -> Result<(Vec<StreamItem>, GuardStats), RunError> {
     // One pass admits at most every item: reserve once, never reallocate.
-    let admitted = Admitted(Vec::with_capacity(items.len()));
-    let (admitted, report) = run_slice_passes(Guarded::new(admitted, policy), |_pass| items)?;
+    let mut guard = Guarded::new(Admitted(Vec::with_capacity(items.len())), policy);
+    guard.validator.reserve(items.len());
+    let (admitted, report) = run_slice_passes(guard, |_pass| items)?;
     Ok((admitted, report.guard.unwrap_or_default()))
 }
 

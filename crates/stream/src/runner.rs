@@ -276,6 +276,7 @@ pub struct GuardStats {
     pub edges_quarantined: usize,
     /// Peak bytes of validator + guard bookkeeping, separated out so
     /// experiments can distinguish algorithm state from guard overhead.
+    /// Includes the exact validator's end-of-pass sort buffer.
     pub validator_peak_bytes: usize,
 }
 

@@ -1,25 +1,26 @@
 //! Validation of the adjacency-list promise.
 //!
 //! The model *promises* a particular stream shape; a production system must
-//! reject malformed inputs rather than silently miscount on them. Two
-//! checkers enforce that promise:
+//! reject malformed inputs rather than silently miscount on them. One
+//! checker enforces that promise, with one offline entry point:
 //!
-//! * [`validate_stream`] — the offline reference: runs the local checks in
-//!   stream order, then decides symmetry with one sort of packed canonical
-//!   edge keys (`min << 32 | max`), reporting the first violation by
-//!   position. Its working memory is 16 B per item (a directed and a
-//!   canonical `u64` key) and never scales with a vertex id. Used to
-//!   certify test inputs and as the ground truth the online checker is
-//!   tested against.
 //! * [`OnlineValidator`] — the incremental checker that runs *inside*
 //!   ingestion (see [`crate::guard::Guarded`]): items are fed one at a time,
 //!   each either accepted or rejected with a [`StreamError`], and the
 //!   validator's own state is metered through [`SpaceUsage`] so experiments
 //!   can account for its overhead. [Exact mode](OnlineValidator::exact)
-//!   matches the offline checker decision-for-decision;
-//!   [bounded mode](OnlineValidator::bounded) keeps only open-list state, a
+//!   runs the local checks per item and keeps each accepted item's
+//!   neighbour as a `u32` in stream order, plus one `(owner, length)` per
+//!   list (4 B per item, 8 B per list); at [`finish`](OnlineValidator::finish)
+//!   it decides symmetry with one sort of packed canonical edge keys
+//!   (`min << 32 | max`, a transient 8 B per item) and reports the earliest
+//!   unmatched direction. Nothing it allocates is sized by a vertex id.
+//!   [Bounded mode](OnlineValidator::bounded) keeps only open-list state, a
 //!   recent-list window, and a seeded edge-parity sketch, trading split-list
 //!   completeness for `O(Δ + window)` memory.
+//! * [`validate_stream`] — the offline entry point: exact mode over a
+//!   whole item sequence, reserved once from its size hint. It certifies
+//!   test inputs and traces.
 //!
 //! The checked promise, for an arbitrary item sequence:
 //!
@@ -33,9 +34,9 @@ use std::collections::VecDeque;
 
 use adjstream_graph::VertexId;
 
-use crate::hashing::{FastMap, FastSet, HashFn};
+use crate::hashing::{FastSet, HashFn};
 use crate::item::StreamItem;
-use crate::meter::{hashmap_bytes, hashset_bytes, SpaceUsage};
+use crate::meter::{hashset_bytes, SpaceUsage};
 
 /// Ways a purported adjacency list stream can be malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,97 +157,28 @@ pub(crate) fn pack_edge(a: VertexId, b: VertexId) -> u64 {
 /// Validate an item sequence against the adjacency-list promise.
 ///
 /// Returns the number of undirected edges on success. This is the offline
-/// reference checker; it certifies test inputs and serves as the ground
-/// truth for [`OnlineValidator`]'s exact mode, which must agree with it
-/// decision-for-decision.
-///
-/// The local checks (self-loop, contiguity, within-list duplicates) run in
-/// stream order and stop at the first violation. Symmetry is then decided
-/// by one sort of canonical edge keys: once the local checks pass, every
-/// directed pair occurs at most once, so each canonical key must occur
-/// exactly twice. Working memory is two `u64` keys per item (16 B), plus
-/// one set entry per list owner and per neighbour of the current list;
-/// nothing is sized by a vertex id.
+/// entry point to [`OnlineValidator`]'s exact mode: it reserves the
+/// stream's size hint, observes every item and finishes, so it stops at
+/// the first violation and returns exactly what the online checker does.
 pub fn validate_stream<I>(items: I) -> Result<usize, StreamError>
 where
     I: IntoIterator<Item = StreamItem>,
 {
     let items = items.into_iter();
-    // Stream-order directed keys `src << 32 | dst`.
-    let mut directed: Vec<u64> = Vec::with_capacity(items.size_hint().0);
-    let mut finished: FastSet<u32> = FastSet::default();
-    let mut current: Option<VertexId> = None;
-    let mut current_seen: FastSet<u32> = FastSet::default();
-    for (position, it) in items.enumerate() {
-        if it.src == it.dst {
-            return Err(StreamError::SelfLoop {
-                vertex: it.src,
-                position,
-            });
-        }
-        if current != Some(it.src) {
-            if let Some(prev) = current {
-                finished.insert(prev.0);
-            }
-            if finished.contains(&it.src.0) {
-                return Err(StreamError::ListNotContiguous {
-                    vertex: it.src,
-                    position,
-                });
-            }
-            current = Some(it.src);
-            current_seen.clear();
-        }
-        if !current_seen.insert(it.dst.0) {
-            return Err(StreamError::DuplicateNeighbor {
-                src: it.src,
-                dst: it.dst,
-                position,
-            });
-        }
-        directed.push((u64::from(it.src.0) << 32) | u64::from(it.dst.0));
-    }
-    drop((finished, current_seen));
-
-    let canonical_of = |key: u64| pack_edge(VertexId((key >> 32) as u32), VertexId(key as u32));
-    let mut canonical: Vec<u64> = directed.iter().map(|&key| canonical_of(key)).collect();
-    canonical.sort_unstable();
-    // Compact the keys that occur once to the front, still sorted (a key
-    // never occurs three times: that would need a repeated direction).
-    let mut unmatched = 0;
-    let mut i = 0;
-    while i < canonical.len() {
-        if canonical.get(i + 1) == Some(&canonical[i]) {
-            i += 2;
-        } else {
-            canonical[unmatched] = canonical[i];
-            unmatched += 1;
-            i += 1;
-        }
-    }
-    canonical.truncate(unmatched);
-    if canonical.is_empty() {
-        return Ok(directed.len() / 2);
-    }
-    // Report the unmatched direction that appeared *earliest* so the
-    // result is deterministic.
-    let key = directed
-        .iter()
-        .copied()
-        .find(|&key| canonical.binary_search(&canonical_of(key)).is_ok())
-        .expect("an unmatched canonical key came from some item");
-    Err(StreamError::MissingReverse {
-        src: VertexId((key >> 32) as u32),
-        dst: VertexId(key as u32),
-    })
+    let mut validator = OnlineValidator::exact();
+    validator.reserve(items.size_hint().0);
+    validate_online(&mut validator, items)
 }
 
 /// Which bookkeeping strategy an [`OnlineValidator`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidatorMode {
-    /// Full per-vertex and per-edge state: every violation the offline
-    /// checker finds is found here, at the same item, with the same
-    /// payload. Memory `O(n + m)`.
+    /// Every violation is found, each local one at its earliest
+    /// detectable item and a missing reverse at the end as the earliest
+    /// unmatched direction. Memory: one set entry per list owner and per
+    /// neighbour of the open list, 4 B per accepted item and 8 B per list
+    /// while streaming, plus an 8 B-per-item sort buffer while
+    /// [`OnlineValidator::finish`] runs.
     Exact,
     /// Open-list state plus a window of recently finished lists plus a
     /// seeded edge-parity sketch. Memory `O(Δ + window)`. Detects
@@ -279,10 +211,13 @@ pub struct OnlineValidator {
     current_seen: FastSet<u32>,
     // Exact mode.
     finished: FastSet<u32>,
-    /// Canonical edge → (direction seen first, first position); removed when
-    /// matched by the reverse direction.
-    pending: FastMap<u64, (u32, u32, usize)>,
-    matched: usize,
+    /// Neighbour of every accepted item, in stream order.
+    neighbours: Vec<u32>,
+    /// `(owner, length)` of every opened list, in stream order: each list
+    /// holds the next `length` entries of `neighbours`. A list's
+    /// neighbours are distinct ids other than its owner, so its length
+    /// always fits a `u32`.
+    lists: Vec<(u32, u32)>,
     // Bounded mode.
     recent: VecDeque<u32>,
     recent_set: FastSet<u32>,
@@ -293,8 +228,8 @@ pub struct OnlineValidator {
 }
 
 impl OnlineValidator {
-    /// An exact validator, agreeing with [`validate_stream`]
-    /// decision-for-decision. Memory `O(n + m)`.
+    /// An exact validator; [`validate_stream`] runs one over a whole
+    /// sequence.
     pub fn exact() -> Self {
         Self::with_mode(ValidatorMode::Exact)
     }
@@ -316,8 +251,8 @@ impl OnlineValidator {
             current: None,
             current_seen: FastSet::default(),
             finished: FastSet::default(),
-            pending: FastMap::default(),
-            matched: 0,
+            neighbours: Vec::new(),
+            lists: Vec::new(),
             recent: VecDeque::new(),
             recent_set: FastSet::default(),
             sketch_hash: 0,
@@ -337,10 +272,29 @@ impl OnlineValidator {
         self.position
     }
 
-    /// Forget everything; ready to validate a fresh pass.
+    /// Forget everything; ready to validate a fresh pass. Buffers keep
+    /// their capacity, so a multi-pass guard does not regrow them every
+    /// pass.
     pub fn reset(&mut self) {
-        let mode = self.mode;
-        *self = Self::with_mode(mode);
+        self.position = 0;
+        self.current = None;
+        self.current_seen.clear();
+        self.finished.clear();
+        self.neighbours.clear();
+        self.lists.clear();
+        self.recent.clear();
+        self.recent_set.clear();
+        self.sketch_hash = 0;
+        self.sketch_key = 0;
+        self.sketch_items = 0;
+    }
+
+    /// Make room for `items` more accepted items, so a caller that knows
+    /// the stream length grows the exact mode's buffer once.
+    pub(crate) fn reserve(&mut self, items: usize) {
+        if self.mode == ValidatorMode::Exact {
+            self.neighbours.reserve(items);
+        }
     }
 
     /// Record that one stream position was consumed without being shown to
@@ -355,6 +309,7 @@ impl OnlineValidator {
     /// On `Err` the item is **not** committed: the validator's state is
     /// exactly as if the item had never arrived (its stream position is
     /// still consumed).
+    #[inline]
     pub fn observe(&mut self, item: StreamItem) -> Result<(), StreamError> {
         let position = self.position;
         self.position += 1;
@@ -364,16 +319,13 @@ impl OnlineValidator {
                 position,
             });
         }
-        let boundary = self.current != Some(item.src);
-        if boundary {
-            let closed = self.current;
-            // Check *before* committing the list close, so a rejected item
-            // leaves even the boundary state untouched? No: the previous
-            // list genuinely ended the moment a different source arrived,
-            // whether or not the new item survives. Commit the close first.
-            if let Some(prev) = closed {
+        if self.current != Some(item.src) {
+            // The previous list genuinely ended the moment a different
+            // source arrived, whether or not the new item survives.
+            if let Some(prev) = self.current {
                 self.close_list(prev);
             }
+            self.current_seen.clear();
             let split = match self.mode {
                 ValidatorMode::Exact => self.finished.contains(&item.src.0),
                 ValidatorMode::Bounded { .. } => self.recent_set.contains(&item.src.0),
@@ -383,38 +335,34 @@ impl OnlineValidator {
                 // a following item of the same source re-reports (callers
                 // quarantine the segment instead, see `guard`).
                 self.current = None;
-                self.current_seen.clear();
                 return Err(StreamError::ListNotContiguous {
                     vertex: item.src,
                     position,
                 });
             }
             self.current = Some(item.src);
-            self.current_seen.clear();
+            if self.mode == ValidatorMode::Exact {
+                self.lists.push((item.src.0, 0));
+            }
         }
-        if self.current_seen.contains(&item.dst.0) {
+        if !self.current_seen.insert(item.dst.0) {
             return Err(StreamError::DuplicateNeighbor {
                 src: item.src,
                 dst: item.dst,
                 position,
             });
         }
-        self.current_seen.insert(item.dst.0);
-        let key = pack_edge(item.src, item.dst);
         match self.mode {
-            ValidatorMode::Exact => match self.pending.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    // The reverse direction was pending (the same direction
-                    // can only repeat after a split/duplicate error, which
-                    // never commits).
-                    e.remove();
-                    self.matched += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((item.src.0, item.dst.0, position));
-                }
-            },
+            ValidatorMode::Exact => {
+                self.neighbours.push(item.dst.0);
+                let (_, len) = self
+                    .lists
+                    .last_mut()
+                    .expect("an accepted item's list is open");
+                *len += 1;
+            }
             ValidatorMode::Bounded { .. } => {
+                let key = pack_edge(item.src, item.dst);
                 self.sketch_hash ^= self.hasher.hash(key);
                 self.sketch_key ^= key;
                 self.sketch_items += 1;
@@ -446,52 +394,85 @@ impl OnlineValidator {
     /// success (exact mode counts matches; bounded mode derives it from the
     /// accepted item count).
     pub fn finish(&self) -> Result<usize, StreamError> {
-        match self.mode {
-            ValidatorMode::Exact => {
-                let mut earliest: Option<&(u32, u32, usize)> = None;
-                for v in self.pending.values() {
-                    if earliest.is_none_or(|e| v.2 < e.2) {
-                        earliest = Some(v);
-                    }
-                }
-                match earliest {
-                    Some(&(s, d, _)) => Err(StreamError::MissingReverse {
-                        src: VertexId(s),
-                        dst: VertexId(d),
-                    }),
-                    None => Ok(self.matched),
-                }
-            }
-            ValidatorMode::Bounded { .. } => {
-                if self.sketch_hash == 0 {
-                    Ok(self.sketch_items / 2)
-                } else if self.sketch_key != 0
-                    && self.hasher.hash(self.sketch_key) == self.sketch_hash
-                {
-                    // Exactly one unmatched direction: the key XOR is that
-                    // edge itself (verified against the hash XOR).
-                    Err(StreamError::MissingReverse {
-                        src: VertexId((self.sketch_key >> 32) as u32),
-                        dst: VertexId(self.sketch_key as u32),
-                    })
-                } else {
-                    Err(StreamError::UnbalancedEdges {
-                        parity: self.sketch_hash,
-                    })
-                }
-            }
-        }
+        self.finish_with_unmatched().0
     }
 
     /// Every edge still missing its reverse direction (exact mode), as
     /// `(src, dst)` of the direction that appeared, ordered by first
     /// appearance. Empty in bounded mode — the sketch cannot enumerate.
     pub fn unmatched_edges(&self) -> Vec<(VertexId, VertexId)> {
-        let mut v: Vec<&(u32, u32, usize)> = self.pending.values().collect();
-        v.sort_by_key(|e| e.2);
-        v.into_iter()
-            .map(|&(s, d, _)| (VertexId(s), VertexId(d)))
-            .collect()
+        self.finish_with_unmatched().1
+    }
+
+    /// [`finish`](Self::finish) and [`unmatched_edges`](Self::unmatched_edges)
+    /// from one symmetry check. The list is empty on success.
+    pub(crate) fn finish_with_unmatched(
+        &self,
+    ) -> (Result<usize, StreamError>, Vec<(VertexId, VertexId)>) {
+        if let ValidatorMode::Bounded { .. } = self.mode {
+            return (self.finish_bounded(), Vec::new());
+        }
+        // Symmetry by one sort of canonical keys: the local checks leave
+        // every directed pair at most once, so each key must occur exactly
+        // twice. The unmatched edges are the accepted items whose key occurs
+        // once, in stream order; the first is the error.
+        let mut canonical: Vec<u64> = Vec::with_capacity(self.neighbours.len());
+        for (owner, list) in self.accepted_lists() {
+            canonical.extend(list.iter().map(|&dst| pack_edge(owner, VertexId(dst))));
+        }
+        canonical.sort_unstable();
+        let once: Vec<u64> = canonical
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() == 1)
+            .map(|run| run[0])
+            .collect();
+        drop(canonical);
+        if once.is_empty() {
+            return (Ok(self.neighbours.len() / 2), Vec::new());
+        }
+        let unmatched: Vec<(VertexId, VertexId)> = self
+            .accepted_lists()
+            .flat_map(|(owner, list)| list.iter().map(move |&dst| (owner, VertexId(dst))))
+            .filter(|&(src, dst)| once.binary_search(&pack_edge(src, dst)).is_ok())
+            .take(once.len())
+            .collect();
+        let (src, dst) = unmatched[0];
+        (Err(StreamError::MissingReverse { src, dst }), unmatched)
+    }
+
+    /// Every list as its owner and accepted neighbours, in stream order
+    /// (exact mode).
+    fn accepted_lists(&self) -> impl Iterator<Item = (VertexId, &[u32])> + '_ {
+        let mut rest = &self.neighbours[..];
+        self.lists.iter().map(move |&(owner, len)| {
+            let (list, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (VertexId(owner), list)
+        })
+    }
+
+    fn finish_bounded(&self) -> Result<usize, StreamError> {
+        if self.sketch_hash == 0 {
+            Ok(self.sketch_items / 2)
+        } else if self.sketch_key != 0 && self.hasher.hash(self.sketch_key) == self.sketch_hash {
+            // Exactly one unmatched direction: the key XOR is that
+            // edge itself (verified against the hash XOR).
+            Err(StreamError::MissingReverse {
+                src: VertexId((self.sketch_key >> 32) as u32),
+                dst: VertexId(self.sketch_key as u32),
+            })
+        } else {
+            Err(StreamError::UnbalancedEdges {
+                parity: self.sketch_hash,
+            })
+        }
+    }
+
+    /// Bytes [`finish`](Self::finish) allocates on top of
+    /// [`space_bytes`](SpaceUsage::space_bytes) while it runs: the exact
+    /// mode's sort buffer, one canonical `u64` per accepted item.
+    pub(crate) fn finish_bytes(&self) -> usize {
+        self.neighbours.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -499,10 +480,11 @@ impl SpaceUsage for OnlineValidator {
     fn space_bytes(&self) -> usize {
         hashset_bytes(&self.current_seen)
             + hashset_bytes(&self.finished)
-            + hashmap_bytes(&self.pending)
+            + self.neighbours.capacity() * std::mem::size_of::<u32>()
+            + self.lists.capacity() * std::mem::size_of::<(u32, u32)>()
             + hashset_bytes(&self.recent_set)
             + self.recent.capacity() * std::mem::size_of::<u32>()
-            + 64 // sketch words, cursors, hasher keys
+            + 104 // sketch words, cursors, hasher keys, buffer headers
     }
 }
 
@@ -559,18 +541,14 @@ mod tests {
 
     #[test]
     fn rejects_missing_reverse() {
-        let items = vec![it(0, 1), it(1, 0), it(0, 2)];
-        // 0's list is [1, 2] but contiguity: items are 0,1,0 -> split!
-        // Use a properly ordered version instead.
-        let items2 = vec![it(0, 1), it(0, 2), it(1, 0)];
+        let items = vec![it(0, 1), it(0, 2), it(1, 0)];
         assert_eq!(
-            validate_stream(items2),
+            validate_stream(items),
             Err(StreamError::MissingReverse {
                 src: VertexId(0),
                 dst: VertexId(2)
             })
         );
-        let _ = items;
     }
 
     #[test]
@@ -780,8 +758,12 @@ mod tests {
         let mut v = OnlineValidator::exact();
         v.observe(it(0, 1)).unwrap();
         assert!(v.finish().is_err());
+        let bytes = v.space_bytes();
         v.reset();
         assert_eq!(v.position(), 0);
         assert_eq!(v.finish(), Ok(0));
+        assert_eq!(v.space_bytes(), bytes, "reset must keep capacity");
+        v.observe(it(1, 0)).unwrap();
+        assert_eq!(v.unmatched_edges(), vec![(VertexId(1), VertexId(0))]);
     }
 }

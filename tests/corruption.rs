@@ -2,7 +2,7 @@
 //! with the offline checker, and graceful degradation of the two-pass
 //! triangle estimator under the guard policies.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use adjstream::algo::common::EdgeSampling;
 use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
@@ -10,7 +10,7 @@ use adjstream::graph::{exact, gen, GraphBuilder, VertexId};
 use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{
     run_slice_passes, validate_online, validate_stream, AdjListStream, FaultKind, FaultPlan,
-    GuardPolicy, Guarded, OnlineValidator, RunError, StreamItem, StreamOrder,
+    GuardPolicy, Guarded, OnlineValidator, RunError, StreamError, StreamItem, StreamOrder,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -57,6 +57,79 @@ const STREAM_FAULTS: [FaultKind; 6] = [
     FaultKind::CorruptVertex,
     FaultKind::TruncateTail,
 ];
+
+/// Reference model of the exact online validator: the pending-edge hash
+/// map design the sort-based core replaced, kept as an oracle that shares
+/// no code with it. Each accepted direction waits in `pending` under its
+/// canonical key until the reverse direction removes it.
+#[derive(Default)]
+struct PendingMapValidator {
+    position: usize,
+    current: Option<u32>,
+    current_seen: HashSet<u32>,
+    finished: HashSet<u32>,
+    /// Canonical edge → (direction seen first, its position).
+    pending: HashMap<u64, (u32, u32, usize)>,
+    matched: usize,
+}
+
+impl PendingMapValidator {
+    fn observe(&mut self, item: StreamItem) -> Result<(), StreamError> {
+        let position = self.position;
+        self.position += 1;
+        let (src, dst) = (item.src.0, item.dst.0);
+        if src == dst {
+            return Err(StreamError::SelfLoop {
+                vertex: item.src,
+                position,
+            });
+        }
+        if self.current != Some(src) {
+            if let Some(prev) = self.current {
+                self.finished.insert(prev);
+            }
+            self.current_seen.clear();
+            if self.finished.contains(&src) {
+                self.current = None;
+                return Err(StreamError::ListNotContiguous {
+                    vertex: item.src,
+                    position,
+                });
+            }
+            self.current = Some(src);
+        }
+        if !self.current_seen.insert(dst) {
+            return Err(StreamError::DuplicateNeighbor {
+                src: item.src,
+                dst: item.dst,
+                position,
+            });
+        }
+        let key = (u64::from(src.min(dst)) << 32) | u64::from(src.max(dst));
+        if self.pending.remove(&key).is_some() {
+            self.matched += 1;
+        } else {
+            self.pending.insert(key, (src, dst, position));
+        }
+        Ok(())
+    }
+
+    fn unmatched_edges(&self) -> Vec<(VertexId, VertexId)> {
+        let mut pending: Vec<(u32, u32, usize)> = self.pending.values().copied().collect();
+        pending.sort_by_key(|&(_, _, position)| position);
+        pending
+            .into_iter()
+            .map(|(src, dst, _)| (VertexId(src), VertexId(dst)))
+            .collect()
+    }
+
+    fn finish(&self) -> Result<usize, StreamError> {
+        match self.unmatched_edges().first() {
+            Some(&(src, dst)) => Err(StreamError::MissingReverse { src, dst }),
+            None => Ok(self.matched),
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -111,6 +184,56 @@ proptest! {
         let online = validate_online(&mut v, corrupted.items().iter().copied());
         prop_assert!(offline.is_err());
         prop_assert_eq!(offline, online);
+    }
+
+    /// The exact online validator matches the pending-map reference model
+    /// on every item — accepted, or the same error at the same position,
+    /// observing on past rejections as the guard does — then on `finish`
+    /// and on the first-appearance order of `unmatched_edges`. A second
+    /// pass after `reset` reuses the validator's buffers and must agree
+    /// too. Inputs: random graphs, each stream fault alone, a composed
+    /// plan, or no fault, optionally relabelled across the full `u32`
+    /// range.
+    #[test]
+    fn online_exact_matches_pending_map_reference(
+        n in 8usize..48,
+        m_raw in 8usize..160,
+        gseed in proptest::prelude::any::<u64>(),
+        fseed in proptest::prelude::any::<u64>(),
+        fault_ix in 0usize..8,
+        relabel in proptest::prelude::any::<bool>(),
+    ) {
+        let m = m_raw.min(n * (n - 1) / 2);
+        let items = stream_items(n, m, gseed);
+        let plan = match STREAM_FAULTS.get(fault_ix) {
+            Some(&kind) => Some(FaultPlan::new(fseed).with(kind, 1)),
+            None if fault_ix == STREAM_FAULTS.len() => Some(
+                STREAM_FAULTS
+                    .iter()
+                    .fold(FaultPlan::new(fseed), |plan, &kind| plan.with(kind, 1))
+                    .with(FaultKind::DropDirection, 3),
+            ),
+            None => None,
+        };
+        let corrupted = match plan {
+            Some(plan) => plan.apply(&items).items().to_vec(),
+            None => items,
+        };
+        let corrupted = if relabel {
+            relabel_ids(&corrupted, gseed ^ fseed)
+        } else {
+            corrupted
+        };
+        let mut got = OnlineValidator::exact();
+        for pass in 0..2 {
+            got.reset();
+            let mut want = PendingMapValidator::default();
+            for (i, &item) in corrupted.iter().enumerate() {
+                prop_assert_eq!(got.observe(item), want.observe(item), "pass {} item {}", pass, i);
+            }
+            prop_assert_eq!(got.finish(), want.finish());
+            prop_assert_eq!(got.unmatched_edges(), want.unmatched_edges());
+        }
     }
 }
 

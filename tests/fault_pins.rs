@@ -345,8 +345,8 @@ fn repair_guard_checkpoint_bytes_are_pinned() {
         exact,
         (
             257,
-            0x74c5_21af_ce60_23f5,
-            "GuardStats { faults_detected: 11, items_repaired: 8, edges_quarantined: 8, validator_peak_bytes: 3664 }".to_string()
+            0xe14f_72b0_1c26_3042,
+            "GuardStats { faults_detected: 11, items_repaired: 8, edges_quarantined: 8, validator_peak_bytes: 3554 }".to_string()
         )
     );
     let bounded = guard_checkpoint(
