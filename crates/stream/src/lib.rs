@@ -13,8 +13,9 @@
 //!   [`adjstream_graph::Graph`] under a given order, replayable for
 //!   multi-pass algorithms,
 //! * [`validate`] — check the adjacency-list promise on arbitrary item
-//!   sequences, offline ([`validate::validate_stream`]) or incrementally
-//!   during ingestion ([`validate::OnlineValidator`]),
+//!   sequences, offline ([`validate::validate_stream`]), in place over a
+//!   resident slice ([`validate::validate_slice`]) or incrementally during
+//!   ingestion ([`validate::OnlineValidator`]),
 //! * [`fault`] — seeded, replayable injection of every promise violation,
 //! * [`guard`] — wrap any algorithm with online validation and an explicit
 //!   degradation policy (strict / repair / observe),
@@ -147,8 +148,9 @@ pub use mmapfile::{MappedTrace, VerifyCursor};
 pub use obs::{Metrics, MetricsSnapshot, ObsCounters, METRICS_SCHEMA_VERSION};
 pub use order::{StreamOrder, WithinListOrder};
 pub use runner::{
-    drive_pass_slice, run_slice_passes, run_slice_passes_observed, GraphPasses, GuardStats,
-    MultiPassAlgorithm, PassOrders, RunError, RunReport, Runner,
+    drive_pass_slice, run_slice_passes, run_slice_passes_observed, run_slice_passes_validated,
+    GraphPasses, GuardStats, MultiPassAlgorithm, PassOrders, RunError, RunReport, RunResult,
+    Runner,
 };
 pub use shard::{run_sharded_hooked, ShardAlgorithm, ShardError, ShardPlan, ShardRun};
 pub use trace::{ItemTrace, TraceError, ADJB_MAGIC, ADJB_VERSION};
@@ -164,4 +166,6 @@ pub use update_trace::{
     is_adjbu, parse_update_bytes, read_updates, write_adjbu, UpdateTraceError, ADJBU_MAGIC,
     ADJBU_VERSION,
 };
-pub use validate::{validate_online, validate_stream, OnlineValidator, StreamError, ValidatorMode};
+pub use validate::{
+    validate_online, validate_slice, validate_stream, OnlineValidator, StreamError, ValidatorMode,
+};

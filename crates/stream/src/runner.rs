@@ -10,7 +10,8 @@
 //! violation. The batched engine ([`crate::batch`]) drives its fan-out
 //! through the same loop, and a graph shard ([`crate::shard`]) drives its
 //! plan's runs through it. The panicking entry point is a thin wrapper over
-//! the fallible one.
+//! the fallible one. [`run_slice_passes_validated`] replays an unvalidated
+//! resident trace while a second thread checks its promise.
 
 use adjstream_graph::{Graph, VertexId};
 
@@ -20,7 +21,7 @@ use crate::meter::{PeakTracker, SpaceUsage};
 use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, RunObserver};
 use crate::order::StreamOrder;
 use crate::shard::ShardRun;
-use crate::validate::StreamError;
+use crate::validate::{validate_slice_with, StreamError};
 
 /// A streaming algorithm taking one or more passes over an adjacency list
 /// stream.
@@ -301,6 +302,10 @@ pub struct RunReport {
     pub metrics: Option<MetricsSnapshot>,
 }
 
+/// What a run returns: the algorithm's output with its report, or why the
+/// run stopped.
+pub type RunResult<O> = Result<(O, RunReport), RunError>;
+
 /// Drive one pass of `items` through `algo` with slice-batched dispatch:
 /// split `items` into maximal runs of one source vertex and deliver each
 /// run through [`MultiPassAlgorithm::feed_slice`] between its list
@@ -514,6 +519,39 @@ where
         )?;
     }
     Ok(finish_run(algo, peak, processed, passes, obs, sink))
+}
+
+/// [`run_slice_passes_observed`] over one resident, unvalidated slice
+/// replayed every pass, with the adjacency-list promise checked
+/// ([`validate_slice`](crate::validate::validate_slice)) on a second
+/// thread while the passes run on the calling thread.
+///
+/// The verdict decides what the run is worth, so it wins: an invalid
+/// stream returns its [`StreamError`] whatever the passes did, and a valid
+/// one returns its edge count with the run's own result. `algo` must
+/// not panic on malformed input (its output is then discarded), since the
+/// passes start before the verdict is known.
+pub fn run_slice_passes_validated<A>(
+    algo: A,
+    items: &[StreamItem],
+    sink: &Metrics,
+) -> Result<(usize, RunResult<A::Output>), StreamError>
+where
+    A: MultiPassAlgorithm,
+{
+    // The key buffer is allocated here, before the spawn: glibc gives the
+    // checking thread its own malloc arena, and a buffer allocated there
+    // stays cached in that arena after it is freed, where the passes can
+    // never reuse it.
+    let keys = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let check = scope.spawn(move || validate_slice_with(items, keys));
+        let run = run_slice_passes_observed(algo, |_pass| items, sink);
+        let verdict = check
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        verdict.map(|edges| (edges, run))
+    })
 }
 
 /// The per-pass item sequences of a graph streamed per [`PassOrders`],

@@ -48,7 +48,7 @@ use adjstream_graph::VertexId;
 
 use crate::frame::{take_counted, Frame, FrameError, FrameWriter};
 use crate::item::StreamItem;
-use crate::validate::{validate_stream, StreamError};
+use crate::validate::{validate_slice, StreamError};
 
 /// Magic bytes opening every binary (`.adjb`) trace file.
 pub const ADJB_MAGIC: [u8; 8] = *b"ADJBTRAC";
@@ -170,9 +170,10 @@ pub(crate) fn decode_pairs(pairs: &[u8]) -> Vec<StreamItem> {
 }
 
 impl ItemTrace {
-    /// Build from items, validating the promise.
+    /// Build from items, validating the promise in place
+    /// ([`validate_slice`]).
     pub fn new(items: Vec<StreamItem>) -> Result<Self, StreamError> {
-        let edges = validate_stream(items.iter().copied())?;
+        let edges = validate_slice(&items)?;
         Ok(ItemTrace { items, edges })
     }
 
@@ -567,6 +568,16 @@ pub fn read_trace_file_with_retry(
     validate: bool,
 ) -> Result<(ItemTrace, usize), RetryError> {
     RetryingSource::with_policy(|| std::fs::read(path), policy).read_trace_bytes(validate)
+}
+
+/// The operator note for a trace load that took `attempts` attempts, once
+/// the trace's promise verdict is in: `Some` only when a retry was needed
+/// and the trace is `valid` (or was not held to the promise). A load that
+/// validates while it reads ends an invalid trace on its permanent error,
+/// before success is reported; a caller that decodes first and validates
+/// later passes the verdict here so it reports the same.
+pub fn retry_note(attempts: usize, valid: bool) -> Option<String> {
+    (attempts > 1 && valid).then(|| format!("note: read succeeded after {attempts} attempts"))
 }
 
 /// A fault-injection shim: hands out readers over fixed bytes where the

@@ -2,7 +2,7 @@
 //!
 //! The model *promises* a particular stream shape; a production system must
 //! reject malformed inputs rather than silently miscount on them. One
-//! checker enforces that promise, with one offline entry point:
+//! checker enforces that promise, with two offline entry points:
 //!
 //! * [`OnlineValidator`] — the incremental checker that runs *inside*
 //!   ingestion (see [`crate::guard::Guarded`]): items are fed one at a time,
@@ -18,9 +18,22 @@
 //!   [Bounded mode](OnlineValidator::bounded) keeps only open-list state, a
 //!   recent-list window, and a seeded edge-parity sketch, trading split-list
 //!   completeness for `O(Δ + window)` memory.
-//! * [`validate_stream`] — the offline entry point: exact mode over a
-//!   whole item sequence, reserved once from its size hint. It certifies
-//!   test inputs and traces.
+//! * [`validate_stream`] — exact mode over a whole item sequence,
+//!   reserved once from its size hint, for streams that arrive as an
+//!   iterator.
+//! * [`validate_slice`] — the slice entry to the same exact core, for a
+//!   stream already resident as `&[StreamItem]`: the same local checks and
+//!   the same symmetry sort, but the stream order is read back from the
+//!   slice, so it keeps no neighbour copy and no list table — only the
+//!   local-check sets and the 8 B-per-item sort buffer. Every resident
+//!   check uses it ([`crate::trace::ItemTrace::new`] and so every
+//!   validating read), and [`crate::runner::run_slice_passes_validated`]
+//!   runs it on a second thread while an algorithm's passes run, with the
+//!   sort buffer allocated by the calling thread.
+//!
+//! The online mode stores what it accepted because a repairing guard drops
+//! items and needs the admitted order; a resident check stops at its first
+//! local violation, so what it accepted is the slice itself.
 //!
 //! The checked promise, for an arbitrary item sequence:
 //!
@@ -156,7 +169,7 @@ pub(crate) fn pack_edge(a: VertexId, b: VertexId) -> u64 {
 
 /// Validate an item sequence against the adjacency-list promise.
 ///
-/// Returns the number of undirected edges on success. This is the offline
+/// Returns the number of undirected edges on success. This is the iterator
 /// entry point to [`OnlineValidator`]'s exact mode: it reserves the
 /// stream's size hint, observes every item and finishes, so it stops at
 /// the first violation and returns exactly what the online checker does.
@@ -168,6 +181,69 @@ where
     let mut validator = OnlineValidator::exact();
     validator.reserve(items.size_hint().0);
     validate_online(&mut validator, items)
+}
+
+/// Validate a resident item slice against the adjacency-list promise, in
+/// place.
+///
+/// The slice entry to the exact core: the same local checks as
+/// [`OnlineValidator::observe`] and the same symmetry sort as its
+/// [`finish`](OnlineValidator::finish), so it returns exactly what
+/// [`validate_stream`] returns on the same items. It stops at the first
+/// local violation, so when the symmetry step runs every item was
+/// accepted and `items` itself is the stream order to rescan: nothing is
+/// copied per item but the 8 B canonical key the sort needs.
+pub fn validate_slice(items: &[StreamItem]) -> Result<usize, StreamError> {
+    validate_slice_with(items, Vec::new())
+}
+
+/// [`validate_slice`] sorting in a caller-supplied key buffer, grown to
+/// one `u64` per item if it is smaller. A caller that validates on
+/// another thread allocates the buffer before spawning it, so the buffer
+/// comes from (and returns to) the caller's allocator arena.
+pub(crate) fn validate_slice_with(
+    items: &[StreamItem],
+    keys: Vec<u64>,
+) -> Result<usize, StreamError> {
+    let mut local = OnlineValidator::exact();
+    for &item in items {
+        local.check_local(item)?;
+    }
+    symmetry(keys, || items.iter().map(|it| (it.src, it.dst))).0
+}
+
+/// The exact core's symmetry step over an accepted stream, replayed by
+/// `stream` in stream order. The local checks leave every directed pair at
+/// most once, so each canonical key must occur exactly twice: sort the
+/// keys once, keep those that occur once, then rescan the stream for the
+/// accepted items whose key was kept. Those are the unmatched directions
+/// in first-appearance order; the first is the error.
+fn symmetry<I>(
+    mut keys: Vec<u64>,
+    stream: impl Fn() -> I,
+) -> (Result<usize, StreamError>, Vec<(VertexId, VertexId)>)
+where
+    I: Iterator<Item = (VertexId, VertexId)>,
+{
+    keys.clear();
+    keys.extend(stream().map(|(src, dst)| pack_edge(src, dst)));
+    keys.sort_unstable();
+    let once: Vec<u64> = keys
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() == 1)
+        .map(|run| run[0])
+        .collect();
+    let accepted = keys.len();
+    drop(keys);
+    if once.is_empty() {
+        return (Ok(accepted / 2), Vec::new());
+    }
+    let unmatched: Vec<(VertexId, VertexId)> = stream()
+        .filter(|&(src, dst)| once.binary_search(&pack_edge(src, dst)).is_ok())
+        .take(once.len())
+        .collect();
+    let (src, dst) = unmatched[0];
+    (Err(StreamError::MissingReverse { src, dst }), unmatched)
 }
 
 /// Which bookkeeping strategy an [`OnlineValidator`] uses.
@@ -311,6 +387,35 @@ impl OnlineValidator {
     /// still consumed).
     #[inline]
     pub fn observe(&mut self, item: StreamItem) -> Result<(), StreamError> {
+        let opened = self.check_local(item)?;
+        match self.mode {
+            ValidatorMode::Exact => {
+                if opened {
+                    self.lists.push((item.src.0, 0));
+                }
+                self.neighbours.push(item.dst.0);
+                let (_, len) = self
+                    .lists
+                    .last_mut()
+                    .expect("an accepted item's list is open");
+                *len += 1;
+            }
+            ValidatorMode::Bounded { .. } => {
+                let key = pack_edge(item.src, item.dst);
+                self.sketch_hash ^= self.hasher.hash(key);
+                self.sketch_key ^= key;
+                self.sketch_items += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The local checks of [`observe`](Self::observe) — self-loop,
+    /// contiguity, within-list duplicate — with the list bookkeeping they
+    /// need, but nothing stored per accepted item. `Ok(true)` when `item`
+    /// opened a new list.
+    #[inline]
+    fn check_local(&mut self, item: StreamItem) -> Result<bool, StreamError> {
         let position = self.position;
         self.position += 1;
         if item.src == item.dst {
@@ -319,7 +424,8 @@ impl OnlineValidator {
                 position,
             });
         }
-        if self.current != Some(item.src) {
+        let opened = self.current != Some(item.src);
+        if opened {
             // The previous list genuinely ended the moment a different
             // source arrived, whether or not the new item survives.
             if let Some(prev) = self.current {
@@ -341,9 +447,6 @@ impl OnlineValidator {
                 });
             }
             self.current = Some(item.src);
-            if self.mode == ValidatorMode::Exact {
-                self.lists.push((item.src.0, 0));
-            }
         }
         if !self.current_seen.insert(item.dst.0) {
             return Err(StreamError::DuplicateNeighbor {
@@ -352,23 +455,7 @@ impl OnlineValidator {
                 position,
             });
         }
-        match self.mode {
-            ValidatorMode::Exact => {
-                self.neighbours.push(item.dst.0);
-                let (_, len) = self
-                    .lists
-                    .last_mut()
-                    .expect("an accepted item's list is open");
-                *len += 1;
-            }
-            ValidatorMode::Bounded { .. } => {
-                let key = pack_edge(item.src, item.dst);
-                self.sketch_hash ^= self.hasher.hash(key);
-                self.sketch_key ^= key;
-                self.sketch_items += 1;
-            }
-        }
-        Ok(())
+        Ok(opened)
     }
 
     fn close_list(&mut self, owner: VertexId) {
@@ -412,32 +499,10 @@ impl OnlineValidator {
         if let ValidatorMode::Bounded { .. } = self.mode {
             return (self.finish_bounded(), Vec::new());
         }
-        // Symmetry by one sort of canonical keys: the local checks leave
-        // every directed pair at most once, so each key must occur exactly
-        // twice. The unmatched edges are the accepted items whose key occurs
-        // once, in stream order; the first is the error.
-        let mut canonical: Vec<u64> = Vec::with_capacity(self.neighbours.len());
-        for (owner, list) in self.accepted_lists() {
-            canonical.extend(list.iter().map(|&dst| pack_edge(owner, VertexId(dst))));
-        }
-        canonical.sort_unstable();
-        let once: Vec<u64> = canonical
-            .chunk_by(|a, b| a == b)
-            .filter(|run| run.len() == 1)
-            .map(|run| run[0])
-            .collect();
-        drop(canonical);
-        if once.is_empty() {
-            return (Ok(self.neighbours.len() / 2), Vec::new());
-        }
-        let unmatched: Vec<(VertexId, VertexId)> = self
-            .accepted_lists()
-            .flat_map(|(owner, list)| list.iter().map(move |&dst| (owner, VertexId(dst))))
-            .filter(|&(src, dst)| once.binary_search(&pack_edge(src, dst)).is_ok())
-            .take(once.len())
-            .collect();
-        let (src, dst) = unmatched[0];
-        (Err(StreamError::MissingReverse { src, dst }), unmatched)
+        symmetry(Vec::with_capacity(self.neighbours.len()), || {
+            self.accepted_lists()
+                .flat_map(|(owner, list)| list.iter().map(move |&dst| (owner, VertexId(dst))))
+        })
     }
 
     /// Every list as its owner and accepted neighbours, in stream order
@@ -642,9 +707,19 @@ mod tests {
             vec![it(5, 6), it(6, 5)],
         ];
         for items in cases {
+            let offline = validate_stream(items.iter().copied());
             assert_eq!(
                 online_exact(items.iter().copied()),
-                validate_stream(items.iter().copied()),
+                offline,
+                "items {items:?}"
+            );
+            assert_eq!(validate_slice(&items), offline, "items {items:?}");
+            // A caller's buffer is cleared before use: a stale {0, 2} key
+            // would otherwise match the missing reverse of 0→2.
+            let stale = vec![pack_edge(VertexId(0), VertexId(2))];
+            assert_eq!(
+                validate_slice_with(&items, stale),
+                offline,
                 "items {items:?}"
             );
         }

@@ -31,9 +31,11 @@ use adjstream::lowerbound::gadgets as gd;
 use adjstream::lowerbound::problems::{Disj3Instance, DisjInstance, Pj3Instance};
 use adjstream::service::json::{self as sjson, Json};
 use adjstream::stream::batch::Budget;
-use adjstream::stream::trace::{read_trace_file_with_retry, ItemTrace, RetryError, RetryPolicy};
+use adjstream::stream::trace::{
+    read_trace_file_with_retry, retry_note, ItemTrace, RetryError, RetryPolicy,
+};
 use adjstream::stream::{
-    validate_stream, AdjListStream, GuardPolicy, RunError, StreamItem, StreamOrder,
+    validate_slice, AdjListStream, GuardPolicy, RunError, StreamItem, StreamOrder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -608,12 +610,12 @@ fn cmd_validate_stream(args: &[String]) -> Result<(), CliFailure> {
         RetryPolicy::with_retries(get(&flags, "retries", 0usize)?),
         false,
     )?;
-    if attempts > 1 {
-        eprintln!("note: read succeeded after {attempts} attempts");
+    if let Some(note) = retry_note(attempts, true) {
+        eprintln!("{note}");
     }
     let mode = flags.get("mode").map(String::as_str).unwrap_or("offline");
     let result = match mode {
-        "offline" => validate_stream(trace.items().iter().copied()),
+        "offline" => validate_slice(trace.items()),
         "online" => {
             let mut v = OnlineValidator::exact();
             validate_online(&mut v, trace.items().iter().copied())
@@ -783,13 +785,16 @@ fn write_items(items: &[StreamItem], out: Option<&String>) -> Result<(), String>
     }
 }
 
-/// Estimate triangles directly from an item trace file: the trace is
-/// validated (or guarded with an explicit `--policy`), then the Theorem 3.7
-/// algorithm replays it twice.
+/// Estimate triangles directly from an item trace file: without a
+/// `--policy` the trace is validated on a second thread while the Theorem
+/// 3.7 algorithm replays it twice, and nothing is printed before the
+/// verdict; with one the guard handles malformed input.
 fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     use adjstream::algo::common::EdgeSampling;
     use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
-    use adjstream::stream::{run_slice_passes_observed, Guarded, Metrics};
+    use adjstream::stream::{
+        run_slice_passes_observed, run_slice_passes_validated, Guarded, Metrics, TraceError,
+    };
     let path = args.first().ok_or("missing stream file")?;
     let flags = parse_flags(&args[1..])?;
     // Any scale-out flag routes to the graph-sharded path; the plain
@@ -803,17 +808,16 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     let metrics_out = flags.get("metrics-out").cloned();
     let sink = Metrics::from_flag(metrics_out.is_some());
     let policy = policy_flag(&flags)?;
-    // With an explicit policy the guard handles malformed input; without
-    // one the trace must certify up front. Transient read failures retry.
+    // Decode only: the promise check overlaps the passes (no policy) or is
+    // the guard's job. Transient read failures retry.
     let (trace, attempts) = read_trace_file_with_retry(
         std::path::Path::new(path),
         RetryPolicy::with_retries(get(&flags, "retries", 0usize)?),
-        policy.is_none(),
+        false,
     )?;
-    if attempts > 1 {
-        eprintln!("note: read succeeded after {attempts} attempts");
-    }
     sink.record_retries(attempts as u64);
+    // On a valid trace `items / 2` is the validated edge count, so the
+    // default budget is the one a validating read would give.
     let m = trace.edges();
     let budget: usize = get(&flags, "budget", (m / 10).max(16))?;
     let seed: u64 = get(&flags, "seed", 2019)?;
@@ -825,11 +829,22 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     let algo = TwoPassTriangle::new(cfg);
     let (est, report) = match policy {
         None => {
-            println!("stream        {} items, {m} edges (validated)", trace.len());
-            run_slice_passes_observed(algo, |_pass| trace.items(), &sink)
-                .unwrap_or_else(|e| panic!("stream validation failed: {e}"))
+            let verdict = run_slice_passes_validated(algo, trace.items(), &sink);
+            if let Some(note) = retry_note(attempts, verdict.is_ok()) {
+                eprintln!("{note}");
+            }
+            let (edges, run) = verdict
+                .map_err(|e| CliFailure::from(RetryError::Permanent(TraceError::Invalid(e))))?;
+            println!(
+                "stream        {} items, {edges} edges (validated)",
+                trace.len()
+            );
+            run.map_err(|e| CliFailure::from(EstimateError::Run(e)))?
         }
         Some(policy) => {
+            if let Some(note) = retry_note(attempts, true) {
+                eprintln!("{note}");
+            }
             println!(
                 "stream        {} items (guard policy: {policy})",
                 trace.len()
@@ -955,8 +970,8 @@ fn cmd_estimate_stream_sharded(
             RetryPolicy::with_retries(get(flags, "retries", 0usize)?),
             policy.is_none(),
         )?;
-        if attempts > 1 {
-            eprintln!("note: read succeeded after {attempts} attempts");
+        if let Some(note) = retry_note(attempts, true) {
+            eprintln!("{note}");
         }
         sink.record_retries(attempts as u64);
         ShardSource::Owned(trace)
@@ -1029,7 +1044,7 @@ fn cmd_estimate_stream_sharded(
                 })?;
         }
         if deferred_promise {
-            validate_stream(items.iter().copied()).map_err(|e| ShardError::Boundary {
+            validate_slice(items).map_err(|e| ShardError::Boundary {
                 pass,
                 detail: format!("adjacency-list promise violated: {e}"),
             })?;

@@ -1,50 +1,32 @@
-//! Corruption tolerance: seeded fault injection, online validation parity
-//! with the offline checker, and graceful degradation of the two-pass
-//! triangle estimator under the guard policies.
+//! Corruption tolerance: seeded fault injection, online and in-place
+//! validation parity with the offline checker and a reference model,
+//! graceful degradation of the two-pass triangle estimator under the guard
+//! policies, and an unguarded estimator that survives the streams it is
+//! run on before their verdict is known.
 
 use std::collections::{HashMap, HashSet};
+
+#[path = "common/relabel.rs"]
+mod relabel;
 
 use adjstream::algo::common::EdgeSampling;
 use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::{exact, gen, GraphBuilder, VertexId};
 use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{
-    run_slice_passes, validate_online, validate_stream, AdjListStream, FaultKind, FaultPlan,
-    GuardPolicy, Guarded, OnlineValidator, RunError, StreamError, StreamItem, StreamOrder,
+    run_slice_passes, run_slice_passes_observed, run_slice_passes_validated, validate_online,
+    validate_slice, validate_stream, AdjListStream, FaultKind, FaultPlan, GuardPolicy, Guarded,
+    Metrics, OnlineValidator, RunError, StreamError, StreamItem, StreamOrder,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
+use relabel::relabel_ids;
 
 fn stream_items(n: usize, m: usize, seed: u64) -> Vec<StreamItem> {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::gnm(n, m, &mut rng);
     AdjListStream::new(&g, StreamOrder::shuffled(n, seed ^ 0xF00D)).collect_items()
-}
-
-/// Relabel every vertex id through a seeded injective map into the full
-/// `u32` range, 0 and `u32::MAX` included, so that canonical edge-key
-/// order differs from both id order and stream position order.
-fn relabel_ids(items: &[StreamItem], seed: u64) -> Vec<StreamItem> {
-    let mut ids: Vec<u32> = items.iter().flat_map(|it| [it.src.0, it.dst.0]).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut targets = vec![0, u32::MAX];
-    while targets.len() < ids.len() {
-        let t = rng.random::<u32>();
-        if !targets.contains(&t) {
-            targets.push(t);
-        }
-    }
-    targets.truncate(ids.len());
-    targets.shuffle(&mut rng);
-    let map: HashMap<u32, u32> = ids.into_iter().zip(targets).collect();
-    items
-        .iter()
-        .map(|it| StreamItem::new(VertexId(map[&it.src.0]), VertexId(map[&it.dst.0])))
-        .collect()
 }
 
 /// The stream-level fault kinds (everything except `ReorderPass`, which
@@ -129,6 +111,55 @@ impl PendingMapValidator {
             None => Ok(self.matched),
         }
     }
+}
+
+/// The fault plan `fault_ix` picks: one kind of [`FaultKind::ALL`] alone,
+/// every kind composed (index `ALL.len()`), or none (beyond that).
+fn plan_for(fault_ix: usize, fseed: u64) -> Option<FaultPlan> {
+    match FaultKind::ALL.get(fault_ix) {
+        Some(&kind) => Some(FaultPlan::new(fseed).with(kind, 1)),
+        None if fault_ix == FaultKind::ALL.len() => Some(
+            FaultKind::ALL
+                .iter()
+                .fold(FaultPlan::new(fseed), |plan, &kind| plan.with(kind, 1))
+                .with(FaultKind::DropDirection, 3),
+        ),
+        None => None,
+    }
+}
+
+/// Each pass's items of `items` corrupted by plan `fault_ix` (see
+/// [`plan_for`]), optionally relabelled across the full `u32` range.
+fn corrupted_passes(
+    items: Vec<StreamItem>,
+    fault_ix: usize,
+    fseed: u64,
+    relabel: Option<u64>,
+) -> [Vec<StreamItem>; 2] {
+    let passes = match plan_for(fault_ix, fseed).map(|plan| plan.apply(&items)) {
+        Some(c) => [0, 1].map(|pass| c.items_for_pass(pass).to_vec()),
+        None => [items.clone(), items],
+    };
+    match relabel {
+        // One map for both passes, so a replay relabels like pass 0.
+        Some(seed) => {
+            let both: Vec<StreamItem> = passes.concat();
+            let mapped = relabel_ids(&both, seed);
+            let (first, second) = mapped.split_at(passes[0].len());
+            [first.to_vec(), second.to_vec()]
+        }
+        None => passes,
+    }
+}
+
+/// What [`PendingMapValidator`] decides for a whole stream, stopping at
+/// the first rejected item as the offline checkers do.
+fn pending_map_verdict(items: &[StreamItem]) -> Result<usize, StreamError> {
+    let mut v = PendingMapValidator::default();
+    for &item in items {
+        v.observe(item)?;
+    }
+    v.finish()
 }
 
 proptest! {
@@ -233,6 +264,71 @@ proptest! {
             }
             prop_assert_eq!(got.finish(), want.finish());
             prop_assert_eq!(got.unmatched_edges(), want.unmatched_edges());
+        }
+    }
+
+    /// The in-place slice entry decides exactly what the pending-map
+    /// reference model and `validate_stream` decide: the same `Ok` edge
+    /// count, or the same error variant, payload and position. Inputs:
+    /// random graphs under each fault kind alone, all kinds composed, or
+    /// no fault, optionally relabelled across the full `u32` range (ids 0
+    /// and `u32::MAX` included).
+    #[test]
+    fn slice_entry_matches_pending_map_reference_and_validate_stream(
+        n in 8usize..48,
+        m_raw in 8usize..160,
+        gseed in any::<u64>(),
+        fseed in any::<u64>(),
+        fault_ix in 0usize..FaultKind::ALL.len() + 2,
+        relabel in any::<bool>(),
+    ) {
+        let m = m_raw.min(n * (n - 1) / 2);
+        let items = stream_items(n, m, gseed);
+        let [corrupted, _] =
+            corrupted_passes(items, fault_ix, fseed, relabel.then_some(gseed ^ fseed));
+        let want = pending_map_verdict(&corrupted);
+        prop_assert_eq!(validate_slice(&corrupted), want.clone());
+        prop_assert_eq!(validate_stream(corrupted.iter().copied()), want);
+    }
+
+    /// The unguarded Theorem 3.7 estimator returns, without panicking, on
+    /// every corrupted stream — each fault kind alone, all composed, and
+    /// relabelled, replayed per pass as the plan dictates — because the
+    /// overlapped `estimate-stream` runs both passes before the verdict is
+    /// known. The overlapped run's verdict is the slice entry's.
+    #[test]
+    fn unguarded_estimator_survives_corrupted_streams(
+        n in 8usize..48,
+        m_raw in 8usize..160,
+        gseed in any::<u64>(),
+        fseed in any::<u64>(),
+        fault_ix in 0usize..FaultKind::ALL.len() + 2,
+        relabel in any::<bool>(),
+        k in 1usize..24,
+    ) {
+        let m = m_raw.min(n * (n - 1) / 2);
+        let items = stream_items(n, m, gseed);
+        let passes = corrupted_passes(items, fault_ix, fseed, relabel.then_some(gseed ^ fseed));
+        let cfg = TwoPassTriangleConfig {
+            seed: fseed,
+            edge_sampling: EdgeSampling::BottomK { k },
+            pair_capacity: k,
+        };
+        let run = run_slice_passes_observed(
+            TwoPassTriangle::new(cfg),
+            |pass| &passes[pass][..],
+            &Metrics::disabled(),
+        );
+        prop_assert!(run.is_ok(), "a plain algorithm never aborts: {:?}", run.err());
+        let overlapped =
+            run_slice_passes_validated(TwoPassTriangle::new(cfg), &passes[0], &Metrics::disabled());
+        match (overlapped, validate_slice(&passes[0])) {
+            (Ok((edges, run)), Ok(want)) => {
+                prop_assert_eq!(edges, want);
+                prop_assert!(run.is_ok());
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(false, "verdicts differ: {:?} vs {:?}", got.map(|r| r.0), want),
         }
     }
 }
