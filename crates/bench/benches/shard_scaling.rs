@@ -4,9 +4,10 @@
 //! Two families of rows:
 //!
 //! * **scaling** — the shard-mergeable three-pass triangle estimator over
-//!   an owner-partitioned gnm trace. Shards are driven one at a time
-//!   through the process-mode building blocks so each per-shard wall is
-//!   measured in isolation; the reported rate is
+//!   an owner-partitioned gnm trace. The library's shard loop runs with a
+//!   step that drives the shards one at a time through the worker
+//!   payload, so each per-shard wall is measured in isolation; the
+//!   reported rate is
 //!   `deliveries / Σ_pass max_shard wall` — the critical-path (aggregate)
 //!   throughput N truly parallel workers would sustain. On a 1-CPU host
 //!   concurrent threads only timeshare, so this isolated-wall metric is
@@ -25,11 +26,11 @@ use adjstream_bench::report::Table;
 use adjstream_core::common::EdgeSampling;
 use adjstream_core::triangle::{ShardedTriangle, ShardedTriangleConfig};
 use adjstream_graph::gen;
-use adjstream_stream::checkpoint::Checkpoint;
-use adjstream_stream::runner::MultiPassAlgorithm;
-use adjstream_stream::shard::{merge_shard_states, run_shard_pass_blob, ShardPlan};
+use adjstream_stream::shard::{
+    decode_shard_payload, run_shard_pass_blob, run_sharded_with, ShardError, ShardPlan,
+};
 use adjstream_stream::trace::ItemTrace;
-use adjstream_stream::{AdjListStream, MappedTrace, StreamItem, StreamOrder};
+use adjstream_stream::{AdjListStream, MappedTrace, Metrics, StreamItem, StreamOrder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::BufWriter;
@@ -56,28 +57,32 @@ fn config(budget: usize) -> ShardedTriangleConfig {
 /// critical-path wall `Σ_pass max_shard wall`.
 fn sharded_critical_path(items: &[StreamItem], n: usize, budget: usize) -> (f64, f64) {
     let plan = ShardPlan::build(items, n);
-    let mut algo = ShardedTriangle::new(config(budget));
-    let passes = MultiPassAlgorithm::passes(&algo);
-    let mut critical = 0.0f64;
-    for pass in 0..passes {
-        let mut base = Vec::new();
-        algo.save(&mut base).expect("serialize boundary state");
-        let mut slowest = 0.0f64;
-        let mut blobs = Vec::with_capacity(n);
-        for shard in 0..n {
-            let t0 = Instant::now();
-            let blob =
-                run_shard_pass_blob::<ShardedTriangle>(&base, pass, items, plan.runs_for(shard))
-                    .expect("shard pass");
-            slowest = slowest.max(t0.elapsed().as_secs_f64());
-            blobs.push(blob);
-        }
-        critical += slowest;
-        algo = merge_shard_states::<ShardedTriangle>(&blobs, pass)
-            .expect("merge")
-            .0;
-    }
-    (algo.finish().estimate, critical)
+    let (est, report) = run_sharded_with(
+        ShardedTriangle::new(config(budget)),
+        &Metrics::enabled(),
+        |pass, base| {
+            (0..n)
+                .map(|shard| {
+                    let t0 = Instant::now();
+                    let payload = run_shard_pass_blob::<ShardedTriangle>(
+                        base,
+                        pass,
+                        items,
+                        plan.runs_for(shard),
+                    )?;
+                    let wall_nanos = t0.elapsed().as_nanos() as u64;
+                    let (replica, stats) = decode_shard_payload::<ShardedTriangle>(&payload)?;
+                    Ok((replica, stats, wall_nanos))
+                })
+                .collect::<Result<Vec<_>, ShardError>>()
+        },
+        |_| Ok(()),
+    )
+    .expect("sharded run");
+    // Each pass row's wall is the max over its shards.
+    let passes = report.metrics.expect("metrics enabled").passes;
+    let critical: u64 = passes.iter().map(|p| p.wall_nanos).sum();
+    (est.estimate, critical as f64 * 1e-9)
 }
 
 /// One full single-shard run including trace acquisition from `path`.

@@ -712,7 +712,7 @@ mod tests {
     /// resumed run must reproduce the estimate exactly.
     #[test]
     fn checkpoint_roundtrip_reproduces_the_run() {
-        use adjstream_stream::shard::{merge_shard_states, run_shard_pass_blob};
+        use adjstream_stream::shard::{decode_shard_payload, run_shard_pass_blob};
 
         let mut rng = StdRng::seed_from_u64(8);
         let g = gen::gnm(60, 500, &mut rng);
@@ -731,7 +731,7 @@ mod tests {
             algo.save(&mut blob).expect("save");
             let payload =
                 run_shard_pass_blob::<ShardedTriangle>(&blob, pass, &items, runs).expect("pass");
-            algo = merge_shard_states::<ShardedTriangle>(&[payload], pass)
+            algo = decode_shard_payload::<ShardedTriangle>(&payload)
                 .expect("restore")
                 .0;
         }

@@ -251,12 +251,10 @@ impl MetricsSnapshot {
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.runs += other.runs;
         for op in &other.passes {
-            let idx = op.pass as usize;
             if self.passes.iter().all(|p| p.pass != op.pass) {
                 // Keep `passes` sorted by pass index for stable JSON.
                 let at = self.passes.partition_point(|p| p.pass < op.pass);
                 self.passes.insert(at, op.clone());
-                let _ = idx;
                 continue;
             }
             let p = self
@@ -265,52 +263,6 @@ impl MetricsSnapshot {
                 .find(|p| p.pass == op.pass)
                 .expect("pass present");
             p.wall_nanos += op.wall_nanos;
-            p.items += op.items;
-            p.slices += op.slices;
-            p.lists += op.lists;
-            if op.peak_bytes > p.peak_bytes {
-                p.series = op.series.clone();
-            }
-            p.peak_bytes = p.peak_bytes.max(op.peak_bytes);
-        }
-        self.counters.merge(&other.counters);
-        self.guard = merge_guard(self.guard, other.guard);
-        self.checkpoint.writes += other.checkpoint.writes;
-        self.checkpoint.write_nanos += other.checkpoint.write_nanos;
-        self.checkpoint.write_bytes += other.checkpoint.write_bytes;
-        self.checkpoint.restores += other.checkpoint.restores;
-        self.checkpoint.restore_nanos += other.checkpoint.restore_nanos;
-        self.retry.operations += other.retry.operations;
-        self.retry.attempts += other.retry.attempts;
-        self.retry.retries += other.retry.retries;
-        self.peak_state_bytes = self.peak_state_bytes.max(other.peak_state_bytes);
-        self.items_processed += other.items_processed;
-    }
-
-    /// Fold `other` — the snapshot of a *concurrently executed graph
-    /// shard* of the same run — into `self`.
-    ///
-    /// [`MetricsSnapshot::merge`] models sequential repetitions: walls and
-    /// run counts add. Shards of one run overlap in time and replicate
-    /// pass-boundary state rather than adding to it, so here per-pass wall
-    /// time and residency take the **max** over shards (the run is as slow
-    /// and as resident as its slowest, biggest shard) while items, slices,
-    /// and lists **sum** (each shard drove a disjoint share of the trace's
-    /// lists). `runs` takes the max — N shards are still one run.
-    pub fn merge_concurrent(&mut self, other: &MetricsSnapshot) {
-        self.runs = self.runs.max(other.runs);
-        for op in &other.passes {
-            if self.passes.iter().all(|p| p.pass != op.pass) {
-                let at = self.passes.partition_point(|p| p.pass < op.pass);
-                self.passes.insert(at, op.clone());
-                continue;
-            }
-            let p = self
-                .passes
-                .iter_mut()
-                .find(|p| p.pass == op.pass)
-                .expect("pass present");
-            p.wall_nanos = p.wall_nanos.max(op.wall_nanos);
             p.items += op.items;
             p.slices += op.slices;
             p.lists += op.lists;
@@ -741,123 +693,6 @@ mod tests {
         assert_eq!(a.passes[1].pass, 1);
         assert_eq!(a.peak_state_bytes, 128);
         assert_eq!(a.items_processed, 240);
-    }
-
-    #[test]
-    fn merge_concurrent_maxes_walls_and_residency_sums_work() {
-        let shard = |wall, items, lists, peak| MetricsSnapshot {
-            runs: 1,
-            passes: vec![PassMetrics {
-                pass: 0,
-                wall_nanos: wall,
-                items,
-                slices: lists,
-                lists,
-                peak_bytes: peak,
-                series: vec![SpacePoint { items, bytes: peak }],
-            }],
-            peak_state_bytes: peak,
-            items_processed: items,
-            ..MetricsSnapshot::default()
-        };
-        let mut a = shard(10, 100, 4, 64);
-        a.merge_concurrent(&shard(25, 60, 3, 48));
-        // One run, not two: shards replicate the run, they don't repeat it.
-        assert_eq!(a.runs, 1);
-        let p = &a.passes[0];
-        // Wall and residency are maxes over the overlapping shards...
-        assert_eq!(p.wall_nanos, 25);
-        assert_eq!(p.peak_bytes, 64);
-        assert_eq!(a.peak_state_bytes, 64);
-        // ...while the disjoint work shares sum to the whole trace.
-        assert_eq!(p.items, 160);
-        assert_eq!(p.slices, 7);
-        assert_eq!(p.lists, 7);
-        assert_eq!(a.items_processed, 160);
-        // The higher-peak shard's space series is kept.
-        assert_eq!(p.series[0].bytes, 64);
-    }
-
-    #[test]
-    fn merge_concurrent_with_empty_snapshots_is_identity() {
-        let shard = |wall, items, lists, peak| MetricsSnapshot {
-            runs: 1,
-            passes: vec![PassMetrics {
-                pass: 0,
-                wall_nanos: wall,
-                items,
-                slices: lists,
-                lists,
-                peak_bytes: peak,
-                series: vec![SpacePoint { items, bytes: peak }],
-            }],
-            peak_state_bytes: peak,
-            items_processed: items,
-            ..MetricsSnapshot::default()
-        };
-        // empty ⊕ empty = empty.
-        let mut e = MetricsSnapshot::default();
-        e.merge_concurrent(&MetricsSnapshot::default());
-        assert_eq!(e, MetricsSnapshot::default());
-        // empty ⊕ x = x: the empty snapshot is the identity on the left...
-        let x = shard(10, 100, 4, 64);
-        let mut a = MetricsSnapshot::default();
-        a.merge_concurrent(&x);
-        assert_eq!(a, x);
-        // ...and on the right.
-        let mut b = x.clone();
-        b.merge_concurrent(&MetricsSnapshot::default());
-        assert_eq!(b, x);
-    }
-
-    #[test]
-    fn merge_concurrent_single_shard_replays_the_sequential_profile() {
-        // A 1-shard plan replicates the sequential execution: folding its
-        // lone snapshot into a fresh accumulator must reproduce it field
-        // for field — max-walls, summed residency, kept series and all.
-        let single = MetricsSnapshot {
-            runs: 1,
-            passes: vec![
-                PassMetrics {
-                    pass: 0,
-                    wall_nanos: 42,
-                    items: 200,
-                    slices: 9,
-                    lists: 9,
-                    peak_bytes: 96,
-                    series: vec![SpacePoint {
-                        items: 50,
-                        bytes: 96,
-                    }],
-                },
-                PassMetrics {
-                    pass: 1,
-                    wall_nanos: 17,
-                    items: 200,
-                    slices: 9,
-                    lists: 9,
-                    peak_bytes: 32,
-                    series: vec![SpacePoint {
-                        items: 50,
-                        bytes: 32,
-                    }],
-                },
-            ],
-            peak_state_bytes: 96,
-            items_processed: 400,
-            ..MetricsSnapshot::default()
-        };
-        let mut acc = MetricsSnapshot::default();
-        acc.merge_concurrent(&single);
-        assert_eq!(acc, single);
-        // Folding the same shard twice is NOT idempotent (items sum) —
-        // pin the doubling so accidental re-merges can't hide.
-        acc.merge_concurrent(&single);
-        assert_eq!(acc.runs, 1);
-        assert_eq!(acc.passes[0].items, 400);
-        assert_eq!(acc.passes[0].wall_nanos, 42);
-        assert_eq!(acc.peak_state_bytes, 96);
-        assert_eq!(acc.items_processed, 800);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! processes, and machines. Shards borrow sub-ranges of the one shared
 //! item slice; nothing is copied.
 //!
-//! [`run_sharded_hooked`] then executes each pass of a [`ShardAlgorithm`] once
+//! [`run_sharded_with`] then executes each pass of a [`ShardAlgorithm`] once
 //! per shard: the pass-boundary state is serialized through the
 //! [`Checkpoint`] wire format, each shard restores a private replica,
 //! drives only its own lists through the one pass loop of
@@ -21,13 +21,15 @@
 //! trait docs) produces output **bit-identical** to driving the same
 //! algorithm sequentially over the whole trace — at any shard count.
 //!
-//! The same per-pass building blocks ([`run_shard_pass_blob`],
-//! [`merge_shard_states`]) are exposed for process-per-shard execution:
-//! a parent writes the boundary blob to disk, spawns one worker process
-//! per shard, and merges the payloads the workers write back. This module
-//! owns that payload — the shard's [`ShardPassStats`] (`peak, items,
-//! lists, slices` as four u64 LE words) followed by the partial state in
-//! the [`Checkpoint`] encoding — and the checkpoint container
+//! That loop is the only one; how a pass reaches the shards is its
+//! per-pass step. [`run_sharded_hooked`] plugs in one scoped thread per
+//! shard. A process-per-shard parent plugs in a step that writes the
+//! boundary blob to disk, spawns one worker process per shard (each
+//! running [`run_shard_pass_blob`]), and decodes the payloads the workers
+//! write back with [`decode_shard_payload`]. This module owns that
+//! payload — the shard's [`ShardPassStats`] (`peak, items, lists,
+//! slices` as four u64 LE words) followed by the partial state in the
+//! [`Checkpoint`] encoding — and the checkpoint container
 //! ([`crate::checkpoint`], one [`crate::frame`]) carries it across the
 //! process boundary, exactly as the lower-bound protocol simulator treats
 //! algorithm state as message-sized.
@@ -198,8 +200,8 @@ pub trait ShardAlgorithm: MultiPassAlgorithm + Checkpoint + Send + Sized {
     fn merge_pass(&mut self, other: Self, pass: usize) -> Result<(), String>;
 }
 
-/// Per-shard stats from one pass, for process-mode callers that merge
-/// metrics themselves.
+/// Per-shard stats from one pass, which the shard loop folds into the
+/// merged pass row.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardPassStats {
     /// Peak state bytes this shard observed during the pass.
@@ -215,7 +217,7 @@ pub struct ShardPassStats {
 impl ShardPassStats {
     /// Fold this shard's pass into a merged pass row: volumes sum,
     /// residency is the max over the concurrently running shards.
-    pub fn fold_into(&self, pm: &mut PassMetrics) {
+    fn fold_into(&self, pm: &mut PassMetrics) {
         pm.items += self.items_processed as u64;
         pm.slices += self.slices;
         pm.lists += self.lists;
@@ -289,54 +291,57 @@ pub fn run_shard_pass_blob<A: ShardAlgorithm>(
     Ok(payload)
 }
 
-/// Decode per-shard worker payloads (in shard order) and fold their
-/// partial states into one merged state — the parent half of
-/// process-per-shard execution. Returns the merged state and each shard's
-/// stats; a short or garbled payload is [`ShardError::State`].
-pub fn merge_shard_states<A: ShardAlgorithm>(
-    payloads: &[Vec<u8>],
-    pass: usize,
-) -> Result<(A, Vec<ShardPassStats>), ShardError> {
-    let mut stats = Vec::with_capacity(payloads.len());
-    let replicas = payloads.iter().map(|payload| {
-        let r = &mut payload.as_slice();
-        stats.push(ShardPassStats::restore(r).map_err(ShardError::State)?);
-        A::restore(r).map_err(ShardError::State)
-    });
-    let merged = merge_replicas(replicas, pass)?;
-    Ok((merged, stats))
+/// Decode one shard-worker payload of [`run_shard_pass_blob`] — the
+/// parent half of process-per-shard execution. Returns the shard's
+/// partial state and stats; a short or garbled payload is
+/// [`ShardError::State`].
+pub fn decode_shard_payload<A: ShardAlgorithm>(
+    payload: &[u8],
+) -> Result<(A, ShardPassStats), ShardError> {
+    let r = &mut &payload[..];
+    let stats = ShardPassStats::restore(r).map_err(ShardError::State)?;
+    let replica = A::restore(r).map_err(ShardError::State)?;
+    Ok((replica, stats))
 }
 
-/// Fold per-shard replicas, in shard order, into one state with
-/// [`ShardAlgorithm::merge_pass`] — the one merge loop behind both the
-/// thread and the process shard modes.
-fn merge_replicas<A: ShardAlgorithm>(
-    replicas: impl IntoIterator<Item = Result<A, ShardError>>,
+/// What one shard hands back from one pass: its replica of the state, its
+/// [`ShardPassStats`], and the pass's wall time in nanoseconds.
+pub type ShardPassOutput<A> = (A, ShardPassStats, u64);
+
+/// One pass of every shard, each on its own scoped thread — the step of
+/// [`run_sharded_hooked`]. Every thread is joined before the first error,
+/// in shard order, is returned.
+fn run_shard_threads<A: ShardAlgorithm>(
+    base: &[u8],
     pass: usize,
-) -> Result<A, ShardError> {
-    let mut merged: Option<A> = None;
-    for replica in replicas {
-        let replica = replica?;
-        merged = Some(match merged {
-            None => replica,
-            Some(mut m) => {
-                m.merge_pass(replica, pass)
-                    .map_err(|detail| ShardError::Merge { pass, detail })?;
-                m
-            }
-        });
-    }
-    merged.ok_or_else(|| ShardError::Merge {
-        pass,
-        detail: "no shard states to merge".into(),
-    })
+    plan: &ShardPlan,
+    items: &[StreamItem],
+) -> Result<Vec<ShardPassOutput<A>>, ShardError> {
+    let results: Vec<Result<ShardPassOutput<A>, ShardError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..plan.shard_count())
+            .map(|shard| {
+                scope.spawn(move || {
+                    let t0 = Instant::now();
+                    let (replica, stats) =
+                        run_shard_pass::<A>(base, pass, items, plan.runs_for(shard))?;
+                    let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    Ok((replica, stats, wall_nanos))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(shard, h)| h.join().unwrap_or(Err(ShardError::Panicked { shard })))
+            .collect()
+    });
+    results.into_iter().collect()
 }
 
 /// Execute `algo` over `items` sharded per `plan`, one worker thread per
-/// shard, merging at every pass boundary. Reports into `sink` with
-/// shard-aware pass metrics: residency (`peak_bytes`) is the **max** over
-/// shards, items/slices/lists are **sums**, and pass wall time is the
-/// **max** over the concurrently running shards.
+/// shard, merging at every pass boundary: [`run_sharded_with`] with the
+/// scoped-thread step. A pass's wall time is the **max** over the
+/// concurrently running shards.
 ///
 /// `after_pass` is invoked at every merged pass boundary (after pass `p`'s
 /// shards have joined and merged, before pass `p+1` begins); pass
@@ -345,11 +350,11 @@ fn merge_replicas<A: ShardAlgorithm>(
 /// over an mmapped trace once pass 0 has faulted every page in. A hook
 /// error aborts the run.
 pub fn run_sharded_hooked<A, F>(
-    mut algo: A,
+    algo: A,
     plan: &ShardPlan,
     items: &[StreamItem],
     sink: &Metrics,
-    mut after_pass: F,
+    after_pass: F,
 ) -> Result<(A::Output, RunReport), ShardError>
 where
     A: ShardAlgorithm,
@@ -360,66 +365,78 @@ where
         items.len(),
         "plan was built over a different trace"
     );
+    run_sharded_with(
+        algo,
+        sink,
+        |pass, base| run_shard_threads(base, pass, plan, items),
+        after_pass,
+    )
+}
+
+/// The one sharded pass loop. At every pass boundary it serializes `algo`
+/// into the base blob, hands it to `step` — which runs pass `pass` on
+/// every shard and returns each shard's [`ShardPassOutput`] in shard
+/// order — folds the replicas back with [`ShardAlgorithm::merge_pass`],
+/// and then calls `after_pass` (see [`run_sharded_hooked`]).
+///
+/// Reports into `sink` with shard-aware pass metrics: residency
+/// (`peak_bytes`) is the **max** over shards, items/slices/lists are
+/// **sums**, and a pass's wall is the max of the walls `step` reports.
+/// Thread workers ([`run_sharded_hooked`]) and process workers differ
+/// only in their step; a step error of any type `E` aborts the run.
+pub fn run_sharded_with<A, E, S, F>(
+    mut algo: A,
+    sink: &Metrics,
+    mut step: S,
+    mut after_pass: F,
+) -> Result<(A::Output, RunReport), E>
+where
+    A: ShardAlgorithm,
+    E: From<ShardError>,
+    S: FnMut(usize, &[u8]) -> Result<Vec<ShardPassOutput<A>>, E>,
+    F: FnMut(usize) -> Result<(), ShardError>,
+{
     let passes = algo.passes();
-    let collect = sink.is_enabled();
-    let mut peak_overall = 0usize;
-    let mut processed_total = 0usize;
-    let mut pass_metrics: Vec<PassMetrics> = Vec::new();
+    let mut rows: Vec<PassMetrics> = Vec::with_capacity(passes);
     for pass in 0..passes {
-        let mut blob = Vec::new();
-        algo.save(&mut blob).map_err(ShardError::State)?;
-        type Outcome<A> = Result<(A, ShardPassStats, u64), ShardError>;
-        let results: Vec<Outcome<A>> = std::thread::scope(|scope| {
-            let blob = &blob;
-            let handles: Vec<_> = (0..plan.shard_count())
-                .map(|shard| {
-                    scope.spawn(move || -> Outcome<A> {
-                        let t0 = Instant::now();
-                        let (replica, stats) =
-                            run_shard_pass::<A>(blob, pass, items, plan.runs_for(shard))?;
-                        let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        Ok((replica, stats, wall_nanos))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(shard, h)| h.join().unwrap_or(Err(ShardError::Panicked { shard })))
-                .collect()
-        });
+        let mut base = Vec::new();
+        algo.save(&mut base).map_err(ShardError::State)?;
         let mut pm = PassMetrics {
             pass: pass as u32,
             ..PassMetrics::default()
         };
-        let replicas = results.into_iter().map(|res| {
-            let (replica, stats, wall_nanos) = res?;
-            peak_overall = peak_overall.max(stats.peak_state_bytes);
-            processed_total += stats.items_processed;
-            if collect {
-                pm.wall_nanos = pm.wall_nanos.max(wall_nanos);
-                stats.fold_into(&mut pm);
+        let mut merged: Option<A> = None;
+        for (replica, stats, wall_nanos) in step(pass, &base)? {
+            pm.wall_nanos = pm.wall_nanos.max(wall_nanos);
+            stats.fold_into(&mut pm);
+            match &mut merged {
+                None => merged = Some(replica),
+                Some(m) => m
+                    .merge_pass(replica, pass)
+                    .map_err(|detail| ShardError::Merge { pass, detail })?,
             }
-            Ok(replica)
-        });
-        algo = merge_replicas(replicas, pass)?;
-        if collect {
-            pass_metrics.push(pm);
         }
+        algo = merged.ok_or_else(|| ShardError::Merge {
+            pass,
+            detail: "no shard states to merge".into(),
+        })?;
+        rows.push(pm);
         after_pass(pass)?;
     }
+    let peak = rows.iter().map(|p| p.peak_bytes).max().unwrap_or(0);
+    let processed: u64 = rows.iter().map(|p| p.items).sum();
     let guard = algo.guard_stats();
     let counters = algo.obs_counters();
-    let metrics = collect.then(|| MetricsSnapshot {
+    let metrics = sink.is_enabled().then(|| MetricsSnapshot {
         schema: METRICS_SCHEMA_VERSION,
         runs: 1,
-        passes: pass_metrics,
+        passes: rows,
         counters: counters.unwrap_or_default(),
         guard,
         checkpoint: Default::default(),
         retry: Default::default(),
-        peak_state_bytes: peak_overall as u64,
-        items_processed: processed_total as u64,
+        peak_state_bytes: peak,
+        items_processed: processed,
     });
     if let Some(snap) = &metrics {
         sink.absorb(snap);
@@ -427,8 +444,8 @@ where
     Ok((
         algo.finish(),
         RunReport {
-            peak_state_bytes: peak_overall,
-            items_processed: processed_total,
+            peak_state_bytes: peak as usize,
+            items_processed: processed as usize,
             passes,
             guard,
             metrics,
@@ -625,32 +642,35 @@ mod tests {
         )
         .expect("threads");
 
-        // Drive the same execution through the blob-level helpers, as the
-        // process-per-shard parent would.
-        let mut algo = PosSum::default();
-        for pass in 0..2 {
-            let mut base = Vec::new();
-            algo.save(&mut base).expect("save");
-            let payloads: Vec<Vec<u8>> = (0..plan.shard_count())
-                .map(|s| {
-                    run_shard_pass_blob::<PosSum>(&base, pass, &items, plan.runs_for(s))
-                        .expect("shard pass")
-                })
-                .collect();
-            let (merged, stats) = merge_shard_states::<PosSum>(&payloads, pass).expect("merge");
-            let items_seen: usize = stats.iter().map(|s| s.items_processed).sum();
-            assert_eq!(items_seen, items.len());
-            // A cut payload is a typed error, never a panic.
-            for cut in [0, 8, 31, payloads[0].len() - 1] {
-                let short = vec![payloads[0][..cut].to_vec()];
-                assert!(matches!(
-                    merge_shard_states::<PosSum>(&short, pass),
-                    Err(ShardError::State(_))
-                ));
-            }
-            algo = merged;
-        }
-        assert_eq!(algo.finish(), want);
+        // Drive the one loop with an in-process step that round-trips
+        // every shard through the worker payload, as process mode does.
+        let mut payload_items = 0;
+        let (got, _) = run_sharded_with(
+            PosSum::default(),
+            &Metrics::disabled(),
+            |pass, base| {
+                (0..plan.shard_count())
+                    .map(|s| {
+                        let payload =
+                            run_shard_pass_blob::<PosSum>(base, pass, &items, plan.runs_for(s))?;
+                        // A cut payload is a typed error, never a panic.
+                        for cut in [0, 8, 31, payload.len() - 1] {
+                            assert!(matches!(
+                                decode_shard_payload::<PosSum>(&payload[..cut]),
+                                Err(ShardError::State(_))
+                            ));
+                        }
+                        let (replica, stats) = decode_shard_payload::<PosSum>(&payload)?;
+                        payload_items += stats.items_processed;
+                        Ok((replica, stats, 0))
+                    })
+                    .collect::<Result<Vec<_>, ShardError>>()
+            },
+            |_| Ok(()),
+        )
+        .expect("process-style step");
+        assert_eq!(got, want);
+        assert_eq!(payload_items, 2 * items.len());
     }
 
     #[test]

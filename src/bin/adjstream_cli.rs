@@ -24,6 +24,7 @@ use adjstream::algo::estimate::{
     try_estimate_triangles_auto, try_estimate_triangles_checkpointed, Accuracy, CountEstimate,
     EstimateError,
 };
+use adjstream::algo::triangle::ShardedTriangle;
 use adjstream::graph::analysis::{connected_components, degeneracy, DegreeStats};
 use adjstream::graph::io::{load_edge_list, save_edge_list};
 use adjstream::graph::{exact, gen, Graph};
@@ -31,11 +32,14 @@ use adjstream::lowerbound::gadgets as gd;
 use adjstream::lowerbound::problems::{Disj3Instance, DisjInstance, Pj3Instance};
 use adjstream::service::json::{self as sjson, Json};
 use adjstream::stream::batch::Budget;
+use adjstream::stream::checkpoint::{read_checkpoint_file, write_checkpoint_file};
+use adjstream::stream::shard::{decode_shard_payload, ShardPassOutput};
 use adjstream::stream::trace::{
     read_trace_file_with_retry, retry_note, ItemTrace, RetryError, RetryPolicy,
 };
 use adjstream::stream::{
-    validate_slice, AdjListStream, GuardPolicy, RunError, StreamItem, StreamOrder,
+    validate_slice, AdjListStream, GuardPolicy, RunError, RunReport, ShardError, StreamItem,
+    StreamOrder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -853,9 +857,22 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
                 .map_err(|e| CliFailure::from(EstimateError::Run(e)))?
         }
     };
-    println!("estimate      {:.1}", est.estimate);
+    print_stream_estimate(est.estimate, budget, &report, "", metrics_out.as_ref())
+}
+
+/// The tail `estimate-stream` prints after a run in either mode: the
+/// estimate, the budget, the peak state (`suffix` qualifies it), the guard
+/// counters if a policy ran, and the `--metrics-out` snapshot.
+fn print_stream_estimate(
+    estimate: f64,
+    budget: usize,
+    report: &RunReport,
+    suffix: &str,
+    metrics_out: Option<&String>,
+) -> Result<(), CliFailure> {
+    println!("estimate      {estimate:.1}");
     println!("edge budget   {budget}");
-    println!("peak state    {} bytes", report.peak_state_bytes);
+    println!("peak state    {} bytes{suffix}", report.peak_state_bytes);
     if let Some(stats) = report.guard {
         println!(
             "guard         {} faults detected, {} items repaired, {} edges quarantined",
@@ -863,7 +880,7 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
         );
         println!("guard state   {} bytes peak", stats.validator_peak_bytes);
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = metrics_out {
         write_metrics(report.metrics.as_ref(), path)?;
     }
     Ok(())
@@ -893,12 +910,15 @@ fn checkpoint_failure(e: adjstream::stream::FrameError) -> CliFailure {
 /// Map a sharded-execution failure onto the CLI's exit-code taxonomy:
 /// run errors keep their usual classification, boundary aborts (deferred
 /// verification) are invalid-stream, everything else is I/O.
-fn shard_failure(e: adjstream::stream::ShardError) -> CliFailure {
-    use adjstream::stream::ShardError;
-    match e {
-        ShardError::Run(r) => CliFailure::from(EstimateError::Run(r)),
-        boundary @ ShardError::Boundary { .. } => CliFailure::invalid_stream(boundary.to_string()),
-        other => CliFailure::io(other.to_string()),
+impl From<ShardError> for CliFailure {
+    fn from(e: ShardError) -> Self {
+        match e {
+            ShardError::Run(r) => CliFailure::from(EstimateError::Run(r)),
+            boundary @ ShardError::Boundary { .. } => {
+                CliFailure::invalid_stream(boundary.to_string())
+            }
+            other => CliFailure::io(other.to_string()),
+        }
     }
 }
 
@@ -937,10 +957,9 @@ fn cmd_estimate_stream_sharded(
     flags: &HashMap<String, String>,
 ) -> Result<(), CliFailure> {
     use adjstream::algo::common::EdgeSampling;
-    use adjstream::algo::triangle::{ShardedTriangle, ShardedTriangleConfig};
-    use adjstream::stream::{
-        guard_items, run_sharded_hooked, MappedTrace, Metrics, ShardError, ShardPlan,
-    };
+    use adjstream::algo::triangle::ShardedTriangleConfig;
+    use adjstream::stream::shard::run_sharded_with;
+    use adjstream::stream::{guard_items, run_sharded_hooked, MappedTrace, Metrics, ShardPlan};
 
     let shards: usize = get(flags, "shards", 1)?;
     if shards == 0 {
@@ -1052,190 +1071,141 @@ fn cmd_estimate_stream_sharded(
         Ok(())
     };
 
-    let (est, peak, metrics) = if procs {
-        run_shard_procs(
-            path,
-            &plan,
-            cfg,
-            use_mmap,
-            repaired.as_deref(),
+    let algo = ShardedTriangle::new(cfg);
+    let (est, mut report) = if procs {
+        let workers = ShardProcs::new(path, repaired.as_deref(), shards, use_mmap)?;
+        run_sharded_with(
+            algo,
             &sink,
+            |pass, base| workers.pass(pass, base),
             after_pass,
         )?
     } else {
-        let (est, report) =
-            run_sharded_hooked(ShardedTriangle::new(cfg), &plan, items, &sink, after_pass)
-                .map_err(shard_failure)?;
-        (est, report.peak_state_bytes, report.metrics)
+        run_sharded_hooked(algo, &plan, items, &sink, after_pass)?
     };
-
-    println!("estimate      {:.1}", est.estimate);
-    println!("edge budget   {budget}");
-    println!("peak state    {peak} bytes (max over shards)");
-    if let Some(stats) = guard_stats {
-        println!(
-            "guard         {} faults detected, {} items repaired, {} edges quarantined",
-            stats.faults_detected, stats.items_repaired, stats.edges_quarantined
-        );
-        println!("guard state   {} bytes peak", stats.validator_peak_bytes);
+    // The repair pre-pass ran outside the sharded driver; fold its guard
+    // counters in so the report and --metrics-out stay truthful.
+    report.guard = report.guard.or(guard_stats);
+    if let Some(snap) = report.metrics.as_mut() {
+        snap.guard = snap.guard.or(guard_stats);
     }
-    if let Some(out) = &metrics_out {
-        let mut snap = metrics;
-        if let Some(s) = snap.as_mut() {
-            // The repair pre-pass ran outside the sharded driver; fold its
-            // guard counters in so --metrics-out stays truthful.
-            if s.guard.is_none() {
-                s.guard = guard_stats;
-            }
-        }
-        write_metrics(snap.as_ref(), out)?;
-    }
-    Ok(())
+    print_stream_estimate(
+        est.estimate,
+        budget,
+        &report,
+        " (max over shards)",
+        metrics_out.as_ref(),
+    )
 }
 
-/// Process-per-shard execution: per pass, broadcast the boundary state as
-/// a checkpoint file, spawn one `shard-worker` process per shard, and
-/// merge the partial blobs the workers write back. Per-shard metrics are
-/// folded with the concurrent-merge rule (residency max, throughput sums).
-fn run_shard_procs<F>(
-    trace_path: &str,
-    plan: &adjstream::stream::ShardPlan,
-    cfg: adjstream::algo::triangle::ShardedTriangleConfig,
-    use_mmap: bool,
-    repaired: Option<&[StreamItem]>,
-    sink: &adjstream::stream::Metrics,
-    mut after_pass: F,
-) -> Result<
-    (
-        adjstream::algo::triangle::TriangleEstimate,
-        usize,
-        Option<adjstream::stream::MetricsSnapshot>,
-    ),
-    CliFailure,
->
-where
-    F: FnMut(usize) -> Result<(), adjstream::stream::ShardError>,
-{
-    use adjstream::algo::triangle::ShardedTriangle;
-    use adjstream::stream::checkpoint::{read_checkpoint_file, write_checkpoint_file};
-    use adjstream::stream::obs::PassMetrics;
-    use adjstream::stream::shard::merge_shard_states;
-    use adjstream::stream::{
-        Checkpoint, MetricsSnapshot, MultiPassAlgorithm, METRICS_SCHEMA_VERSION,
-    };
+/// The `--shard-procs` step of the library's shard loop: each pass runs
+/// as one `shard-worker` process per shard. Boundary states and worker
+/// payloads go through a private temp directory, which is removed on drop
+/// whichever way the run ends.
+struct ShardProcs {
+    dir: std::path::PathBuf,
+    exe: std::path::PathBuf,
+    trace: std::path::PathBuf,
+    shards: usize,
+    mmap: bool,
+}
 
-    let tmp = std::env::temp_dir().join(format!("adjstream-shards-{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).map_err(|e| CliFailure::io(e.to_string()))?;
-    // A repaired stream exists only in this process; persist it so the
-    // workers replay the same promise-valid trace the parent planned.
-    let worker_trace = match repaired {
-        Some(fixed) => {
-            let p = tmp.join("repaired.adjb");
-            let trace = ItemTrace::new_unchecked(fixed.to_vec());
-            let mut f = std::fs::File::create(&p).map_err(|e| CliFailure::io(e.to_string()))?;
-            trace
+impl ShardProcs {
+    fn new(
+        trace: &str,
+        repaired: Option<&[StreamItem]>,
+        shards: usize,
+        mmap: bool,
+    ) -> Result<ShardProcs, CliFailure> {
+        let io = |e: std::io::Error| CliFailure::io(e.to_string());
+        let exe = std::env::current_exe().map_err(io)?;
+        let dir = std::env::temp_dir().join(format!("adjstream-shards-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).map_err(io)?;
+        let mut procs = ShardProcs {
+            dir,
+            exe,
+            trace: trace.into(),
+            shards,
+            mmap,
+        };
+        // A repaired stream exists only in this process; persist it so the
+        // workers replay the same promise-valid trace the parent planned.
+        if let Some(fixed) = repaired {
+            procs.trace = procs.dir.join("repaired.adjb");
+            let mut f = std::fs::File::create(&procs.trace).map_err(io)?;
+            ItemTrace::new_unchecked(fixed.to_vec())
                 .write_adjb(&mut f)
-                .map_err(|e| CliFailure::io(e.to_string()))?;
-            p
+                .map_err(io)?;
         }
-        None => std::path::PathBuf::from(trace_path),
-    };
-    let shards = plan.shard_count();
-    let exe = std::env::current_exe().map_err(|e| CliFailure::io(e.to_string()))?;
-    let collect = sink.is_enabled();
-    let mut algo = ShardedTriangle::new(cfg);
-    let passes = MultiPassAlgorithm::passes(&algo);
-    let mut pass_rows: Vec<PassMetrics> = Vec::new();
-    let mut peak_overall = 0usize;
-    let mut processed_total = 0u64;
-    for pass in 0..passes {
-        let mut base = Vec::new();
-        algo.save(&mut base)
-            .map_err(|e| CliFailure::io(e.to_string()))?;
-        let base_path = tmp.join(format!("pass{pass}.base.ckpt"));
-        write_checkpoint_file(&base_path, &base).map_err(checkpoint_failure)?;
+        Ok(procs)
+    }
+
+    /// One pass on every shard: write the boundary state, spawn the
+    /// workers, reap every one that started, then take their outcomes in
+    /// shard order: the first failure is the error, else each payload is
+    /// read and decoded. A worker's own wall is not visible here, so each
+    /// shard reports the batch wall, from the first spawn to the last
+    /// payload read.
+    fn pass(
+        &self,
+        pass: usize,
+        base: &[u8],
+    ) -> Result<Vec<ShardPassOutput<ShardedTriangle>>, CliFailure> {
+        let base_path = self.dir.join(format!("pass{pass}.base.ckpt"));
+        write_checkpoint_file(&base_path, base).map_err(checkpoint_failure)?;
+        let out = |shard: usize| self.dir.join(format!("pass{pass}.shard{shard}.ckpt"));
         let t0 = std::time::Instant::now();
-        let mut children = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let out = tmp.join(format!("pass{pass}.shard{shard}.ckpt"));
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("shard-worker")
-                .arg(&worker_trace)
-                .arg("--shard")
-                .arg(shard.to_string())
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--pass")
-                .arg(pass.to_string())
-                .arg("--state")
-                .arg(&base_path)
-                .arg("--out")
-                .arg(&out);
-            if use_mmap {
-                cmd.arg("--mmap");
-            }
-            let child = cmd
-                .spawn()
-                .map_err(|e| CliFailure::io(format!("spawn shard {shard} worker: {e}")))?;
-            children.push((shard, out, child));
-        }
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(shards);
-        for (shard, out, mut child) in children {
-            let status = child.wait().map_err(|e| CliFailure::io(e.to_string()))?;
+        let children: Vec<_> = (0..self.shards)
+            .map(|shard| {
+                let mut cmd = std::process::Command::new(&self.exe);
+                cmd.arg("shard-worker")
+                    .arg(&self.trace)
+                    .args(["--shard", &shard.to_string()])
+                    .args(["--shards", &self.shards.to_string()])
+                    .args(["--pass", &pass.to_string()])
+                    .arg("--state")
+                    .arg(&base_path)
+                    .arg("--out")
+                    .arg(out(shard));
+                if self.mmap {
+                    cmd.arg("--mmap");
+                }
+                cmd.spawn()
+                    .map_err(|e| CliFailure::io(format!("spawn shard {shard} worker: {e}")))
+            })
+            .collect();
+        let exits: Vec<_> = children
+            .into_iter()
+            .map(|child| child?.wait().map_err(|e| CliFailure::io(e.to_string())))
+            .collect();
+        let mut payloads = Vec::with_capacity(self.shards);
+        for (shard, exit) in exits.into_iter().enumerate() {
+            let status = exit?;
             if !status.success() {
                 let code = status.code().map(|c| c as u8).unwrap_or(EXIT_IO);
-                let _ = std::fs::remove_dir_all(&tmp);
                 return Err(CliFailure::new(
                     code,
                     "shard-worker",
                     format!("shard {shard} worker failed in pass {pass} (exit {code})"),
                 ));
             }
-            payloads.push(read_checkpoint_file(&out).map_err(checkpoint_failure)?);
+            payloads.push(read_checkpoint_file(&out(shard)).map_err(checkpoint_failure)?);
         }
-        let (merged, stats) =
-            merge_shard_states::<ShardedTriangle>(&payloads, pass).map_err(|e| {
-                let _ = std::fs::remove_dir_all(&tmp);
-                shard_failure(e)
-            })?;
-        algo = merged;
-        let mut row = PassMetrics {
-            pass: pass as u32,
-            ..PassMetrics::default()
-        };
-        for s in &stats {
-            peak_overall = peak_overall.max(s.peak_state_bytes);
-            processed_total += s.items_processed as u64;
-            s.fold_into(&mut row);
-        }
-        after_pass(pass).map_err(|e| {
-            let _ = std::fs::remove_dir_all(&tmp);
-            shard_failure(e)
-        })?;
-        if collect {
-            // Individual worker walls aren't visible to the parent; the
-            // batch wall bounds the max over the concurrent workers.
-            row.wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            pass_rows.push(row);
-        }
+        let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        payloads
+            .iter()
+            .map(|payload| {
+                let (replica, stats) = decode_shard_payload(payload)?;
+                Ok((replica, stats, wall_nanos))
+            })
+            .collect()
     }
-    let _ = std::fs::remove_dir_all(&tmp);
-    let counters = algo.obs_counters();
-    let metrics = collect.then(|| MetricsSnapshot {
-        schema: METRICS_SCHEMA_VERSION,
-        runs: 1,
-        passes: pass_rows,
-        counters: counters.unwrap_or_default(),
-        guard: None,
-        checkpoint: Default::default(),
-        retry: Default::default(),
-        peak_state_bytes: peak_overall as u64,
-        items_processed: processed_total,
-    });
-    if let Some(snap) = &metrics {
-        sink.absorb(snap);
+}
+
+impl Drop for ShardProcs {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
-    Ok((algo.finish(), peak_overall, metrics))
 }
 
 /// Hidden subcommand: one shard x one pass of a sharded `estimate-stream`,
@@ -1245,8 +1215,6 @@ where
 /// payload of `run_shard_pass_blob` (stats, then the partial state)
 /// through the checksummed checkpoint container.
 fn cmd_shard_worker(args: &[String]) -> Result<(), CliFailure> {
-    use adjstream::algo::triangle::ShardedTriangle;
-    use adjstream::stream::checkpoint::{read_checkpoint_file, write_checkpoint_file};
     use adjstream::stream::shard::run_shard_pass_blob;
     use adjstream::stream::{MappedTrace, ShardPlan};
 
@@ -1277,8 +1245,7 @@ fn cmd_shard_worker(args: &[String]) -> Result<(), CliFailure> {
     let items = source.items();
     let plan = ShardPlan::build(items, shards);
     let base = read_checkpoint_file(std::path::Path::new(state)).map_err(checkpoint_failure)?;
-    let payload = run_shard_pass_blob::<ShardedTriangle>(&base, pass, items, plan.runs_for(shard))
-        .map_err(shard_failure)?;
+    let payload = run_shard_pass_blob::<ShardedTriangle>(&base, pass, items, plan.runs_for(shard))?;
     write_checkpoint_file(std::path::Path::new(out), &payload).map_err(checkpoint_failure)?;
     Ok(())
 }

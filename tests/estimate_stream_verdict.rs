@@ -5,6 +5,12 @@
 //! invalid trace, or the same edge count on a valid one. A read that
 //! needed retries earns its stderr note only once the trace is found
 //! valid, as when validation ran inside the read.
+//!
+//! The graph-sharded variant is driven through the binary too, so both
+//! shard modes are covered: thread workers and `--shard-procs` worker
+//! processes must print the 1-shard estimate, write the same metrics up
+//! to wall time, reject a corrupt mmapped trace identically, and leave
+//! nothing behind in the temp directory.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -18,8 +24,8 @@ use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::gen;
 use adjstream::stream::trace::{retry_note, FlakySource, RetryPolicy, RetryingSource};
 use adjstream::stream::{
-    run_slice_passes_validated, validate_slice, AdjListStream, FaultKind, FaultPlan, Metrics,
-    StreamItem, StreamOrder,
+    run_slice_passes_validated, validate_slice, AdjListStream, FaultKind, FaultPlan, ItemTrace,
+    Metrics, StreamItem, StreamOrder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,4 +168,112 @@ fn retry_note_waits_for_a_valid_verdict() {
         None,
         "a first-attempt read earns no note"
     );
+}
+
+/// `estimate-stream` run with `TMPDIR` pointed at `tmp`, which must still
+/// be empty when the run exits.
+fn cli_in_tmp(tmp: &Path, args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_adjstream_cli"))
+        .arg("estimate-stream")
+        .args(args)
+        .env("TMPDIR", tmp)
+        .output()
+        .expect("run adjstream_cli");
+    let left: Vec<_> = std::fs::read_dir(tmp).unwrap().collect();
+    assert!(left.is_empty(), "{args:?} left {left:?} in TMPDIR");
+    out
+}
+
+/// The `estimate` line of a run's stdout.
+fn estimate_line(out: &Output) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.starts_with("estimate "));
+    line.unwrap_or_else(|| panic!("no estimate line in {stdout}"))
+        .to_string()
+}
+
+/// Metrics JSON with every `"wall_nanos"` value zeroed: the one field the
+/// two shard modes measure differently.
+fn mask_walls(json: &str) -> String {
+    const KEY: &str = "\"wall_nanos\":";
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        out.push('0');
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c == ' ' || c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn shard_modes_agree_through_the_binary() {
+    let dir = tmp_dir("shard-modes");
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut rng = StdRng::seed_from_u64(19);
+    let g = gen::gnm(1000, 4000, &mut rng);
+    let items = AdjListStream::new(&g, StreamOrder::shuffled(1000, 3)).collect_items();
+    let trace = dir.join("trace.adjb");
+    let mut f = std::fs::File::create(&trace).unwrap();
+    ItemTrace::new_unchecked(items).write_adjb(&mut f).unwrap();
+    drop(f);
+    let trace = trace.to_str().unwrap();
+    let common = ["--budget", "40", "--seed", "5"];
+
+    let one = cli_in_tmp(&tmp, &[&[trace][..], &common, &["--shards", "1"]].concat());
+    assert!(one.status.success());
+    let want = estimate_line(&one);
+    for mmap in [false, true] {
+        for repair in [false, true] {
+            let mut metrics = Vec::new();
+            for procs in [false, true] {
+                let case = format!("procs={procs} mmap={mmap} repair={repair}");
+                let out_path = dir.join(format!("metrics-{procs}.json"));
+                let mut args = vec![trace, "--shards", "4", "--metrics-out"];
+                args.push(out_path.to_str().unwrap());
+                args.extend(common);
+                if procs {
+                    args.push("--shard-procs");
+                }
+                if mmap {
+                    args.push("--mmap");
+                }
+                if repair {
+                    args.extend(["--policy", "repair"]);
+                }
+                let out = cli_in_tmp(&tmp, &args);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(out.status.success(), "{case}: {stderr}");
+                assert_eq!(estimate_line(&out), want, "{case}");
+                metrics.push(mask_walls(&std::fs::read_to_string(&out_path).unwrap()));
+            }
+            assert_eq!(metrics[0], metrics[1], "mmap={mmap} repair={repair}");
+        }
+    }
+
+    // A flipped payload byte: the most significant byte of an item's
+    // source id, so the checksum cannot survive it. Deferred verification
+    // rejects it at the first pass boundary in both modes.
+    let bad = dir.join("bad.adjb");
+    let mut bytes = std::fs::read(trace).unwrap();
+    bytes[103] ^= 0xFF;
+    std::fs::write(&bad, bytes).unwrap();
+    let bad = bad.to_str().unwrap();
+    let rejected: Vec<Output> = [&[][..], &["--shard-procs"]]
+        .iter()
+        .map(|mode| {
+            let args = [&[bad, "--shards", "4", "--mmap"][..], &common, mode].concat();
+            cli_in_tmp(&tmp, &args)
+        })
+        .collect();
+    for out in &rejected {
+        assert_eq!(out.status.code(), Some(EXIT_INVALID_STREAM));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("aborted at pass 0 boundary: "), "{stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("estimate "));
+    }
+    assert_eq!(rejected[0].stderr, rejected[1].stderr);
+    std::fs::remove_dir_all(&dir).ok();
 }

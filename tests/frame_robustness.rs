@@ -19,7 +19,7 @@ use adjstream::graph::gen;
 use adjstream::stream::checkpoint::{read_checkpoint_file, write_checkpoint_file, FORMAT_VERSION};
 use adjstream::stream::frame::HEADER_LEN;
 use adjstream::stream::mmapfile::MappedTrace;
-use adjstream::stream::shard::{merge_shard_states, run_shard_pass_blob, ShardError, ShardPlan};
+use adjstream::stream::shard::{decode_shard_payload, run_shard_pass_blob, ShardError, ShardPlan};
 use adjstream::stream::update::{churn, ChurnConfig};
 use adjstream::stream::{
     parse_update_bytes, write_adjbu, AdjListStream, Checkpoint, FrameError, ItemTrace, StreamItem,
@@ -174,7 +174,7 @@ fn shard_worker_case(seed: u64) -> Case {
         version: FORMAT_VERSION,
         first_cut: 0,
         decode: Box::new(move |b| match read_back(&file.0, b) {
-            Ok(payload) => match merge_shard_states::<ShardedTriangle>(&[payload], 0) {
+            Ok(payload) => match decode_shard_payload::<ShardedTriangle>(&payload) {
                 Ok(_) => Verdict::Decoded,
                 Err(_) => Verdict::Format,
             },
@@ -272,10 +272,9 @@ proptest! {
     #[test]
     fn shard_worker_payload_cut_anywhere_is_a_typed_error(seed in any::<u64>()) {
         let payload = shard_payload(seed % 1000);
-        prop_assert!(merge_shard_states::<ShardedTriangle>(std::slice::from_ref(&payload), 0).is_ok());
+        prop_assert!(decode_shard_payload::<ShardedTriangle>(&payload).is_ok());
         for cut in 0..payload.len() {
-            let short = vec![payload[..cut].to_vec()];
-            let res = merge_shard_states::<ShardedTriangle>(&short, 0);
+            let res = decode_shard_payload::<ShardedTriangle>(&payload[..cut]);
             prop_assert!(
                 matches!(res, Err(ShardError::State(_))),
                 "cut at {cut} gave {:?}",
