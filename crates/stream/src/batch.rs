@@ -1,92 +1,86 @@
-//! Stream-once batched execution: fan one stream replay out to many
-//! algorithm instances, with per-instance fault isolation.
+//! Batched repetitions: drive many algorithm instances over each resident
+//! pass, with per-instance fault isolation.
 //!
 //! The amplification layer (Theorems 3.7 and 4.6) runs `Θ(log 1/δ)`
 //! independent repetitions of the same multi-pass algorithm, and the
 //! guess-and-verify driver multiplies that by `O(log T)` guess levels.
-//! Replaying the full adjacency-list stream for every repetition of every
-//! level is pass-wasteful in exactly the sense the model charges for. A
-//! [`BatchJob`] restores pass-optimality: each pass's item sequence is
-//! replayed **once** and every item is fanned out to all `R` resident
-//! [`MultiPassAlgorithm`] instances, so the whole batch costs as many
-//! stream passes as a *single* instance would. `R = 1` is plain sequential
-//! replay.
+//! Regenerating or re-reading the adjacency-list stream for every
+//! repetition of every level is pass-wasteful in exactly the sense the
+//! model charges for. A [`BatchJob`] restores pass-optimality: the caller
+//! supplies each pass's item sequence **once**, as one resident slice, and
+//! every one of the `R` [`MultiPassAlgorithm`] instances replays that
+//! slice, so the whole batch costs as many stream passes as a *single*
+//! instance would. `R = 1` is plain sequential replay.
 //!
 //! Execution model:
 //!
-//! * The fan-out is itself driven as one algorithm by the shared
-//!   [`drive_pass_slice`](crate::runner::drive_pass_slice) loop, so list
-//!   boundaries, peak sampling, and abort polling are exactly the
-//!   sequential driver's.
-//! * With `threads ≤ 1` the instances are driven inline, in index order.
-//! * With `threads > 1` the instances are sharded across worker threads
-//!   (contiguous index ranges, mirroring `median_of_runs`' chunking). The
-//!   driving thread batches stream events into chunks and broadcasts each
-//!   chunk to every worker over a bounded channel — a full worker exerts
-//!   backpressure on the stream generator instead of buffering unboundedly.
-//!   Workers exist per pass: at every pass boundary the instances return to
-//!   the driving thread, which is what makes boundary checkpoints and
-//!   aggregate budget checks possible at any thread count.
+//! * Each instance runs the one pass loop,
+//!   [`drive_pass_slice`](crate::runner::drive_pass_slice)'s, over the
+//!   whole slice, with its own peak tracker and item count, so list
+//!   boundaries, peak sampling and abort polling are exactly the
+//!   sequential driver's. One instance replays a whole pass before the
+//!   next starts, which keeps its state hot in cache.
+//! * With `threads ≤ 1` the instances run inline, in index order.
+//! * With `threads > 1` the instances are split into contiguous index
+//!   ranges, one scoped thread each (mirroring `median_of_runs`' chunking),
+//!   all reading the same shared slice. The threads exist per pass: at
+//!   every pass boundary the instances are back with the job, which is
+//!   what makes boundary checkpoints and aggregate budget checks possible
+//!   at any thread count.
 //!
-//! Because every instance observes the identical event sequence in either
+//! Because every instance observes the identical item sequence in either
 //! mode, batched execution is **bitwise reproducible** against the
 //! sequential driver: an instance seeded `s` produces the same output here
 //! as it does under `Runner::run` on the same graph and order.
 //!
 //! # Fault isolation and budgets
 //!
-//! Replay through an instance is wrapped in `catch_unwind`, so a panicking
+//! Each instance's pass runs inside `catch_unwind`, so a panicking
 //! instance is *quarantined* — its slot in [`BatchOutcome::outputs`] becomes
 //! `None`, its [`InstanceReport::outcome`] records the panic message, and
 //! every other instance keeps running and stays bit-for-bit reproducible.
 //! The same per-instance quarantine applies to [`Budget::max_bytes_per_instance`]
 //! overruns, checked at the exact boundaries where the sequential runner
-//! samples state size. Batch-wide limits ([`Budget::max_total_bytes`],
-//! [`Budget::deadline`]) abort the whole run with a typed [`RunError`] —
-//! they bound the *process*, which no per-instance quarantine can do.
+//! samples state size, and to an instance that aborts on its own (a strict
+//! [`Guarded`](crate::guard::Guarded) instance). Batch-wide limits
+//! ([`Budget::max_total_bytes`], [`Budget::deadline`]) abort the whole run
+//! with a typed [`RunError`] — they bound the *process*, which no
+//! per-instance quarantine can do.
 //!
 //! # Checkpoint / resume
 //!
 //! [`BatchJob::write_checkpoint`] captures the whole batch (every live
-//! instance, every quarantined outcome, the shared guard) at an interior
-//! pass boundary, atomically, via
-//! [`crate::checkpoint::write_checkpoint_file`]; [`BatchJob::run`]'s
-//! after-pass hook is where a one-shot run writes it. A run killed between
-//! passes is picked up by [`BatchJob::restore_from_file`] followed by the
-//! same [`BatchJob::run`], which replays only the remaining passes and
-//! produces bit-for-bit the per-instance outputs of an uninterrupted run.
-//! (`stream_generations` counts regeneration work and will differ on a
-//! resumed run; the determinism contract covers outputs.)
+//! instance, every quarantined outcome) at an interior pass boundary,
+//! atomically, via [`crate::checkpoint::write_checkpoint_file`];
+//! [`BatchJob::run`]'s after-pass hook is where a one-shot run writes it. A
+//! run killed between passes is picked up by [`BatchJob::restore_from_file`]
+//! followed by the same [`BatchJob::run`], which replays only the remaining
+//! passes and produces bit-for-bit the per-instance outputs of an
+//! uninterrupted run. (`stream_generations` counts regeneration work and
+//! will differ on a resumed run; the determinism contract covers outputs.)
 //!
-//! Ingestion guarding composes at the *stream* level, not per instance:
-//! [`BatchConfig::guard`] wraps the fan-out itself in a single
-//! [`Guarded`] adapter, so one [`OnlineValidator`] vets each item once
-//! before it is broadcast (the repair policy's dropped items simply never
-//! reach any instance). Running `R` validators for `R` instances of the
-//! same stream would multiply validation cost and memory for no extra
-//! information.
+//! # Guarding
 //!
-//! [`OnlineValidator`]: crate::validate::OnlineValidator
+//! The job trusts its items. A caller holding an unvalidated stream either
+//! repairs it once upstream with [`guard_items`](crate::guard::guard_items)
+//! and batches the admitted items, or batches
+//! [`Guarded`](crate::guard::Guarded) instances, each with its own
+//! validator.
 
 use std::any::Any;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use adjstream_graph::VertexId;
 
 use crate::checkpoint::{
     read_bytes, read_checkpoint_file, read_u32, read_u8, read_usize, write_bytes,
     write_checkpoint_file, write_u32, write_u8, write_usize, Checkpoint,
 };
-use crate::guard::{decode_mode, decode_policy, encode_mode, encode_policy, GuardPolicy, Guarded};
 use crate::item::StreamItem;
-use crate::meter::{vec_bytes, PeakTracker, SpaceUsage};
+use crate::meter::PeakTracker;
 use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, PassMetrics, RunObserver};
-use crate::runner::{drive_pass_runs, list_runs, GuardStats, MultiPassAlgorithm, RunError};
-use crate::validate::ValidatorMode;
+use crate::runner::{drive_pass_runs, list_runs, MultiPassAlgorithm, RunError};
 
 /// Resource limits enforced on a batched run.
 ///
@@ -104,27 +98,11 @@ pub struct Budget {
     /// pass boundary. Exceeding it fails the run with
     /// [`RunError::SpaceBudgetExceeded`].
     pub max_total_bytes: Option<usize>,
-    /// Wall-clock deadline for the whole run, checked at chunk granularity.
-    /// Exceeding it fails the run with [`RunError::DeadlineExceeded`].
+    /// Wall-clock deadline for the whole run, checked at every list and
+    /// pass boundary of every instance. Exceeding it fails the run with
+    /// [`RunError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
 }
-
-/// Stream events buffered per replay chunk. Inline mode replays each full
-/// chunk through one instance at a time, so larger chunks keep an
-/// instance's state hot in cache across many events instead of touching all
-/// `R` states per event; threaded mode ships whole chunks over the
-/// channels, amortizing send overhead. Smaller chunks tighten backpressure
-/// and shrink the buffer; this size trades ~2 MiB of buffer for
-/// near-saturated replay throughput.
-#[cfg(not(test))]
-const CHUNK_EVENTS: usize = 128 * 1024;
-/// Unit tests use tiny chunks so small streams still cross many chunk
-/// boundaries.
-#[cfg(test)]
-const CHUNK_EVENTS: usize = 64;
-
-/// Bounded-channel depth per worker, in chunks.
-const CHANNEL_DEPTH: usize = 4;
 
 /// Knobs for a batched run.
 #[derive(Debug, Clone, Default)]
@@ -132,10 +110,6 @@ pub struct BatchConfig {
     /// Worker threads the instances are sharded over; `0` or `1` drives
     /// them inline on the calling thread.
     pub threads: usize,
-    /// Wrap the *shared stream* in one [`Guarded`] validator with this
-    /// policy and mode. `None` trusts the stream (the graph-backed
-    /// generator always satisfies the promise).
-    pub guard: Option<(GuardPolicy, ValidatorMode)>,
     /// Resource limits; default unlimited.
     pub budget: Budget,
     /// Collect structured run metrics into [`BatchReport::metrics`].
@@ -201,14 +175,14 @@ pub struct InstanceReport {
 /// Execution summary of a batched run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
-    /// Instances fanned out to.
+    /// Instances in the batch.
     pub instances: usize,
     /// Worker threads actually used (after clamping to the instance count).
     pub threads: usize,
     /// Stream passes executed — for the whole batch, not per instance.
     pub passes: usize,
-    /// Items driven through the shared stream, summed over passes. Each
-    /// item is counted once here no matter how many instances consumed it.
+    /// Items in the passes the job was fed, summed over passes. Each item
+    /// is counted once here no matter how many instances consumed it.
     pub stream_items: usize,
     /// Item sequences the pass source generated, as recorded through
     /// [`BatchJob::set_source_generations`] (e.g.
@@ -217,13 +191,10 @@ pub struct BatchReport {
     /// count), plus those of the checkpointed run a job was restored from.
     pub stream_generations: usize,
     /// Total item deliveries across instances (≈ `stream_items ×
-    /// instances`, minus items a shared repair guard dropped before
-    /// fan-out and items quarantined instances never received).
+    /// instances`, minus items quarantined instances never received).
     pub items_fanned_out: usize,
     /// Per-instance diagnostics, in instance order.
     pub per_instance: Vec<InstanceReport>,
-    /// Counters of the shared-stream guard, when one was configured.
-    pub guard: Option<GuardStats>,
     /// `Some(p)` when this run was restored from a checkpoint taken after
     /// `p` completed passes.
     pub resumed_from: Option<usize>,
@@ -253,31 +224,6 @@ pub struct BatchOutcome<T> {
     pub report: BatchReport,
 }
 
-/// One stream event, as broadcast to every instance. Mirrors the calls
-/// [`drive_pass_slice`](crate::runner::drive_pass_slice) makes on a
-/// [`MultiPassAlgorithm`].
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    BeginPass(usize),
-    BeginList(VertexId),
-    /// A same-source run, stored as a range into the carrying [`Chunk`]'s
-    /// item buffer; delivered via [`MultiPassAlgorithm::feed_slice`].
-    Run {
-        start: usize,
-        len: usize,
-    },
-    EndList(VertexId),
-    EndPass(usize),
-}
-
-/// A broadcast unit: buffered events plus the item buffer that the chunk's
-/// [`Event::Run`] ranges index into.
-#[derive(Debug, Default)]
-struct Chunk {
-    events: Vec<Event>,
-    items: Vec<StreamItem>,
-}
-
 /// Extract a human-readable message from a panic payload.
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -289,156 +235,115 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Liveness of one instance mid-run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum InstanceStatus {
-    Live,
-    Failed(RunError),
-    Panicked(String),
-    OverBudget { peak_bytes: usize, limit: usize },
+/// The limits each instance's pass loop checks at every boundary where it
+/// samples state.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    max_bytes: Option<usize>,
+    /// Wall-clock deadline plus the configured limit in ms (for the error).
+    deadline: Option<(Instant, u64)>,
 }
 
-/// An instance plus its driver-side bookkeeping. Applying events through
-/// this struct reproduces `drive_pass_slice`'s per-instance behavior
-/// exactly: peak state sampled at list and pass boundaries, abort polled
-/// after every run and at pass end, budget checked at the sampling points.
-struct InstanceState<A: MultiPassAlgorithm> {
-    /// Position in the caller's instance vector (stable across sharding).
-    index: usize,
-    shard: usize,
-    algo: Option<A>,
+impl Limits {
+    /// An expired deadline (batch-fatal) is reported before a per-instance
+    /// overrun, which [`InstanceState::run_pass`] maps to a quarantine.
+    fn check(&self, bytes: usize) -> Result<(), RunError> {
+        if let Some((t, limit_ms)) = self.deadline {
+            if Instant::now() >= t {
+                return Err(RunError::DeadlineExceeded { limit_ms });
+            }
+        }
+        match self.max_bytes {
+            Some(limit) if bytes > limit => {
+                Err(RunError::SpaceBudgetExceeded { used: bytes, limit })
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// An instance plus its per-instance bookkeeping.
+struct InstanceState<A> {
+    /// The live algorithm, or the outcome the instance was quarantined
+    /// with (never [`InstanceOutcome::Ok`]).
+    status: Result<A, InstanceOutcome>,
     peak: PeakTracker,
     items: usize,
-    pass: usize,
-    byte_limit: Option<usize>,
-    status: InstanceStatus,
 }
 
 impl<A: MultiPassAlgorithm> InstanceState<A> {
-    fn new(algo: A, index: usize, byte_limit: Option<usize>) -> Self {
-        InstanceState {
-            index,
-            shard: 0,
-            algo: Some(algo),
-            peak: PeakTracker::new(),
-            items: 0,
-            pass: 0,
-            byte_limit,
-            status: InstanceStatus::Live,
-        }
+    fn live(&self) -> Option<&A> {
+        self.status.as_ref().ok()
     }
 
-    fn is_live(&self) -> bool {
-        self.status == InstanceStatus::Live
-    }
-
-    /// Observe the instance's state size at a boundary, quarantining it if
-    /// the per-instance budget is exceeded.
-    fn observe_bytes(&mut self, bytes: usize) {
-        self.peak.observe(bytes);
-        if let Some(limit) = self.byte_limit {
-            if bytes > limit && self.is_live() {
-                self.status = InstanceStatus::OverBudget {
-                    peak_bytes: bytes,
-                    limit,
-                };
-            }
-        }
-    }
-
-    fn apply(&mut self, ev: Event, chunk_items: &[StreamItem]) {
-        if !self.is_live() {
-            return;
-        }
-        let Some(algo) = self.algo.as_mut() else {
-            return;
+    /// Drive a live instance through `pass` of `items` under panic
+    /// isolation. An abort, a panic or a per-instance budget overrun
+    /// quarantines the instance at the boundary where it happens and drops
+    /// its algorithm (itself under `catch_unwind`, in case the poisoned
+    /// state panics on drop); only an expired deadline is returned, as it
+    /// fails the whole job.
+    fn run_pass(
+        &mut self,
+        pass: usize,
+        items: &[StreamItem],
+        limits: Limits,
+    ) -> Result<(), RunError> {
+        let Ok(algo) = &mut self.status else {
+            return Ok(());
         };
-        match ev {
-            Event::BeginPass(p) => {
-                self.pass = p;
-                algo.begin_pass(p);
-            }
-            Event::BeginList(owner) => algo.begin_list(owner),
-            Event::Run { start, len } => {
-                algo.feed_slice(&chunk_items[start..start + len]);
-                self.items += len;
-                // Same abort granularity as `drive_pass_slice`: per run.
-                if let Some(error) = algo.abort_error() {
-                    self.status = InstanceStatus::Failed(RunError::Invalid {
-                        pass: self.pass,
-                        error,
-                    });
-                }
-            }
-            Event::EndList(owner) => {
-                algo.end_list(owner);
-                let bytes = algo.space_bytes();
-                self.observe_bytes(bytes);
-            }
-            Event::EndPass(p) => {
-                algo.end_pass(p);
-                let bytes = algo.space_bytes();
-                if let Some(error) = algo.abort_error() {
-                    self.peak.observe(bytes);
-                    self.status = InstanceStatus::Failed(RunError::Invalid {
-                        pass: self.pass,
-                        error,
-                    });
-                } else {
-                    self.observe_bytes(bytes);
-                }
-            }
-        }
-    }
-
-    /// Replay a chunk with panic isolation: a panicking instance is marked
-    /// [`InstanceStatus::Panicked`] and its algorithm is dropped (itself
-    /// under `catch_unwind`, in case the poisoned state panics on drop);
-    /// every other instance is untouched.
-    fn apply_chunk(&mut self, chunk: &Chunk) {
-        if !self.is_live() {
-            return;
-        }
+        let (peak, count) = (&mut self.peak, &mut self.items);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            for &ev in &chunk.events {
-                self.apply(ev, &chunk.items);
-            }
+            drive_pass_runs(
+                algo,
+                pass,
+                items,
+                list_runs(items),
+                count,
+                &mut RunObserver::disabled(),
+                |bytes| {
+                    peak.observe(bytes);
+                    limits.check(bytes)
+                },
+            )
         }));
-        if let Err(payload) = result {
-            self.status = InstanceStatus::Panicked(panic_message(payload));
-        }
-        if !self.is_live() {
-            let algo = self.algo.take();
-            let _ = catch_unwind(AssertUnwindSafe(move || drop(algo)));
-        }
+        let outcome = match result {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(fatal @ RunError::DeadlineExceeded { .. })) => return Err(fatal),
+            Ok(Err(RunError::SpaceBudgetExceeded { used, limit })) => {
+                InstanceOutcome::BudgetExceeded {
+                    peak_bytes: used,
+                    limit,
+                }
+            }
+            Ok(Err(error)) => InstanceOutcome::Failed { error },
+            Err(payload) => InstanceOutcome::Panicked {
+                message: panic_message(payload),
+            },
+        };
+        let dropped = std::mem::replace(&mut self.status, Err(outcome));
+        let _ = catch_unwind(AssertUnwindSafe(move || drop(dropped)));
+        Ok(())
     }
 
     /// Finish the instance, producing its report and (for survivors) its
     /// output. `finish()` itself runs under `catch_unwind`.
-    fn into_parts(mut self) -> (InstanceReport, Option<A::Output>) {
-        let counters = self.algo.as_ref().and_then(|a| a.obs_counters());
+    fn into_parts(self, shard: usize) -> (InstanceReport, Option<A::Output>) {
+        let counters = self.live().and_then(|a| a.obs_counters());
         let (outcome, output) = match self.status {
-            InstanceStatus::Live => {
-                let algo = self.algo.take().expect("live instance has an algorithm");
-                match catch_unwind(AssertUnwindSafe(move || algo.finish())) {
-                    Ok(out) => (InstanceOutcome::Ok, Some(out)),
-                    Err(payload) => (
-                        InstanceOutcome::Panicked {
-                            message: panic_message(payload),
-                        },
-                        None,
-                    ),
-                }
-            }
-            InstanceStatus::Failed(error) => (InstanceOutcome::Failed { error }, None),
-            InstanceStatus::Panicked(message) => (InstanceOutcome::Panicked { message }, None),
-            InstanceStatus::OverBudget { peak_bytes, limit } => {
-                (InstanceOutcome::BudgetExceeded { peak_bytes, limit }, None)
-            }
+            Ok(algo) => match catch_unwind(AssertUnwindSafe(move || algo.finish())) {
+                Ok(out) => (InstanceOutcome::Ok, Some(out)),
+                Err(payload) => (
+                    InstanceOutcome::Panicked {
+                        message: panic_message(payload),
+                    },
+                    None,
+                ),
+            },
+            Err(outcome) => (outcome, None),
         };
         (
             InstanceReport {
-                shard: self.shard,
+                shard,
                 peak_state_bytes: self.peak.peak(),
                 items: self.items,
                 outcome,
@@ -449,270 +354,19 @@ impl<A: MultiPassAlgorithm> InstanceState<A> {
     }
 }
 
-/// The per-pass worker crew: event broadcast channels in, finished
-/// instance states out.
-struct PassWorkers<A: MultiPassAlgorithm> {
-    senders: Vec<crossbeam::channel::Sender<Arc<Chunk>>>,
-    done: crossbeam::channel::Receiver<Vec<InstanceState<A>>>,
-}
-
-/// The fan-out itself, viewed as one [`MultiPassAlgorithm`] so the shared
-/// `drive_pass_slice` loop (and a shared [`Guarded`] wrapper) can drive it.
-/// Unlike a plain algorithm it owns its instances *between* passes — worker
-/// crews exist only while a pass is in flight — which is what lets the
-/// engine checkpoint and budget-check at boundaries.
-struct FanOut<A: MultiPassAlgorithm> {
-    passes: usize,
-    same_order: bool,
-    buf: Vec<Event>,
-    /// Item buffer the current chunk's [`Event::Run`] ranges index into.
-    item_buf: Vec<StreamItem>,
-    states: Vec<InstanceState<A>>,
-    workers: Option<PassWorkers<A>>,
-    /// Wall-clock deadline plus the configured limit in ms (for the error).
-    deadline: Option<(Instant, u64)>,
-    /// Batch-fatal condition (deadline); polled by the driver via
-    /// [`MultiPassAlgorithm::abort_run`].
-    fatal: Option<RunError>,
-}
-
-impl<A: MultiPassAlgorithm> FanOut<A> {
-    /// Both backends buffer events into chunks instead of touching every
-    /// instance per event: replaying a chunk against one instance at a time
-    /// keeps that instance's sample structures hot in cache, where
-    /// per-event interleaving across `R` instances thrashes it (measured
-    /// ~5× slower at 55 resident triangle instances). Instances are
-    /// independent, so chunked delivery is observationally identical.
-    fn emit(&mut self, ev: Event) {
-        self.buf.push(ev);
-        // A `Run` event packs many items, so the item buffer needs its own
-        // trigger to keep chunk memory bounded by the same size.
-        if self.buf.len() >= CHUNK_EVENTS || self.item_buf.len() >= CHUNK_EVENTS {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        if self.fatal.is_none() {
-            if let Some((t, limit_ms)) = self.deadline {
-                if Instant::now() >= t {
-                    self.fatal = Some(RunError::DeadlineExceeded { limit_ms });
-                }
-            }
-        }
-        if self.fatal.is_some() {
-            // The run is aborting; replaying further events is wasted work.
-            self.buf.clear();
-            self.item_buf.clear();
-            return;
-        }
-        match &self.workers {
-            Some(workers) => {
-                let chunk = Arc::new(Chunk {
-                    events: std::mem::take(&mut self.buf),
-                    items: std::mem::take(&mut self.item_buf),
-                });
-                for tx in &workers.senders {
-                    // A send fails only if the worker died; worker panics
-                    // resurface at scope join, so dropping here is safe.
-                    let _ = tx.send(Arc::clone(&chunk));
-                }
-            }
-            None => {
-                let chunk = Chunk {
-                    events: std::mem::take(&mut self.buf),
-                    items: std::mem::take(&mut self.item_buf),
-                };
-                for st in self.states.iter_mut() {
-                    st.apply_chunk(&chunk);
-                }
-                // Hand the allocations back for the next chunk.
-                self.buf = chunk.events;
-                self.item_buf = chunk.items;
-                self.buf.clear();
-                self.item_buf.clear();
-            }
-        }
-    }
-
-    /// Tear down the pass's worker crew (if any) and take the instances
-    /// back. Always restores `states` sorted by instance index, so the
-    /// boundary view is identical at every thread count.
-    fn join_pass_workers(&mut self) {
-        self.buf.clear();
-        self.item_buf.clear();
-        if let Some(workers) = self.workers.take() {
-            drop(workers.senders);
-            let mut all: Vec<InstanceState<A>> = Vec::new();
-            while let Ok(states) = workers.done.recv() {
-                all.extend(states);
-            }
-            all.sort_by_key(|st| st.index);
-            self.states = all;
-        }
-    }
-
-    /// Aggregate live state across instances, for the batch-wide budget.
-    fn total_live_bytes(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|st| st.is_live())
-            .filter_map(|st| st.algo.as_ref().map(|a| a.space_bytes()))
-            .sum()
-    }
-}
-
-impl<A: MultiPassAlgorithm> SpaceUsage for FanOut<A> {
-    /// Only the driver-side chunk buffer. Instance state is sampled
-    /// per-instance inside [`InstanceState::apply`] (that is what the
-    /// [`BatchReport`] publishes); summing `R` instances here would make
-    /// the shared driver's boundary sampling O(R·state) per list, which
-    /// measurably dominates whole runs.
-    fn space_bytes(&self) -> usize {
-        vec_bytes(&self.buf) + vec_bytes(&self.item_buf)
-    }
-}
-
-impl<A: MultiPassAlgorithm> MultiPassAlgorithm for FanOut<A> {
-    /// Never produced through `finish` — the engine disassembles the
-    /// fan-out at the end of the last pass instead, because instance
-    /// outcomes must survive the [`Guarded`] wrapper (whose `finish`
-    /// consumes the wrapper around this type).
-    type Output = ();
-
-    fn passes(&self) -> usize {
-        self.passes
-    }
-
-    fn requires_same_order(&self) -> bool {
-        self.same_order
-    }
-
-    fn begin_pass(&mut self, pass: usize) {
-        self.emit(Event::BeginPass(pass));
-    }
-
-    fn begin_list(&mut self, owner: VertexId) {
-        self.emit(Event::BeginList(owner));
-    }
-
-    fn item(&mut self, src: VertexId, dst: VertexId) {
-        self.feed_slice(&[StreamItem::new(src, dst)]);
-    }
-
-    fn feed_slice(&mut self, items: &[StreamItem]) {
-        if items.is_empty() {
-            return;
-        }
-        let start = self.item_buf.len();
-        self.item_buf.extend_from_slice(items);
-        self.emit(Event::Run {
-            start,
-            len: items.len(),
-        });
-    }
-
-    fn end_list(&mut self, owner: VertexId) {
-        self.emit(Event::EndList(owner));
-    }
-
-    fn end_pass(&mut self, pass: usize) {
-        self.emit(Event::EndPass(pass));
-        self.flush();
-    }
-
-    fn abort_run(&self) -> Option<RunError> {
-        self.fatal.clone()
-    }
-
-    fn finish(self) -> Self::Output {}
-}
-
-/// The fan-out, optionally behind the shared ingestion guard. One exists
-/// per batch run, so the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Driven<A: MultiPassAlgorithm> {
-    Plain(FanOut<A>),
-    Guarded(Guarded<FanOut<A>>),
-}
-
-impl<A: MultiPassAlgorithm> Driven<A> {
-    fn fanout(&self) -> &FanOut<A> {
-        match self {
-            Driven::Plain(f) => f,
-            Driven::Guarded(g) => g.inner_ref(),
-        }
-    }
-
-    fn fanout_mut(&mut self) -> &mut FanOut<A> {
-        match self {
-            Driven::Plain(f) => f,
-            Driven::Guarded(g) => g.inner_mut(),
-        }
-    }
-
-    fn drive(
-        &mut self,
-        pass: usize,
-        items: &[StreamItem],
-        peak: &mut PeakTracker,
-        processed: &mut usize,
-        obs: &mut RunObserver,
-    ) -> Result<(), RunError> {
-        match self {
-            Driven::Plain(f) => {
-                drive_pass_runs(f, pass, items, list_runs(items), peak, processed, obs)
-            }
-            Driven::Guarded(g) => {
-                drive_pass_runs(g, pass, items, list_runs(items), peak, processed, obs)
-            }
-        }
-    }
-
-    fn guard_stats(&self) -> Option<GuardStats> {
-        match self {
-            Driven::Plain(_) => None,
-            Driven::Guarded(g) => Some(g.stats()),
-        }
-    }
-
-    /// Serialize the shared guard's cross-pass state for a checkpoint.
-    fn guard_snapshot(&self) -> Result<Option<(GuardPolicy, ValidatorMode, Vec<u8>)>, RunError> {
-        match self {
-            Driven::Plain(_) => Ok(None),
-            Driven::Guarded(g) => {
-                let mut blob = Vec::new();
-                g.save_guard_state(&mut blob).map_err(ckpt_err)?;
-                Ok(Some((g.policy(), g.mode(), blob)))
-            }
-        }
-    }
-
-    fn into_fanout(self) -> FanOut<A> {
-        match self {
-            Driven::Plain(f) => f,
-            Driven::Guarded(g) => g.into_inner(),
-        }
-    }
-}
-
-/// Driver-side counters a job starts from: zero for a fresh run, the
-/// checkpointed values for a restored one.
+/// Job counters a job starts from: zero for a fresh run, the checkpointed
+/// values for a restored one.
 #[derive(Debug, Clone, Copy, Default)]
 struct JobStart {
     completed: usize,
     processed: usize,
-    driver_peak: usize,
     generations: usize,
     resumed_from: Option<usize>,
 }
 
 /// A batched run held *between* passes. Runs many instances of one
-/// algorithm over a single shared stream replay; see the module docs for
-/// the execution model.
+/// algorithm over each pass's shared resident slice; see the module docs
+/// for the execution model.
 ///
 /// One-shot callers hand the whole pass loop to [`BatchJob::run`]. A
 /// long-running host — the `adjstreamd` estimation service — owns the loop
@@ -726,17 +380,16 @@ struct JobStart {
 ///
 /// The caller contract: the items fed to each pass must describe the same
 /// stream the job was constructed (or checkpointed) against — unverifiable
-/// from a checkpoint alone, exactly as seeds are — and a restored job's
-/// [`BatchConfig`] must request the same guard configuration.
+/// from a checkpoint alone, exactly as seeds are.
 pub struct BatchJob<A: MultiPassAlgorithm> {
-    driven: Driven<A>,
+    states: Vec<InstanceState<A>>,
     total_passes: usize,
     same_order: bool,
     completed: usize,
-    budget: Budget,
+    limits: Limits,
+    max_total_bytes: Option<usize>,
     threads: usize,
     shard_size: usize,
-    peak: PeakTracker,
     processed: usize,
     base_generations: usize,
     source_generations: usize,
@@ -756,85 +409,66 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
             return Err(RunError::EmptyBatch);
         };
         let contract = (first.passes(), first.requires_same_order());
-        if instances
-            .iter()
-            .any(|a| (a.passes(), a.requires_same_order()) != contract)
-        {
+        if !shares_contract(instances.iter(), contract) {
             return Err(RunError::MixedPassContracts);
         }
-        let limit = cfg.budget.max_bytes_per_instance;
         let states = instances
             .into_iter()
-            .enumerate()
-            .map(|(i, a)| InstanceState::new(a, i, limit))
+            .map(|a| InstanceState {
+                status: Ok(a),
+                peak: PeakTracker::new(),
+                items: 0,
+            })
             .collect();
         let sink = Metrics::from_flag(cfg.metrics);
-        Self::assemble(states, contract, cfg, JobStart::default(), None, sink)
+        Ok(Self::assemble(
+            states,
+            contract,
+            cfg,
+            JobStart::default(),
+            sink,
+        ))
     }
 
     fn assemble(
-        mut states: Vec<InstanceState<A>>,
+        states: Vec<InstanceState<A>>,
         (total_passes, same_order): (usize, bool),
         cfg: &BatchConfig,
         start: JobStart,
-        guard_blob: Option<Vec<u8>>,
         sink: Metrics,
-    ) -> Result<Self, RunError> {
+    ) -> Self {
         let n = states.len();
         let threads = cfg.threads.clamp(1, n.max(1));
-        let shard_size = n.div_ceil(threads.max(1)).max(1);
-        for (i, st) in states.iter_mut().enumerate() {
-            st.shard = if threads > 1 { i / shard_size } else { 0 };
-        }
         let deadline = cfg.budget.deadline.and_then(|d| {
             let limit_ms = u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
             Instant::now().checked_add(d).map(|t| (t, limit_ms))
         });
-        let fanout = FanOut {
-            passes: total_passes,
-            same_order,
-            buf: Vec::with_capacity(CHUNK_EVENTS),
-            item_buf: Vec::new(),
+        BatchJob {
             states,
-            workers: None,
-            deadline,
-            fatal: None,
-        };
-        let driven = match cfg.guard {
-            None => Driven::Plain(fanout),
-            Some((policy, mode)) => {
-                let mut g = Guarded::with_validator(fanout, policy, mode);
-                if let Some(blob) = &guard_blob {
-                    g.restore_guard_state(blob).map_err(ckpt_err)?;
-                }
-                Driven::Guarded(g)
-            }
-        };
-        let mut peak = PeakTracker::new();
-        peak.observe(start.driver_peak);
-        Ok(BatchJob {
-            driven,
             total_passes,
             same_order,
             completed: start.completed,
-            budget: cfg.budget,
+            limits: Limits {
+                max_bytes: cfg.budget.max_bytes_per_instance,
+                deadline,
+            },
+            max_total_bytes: cfg.budget.max_total_bytes,
             threads,
-            shard_size,
-            peak,
+            shard_size: n.div_ceil(threads).max(1),
             processed: start.processed,
             base_generations: start.generations,
             source_generations: 0,
             resumed_from: start.resumed_from,
             sink,
             pass_metrics: Vec::new(),
-        })
+        }
     }
 
     /// Restore a suspended job from the raw checkpoint `payload` (the
     /// decoded contents of a file written by
-    /// [`BatchJob::write_checkpoint`]). `cfg` must request the same guard
-    /// configuration the checkpointed run used; mismatches return
-    /// [`RunError::Checkpoint`].
+    /// [`BatchJob::write_checkpoint`]). A payload that does not decode, or
+    /// whose live instances break the pass contract its header declares,
+    /// returns [`RunError::Checkpoint`].
     pub fn restore_from_payload(payload: &[u8], cfg: &BatchConfig) -> Result<Self, RunError>
     where
         A: Checkpoint,
@@ -844,7 +478,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
 
     /// Restore a suspended job from the checkpoint file at `path`,
     /// verifying the container's checksum. See
-    /// [`BatchJob::restore_from_payload`] for the config contract.
+    /// [`BatchJob::restore_from_payload`] for what is rejected.
     pub fn restore_from_file(path: &Path, cfg: &BatchConfig) -> Result<Self, RunError>
     where
         A: Checkpoint,
@@ -864,38 +498,19 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
     where
         A: Checkpoint,
     {
-        let decoded: DecodedCheckpoint<A> =
-            decode_boundary(payload, cfg.budget.max_bytes_per_instance).map_err(ckpt_err)?;
+        let (states, contract, start) = decode_boundary(payload).map_err(ckpt_err)?;
         if let Some(t0) = t0 {
             sink.record_checkpoint_restore(
                 u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        let stored_guard = decoded
-            .guard
-            .as_ref()
-            .map(|(policy, mode, _)| (*policy, *mode));
-        if cfg.guard != stored_guard {
+        if !shares_contract(states.iter().filter_map(InstanceState::live), contract) {
             return Err(ckpt_err(format!(
-                "guard config mismatch: checkpoint has {stored_guard:?}, config has {:?}",
-                cfg.guard
+                "a restored instance breaks the declared contract of {} passes (same order: {})",
+                contract.0, contract.1
             )));
         }
-        let guard_blob = decoded.guard.map(|(_, _, blob)| blob);
-        Self::assemble(
-            decoded.states,
-            (decoded.total_passes, decoded.same_order),
-            cfg,
-            JobStart {
-                completed: decoded.completed_passes,
-                processed: decoded.processed,
-                driver_peak: decoded.driver_peak,
-                generations: decoded.generations,
-                resumed_from: Some(decoded.completed_passes),
-            },
-            guard_blob,
-            sink,
-        )
+        Ok(Self::assemble(states, contract, cfg, start, sink))
     }
 
     /// Total stream passes the job's algorithm contract declares.
@@ -929,7 +544,11 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
     /// Aggregate live state across the job's surviving instances — what a
     /// host's admission controller charges the job for between passes.
     pub fn total_live_bytes(&self) -> usize {
-        self.driven.fanout().total_live_bytes()
+        self.states
+            .iter()
+            .filter_map(InstanceState::live)
+            .map(|a| a.space_bytes())
+            .sum()
     }
 
     /// Record how many times the pass source actually generated an item
@@ -941,14 +560,14 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
         self.source_generations = generations;
     }
 
-    /// Run the next pass, fanning `items` — that pass's full item sequence
-    /// — out to every instance. On return every instance is back on the
-    /// calling thread: the boundary is observable ([`BatchJob::total_live_bytes`]),
-    /// persistable ([`BatchJob::write_checkpoint`]), and the host may
-    /// simply stop here to preempt the job. Batch-wide budget violations
-    /// (total bytes, deadline) and strict-guard aborts fail the job with a
-    /// typed [`RunError`]; per-instance failures quarantine the instance
-    /// and keep the job alive.
+    /// Run the next pass, replaying `items` — that pass's full item
+    /// sequence — through every live instance. On return every instance is
+    /// back with the job: the boundary is observable
+    /// ([`BatchJob::total_live_bytes`]), persistable
+    /// ([`BatchJob::write_checkpoint`]), and the host may simply stop here
+    /// to preempt the job. Batch-wide budget violations (total bytes,
+    /// deadline) fail the job with a typed [`RunError`]; per-instance
+    /// failures quarantine the instance and keep the job alive.
     ///
     /// # Panics
     ///
@@ -965,67 +584,50 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
         );
         let pass = self.completed;
         let pass_t0 = self.sink.is_enabled().then(Instant::now);
-        let items_before = self.processed;
-        let mut obs = RunObserver::for_sink(&self.sink);
-        let scope_result = crossbeam::thread::scope(|scope| -> Result<(), RunError> {
-            if self.threads > 1 {
-                let fanout = self.driven.fanout_mut();
-                let instance_states = std::mem::take(&mut fanout.states);
-                let (done_tx, done_rx) = crossbeam::channel::bounded(self.threads);
-                let mut senders = Vec::with_capacity(self.threads);
-                let mut iter = instance_states.into_iter().peekable();
-                while iter.peek().is_some() {
-                    let shard_states: Vec<InstanceState<A>> =
-                        iter.by_ref().take(self.shard_size).collect();
-                    let (tx, rx) = crossbeam::channel::bounded::<Arc<Chunk>>(CHANNEL_DEPTH);
-                    senders.push(tx);
-                    let done_tx = done_tx.clone();
-                    scope.spawn(move |_| {
-                        let mut shard_states = shard_states;
-                        for chunk in rx.iter() {
-                            for st in shard_states.iter_mut() {
-                                st.apply_chunk(&chunk);
-                            }
-                        }
-                        let _ = done_tx.send(shard_states);
-                    });
-                }
-                drop(done_tx);
-                fanout.workers = Some(PassWorkers {
-                    senders,
-                    done: done_rx,
-                });
-            }
-            let res = self
-                .driven
-                .drive(pass, items, &mut self.peak, &mut self.processed, &mut obs);
-            self.driven.fanout_mut().join_pass_workers();
-            res
-        });
+        let limits = self.limits;
+        let run_shard = move |shard: &mut [InstanceState<A>]| {
+            shard
+                .iter_mut()
+                .try_for_each(|st| st.run_pass(pass, items, limits))
+        };
+        let result = if self.threads > 1 {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = self
+                    .states
+                    .chunks_mut(self.shard_size)
+                    .map(|shard| scope.spawn(move || run_shard(shard)))
+                    .collect();
+                // Instance panics are caught inside `run_pass`; anything
+                // else resurfaces here. The first error in shard order wins.
+                workers
+                    .into_iter()
+                    .try_for_each(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            })
+        } else {
+            run_shard(&mut self.states)
+        };
+        self.processed += items.len();
         if let Some(t0) = pass_t0 {
-            // Lists and slices come from the shared loop's observer. The
-            // wall covers worker spawn and join, and `peak_bytes` is the
-            // batch's live state across all instances at the boundary (the
+            // Every instance walks the same lists, one slice each. The wall
+            // covers thread spawn and join, and `peak_bytes` is the batch's
+            // live state across all instances at the boundary (the
             // residency a budget would see), not any single instance's
             // peak — those are in the per-instance reports.
-            let counted = obs.into_passes().pop().unwrap_or_default();
+            let lists = list_runs(items).count() as u64;
             self.pass_metrics.push(PassMetrics {
                 pass: pass as u32,
                 wall_nanos: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                items: (self.processed - items_before) as u64,
-                slices: counted.slices,
-                lists: counted.lists,
-                peak_bytes: self.driven.fanout().total_live_bytes() as u64,
+                items: items.len() as u64,
+                slices: lists,
+                lists,
+                peak_bytes: self.total_live_bytes() as u64,
                 series: Vec::new(),
             });
         }
-        match scope_result {
-            Ok(run_result) => run_result?,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-        // Pass boundary: every instance is back on this thread.
-        if let Some(limit) = self.budget.max_total_bytes {
-            let used = self.driven.fanout().total_live_bytes();
+        result?;
+        // Pass boundary: every instance is back with the job.
+        if let Some(limit) = self.max_total_bytes {
+            let used = self.total_live_bytes();
             if used > limit {
                 return Err(RunError::SpaceBudgetExceeded { used, limit });
             }
@@ -1035,9 +637,9 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
     }
 
     /// Serialize the boundary — every live instance's state, every
-    /// quarantined outcome, the shared guard, the driver counters — as a
-    /// checkpoint payload. Only an incomplete job has a boundary to
-    /// capture; a complete job returns [`RunError::Checkpoint`].
+    /// quarantined outcome, the job counters — as a checkpoint payload.
+    /// Only an incomplete job has a boundary to capture; a complete job
+    /// returns [`RunError::Checkpoint`].
     pub fn checkpoint_payload(&self) -> Result<Vec<u8>, RunError>
     where
         A: Checkpoint,
@@ -1045,18 +647,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
         if self.is_complete() {
             return Err(ckpt_err("job already complete: nothing to checkpoint"));
         }
-        let guard = self.driven.guard_snapshot()?;
-        encode_boundary(&PassBoundary {
-            completed_passes: self.completed,
-            total_passes: self.total_passes,
-            same_order: self.same_order,
-            states: &self.driven.fanout().states,
-            guard,
-            processed: self.processed,
-            driver_peak: self.peak.peak(),
-            generations: self.base_generations + self.source_generations,
-        })
-        .map_err(ckpt_err)
+        encode_boundary(self).map_err(ckpt_err)
     }
 
     /// Write the boundary checkpoint to `path` atomically (temp file +
@@ -1089,9 +680,8 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
     /// observable and checkpointable (e.g. `|job|
     /// job.write_checkpoint(path)`); an error from it aborts the run.
     ///
-    /// A strict shared guard aborts the whole batch with
-    /// [`RunError::Invalid`], and batch-wide budgets with their typed
-    /// errors; individual instance failures (panic, per-instance budget)
+    /// Batch-wide budgets abort the whole batch with their typed errors;
+    /// individual instance failures (abort, panic, per-instance budget)
     /// only quarantine that instance.
     pub fn run<F, I, H>(
         mut self,
@@ -1127,9 +717,10 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
             self.total_passes
         );
         let BatchJob {
-            driven,
+            states,
             total_passes,
             threads,
+            shard_size,
             processed,
             base_generations,
             source_generations,
@@ -1138,14 +729,12 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
             pass_metrics,
             ..
         } = self;
-        let guard = driven.guard_stats();
-        let fanout = driven.into_fanout();
-        let n = fanout.states.len();
+        let n = states.len();
         let mut outputs = Vec::with_capacity(n);
         let mut per_instance = Vec::with_capacity(n);
         let mut items_fanned_out = 0usize;
-        for st in fanout.states {
-            let (report, output) = st.into_parts();
+        for (i, st) in states.into_iter().enumerate() {
+            let (report, output) = st.into_parts(i / shard_size);
             items_fanned_out += report.items;
             per_instance.push(report);
             outputs.push(output);
@@ -1164,7 +753,7 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
                 runs: n as u64,
                 passes: pass_metrics,
                 counters,
-                guard,
+                guard: None,
                 checkpoint: base.checkpoint,
                 retry: base.retry,
                 peak_state_bytes: instance_peak as u64,
@@ -1181,7 +770,6 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
                 stream_generations: base_generations + source_generations,
                 items_fanned_out,
                 per_instance,
-                guard,
                 resumed_from,
                 metrics,
             },
@@ -1189,17 +777,13 @@ impl<A: MultiPassAlgorithm> BatchJob<A> {
     }
 }
 
-/// Everything visible at an interior pass boundary — what a checkpoint
-/// captures.
-struct PassBoundary<'a, A: MultiPassAlgorithm> {
-    completed_passes: usize,
-    total_passes: usize,
-    same_order: bool,
-    states: &'a [InstanceState<A>],
-    guard: Option<(GuardPolicy, ValidatorMode, Vec<u8>)>,
-    processed: usize,
-    driver_peak: usize,
-    generations: usize,
+/// Whether every algorithm declares the pass contract `(passes,
+/// requires_same_order)` — the rule one shared pass sequence needs.
+fn shares_contract<'a, A: MultiPassAlgorithm + 'a>(
+    mut algos: impl Iterator<Item = &'a A>,
+    contract: (usize, bool),
+) -> bool {
+    algos.all(|a| (a.passes(), a.requires_same_order()) == contract)
 }
 
 /// Map a checkpoint-layer failure into the run-level error space.
@@ -1218,70 +802,62 @@ const STATUS_FAILED: u8 = 1;
 const STATUS_PANICKED: u8 = 2;
 const STATUS_OVER_BUDGET: u8 = 3;
 
-fn encode_boundary<A>(b: &PassBoundary<'_, A>) -> io::Result<Vec<u8>>
+/// The smallest instance record: item count, peak and status tag.
+const MIN_RECORD_BYTES: usize = 8 + 8 + 1;
+
+/// Header layout: completed and total passes (`u32`), the same-order flag,
+/// then the instance count, processed items, a retired word (once the
+/// driver's own peak; written as 0, ignored on read), generations
+/// (`usize` each), and a guard tag that must be 0.
+fn encode_boundary<A>(job: &BatchJob<A>) -> io::Result<Vec<u8>>
 where
     A: MultiPassAlgorithm + Checkpoint,
 {
     let mut w: Vec<u8> = Vec::new();
-    write_u32(&mut w, b.completed_passes as u32)?;
-    write_u32(&mut w, b.total_passes as u32)?;
-    write_u8(&mut w, b.same_order as u8)?;
-    write_usize(&mut w, b.states.len())?;
-    write_usize(&mut w, b.processed)?;
-    write_usize(&mut w, b.driver_peak)?;
-    write_usize(&mut w, b.generations)?;
-    match &b.guard {
-        None => write_u8(&mut w, 0)?,
-        Some((policy, mode, blob)) => {
-            write_u8(&mut w, 1)?;
-            encode_policy(&mut w, *policy)?;
-            encode_mode(&mut w, *mode)?;
-            write_bytes(&mut w, blob)?;
-        }
-    }
-    for st in b.states {
+    write_u32(&mut w, job.completed as u32)?;
+    write_u32(&mut w, job.total_passes as u32)?;
+    write_u8(&mut w, job.same_order as u8)?;
+    write_usize(&mut w, job.states.len())?;
+    write_usize(&mut w, job.processed)?;
+    write_usize(&mut w, 0)?;
+    write_usize(&mut w, job.base_generations + job.source_generations)?;
+    write_u8(&mut w, 0)?;
+    for st in &job.states {
         write_usize(&mut w, st.items)?;
         write_usize(&mut w, st.peak.peak())?;
         match &st.status {
-            InstanceStatus::Live => {
+            Ok(algo) => {
                 write_u8(&mut w, STATUS_LIVE)?;
-                let algo = st.algo.as_ref().ok_or_else(|| {
-                    crate::checkpoint::corrupt("live instance lost its algorithm")
-                })?;
                 let mut blob = Vec::new();
                 algo.save(&mut blob)?;
                 write_bytes(&mut w, &blob)?;
             }
-            InstanceStatus::Failed(error) => {
+            Err(InstanceOutcome::Failed { error }) => {
                 write_u8(&mut w, STATUS_FAILED)?;
                 error.save(&mut w)?;
             }
-            InstanceStatus::Panicked(message) => {
+            Err(InstanceOutcome::Panicked { message }) => {
                 write_u8(&mut w, STATUS_PANICKED)?;
                 crate::checkpoint::write_str(&mut w, message)?;
             }
-            InstanceStatus::OverBudget { peak_bytes, limit } => {
+            Err(InstanceOutcome::BudgetExceeded { peak_bytes, limit }) => {
                 write_u8(&mut w, STATUS_OVER_BUDGET)?;
                 write_usize(&mut w, *peak_bytes)?;
                 write_usize(&mut w, *limit)?;
+            }
+            Err(InstanceOutcome::Ok) => {
+                unreachable!("a quarantined instance has a failure outcome")
             }
         }
     }
     Ok(w)
 }
 
-struct DecodedCheckpoint<A: MultiPassAlgorithm> {
-    completed_passes: usize,
-    total_passes: usize,
-    same_order: bool,
-    processed: usize,
-    driver_peak: usize,
-    generations: usize,
-    guard: Option<(GuardPolicy, ValidatorMode, Vec<u8>)>,
-    states: Vec<InstanceState<A>>,
-}
+/// A decoded payload: the instances, the pass contract its header
+/// declares, and the counters the job resumes from.
+type Decoded<A> = (Vec<InstanceState<A>>, (usize, bool), JobStart);
 
-fn decode_boundary<A>(payload: &[u8], byte_limit: Option<usize>) -> io::Result<DecodedCheckpoint<A>>
+fn decode_boundary<A>(payload: &[u8]) -> io::Result<Decoded<A>>
 where
     A: MultiPassAlgorithm + Checkpoint,
 {
@@ -1297,45 +873,35 @@ where
     }
     let instance_count = read_usize(r)?;
     let processed = read_usize(r)?;
-    let driver_peak = read_usize(r)?;
+    let _retired_driver_peak = read_usize(r)?;
     let generations = read_usize(r)?;
-    let guard = match read_u8(r)? {
-        0 => None,
-        1 => {
-            let policy = decode_policy(r)?;
-            let mode = decode_mode(r)?;
-            let blob = read_bytes(r)?;
-            Some((policy, mode, blob))
-        }
+    match read_u8(r)? {
+        0 => {}
         t => {
             return Err(crate::checkpoint::corrupt(format!(
                 "bad guard presence tag {t}"
             )))
         }
-    };
-    let mut states = Vec::with_capacity(instance_count.min(1 << 16));
-    for index in 0..instance_count {
+    }
+    let mut states = Vec::with_capacity(instance_count.min(r.len() / MIN_RECORD_BYTES));
+    for _ in 0..instance_count {
         let items = read_usize(r)?;
         let stored_peak = read_usize(r)?;
-        let tag = read_u8(r)?;
-        let (status, algo) = match tag {
+        let status = match read_u8(r)? {
             STATUS_LIVE => {
                 let blob = read_bytes(r)?;
-                let algo = A::restore(&mut blob.as_slice())?;
-                (InstanceStatus::Live, Some(algo))
+                Ok(A::restore(&mut blob.as_slice())?)
             }
-            STATUS_FAILED => (InstanceStatus::Failed(RunError::restore(r)?), None),
-            STATUS_PANICKED => (
-                InstanceStatus::Panicked(crate::checkpoint::read_str(r)?),
-                None,
-            ),
-            STATUS_OVER_BUDGET => (
-                InstanceStatus::OverBudget {
-                    peak_bytes: read_usize(r)?,
-                    limit: read_usize(r)?,
-                },
-                None,
-            ),
+            STATUS_FAILED => Err(InstanceOutcome::Failed {
+                error: RunError::restore(r)?,
+            }),
+            STATUS_PANICKED => Err(InstanceOutcome::Panicked {
+                message: crate::checkpoint::read_str(r)?,
+            }),
+            STATUS_OVER_BUDGET => Err(InstanceOutcome::BudgetExceeded {
+                peak_bytes: read_usize(r)?,
+                limit: read_usize(r)?,
+            }),
             t => {
                 return Err(crate::checkpoint::corrupt(format!(
                     "bad instance status tag {t}"
@@ -1345,26 +911,18 @@ where
         let mut peak = PeakTracker::new();
         peak.observe(stored_peak);
         states.push(InstanceState {
-            index,
-            shard: 0,
-            algo,
+            status,
             peak,
             items,
-            pass: completed_passes,
-            byte_limit,
-            status,
         });
     }
-    Ok(DecodedCheckpoint {
-        completed_passes,
-        total_passes,
-        same_order,
+    let start = JobStart {
+        completed: completed_passes,
         processed,
-        driver_peak,
         generations,
-        guard,
-        states,
-    })
+        resumed_from: Some(completed_passes),
+    };
+    Ok((states, (total_passes, same_order), start))
 }
 
 #[cfg(test)]
@@ -1372,12 +930,13 @@ mod tests {
     use super::*;
     use crate::adjlist::AdjListStream;
     use crate::checkpoint::{read_u64, write_u64};
-    use crate::fault::{CorruptedStream, FaultKind, FaultPlan};
-    use crate::guard::GuardPolicy;
+    use crate::fault::{FaultKind, FaultPlan};
+    use crate::guard::{GuardPolicy, Guarded};
+    use crate::meter::SpaceUsage;
     use crate::order::StreamOrder;
     use crate::runner::{run_slice_passes, GraphPasses, PassOrders, Runner};
-    use crate::validate::{StreamError, ValidatorMode};
-    use adjstream_graph::{gen, Graph};
+    use crate::validate::StreamError;
+    use adjstream_graph::{gen, Graph, VertexId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1554,14 +1113,6 @@ mod tests {
         )
     }
 
-    fn run_items(
-        instances: Vec<Digest>,
-        c: &CorruptedStream,
-        cfg: &BatchConfig,
-    ) -> Result<BatchOutcome<u64>, RunError> {
-        BatchJob::new(instances, cfg)?.run(|p| c.items_for_pass(p), |_| Ok(()))
-    }
-
     fn ckpt_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -1693,97 +1244,50 @@ mod tests {
     }
 
     #[test]
-    fn shared_strict_guard_aborts_the_whole_batch_with_position() {
+    fn strict_guarded_instances_fail_alone_with_position() {
         let g = er_graph(13);
         let items = AdjListStream::new(&g, StreamOrder::shuffled(40, 6)).collect_items();
         let c = FaultPlan::new(8)
             .with(FaultKind::InjectSelfLoop, 1)
             .apply(&items);
-        assert!(c.skipped().is_empty());
-        for threads in [1, 4] {
-            let instances: Vec<Digest> = (0..5).map(|s| Digest::new(s, 1, false)).collect();
-            let cfg = BatchConfig {
-                threads,
-                guard: Some((GuardPolicy::Strict, ValidatorMode::Exact)),
-                ..BatchConfig::default()
-            };
-            let err = run_items(instances, &c, &cfg).unwrap_err();
-            let RunError::Invalid { pass: 0, error } = err else {
-                panic!("expected Invalid, got {err:?}");
-            };
-            assert!(matches!(error, StreamError::SelfLoop { .. }));
-        }
-    }
-
-    #[test]
-    fn shared_repair_guard_stats_match_a_sequential_guarded_run() {
-        let g = er_graph(17);
-        let items = AdjListStream::new(&g, StreamOrder::shuffled(40, 9)).collect_items();
-        let c = FaultPlan::new(21)
-            .with(FaultKind::DropDirection, 2)
-            .with(FaultKind::DuplicateItem, 1)
-            .with(FaultKind::InjectSelfLoop, 1)
-            .apply(&items);
-        // Sequential reference: one instance behind its own guard.
-        let (_, seq_report) = run_slice_passes(
-            Guarded::new(Digest::new(0, 2, false), GuardPolicy::Repair),
-            |p| c.items_for_pass(p),
-        )
-        .unwrap();
-        let want = seq_report.guard.expect("guarded run has stats");
-        for threads in [1, 3] {
-            let instances: Vec<Digest> = (0..6).map(|s| Digest::new(s, 2, false)).collect();
-            let cfg = BatchConfig {
-                threads,
-                guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-                ..BatchConfig::default()
-            };
-            let out = run_items(instances, &c, &cfg).unwrap();
-            let got = out.report.guard.expect("shared guard publishes stats");
-            // Seeded hashing makes the validator's map capacities — and so
-            // its peak bytes — a pure function of the stream, so the whole
-            // stats struct is the deterministic contract.
-            assert_eq!(got, want, "threads = {threads}");
-            assert!(got.validator_peak_bytes > 0);
-            // Repaired items never reached any instance: every instance saw
-            // the same (repaired) item count.
-            let per_items: Vec<usize> = out.report.per_instance.iter().map(|r| r.items).collect();
-            assert!(per_items.iter().all(|&i| i == per_items[0]));
-            assert!(per_items[0] < 2 * c.items().len());
-        }
-    }
-
-    #[test]
-    fn guarded_outputs_stay_bitwise_reproducible_across_engines() {
-        let g = er_graph(23);
-        let items = AdjListStream::new(&g, StreamOrder::shuffled(40, 5)).collect_items();
-        let c = FaultPlan::new(2)
-            .with(FaultKind::DuplicateItem, 2)
-            .apply(&items);
-        let seeds: Vec<u64> = (40..46).collect();
-        // Sequential: each instance individually guarded sees the same
-        // repaired stream the shared guard produces.
-        let want: Vec<Option<u64>> = seeds
-            .iter()
-            .map(|&s| {
-                Some(
-                    run_slice_passes(
-                        Guarded::new(Digest::new(s, 2, false), GuardPolicy::Repair),
-                        |p| c.items_for_pass(p),
-                    )
-                    .unwrap()
-                    .0,
-                )
-            })
-            .collect();
-        let instances: Vec<Digest> = seeds.iter().map(|&s| Digest::new(s, 2, false)).collect();
-        let cfg = BatchConfig {
-            threads: 4,
-            guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-            ..BatchConfig::default()
+        let policy = |i: u64| {
+            if i % 2 == 1 {
+                GuardPolicy::Strict
+            } else {
+                GuardPolicy::Repair
+            }
         };
-        let out = run_items(instances, &c, &cfg).unwrap();
-        assert_eq!(out.outputs, want);
+        let guarded = |i: u64| Guarded::new(Digest::new(i, 2, false), policy(i));
+        for threads in [1, 4] {
+            let out = BatchJob::new(
+                (0..4).map(guarded).collect(),
+                &BatchConfig::with_threads(threads),
+            )
+            .and_then(|job| job.run(|p| c.items_for_pass(p), |_| Ok(())))
+            .unwrap();
+            assert_eq!(out.report.survivors(), 2, "threads = {threads}");
+            for (i, (output, report)) in
+                (0u64..).zip(out.outputs.iter().zip(&out.report.per_instance))
+            {
+                let want = run_slice_passes(guarded(i), |p| c.items_for_pass(p));
+                if policy(i) == GuardPolicy::Strict {
+                    assert_eq!(*output, None);
+                    let InstanceOutcome::Failed { error } = &report.outcome else {
+                        panic!("expected Failed, got {:?}", report.outcome);
+                    };
+                    assert_eq!(Err(error.clone()), want.map(|(o, _)| o));
+                    assert!(matches!(
+                        error,
+                        RunError::Invalid {
+                            pass: 0,
+                            error: StreamError::SelfLoop { .. }
+                        }
+                    ));
+                } else {
+                    assert_eq!(*output, Some(want.unwrap().0), "instance {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2041,6 +1545,61 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The job [`checkpoint_payload_and_resumed_bits_are_pinned`] pins: two
+    /// `Digest` instances over a fixed 8-vertex graph.
+    fn pinned_job() -> (BatchJob<Digest>, Vec<StreamItem>, Vec<StreamItem>) {
+        let mut rng = StdRng::seed_from_u64(0x9A7);
+        let g = gen::gnm(8, 12, &mut rng);
+        let orders = PassOrders::Same(StreamOrder::shuffled(8, 3));
+        let source = GraphPasses::new(&g, &orders, 2, false).unwrap();
+        let mut job = BatchJob::new(
+            vec![Digest::new(7, 2, false), Digest::new(8, 2, false)],
+            &BatchConfig::default(),
+        )
+        .unwrap();
+        job.set_source_generations(source.generations());
+        (job, source.items(0).to_vec(), source.items(1).to_vec())
+    }
+
+    /// The pass-0 checkpoint payload of [`pinned_job`] as the chunked
+    /// fan-out driver wrote it. Bytes 25..33 held that driver's chunk
+    /// buffer peak (1840); the word is now written as 0 and ignored on read.
+    const PINNED_PAYLOAD: &str = "\
+        0100000002000000000200000000000000180000000000000030070000000000000100000000000000\
+        001800000000000000250000000000000000320000000000000007000000000000000200000000000000\
+        005b4df39d26e4099a1800000000000000000000000000000000000000000000000018000000000000\
+        0025000000000000000032000000000000000800000000000000020000000000000000ac21237ff74c\
+        bbae18000000000000000000000000000000000000000000000000";
+    const RETIRED_WORD: std::ops::Range<usize> = 25..33;
+    const PINNED_BITS: [u64; 2] = [8977096067061260349, 7779674746220358500];
+
+    #[test]
+    fn checkpoint_payload_and_resumed_bits_are_pinned() {
+        let pinned: Vec<u8> = (0..PINNED_PAYLOAD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PINNED_PAYLOAD[i..i + 2], 16).unwrap())
+            .collect();
+        let (mut job, pass0, pass1) = pinned_job();
+        job.run_pass(&pass0).unwrap();
+        let payload = job.checkpoint_payload().unwrap();
+        let mut want = pinned.clone();
+        want[RETIRED_WORD].fill(0);
+        assert_eq!(payload, want);
+        // Both the current bytes and the older driver's restore to the
+        // pinned outputs.
+        for bytes in [&payload, &pinned] {
+            let mut job =
+                BatchJob::<Digest>::restore_from_payload(bytes, &BatchConfig::default()).unwrap();
+            job.run_pass(&pass1).unwrap();
+            let out = job.finish();
+            assert_eq!(out.outputs, PINNED_BITS.map(Some));
+            assert_eq!(
+                (out.report.stream_items, out.report.items_fanned_out),
+                (48, 96)
+            );
+        }
+    }
+
     #[test]
     fn resume_rejects_corrupt_and_mismatched_checkpoints() {
         let g = er_graph(59);
@@ -2049,16 +1608,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let instances: Vec<Digest> = (0..3).map(|s| Digest::new(s, 2, false)).collect();
         run_checkpointed(&g, instances, &orders, &BatchConfig::default(), &path).unwrap();
-        // Guard config mismatch.
-        let cfg = BatchConfig {
-            guard: Some((GuardPolicy::Strict, ValidatorMode::Exact)),
-            ..BatchConfig::default()
+        let payload = read_checkpoint_file(&path).unwrap();
+        let restore = |bytes: &[u8]| {
+            BatchJob::<Digest>::restore_from_payload(bytes, &BatchConfig::default()).map(|_| ())
         };
-        let err = resume(&g, &orders, &cfg, &path).unwrap_err();
-        assert!(
-            matches!(&err, RunError::Checkpoint { message } if message.contains("guard config")),
-            "{err:?}"
-        );
+        assert_eq!(restore(&payload), Ok(()));
+        // A header whose pass contract the live instances break: "0 of 1
+        // passes", "1 of 3 passes", and a same-order flag they do not set.
+        let mut patches: Vec<Vec<u8>> = Vec::new();
+        for (completed, total) in [(0u32, 1u32), (1, 3)] {
+            let mut p = payload.clone();
+            p[0..4].copy_from_slice(&completed.to_le_bytes());
+            p[4..8].copy_from_slice(&total.to_le_bytes());
+            patches.push(p);
+        }
+        let mut p = payload.clone();
+        p[8] = 1;
+        patches.push(p);
+        // An instance count far beyond what the payload holds: rejected as
+        // truncated, with the preallocation capped by the bytes left.
+        let mut p = payload.clone();
+        p[9..17].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        patches.push(p);
+        // A nonzero guard tag: no job carries a shared guard.
+        let mut p = payload.clone();
+        p[41] = 1;
+        patches.push(p);
+        for (i, bad) in patches.iter().enumerate() {
+            let err = restore(bad).unwrap_err();
+            assert!(
+                matches!(err, RunError::Checkpoint { .. }),
+                "patch {i}: {err:?}"
+            );
+        }
         // Flipped payload byte → checksum failure surfaces as Checkpoint.
         let mut raw = std::fs::read(&path).unwrap();
         let n = raw.len();

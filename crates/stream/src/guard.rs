@@ -236,17 +236,6 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
         self.mode
     }
 
-    /// Borrow the inner algorithm (the batch engine reaches through the
-    /// shared guard to manage its fan-out between passes).
-    pub(crate) fn inner_ref(&self) -> &A {
-        &self.inner
-    }
-
-    /// Mutably borrow the inner algorithm.
-    pub(crate) fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
     /// Serialize the guard's *cross-pass* state: counters, the quarantine
     /// set, and the pass-1 order fingerprint. Everything else
     /// (`validator`, `suppress`, `pass`, `fatal`) is per-pass state
@@ -542,10 +531,6 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
 
     fn abort_error(&self) -> Option<StreamError> {
         self.fatal.clone()
-    }
-
-    fn abort_run(&self) -> Option<RunError> {
-        self.inner.abort_run()
     }
 
     fn guard_stats(&self) -> Option<GuardStats> {

@@ -23,11 +23,11 @@
 //!   passes through the one pass loop, [`runner::drive_pass_slice`],
 //!   recording the peak state size; runs degrade to typed
 //!   [`runner::RunError`]s instead of panicking,
-//! * [`batch`] — the stream-once batched engine: replay each pass once and
-//!   fan every item out to `R` algorithm instances sharded across worker
-//!   threads, bitwise-reproducible against the sequential runner, with
-//!   per-instance panic isolation, resource budgets, and pass-boundary
-//!   checkpoint/resume,
+//! * [`batch`] — batched repetitions: `R` algorithm instances each run
+//!   the one pass loop over a pass's shared resident slice, split across
+//!   worker threads, bitwise-reproducible against the sequential runner,
+//!   with per-instance panic isolation, resource budgets, and
+//!   pass-boundary checkpoint/resume,
 //! * [`frame`] — the one framed container (magic, version, length,
 //!   payload, checksum) behind `.adjb`, `.adjbu`, checkpoints and
 //!   shard-worker payloads, with its one typed [`frame::FrameError`],

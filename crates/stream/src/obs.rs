@@ -577,11 +577,6 @@ impl RunObserver {
         }
     }
 
-    /// The passes recorded so far (empty when disabled).
-    pub(crate) fn into_passes(self) -> Vec<PassMetrics> {
-        self.passes
-    }
-
     /// Package the observations of one finished run (`None` when
     /// disabled).
     pub fn into_snapshot(

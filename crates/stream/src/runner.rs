@@ -7,11 +7,11 @@
 //! each list's items as one slice, samples peak state at every boundary,
 //! and aborts with a typed [`RunError`] if the algorithm (e.g. a
 //! [`crate::guard::Guarded`] wrapper in strict mode) reports a fatal stream
-//! violation. The batched engine ([`crate::batch`]) drives its fan-out
-//! through the same loop, and a graph shard ([`crate::shard`]) drives its
-//! plan's runs through it. The panicking entry point is a thin wrapper over
-//! the fallible one. [`run_slice_passes_validated`] replays an unvalidated
-//! resident trace while a second thread checks its promise.
+//! violation. The batched engine ([`crate::batch`]) drives each of its
+//! instances through the same loop, and a graph shard ([`crate::shard`])
+//! drives its plan's runs through it. The panicking entry point is a thin
+//! wrapper over the fallible one. [`run_slice_passes_validated`] replays
+//! an unvalidated resident trace while a second thread checks its promise.
 
 use adjstream_graph::{Graph, VertexId};
 
@@ -101,17 +101,6 @@ pub trait MultiPassAlgorithm: SpaceUsage {
     /// never abort (the default); [`crate::guard::Guarded`] overrides this
     /// to surface validation failures under the strict policy.
     fn abort_error(&self) -> Option<StreamError> {
-        None
-    }
-
-    /// A run-level (not stream-level) reason to abort, polled at the same
-    /// points as [`abort_error`](Self::abort_error) and returned verbatim.
-    ///
-    /// Plain algorithms never abort (the default). The batched engine's
-    /// fan-out overrides this to surface deadline expiry and aggregate
-    /// space-budget violations, which are properties of the *execution*,
-    /// not of the stream.
-    fn abort_run(&self) -> Option<RunError> {
         None
     }
 
@@ -333,9 +322,9 @@ where
         pass,
         items,
         list_runs(items),
-        peak,
         processed,
         &mut RunObserver::disabled(),
+        track_peak(peak),
     )
 }
 
@@ -346,14 +335,20 @@ where
 /// [`MultiPassAlgorithm::begin_list_at`]. The observer is consulted only at
 /// the boundaries where the loop already samples state, so a disabled
 /// observer keeps the unobserved hot path.
+///
+/// `at_boundary` receives the state size sampled at every list boundary
+/// and at pass end. Callers record their peak there ([`track_peak`]), and
+/// a caller enforcing limits (the batched engine's per-instance budget and
+/// deadline) stops the pass by returning an error. At one boundary the
+/// algorithm's own [`MultiPassAlgorithm::abort_error`] takes precedence.
 pub(crate) fn drive_pass_runs<A>(
     algo: &mut A,
     pass: usize,
     items: &[StreamItem],
     runs: impl IntoIterator<Item = ShardRun>,
-    peak: &mut PeakTracker,
     processed: &mut usize,
     obs: &mut RunObserver,
+    mut at_boundary: impl FnMut(usize) -> Result<(), RunError>,
 ) -> Result<(), RunError>
 where
     A: MultiPassAlgorithm,
@@ -369,26 +364,30 @@ where
         obs.slice();
         algo.end_list(src);
         let bytes = algo.space_bytes();
-        peak.observe(bytes);
+        let limited = at_boundary(bytes);
         obs.boundary(bytes, *processed);
         if let Some(error) = algo.abort_error() {
             return Err(RunError::Invalid { pass, error });
         }
-        if let Some(err) = algo.abort_run() {
-            return Err(err);
-        }
+        limited?;
     }
     algo.end_pass(pass);
     let bytes = algo.space_bytes();
-    peak.observe(bytes);
+    let limited = at_boundary(bytes);
     obs.end_pass(bytes, *processed);
     if let Some(error) = algo.abort_error() {
         return Err(RunError::Invalid { pass, error });
     }
-    if let Some(err) = algo.abort_run() {
-        return Err(err);
+    limited
+}
+
+/// The boundary hook of a pass without limits: record the peak, never
+/// stop.
+pub(crate) fn track_peak(peak: &mut PeakTracker) -> impl FnMut(usize) -> Result<(), RunError> + '_ {
+    move |bytes| {
+        peak.observe(bytes);
+        Ok(())
     }
-    Ok(())
 }
 
 /// Every adjacency list of `items` — each maximal same-source run — in
@@ -513,9 +512,9 @@ where
             pass,
             items,
             list_runs(items),
-            &mut peak,
             &mut processed,
             &mut obs,
+            track_peak(&mut peak),
         )?;
     }
     Ok(finish_run(algo, peak, processed, passes, obs, sink))

@@ -43,7 +43,9 @@ use crate::hashing::FastBuildHasher;
 use crate::item::StreamItem;
 use crate::meter::PeakTracker;
 use crate::obs::{Metrics, MetricsSnapshot, PassMetrics, RunObserver, METRICS_SCHEMA_VERSION};
-use crate::runner::{drive_pass_runs, list_runs, MultiPassAlgorithm, RunError, RunReport};
+use crate::runner::{
+    drive_pass_runs, list_runs, track_peak, MultiPassAlgorithm, RunError, RunReport,
+};
 
 /// One adjacency list assigned to a shard: a sub-range of the shared item
 /// slice plus the list's global position (its 0-based index among all
@@ -260,9 +262,9 @@ fn run_shard_pass<A: ShardAlgorithm>(
         pass,
         items,
         runs.iter().copied(),
-        &mut peak,
         &mut processed,
         &mut RunObserver::disabled(),
+        track_peak(&mut peak),
     )?;
     let lists = runs.len() as u64;
     let stats = ShardPassStats {

@@ -193,7 +193,7 @@ const USAGE: &str = "usage:
   adjstream-cli estimate FILE --kind <triangles|c4> [--epsilon E] [--delta D] [--t-lower T] [--seed S]
                 [--max-bytes N|auto] [--max-total-bytes N] [--deadline-secs S]
                 [--min-survivors Q] [--checkpoint-dir DIR] [--resume] [--job-id N]
-                [--checkpoint-retention-secs S] [--metrics-out FILE]
+                [--checkpoint-retention-secs S] [--metrics-out FILE] [--threads N]
   adjstream-cli stream FILE [--seed S] [-o FILE]
   adjstream-cli validate-stream FILE [--mode offline|online|bounded] [--seed S] [--window W] [--retries N]
   adjstream-cli corrupt FILE --faults KIND[:N][,KIND[:N]...] [--seed S] [-o FILE] [--replay-o FILE]

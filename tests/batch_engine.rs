@@ -1,9 +1,8 @@
 //! Integration tests of the batched shared-pass engine against the
 //! sequential per-seed reference, through the public facade API:
 //! order-contract error paths, driver agreement with the reference, the
-//! pass-optimality of guess-and-verify, guard-stat parity under injected
-//! faults, and the `feed_slice` == per-item contract for every algorithm
-//! with a native slice path.
+//! pass-optimality of guess-and-verify, and the `feed_slice` == per-item
+//! contract for every algorithm with a native slice path.
 
 mod common;
 
@@ -20,7 +19,7 @@ use adjstream::stream::trace::ItemTrace;
 use adjstream::stream::{
     run_slice_passes, AdjListStream, FaultKind, FaultPlan, GraphPasses, GuardPolicy, GuardStats,
     Guarded, MultiPassAlgorithm, ObsCounters, PassOrders, RunError, SpaceUsage, StreamError,
-    StreamItem, StreamOrder, ValidatorMode,
+    StreamItem, StreamOrder,
 };
 use common::per_seed_triangle_runs;
 use proptest::prelude::*;
@@ -117,13 +116,11 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for ItemByItem<A> {
 /// `make(seed)` driven slice by slice must be bit-identical to its
 /// item-by-item twin: outputs (compared in `Debug` form, which is exact
 /// for `f64`), peak bytes, item counts, and guard statistics — under the
-/// sequential driver and the batched engine at 1 and 4 threads (the
-/// batch optionally behind a shared `guard`).
+/// sequential driver and the batched engine at 1 and 4 threads.
 fn assert_slices_match_items<A>(
     make: impl Fn(u64) -> A,
     seed: u64,
     items_for_pass: impl Fn(usize) -> Vec<StreamItem>,
-    guard: Option<(GuardPolicy, ValidatorMode)>,
 ) where
     A: MultiPassAlgorithm + Send,
     A::Output: Debug,
@@ -134,11 +131,7 @@ fn assert_slices_match_items<A>(
     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
     prop_assert_eq!(got_report, want_report);
     for threads in [1usize, 4] {
-        let cfg = BatchConfig {
-            threads,
-            guard,
-            ..BatchConfig::default()
-        };
+        let cfg = BatchConfig::with_threads(threads);
         let seeds = seed..seed + 3;
         let want = BatchJob::new(seeds.clone().map(|s| ItemByItem(make(s))).collect(), &cfg)
             .and_then(|job| job.run(&items_for_pass, |_| Ok(())))
@@ -153,7 +146,6 @@ fn assert_slices_match_items<A>(
             threads
         );
         prop_assert_eq!(&got.report.per_instance, &want.report.per_instance);
-        prop_assert_eq!(got.report.guard, want.report.guard);
     }
 }
 
@@ -242,54 +234,6 @@ fn auto_driver_is_pass_optimal_under_the_batched_engine() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The per-seed sequential reference and the batched engine must agree
-    /// on the guard's fault counters for any injected fault mix: the
-    /// shared validator sees the same corrupted item sequence either way.
-    #[test]
-    fn engines_agree_on_guard_stats_under_faults(
-        graph_seed in 0u64..500,
-        fault_seed in 0u64..500,
-        dropped in 0usize..3,
-        duplicated in 0usize..3,
-        self_loops in 0usize..2,
-        threads in 1usize..5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(graph_seed);
-        let g = gen::gnm(40, 150, &mut rng);
-        let items = AdjListStream::new(&g, StreamOrder::shuffled(40, graph_seed)).collect_items();
-        let corrupted = FaultPlan::new(fault_seed)
-            .with(FaultKind::DropDirection, dropped)
-            .with(FaultKind::DuplicateItem, duplicated)
-            .with(FaultKind::InjectSelfLoop, self_loops)
-            .apply(&items);
-
-        // Sequential reference: one guarded instance.
-        let (_, seq_report) = corrupted
-            .try_run(Guarded::new(triangle_algo(3, 32), GuardPolicy::Repair))
-            .expect("repair policy never aborts on these fault kinds");
-        let want = seq_report.guard.expect("guarded run publishes stats");
-
-        // Batched run: several instances behind ONE shared validator.
-        let cfg = BatchConfig {
-            threads,
-            guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-            ..BatchConfig::default()
-        };
-        let out = BatchJob::new(triangle_instances(5, 3, 32), &cfg)
-            .and_then(|job| job.run(|p| corrupted.items_for_pass(p), |_| Ok(())))
-            .expect("repair policy never aborts on these fault kinds");
-        let got = out.report.guard.expect("shared guard publishes stats");
-
-        // Seeded hashing makes the validator's map capacities — and so its
-        // peak bytes — a pure function of the stream, so the whole stats
-        // struct is the deterministic contract.
-        prop_assert_eq!(got, want);
-        // Every instance consumed the identical repaired stream.
-        let per_items: Vec<usize> =
-            out.report.per_instance.iter().map(|r| r.items).collect();
-        prop_assert!(per_items.iter().all(|&i| i == per_items[0]));
-    }
-
     /// `feed_slice` is a pure performance path: for every algorithm with a
     /// native override (and the repair guard, which splits lists into
     /// admitted segments), slice delivery is bit-identical to item-by-item
@@ -313,30 +257,17 @@ proptest! {
         let clean_passes = |_: usize| clean.clone();
         let faulty_passes = |p: usize| corrupted.items_for_pass(p).to_vec();
 
-        assert_slices_match_items(|s| triangle_algo(s, 48), algo_seed, clean_passes, None);
+        assert_slices_match_items(|s| triangle_algo(s, 48), algo_seed, clean_passes);
         assert_slices_match_items(
             |s| TwoPassFourCycle::new(TwoPassFourCycleConfig::paper(s, 48)),
             algo_seed,
             clean_passes,
-            None,
         );
-        assert_slices_match_items(
-            |s| MultiLevelTriangle::new(s, 16, 3),
-            algo_seed,
-            clean_passes,
-            None,
-        );
+        assert_slices_match_items(|s| MultiLevelTriangle::new(s, 16, 3), algo_seed, clean_passes);
         assert_slices_match_items(
             |s| Guarded::new(triangle_algo(s, 48), GuardPolicy::Repair),
             algo_seed,
             faulty_passes,
-            None,
-        );
-        assert_slices_match_items(
-            |s| triangle_algo(s, 48),
-            algo_seed,
-            faulty_passes,
-            Some((GuardPolicy::Repair, ValidatorMode::Exact)),
         );
     }
 

@@ -14,8 +14,8 @@ use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::{gen, Graph, VertexId};
 use adjstream::stream::batch::{BatchConfig, BatchJob, BatchOutcome, Budget, InstanceOutcome};
 use adjstream::stream::{
-    AdjListStream, FaultKind, FaultPlan, GraphPasses, GuardPolicy, Guarded, MultiPassAlgorithm,
-    PassOrders, RunError, SpaceUsage, StreamOrder, ValidatorMode,
+    AdjListStream, FaultKind, FaultPlan, GraphPasses, GuardPolicy, GuardStats, Guarded,
+    MultiPassAlgorithm, PassOrders, RunError, SpaceUsage, StreamError, StreamItem, StreamOrder,
 };
 use common::per_seed_triangle_runs;
 use proptest::prelude::*;
@@ -259,6 +259,51 @@ fn budget_failures_are_typed_at_the_driver_level() {
     assert_eq!(err, EstimateError::Degraded(want));
 }
 
+/// Test-only adapter that returns a guarded instance's counters with its
+/// output, so each batched instance's guard stats can be compared.
+struct WithGuardStats<A>(Guarded<A>);
+
+impl<A: MultiPassAlgorithm> SpaceUsage for WithGuardStats<A> {
+    fn space_bytes(&self) -> usize {
+        self.0.space_bytes()
+    }
+}
+
+impl<A: MultiPassAlgorithm> MultiPassAlgorithm for WithGuardStats<A> {
+    type Output = (A::Output, GuardStats);
+    fn passes(&self) -> usize {
+        self.0.passes()
+    }
+    fn requires_same_order(&self) -> bool {
+        self.0.requires_same_order()
+    }
+    fn begin_pass(&mut self, pass: usize) {
+        self.0.begin_pass(pass)
+    }
+    fn begin_list(&mut self, owner: VertexId) {
+        self.0.begin_list(owner)
+    }
+    fn item(&mut self, src: VertexId, dst: VertexId) {
+        self.0.item(src, dst)
+    }
+    fn feed_slice(&mut self, items: &[StreamItem]) {
+        self.0.feed_slice(items)
+    }
+    fn end_list(&mut self, owner: VertexId) {
+        self.0.end_list(owner)
+    }
+    fn end_pass(&mut self, pass: usize) {
+        self.0.end_pass(pass)
+    }
+    fn abort_error(&self) -> Option<StreamError> {
+        self.0.abort_error()
+    }
+    fn finish(self) -> Self::Output {
+        let stats = self.0.stats();
+        (self.0.finish(), stats)
+    }
+}
+
 const ALL_FAULT_KINDS: [FaultKind; 7] = [
     FaultKind::DropDirection,
     FaultKind::DuplicateItem,
@@ -272,10 +317,11 @@ const ALL_FAULT_KINDS: [FaultKind; 7] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For every fault kind and both thread counts, the batched engine's
-    /// guarded Repair run must agree with the one-instance-at-a-time
-    /// sequential reference on (a) which instances survive, (b) the guard's
-    /// fault counters, and (c) the survivor median.
+    /// For every fault kind and both thread counts, a batch of guarded
+    /// Repair instances must agree with the one-instance-at-a-time
+    /// sequential reference on (a) which instances survive, (b) each
+    /// instance's estimate and guard fault counters, and (c) the survivor
+    /// median.
     #[test]
     fn fault_matrix_guard_stats_and_survivor_medians_are_engine_invariant(
         graph_seed in 0u64..200,
@@ -291,77 +337,53 @@ proptest! {
             let reps = 5;
 
             // Sequential reference: guarded instances one at a time.
-            let mut want_runs: Vec<Option<f64>> = Vec::new();
-            let mut want_stats = None;
-            let mut want_err = None;
-            for i in 0..reps {
-                let algo = Guarded::new(
+            let guarded = |i: usize| {
+                WithGuardStats(Guarded::new(
                     triangle_instances(1, 3 + i as u64, 32).pop().unwrap(),
                     GuardPolicy::Repair,
-                );
-                match corrupted.try_run(algo) {
-                    Ok((est, rep)) => {
-                        want_runs.push(Some(est.estimate));
-                        want_stats = rep.guard;
-                    }
-                    Err(e) => {
-                        want_runs.push(None);
-                        want_err = Some(e);
-                    }
-                }
-            }
+                ))
+            };
+            let want: Vec<Option<(u64, GuardStats)>> = (0..reps)
+                .map(|i| {
+                    let run = corrupted.try_run(guarded(i)).ok();
+                    run.map(|((est, stats), _)| (est.estimate.to_bits(), stats))
+                })
+                .collect();
 
+            // Batched: the same guarded instances, each behind its own
+            // guard. An instance that aborts is quarantined alone.
             for threads in [1usize, 4] {
-                let instances: Vec<TwoPassTriangle> = (0..reps)
-                    .map(|i| triangle_instances(1, 3 + i as u64, 32).pop().unwrap())
+                let cfg = BatchConfig::with_threads(threads);
+                let out = BatchJob::new((0..reps).map(guarded).collect(), &cfg)
+                    .and_then(|job| job.run(|p| corrupted.items_for_pass(p), |_| Ok(())))
+                    .expect("instance aborts only quarantine");
+                let got: Vec<Option<(u64, GuardStats)>> = out
+                    .outputs
+                    .iter()
+                    .map(|o| o.as_ref().map(|(est, stats)| (est.estimate.to_bits(), *stats)))
                     .collect();
-                let cfg = BatchConfig {
-                    threads,
-                    guard: Some((GuardPolicy::Repair, ValidatorMode::Exact)),
-                    ..BatchConfig::default()
+                prop_assert_eq!(
+                    &got, &want,
+                    "{} at {} threads: per-instance estimates and guard stats", kind, threads
+                );
+                let runs = |v: &[Option<(u64, GuardStats)>]| -> Vec<Option<f64>> {
+                    v.iter().map(|o| o.map(|(bits, _)| f64::from_bits(bits))).collect()
                 };
-                let batched = BatchJob::new(instances, &cfg)
-                    .and_then(|job| job.run(|p| corrupted.items_for_pass(p), |_| Ok(())));
-                match batched {
-                    Ok(out) => {
-                        prop_assert!(
-                            want_err.is_none(),
-                            "{kind}: sequential errored ({:?}) but batched ran",
-                            want_err
-                        );
-                        let got_runs: Vec<Option<f64>> = out
-                            .outputs
-                            .iter()
-                            .map(|o| o.as_ref().map(|e| e.estimate))
-                            .collect();
-                        prop_assert_eq!(
-                            &got_runs, &want_runs,
-                            "{} at {} threads: per-instance estimates", kind, threads
-                        );
-                        let got = out.report.guard.expect("shared guard publishes stats");
-                        let want = want_stats.expect("guarded run publishes stats");
-                        prop_assert_eq!(got.faults_detected, want.faults_detected);
-                        prop_assert_eq!(got.items_repaired, want.items_repaired);
-                        prop_assert_eq!(got.edges_quarantined, want.edges_quarantined);
-                        if let Ok(want_med) = median_of_survivors(&want_runs, 1) {
-                            let got_med = median_of_survivors(&got_runs, 1)
-                                .expect("same survivor sets");
-                            prop_assert_eq!(
-                                got_med.median.to_bits(),
-                                want_med.median.to_bits(),
-                                "{} at {} threads: survivor median", kind, threads
-                            );
-                            prop_assert_eq!(got_med.dead_runs, want_med.dead_runs);
-                        }
-                    }
-                    Err(e) => {
-                        // A shared-stream abort must mirror a sequential
-                        // abort of every instance (one stream, one verdict).
-                        prop_assert!(
-                            want_runs.iter().all(Option::is_none),
-                            "{kind}: batched aborted ({e}) but some sequential runs survived"
-                        );
-                    }
+                let (got_runs, want_runs) = (runs(&got), runs(&want));
+                prop_assert_eq!(
+                    out.report.survivors(),
+                    want.iter().flatten().count(),
+                    "{} at {} threads: survivor set", kind, threads
+                );
+                if let Ok(want_med) = median_of_survivors(&want_runs, 1) {
+                    let got_med = median_of_survivors(&got_runs, 1)
+                        .expect("same survivor sets");
+                    prop_assert_eq!(
+                        got_med.median.to_bits(),
+                        want_med.median.to_bits(),
+                        "{} at {} threads: survivor median", kind, threads
+                    );
+                    prop_assert_eq!(got_med.dead_runs, want_med.dead_runs);
                 }
             }
         }
