@@ -1,6 +1,7 @@
 //! Space–accuracy sweeps: run an algorithm at a sequence of space budgets,
 //! reporting the median estimate, relative error, and measured peak state.
 
+use adjstream_core::amplify::collect_runs;
 use adjstream_core::common::EdgeSampling;
 use adjstream_core::fourcycle::{FourCycleEstimator, TwoPassFourCycle, TwoPassFourCycleConfig};
 use adjstream_core::triangle::{
@@ -224,36 +225,16 @@ pub fn budget_ladder(lo: usize, hi: usize, steps: usize) -> Vec<usize> {
     out
 }
 
-/// Fan `count` indexed jobs over threads, preserving order.
+/// Fan `count` indexed jobs over the available cores, preserving order.
 fn parallel_runs<T, F>(count: usize, job: F) -> Vec<T>
 where
-    T: Send + Default + Clone,
+    T: Send + Default,
     F: Fn(usize) -> T + Sync,
 {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
-        .unwrap_or(4)
-        .min(count.max(1));
-    let mut out = vec![T::default(); count];
-    if threads <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = job(i);
-        }
-        return out;
-    }
-    let chunk = count.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (t, slice) in out.chunks_mut(chunk).enumerate() {
-            let job = &job;
-            scope.spawn(move |_| {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = job(t * chunk + i);
-                }
-            });
-        }
-    })
-    .expect("sweep jobs do not panic");
-    out
+        .unwrap_or(4);
+    collect_runs(count, 0, threads, |i| job(i as usize))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Both theorems run `Θ(log 1/δ)` independent copies of a
 //! constant-success-probability estimator and report the median. The
 //! repetitions are embarrassingly parallel; [`median_of_runs`] fans them out
-//! over threads with crossbeam's scope. The drivers in [`crate::estimate`]
+//! over scoped threads. The drivers in [`crate::estimate`]
 //! produce the run vector differently (one shared stream replay via
 //! [`adjstream_stream::batch::BatchJob`]) but summarize it through the same
 //! [`MedianReport::from_runs`], so identical runs report identical
@@ -143,17 +143,16 @@ where
         }
     } else {
         let chunk = reps.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (t, slice) in runs.chunks_mut(chunk).enumerate() {
                 let run = &run;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (i, slot) in slice.iter_mut().enumerate() {
                         *slot = run(base_seed.wrapping_add((t * chunk + i) as u64));
                     }
                 });
             }
-        })
-        .expect("estimator threads do not panic");
+        });
     }
     runs
 }

