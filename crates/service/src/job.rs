@@ -529,10 +529,41 @@ pub fn stale_checkpoint_candidate(path: &Path) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn spec() -> JobSpec {
+    /// One of every [`JobState`] variant, for the byte pins here and in
+    /// the server's status tests.
+    pub(crate) fn every_state() -> Vec<JobState> {
+        vec![
+            JobState::Queued,
+            JobState::Running { pass: 1 },
+            JobState::Suspended {
+                pass: 1,
+                reason: "drain".into(),
+            },
+            JobState::Degraded {
+                survivors: 2,
+                required: 5,
+            },
+            JobState::Failed {
+                reason: "worker_panic".into(),
+                detail: "chaos: injected".into(),
+            },
+            JobState::Done {
+                result: JobResult {
+                    estimate: 239.874,
+                    estimate_bits: 239.874f64.to_bits(),
+                    survivors: 9,
+                    repetitions: 9,
+                    passes: 2,
+                    resumed_from: Some(1),
+                },
+            },
+        ]
+    }
+
+    pub(crate) fn spec() -> JobSpec {
         JobSpec {
             trace: "web".into(),
             kind: JobKind::Triangles { t_lower: 240 },
@@ -565,33 +596,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_every_state() {
-        let states = vec![
-            JobState::Queued,
-            JobState::Running { pass: 1 },
-            JobState::Suspended {
-                pass: 1,
-                reason: "drain".into(),
-            },
-            JobState::Degraded {
-                survivors: 2,
-                required: 5,
-            },
-            JobState::Failed {
-                reason: "worker_panic".into(),
-                detail: "chaos: injected".into(),
-            },
-            JobState::Done {
-                result: JobResult {
-                    estimate: 239.874,
-                    estimate_bits: 239.874f64.to_bits(),
-                    survivors: 9,
-                    repetitions: 9,
-                    passes: 2,
-                    resumed_from: Some(1),
-                },
-            },
-        ];
-        for state in states {
+        for state in every_state() {
             let rec = JobRecord {
                 id: JobId(42),
                 spec: spec(),
@@ -599,6 +604,68 @@ mod tests {
             };
             let back = JobRecord::from_json(&rec.to_json()).expect("round trip");
             assert_eq!(back, rec);
+        }
+    }
+
+    /// Manifests are an on-disk format a restarted daemon reads back:
+    /// their bytes are pinned for every state and every kind.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        const SPEC: &str = concat!(
+            r#""epsilon":0.3,"delta":0.2,"seed":5,"priority":7,"min_survivors":3,"#,
+            r#""max_instance_bytes":1048576,"max_total_bytes":null,"deadline_ms":30000,"#,
+            r#""panic_in_pass":1,"delay_ms_per_pass":25,"collect_metrics":true,"shards":3,"#
+        );
+        let manifest = |kind: JobKind, state: JobState| {
+            JobRecord {
+                id: JobId(42),
+                spec: JobSpec { kind, ..spec() },
+                state,
+            }
+            .to_json()
+            .to_string()
+        };
+        let states = [
+            r#""state":"queued"}"#,
+            r#""state":"running","pass":1}"#,
+            r#""state":"suspended","pass":1,"reason":"drain"}"#,
+            r#""state":"degraded","survivors":2,"required":5}"#,
+            r#""state":"failed","reason":"worker_panic","detail":"chaos: injected"}"#,
+            concat!(
+                r#""state":"done","result":{"estimate":239.874,"estimate_bits":"406dfbf7ced91687","#,
+                r#""survivors":9,"repetitions":9,"passes":2,"resumed_from":1}}"#
+            ),
+        ];
+        for (state, tail) in every_state().into_iter().zip(states) {
+            let want = format!(
+                r#"{{"id":"000000000000002a","trace":"web","kind":"triangles","t_lower":240,{SPEC}{tail}"#
+            );
+            assert_eq!(manifest(spec().kind, state), want);
+        }
+        let kinds = [
+            (
+                JobKind::Triangles { t_lower: 240 },
+                r#""kind":"triangles","t_lower":240,"#,
+            ),
+            (
+                JobKind::FourCycles { t_lower: 8 },
+                r#""kind":"four-cycles","t_lower":8,"#,
+            ),
+            (JobKind::Validate, r#""kind":"validate","#),
+            (
+                JobKind::Update {
+                    batch_size: 64,
+                    capacity: 500,
+                    guard: GuardPolicy::Observe,
+                },
+                r#""kind":"update","batch_size":64,"capacity":500,"guard":"observe","#,
+            ),
+        ];
+        for (kind, fields) in kinds {
+            let want = format!(
+                r#"{{"id":"000000000000002a","trace":"web",{fields}{SPEC}"state":"queued"}}"#
+            );
+            assert_eq!(manifest(kind, JobState::Queued), want);
         }
     }
 

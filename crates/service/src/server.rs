@@ -1555,6 +1555,34 @@ mod tests {
         assert!(matches!(s, JobState::Failed { ref reason, .. } if reason == "space_budget"));
     }
 
+    /// A `status` reply line is what `--wait` clients and the benchmark
+    /// parse: its bytes are pinned for every state.
+    #[test]
+    fn status_reply_bytes_are_pinned() {
+        let tails = [
+            r#""state":"queued"}"#,
+            r#""state":"running","pass":1}"#,
+            r#""state":"suspended","pass":1,"reason":"drain"}"#,
+            r#""state":"degraded","survivors":2,"required":5}"#,
+            r#""state":"failed","reason":"worker_panic","detail":"chaos: injected"}"#,
+            concat!(
+                r#""state":"done","result":{"estimate":239.874,"estimate_bits":"406dfbf7ced91687","#,
+                r#""survivors":9,"repetitions":9,"passes":2,"resumed_from":1}}"#
+            ),
+        ];
+        for (state, tail) in crate::job::tests::every_state().into_iter().zip(tails) {
+            let rec = JobRecord {
+                id: JobId(42),
+                spec: crate::job::tests::spec(),
+                state,
+            };
+            assert_eq!(
+                ok_response(state_fields(&rec)),
+                format!(r#"{{"ok":true,"id":"000000000000002a","trace":"web",{tail}"#)
+            );
+        }
+    }
+
     /// The update checkpoint payload and the `.batches` sidecar are
     /// on-disk formats: a resumed job reads the one an older daemon wrote.
     /// Both are pinned to bytes recorded before the update job moved onto
