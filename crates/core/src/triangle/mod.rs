@@ -3,7 +3,6 @@
 
 mod distinguish;
 mod kernel;
-mod multi_level;
 mod one_pass;
 mod random_order;
 mod sharded;
@@ -17,7 +16,6 @@ mod wedge_sampler;
 
 pub use distinguish::{DistinguishVerdict, TriangleDistinguisher};
 pub use kernel::TriangleEstimate;
-pub use multi_level::{MultiLevelEstimate, MultiLevelTriangle};
 pub use one_pass::{OnePassEstimate, OnePassTriangle};
 pub use random_order::{RandomOrderEstimate, RandomOrderTriangle};
 pub use sharded::{ShardedTriangle, ShardedTriangleConfig};

@@ -13,8 +13,8 @@
 
 use adjstream_core::common::EdgeSampling;
 use adjstream_core::triangle::{
-    MultiLevelTriangle, OnePassTriangle, ShardedTriangle, ShardedTriangleConfig, ThreePassTriangle,
-    TwoPassTriangle, TwoPassTriangleConfig,
+    OnePassTriangle, ShardedTriangle, ShardedTriangleConfig, ThreePassTriangle, TwoPassTriangle,
+    TwoPassTriangleConfig,
 };
 use adjstream_graph::gen;
 use adjstream_stream::checkpoint::Checkpoint;
@@ -191,15 +191,6 @@ fn actual() -> Vec<(String, Pinned)> {
         out.push((name("sharded/1"), sharded(sharded_cfg(sampling), items, 1)));
         out.push((name("sharded/4"), sharded(sharded_cfg(sampling), items, 4)));
     }
-    out.push((
-        "multi-level".to_string(),
-        drive(
-            MultiLevelTriangle::new(5, 40, 4),
-            items,
-            |e| e.estimate,
-            |_| {},
-        ),
-    ));
     out
 }
 
@@ -297,13 +288,6 @@ fn expected() -> Vec<(String, Pinned)> {
             0x40841E237FA89E60,
             113264,
             Some([1998, 798, 419, 2, 510, 0, 0, 450, 0]),
-            vec![],
-        ),
-        row(
-            "multi-level",
-            0x408ABB9B0A3D70A3,
-            554876,
-            Some([1760, 1160, 8010, 8, 1272, 359, 155, 5576, 3176]),
             vec![],
         ),
     ]

@@ -92,22 +92,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Add every edge in `it`.
-    pub fn add_edges<I: IntoIterator<Item = (VertexId, VertexId)>>(
-        &mut self,
-        it: I,
-    ) -> Result<(), BuildError> {
-        for (u, v) in it {
-            self.add_edge(u, v)?;
-        }
-        Ok(())
-    }
-
-    /// Current number of (possibly duplicate) accumulated edges.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finish: sort, dedupe, and build the CSR arrays.
     pub fn build(mut self) -> Result<Graph, BuildError> {
         self.edges.sort_unstable();

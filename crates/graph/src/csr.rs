@@ -157,12 +157,6 @@ impl Graph {
     pub fn edge_vec(&self) -> Vec<EdgeKey> {
         self.edges().collect()
     }
-
-    /// Total bytes of the CSR arrays (used for reporting, not correctness).
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.neighbors.len() * std::mem::size_of::<VertexId>()
-    }
 }
 
 impl std::fmt::Debug for Graph {

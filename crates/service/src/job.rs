@@ -16,6 +16,12 @@
 //! checkpoint (`job-<id>.ckpt`). After a crash the recovery scan rebuilds
 //! the queue from manifests alone; checkpoints only accelerate the replay
 //! (a missing or corrupt one costs a recompute, never a wrong answer).
+//!
+//! A manifest is a submit request plus `id` and the state fields, so one
+//! decoder (`JobSpec::from_json`) reads the spec off the wire and off disk
+//! with the same defaults and range checks, and one encoder
+//! (`JobState::fields`) writes the state into manifests and `status`
+//! replies.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -183,6 +189,97 @@ impl Default for JobSpec {
     }
 }
 
+impl JobSpec {
+    /// Decode a spec from a submit request or a manifest. Absent fields
+    /// take the submit defaults; out-of-range values are an error, so a
+    /// manifest gets the same checks a submission does.
+    pub(crate) fn from_json(v: &Json) -> Result<JobSpec, String> {
+        let trace = v
+            .str_field("trace")
+            .ok_or("submit: missing \"trace\"")?
+            .to_string();
+        let kind = match v.str_field("kind").unwrap_or("triangles") {
+            "triangles" => JobKind::Triangles {
+                t_lower: v.u64_field("t_lower").unwrap_or(1),
+            },
+            "four-cycles" => JobKind::FourCycles {
+                t_lower: v.u64_field("t_lower").unwrap_or(1),
+            },
+            "validate" => JobKind::Validate,
+            "update" => {
+                let batch_size = v.u64_field("batch_size").unwrap_or(256) as usize;
+                if batch_size == 0 {
+                    return Err("batch_size must be positive".into());
+                }
+                let capacity = v.u64_field("capacity").unwrap_or(4096) as usize;
+                if capacity < 3 {
+                    return Err(format!(
+                        "capacity must be at least 3 reservoir slots, got {capacity}"
+                    ));
+                }
+                let guard = match v.str_field("guard") {
+                    Some(s) => GuardPolicy::parse(s)
+                        .ok_or_else(|| format!("unknown guard policy {s:?}"))?,
+                    None => GuardPolicy::Repair,
+                };
+                JobKind::Update {
+                    batch_size,
+                    capacity,
+                    guard,
+                }
+            }
+            other => return Err(format!("unknown kind {other:?}")),
+        };
+        let defaults = JobSpec::default();
+        let epsilon = v.f64_field("epsilon").unwrap_or(defaults.epsilon);
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err(format!(
+                "epsilon must be positive and finite, got {epsilon}"
+            ));
+        }
+        let delta = v.f64_field("delta").unwrap_or(defaults.delta);
+        if !(delta > 0.0 && delta < 1.0) {
+            return Err(format!("delta must be in (0, 1), got {delta}"));
+        }
+        let shards = v.u64_field("shards").unwrap_or(defaults.shards as u64);
+        if shards == 0 {
+            return Err("shards must be at least 1".to_string());
+        }
+        let usize_field = |key| v.u64_field(key).map(|n| n as usize);
+        Ok(JobSpec {
+            trace,
+            kind,
+            epsilon,
+            delta,
+            seed: v.u64_field("seed").unwrap_or(defaults.seed),
+            priority: v
+                .u64_field("priority")
+                .unwrap_or(defaults.priority as u64)
+                .min(9) as u8,
+            min_survivors: usize_field("min_survivors"),
+            budget: JobBudget {
+                max_instance_bytes: usize_field("max_instance_bytes"),
+                max_total_bytes: usize_field("max_total_bytes"),
+                deadline_ms: v.u64_field("deadline_ms"),
+            },
+            chaos: Chaos {
+                panic_in_pass: usize_field("panic_in_pass"),
+                delay_ms_per_pass: v.u64_field("delay_ms_per_pass").unwrap_or(0),
+            },
+            collect_metrics: v
+                .get("collect_metrics")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
+            shards: shards as usize,
+        })
+    }
+}
+
+/// An optional count as a JSON number, or `null` when absent.
+fn num_or_null(n: Option<u64>) -> Json {
+    n.map_or(Json::Null, |n| Json::Num(n as f64))
+}
+
 /// Result payload of a finished estimation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
@@ -215,10 +312,7 @@ impl JobResult {
             ("passes", Json::Num(self.passes as f64)),
             (
                 "resumed_from",
-                match self.resumed_from {
-                    Some(p) => Json::Num(p as f64),
-                    None => Json::Null,
-                },
+                num_or_null(self.resumed_from.map(|p| p as u64)),
             ),
         ])
     }
@@ -264,8 +358,10 @@ pub enum JobState {
         /// The quorum it needed.
         required: usize,
     },
-    /// Terminal failure with a typed reason (`worker_panic`, `deadline`,
-    /// `cancelled`, `invalid_stream`, …).
+    /// Terminal failure with a typed reason: `cancelled`, `worker_panic`,
+    /// `trace_unavailable` (which covers a trace that fails validation),
+    /// `deadline`, `space_budget`, `checkpoint`, `run_error`,
+    /// `shard_failed` or `guard_violation`.
     Failed {
         /// Machine-readable reason slug.
         reason: String,
@@ -299,91 +395,13 @@ impl JobState {
             JobState::Done { .. } | JobState::Failed { .. } | JobState::Degraded { .. }
         )
     }
-}
 
-/// A job's full persistent record: spec + current state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobRecord {
-    /// The job's identifier.
-    pub id: JobId,
-    /// The submitted spec.
-    pub spec: JobSpec,
-    /// Current lifecycle state.
-    pub state: JobState,
-}
-
-impl JobRecord {
-    /// Serialize to the manifest JSON document.
-    pub fn to_json(&self) -> Json {
-        let spec = &self.spec;
-        let mut kind_fields = vec![("kind", Json::Str(spec.kind.name().to_string()))];
-        match spec.kind {
-            JobKind::Triangles { t_lower } | JobKind::FourCycles { t_lower } => {
-                kind_fields.push(("t_lower", Json::Num(t_lower as f64)));
-            }
-            JobKind::Validate => {}
-            JobKind::Update {
-                batch_size,
-                capacity,
-                guard,
-            } => {
-                kind_fields.push(("batch_size", Json::Num(batch_size as f64)));
-                kind_fields.push(("capacity", Json::Num(capacity as f64)));
-                kind_fields.push(("guard", Json::Str(guard.to_string())));
-            }
-        }
-        let mut fields = vec![("id", Json::Str(self.id.to_string()))];
-        fields.push(("trace", Json::Str(spec.trace.clone())));
-        fields.extend(kind_fields);
-        fields.extend([
-            ("epsilon", Json::Num(spec.epsilon)),
-            ("delta", Json::Num(spec.delta)),
-            ("seed", Json::Num(spec.seed as f64)),
-            ("priority", Json::Num(spec.priority as f64)),
-            (
-                "min_survivors",
-                match spec.min_survivors {
-                    Some(s) => Json::Num(s as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "max_instance_bytes",
-                match spec.budget.max_instance_bytes {
-                    Some(b) => Json::Num(b as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "max_total_bytes",
-                match spec.budget.max_total_bytes {
-                    Some(b) => Json::Num(b as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "deadline_ms",
-                match spec.budget.deadline_ms {
-                    Some(d) => Json::Num(d as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "panic_in_pass",
-                match spec.chaos.panic_in_pass {
-                    Some(p) => Json::Num(p as f64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "delay_ms_per_pass",
-                Json::Num(spec.chaos.delay_ms_per_pass as f64),
-            ),
-            ("collect_metrics", Json::Bool(spec.collect_metrics)),
-            ("shards", Json::Num(spec.shards as f64)),
-            ("state", Json::Str(self.state.name().to_string())),
-        ]);
-        match &self.state {
+    /// The state's JSON fields: `"state"` and then the variant's own, as
+    /// both manifests and `status` replies carry them.
+    pub(crate) fn fields(&self) -> Vec<(&'static str, Json)> {
+        let mut fields = vec![("state", Json::Str(self.name().to_string()))];
+        match self {
+            JobState::Queued => {}
             JobState::Running { pass } => fields.push(("pass", Json::Num(*pass as f64))),
             JobState::Suspended { pass, reason } => {
                 fields.push(("pass", Json::Num(*pass as f64)));
@@ -401,71 +419,17 @@ impl JobRecord {
                 fields.push(("detail", Json::Str(detail.clone())));
             }
             JobState::Done { result } => fields.push(("result", result.to_json())),
-            JobState::Queued => {}
         }
-        obj(fields)
+        fields
     }
 
-    /// Parse a manifest document; `None` on any structural mismatch (a
-    /// recovery scan skips such files rather than refusing to start).
-    pub fn from_json(v: &Json) -> Option<JobRecord> {
-        let id = JobId::parse(v.str_field("id")?)?;
-        let t_lower = v.u64_field("t_lower");
-        let kind = match v.str_field("kind")? {
-            "triangles" => JobKind::Triangles { t_lower: t_lower? },
-            "four-cycles" => JobKind::FourCycles { t_lower: t_lower? },
-            "validate" => JobKind::Validate,
-            "update" => JobKind::Update {
-                batch_size: v.u64_field("batch_size")? as usize,
-                capacity: v.u64_field("capacity")? as usize,
-                guard: GuardPolicy::parse(v.str_field("guard")?)?,
-            },
-            _ => return None,
-        };
-        let spec = JobSpec {
-            trace: v.str_field("trace")?.to_string(),
-            kind,
-            epsilon: v.f64_field("epsilon")?,
-            delta: v.f64_field("delta")?,
-            seed: v.u64_field("seed")?,
-            priority: v.u64_field("priority")?.min(9) as u8,
-            min_survivors: v
-                .get("min_survivors")
-                .and_then(Json::as_u64)
-                .map(|s| s as usize),
-            budget: JobBudget {
-                max_instance_bytes: v
-                    .get("max_instance_bytes")
-                    .and_then(Json::as_u64)
-                    .map(|b| b as usize),
-                max_total_bytes: v
-                    .get("max_total_bytes")
-                    .and_then(Json::as_u64)
-                    .map(|b| b as usize),
-                deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
-            },
-            chaos: Chaos {
-                panic_in_pass: v
-                    .get("panic_in_pass")
-                    .and_then(Json::as_u64)
-                    .map(|p| p as usize),
-                delay_ms_per_pass: v.u64_field("delay_ms_per_pass").unwrap_or(0),
-            },
-            collect_metrics: v
-                .get("collect_metrics")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            // Manifests written before sharding landed have no field:
-            // they were unsharded.
-            shards: v.u64_field("shards").unwrap_or(1).max(1) as usize,
-        };
-        let state = match v.str_field("state")? {
+    fn from_json(v: &Json) -> Option<JobState> {
+        let pass = || v.u64_field("pass").map(|p| p as usize);
+        Some(match v.str_field("state")? {
             "queued" => JobState::Queued,
-            "running" => JobState::Running {
-                pass: v.u64_field("pass")? as usize,
-            },
+            "running" => JobState::Running { pass: pass()? },
             "suspended" => JobState::Suspended {
-                pass: v.u64_field("pass")? as usize,
+                pass: pass()?,
                 reason: v.str_field("reason")?.to_string(),
             },
             "degraded" => JobState::Degraded {
@@ -480,8 +444,77 @@ impl JobRecord {
                 result: JobResult::from_json(v.get("result")?)?,
             },
             _ => return None,
-        };
-        Some(JobRecord { id, spec, state })
+        })
+    }
+}
+
+/// A job's full persistent record: spec + current state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobRecord {
+    /// The job's identifier.
+    pub id: JobId,
+    /// The submitted spec.
+    pub spec: JobSpec,
+    /// Current lifecycle state.
+    pub state: JobState,
+}
+
+impl JobRecord {
+    /// Serialize to the manifest JSON document: the submit request's
+    /// fields, with `id` in front and the state fields behind.
+    pub fn to_json(&self) -> Json {
+        let spec = &self.spec;
+        let mut fields = vec![
+            ("id", Json::Str(self.id.to_string())),
+            ("trace", Json::Str(spec.trace.clone())),
+            ("kind", Json::Str(spec.kind.name().to_string())),
+        ];
+        match spec.kind {
+            JobKind::Triangles { t_lower } | JobKind::FourCycles { t_lower } => {
+                fields.push(("t_lower", Json::Num(t_lower as f64)));
+            }
+            JobKind::Validate => {}
+            JobKind::Update {
+                batch_size,
+                capacity,
+                guard,
+            } => {
+                fields.push(("batch_size", Json::Num(batch_size as f64)));
+                fields.push(("capacity", Json::Num(capacity as f64)));
+                fields.push(("guard", Json::Str(guard.to_string())));
+            }
+        }
+        let count = |n: Option<usize>| num_or_null(n.map(|n| n as u64));
+        fields.extend([
+            ("epsilon", Json::Num(spec.epsilon)),
+            ("delta", Json::Num(spec.delta)),
+            ("seed", Json::Num(spec.seed as f64)),
+            ("priority", Json::Num(spec.priority as f64)),
+            ("min_survivors", count(spec.min_survivors)),
+            ("max_instance_bytes", count(spec.budget.max_instance_bytes)),
+            ("max_total_bytes", count(spec.budget.max_total_bytes)),
+            ("deadline_ms", num_or_null(spec.budget.deadline_ms)),
+            ("panic_in_pass", count(spec.chaos.panic_in_pass)),
+            (
+                "delay_ms_per_pass",
+                Json::Num(spec.chaos.delay_ms_per_pass as f64),
+            ),
+            ("collect_metrics", Json::Bool(spec.collect_metrics)),
+            ("shards", Json::Num(spec.shards as f64)),
+        ]);
+        fields.extend(self.state.fields());
+        obj(fields)
+    }
+
+    /// Parse a manifest document; `None` on any structural mismatch or a
+    /// spec a submission would be refused for (a recovery scan skips such
+    /// files rather than refusing to start).
+    pub fn from_json(v: &Json) -> Option<JobRecord> {
+        Some(JobRecord {
+            id: JobId::parse(v.str_field("id")?)?,
+            spec: JobSpec::from_json(v).ok()?,
+            state: JobState::from_json(v)?,
+        })
     }
 
     /// Atomically persist the manifest under `state_dir` (write to a temp
@@ -529,12 +562,11 @@ pub fn stale_checkpoint_candidate(path: &Path) -> bool {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    /// One of every [`JobState`] variant, for the byte pins here and in
-    /// the server's status tests.
-    pub(crate) fn every_state() -> Vec<JobState> {
+    /// One of every [`JobState`] variant.
+    fn every_state() -> Vec<JobState> {
         vec![
             JobState::Queued,
             JobState::Running { pass: 1 },
@@ -563,7 +595,7 @@ pub(crate) mod tests {
         ]
     }
 
-    pub(crate) fn spec() -> JobSpec {
+    fn spec() -> JobSpec {
         JobSpec {
             trace: "web".into(),
             kind: JobKind::Triangles { t_lower: 240 },
@@ -667,6 +699,108 @@ pub(crate) mod tests {
             );
             assert_eq!(manifest(kind, JobState::Queued), want);
         }
+    }
+
+    /// A manifest document for `rec` with one field replaced, or dropped
+    /// when `value` is `None`.
+    fn edited(rec: &JobRecord, key: &str, value: Option<Json>) -> Json {
+        let Json::Obj(mut pairs) = rec.to_json() else {
+            unreachable!("a manifest is an object")
+        };
+        match value {
+            Some(v) => pairs
+                .iter_mut()
+                .filter(|(k, _)| k == key)
+                .for_each(|p| p.1 = v.clone()),
+            None => pairs.retain(|(k, _)| k != key),
+        }
+        Json::Obj(pairs)
+    }
+
+    fn update_record(id: u64) -> JobRecord {
+        JobRecord {
+            id: JobId(id),
+            spec: JobSpec {
+                kind: JobKind::Update {
+                    batch_size: 64,
+                    capacity: 500,
+                    guard: GuardPolicy::Repair,
+                },
+                ..spec()
+            },
+            state: JobState::Suspended {
+                pass: 1,
+                reason: "crash".into(),
+            },
+        }
+    }
+
+    /// A manifest is decoded by the submit rules: a field it lacks takes
+    /// the default a submission without it would get.
+    #[test]
+    fn manifest_fields_absent_take_submit_defaults() {
+        let tri = JobRecord {
+            id: JobId(3),
+            spec: spec(),
+            state: JobState::Queued,
+        };
+        let spec_without = |rec: &JobRecord, key| {
+            JobRecord::from_json(&edited(rec, key, None))
+                .expect("recovers")
+                .spec
+        };
+        assert_eq!(
+            spec_without(&tri, "t_lower").kind,
+            JobKind::Triangles { t_lower: 1 }
+        );
+        assert_eq!(spec_without(&tri, "epsilon").epsilon, 0.25);
+        assert_eq!(spec_without(&tri, "shards").shards, 1);
+        assert_eq!(
+            spec_without(&update_record(4), "capacity").kind,
+            JobKind::Update {
+                batch_size: 64,
+                capacity: 4096,
+                guard: GuardPolicy::Repair,
+            }
+        );
+    }
+
+    /// A manifest whose spec a submission would be refused for is skipped
+    /// by recovery like any unparsable one, and GC keeps its checkpoint.
+    /// Before, an update job with `capacity: 2` was recovered and its
+    /// worker panicked in `TriestFd::new`.
+    #[test]
+    fn recovery_skips_manifests_a_submit_would_refuse() {
+        use crate::server::{Server, ServiceConfig};
+        let dir = std::env::temp_dir().join(format!("adjsvc-recover-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let refused = [
+            ("capacity", 2.0),
+            ("epsilon", 0.0),
+            ("shards", 0.0),
+            ("batch_size", 0.0),
+        ];
+        for (id, (key, value)) in (1..).zip(refused) {
+            let doc = edited(&update_record(id), key, Some(Json::Num(value)));
+            let id = JobId(id);
+            std::fs::write(id.manifest_path(&dir), format!("{doc}\n")).unwrap();
+            std::fs::write(id.checkpoint_path(&dir), b"ckpt").unwrap();
+            assert_eq!(JobRecord::load(&id.manifest_path(&dir)), None, "{key}");
+            assert!(
+                !stale_checkpoint_candidate(&id.checkpoint_path(&dir)),
+                "{key}"
+            );
+        }
+        let good = update_record(9);
+        good.persist(&dir).unwrap();
+
+        let handle = Server::start(ServiceConfig::at(&dir)).unwrap();
+        for id in 1..=4 {
+            assert_eq!(handle.job_record(JobId(id)), None);
+        }
+        assert!(handle.job_record(good.id).is_some());
+        assert_eq!(handle.shutdown().recovered, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -19,9 +19,7 @@
 
 use std::path::PathBuf;
 
-use adjstream_stream::GuardPolicy;
-
-use crate::job::{Chaos, JobBudget, JobId, JobKind, JobSpec};
+use crate::job::{JobId, JobSpec};
 use crate::json::{obj, parse, Json};
 
 /// A parsed client request.
@@ -107,7 +105,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             path: PathBuf::from(v.str_field("path").ok_or("register: missing \"path\"")?),
         }),
         "traces" => Ok(Request::Traces),
-        "submit" => parse_submit(&v).map(|s| Request::Submit(Box::new(s))),
+        "submit" => JobSpec::from_json(&v).map(|s| Request::Submit(Box::new(s))),
         "status" => {
             let id = match v.str_field("id") {
                 Some(s) => Some(JobId::parse(s).ok_or_else(|| format!("bad job id {s:?}"))?),
@@ -124,99 +122,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op {other:?}")),
     }
-}
-
-fn parse_submit(v: &Json) -> Result<JobSpec, String> {
-    let trace = v
-        .str_field("trace")
-        .ok_or("submit: missing \"trace\"")?
-        .to_string();
-    let kind = match v.str_field("kind").unwrap_or("triangles") {
-        "triangles" => JobKind::Triangles {
-            t_lower: v.u64_field("t_lower").unwrap_or(1),
-        },
-        "four-cycles" => JobKind::FourCycles {
-            t_lower: v.u64_field("t_lower").unwrap_or(1),
-        },
-        "validate" => JobKind::Validate,
-        "update" => {
-            let batch_size = v.u64_field("batch_size").unwrap_or(256) as usize;
-            if batch_size == 0 {
-                return Err("batch_size must be positive".into());
-            }
-            let capacity = v.u64_field("capacity").unwrap_or(4096) as usize;
-            if capacity < 3 {
-                return Err(format!(
-                    "capacity must be at least 3 reservoir slots, got {capacity}"
-                ));
-            }
-            let guard = match v.str_field("guard") {
-                Some(s) => {
-                    GuardPolicy::parse(s).ok_or_else(|| format!("unknown guard policy {s:?}"))?
-                }
-                None => GuardPolicy::Repair,
-            };
-            JobKind::Update {
-                batch_size,
-                capacity,
-                guard,
-            }
-        }
-        other => return Err(format!("unknown kind {other:?}")),
-    };
-    let defaults = JobSpec::default();
-    let epsilon = v.f64_field("epsilon").unwrap_or(defaults.epsilon);
-    if !(epsilon.is_finite() && epsilon > 0.0) {
-        return Err(format!(
-            "epsilon must be positive and finite, got {epsilon}"
-        ));
-    }
-    let delta = v.f64_field("delta").unwrap_or(defaults.delta);
-    if !(delta > 0.0 && delta < 1.0) {
-        return Err(format!("delta must be in (0, 1), got {delta}"));
-    }
-    let shards = v.u64_field("shards").unwrap_or(defaults.shards as u64);
-    if shards == 0 {
-        return Err("shards must be at least 1".to_string());
-    }
-    Ok(JobSpec {
-        trace,
-        kind,
-        epsilon,
-        delta,
-        seed: v.u64_field("seed").unwrap_or(defaults.seed),
-        priority: v
-            .u64_field("priority")
-            .unwrap_or(defaults.priority as u64)
-            .min(9) as u8,
-        min_survivors: v
-            .get("min_survivors")
-            .and_then(Json::as_u64)
-            .map(|s| s as usize),
-        budget: JobBudget {
-            max_instance_bytes: v
-                .get("max_instance_bytes")
-                .and_then(Json::as_u64)
-                .map(|b| b as usize),
-            max_total_bytes: v
-                .get("max_total_bytes")
-                .and_then(Json::as_u64)
-                .map(|b| b as usize),
-            deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
-        },
-        chaos: Chaos {
-            panic_in_pass: v
-                .get("panic_in_pass")
-                .and_then(Json::as_u64)
-                .map(|p| p as usize),
-            delay_ms_per_pass: v.u64_field("delay_ms_per_pass").unwrap_or(0),
-        },
-        collect_metrics: v
-            .get("collect_metrics")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-        shards: shards as usize,
-    })
 }
 
 /// An `ok:true` response with extra fields appended.
@@ -249,6 +154,8 @@ pub fn error_response(kind: &str, detail: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{Chaos, JobKind};
+    use adjstream_stream::GuardPolicy;
 
     #[test]
     fn parses_every_op() {

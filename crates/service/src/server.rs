@@ -553,50 +553,13 @@ fn hex64(bits: u64) -> Json {
     Json::Str(format!("{bits:016x}"))
 }
 
+/// A job's `status` entry: its id and trace, then its state fields.
 fn state_fields(record: &JobRecord) -> Vec<(&'static str, Json)> {
     let mut fields = vec![
         ("id", Json::Str(record.id.to_string())),
         ("trace", Json::Str(record.spec.trace.clone())),
-        ("state", Json::Str(record.state.name().into())),
     ];
-    match &record.state {
-        JobState::Running { pass } => fields.push(("pass", Json::Num(*pass as f64))),
-        JobState::Suspended { pass, reason } => {
-            fields.push(("pass", Json::Num(*pass as f64)));
-            fields.push(("reason", Json::Str(reason.clone())));
-        }
-        JobState::Degraded {
-            survivors,
-            required,
-        } => {
-            fields.push(("survivors", Json::Num(*survivors as f64)));
-            fields.push(("required", Json::Num(*required as f64)));
-        }
-        JobState::Failed { reason, detail } => {
-            fields.push(("reason", Json::Str(reason.clone())));
-            fields.push(("detail", Json::Str(detail.clone())));
-        }
-        JobState::Done { result } => {
-            fields.push((
-                "result",
-                obj(vec![
-                    ("estimate", Json::Num(result.estimate)),
-                    ("estimate_bits", hex64(result.estimate_bits)),
-                    ("survivors", Json::Num(result.survivors as f64)),
-                    ("repetitions", Json::Num(result.repetitions as f64)),
-                    ("passes", Json::Num(result.passes as f64)),
-                    (
-                        "resumed_from",
-                        match result.resumed_from {
-                            Some(p) => Json::Num(p as f64),
-                            None => Json::Null,
-                        },
-                    ),
-                ]),
-            ));
-        }
-        JobState::Queued => {}
-    }
+    fields.extend(record.state.fields());
     fields
 }
 
@@ -1570,10 +1533,39 @@ mod tests {
                 r#""survivors":9,"repetitions":9,"passes":2,"resumed_from":1}}"#
             ),
         ];
-        for (state, tail) in crate::job::tests::every_state().into_iter().zip(tails) {
+        let states = [
+            JobState::Queued,
+            JobState::Running { pass: 1 },
+            JobState::Suspended {
+                pass: 1,
+                reason: "drain".into(),
+            },
+            JobState::Degraded {
+                survivors: 2,
+                required: 5,
+            },
+            JobState::Failed {
+                reason: "worker_panic".into(),
+                detail: "chaos: injected".into(),
+            },
+            JobState::Done {
+                result: JobResult {
+                    estimate: 239.874,
+                    estimate_bits: 239.874f64.to_bits(),
+                    survivors: 9,
+                    repetitions: 9,
+                    passes: 2,
+                    resumed_from: Some(1),
+                },
+            },
+        ];
+        for (state, tail) in states.into_iter().zip(tails) {
             let rec = JobRecord {
                 id: JobId(42),
-                spec: crate::job::tests::spec(),
+                spec: JobSpec {
+                    trace: "web".into(),
+                    ..JobSpec::default()
+                },
                 state,
             };
             assert_eq!(

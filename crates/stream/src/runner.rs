@@ -116,7 +116,7 @@ pub trait MultiPassAlgorithm: SpaceUsage {
     /// The counters must be deterministic properties of the run —
     /// maintained whether or not a metrics sink is attached — so
     /// observability can never change what a run computes. Wrappers
-    /// ([`crate::guard::Guarded`], multi-level fan-outs) delegate or merge.
+    /// ([`crate::guard::Guarded`]) delegate.
     fn obs_counters(&self) -> Option<ObsCounters> {
         None
     }

@@ -141,11 +141,6 @@ impl<T> Reservoir<T> {
         }
     }
 
-    /// Mutable access (algorithms update per-item counters in place).
-    pub fn items_mut(&mut self) -> &mut [T] {
-        &mut self.items
-    }
-
     /// Drop items failing `pred` (used when an edge eviction invalidates its
     /// pairs). Returns how many were removed.
     pub fn retain<F: FnMut(&T) -> bool>(&mut self, pred: F) -> usize {

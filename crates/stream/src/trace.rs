@@ -266,7 +266,12 @@ impl ItemTrace {
         let mut lineno = 0usize;
         loop {
             line.clear();
-            if buf.read_line(&mut line).map_err(TraceError::Io)? == 0 {
+            let read = buf.read_line(&mut line).map_err(|e| match e.kind() {
+                // A line that is not UTF-8 is bad input, not a transient fault.
+                std::io::ErrorKind::InvalidData => TraceError::Malformed { line: lineno + 1 },
+                _ => TraceError::Io(e),
+            })?;
+            if read == 0 {
                 break;
             }
             lineno += 1;
@@ -755,6 +760,25 @@ mod tests {
         assert!(matches!(
             err,
             RetryError::Permanent(TraceError::Malformed { line: 1 })
+        ));
+        assert_eq!(opens.get(), 1);
+        // So is a line that is not UTF-8.
+        let opens = Default::default();
+        let err = load_with_retry(
+            4,
+            true,
+            flaky(
+                b"0 1\n\xff\xfe 0\n",
+                0,
+                std::io::ErrorKind::TimedOut,
+                &opens,
+            ),
+            recording_sleeper(&sleeps),
+        )
+        .expect_err("non-UTF-8 line");
+        assert!(matches!(
+            err,
+            RetryError::Permanent(TraceError::Malformed { line: 2 })
         ));
         assert_eq!(opens.get(), 1);
         // Promise violations are permanent too.

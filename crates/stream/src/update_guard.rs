@@ -199,12 +199,6 @@ impl<A: UpdateAlgorithm> GuardedUpdate<A> {
         &self.inner
     }
 
-    /// Mutably borrow the guarded algorithm (for checkpoint plumbing; the
-    /// guard's bookkeeping is bypassed, so don't feed it events this way).
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
     /// Unwrap the guarded algorithm.
     pub fn into_inner(self) -> A {
         self.inner

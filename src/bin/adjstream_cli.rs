@@ -346,14 +346,12 @@ fn cmd_gen(args: &[String]) -> Result<(), CliFailure> {
     Ok(())
 }
 
-fn emit(g: &Graph, out: Option<&String>) -> Result<(), String> {
+fn emit(g: &Graph, out: Option<&String>) -> Result<(), CliFailure> {
     match out {
-        Some(path) => save_edge_list(g, path).map_err(|e| e.to_string()),
-        None => {
-            let stdout = std::io::stdout();
-            adjstream::graph::io::write_edge_list(g, stdout.lock()).map_err(|e| e.to_string())
-        }
+        Some(path) => save_edge_list(g, path),
+        None => adjstream::graph::io::write_edge_list(g, std::io::stdout().lock()),
     }
+    .map_err(|e| CliFailure::io(e.to_string()))
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliFailure> {
@@ -582,23 +580,7 @@ fn cmd_stream(args: &[String]) -> Result<(), CliFailure> {
     let flags = parse_flags(&args[1..])?;
     let seed: u64 = get(&flags, "seed", 1)?;
     let s = AdjListStream::new(&g, StreamOrder::shuffled(g.vertex_count(), seed));
-    let write = |w: &mut dyn Write| -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(w);
-        for item in s.items() {
-            writeln!(w, "{} {}", item.src, item.dst)?;
-        }
-        w.flush()
-    };
-    match flags.get("o") {
-        Some(path) => {
-            let mut f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-            write(&mut f).map_err(|e| e.to_string())?;
-        }
-        None => {
-            let stdout = std::io::stdout();
-            write(&mut stdout.lock()).map_err(|e| e.to_string())?;
-        }
-    }
+    write_items(s.items(), flags.get("o"))?;
     eprintln!("wrote {} items", s.len());
     Ok(())
 }
@@ -677,9 +659,12 @@ fn cmd_corrupt(args: &[String]) -> Result<(), CliFailure> {
     let trace = ItemTrace::read(file)
         .map_err(|e| CliFailure::invalid_stream(format!("input must be valid: {e}")))?;
     let corrupted = plan.apply(trace.items());
-    write_items(corrupted.items(), flags.get("o"))?;
+    write_items(corrupted.items().iter().copied(), flags.get("o"))?;
     if let Some(replay_path) = flags.get("replay-o") {
-        write_items(corrupted.items_for_pass(1), Some(replay_path))?;
+        write_items(
+            corrupted.items_for_pass(1).iter().copied(),
+            Some(replay_path),
+        )?;
     }
     for f in corrupted.injected() {
         eprintln!(
@@ -709,25 +694,23 @@ fn cmd_convert_trace(args: &[String]) -> Result<(), CliFailure> {
     let bytes = std::fs::read(path).map_err(|e| CliFailure::io(e.to_string()))?;
     let trace = ItemTrace::from_bytes_unchecked(&bytes).map_err(trace_failure)?;
     let out = flags.get("o").ok_or("convert-trace: missing -o OUTPUT")?;
-    let f = std::fs::File::create(out).map_err(|e| CliFailure::io(e.to_string()))?;
-    let mut w = std::io::BufWriter::new(f);
     match format {
-        "adjb" => trace
-            .write_adjb(&mut w)
-            .map_err(|e| CliFailure::io(e.to_string()))?,
-        "text" => {
-            for item in trace.items() {
-                writeln!(w, "{} {}", item.src, item.dst)
-                    .map_err(|e| CliFailure::io(e.to_string()))?;
-            }
+        "adjb" => {
+            let mut w = std::io::BufWriter::new(
+                std::fs::File::create(out).map_err(|e| CliFailure::io(e.to_string()))?,
+            );
+            trace
+                .write_adjb(&mut w)
+                .and_then(|()| w.flush())
+                .map_err(|e| CliFailure::io(e.to_string()))?
         }
+        "text" => write_items(trace.items().iter().copied(), Some(out))?,
         other => {
             return Err(CliFailure::usage(format!(
                 "--format must be adjb|text, got {other:?}"
             )))
         }
     }
-    w.flush().map_err(|e| CliFailure::io(e.to_string()))?;
     eprintln!("wrote {} items as {format} to {out}", trace.len());
     Ok(())
 }
@@ -764,7 +747,11 @@ fn cmd_convert_updates(args: &[String]) -> Result<(), CliFailure> {
     Ok(())
 }
 
-fn write_items(items: &[StreamItem], out: Option<&String>) -> Result<(), String> {
+/// Write `items` as text `src dst` lines to `out`, or to stdout.
+fn write_items(
+    items: impl IntoIterator<Item = StreamItem>,
+    out: Option<&String>,
+) -> Result<(), CliFailure> {
     let write = |w: &mut dyn Write| -> std::io::Result<()> {
         let mut w = std::io::BufWriter::new(w);
         for item in items {
@@ -773,15 +760,10 @@ fn write_items(items: &[StreamItem], out: Option<&String>) -> Result<(), String>
         w.flush()
     };
     match out {
-        Some(path) => {
-            let mut f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-            write(&mut f).map_err(|e| e.to_string())
-        }
-        None => {
-            let stdout = std::io::stdout();
-            write(&mut stdout.lock()).map_err(|e| e.to_string())
-        }
+        Some(path) => std::fs::File::create(path).and_then(|mut f| write(&mut f)),
+        None => write(&mut std::io::stdout().lock()),
     }
+    .map_err(|e| CliFailure::io(e.to_string()))
 }
 
 /// Estimate triangles directly from an item trace file: without a
@@ -1702,7 +1684,6 @@ fn wait_for_terminal(socket: &str, id: &str, poll: std::time::Duration) -> Resul
                     "deadline" => (EXIT_DEADLINE, "deadline"),
                     "space_budget" => (EXIT_SPACE, "space-budget"),
                     "checkpoint" => (EXIT_CHECKPOINT, "checkpoint"),
-                    "invalid_stream" => (EXIT_INVALID_STREAM, "invalid-stream"),
                     _ => (EXIT_IO, "failed"),
                 };
                 return Err(CliFailure::new(
@@ -2134,6 +2115,41 @@ mod tests {
         let s = p.to_string_lossy().to_string();
         run(&args(&["gen", "cliques", "--s", "5", "--k", "5", "-o", &s])).unwrap();
         s
+    }
+
+    /// A file that cannot be written is an I/O failure (exit 8) for every
+    /// command that writes one, never a usage error.
+    #[test]
+    fn output_write_failures_are_io_failures() {
+        let gs = temp_graph("write-fail");
+        let ss = gs.replace(".txt", "-items.txt");
+        let p1 = gs.replace(".txt", "-pass1.txt");
+        run(&args(&["stream", &gs, "-o", &ss])).unwrap();
+        let bad = "/nonexistent/dir/out.txt";
+        for cmd in [
+            vec!["gen", "cliques", "--s", "3", "--k", "3", "-o", bad],
+            vec!["gadget", "fig-a", "-o", bad],
+            vec!["stream", &gs, "-o", bad],
+            vec!["corrupt", &ss, "--faults", "self-loop", "-o", bad],
+            vec![
+                "corrupt",
+                &ss,
+                "--faults",
+                "reorder-pass",
+                "-o",
+                &p1,
+                "--replay-o",
+                bad,
+            ],
+            vec!["convert-trace", &ss, "--format", "text", "-o", bad],
+            vec!["convert-trace", &ss, "--format", "adjb", "-o", bad],
+        ] {
+            let err = run(&args(&cmd)).unwrap_err();
+            assert_eq!((err.exit, err.kind), (EXIT_IO, "io"), "{cmd:?}");
+        }
+        for f in [&gs, &ss, &p1] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | collect pairs `Q` across P1 and P2 | discovery logic in [`crate::algo::triangle::TwoPassTriangle`] |
 //! | subsample `Q` to size `m′` | reservoir ([`crate::stream::sampling::Reservoir`]) |
 //! | `H_{e,τ}` suffix counts | per-slot monitors with activation at `τ^{-f}`'s pass-2 list |
-//! | `ρ(τ) = argmin H` lightest-edge rule | `PairRecord::rho_slot` (ties by edge key, a function of `τ` only) |
+//! | `ρ(τ) = argmin H` lightest-edge rule | `TriangleSlots::lightest_slot` in `triangle/kernel.rs` (ties by edge key, a function of `τ` only) |
 //! | estimator `k·(T′/m′)·\|{ρ(τ)=e}\|` | [`crate::algo::triangle::TriangleEstimate`] |
 //! | naive no-rule estimator (the §2.1 strawman) | `TriangleEstimate::naive_estimate` (ablation A1) |
 //! | three-pass exact-`T_e` variant (§2.1) | [`crate::algo::triangle::ThreePassTriangle`] |

@@ -12,7 +12,7 @@ use adjstream::algo::amplify::{median_of_survivors, quorum};
 use adjstream::algo::common::EdgeSampling;
 use adjstream::algo::estimate::{estimate_triangles, estimate_triangles_auto, Accuracy};
 use adjstream::algo::fourcycle::{TwoPassFourCycle, TwoPassFourCycleConfig};
-use adjstream::algo::triangle::{MultiLevelTriangle, TwoPassTriangle, TwoPassTriangleConfig};
+use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::{gen, Graph, VertexId};
 use adjstream::stream::batch::{BatchConfig, BatchJob, BatchOutcome};
 use adjstream::stream::trace::ItemTrace;
@@ -263,7 +263,6 @@ proptest! {
             algo_seed,
             clean_passes,
         );
-        assert_slices_match_items(|s| MultiLevelTriangle::new(s, 16, 3), algo_seed, clean_passes);
         assert_slices_match_items(
             |s| Guarded::new(triangle_algo(s, 48), GuardPolicy::Repair),
             algo_seed,
