@@ -578,7 +578,14 @@ impl<A: MultiPassAlgorithm + Checkpoint> Checkpoint for Guarded<A> {
 /// admits — the repaired stream under Repair, the input unchanged under
 /// Observe, the first violation as an error under Strict — with the
 /// guard's counters. Repairing once, upstream of a shard split, lets every
-/// shard replay the same promise-valid items.
+/// shard replay the same items.
+///
+/// The repaired stream is not promise-valid. The one pass drops what the
+/// guard rejects as it arrives (a duplicate, a self-loop, a split list's
+/// displaced segment), but a widowed edge, whose reverse never arrives,
+/// is found unmatched only at the end of the pass, after its surviving
+/// direction was admitted: it is quarantined and counted, yet stays in
+/// the output, because there is no later pass to suppress it in.
 pub fn guard_items(
     items: &[StreamItem],
     policy: GuardPolicy,

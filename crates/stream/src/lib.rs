@@ -148,9 +148,8 @@ pub use mmapfile::{MappedTrace, VerifyCursor};
 pub use obs::{Metrics, MetricsSnapshot, ObsCounters, METRICS_SCHEMA_VERSION};
 pub use order::{StreamOrder, WithinListOrder};
 pub use runner::{
-    drive_pass_slice, run_slice_passes, run_slice_passes_observed, run_slice_passes_validated,
-    GraphPasses, GuardStats, MultiPassAlgorithm, PassOrders, RunError, RunReport, RunResult,
-    Runner,
+    drive_pass_slice, run_slice_passes, run_slice_passes_observed, run_with_verdict, GraphPasses,
+    GuardStats, MultiPassAlgorithm, PassOrders, RunError, RunReport, RunResult, Runner,
 };
 pub use shard::{run_sharded_hooked, ShardAlgorithm, ShardError, ShardPlan, ShardRun};
 pub use trace::{ItemTrace, TraceError, ADJB_MAGIC, ADJB_VERSION};

@@ -22,18 +22,20 @@
 //! as an incremental cursor: [`verify_step`](MappedTrace::verify_step)
 //! absorbs one bounded window of payload into a streaming
 //! [`Checksum64`] per call, and [`verify_all`](MappedTrace::verify_all)
-//! drives it to completion.
+//! drives it to completion. A [`VerifyCursor`] does the same over a shared
+//! borrow, so another thread can finish the checksum while the items are
+//! being replayed.
 //!
 //! # Safety argument (why serving unverified items is sound)
 //!
 //! Items read before verification completes are untrusted in *value* only:
 //! every 8-byte pattern is a valid `StreamItem`, so no memory safety rests
 //! on the checksum, exactly as with [`ItemTrace::from_bytes_unchecked`].
-//! Every estimator in this workspace takes at least two passes, and
-//! replay drivers complete verification at the first pass boundary —
-//! before any estimate is emitted — so a corrupt container is always
-//! rejected with [`FrameError::ChecksumMismatch`] and never silently
-//! shapes a published number. The file must not be mutated concurrently;
+//! Replay drivers complete verification before any estimate is emitted
+//! (`estimate-stream` finishes the checksum on a second thread while its
+//! passes run and waits for it before printing), so a corrupt container
+//! is always rejected with [`FrameError::ChecksumMismatch`] and never
+//! silently shapes a published number. The file must not be mutated concurrently;
 //! the mapping is `MAP_PRIVATE` read-only, so external truncation is the
 //! only hazard (as with any mmap consumer), and traces are written
 //! atomically by this workspace's own tooling.
@@ -282,9 +284,8 @@ impl MappedTrace {
 
     /// A verification cursor that borrows the mapping *immutably*, so
     /// checksum windows can be absorbed while replay slices from
-    /// [`items`](Self::items) are still outstanding — the deferred
-    /// "verify at the first pass boundary" pattern of the module docs.
-    /// Completion is tracked by the cursor, not mirrored into
+    /// [`items`](Self::items) are still outstanding, on another thread if
+    /// need be. Completion is tracked by the cursor, not mirrored into
     /// [`is_verified`](Self::is_verified).
     pub fn verify_cursor(&self) -> VerifyCursor<'_> {
         VerifyCursor {

@@ -10,17 +10,20 @@
 //! violation. The batched engine ([`crate::batch`]) drives each of its
 //! instances through the same loop, and a graph shard ([`crate::shard`])
 //! drives its plan's runs through it. The panicking entry point is a thin
-//! wrapper over the fallible one. [`run_slice_passes_validated`] replays
-//! an unvalidated resident trace while a second thread checks its promise.
+//! wrapper over the fallible one. [`run_with_verdict`] runs a caller's
+//! passes over an unchecked resident trace while a second thread rules on
+//! the trace.
 
 use adjstream_graph::{Graph, VertexId};
 
 use crate::adjlist::AdjListStream;
 use crate::item::StreamItem;
 use crate::meter::{PeakTracker, SpaceUsage};
+use crate::mmapfile::VerifyCursor;
 use crate::obs::{Metrics, MetricsSnapshot, ObsCounters, RunObserver};
 use crate::order::StreamOrder;
 use crate::shard::ShardRun;
+use crate::trace::TraceError;
 use crate::validate::{validate_slice_with, StreamError};
 
 /// A streaming algorithm taking one or more passes over an adjacency list
@@ -520,38 +523,52 @@ where
     Ok(finish_run(algo, peak, processed, passes, obs, sink))
 }
 
-/// [`run_slice_passes_observed`] over one resident, unvalidated slice
-/// replayed every pass, with the adjacency-list promise checked
-/// ([`validate_slice`](crate::validate::validate_slice)) on a second
-/// thread while the passes run on the calling thread.
+/// Run `run` on the calling thread while a second thread rules on the
+/// resident trace `items`: it finishes `checksum`, the deferred payload
+/// check of a mapped trace, and then, if `promise`, checks the
+/// adjacency-list promise ([`validate_slice`](crate::validate::validate_slice)).
+/// With neither check to make, `run` runs alone.
 ///
-/// The verdict decides what the run is worth, so it wins: an invalid
-/// stream returns its [`StreamError`] whatever the passes did, and a valid
-/// one returns its edge count with the run's own result. `algo` must
-/// not panic on malformed input (its output is then discarded), since the
-/// passes start before the verdict is known.
-pub fn run_slice_passes_validated<A>(
-    algo: A,
+/// The verdict decides what the run is worth, so it wins: a rejected
+/// trace returns its [`TraceError`] whatever `run` returned, and an
+/// accepted one returns `run`'s value. `run` starts before the verdict is
+/// known, so it must not panic on malformed input.
+pub fn run_with_verdict<T>(
     items: &[StreamItem],
-    sink: &Metrics,
-) -> Result<(usize, RunResult<A::Output>), StreamError>
-where
-    A: MultiPassAlgorithm,
-{
+    checksum: Option<VerifyCursor<'_>>,
+    promise: bool,
+    run: impl FnOnce() -> T,
+) -> Result<T, TraceError> {
+    if checksum.is_none() && !promise {
+        return Ok(run());
+    }
     // The key buffer is allocated here, before the spawn: glibc gives the
     // checking thread its own malloc arena, and a buffer allocated there
     // stays cached in that arena after it is freed, where the passes can
     // never reuse it.
-    let keys = Vec::with_capacity(items.len());
+    let keys = promise.then(|| Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
-        let check = scope.spawn(move || validate_slice_with(items, keys));
-        let run = run_slice_passes_observed(algo, |_pass| items, sink);
+        let check = scope.spawn(move || {
+            if let Some(cursor) = checksum {
+                cursor.finish(CHECKSUM_WINDOW)?;
+            }
+            match keys {
+                Some(keys) => validate_slice_with(items, keys)
+                    .map(drop)
+                    .map_err(TraceError::Invalid),
+                None => Ok(()),
+            }
+        });
+        let out = run();
         let verdict = check
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        verdict.map(|edges| (edges, run))
+        verdict.map(|()| out)
     })
 }
+
+/// Bytes [`run_with_verdict`] hashes per checksum step.
+const CHECKSUM_WINDOW: usize = 1 << 20;
 
 /// The per-pass item sequences of a graph streamed per [`PassOrders`],
 /// materialized once per distinct order: passes replaying an order share

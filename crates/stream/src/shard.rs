@@ -142,14 +142,6 @@ pub enum ShardError {
         /// Shard whose worker died.
         shard: usize,
     },
-    /// A pass-boundary hook aborted the run (for example, deferred trace
-    /// verification failed once the first pass had faulted the file in).
-    Boundary {
-        /// Pass after which the hook fired.
-        pass: usize,
-        /// Why the hook aborted.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -161,9 +153,6 @@ impl std::fmt::Display for ShardError {
             }
             ShardError::State(e) => write!(f, "shard state serialization failed: {e}"),
             ShardError::Panicked { shard } => write!(f, "shard {shard} worker panicked"),
-            ShardError::Boundary { pass, detail } => {
-                write!(f, "aborted at pass {pass} boundary: {detail}")
-            }
         }
     }
 }
@@ -347,10 +336,9 @@ fn run_shard_threads<A: ShardAlgorithm>(
 ///
 /// `after_pass` is invoked at every merged pass boundary (after pass `p`'s
 /// shards have joined and merged, before pass `p+1` begins); pass
-/// `|_| Ok(())` when there is nothing to do there. It lets callers defer
-/// work that must not race the pass — e.g. finishing a windowed checksum
-/// over an mmapped trace once pass 0 has faulted every page in. A hook
-/// error aborts the run.
+/// `|_| Ok(())` when there is nothing to do there. It lets callers mark
+/// the boundaries, e.g. to close one timing span per pass. A hook error
+/// aborts the run.
 pub fn run_sharded_hooked<A, F>(
     algo: A,
     plan: &ShardPlan,

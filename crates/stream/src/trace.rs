@@ -387,31 +387,26 @@ impl std::error::Error for RetryError {
     }
 }
 
-/// Load a trace file, retrying transient I/O failures up to `retries`
-/// times after the first attempt (the CLI's `--retries N`). `validate`
-/// selects promise validation on or off. On success returns the trace and
-/// the number of attempts used (1 = no retries).
+/// Load a trace file without checking the adjacency-list promise,
+/// retrying transient I/O failures up to `retries` times after the first
+/// attempt (the CLI's `--retries N`). On success returns the trace and the
+/// number of attempts used (1 = no retries). The promise is the caller's
+/// to check, for example beside the passes with
+/// [`run_with_verdict`](crate::runner::run_with_verdict).
 ///
 /// Each attempt re-reads the file from the start with one exact-size
-/// `std::fs::read` and decodes it in place, as [`ItemTrace::from_bytes`]
-/// does: binary `.adjb` files skip the generic reader drain that would
-/// buffer the payload a second time, and the bytes are dropped before
-/// validation, so they are never alive next to the validator's working
-/// memory. [`TraceError::Io`] failures of the open or the read are retried
-/// after a bounded, jittered backoff; failures a retry cannot fix
-/// ([`TraceError::Malformed`], [`TraceError::Invalid`]) surface at once as
-/// [`RetryError::Permanent`].
+/// `std::fs::read` and decodes it in place, as
+/// [`ItemTrace::from_bytes_unchecked`] does: binary `.adjb` files skip the
+/// generic reader drain that would buffer the payload a second time.
+/// [`TraceError::Io`] failures of the open or the read are retried after a
+/// bounded, jittered backoff; failures a retry cannot fix
+/// ([`TraceError::Malformed`], a rejected binary container) surface at
+/// once as [`RetryError::Permanent`].
 pub fn read_trace_file_with_retry(
     path: &std::path::Path,
     retries: usize,
-    validate: bool,
 ) -> Result<(ItemTrace, usize), RetryError> {
-    load_with_retry(
-        retries,
-        validate,
-        || std::fs::read(path),
-        std::thread::sleep,
-    )
+    load_with_retry(retries, || std::fs::read(path), std::thread::sleep)
 }
 
 /// The attempt loop behind [`read_trace_file_with_retry`]: `open` yields
@@ -419,7 +414,6 @@ pub fn read_trace_file_with_retry(
 /// backoff (tests pass a flaky opener and a recording sleeper).
 fn load_with_retry(
     retries: usize,
-    validate: bool,
     mut open: impl FnMut() -> std::io::Result<Vec<u8>>,
     mut sleep: impl FnMut(Duration),
 ) -> Result<(ItemTrace, usize), RetryError> {
@@ -430,15 +424,9 @@ fn load_with_retry(
         if attempt > 0 {
             sleep(backoff((attempt - 1) as u32, &mut rng));
         }
-        let loaded = open().map_err(TraceError::Io).and_then(|bytes| {
-            let items = ItemTrace::parse_items_bytes(&bytes)?;
-            drop(bytes);
-            if validate {
-                ItemTrace::new(items).map_err(TraceError::Invalid)
-            } else {
-                Ok(ItemTrace::new_unchecked(items))
-            }
-        });
+        let loaded = open()
+            .map_err(TraceError::Io)
+            .and_then(|bytes| ItemTrace::from_bytes_unchecked(&bytes));
         match loaded {
             Ok(trace) => return Ok((trace, attempt + 1)),
             Err(TraceError::Io(e)) => last = Some(TraceError::Io(e)),
@@ -655,7 +643,6 @@ mod tests {
         let (opens, sleeps) = Default::default();
         let (trace, attempts) = load_with_retry(
             3,
-            true,
             flaky(
                 b"0 1\n1 0\n",
                 2,
@@ -676,7 +663,6 @@ mod tests {
         let (opens, sleeps) = Default::default();
         let err = load_with_retry(
             2,
-            true,
             flaky(b"0 1\n1 0\n", 10, std::io::ErrorKind::TimedOut, &opens),
             recording_sleeper(&sleeps),
         )
@@ -698,7 +684,6 @@ mod tests {
             let (opens, sleeps) = Default::default();
             let (_, attempts) = load_with_retry(
                 retries,
-                true,
                 flaky(
                     b"0 1\n1 0\n",
                     failures,
@@ -713,7 +698,6 @@ mod tests {
         let (opens, sleeps) = Default::default();
         let err = load_with_retry(
             0,
-            true,
             flaky(b"0 1\n1 0\n", 1, std::io::ErrorKind::Interrupted, &opens),
             recording_sleeper(&sleeps),
         )
@@ -728,7 +712,6 @@ mod tests {
             let (opens, sleeps) = Default::default();
             load_with_retry(
                 3,
-                true,
                 flaky(
                     b"0 1\n1 0\n",
                     3,
@@ -752,7 +735,6 @@ mod tests {
         let (opens, sleeps) = Default::default();
         let err = load_with_retry(
             4,
-            true,
             flaky(b"0 junk\n", 0, std::io::ErrorKind::TimedOut, &opens),
             recording_sleeper(&sleeps),
         )
@@ -766,7 +748,6 @@ mod tests {
         let opens = Default::default();
         let err = load_with_retry(
             4,
-            true,
             flaky(
                 b"0 1\n\xff\xfe 0\n",
                 0,
@@ -781,23 +762,11 @@ mod tests {
             RetryError::Permanent(TraceError::Malformed { line: 2 })
         ));
         assert_eq!(opens.get(), 1);
-        // Promise violations are permanent too.
-        let opens = Default::default();
-        let err = load_with_retry(
-            4,
-            true,
-            flaky(b"0 1\n0 2\n", 0, std::io::ErrorKind::TimedOut, &opens),
-            recording_sleeper(&sleeps),
-        )
-        .expect_err("invalid stream");
-        assert!(matches!(err, RetryError::Permanent(TraceError::Invalid(_))));
-        assert_eq!(opens.get(), 1);
         assert!(sleeps.borrow().is_empty(), "nothing was retried");
-        // ... unless validation is skipped, in which case the load succeeds.
+        // The promise is not the loader's to check: a violation loads.
         let opens = Default::default();
         let (trace, attempts) = load_with_retry(
             4,
-            false,
             flaky(b"0 1\n0 2\n", 1, std::io::ErrorKind::TimedOut, &opens),
             recording_sleeper(&sleeps),
         )
@@ -816,7 +785,6 @@ mod tests {
         let mut slept = 0;
         let (trace, attempts) = load_with_retry(
             1,
-            true,
             || std::fs::read(&path),
             |_| {
                 slept += 1;
@@ -873,11 +841,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.txt");
         std::fs::write(&path, "0 1\n1 0\n").unwrap();
-        let (trace, attempts) = read_trace_file_with_retry(&path, 0, true).expect("file exists");
+        let (trace, attempts) = read_trace_file_with_retry(&path, 0).expect("file exists");
         assert_eq!(trace.edges(), 1);
         assert_eq!(attempts, 1);
         let missing = dir.join("nope.txt");
-        let err = read_trace_file_with_retry(&missing, 1, true).expect_err("missing file");
+        let err = read_trace_file_with_retry(&missing, 1).expect_err("missing file");
         assert!(matches!(err, RetryError::GaveUp { attempts: 2, .. }));
         std::fs::remove_dir_all(&dir).ok();
     }

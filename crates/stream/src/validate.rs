@@ -27,9 +27,9 @@
 //!   slice, so it keeps no neighbour copy and no list table — only the
 //!   local-check sets and the 8 B-per-item sort buffer. Every resident
 //!   check uses it ([`crate::trace::ItemTrace::new`] and so every
-//!   validating read), and [`crate::runner::run_slice_passes_validated`]
-//!   runs it on a second thread while an algorithm's passes run, with the
-//!   sort buffer allocated by the calling thread.
+//!   validating decode), and [`crate::runner::run_with_verdict`] runs it
+//!   on a second thread while an algorithm's passes run, with the sort
+//!   buffer allocated by the calling thread.
 //!
 //! The online mode stores what it accepted because a repairing guard drops
 //! items and needs the admitted order; a resident check stops at its first

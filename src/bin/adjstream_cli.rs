@@ -26,7 +26,7 @@ use adjstream::algo::estimate::{
 };
 use adjstream::algo::triangle::ShardedTriangle;
 use adjstream::graph::analysis::{connected_components, degeneracy, DegreeStats};
-use adjstream::graph::io::{load_edge_list, save_edge_list};
+use adjstream::graph::io::{load_edge_list, write_edge_list};
 use adjstream::graph::{exact, gen, Graph};
 use adjstream::lowerbound::gadgets as gd;
 use adjstream::lowerbound::problems::{Disj3Instance, DisjInstance, Pj3Instance};
@@ -90,31 +90,13 @@ impl CliFailure {
 
     /// The one-line machine-readable form.
     fn json(&self) -> String {
-        format!(
-            "{{\"error\":{{\"kind\":\"{}\",\"exit\":{},\"message\":\"{}\"}}}}",
-            json_escape(self.kind),
-            self.exit,
-            json_escape(&self.message)
-        )
+        let error = sjson::obj(vec![
+            ("kind", Json::Str(self.kind.into())),
+            ("exit", Json::Num(self.exit.into())),
+            ("message", Json::Str(self.message.clone())),
+        ]);
+        sjson::obj(vec![("error", error)]).to_string()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl From<String> for CliFailure {
@@ -347,11 +329,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliFailure> {
 }
 
 fn emit(g: &Graph, out: Option<&String>) -> Result<(), CliFailure> {
-    match out {
-        Some(path) => save_edge_list(g, path),
-        None => adjstream::graph::io::write_edge_list(g, std::io::stdout().lock()),
-    }
-    .map_err(|e| CliFailure::io(e.to_string()))
+    write_output(out, |w| write_edge_list(g, w))
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliFailure> {
@@ -589,11 +567,8 @@ fn cmd_validate_stream(args: &[String]) -> Result<(), CliFailure> {
     use adjstream::stream::{validate_online, OnlineValidator, SpaceUsage};
     let path = args.first().ok_or("missing stream file")?;
     let flags = parse_flags(&args[1..])?;
-    let (trace, attempts) = read_trace_file_with_retry(
-        std::path::Path::new(path),
-        get(&flags, "retries", 0usize)?,
-        false,
-    )?;
+    let (trace, attempts) =
+        read_trace_file_with_retry(std::path::Path::new(path), get(&flags, "retries", 0usize)?)?;
     if let Some(note) = retry_note(attempts, true) {
         eprintln!("{note}");
     }
@@ -695,15 +670,7 @@ fn cmd_convert_trace(args: &[String]) -> Result<(), CliFailure> {
     let trace = ItemTrace::from_bytes_unchecked(&bytes).map_err(trace_failure)?;
     let out = flags.get("o").ok_or("convert-trace: missing -o OUTPUT")?;
     match format {
-        "adjb" => {
-            let mut w = std::io::BufWriter::new(
-                std::fs::File::create(out).map_err(|e| CliFailure::io(e.to_string()))?,
-            );
-            trace
-                .write_adjb(&mut w)
-                .and_then(|()| w.flush())
-                .map_err(|e| CliFailure::io(e.to_string()))?
-        }
+        "adjb" => write_output(Some(out), |mut w| trace.write_adjb(&mut w))?,
         "text" => write_items(trace.items().iter().copied(), Some(out))?,
         other => {
             return Err(CliFailure::usage(format!(
@@ -723,26 +690,21 @@ fn cmd_convert_updates(args: &[String]) -> Result<(), CliFailure> {
     let path = args.first().ok_or("missing update trace file")?;
     let flags = parse_flags(&args[1..])?;
     let format = flags.get("format").map(String::as_str).unwrap_or("adjbu");
+    if !matches!(format, "adjbu" | "text") {
+        return Err(CliFailure::usage(format!(
+            "--format must be adjbu|text, got {format:?}"
+        )));
+    }
     let bytes = std::fs::read(path).map_err(|e| CliFailure::io(e.to_string()))?;
     let stream = parse_update_bytes(&bytes).map_err(|e| match e {
         UpdateTraceError::Io(inner) => CliFailure::io(inner.to_string()),
         other => CliFailure::invalid_stream(other.to_string()),
     })?;
     let out = flags.get("o").ok_or("convert-updates: missing -o OUTPUT")?;
-    let f = std::fs::File::create(out).map_err(|e| CliFailure::io(e.to_string()))?;
-    let mut w = std::io::BufWriter::new(f);
-    match format {
-        "adjbu" => write_adjbu(&stream, &mut w).map_err(|e| CliFailure::io(e.to_string()))?,
-        "text" => stream
-            .write_text(&mut w)
-            .map_err(|e| CliFailure::io(e.to_string()))?,
-        other => {
-            return Err(CliFailure::usage(format!(
-                "--format must be adjbu|text, got {other:?}"
-            )))
-        }
-    }
-    w.flush().map_err(|e| CliFailure::io(e.to_string()))?;
+    write_output(Some(out), |w| match format {
+        "adjbu" => write_adjbu(&stream, w),
+        _ => stream.write_text(w),
+    })?;
     eprintln!("wrote {} update events as {format} to {out}", stream.len());
     Ok(())
 }
@@ -752,105 +714,242 @@ fn write_items(
     items: impl IntoIterator<Item = StreamItem>,
     out: Option<&String>,
 ) -> Result<(), CliFailure> {
-    let write = |w: &mut dyn Write| -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(w);
+    write_output(out, |w| {
         for item in items {
             writeln!(w, "{} {}", item.src, item.dst)?;
         }
+        Ok(())
+    })
+}
+
+/// Buffer `write`'s bytes into the `-o` file `out`, or into stdout. A
+/// reader that closes stdout early (`... | head`) ends the process quietly
+/// with exit 0, as `main`'s panic hook does for `println!`.
+fn write_output(
+    out: Option<&String>,
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), CliFailure> {
+    let buffered = |w: &mut dyn Write| {
+        let mut w = std::io::BufWriter::new(w);
+        write(&mut w)?;
         w.flush()
     };
     match out {
-        Some(path) => std::fs::File::create(path).and_then(|mut f| write(&mut f)),
-        None => write(&mut std::io::stdout().lock()),
+        Some(path) => std::fs::File::create(path).and_then(|mut f| buffered(&mut f)),
+        None => match buffered(&mut std::io::stdout().lock()) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            written => written,
+        },
     }
     .map_err(|e| CliFailure::io(e.to_string()))
 }
 
-/// Estimate triangles directly from an item trace file: without a
-/// `--policy` the trace is validated on a second thread while the Theorem
-/// 3.7 algorithm replays it twice, and nothing is printed before the
-/// verdict; with one the guard handles malformed input.
+/// A trace served to `estimate-stream` and its shard workers: an owned,
+/// decoded read, or an mmapped `.adjb` file served straight from the page
+/// cache. Neither has been held to the adjacency-list promise.
+enum TraceSource {
+    Owned(ItemTrace),
+    Mapped(adjstream::stream::MappedTrace),
+}
+
+impl TraceSource {
+    fn items(&self) -> &[StreamItem] {
+        match self {
+            TraceSource::Owned(t) => t.items(),
+            TraceSource::Mapped(m) => m.items(),
+        }
+    }
+}
+
+/// What `estimate-stream` prints once the trace is accepted.
+struct StreamEstimate {
+    /// The `stream` line, and the `shards` line of a sharded run.
+    header: String,
+    estimate: f64,
+    budget: usize,
+    report: RunReport,
+    /// Qualifies the peak state line.
+    suffix: &'static str,
+}
+
+/// Estimate triangles directly from an item trace file.
+///
+/// The trace is decoded, or mapped under `--mmap`, without any check. The
+/// passes run on the calling thread: the two-pass Theorem 3.7 algorithm,
+/// or with any scale-out flag the shard-mergeable estimator over shard
+/// threads or `--shard-procs` workers. A `--policy` guard handles
+/// malformed input, repairing upstream of the shard split when sharded.
+/// Meanwhile a second thread rules on the trace: it finishes the mapped
+/// checksum and, without a policy, checks the adjacency-list promise. The
+/// verdict wins over whatever the run did, a rejected trace fails as the
+/// owned read would have, and nothing is printed before the verdict.
 fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     use adjstream::algo::common::EdgeSampling;
-    use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
+    use adjstream::algo::triangle::{
+        ShardedTriangleConfig, TwoPassTriangle, TwoPassTriangleConfig,
+    };
+    use adjstream::stream::shard::run_sharded_with;
     use adjstream::stream::{
-        run_slice_passes_observed, run_slice_passes_validated, Guarded, Metrics, TraceError,
+        guard_items, run_sharded_hooked, run_slice_passes_observed, run_with_verdict, Guarded,
+        MappedTrace, Metrics, ShardPlan,
     };
     let path = args.first().ok_or("missing stream file")?;
     let flags = parse_flags(&args[1..])?;
-    // Any scale-out flag routes to the graph-sharded path; the plain
-    // invocation keeps the original two-pass estimator untouched.
-    if flags.contains_key("shards")
-        || flags.contains_key("shard-procs")
-        || flags.contains_key("mmap")
-    {
-        return cmd_estimate_stream_sharded(path, &flags);
+    let sharded = ["shards", "shard-procs", "mmap"]
+        .iter()
+        .any(|flag| flags.contains_key(*flag));
+    let shards: usize = get(&flags, "shards", 1)?;
+    if shards == 0 {
+        return Err(CliFailure::usage("--shards must be >= 1"));
     }
+    let procs = flags.contains_key("shard-procs");
+    let use_mmap = flags.contains_key("mmap");
     let metrics_out = flags.get("metrics-out").cloned();
     let sink = Metrics::from_flag(metrics_out.is_some());
-    let policy = policy_flag(&flags)?;
-    // Decode only: the promise check overlaps the passes (no policy) or is
-    // the guard's job. Transient read failures retry.
-    let (trace, attempts) = read_trace_file_with_retry(
-        std::path::Path::new(path),
-        get(&flags, "retries", 0usize)?,
-        false,
-    )?;
-    sink.record_retries(attempts as u64);
-    // On a valid trace `items / 2` is the validated edge count, so the
-    // default budget is the one a validating read would give.
-    let m = trace.edges();
-    let budget: usize = get(&flags, "budget", (m / 10).max(16))?;
+    let policy = flags
+        .get("policy")
+        .map(|p| {
+            GuardPolicy::parse(p)
+                .ok_or(format!("--policy must be strict|repair|observe, got {p:?}"))
+        })
+        .transpose()?;
+    let budget_flag = flags
+        .contains_key("budget")
+        .then(|| get::<usize>(&flags, "budget", 0))
+        .transpose()?;
     let seed: u64 = get(&flags, "seed", 2019)?;
-    let cfg = TwoPassTriangleConfig {
-        seed,
-        edge_sampling: EdgeSampling::BottomK { k: budget },
-        pair_capacity: budget,
-    };
-    let algo = TwoPassTriangle::new(cfg);
-    let (est, report) = match policy {
-        None => {
-            let verdict = run_slice_passes_validated(algo, trace.items(), &sink);
-            if let Some(note) = retry_note(attempts, verdict.is_ok()) {
-                eprintln!("{note}");
-            }
-            let (edges, run) = verdict
-                .map_err(|e| CliFailure::from(RetryError::Permanent(TraceError::Invalid(e))))?;
-            println!(
-                "stream        {} items, {edges} edges (validated)",
-                trace.len()
-            );
-            run.map_err(|e| CliFailure::from(EstimateError::Run(e)))?
-        }
-        Some(policy) => {
-            if let Some(note) = retry_note(attempts, true) {
-                eprintln!("{note}");
-            }
-            println!(
-                "stream        {} items (guard policy: {policy})",
-                trace.len()
-            );
-            run_slice_passes_observed(Guarded::new(algo, policy), |_pass| trace.items(), &sink)
-                .map_err(|e| CliFailure::from(EstimateError::Run(e)))?
-        }
-    };
-    print_stream_estimate(est.estimate, budget, &report, "", metrics_out.as_ref())
-}
+    let budget_for = |m: usize| budget_flag.unwrap_or((m / 10).max(16));
 
-/// The tail `estimate-stream` prints after a run in either mode: the
-/// estimate, the budget, the peak state (`suffix` qualifies it), the guard
-/// counters if a policy ran, and the `--metrics-out` snapshot.
-fn print_stream_estimate(
-    estimate: f64,
-    budget: usize,
-    report: &RunReport,
-    suffix: &str,
-    metrics_out: Option<&String>,
-) -> Result<(), CliFailure> {
-    println!("estimate      {estimate:.1}");
-    println!("edge budget   {budget}");
-    println!("peak state    {} bytes{suffix}", report.peak_state_bytes);
-    if let Some(stats) = report.guard {
+    let (source, attempts) = if use_mmap {
+        let mapped = MappedTrace::open(std::path::Path::new(path)).map_err(trace_failure)?;
+        (TraceSource::Mapped(mapped), 1)
+    } else {
+        let retries = get(&flags, "retries", 0usize)?;
+        let (trace, attempts) = read_trace_file_with_retry(std::path::Path::new(path), retries)?;
+        sink.record_retries(attempts as u64);
+        (TraceSource::Owned(trace), attempts)
+    };
+    let raw = source.items();
+
+    let unsharded = || -> Result<StreamEstimate, CliFailure> {
+        // On an accepted trace `items / 2` is the validated edge count.
+        let m = raw.len() / 2;
+        let budget = budget_for(m);
+        let algo = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed,
+            edge_sampling: EdgeSampling::BottomK { k: budget },
+            pair_capacity: budget,
+        });
+        let (header, run) = match policy {
+            None => (
+                format!("stream        {} items, {m} edges (validated)", raw.len()),
+                run_slice_passes_observed(algo, |_pass| raw, &sink),
+            ),
+            Some(policy) => (
+                format!("stream        {} items (guard policy: {policy})", raw.len()),
+                run_slice_passes_observed(Guarded::new(algo, policy), |_pass| raw, &sink),
+            ),
+        };
+        let (est, report) = run.map_err(|e| CliFailure::from(EstimateError::Run(e)))?;
+        Ok(StreamEstimate {
+            header,
+            estimate: est.estimate,
+            budget,
+            report,
+            suffix: "",
+        })
+    };
+
+    // Sharded, a guard policy repairs the stream once, upstream of the
+    // split, and every shard replays what it admitted.
+    let sharded_run = || -> Result<StreamEstimate, CliFailure> {
+        let (repaired, guard_stats) = match policy {
+            Some(policy) => {
+                let (fixed, stats) = guard_items(raw, policy)
+                    .map_err(|e| CliFailure::from(EstimateError::Run(e)))?;
+                (Some(fixed), Some(stats))
+            }
+            None => (None, None),
+        };
+        let items: &[StreamItem] = repaired.as_deref().unwrap_or(raw);
+        let m = items.len() / 2;
+        let budget = budget_for(m);
+        let algo = ShardedTriangle::new(ShardedTriangleConfig {
+            seed,
+            edge_sampling: EdgeSampling::BottomK { k: budget },
+            pair_capacity: budget,
+        });
+        let plan = ShardPlan::build(items, shards);
+        let stream_line = match policy {
+            Some(policy) => format!(
+                "stream        {} items (guard policy: {policy}, repaired upstream)",
+                items.len()
+            ),
+            None => format!(
+                "stream        {} items, {m} edges ({})",
+                items.len(),
+                if use_mmap {
+                    "mmap, verify deferred"
+                } else {
+                    "validated"
+                }
+            ),
+        };
+        let header = format!(
+            "{stream_line}\nshards        {} lists over {shards} shard(s), {} mode{}",
+            plan.total_runs(),
+            if procs { "process" } else { "thread" },
+            if use_mmap { ", mmap replay" } else { "" }
+        );
+        let (est, mut report) = if procs {
+            let workers = ShardProcs::new(path, repaired.as_deref(), shards, use_mmap)?;
+            run_sharded_with(
+                algo,
+                &sink,
+                |pass, base| workers.pass(pass, base),
+                |_| Ok(()),
+            )?
+        } else {
+            run_sharded_hooked(algo, &plan, items, &sink, |_| Ok(()))?
+        };
+        // The repair ran outside the sharded driver; fold its guard
+        // counters in so the report and --metrics-out stay truthful.
+        report.guard = report.guard.or(guard_stats);
+        if let Some(snap) = report.metrics.as_mut() {
+            snap.guard = snap.guard.or(guard_stats);
+        }
+        Ok(StreamEstimate {
+            header,
+            estimate: est.estimate,
+            budget,
+            report,
+            suffix: " (max over shards)",
+        })
+    };
+
+    let checksum = match &source {
+        TraceSource::Mapped(mapped) => Some(mapped.verify_cursor()),
+        TraceSource::Owned(_) => None,
+    };
+    let verdict = run_with_verdict(raw, checksum, policy.is_none(), || {
+        if sharded {
+            sharded_run()
+        } else {
+            unsharded()
+        }
+    });
+    if let Some(note) = retry_note(attempts, verdict.is_ok()) {
+        eprintln!("{note}");
+    }
+    let run = verdict.map_err(|e| CliFailure::from(RetryError::Permanent(e)))??;
+    println!("{}", run.header);
+    println!("estimate      {:.1}", run.estimate);
+    println!("edge budget   {}", run.budget);
+    println!(
+        "peak state    {} bytes{}",
+        run.report.peak_state_bytes, run.suffix
+    );
+    if let Some(stats) = run.report.guard {
         println!(
             "guard         {} faults detected, {} items repaired, {} edges quarantined",
             stats.faults_detected, stats.items_repaired, stats.edges_quarantined
@@ -858,15 +957,12 @@ fn print_stream_estimate(
         println!("guard state   {} bytes peak", stats.validator_peak_bytes);
     }
     if let Some(path) = metrics_out {
-        write_metrics(report.metrics.as_ref(), path)?;
+        write_metrics(run.report.metrics.as_ref(), &path)?;
     }
     Ok(())
 }
 
-/// Window (bytes) for incremental checksum verification of mmapped traces.
-const MMAP_VERIFY_WINDOW: usize = 1 << 20;
-
-/// Map a trace open/verify error onto the CLI's exit-code taxonomy.
+/// Map a trace open error onto the CLI's exit-code taxonomy.
 fn trace_failure(e: adjstream::stream::TraceError) -> CliFailure {
     match &e {
         adjstream::stream::TraceError::Io(_) => CliFailure::io(e.to_string()),
@@ -885,194 +981,14 @@ fn checkpoint_failure(e: adjstream::stream::FrameError) -> CliFailure {
 }
 
 /// Map a sharded-execution failure onto the CLI's exit-code taxonomy:
-/// run errors keep their usual classification, boundary aborts (deferred
-/// verification) are invalid-stream, everything else is I/O.
+/// run errors keep their usual classification, everything else is I/O.
 impl From<ShardError> for CliFailure {
     fn from(e: ShardError) -> Self {
         match e {
             ShardError::Run(r) => CliFailure::from(EstimateError::Run(r)),
-            boundary @ ShardError::Boundary { .. } => {
-                CliFailure::invalid_stream(boundary.to_string())
-            }
             other => CliFailure::io(other.to_string()),
         }
     }
-}
-
-/// Where sharded estimation replays items from: an owned in-memory trace
-/// or an mmapped `.adjb` file served straight from the page cache.
-enum ShardSource {
-    Owned(ItemTrace),
-    Mapped(adjstream::stream::MappedTrace),
-}
-
-impl ShardSource {
-    fn items(&self) -> &[StreamItem] {
-        match self {
-            ShardSource::Owned(t) => t.items(),
-            ShardSource::Mapped(m) => m.items(),
-        }
-    }
-}
-
-/// The `--policy strict|repair|observe` flag of `estimate-stream`, if given.
-fn policy_flag(flags: &HashMap<String, String>) -> Result<Option<GuardPolicy>, String> {
-    let parse = |p: &String| {
-        GuardPolicy::parse(p).ok_or(format!("--policy must be strict|repair|observe, got {p:?}"))
-    };
-    flags.get("policy").map(parse).transpose()
-}
-
-/// The scale-out variant of `estimate-stream`: partition the trace by
-/// list-owner vertex (`--shards N`), run the shard-mergeable three-pass
-/// estimator one worker per shard — threads by default, one process per
-/// shard under `--shard-procs` — and, under `--mmap`, replay the `.adjb`
-/// file zero-copy with checksum verification deferred to the first pass
-/// boundary so first-item latency never pays for the whole file.
-fn cmd_estimate_stream_sharded(
-    path: &str,
-    flags: &HashMap<String, String>,
-) -> Result<(), CliFailure> {
-    use adjstream::algo::common::EdgeSampling;
-    use adjstream::algo::triangle::ShardedTriangleConfig;
-    use adjstream::stream::shard::run_sharded_with;
-    use adjstream::stream::{guard_items, run_sharded_hooked, MappedTrace, Metrics, ShardPlan};
-
-    let shards: usize = get(flags, "shards", 1)?;
-    if shards == 0 {
-        return Err(CliFailure::usage("--shards must be >= 1"));
-    }
-    let procs = flags.contains_key("shard-procs");
-    let use_mmap = flags.contains_key("mmap");
-    let metrics_out = flags.get("metrics-out").cloned();
-    let sink = Metrics::from_flag(metrics_out.is_some());
-    let policy = policy_flag(flags)?;
-
-    // Acquire the item stream. The mmapped path defers checksum and
-    // promise validation to the first pass boundary (unless a guard
-    // policy forces a whole-file repair pre-pass anyway); the owned path
-    // validates at read exactly like the unsharded command.
-    let source = if use_mmap {
-        let mut mapped = MappedTrace::open(std::path::Path::new(path)).map_err(trace_failure)?;
-        if policy.is_some() {
-            mapped
-                .verify_all(MMAP_VERIFY_WINDOW)
-                .map_err(trace_failure)?;
-        }
-        ShardSource::Mapped(mapped)
-    } else {
-        let (trace, attempts) = read_trace_file_with_retry(
-            std::path::Path::new(path),
-            get(flags, "retries", 0usize)?,
-            policy.is_none(),
-        )?;
-        if let Some(note) = retry_note(attempts, true) {
-            eprintln!("{note}");
-        }
-        sink.record_retries(attempts as u64);
-        ShardSource::Owned(trace)
-    };
-    let raw_items = source.items();
-
-    // With a guard policy the stream is repaired ONCE, upstream of the
-    // shard split, so every shard replays the same promise-valid items.
-    let (repaired, guard_stats) = match policy {
-        Some(policy) => {
-            let (fixed, stats) = guard_items(raw_items, policy)
-                .map_err(|e| CliFailure::from(EstimateError::Run(e)))?;
-            (Some(fixed), Some(stats))
-        }
-        None => (None, None),
-    };
-    let items: &[StreamItem] = repaired.as_deref().unwrap_or(raw_items);
-
-    let m = items.len() / 2;
-    let budget: usize = get(flags, "budget", (m / 10).max(16))?;
-    let seed: u64 = get(flags, "seed", 2019)?;
-    let cfg = ShardedTriangleConfig {
-        seed,
-        edge_sampling: EdgeSampling::BottomK { k: budget },
-        pair_capacity: budget,
-    };
-    let plan = ShardPlan::build(items, shards);
-
-    match policy {
-        Some(policy) => println!(
-            "stream        {} items (guard policy: {policy}, repaired upstream)",
-            items.len()
-        ),
-        None => println!(
-            "stream        {} items, {m} edges ({})",
-            items.len(),
-            if use_mmap {
-                "mmap, verify deferred"
-            } else {
-                "validated"
-            }
-        ),
-    }
-    println!(
-        "shards        {} lists over {shards} shard(s), {} mode{}",
-        plan.total_runs(),
-        if procs { "process" } else { "thread" },
-        if use_mmap { ", mmap replay" } else { "" }
-    );
-
-    // Deferred mmap verification: pass 0 serves straight from the page
-    // cache; at the first pass boundary the windowed checksum (and the
-    // promise check, which the owned path did at read time) completes
-    // over the now-resident pages. A mismatch aborts before pass 1 can
-    // act on anything derived from corrupt bytes.
-    let mut cursor = match &source {
-        ShardSource::Mapped(mapped) if !mapped.is_verified() => Some(mapped.verify_cursor()),
-        _ => None,
-    };
-    let deferred_promise = use_mmap && policy.is_none();
-    let after_pass = |pass: usize| -> Result<(), ShardError> {
-        if pass != 0 {
-            return Ok(());
-        }
-        if let Some(cur) = cursor.take() {
-            cur.finish(MMAP_VERIFY_WINDOW)
-                .map_err(|e| ShardError::Boundary {
-                    pass,
-                    detail: e.to_string(),
-                })?;
-        }
-        if deferred_promise {
-            validate_slice(items).map_err(|e| ShardError::Boundary {
-                pass,
-                detail: format!("adjacency-list promise violated: {e}"),
-            })?;
-        }
-        Ok(())
-    };
-
-    let algo = ShardedTriangle::new(cfg);
-    let (est, mut report) = if procs {
-        let workers = ShardProcs::new(path, repaired.as_deref(), shards, use_mmap)?;
-        run_sharded_with(
-            algo,
-            &sink,
-            |pass, base| workers.pass(pass, base),
-            after_pass,
-        )?
-    } else {
-        run_sharded_hooked(algo, &plan, items, &sink, after_pass)?
-    };
-    // The repair pre-pass ran outside the sharded driver; fold its guard
-    // counters in so the report and --metrics-out stay truthful.
-    report.guard = report.guard.or(guard_stats);
-    if let Some(snap) = report.metrics.as_mut() {
-        snap.guard = snap.guard.or(guard_stats);
-    }
-    print_stream_estimate(
-        est.estimate,
-        budget,
-        &report,
-        " (max over shards)",
-        metrics_out.as_ref(),
-    )
 }
 
 /// The `--shard-procs` step of the library's shard loop: each pass runs
@@ -1106,7 +1022,7 @@ impl ShardProcs {
             mmap,
         };
         // A repaired stream exists only in this process; persist it so the
-        // workers replay the same promise-valid trace the parent planned.
+        // workers replay the same repaired trace the parent planned.
         if let Some(fixed) = repaired {
             procs.trace = procs.dir.join("repaired.adjb");
             let mut f = std::fs::File::create(&procs.trace).map_err(io)?;
@@ -1205,15 +1121,15 @@ fn cmd_shard_worker(args: &[String]) -> Result<(), CliFailure> {
     if shards == 0 || shard >= shards {
         return Err(CliFailure::usage("shard-worker: --shard out of range"));
     }
-    // The parent owns validation (deferred or upstream repair); workers
-    // replay without re-validating the promise.
+    // The parent rules on the trace (or repairs it upstream); workers
+    // replay it unchecked.
     let source = if flags.contains_key("mmap") {
-        ShardSource::Mapped(
+        TraceSource::Mapped(
             MappedTrace::open(std::path::Path::new(path.as_str())).map_err(trace_failure)?,
         )
     } else {
-        let (trace, _) = read_trace_file_with_retry(std::path::Path::new(path.as_str()), 0, false)?;
-        ShardSource::Owned(trace)
+        let (trace, _) = read_trace_file_with_retry(std::path::Path::new(path.as_str()), 0)?;
+        TraceSource::Owned(trace)
     };
     let items = source.items();
     let plan = ShardPlan::build(items, shards);
@@ -1232,6 +1148,12 @@ fn cmd_gen_updates(args: &[String]) -> Result<(), CliFailure> {
         .split_first()
         .ok_or("gen-updates: missing graph file")?;
     let flags = parse_flags(rest)?;
+    let format = flags.get("format").map(String::as_str).unwrap_or("text");
+    if !matches!(format, "text" | "adjbu") {
+        return Err(CliFailure::usage(format!(
+            "--format must be text|adjbu, got {format:?}"
+        )));
+    }
     let g = load(Some(path))?;
     let cfg = ChurnConfig {
         churn_events: get(&flags, "churn", g.edge_count())?,
@@ -1239,25 +1161,10 @@ fn cmd_gen_updates(args: &[String]) -> Result<(), CliFailure> {
         seed: get(&flags, "seed", 1)?,
     };
     let stream = churn(&g, &cfg);
-    let format = flags.get("format").map(String::as_str).unwrap_or("text");
-    let write = |w: &mut dyn Write| match format {
-        "text" => stream.write_text(w),
+    write_output(flags.get("o"), |w| match format {
         "adjbu" => adjstream::stream::update_trace::write_adjbu(&stream, w),
-        _ => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("--format must be text|adjbu, got {format:?}"),
-        )),
-    };
-    match flags.get("o") {
-        Some(out) => {
-            let mut f = std::fs::File::create(out).map_err(|e| CliFailure::io(e.to_string()))?;
-            write(&mut f).map_err(|e| CliFailure::io(e.to_string()))?;
-        }
-        None => {
-            let stdout = std::io::stdout();
-            write(&mut stdout.lock()).map_err(|e| CliFailure::io(e.to_string()))?;
-        }
-    }
+        _ => stream.write_text(w),
+    })?;
     let (ins, del) = stream.op_counts();
     eprintln!(
         "gen-updates: {} events (+{ins}/-{del}), {} live at end",
@@ -2147,7 +2054,20 @@ mod tests {
             let err = run(&args(&cmd)).unwrap_err();
             assert_eq!((err.exit, err.kind), (EXIT_IO, "io"), "{cmd:?}");
         }
-        for f in [&gs, &ss, &p1] {
+        // A bad --format is a usage error that creates no output file.
+        let us = gs.replace(".txt", "-updates.txt");
+        let out = gs.replace(".txt", "-never.txt");
+        run(&args(&["gen-updates", &gs, "-o", &us])).unwrap();
+        for cmd in [
+            vec!["gen-updates", &gs, "--format", "bogus", "-o", &out],
+            vec!["convert-updates", &us, "--format", "bogus", "-o", &out],
+            vec!["convert-trace", &ss, "--format", "bogus", "-o", &out],
+        ] {
+            let err = run(&args(&cmd)).unwrap_err();
+            assert_eq!((err.exit, err.kind), (EXIT_USAGE, "usage"), "{cmd:?}");
+            assert!(!std::path::Path::new(&out).exists(), "{cmd:?} created -o");
+        }
+        for f in [&gs, &ss, &p1, &us] {
             std::fs::remove_file(f).ok();
         }
     }
@@ -2218,10 +2138,10 @@ mod tests {
 
     #[test]
     fn failure_json_is_machine_readable() {
-        let f = CliFailure::new(EXIT_DEADLINE, "deadline", "ran \"out\"\nof time");
+        let f = CliFailure::new(EXIT_DEADLINE, "deadline", "ran \"out\"\nof C:\\time");
         assert_eq!(
             f.json(),
-            "{\"error\":{\"kind\":\"deadline\",\"exit\":6,\"message\":\"ran \\\"out\\\"\\nof time\"}}"
+            r#"{"error":{"kind":"deadline","exit":6,"message":"ran \"out\"\nof C:\\time"}}"#
         );
     }
 

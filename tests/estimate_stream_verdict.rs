@@ -1,7 +1,8 @@
 //! `estimate-stream` without a guard policy validates the trace while its
-//! two passes run, then acts on the verdict before printing anything. On
+//! passes run, then acts on the verdict before printing anything. On
 //! every seeded corruption it must decide what `validate-stream --mode
-//! offline` decides: exit 3 with empty stdout and the same violation on an
+//! offline` decides, unsharded and sharded, from an owned read or an
+//! mmapped file: exit 3 with empty stdout and the same violation on an
 //! invalid trace, or the same edge count on a valid one. A read that
 //! needed retries earns its stderr note only once the trace is found
 //! valid, as when validation ran inside the read.
@@ -9,8 +10,8 @@
 //! The graph-sharded variant is driven through the binary too, so both
 //! shard modes are covered: thread workers and `--shard-procs` worker
 //! processes must print the 1-shard estimate, write the same metrics up
-//! to wall time, reject a corrupt mmapped trace identically, and leave
-//! nothing behind in the temp directory.
+//! to wall time, reject a corrupt trace with the owned read's message in
+//! every mode, and leave nothing behind in the temp directory.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -24,8 +25,8 @@ use adjstream::algo::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream::graph::gen;
 use adjstream::stream::trace::retry_note;
 use adjstream::stream::{
-    run_slice_passes_validated, validate_slice, AdjListStream, FaultKind, FaultPlan, ItemTrace,
-    Metrics, StreamItem, StreamOrder,
+    run_slice_passes, run_with_verdict, validate_slice, AdjListStream, FaultKind, FaultPlan,
+    ItemTrace, StreamItem, StreamOrder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,6 +53,13 @@ fn write_text_trace(path: &Path, items: &[StreamItem]) {
         writeln!(w, "{} {}", it.src, it.dst).unwrap();
     }
     w.flush().unwrap();
+}
+
+fn write_adjb_trace(path: &Path, items: &[StreamItem]) {
+    let mut f = std::fs::File::create(path).unwrap();
+    ItemTrace::new_unchecked(items.to_vec())
+        .write_adjb(&mut f)
+        .unwrap();
 }
 
 /// The first stderr line's text after its last `": "`: the violation
@@ -85,37 +93,53 @@ fn estimate_stream_rejects_what_the_offline_checker_rejects() {
                 corrupted.clone()
             };
             let case = format!("{name}{}", if relabel { " relabelled" } else { "" });
-            let path = dir.join("trace.txt");
-            write_text_trace(&path, &trace);
-            let path = path.to_str().unwrap();
-            let offline = cli(&["validate-stream", path, "--mode", "offline"]);
-            let estimate = cli(&["estimate-stream", path, "--budget", "40", "--seed", "5"]);
-            let stderr = String::from_utf8_lossy(&estimate.stderr);
-            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
-            match validate_slice(&trace) {
-                Err(want) => {
-                    rejected += 1;
-                    assert_eq!(offline.status.code(), Some(EXIT_INVALID_STREAM), "{case}");
-                    assert_eq!(
-                        estimate.status.code(),
-                        Some(EXIT_INVALID_STREAM),
-                        "{case}: {stderr}"
-                    );
-                    assert!(
-                        estimate.stdout.is_empty(),
-                        "{case}: printed before the verdict"
-                    );
-                    assert_eq!(violation(&offline.stderr), want.to_string(), "{case}");
-                    assert_eq!(violation(&estimate.stderr), want.to_string(), "{case}");
-                }
-                Ok(edges) => {
-                    assert!(offline.status.success(), "{case}");
-                    assert!(estimate.status.success(), "{case}: {stderr}");
-                    let stdout = String::from_utf8_lossy(&estimate.stdout);
-                    let line = format!("{} items, {edges} edges (validated)", trace.len());
-                    assert!(stdout.contains(&line), "{case}: {stdout}");
+            let text = dir.join("trace.txt");
+            write_text_trace(&text, &trace);
+            let text = text.to_str().unwrap();
+            let adjb = dir.join("trace.adjb");
+            write_adjb_trace(&adjb, &trace);
+            let adjb = adjb.to_str().unwrap();
+            let offline = cli(&["validate-stream", text, "--mode", "offline"]);
+            let want = validate_slice(&trace);
+            rejected += usize::from(want.is_err());
+            let mut stderrs = Vec::new();
+            for (mode, args) in [
+                ("unsharded", &[text][..]),
+                ("--shards 2", &[text, "--shards", "2"]),
+                ("--shards 2 --mmap", &[adjb, "--shards", "2", "--mmap"]),
+            ] {
+                let case = format!("{case}, {mode}");
+                let common = ["--budget", "40", "--seed", "5"];
+                let estimate = cli(&[&["estimate-stream"][..], args, &common].concat());
+                let stderr = String::from_utf8_lossy(&estimate.stderr);
+                assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+                match &want {
+                    Err(want) => {
+                        assert_eq!(offline.status.code(), Some(EXIT_INVALID_STREAM), "{case}");
+                        assert_eq!(
+                            estimate.status.code(),
+                            Some(EXIT_INVALID_STREAM),
+                            "{case}: {stderr}"
+                        );
+                        assert!(
+                            estimate.stdout.is_empty(),
+                            "{case}: printed before the verdict"
+                        );
+                        assert_eq!(violation(&offline.stderr), want.to_string(), "{case}");
+                        assert_eq!(violation(&estimate.stderr), want.to_string(), "{case}");
+                        stderrs.push(estimate.stderr);
+                    }
+                    Ok(edges) => {
+                        assert!(offline.status.success(), "{case}");
+                        assert!(estimate.status.success(), "{case}: {stderr}");
+                        let stdout = String::from_utf8_lossy(&estimate.stdout);
+                        let line = format!("{} items, {edges} edges", trace.len());
+                        assert!(stdout.contains(&line), "{case}: {stdout}");
+                    }
                 }
             }
+            // A rejection reads the same in every mode.
+            assert!(stderrs.windows(2).all(|w| w[0] == w[1]), "{case}");
         }
     }
     // Every stream-level kind and the composed plan break the promise;
@@ -139,11 +163,9 @@ fn retry_note_waits_for_a_valid_verdict() {
     ] {
         let trace = ItemTrace::from_bytes_unchecked(text).expect("decodes");
         let attempts = 2;
-        let verdict = run_slice_passes_validated(
-            TwoPassTriangle::new(cfg),
-            trace.items(),
-            &Metrics::disabled(),
-        );
+        let verdict = run_with_verdict(trace.items(), None, true, || {
+            run_slice_passes(TwoPassTriangle::new(cfg), |_pass| trace.items())
+        });
         assert_eq!(verdict.is_ok(), valid);
         let note = retry_note(attempts, verdict.is_ok());
         if valid {
@@ -246,26 +268,48 @@ fn shard_modes_agree_through_the_binary() {
     }
 
     // A flipped payload byte: the most significant byte of an item's
-    // source id, so the checksum cannot survive it. Deferred verification
-    // rejects it at the first pass boundary in both modes.
+    // source id, so the checksum cannot survive it. The owned read
+    // rejects it as it decodes, the mapped replay once its checksum,
+    // finished beside the passes, is in: with the same message, in
+    // every mode, and with nothing on stdout.
     let bad = dir.join("bad.adjb");
     let mut bytes = std::fs::read(trace).unwrap();
     bytes[103] ^= 0xFF;
     std::fs::write(&bad, bytes).unwrap();
     let bad = bad.to_str().unwrap();
-    let rejected: Vec<Output> = [&[][..], &["--shard-procs"]]
+    let modes: [&[&str]; 6] = [
+        &[],
+        &["--shards", "4"],
+        &["--shards", "4", "--mmap"],
+        &["--shards", "4", "--mmap", "--shard-procs"],
+        &["--shards", "4", "--mmap", "--policy", "repair"],
+        &[
+            "--shards",
+            "4",
+            "--mmap",
+            "--policy",
+            "repair",
+            "--shard-procs",
+        ],
+    ];
+    let rejected: Vec<Output> = modes
         .iter()
-        .map(|mode| {
-            let args = [&[bad, "--shards", "4", "--mmap"][..], &common, mode].concat();
-            cli_in_tmp(&tmp, &args)
-        })
+        .map(|mode| cli_in_tmp(&tmp, &[&[bad][..], &common, mode].concat()))
         .collect();
-    for out in &rejected {
-        assert_eq!(out.status.code(), Some(EXIT_INVALID_STREAM));
+    for (out, mode) in rejected.iter().zip(modes) {
+        assert_eq!(out.status.code(), Some(EXIT_INVALID_STREAM), "{mode:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("aborted at pass 0 boundary: "), "{stderr}");
-        assert!(!String::from_utf8_lossy(&out.stdout).contains("estimate "));
+        assert!(
+            stderr.starts_with(
+                "error: permanent trace failure: binary trace rejected: payload corrupt"
+            ),
+            "{mode:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{mode:?}: printed before the verdict"
+        );
+        assert_eq!(out.stderr, rejected[0].stderr, "{mode:?}");
     }
-    assert_eq!(rejected[0].stderr, rejected[1].stderr);
     std::fs::remove_dir_all(&dir).ok();
 }
