@@ -821,7 +821,11 @@ fn cmd_estimate_stream(args: &[String]) -> Result<(), CliFailure> {
     let budget_for = |m: usize| budget_flag.unwrap_or((m / 10).max(16));
 
     let (source, attempts) = if use_mmap {
-        let mapped = MappedTrace::open(std::path::Path::new(path)).map_err(trace_failure)?;
+        // A rejected container reads as the owned read's rejection.
+        let mapped = MappedTrace::open(std::path::Path::new(path)).map_err(|e| match e {
+            adjstream::stream::TraceError::Io(_) => trace_failure(e),
+            rejected => CliFailure::from(RetryError::Permanent(rejected)),
+        })?;
         (TraceSource::Mapped(mapped), 1)
     } else {
         let retries = get(&flags, "retries", 0usize)?;

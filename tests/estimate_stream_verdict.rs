@@ -1,9 +1,10 @@
 //! `estimate-stream` without a guard policy validates the trace while its
 //! passes run, then acts on the verdict before printing anything. On
 //! every seeded corruption it must decide what `validate-stream --mode
-//! offline` decides, unsharded and sharded, from an owned read or an
-//! mmapped file: exit 3 with empty stdout and the same violation on an
-//! invalid trace, or the same edge count on a valid one. A read that
+//! offline` decides, unsharded and sharded over threads or worker
+//! processes, from an owned read or an mmapped file: exit 3 with empty
+//! stdout and the same violation on an invalid trace, or the same edge
+//! count on a valid one. A read that
 //! needed retries earns its stderr note only once the trace is found
 //! valid, as when validation ran inside the read.
 //!
@@ -103,10 +104,19 @@ fn estimate_stream_rejects_what_the_offline_checker_rejects() {
             let want = validate_slice(&trace);
             rejected += usize::from(want.is_err());
             let mut stderrs = Vec::new();
-            for (mode, args) in [
-                ("unsharded", &[text][..]),
-                ("--shards 2", &[text, "--shards", "2"]),
-                ("--shards 2 --mmap", &[adjb, "--shards", "2", "--mmap"]),
+            for (mode, args, checked) in [
+                ("unsharded", &[text][..], "validated"),
+                ("--shards 2", &[text, "--shards", "2"], "validated"),
+                (
+                    "--shards 2 --shard-procs",
+                    &[text, "--shards", "2", "--shard-procs"],
+                    "validated",
+                ),
+                (
+                    "--shards 2 --mmap",
+                    &[adjb, "--shards", "2", "--mmap"],
+                    "mmap, verify deferred",
+                ),
             ] {
                 let case = format!("{case}, {mode}");
                 let common = ["--budget", "40", "--seed", "5"];
@@ -133,8 +143,11 @@ fn estimate_stream_rejects_what_the_offline_checker_rejects() {
                         assert!(offline.status.success(), "{case}");
                         assert!(estimate.status.success(), "{case}: {stderr}");
                         let stdout = String::from_utf8_lossy(&estimate.stdout);
-                        let line = format!("{} items, {edges} edges", trace.len());
-                        assert!(stdout.contains(&line), "{case}: {stdout}");
+                        let line = format!(
+                            "stream        {} items, {edges} edges ({checked})",
+                            trace.len()
+                        );
+                        assert!(stdout.lines().any(|l| l == line), "{case}: {stdout}");
                     }
                 }
             }
@@ -270,16 +283,17 @@ fn shard_modes_agree_through_the_binary() {
     // A flipped payload byte: the most significant byte of an item's
     // source id, so the checksum cannot survive it. The owned read
     // rejects it as it decodes, the mapped replay once its checksum,
-    // finished beside the passes, is in: with the same message, in
-    // every mode, and with nothing on stdout.
-    let bad = dir.join("bad.adjb");
-    let mut bytes = std::fs::read(trace).unwrap();
-    bytes[103] ^= 0xFF;
-    std::fs::write(&bad, bytes).unwrap();
-    let bad = bad.to_str().unwrap();
-    let modes: [&[&str]; 6] = [
+    // finished beside the passes, is in. A container cut short is
+    // rejected as it is read or mapped. Either way with the owned read's
+    // message, in every mode, and with nothing on stdout.
+    let clean = std::fs::read(trace).unwrap();
+    let mut flipped = clean.clone();
+    flipped[103] ^= 0xFF;
+    let cut = clean[..clean.len() - 5].to_vec();
+    let modes: [&[&str]; 7] = [
         &[],
         &["--shards", "4"],
+        &["--shards", "4", "--shard-procs"],
         &["--shards", "4", "--mmap"],
         &["--shards", "4", "--mmap", "--shard-procs"],
         &["--shards", "4", "--mmap", "--policy", "repair"],
@@ -292,24 +306,26 @@ fn shard_modes_agree_through_the_binary() {
             "--shard-procs",
         ],
     ];
-    let rejected: Vec<Output> = modes
-        .iter()
-        .map(|mode| cli_in_tmp(&tmp, &[&[bad][..], &common, mode].concat()))
-        .collect();
-    for (out, mode) in rejected.iter().zip(modes) {
-        assert_eq!(out.status.code(), Some(EXIT_INVALID_STREAM), "{mode:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.starts_with(
-                "error: permanent trace failure: binary trace rejected: payload corrupt"
-            ),
-            "{mode:?}: {stderr}"
-        );
-        assert!(
-            out.stdout.is_empty(),
-            "{mode:?}: printed before the verdict"
-        );
-        assert_eq!(out.stderr, rejected[0].stderr, "{mode:?}");
+    for (name, bytes, reason) in [
+        ("flipped", flipped, "payload corrupt"),
+        ("truncated", cut, "truncated"),
+    ] {
+        let bad = dir.join(format!("{name}.adjb"));
+        std::fs::write(&bad, bytes).unwrap();
+        let bad = bad.to_str().unwrap();
+        let rejected: Vec<Output> = modes
+            .iter()
+            .map(|mode| cli_in_tmp(&tmp, &[&[bad][..], &common, mode].concat()))
+            .collect();
+        let want = format!("error: permanent trace failure: binary trace rejected: {reason}");
+        for (out, mode) in rejected.iter().zip(modes) {
+            let case = format!("{name} {mode:?}");
+            assert_eq!(out.status.code(), Some(EXIT_INVALID_STREAM), "{case}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.starts_with(&want), "{case}: {stderr}");
+            assert!(out.stdout.is_empty(), "{case}: printed before the verdict");
+            assert_eq!(out.stderr, rejected[0].stderr, "{case}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
