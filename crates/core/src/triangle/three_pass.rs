@@ -180,7 +180,6 @@ impl MultiPassAlgorithm for ThreePassTriangle {
         let t_of = |e: u64| self.t_counts.get(&e).copied().unwrap_or(0);
         let counted = self
             .q
-            .items()
             .iter()
             .filter(|p| p.lightest_slot([0, 1, 2].map(|s| t_of(p.slot_edge(s)))) == 0)
             .count() as u64;

@@ -19,6 +19,7 @@
 //! variant's own is the reservoir slab of `Q` records whose `H` counters
 //! grow incrementally during pass 2.
 
+use std::hash::Hash;
 use std::io::{self, Read, Write};
 
 use adjstream_graph::VertexId;
@@ -51,26 +52,110 @@ pub struct TwoPassTriangleConfig {
     pub pair_capacity: usize,
 }
 
-/// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state.
+/// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state and the
+/// positions of everything that refers to it.
 #[derive(Debug, Clone)]
 struct PairRecord {
     /// Generation tag guarding against slab-slot reuse.
     gen: u32,
     /// The pair's triangle; slot 0 is the sampled edge `e`.
     tri: TriangleSlots,
-    /// `H` counters, one per triangle slot.
-    h: [u64; 3],
+    /// `H` counters, one per triangle slot. Each counts lists of the
+    /// slot edge's endpoints, so it is at most `n − 2`.
+    h: [u32; 3],
     /// Whether each slot has passed its activation point in pass 2 (the
     /// end of the opposite vertex's list).
     active: [bool; 3],
+    /// Store position of the record's entry in `Q`.
+    q_pos: u32,
+    /// Index of each slot's reference in `monitors[slot edge]`.
+    monitor_at: [u32; 3],
+    /// Index of each inactive slot's reference in
+    /// `activations[opposite vertex]`.
+    activation_at: [u32; 3],
 }
 
-/// Key → `(slab, gen, slot)` references into the record slab.
-type SlotRefs<K> = FastMap<K, Vec<(u32, u32, u8)>>;
+/// A `(slab, gen, slot)` reference into the record slab.
+type SlotRef = (u32, u32, u8);
 
-/// The record in slab slot `s` if it is still generation `g`.
-fn live(slab: &[Option<PairRecord>], s: u32, g: u32) -> Option<&PairRecord> {
-    slab.get(s as usize)?.as_ref().filter(|r| r.gen == g)
+/// Bytes of one [`SlotRef`].
+const REF_BYTES: usize = std::mem::size_of::<SlotRef>();
+
+/// Key → references to the live records. Each record has one reference
+/// per slot in each map, and [`TwoPassTriangle::destroy`] removes them
+/// with the record, so no reference outlives its record.
+#[derive(Debug)]
+struct SlotRefs<K> {
+    map: FastMap<K, Vec<SlotRef>>,
+    /// Bytes held by the inner vectors, maintained incrementally so
+    /// `space_bytes` (sampled at every list boundary) stays O(1).
+    vec_bytes: usize,
+}
+
+impl<K: Copy + Eq + Hash> SlotRefs<K> {
+    fn new() -> Self {
+        SlotRefs {
+            map: FastMap::default(),
+            vec_bytes: 0,
+        }
+    }
+
+    /// Append `r` to `key`'s list, returning its index there.
+    fn push(&mut self, key: K, r: SlotRef) -> u32 {
+        let list = self.map.entry(key).or_insert_with(|| {
+            self.vec_bytes += std::mem::size_of::<Vec<SlotRef>>();
+            Vec::new()
+        });
+        let before = list.capacity();
+        list.push(r);
+        self.vec_bytes += (list.capacity() - before) * REF_BYTES;
+        list.len() as u32 - 1
+    }
+
+    /// The references under `key`.
+    fn get(&self, key: K) -> &[SlotRef] {
+        self.map.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Remove the reference at index `at` of `key`'s list, which must be
+    /// `r`, by `swap_remove`. Returns the reference moved into index `at`,
+    /// whose record must be told its new index. An emptied list leaves the
+    /// map.
+    fn swap_remove(&mut self, key: K, at: u32, r: SlotRef) -> Option<SlotRef> {
+        let list = self.map.get_mut(&key).expect("a live record's list");
+        assert_eq!(
+            list.swap_remove(at as usize),
+            r,
+            "reference index out of date"
+        );
+        if list.is_empty() {
+            self.take(key);
+            return None;
+        }
+        list.get(at as usize).copied()
+    }
+
+    /// Remove and return `key`'s whole list.
+    fn take(&mut self, key: K) -> Vec<SlotRef> {
+        let list = self.map.remove(&key).unwrap_or_default();
+        if list.capacity() > 0 {
+            self.vec_bytes -= vec_bytes(&list);
+        }
+        list
+    }
+
+    fn space_bytes(&self) -> usize {
+        hashmap_bytes(&self.map) + self.vec_bytes
+    }
+}
+
+/// The live record that the reference `(s, g, _)` names.
+fn referent(slab: &mut [Option<PairRecord>], s: u32, g: u32) -> &mut PairRecord {
+    let rec = slab[s as usize]
+        .as_mut()
+        .expect("references name live records");
+    debug_assert_eq!(rec.gen, g, "reference to a reused slab slot");
+    rec
 }
 
 /// Per-sampled-edge bookkeeping.
@@ -79,8 +164,9 @@ struct EdgeInfo {
     /// Arrival index of the list in which the edge first appeared (and was
     /// sampled).
     first_pos: u32,
-    /// Discovered pairs charged to this edge (for eviction rollback).
-    discoveries: u64,
+    /// Discovered pairs charged to this edge (for eviction rollback): one
+    /// per apex, so at most `n − 2`.
+    discoveries: u32,
 }
 
 /// The Section 3 two-pass triangle counting algorithm. See module docs.
@@ -96,21 +182,16 @@ pub struct TwoPassTriangle {
     s_edges: FastMap<u64, EdgeInfo>,
     /// Valid discovered pair count `T′`.
     discovered: u64,
-    /// Reservoir of `(slab, gen)` references.
+    /// Reservoir of `(slab, gen)` references, one per live record.
     q: Reservoir<(u32, u32)>,
     slab: Vec<Option<PairRecord>>,
     free: Vec<u32>,
     /// Next generation for freed slab slots.
     free_gens: FastMap<u32, u32>,
-    /// Packed edge → monitoring pairs `(slab, gen, slot)`.
+    /// Packed edge → monitoring pairs.
     monitors: SlotRefs<u64>,
-    /// Bytes held by `monitors`' inner vectors, maintained incrementally so
-    /// `space_bytes` (sampled at every list boundary) stays O(1).
-    monitors_vec_bytes: usize,
-    /// Opposite vertex → pending slot activations `(slab, gen, slot)`.
+    /// Opposite vertex → pending slot activations.
     activations: SlotRefs<u32>,
-    /// Bytes held by `activations`' inner vectors (see `monitors_vec_bytes`).
-    activations_vec_bytes: usize,
     watcher: PairWatcher,
     /// Scratch buffer for completion callbacks.
     completed_buf: Vec<u64>,
@@ -135,43 +216,61 @@ impl TwoPassTriangle {
             slab: Vec::new(),
             free: Vec::new(),
             free_gens: FastMap::default(),
-            monitors: FastMap::default(),
-            monitors_vec_bytes: 0,
-            activations: FastMap::default(),
-            activations_vec_bytes: 0,
+            monitors: SlotRefs::new(),
+            activations: SlotRefs::new(),
             watcher: PairWatcher::new(),
             completed_buf: Vec::new(),
             counters: ObsCounters::default(),
         }
     }
 
-    /// Register watches/monitors/activations for a freshly stored record.
-    fn attach(&mut self, slab: u32, gen: u32) {
-        let tri = self.slab[slab as usize].as_ref().expect("just stored").tri;
+    /// Register watches, monitors and activations for a record freshly
+    /// stored at `Q` position `q_pos`.
+    fn attach(&mut self, slab: u32, gen: u32, q_pos: u32) {
+        let rec = self.slab[slab as usize].as_mut().expect("just stored");
+        rec.q_pos = q_pos;
         for slot in 0..3u8 {
-            let edge = tri.slot_edge(slot as usize);
-            let opp = tri.opposite(slot as usize);
+            let edge = rec.tri.slot_edge(slot as usize);
+            let opp = rec.tri.opposite(slot as usize);
             let (a, b) = unpack_pair(edge);
             self.watcher.watch(a, b);
-            self.monitors_vec_bytes +=
-                crate::common::push_map_vec(&mut self.monitors, edge, (slab, gen, slot), 12);
-            self.activations_vec_bytes +=
-                crate::common::push_map_vec(&mut self.activations, opp.0, (slab, gen, slot), 12);
+            rec.monitor_at[slot as usize] = self.monitors.push(edge, (slab, gen, slot));
+            rec.activation_at[slot as usize] = self.activations.push(opp.0, (slab, gen, slot));
         }
     }
 
-    /// Tear down a record (unwatch; slab slot freed). Monitor and activation
-    /// entries are cleaned lazily via generation checks.
-    fn destroy(&mut self, slab: u32, gen: u32) {
-        let record = self.slab.get_mut(slab as usize);
-        let Some(rec) = record.and_then(|r| r.take_if(|r| r.gen == gen)) else {
-            return;
-        };
+    /// Tear down a record: unwatch its edges, remove its references and
+    /// free its slab slot. Returns its `Q` position, whose entry is the
+    /// caller's to replace or remove.
+    fn destroy(&mut self, slab: u32, gen: u32) -> u32 {
+        let rec = referent(&mut self.slab, slab, gen);
+        let (tri, active) = (rec.tri, rec.active);
         for slot in 0..3 {
-            let (a, b) = unpack_pair(rec.tri.slot_edge(slot));
+            let (a, b) = unpack_pair(tri.slot_edge(slot));
             self.watcher.unwatch(a, b);
         }
+        // The record stays in the slab until its references are gone: on
+        // a stream that breaks the promise, two of its slots can share a
+        // list, and a `swap_remove` may move its own other reference.
+        for (slot, &is_active) in active.iter().enumerate() {
+            let r = (slab, gen, slot as u8);
+            let at = referent(&mut self.slab, slab, gen).monitor_at[slot];
+            if let Some((s, g, sl)) = self.monitors.swap_remove(tri.slot_edge(slot), at, r) {
+                referent(&mut self.slab, s, g).monitor_at[sl as usize] = at;
+            }
+            // An active slot's activation reference was consumed with its
+            // list.
+            if !is_active {
+                let at = referent(&mut self.slab, slab, gen).activation_at[slot];
+                let opp = tri.opposite(slot).0;
+                if let Some((s, g, sl)) = self.activations.swap_remove(opp, at, r) {
+                    referent(&mut self.slab, s, g).activation_at[sl as usize] = at;
+                }
+            }
+        }
+        let rec = self.slab[slab as usize].take().expect("still live");
         self.release(slab, gen);
+        rec.q_pos
     }
 
     /// Return an emptied slab slot to the free list under its next
@@ -190,14 +289,14 @@ impl TwoPassTriangle {
         }
         let (slab, gen) = self.allocate_with_gen(TriangleSlots::new(e_key, w));
         match self.q.offer((slab, gen)) {
-            ReservoirEvent::Stored { .. } => {
+            ReservoirEvent::Stored { slot } => {
                 self.counters.pairs_stored += 1;
-                self.attach(slab, gen);
+                self.attach(slab, gen, self.q.position(slot) as u32);
             }
-            ReservoirEvent::Replaced { evicted, .. } => {
+            ReservoirEvent::Replaced { slot, evicted } => {
                 self.counters.pairs_stored += 1;
                 self.counters.pairs_replaced += 1;
-                self.attach(slab, gen);
+                self.attach(slab, gen, self.q.position(slot) as u32);
                 self.destroy(evicted.0, evicted.1);
             }
             ReservoirEvent::Rejected => {
@@ -216,28 +315,25 @@ impl TwoPassTriangle {
         };
         let (a, b) = unpack_pair(e_key);
         self.watcher.unwatch(a, b);
-        self.discovered -= info.discoveries;
-        // Destroy the pairs discovered at this edge: every live record
-        // monitors its slot-0 edge, so they are the live slot-0 entries of
+        self.discovered -= u64::from(info.discoveries);
+        // Destroy the pairs discovered at this edge: every record monitors
+        // its slot-0 edge, so they are the slot-0 entries of
         // `monitors[e_key]`. Slab order keeps the free list and the
         // watcher's `swap_remove`s as a full slab scan would leave them.
-        let slab = &self.slab;
-        let mut victims: Vec<(u32, u32)> =
-            self.monitors.get(&e_key).map_or_else(Vec::new, |refs| {
-                refs.iter()
-                    .filter(|&&(s, g, slot)| slot == 0 && live(slab, s, g).is_some())
-                    .map(|&(s, g, _)| (s, g))
-                    .collect()
+        let mut victims: Vec<(u32, u32)> = self
+            .monitors
+            .get(e_key)
+            .iter()
+            .filter(|&&(_, _, slot)| slot == 0)
+            .map(|&(s, g, _)| (s, g))
+            .collect();
+        victims.sort_unstable();
+        for (s, g) in victims {
+            let q_pos = self.destroy(s, g);
+            let slab = &mut self.slab;
+            self.q.remove(q_pos as usize, |pos, &(s, g)| {
+                referent(slab, s, g).q_pos = pos as u32;
             });
-        if !victims.is_empty() {
-            victims.sort_unstable();
-            for (s, g) in victims {
-                self.destroy(s, g);
-            }
-            // Every live record is in `Q`, so only a destruction can leave
-            // a dead reference there.
-            let slab = &self.slab;
-            self.q.retain(|&(s, g)| live(slab, s, g).is_some());
         }
         self.q.set_seen(self.discovered);
     }
@@ -252,23 +348,10 @@ impl TwoPassTriangle {
         }
         // H path (pass 2 only): bump active monitors of this edge.
         if self.pass == 1 {
-            if let Some(entries) = self.monitors.get_mut(&key) {
-                let slab = &mut self.slab;
-                entries.retain(|&(s, g, slot)| {
-                    match slab.get_mut(s as usize).and_then(|r| r.as_mut()) {
-                        Some(rec) if rec.gen == g => {
-                            if rec.active[slot as usize] {
-                                rec.h[slot as usize] += 1;
-                            }
-                            true
-                        }
-                        _ => false,
-                    }
-                });
-                if entries.is_empty() {
-                    if let Some(dead) = self.monitors.remove(&key) {
-                        self.monitors_vec_bytes -= dead.capacity() * 12 + 24;
-                    }
+            for &(s, g, slot) in self.monitors.get(key) {
+                let rec = referent(&mut self.slab, s, g);
+                if rec.active[slot as usize] {
+                    rec.h[slot as usize] += 1;
                 }
             }
         }
@@ -308,6 +391,9 @@ impl TwoPassTriangle {
             tri,
             h: [0; 3],
             active: [false; 3],
+            q_pos: 0,
+            monitor_at: [0; 3],
+            activation_at: [0; 3],
         });
         (idx, gen)
     }
@@ -318,10 +404,8 @@ impl SpaceUsage for TwoPassTriangle {
         hashmap_bytes(&self.s_edges)
             + self.slab.capacity() * std::mem::size_of::<Option<PairRecord>>()
             + vec_bytes(&self.free)
-            + hashmap_bytes(&self.monitors)
-            + self.monitors_vec_bytes
-            + hashmap_bytes(&self.activations)
-            + self.activations_vec_bytes
+            + self.monitors.space_bytes()
+            + self.activations.space_bytes()
             + self.watcher.space_bytes()
             + self.q.space_bytes()
             + hashmap_bytes(&self.free_gens)
@@ -376,15 +460,8 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 
     fn end_list(&mut self, owner: VertexId) {
         if self.pass == 1 {
-            if let Some(entries) = self.activations.remove(&owner.0) {
-                self.activations_vec_bytes -= entries.capacity() * 12 + 24;
-                for (s, g, slot) in entries {
-                    if let Some(rec) = self.slab.get_mut(s as usize).and_then(|r| r.as_mut()) {
-                        if rec.gen == g {
-                            rec.active[slot as usize] = true;
-                        }
-                    }
-                }
+            for (s, g, slot) in self.activations.take(owner.0) {
+                referent(&mut self.slab, s, g).active[slot as usize] = true;
             }
         }
     }
@@ -402,10 +479,13 @@ impl MultiPassAlgorithm for TwoPassTriangle {
     fn finish(self) -> TriangleEstimate {
         let counted = self
             .q
-            .items()
             .iter()
-            .filter_map(|&(s, g)| live(&self.slab, s, g))
-            .filter(|rec| rec.tri.lightest_slot(rec.h) == 0)
+            .map(|&(s, _)| {
+                self.slab[s as usize]
+                    .as_ref()
+                    .expect("Q holds live records")
+            })
+            .filter(|rec| rec.tri.lightest_slot(rec.h.map(u64::from)) == 0)
             .count() as u64;
         TriangleEstimate::assemble(
             self.cfg.edge_sampling,
@@ -422,7 +502,9 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 /// (`pos`, `next_pos`) and the completion scratch buffer are reset rather
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
 /// the resumed run enters pass 2. The sampler is rebuilt from the saved
-/// `S` (see [`EdgeSampler::rebuild`]).
+/// `S` (see [`EdgeSampler::rebuild`]). The record positions are not saved
+/// either: restore recomputes them from the saved order of `Q` and of each
+/// reference list.
 impl Checkpoint for TwoPassTriangle {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
         save_config(
@@ -438,14 +520,14 @@ impl Checkpoint for TwoPassTriangle {
         for (&key, info) in &self.s_edges {
             write_u64(w, key)?;
             write_u32(w, info.first_pos)?;
-            write_u64(w, info.discoveries)?;
+            write_u64(w, info.discoveries.into())?;
         }
         let (capacity, seen, rng_state) = self.q.to_parts();
         write_usize(w, capacity)?;
         write_u64(w, seen)?;
         write_u64(w, rng_state)?;
         write_usize(w, self.q.len())?;
-        for &(s, g) in self.q.items() {
+        for &(s, g) in self.q.iter() {
             write_u32(w, s)?;
             write_u32(w, g)?;
         }
@@ -460,7 +542,7 @@ impl Checkpoint for TwoPassTriangle {
                         write_u32(w, v.0)?;
                     }
                     for h in rec.h {
-                        write_u64(w, h)?;
+                        write_u64(w, h.into())?;
                     }
                     for a in rec.active {
                         write_u8(w, a as u8)?;
@@ -499,7 +581,7 @@ impl Checkpoint for TwoPassTriangle {
         for _ in 0..n {
             let key = read_u64(r)?;
             let first_pos = read_u32(r)?;
-            let discoveries = read_u64(r)?;
+            let discoveries = read_count(r, "discovery count")?;
             s_edges.insert(
                 key,
                 EdgeInfo {
@@ -512,8 +594,7 @@ impl Checkpoint for TwoPassTriangle {
         let seen = read_u64(r)?;
         let rng_state = read_u64(r)?;
         let q_items = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?)))?;
-        let q = Reservoir::from_parts(capacity, seen, rng_state, q_items);
-        let slab = read_seq(r, |r| {
+        let mut slab = read_seq(r, |r| {
             Ok(match read_u8(r)? {
                 0 => None,
                 1 => {
@@ -522,9 +603,9 @@ impl Checkpoint for TwoPassTriangle {
                     for v in &mut verts {
                         *v = VertexId(read_u32(r)?);
                     }
-                    let mut h = [0u64; 3];
+                    let mut h = [0u32; 3];
                     for x in &mut h {
-                        *x = read_u64(r)?;
+                        *x = read_count(r, "H counter")?;
                     }
                     let mut active = [false; 3];
                     for a in &mut active {
@@ -535,12 +616,31 @@ impl Checkpoint for TwoPassTriangle {
                         tri: TriangleSlots(verts),
                         h,
                         active,
+                        q_pos: UNSET,
+                        monitor_at: [UNSET; 3],
+                        activation_at: [UNSET; 3],
                     })
                 }
                 other => return Err(corrupt(format!("unknown slab slot tag {other}"))),
             })
         })?;
+        for (pos, &(s, g)) in q_items.iter().enumerate() {
+            match slab.get_mut(s as usize) {
+                Some(Some(rec)) if rec.gen == g && rec.q_pos == UNSET => rec.q_pos = pos as u32,
+                _ => return Err(corrupt("Q entry names no live record, or one twice")),
+            }
+        }
+        if slab.iter().flatten().any(|rec| rec.q_pos == UNSET) {
+            return Err(corrupt("live record outside Q"));
+        }
+        let q = Reservoir::from_parts(capacity, seen, rng_state, q_items);
         let free = read_seq(r, read_u32)?;
+        if free
+            .iter()
+            .any(|&f| !matches!(slab.get(f as usize), Some(None)))
+        {
+            return Err(corrupt("free list names an occupied slab slot"));
+        }
         let n = read_usize(r)?;
         let mut free_gens = FastMap::default();
         free_gens.reserve(n.min(1 << 16));
@@ -549,8 +649,27 @@ impl Checkpoint for TwoPassTriangle {
             let gen = read_u32(r)?;
             free_gens.insert(slot, gen);
         }
-        let (monitors, monitors_vec_bytes) = restore_ref_map(r)?;
-        let (activations, activations_vec_bytes) = restore_ref_map(r)?;
+        let monitors = restore_ref_map(r, &mut slab, |rec, slot| {
+            (rec.tri.slot_edge(slot), &mut rec.monitor_at[slot])
+        })?;
+        let activations = restore_ref_map(r, &mut slab, |rec, slot| {
+            let at = &mut rec.activation_at[slot];
+            // An active slot has no activation left: a reference to it
+            // can match no key.
+            let key = if rec.active[slot] {
+                u64::MAX
+            } else {
+                rec.tri.opposite(slot).0.into()
+            };
+            (key, at)
+        })?;
+        for rec in slab.iter().flatten() {
+            let missing_activation =
+                (0..3).any(|slot| !rec.active[slot] && rec.activation_at[slot] == UNSET);
+            if rec.monitor_at.contains(&UNSET) || missing_activation {
+                return Err(corrupt("live record without its references"));
+            }
+        }
         let watcher = PairWatcher::restore(r)?;
         let counters = ObsCounters::restore(r)?;
         let sampler = EdgeSampler::rebuild(seed, edge_sampling, s_edges.keys().copied())?;
@@ -568,9 +687,7 @@ impl Checkpoint for TwoPassTriangle {
             free,
             free_gens,
             monitors,
-            monitors_vec_bytes,
             activations,
-            activations_vec_bytes,
             watcher,
             completed_buf: Vec::new(),
             counters,
@@ -578,15 +695,25 @@ impl Checkpoint for TwoPassTriangle {
     }
 }
 
+/// A record position not yet recovered on restore.
+const UNSET: u32 = u32::MAX;
+
+/// Read a checkpoint's `u64` counter into the `u32` it is held in,
+/// refusing a value that would not fit.
+fn read_count(r: &mut dyn Read, what: &str) -> io::Result<u32> {
+    let raw = read_u64(r)?;
+    u32::try_from(raw).map_err(|_| corrupt(format!("{what} {raw} exceeds u32")))
+}
+
 /// Serialize a `key → Vec<(slab, gen, slot)>` reference map, preserving
 /// vector order (iteration order inside each vector is behaviorally
 /// significant; map-level order is not).
-fn save_ref_map<K>(w: &mut dyn Write, map: &SlotRefs<K>) -> io::Result<()>
+fn save_ref_map<K>(w: &mut dyn Write, refs: &SlotRefs<K>) -> io::Result<()>
 where
     K: Copy + Into<u64>,
 {
-    write_usize(w, map.len())?;
-    for (&key, entries) in map {
+    write_usize(w, refs.map.len())?;
+    for (&key, entries) in &refs.map {
         write_u64(w, key.into())?;
         write_usize(w, entries.len())?;
         for &(s, g, slot) in entries {
@@ -598,30 +725,54 @@ where
     Ok(())
 }
 
-/// Inverse of [`save_ref_map`], returning the map plus the incremental
-/// byte count of its inner vectors (recomputed from the restored
-/// capacities, which is exactly what the incremental counters track).
-fn restore_ref_map<K>(r: &mut dyn Read) -> io::Result<(SlotRefs<K>, usize)>
+/// Inverse of [`save_ref_map`]. A checkpoint written before references
+/// were removed with their records also holds references to destroyed
+/// ones: those are dropped here. Each kept reference's index is written
+/// into its record through `place`, which returns the key the reference
+/// must sit under and the record's index field for its slot.
+fn restore_ref_map<K>(
+    r: &mut dyn Read,
+    slab: &mut [Option<PairRecord>],
+    place: impl Fn(&mut PairRecord, usize) -> (u64, &mut u32),
+) -> io::Result<SlotRefs<K>>
 where
-    K: Eq + std::hash::Hash + TryFrom<u64>,
+    K: Copy + Eq + Hash + Into<u64> + TryFrom<u64>,
 {
     let n = read_usize(r)?;
-    let mut map = FastMap::default();
-    map.reserve(n.min(1 << 16));
-    let mut vec_bytes = 0usize;
+    let mut refs = SlotRefs::new();
+    refs.map.reserve(n.min(1 << 16));
     for _ in 0..n {
         let raw = read_u64(r)?;
         let key = K::try_from(raw).map_err(|_| corrupt(format!("map key {raw} out of range")))?;
-        let entries = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?, read_u8(r)?)))?;
-        vec_bytes += entries.capacity() * 12 + 24;
-        map.insert(key, entries);
+        let mut entries = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?, read_u8(r)?)))?;
+        entries
+            .retain(|&(s, g, _)| matches!(slab.get(s as usize), Some(Some(rec)) if rec.gen == g));
+        for (at, &(s, g, slot)) in entries.iter().enumerate() {
+            let rec = referent(slab, s, g);
+            if slot > 2 {
+                return Err(corrupt(format!("reference to slot {slot}")));
+            }
+            let (want, index) = place(rec, slot as usize);
+            if want != key.into() || *index != UNSET {
+                return Err(corrupt("reference misplaced or repeated"));
+            }
+            *index = at as u32;
+        }
+        if !entries.is_empty() {
+            entries.shrink_to_fit();
+            refs.vec_bytes += vec_bytes(&entries);
+            if refs.map.insert(key, entries).is_some() {
+                return Err(corrupt(format!("map key {raw} repeated")));
+            }
+        }
     }
-    Ok((map, vec_bytes))
+    Ok(refs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triangle::kernel::save_config;
     use adjstream_graph::{exact, gen};
     use adjstream_stream::{PassOrders, Runner, StreamOrder};
     use rand::rngs::StdRng;
@@ -804,9 +955,73 @@ mod tests {
         }
     }
 
+    /// Assert that `a` holds only live sample state: every reference names
+    /// a live record of its generation under that record's key, at the
+    /// index the record stores for it; every live record has all its
+    /// references; `Q` is exactly the live records, each at its stored
+    /// position; and the incremental byte counters equal a full rescan.
+    fn assert_live_state(a: &TwoPassTriangle, ctx: &str) {
+        let live: Vec<(u32, &PairRecord)> = a
+            .slab
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| Some((i as u32, r.as_ref()?)))
+            .collect();
+        let rec = |s: u32, g: u32| -> &PairRecord {
+            let rec = a.slab[s as usize].as_ref().unwrap_or_else(|| {
+                panic!("{ctx}: dead reference to slab slot {s}");
+            });
+            assert_eq!(rec.gen, g, "{ctx}: reference to a reused slot {s}");
+            rec
+        };
+        let mut monitor_refs = 0;
+        for (&key, list) in &a.monitors.map {
+            assert!(!list.is_empty(), "{ctx}: empty monitor list");
+            for (i, &(s, g, slot)) in list.iter().enumerate() {
+                let r = rec(s, g);
+                assert_eq!(r.tri.slot_edge(slot as usize), key, "{ctx}");
+                assert_eq!(r.monitor_at[slot as usize], i as u32, "{ctx}");
+                monitor_refs += 1;
+            }
+        }
+        let mut activation_refs = 0;
+        for (&key, list) in &a.activations.map {
+            assert!(!list.is_empty(), "{ctx}: empty activation list");
+            for (i, &(s, g, slot)) in list.iter().enumerate() {
+                let r = rec(s, g);
+                assert!(
+                    !r.active[slot as usize],
+                    "{ctx}: activation of an active slot"
+                );
+                assert_eq!(r.tri.opposite(slot as usize).0, key, "{ctx}");
+                assert_eq!(r.activation_at[slot as usize], i as u32, "{ctx}");
+                activation_refs += 1;
+            }
+        }
+        assert_eq!(monitor_refs, 3 * live.len(), "{ctx}: missing monitor");
+        let inactive: usize = live
+            .iter()
+            .map(|(_, r)| r.active.iter().filter(|&&x| !x).count())
+            .sum();
+        assert_eq!(activation_refs, inactive, "{ctx}: missing activation");
+        let mut q: Vec<(u32, u32)> = a.q.iter().copied().collect();
+        for (rank, &(s, g)) in q.iter().enumerate() {
+            assert_eq!(a.q.position(rank), rec(s, g).q_pos as usize, "{ctx}");
+        }
+        q.sort_unstable();
+        let want: Vec<(u32, u32)> = live.iter().map(|&(i, r)| (i, r.gen)).collect();
+        assert_eq!(q, want, "{ctx}: Q must be the live records");
+        let rescan = |m: &FastMap<_, Vec<SlotRef>>| -> usize { m.values().map(vec_bytes).sum() };
+        assert_eq!(a.monitors.vec_bytes, rescan(&a.monitors.map), "{ctx}");
+        let rescan = |m: &FastMap<_, Vec<SlotRef>>| -> usize { m.values().map(vec_bytes).sum() };
+        assert_eq!(a.activations.vec_bytes, rescan(&a.activations.map), "{ctx}");
+    }
+
     /// The incremental monitor/activation byte counters must equal a full
     /// value rescan at every list boundary of a real run — otherwise the
-    /// O(1) `space_bytes` would drift from the metered truth.
+    /// O(1) `space_bytes` would drift from the metered truth. The other
+    /// live-state invariants are checked with them, also on a threshold
+    /// run, where only `Q` replacements destroy records.
     #[test]
     fn incremental_accounting_matches_rescan_during_runs() {
         use adjstream_stream::AdjListStream;
@@ -815,28 +1030,27 @@ mod tests {
         let g = gen::gnm(60, 400, &mut rng);
         let order = StreamOrder::shuffled(60, 4);
         let items: Vec<StreamItem> = AdjListStream::new(&g, order).collect_items();
-        let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
-            seed: 5,
-            edge_sampling: EdgeSampling::BottomK { k: 60 },
-            pair_capacity: 60,
-        });
-        let rescan = |a: &TwoPassTriangle| {
-            let mon: usize = a.monitors.values().map(|v| v.capacity() * 12 + 24).sum();
-            let act: usize = a.activations.values().map(|v| v.capacity() * 12 + 24).sum();
-            (mon, act)
-        };
-        drive_checked(&mut algo, &items, |a, pass| {
-            assert_eq!(
-                (a.monitors_vec_bytes, a.activations_vec_bytes),
-                rescan(a),
-                "pass {pass}"
-            );
-        });
+        for edge_sampling in [
+            EdgeSampling::BottomK { k: 60 },
+            EdgeSampling::Threshold { p: 0.5 },
+        ] {
+            let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
+                seed: 5,
+                edge_sampling,
+                pair_capacity: 60,
+            });
+            drive_checked(&mut algo, &items, |a, pass| {
+                assert_live_state(a, &format!("{edge_sampling:?} pass {pass}"));
+            });
+            let counters = algo.obs_counters().expect("published");
+            assert!(counters.pairs_replaced > 0, "Q must replace");
+        }
     }
 
     /// The indexed purge finds every pair discovered at an evicted edge:
     /// after each list, every live record's sampled edge is still in `S`,
-    /// and `Q` holds exactly the live records.
+    /// `monitors` and `activations` hold no dead reference, and `Q` holds
+    /// exactly the live records.
     #[test]
     fn bottom_k_purge_leaves_no_orphaned_pair() {
         use adjstream_stream::AdjListStream;
@@ -852,22 +1066,57 @@ mod tests {
         });
         let mut most_live = 0;
         drive_checked(&mut algo, &items, |a, pass| {
-            let mut live: Vec<(u32, u32)> = Vec::new();
-            for (i, rec) in a.slab.iter().enumerate() {
-                if let Some(rec) = rec {
-                    let e = rec.tri.slot_edge(0);
-                    assert!(a.s_edges.contains_key(&e), "pass {pass}: orphan of {e:#x}");
-                    live.push((i as u32, rec.gen));
-                }
+            let mut live = 0;
+            for rec in a.slab.iter().flatten() {
+                let e = rec.tri.slot_edge(0);
+                assert!(a.s_edges.contains_key(&e), "pass {pass}: orphan of {e:#x}");
+                live += 1;
             }
-            most_live = most_live.max(live.len());
-            let mut q = a.q.items().to_vec();
-            q.sort_unstable();
-            assert_eq!(q, live, "pass {pass}: Q must be the live records");
+            most_live = most_live.max(live);
+            assert_live_state(a, &format!("pass {pass}"));
         });
         let counters = algo.obs_counters().expect("published");
         assert!(counters.evictions > 0, "the sample must evict");
         assert!(most_live > 0, "pairs must be stored");
+    }
+
+    /// A stream that breaks the promise can make a record whose apex is
+    /// an endpoint of its sampled edge (a self-loop item completes the
+    /// pair), so two of its slots share a reference list. Destroying such
+    /// records, by purge and by `Q` replacement, still leaves only live
+    /// state.
+    #[test]
+    fn self_loops_leave_only_live_state() {
+        use adjstream_stream::AdjListStream;
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = gen::disjoint_cliques(6, 8).disjoint_union(&gen::gnm(30, 120, &mut rng));
+        let order = StreamOrder::shuffled(g.vertex_count(), 2);
+        let mut items: Vec<StreamItem> = Vec::new();
+        for it in AdjListStream::new(&g, order).collect_items() {
+            if items.last().map(|l: &StreamItem| l.src) != Some(it.src) {
+                items.push(StreamItem::new(it.src, it.src));
+            }
+            items.push(it);
+        }
+        let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed: 4,
+            edge_sampling: EdgeSampling::BottomK { k: 30 },
+            pair_capacity: 25,
+        });
+        let mut degenerate = 0;
+        drive_checked(&mut algo, &items, |a, pass| {
+            degenerate += a
+                .slab
+                .iter()
+                .flatten()
+                .filter(|r| r.tri.0[2] == r.tri.0[0] || r.tri.0[2] == r.tri.0[1])
+                .count();
+            assert_live_state(a, &format!("pass {pass}"));
+        });
+        let counters = algo.obs_counters().expect("published");
+        assert!(degenerate > 0, "self-loops must make degenerate records");
+        assert!(counters.evictions > 0 && counters.pairs_replaced > 0);
     }
 
     #[test]
@@ -916,24 +1165,11 @@ mod tests {
             original.save(&mut buf).unwrap();
             let mut restored = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
             assert_eq!(restored.s_edges.len(), original.s_edges.len());
-            assert_eq!(restored.q.items(), original.q.items());
-            let rescan = |m: &FastMap<u64, Vec<(u32, u32, u8)>>| -> usize {
-                m.values().map(|v| v.capacity() * 12 + 24).sum()
-            };
-            assert_eq!(
-                restored.monitors_vec_bytes,
-                rescan(&restored.monitors),
-                "restored monitor byte accounting must match a from-scratch rescan"
-            );
-            let act_rescan: usize = restored
-                .activations
-                .values()
-                .map(|v| v.capacity() * 12 + 24)
-                .sum();
-            assert_eq!(
-                restored.activations_vec_bytes, act_rescan,
-                "restored activation byte accounting must match a from-scratch rescan"
-            );
+            assert!(restored.q.iter().eq(original.q.iter()));
+            assert_live_state(&restored, "restored");
+            let mut again = Vec::new();
+            restored.save(&mut again).unwrap();
+            assert_eq!(again.len(), buf.len(), "a live state restores whole");
 
             for algo in [&mut original, &mut restored] {
                 drive_pass_slice(
@@ -959,5 +1195,106 @@ mod tests {
             .err()
             .expect("truncated input must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Restore rebuilds every record's positions from the saved lists, so
+    /// a checkpoint whose lists disagree with its records is refused as
+    /// `InvalidData` rather than restored into a state that later panics.
+    #[test]
+    fn checkpoint_restore_rejects_inconsistent_references() {
+        use adjstream_stream::meter::PeakTracker;
+        use adjstream_stream::runner::drive_pass_slice;
+        use adjstream_stream::AdjListStream;
+
+        let g = gen::disjoint_cliques(6, 4);
+        let items = AdjListStream::new(&g, StreamOrder::natural(g.vertex_count())).collect_items();
+        let mut base = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed: 1,
+            edge_sampling: EdgeSampling::Threshold { p: 1.0 },
+            pair_capacity: 30,
+        });
+        drive_pass_slice(&mut base, 0, &items, &mut PeakTracker::new(), &mut 0).unwrap();
+        assert!(!base.free.is_empty(), "Q must have replaced records");
+        let (&key, list) = base.monitors.map.iter().next().expect("a monitor list");
+        let first = list[0];
+        let live = first.0;
+        for what in ["repeated", "missing", "misplaced", "free", "outside Q"] {
+            let mut buf = Vec::new();
+            base.save(&mut buf).unwrap();
+            let mut a = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+            match what {
+                "repeated" => a.monitors.map.get_mut(&key).unwrap().push(first),
+                "missing" => {
+                    a.monitors.map.get_mut(&key).unwrap().remove(0);
+                }
+                "misplaced" => {
+                    let moved = a.monitors.map.remove(&key).unwrap();
+                    a.monitors.map.insert(key ^ 1, moved);
+                }
+                "free" => a.free.push(live),
+                _ => {
+                    let spare = a.free[0];
+                    let mut rec = a.slab.iter().flatten().next().unwrap().clone();
+                    rec.gen = a.free_gens[&spare];
+                    a.slab[spare as usize] = Some(rec);
+                }
+            }
+            buf.clear();
+            a.save(&mut buf).unwrap();
+            let err = TwoPassTriangle::restore(&mut &buf[..])
+                .err()
+                .unwrap_or_else(|| panic!("{what}: must be refused"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    /// `H` counters and discovery counts are `u64` in the checkpoint and
+    /// `u32` in memory: a saved value above `u32::MAX` is refused, never
+    /// truncated.
+    #[test]
+    fn checkpoint_restore_rejects_counts_above_u32() {
+        use adjstream_stream::meter::PeakTracker;
+        use adjstream_stream::runner::drive_pass_slice;
+        use adjstream_stream::AdjListStream;
+
+        let g = gen::disjoint_cliques(6, 4);
+        let items = AdjListStream::new(&g, StreamOrder::natural(g.vertex_count())).collect_items();
+        let mut algo = TwoPassTriangle::new(full_cfg(1));
+        drive_pass_slice(&mut algo, 0, &items, &mut PeakTracker::new(), &mut 0).unwrap();
+        let mut buf = Vec::new();
+        algo.save(&mut buf).unwrap();
+        assert!(TwoPassTriangle::restore(&mut &buf[..]).is_ok());
+
+        // Offsets follow `save`: the config, pass, items, `T′` and `|S|`,
+        // then `S` entries of key, first position and discovery count.
+        let mut config = Vec::new();
+        save_config(&mut config, 1, full_cfg(1).edge_sampling, usize::MAX).unwrap();
+        let s_start = config.len() + 4 * 8;
+        let discoveries_at = s_start + 8 + 4;
+        // Then `Q`'s parts, its entries, the slab length and the slab's
+        // slots: a free one is a tag byte; a record is a tag, a
+        // generation and three vertices before its `H` counters.
+        let q_start = s_start + algo.s_edges.len() * (8 + 4 + 8);
+        let slab_start = q_start + 4 * 8 + algo.q.len() * 8 + 8;
+        let first = algo
+            .slab
+            .iter()
+            .position(Option::is_some)
+            .expect("a record");
+        let h_at = slab_start + first + 1 + 4 + 12;
+
+        let too_big = (u64::from(u32::MAX) + 1).to_le_bytes();
+        for (at, what) in [(discoveries_at, "discovery count"), (h_at, "H counter")] {
+            let mut bad = buf.clone();
+            bad[at..at + 8].copy_from_slice(&too_big);
+            let err = TwoPassTriangle::restore(&mut &bad[..])
+                .err()
+                .unwrap_or_else(|| panic!("{what} above u32::MAX must fail"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            // The largest value that fits still restores.
+            bad[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+            assert!(TwoPassTriangle::restore(&mut &bad[..]).is_ok(), "{what}");
+        }
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! CI runs this file with `--release` beside the golden bits.
 
-use adjstream_core::triangle::TwoPassTriangle;
+use adjstream_core::common::EdgeSampling;
+use adjstream_core::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream_graph::gen;
 use adjstream_stream::checkpoint::Checkpoint;
 use adjstream_stream::meter::PeakTracker;
@@ -54,6 +55,7 @@ fn digest(blob: &[u8]) -> u64 {
 /// One saved pass-0 boundary and the `golden_bits.rs` row it must reach.
 struct Fixture {
     name: &'static str,
+    sampling: EdgeSampling,
     payload: &'static [u8],
     /// `golden_bits.rs`'s boundary digest before the live-sample change,
     /// which proves the fixture is the old build's payload.
@@ -66,6 +68,7 @@ fn fixtures() -> [Fixture; 2] {
     [
         Fixture {
             name: "two-pass/threshold",
+            sampling: EdgeSampling::Threshold { p: 0.4 },
             payload: include_bytes!("fixtures/two_pass_threshold_pass0.ckpt"),
             old_digest: 0xEA0B3FF021CB5C02,
             estimate_bits: 0x4088C73333333333,
@@ -73,6 +76,7 @@ fn fixtures() -> [Fixture; 2] {
         },
         Fixture {
             name: "two-pass/bottom-k",
+            sampling: EdgeSampling::BottomK { k: 300 },
             payload: include_bytes!("fixtures/two_pass_bottom_k_pass0.ckpt"),
             old_digest: 0x444B68C36B9E9454,
             estimate_bits: 0x4087648888888888,
@@ -88,8 +92,24 @@ fn pass_zero_fixtures_resume_to_the_pinned_bits() {
         assert_eq!(digest(fx.payload), fx.old_digest, "{}", fx.name);
         let mut algo = TwoPassTriangle::restore(&mut &fx.payload[..])
             .unwrap_or_else(|e| panic!("{}: restore failed: {e}", fx.name));
+        // The dead references are gone: the restored state saves exactly
+        // as many bytes as this build's own pass-0 boundary, fewer than the
+        // fixture holds.
+        let mut resaved = Vec::new();
+        algo.save(&mut resaved).expect("save");
+        let mut fresh = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed: 9,
+            edge_sampling: fx.sampling,
+            pair_capacity: 150,
+        });
         let mut peak = PeakTracker::new();
         let mut processed = 0usize;
+        drive_pass_slice(&mut fresh, 0, &items, &mut peak, &mut processed).expect("pass 0");
+        let mut live = Vec::new();
+        fresh.save(&mut live).expect("save");
+        assert_eq!(resaved.len(), live.len(), "{}", fx.name);
+        assert!(resaved.len() < fx.payload.len(), "{}", fx.name);
+
         drive_pass_slice(&mut algo, 1, &items, &mut peak, &mut processed).expect("pass 1");
         let counters = algo.obs_counters().map(flat);
         let est = algo.finish();

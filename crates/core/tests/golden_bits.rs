@@ -197,6 +197,10 @@ fn actual() -> Vec<(String, Pinned)> {
 /// The table, generated before the shared-kernel refactor of the
 /// Section 3 estimators. The peaks were re-pinned when the pair watcher
 /// became a slot table; no estimate, counter or digest moved with them.
+/// The two `two-pass` peaks and digests were re-pinned when its state
+/// shrank to the live sample (193569 → 147699 and 201972 → 155491 bytes):
+/// its checkpoint no longer carries references to destroyed records.
+/// `checkpoint_compat.rs` keeps the old payloads resuming to these bits.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -229,9 +233,9 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "two-pass/threshold",
             0x4088C73333333333,
-            193569,
+            147699,
             Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
-            vec![0xEA0B3FF021CB5C02],
+            vec![0xBB04601609BEAB54],
         ),
         row(
             "sharded/sequential/threshold",
@@ -265,9 +269,9 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "two-pass/bottom-k",
             0x4087648888888888,
-            201972,
+            155491,
             Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
-            vec![0x444B68C36B9E9454],
+            vec![0x95D308FDF00499E4],
         ),
         row(
             "sharded/sequential/bottom-k",

@@ -41,6 +41,13 @@ pub struct BottomKSampler {
 impl BottomKSampler {
     /// Sampler retaining the `k` smallest-hashed keys.
     pub fn new(seed: u64, k: usize) -> Self {
+        // `members` reserves `2k`, not `k + 1`. Evictions use up the
+        // table's growth allowance, and hashbrown then rehashes in place
+        // only while the keys fill at most half its capacity; above that
+        // it doubles the table. At a `k + 1` reserve the eviction churn
+        // would decide when the map doubles, so equal samples could meter
+        // different peaks (a one-shard run stopped matching the sequential
+        // one in `shard_equivalence.rs`).
         BottomKSampler {
             k,
             hash: HashFn::from_seed(seed, 0xB077_0A1C),
@@ -75,25 +82,26 @@ impl BottomKSampler {
             return BottomKEvent::Rejected;
         }
         let h = self.hash.hash(key);
-        match self.members.entry(key) {
-            Entry::Occupied(_) => BottomKEvent::AlreadyPresent,
-            Entry::Vacant(slot) => {
-                if self.heap.len() < self.k {
-                    slot.insert(h);
-                    self.heap.push((h, key));
-                    return BottomKEvent::Inserted;
-                }
-                let &(max_h, max_key) = self.heap.peek().expect("heap full");
-                if h >= max_h {
-                    return BottomKEvent::Rejected;
-                }
-                slot.insert(h);
-                self.heap.pop();
-                self.heap.push((h, key));
-                self.members.remove(&max_key);
-                BottomKEvent::InsertedEvicting(max_key)
-            }
+        let full = self.heap.len() == self.k;
+        // `HashFn::hash` is a bijection, so a hash above the sample's
+        // largest belongs to no member: reject it before the map probe.
+        if full && h > self.heap.peek().expect("heap full").0 {
+            return BottomKEvent::Rejected;
         }
+        let Entry::Vacant(slot) = self.members.entry(key) else {
+            return BottomKEvent::AlreadyPresent;
+        };
+        slot.insert(h);
+        if !full {
+            self.heap.push((h, key));
+            return BottomKEvent::Inserted;
+        }
+        // A non-member's hash differs from every member's, so `h` is below
+        // the largest one here.
+        let (_, max_key) = self.heap.pop().expect("heap full");
+        self.heap.push((h, key));
+        self.members.remove(&max_key);
+        BottomKEvent::InsertedEvicting(max_key)
     }
 
     /// Iterate the sampled keys (arbitrary order).
@@ -176,6 +184,78 @@ mod tests {
         let smaller = (2..).find(|&k| h.hash(k) < h.hash(1)).unwrap();
         assert_eq!(s.offer(smaller), BottomKEvent::InsertedEvicting(1));
         assert!(s.contains(smaller) && !s.contains(1));
+    }
+
+    /// The probe-first order `offer` used before its early reject: look the
+    /// key up in the map, and only then test it against the largest hash.
+    struct MapFirst {
+        k: usize,
+        hash: HashFn,
+        heap: BinaryHeap<(u64, u64)>,
+        members: std::collections::HashMap<u64, u64>,
+    }
+
+    impl MapFirst {
+        fn offer(&mut self, key: u64) -> BottomKEvent {
+            if self.k == 0 {
+                return BottomKEvent::Rejected;
+            }
+            let h = self.hash.hash(key);
+            if self.members.contains_key(&key) {
+                return BottomKEvent::AlreadyPresent;
+            }
+            if self.heap.len() < self.k {
+                self.members.insert(key, h);
+                self.heap.push((h, key));
+                return BottomKEvent::Inserted;
+            }
+            let &(max_h, max_key) = self.heap.peek().expect("heap full");
+            if h >= max_h {
+                return BottomKEvent::Rejected;
+            }
+            self.members.insert(key, h);
+            self.heap.pop();
+            self.heap.push((h, key));
+            self.members.remove(&max_key);
+            BottomKEvent::InsertedEvicting(max_key)
+        }
+    }
+
+    #[test]
+    fn early_reject_matches_the_map_first_order() {
+        use crate::hashing::SplitMix64;
+        for (seed, k) in [(1u64, 1usize), (2, 7), (3, 64), (4, 0)] {
+            let mut fast = BottomKSampler::new(seed, k);
+            let mut slow = MapFirst {
+                k,
+                hash: HashFn::from_seed(seed, 0xB077_0A1C),
+                heap: BinaryHeap::new(),
+                members: Default::default(),
+            };
+            // A small key universe, so most offers repeat a key: members,
+            // evicted keys and never-admitted ones all come back.
+            let mut rng = SplitMix64::new(seed);
+            let universe = 4 * k as u64 + 16;
+            let mut kinds = [0usize; 4];
+            for i in 0..5000 {
+                let key = rng.next_u64() % universe;
+                let ev = fast.offer(key);
+                assert_eq!(ev, slow.offer(key), "seed {seed} k {k} offer {i} key {key}");
+                assert_eq!(fast.len(), slow.members.len());
+                kinds[match ev {
+                    BottomKEvent::Inserted => 0,
+                    BottomKEvent::InsertedEvicting(_) => 1,
+                    BottomKEvent::AlreadyPresent => 2,
+                    BottomKEvent::Rejected => 3,
+                }] += 1;
+            }
+            let got: std::collections::HashSet<u64> = fast.keys().collect();
+            let want: std::collections::HashSet<u64> = slow.members.keys().copied().collect();
+            assert_eq!(got, want, "seed {seed} k {k}");
+            if k > 1 {
+                assert!(kinds.iter().all(|&n| n > 0), "seed {seed} k {k}: {kinds:?}");
+            }
+        }
     }
 
     #[test]

@@ -255,7 +255,7 @@ mod sampler_model {
             prop_assert_eq!(r.len() as u64, n.min(cap as u64));
             prop_assert_eq!(r.seen(), n);
             // Everything held was offered.
-            prop_assert!(r.items().iter().all(|&x| x < n));
+            prop_assert!(r.iter().all(|&x| x < n));
         }
     }
 }
