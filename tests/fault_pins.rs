@@ -6,7 +6,8 @@
 //! every static and update fault kind alone and for one composed plan of
 //! each type, over a few seeds, plus a tiny stream that cannot host most
 //! kinds (the skipped path). It also pins the bytes `Guarded::save` writes
-//! after a Repair pass that quarantined edges, in exact and bounded mode.
+//! after a Repair pass that quarantined edges, in exact and bounded mode,
+//! and what `guard_items` admits and counts under each policy.
 //!
 //! Each row holds `checksum64` digests of a canonical rendering; on a
 //! mismatch the assertion prints the rendering, so the diff is readable.
@@ -18,9 +19,9 @@ use adjstream::stream::hashing::checksum64;
 use adjstream::stream::meter::PeakTracker;
 use adjstream::stream::update::{churn, ChurnConfig, UpdateEvent, UpdateOp, UpdateStream};
 use adjstream::stream::{
-    drive_pass_slice, AdjListStream, Checkpoint, FaultKind, FaultPlan, GuardPolicy, Guarded,
-    MultiPassAlgorithm, SpaceUsage, StreamItem, StreamOrder, UpdateFaultKind, UpdateFaultPlan,
-    ValidatorMode,
+    drive_pass_slice, guard_items, AdjListStream, Checkpoint, FaultKind, FaultPlan, GuardPolicy,
+    Guarded, MultiPassAlgorithm, SpaceUsage, StreamItem, StreamOrder, UpdateFaultKind,
+    UpdateFaultPlan, ValidatorMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -360,5 +361,51 @@ fn repair_guard_checkpoint_bytes_are_pinned() {
             0xdd41_efe6_118e_1c4f,
             "GuardStats { faults_detected: 1, items_repaired: 0, edges_quarantined: 1, validator_peak_bytes: 479 }".to_string()
         )
+    );
+}
+
+/// `guard_items` under `policy`: the digest of the admitted items and the
+/// counters, or the error text.
+fn guard_items_case(items: &[StreamItem], policy: GuardPolicy) -> String {
+    match guard_items(items, policy) {
+        Ok((admitted, stats)) => format!("{:#018x} {stats:?}", items_digest(&admitted)),
+        Err(e) => e.to_string(),
+    }
+}
+
+#[test]
+fn guard_items_admissions_and_counters_are_pinned() {
+    let items = static_items(60, 300, 21);
+    // Every kind a single pass can see, composed.
+    let every = FaultPlan::new(5)
+        .with(FaultKind::TruncateTail, 1)
+        .with(FaultKind::CorruptVertex, 2)
+        .with(FaultKind::DropDirection, 3)
+        .with(FaultKind::DuplicateItem, 2)
+        .with(FaultKind::InjectSelfLoop, 2)
+        .with(FaultKind::SplitList, 2)
+        .apply(&items);
+    assert!(every.skipped().is_empty());
+    // Only end-of-pass faults, so Strict fails on the symmetry check.
+    let unmatched = FaultPlan::new(5)
+        .with(FaultKind::TruncateTail, 1)
+        .with(FaultKind::CorruptVertex, 1)
+        .with(FaultKind::DropDirection, 2)
+        .apply(&items);
+    assert!(unmatched.skipped().is_empty());
+    let got: Vec<String> = [&every, &unmatched]
+        .iter()
+        .flat_map(|c| GuardPolicy::ALL.map(|policy| guard_items_case(c.items(), policy)))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "invalid stream in pass 1: self-loop at vertex 48 (item 94)",
+            "0xd2e055d6a4a59d85 GuardStats { faults_detected: 60, items_repaired: 16, edges_quarantined: 54, validator_peak_bytes: 8108 }",
+            "0x3b120ff9d8645633 GuardStats { faults_detected: 60, items_repaired: 10, edges_quarantined: 0, validator_peak_bytes: 8108 }",
+            "invalid stream in pass 1: edge 59→1 never appeared as 1→59",
+            "0x11d8a1263c73e5dd GuardStats { faults_detected: 39, items_repaired: 0, edges_quarantined: 39, validator_peak_bytes: 7920 }",
+            "0x11d8a1263c73e5dd GuardStats { faults_detected: 39, items_repaired: 0, edges_quarantined: 0, validator_peak_bytes: 7920 }",
+        ]
     );
 }
