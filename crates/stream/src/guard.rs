@@ -47,8 +47,10 @@ use crate::checkpoint::{
 use crate::hashing::{FastBuildHasher, FastSet, HashFn};
 use crate::item::StreamItem;
 use crate::meter::{hashset_bytes, SpaceUsage};
-use crate::runner::{run_slice_passes, GuardStats, MultiPassAlgorithm, RunError};
-use crate::validate::{pack_edge, OnlineValidator, StreamError, ValidatorMode};
+use crate::runner::{GuardStats, MultiPassAlgorithm, RunError};
+use crate::validate::{
+    name_unmatched, once_keys, pack_edge, OnlineValidator, StreamError, ValidatorMode,
+};
 
 /// Serialize a [`GuardPolicy`] as a one-byte tag, its declaration index
 /// (shared with the batch and update-guard checkpoints so every layer
@@ -580,6 +582,17 @@ impl<A: MultiPassAlgorithm + Checkpoint> Checkpoint for Guarded<A> {
 /// guard's counters. Repairing once, upstream of a shard split, lets every
 /// shard replay the same items.
 ///
+/// It admits and counts exactly what a [`Guarded`] pass over `items`
+/// would, without a storing validator. The calling thread runs the local
+/// checks over the resident slice, copies out the admitted stretches and
+/// records which items the checks did not accept; meanwhile a second
+/// thread sorts the canonical keys of the whole slice. A key left with
+/// one accepted item once the rejected ones are taken out is an unmatched
+/// edge, and rescanning the accepted items names those edges in
+/// first-appearance order, as [`OnlineValidator::finish`] does.
+/// `validator_peak_bytes` counts the local-check sets, the 8 B-per-item
+/// key buffer and 8 B per rejected item.
+///
 /// The repaired stream is not promise-valid. The one pass drops what the
 /// guard rejects as it arrives (a duplicate, a self-loop, a split list's
 /// displaced segment), but a widowed edge, whose reverse never arrives,
@@ -590,42 +603,122 @@ pub fn guard_items(
     items: &[StreamItem],
     policy: GuardPolicy,
 ) -> Result<(Vec<StreamItem>, GuardStats), RunError> {
-    // One pass admits at most every item: reserve once, never reallocate.
-    let mut guard = Guarded::new(Admitted(Vec::with_capacity(items.len())), policy);
-    guard.validator.reserve(items.len());
-    let (admitted, report) = run_slice_passes(guard, |_pass| items)?;
-    Ok((admitted, report.guard.unwrap_or_default()))
+    let invalid = |error| RunError::Invalid { pass: 0, error };
+    // The key buffer is allocated here, before the spawn, as in
+    // `run_with_verdict`: a buffer the sorting thread allocated would stay
+    // cached in that thread's malloc arena after it is freed.
+    let mut keys = Vec::with_capacity(items.len());
+    let key_bytes = keys.capacity() * std::mem::size_of::<u64>();
+    std::thread::scope(|scope| {
+        let sorted = scope.spawn(move || {
+            keys.extend(items.iter().map(|it| pack_edge(it.src, it.dst)));
+            keys.sort_unstable();
+            keys
+        });
+        let local = check_locally(items, policy);
+        let keys = sorted
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let LocalPass {
+            admitted,
+            rejected,
+            mut stats,
+        } = local.map_err(invalid)?;
+        stats.validator_peak_bytes +=
+            key_bytes + rejected.capacity() * std::mem::size_of::<usize>();
+        let mut minus: Vec<u64> = rejected
+            .iter()
+            .map(|&i| pack_edge(items[i].src, items[i].dst))
+            .collect();
+        minus.sort_unstable();
+        let once = once_keys(&keys, &minus);
+        drop(keys);
+        let mut skip = rejected.iter().peekable();
+        let accepted = items
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| skip.next_if_eq(&i).is_none())
+            .map(|(_, it)| (it.src, it.dst));
+        let (verdict, unmatched) = name_unmatched(once, items.len() - rejected.len(), accepted);
+        if let Err(e) = verdict {
+            stats.faults_detected += unmatched.len();
+            let mut fatal = None;
+            match policy.decide(e, true, &mut fatal) {
+                Verdict::Drop => stats.edges_quarantined += unmatched.len(),
+                Verdict::Forward => {}
+                Verdict::Fail => return Err(invalid(fatal.expect("a failed verdict is latched"))),
+            }
+        }
+        Ok((admitted, stats))
+    })
 }
 
-/// The one-pass collector behind [`guard_items`].
-struct Admitted(Vec<StreamItem>);
-
-impl SpaceUsage for Admitted {
-    fn space_bytes(&self) -> usize {
-        self.0.len() * std::mem::size_of::<StreamItem>()
-    }
+/// What the local checks of one pass admit, before the symmetry step.
+struct LocalPass {
+    /// The admitted items, in stream order.
+    admitted: Vec<StreamItem>,
+    /// Positions of the items the validator did not accept, ascending:
+    /// the dropped ones, and under Observe the forwarded violations too.
+    rejected: Vec<usize>,
+    /// The counters so far; `validator_peak_bytes` holds the local-check
+    /// sets, whose capacity only grows.
+    stats: GuardStats,
 }
 
-impl MultiPassAlgorithm for Admitted {
-    type Output = Vec<StreamItem>;
-
-    fn passes(&self) -> usize {
-        1
+/// The local half of a [`Guarded`] pass over `items`: the same checks,
+/// the same split-segment suppression and the same policy rule as
+/// `Guarded::admit`, with nothing stored per accepted item. Under Strict
+/// it stops at the first violation.
+fn check_locally(items: &[StreamItem], policy: GuardPolicy) -> Result<LocalPass, StreamError> {
+    let mut validator = OnlineValidator::exact();
+    let mut admitted = Vec::with_capacity(items.len());
+    let mut rejected = Vec::new();
+    let mut stats = GuardStats::default();
+    let mut fatal = None;
+    // Owner of a split list's displaced segment, and its verdict.
+    let mut suppress: Option<(VertexId, Verdict)> = None;
+    let mut stretch = 0;
+    for (i, &item) in items.iter().enumerate() {
+        let verdict = match suppress {
+            Some((owner, verdict)) if owner == item.src => {
+                validator.note_suppressed();
+                stats.items_repaired += 1;
+                verdict
+            }
+            _ => {
+                suppress = None;
+                let Err(e) = validator.check_local(item) else {
+                    continue;
+                };
+                stats.faults_detected += 1;
+                let split = matches!(e, StreamError::ListNotContiguous { .. });
+                let verdict = policy.decide(e, true, &mut fatal);
+                if split {
+                    suppress = Some((item.src, verdict));
+                }
+                if verdict == Verdict::Drop {
+                    stats.items_repaired += 1;
+                }
+                verdict
+            }
+        };
+        match verdict {
+            Verdict::Forward => {}
+            Verdict::Drop => {
+                admitted.extend_from_slice(&items[stretch..i]);
+                stretch = i + 1;
+            }
+            Verdict::Fail => return Err(fatal.expect("a failed verdict is latched")),
+        }
+        rejected.push(i);
     }
-
-    fn begin_pass(&mut self, _pass: usize) {}
-
-    fn item(&mut self, src: VertexId, dst: VertexId) {
-        self.0.push(StreamItem::new(src, dst));
-    }
-
-    fn feed_slice(&mut self, items: &[StreamItem]) {
-        self.0.extend_from_slice(items);
-    }
-
-    fn finish(self) -> Vec<StreamItem> {
-        self.0
-    }
+    admitted.extend_from_slice(&items[stretch..]);
+    stats.validator_peak_bytes = validator.space_bytes();
+    Ok(LocalPass {
+        admitted,
+        rejected,
+        stats,
+    })
 }
 
 /// Read a count of `width`-byte entries, rejecting one the rest of `r`
@@ -646,6 +739,7 @@ mod tests {
     use super::*;
     use crate::adjlist::AdjListStream;
     use crate::fault::{FaultKind, FaultPlan};
+    use crate::item::StreamItem;
     use crate::order::StreamOrder;
     use crate::runner::{run_slice_passes, RunError};
     use adjstream_graph::gen;
@@ -973,6 +1067,81 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(want), "{err}");
         }
+    }
+
+    /// The storing path `guard_items` replaced, kept as its reference: one
+    /// guarded pass over a collector of the admitted items.
+    fn guard_items_reference(
+        items: &[StreamItem],
+        policy: GuardPolicy,
+    ) -> Result<(Vec<StreamItem>, GuardStats), RunError> {
+        let guard = Guarded::new(Admitted(Vec::new()), policy);
+        let (admitted, report) = run_slice_passes(guard, |_pass| items)?;
+        Ok((admitted, report.guard.unwrap_or_default()))
+    }
+
+    struct Admitted(Vec<StreamItem>);
+
+    impl SpaceUsage for Admitted {
+        fn space_bytes(&self) -> usize {
+            self.0.len() * std::mem::size_of::<StreamItem>()
+        }
+    }
+
+    impl MultiPassAlgorithm for Admitted {
+        type Output = Vec<StreamItem>;
+        fn passes(&self) -> usize {
+            1
+        }
+        fn begin_pass(&mut self, _pass: usize) {}
+        fn item(&mut self, src: VertexId, dst: VertexId) {
+            self.0.push(StreamItem::new(src, dst));
+        }
+        fn finish(self) -> Vec<StreamItem> {
+            self.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// `guard_items` admits, counts and fails exactly as the guarded
+        /// pass it replaced, under every policy and any composed plan.
+        /// Only `validator_peak_bytes` differs: the two keep different
+        /// state.
+        #[test]
+        fn guard_items_matches_the_guarded_pass(
+            n in 6usize..40,
+            m_raw in 0usize..140,
+            gseed in proptest::prelude::any::<u64>(),
+            fseed in proptest::prelude::any::<u64>(),
+            counts in proptest::prop::collection::vec(
+                0usize..3,
+                FaultKind::ALL.len()..FaultKind::ALL.len() + 1,
+            ),
+        ) {
+            let items = clean_items(n, m_raw.min(n * (n - 1) / 2), gseed);
+            let plan = FaultKind::ALL
+                .into_iter()
+                .zip(counts)
+                .fold(FaultPlan::new(fseed), |plan, (kind, count)| plan.with(kind, count));
+            let c = plan.apply(&items);
+            let semantic = |result: Result<(Vec<StreamItem>, GuardStats), RunError>| {
+                result.map(|(admitted, stats)| {
+                    (admitted, GuardStats { validator_peak_bytes: 0, ..stats })
+                })
+            };
+            for policy in GuardPolicy::ALL {
+                let want = semantic(guard_items_reference(c.items(), policy));
+                let got = semantic(guard_items(c.items(), policy));
+                proptest::prop_assert_eq!(got, want, "{} under {}", plan_label(&c), policy);
+            }
+        }
+    }
+
+    fn plan_label(c: &crate::fault::CorruptedStream) -> String {
+        let kinds: Vec<String> = c.injected().iter().map(|f| f.kind.to_string()).collect();
+        kinds.join(",")
     }
 
     #[test]

@@ -228,17 +228,42 @@ where
     keys.clear();
     keys.extend(stream().map(|(src, dst)| pack_edge(src, dst)));
     keys.sort_unstable();
-    let once: Vec<u64> = keys
-        .chunk_by(|a, b| a == b)
-        .filter(|run| run.len() == 1)
-        .map(|run| run[0])
-        .collect();
+    let once = once_keys(&keys, &[]);
     let accepted = keys.len();
     drop(keys);
+    name_unmatched(once, accepted, stream())
+}
+
+/// The keys that occur exactly once in the sorted multiset `sorted` after
+/// the sorted sub-multiset `minus` is taken out of it.
+pub(crate) fn once_keys(sorted: &[u64], minus: &[u64]) -> Vec<u64> {
+    let mut minus = minus.iter().peekable();
+    sorted
+        .chunk_by(|a, b| a == b)
+        .filter_map(|run| {
+            let key = run[0];
+            let mut left = run.len();
+            while minus.next_if_eq(&&key).is_some() {
+                left -= 1;
+            }
+            (left == 1).then_some(key)
+        })
+        .collect()
+}
+
+/// The verdict of the symmetry step once its unmatched keys `once` are
+/// known: `Ok` with the edge count of `accepted` items when there are
+/// none, else the accepted items of `stream` (in stream order) whose key
+/// is unmatched, the first of them as the error.
+pub(crate) fn name_unmatched(
+    once: Vec<u64>,
+    accepted: usize,
+    stream: impl Iterator<Item = (VertexId, VertexId)>,
+) -> (Result<usize, StreamError>, Vec<(VertexId, VertexId)>) {
     if once.is_empty() {
         return (Ok(accepted / 2), Vec::new());
     }
-    let unmatched: Vec<(VertexId, VertexId)> = stream()
+    let unmatched: Vec<(VertexId, VertexId)> = stream
         .filter(|&(src, dst)| once.binary_search(&pack_edge(src, dst)).is_ok())
         .take(once.len())
         .collect();
@@ -415,7 +440,7 @@ impl OnlineValidator {
     /// need, but nothing stored per accepted item. `Ok(true)` when `item`
     /// opened a new list.
     #[inline]
-    fn check_local(&mut self, item: StreamItem) -> Result<bool, StreamError> {
+    pub(crate) fn check_local(&mut self, item: StreamItem) -> Result<bool, StreamError> {
         let position = self.position;
         self.position += 1;
         if item.src == item.dst {

@@ -401,11 +401,11 @@ fn guard_items_admissions_and_counters_are_pinned() {
         got,
         [
             "invalid stream in pass 1: self-loop at vertex 48 (item 94)",
-            "0xd2e055d6a4a59d85 GuardStats { faults_detected: 60, items_repaired: 16, edges_quarantined: 54, validator_peak_bytes: 8108 }",
-            "0x3b120ff9d8645633 GuardStats { faults_detected: 60, items_repaired: 10, edges_quarantined: 0, validator_peak_bytes: 8108 }",
+            "0xd2e055d6a4a59d85 GuardStats { faults_detected: 60, items_repaired: 16, edges_quarantined: 54, validator_peak_bytes: 5548 }",
+            "0x3b120ff9d8645633 GuardStats { faults_detected: 60, items_repaired: 10, edges_quarantined: 0, validator_peak_bytes: 5548 }",
             "invalid stream in pass 1: edge 59→1 never appeared as 1→59",
-            "0x11d8a1263c73e5dd GuardStats { faults_detected: 39, items_repaired: 0, edges_quarantined: 39, validator_peak_bytes: 7920 }",
-            "0x11d8a1263c73e5dd GuardStats { faults_detected: 39, items_repaired: 0, edges_quarantined: 0, validator_peak_bytes: 7920 }",
+            "0x11d8a1263c73e5dd GuardStats { faults_detected: 39, items_repaired: 0, edges_quarantined: 39, validator_peak_bytes: 5116 }",
+            "0x11d8a1263c73e5dd GuardStats { faults_detected: 39, items_repaired: 0, edges_quarantined: 0, validator_peak_bytes: 5116 }",
         ]
     );
 }
