@@ -39,21 +39,13 @@ fn algo(budget: usize) -> TwoPassTriangle {
     })
 }
 
-/// Minimum wall time over `runs` repetitions; every run must reproduce the
-/// reference estimate bit for bit.
-fn timed<F: FnMut() -> f64>(runs: usize, reference: Option<f64>, mut body: F) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    let mut est = f64::NAN;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        est = body();
-        best = best.min(t0.elapsed().as_secs_f64());
-        if let Some(want) = reference {
-            assert_eq!(est.to_bits(), want.to_bits(), "outputs must be identical");
-        }
-    }
-    (best, est)
-}
+/// The three variants, in table order.
+const VARIANTS: [&str; 3] = ["plain", "disabled", "enabled"];
+
+/// Shortest timed wall: a wall of a few milliseconds is at the mercy of
+/// one scheduler hiccup on a shared host, so each timed wall repeats the
+/// run until it lasts about this long.
+const MIN_WALL_SECS: f64 = 0.15;
 
 fn main() {
     let quick = std::env::var_os("BENCH_QUICK").is_some();
@@ -63,55 +55,66 @@ fn main() {
     } else {
         (200_000, 400_000)
     };
-    let runs = if quick { 5 } else { 7 };
+    let reps = if quick { 5 } else { 7 };
     let budget = (m as f64).sqrt().ceil() as usize;
 
     eprintln!("obs_overhead ({mode}): generating gnm({n}, {m})...");
     let mut rng = StdRng::seed_from_u64(7);
     let g = gen::gnm(n, m, &mut rng);
     let items = AdjListStream::new(&g, StreamOrder::shuffled(n, 13)).collect_items();
-    let deliveries = (items.len() * 2) as f64;
 
-    let mut rows = Vec::new();
-    let mut reference: Option<f64> = None;
-
-    eprintln!("obs_overhead ({mode}): plain...");
-    let (wall, est) = timed(runs, reference, || {
-        let (out, _) = run_slice_passes(algo(budget), |_p| &items[..]).expect("trusted stream");
-        out.estimate
-    });
-    reference.get_or_insert(est);
-    rows.push(Row {
-        variant: "plain",
-        wall_secs: wall,
-        items_per_sec: deliveries / wall,
-    });
-
-    eprintln!("obs_overhead ({mode}): observed (disabled sink)...");
-    let (wall, _) = timed(runs, reference, || {
-        let (out, _) =
-            run_slice_passes_observed(algo(budget), |_p| &items[..], &Metrics::disabled())
-                .expect("trusted stream");
-        out.estimate
-    });
-    rows.push(Row {
-        variant: "disabled",
-        wall_secs: wall,
-        items_per_sec: deliveries / wall,
-    });
-
-    eprintln!("obs_overhead ({mode}): observed (enabled sink)...");
     let sink = Metrics::enabled();
-    let (wall, _) = timed(runs, reference, || {
-        let (out, _) = run_slice_passes_observed(algo(budget), |_p| &items[..], &sink)
-            .expect("trusted stream");
+    let disabled = Metrics::disabled();
+    // One run of `variant`, returning its estimate.
+    let run = |variant: &str| {
+        let (out, _) = match variant {
+            "plain" => run_slice_passes(algo(budget), |_p| &items[..]),
+            "disabled" => run_slice_passes_observed(algo(budget), |_p| &items[..], &disabled),
+            _ => run_slice_passes_observed(algo(budget), |_p| &items[..], &sink),
+        }
+        .expect("trusted stream");
         out.estimate
-    });
-    rows.push(Row {
-        variant: "enabled",
-        wall_secs: wall,
-        items_per_sec: deliveries / wall,
-    });
+    };
+
+    // A warm-up run gives the reference estimate and sizes the batch of
+    // runs each timed wall holds.
+    let t0 = Instant::now();
+    let reference = run("plain");
+    let batch = (MIN_WALL_SECS / t0.elapsed().as_secs_f64()).ceil().max(1.0) as usize;
+    eprintln!(
+        "obs_overhead ({mode}): {reps} repetitions of {batch} runs per variant, interleaved..."
+    );
+
+    // Every repetition times all three variants, starting from a rotating
+    // one, so a slow spell on the host hits them alike. Each variant keeps
+    // its fastest wall, and every run must reproduce the reference
+    // estimate bit for bit.
+    let mut best = [f64::INFINITY; 3];
+    for rep in 0..reps {
+        for k in 0..VARIANTS.len() {
+            let v = (rep + k) % VARIANTS.len();
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                let est = run(VARIANTS[v]);
+                assert_eq!(
+                    est.to_bits(),
+                    reference.to_bits(),
+                    "outputs must be identical"
+                );
+            }
+            best[v] = best[v].min(t0.elapsed().as_secs_f64() / batch as f64);
+        }
+    }
+    let deliveries = (items.len() * 2) as f64;
+    let rows: Vec<Row> = VARIANTS
+        .iter()
+        .zip(best)
+        .map(|(&variant, wall_secs)| Row {
+            variant,
+            wall_secs,
+            items_per_sec: deliveries / wall_secs,
+        })
+        .collect();
     let snapshot = sink.snapshot().expect("enabled sink collected");
 
     let wall_of = |variant: &str| {
@@ -136,8 +139,9 @@ fn main() {
     eprintln!("overhead: disabled {disabled_ratio:.3}x, enabled {enabled_ratio:.3}x");
 
     // The whole point of the sink-gated design: observation must be free
-    // when off and cheap when on. Min-of-N timing keeps shared-machine
-    // noise out of the ratio; 10% is the documented contract with a small
+    // when off and cheap when on. Interleaved min-of-N timing over walls
+    // of at least MIN_WALL_SECS keeps shared-machine noise out of the
+    // ratio; 10% is the documented contract with a small
     // allowance on the disabled side for measurement jitter.
     assert!(
         disabled_ratio < 1.10,
@@ -152,6 +156,7 @@ fn main() {
     out.push_str("  \"bench\": \"obs_overhead\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"n\": {n},\n  \"m\": {m},\n"));
+    out.push_str(&format!("  \"runs_per_wall\": {batch},\n"));
     out.push_str(&format!("  \"items_per_pass\": {},\n", items.len()));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {

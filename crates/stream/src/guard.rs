@@ -34,6 +34,12 @@
 //! guard ([`crate::update_guard::GuardedUpdate`]) only say what a
 //! violation is and what dropping it means.
 //!
+//! [`guard_items`] is the one-pass guard for a resident stream that is
+//! repaired once, upstream of a shard split. It admits and counts exactly
+//! what a `Guarded` pass would, but keeps no storing validator: it runs
+//! the local checks over the slice itself and sorts the symmetry keys on
+//! a second thread meanwhile.
+//!
 //! [`RunError::Invalid`]: crate::runner::RunError::Invalid
 
 use std::io::{self, Read, Write};
@@ -48,9 +54,7 @@ use crate::hashing::{FastBuildHasher, FastSet, HashFn};
 use crate::item::StreamItem;
 use crate::meter::{hashset_bytes, SpaceUsage};
 use crate::runner::{GuardStats, MultiPassAlgorithm, RunError};
-use crate::validate::{
-    name_unmatched, once_keys, pack_edge, OnlineValidator, StreamError, ValidatorMode,
-};
+use crate::validate::{once_keys, pack_edge, OnlineValidator, StreamError, ValidatorMode};
 
 /// Serialize a [`GuardPolicy`] as a one-byte tag, its declaration index
 /// (shared with the batch and update-guard checkpoints so every layer
@@ -582,16 +586,17 @@ impl<A: MultiPassAlgorithm + Checkpoint> Checkpoint for Guarded<A> {
 /// guard's counters. Repairing once, upstream of a shard split, lets every
 /// shard replay the same items.
 ///
-/// It admits and counts exactly what a [`Guarded`] pass over `items`
+/// It admits, counts and fails exactly as a [`Guarded`] pass over `items`
 /// would, without a storing validator. The calling thread runs the local
 /// checks over the resident slice, copies out the admitted stretches and
-/// records which items the checks did not accept; meanwhile a second
-/// thread sorts the canonical keys of the whole slice. A key left with
-/// one accepted item once the rejected ones are taken out is an unmatched
-/// edge, and rescanning the accepted items names those edges in
-/// first-appearance order, as [`OnlineValidator::finish`] does.
-/// `validator_peak_bytes` counts the local-check sets, the 8 B-per-item
-/// key buffer and 8 B per rejected item.
+/// records the canonical key of each item the checks did not accept;
+/// meanwhile a second thread sorts the keys of the whole slice. A key
+/// left with one item once the rejected keys are taken out is an
+/// unmatched edge. Each counts as a fault, and under Strict the earliest
+/// unmatched direction in the slice is the error, as
+/// [`OnlineValidator::finish`] reports it. `validator_peak_bytes` counts
+/// the local-check sets, the 8 B-per-item key buffer and 8 B per rejected
+/// item.
 ///
 /// The repaired stream is not promise-valid. The one pass drops what the
 /// guard rejects as it arrives (a duplicate, a self-loop, a split list's
@@ -621,32 +626,29 @@ pub fn guard_items(
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         let LocalPass {
             admitted,
-            rejected,
+            mut rejected,
             mut stats,
         } = local.map_err(invalid)?;
-        stats.validator_peak_bytes +=
-            key_bytes + rejected.capacity() * std::mem::size_of::<usize>();
-        let mut minus: Vec<u64> = rejected
-            .iter()
-            .map(|&i| pack_edge(items[i].src, items[i].dst))
-            .collect();
-        minus.sort_unstable();
-        let once = once_keys(&keys, &minus);
-        drop(keys);
-        let mut skip = rejected.iter().peekable();
-        let accepted = items
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| skip.next_if_eq(&i).is_none())
-            .map(|(_, it)| (it.src, it.dst));
-        let (verdict, unmatched) = name_unmatched(once, items.len() - rejected.len(), accepted);
-        if let Err(e) = verdict {
-            stats.faults_detected += unmatched.len();
-            let mut fatal = None;
-            match policy.decide(e, true, &mut fatal) {
-                Verdict::Drop => stats.edges_quarantined += unmatched.len(),
+        stats.validator_peak_bytes += key_bytes + rejected.capacity() * std::mem::size_of::<u64>();
+        rejected.sort_unstable();
+        let once = once_keys(&keys, &rejected);
+        if !once.is_empty() {
+            stats.faults_detected += once.len();
+            match policy.decide((), true, &mut None) {
+                Verdict::Drop => stats.edges_quarantined += once.len(),
                 Verdict::Forward => {}
-                Verdict::Fail => return Err(invalid(fatal.expect("a failed verdict is latched"))),
+                // Strict stops at the first local violation, so here it
+                // rejected nothing and the slice is the accepted stream.
+                Verdict::Fail => {
+                    let first = items
+                        .iter()
+                        .find(|it| once.binary_search(&pack_edge(it.src, it.dst)).is_ok())
+                        .expect("an unmatched key has an accepted item");
+                    return Err(invalid(StreamError::MissingReverse {
+                        src: first.src,
+                        dst: first.dst,
+                    }));
+                }
             }
         }
         Ok((admitted, stats))
@@ -657,9 +659,9 @@ pub fn guard_items(
 struct LocalPass {
     /// The admitted items, in stream order.
     admitted: Vec<StreamItem>,
-    /// Positions of the items the validator did not accept, ascending:
-    /// the dropped ones, and under Observe the forwarded violations too.
-    rejected: Vec<usize>,
+    /// Canonical keys of the items the validator did not accept: the
+    /// dropped ones, and under Observe the forwarded violations too.
+    rejected: Vec<u64>,
     /// The counters so far; `validator_peak_bytes` holds the local-check
     /// sets, whose capacity only grows.
     stats: GuardStats,
@@ -710,7 +712,7 @@ fn check_locally(items: &[StreamItem], policy: GuardPolicy) -> Result<LocalPass,
             }
             Verdict::Fail => return Err(fatal.expect("a failed verdict is latched")),
         }
-        rejected.push(i);
+        rejected.push(pack_edge(item.src, item.dst));
     }
     admitted.extend_from_slice(&items[stretch..]);
     stats.validator_peak_bytes = validator.space_bytes();

@@ -31,9 +31,14 @@
 //!   on a second thread while an algorithm's passes run, with the sort
 //!   buffer allocated by the calling thread.
 //!
-//! The online mode stores what it accepted because a repairing guard drops
-//! items and needs the admitted order; a resident check stops at its first
-//! local violation, so what it accepted is the slice itself.
+//! The online mode stores what it accepted because a repairing
+//! [`Guarded`](crate::guard::Guarded) drops items in every pass and needs
+//! the admitted order; a resident check stops at its first local
+//! violation, so what it accepted is the slice itself. The one-pass
+//! [`guard_items`](crate::guard::guard_items) stores nothing either: it
+//! runs the local checks over its slice, sorts the keys of the whole slice
+//! on a second thread, and takes the keys of the items it rejected back
+//! out of the sorted multiset before looking for unmatched ones.
 //!
 //! The checked promise, for an arbitrary item sequence:
 //!
@@ -231,7 +236,15 @@ where
     let once = once_keys(&keys, &[]);
     let accepted = keys.len();
     drop(keys);
-    name_unmatched(once, accepted, stream())
+    if once.is_empty() {
+        return (Ok(accepted / 2), Vec::new());
+    }
+    let unmatched: Vec<(VertexId, VertexId)> = stream()
+        .filter(|&(src, dst)| once.binary_search(&pack_edge(src, dst)).is_ok())
+        .take(once.len())
+        .collect();
+    let (src, dst) = unmatched[0];
+    (Err(StreamError::MissingReverse { src, dst }), unmatched)
 }
 
 /// The keys that occur exactly once in the sorted multiset `sorted` after
@@ -249,26 +262,6 @@ pub(crate) fn once_keys(sorted: &[u64], minus: &[u64]) -> Vec<u64> {
             (left == 1).then_some(key)
         })
         .collect()
-}
-
-/// The verdict of the symmetry step once its unmatched keys `once` are
-/// known: `Ok` with the edge count of `accepted` items when there are
-/// none, else the accepted items of `stream` (in stream order) whose key
-/// is unmatched, the first of them as the error.
-pub(crate) fn name_unmatched(
-    once: Vec<u64>,
-    accepted: usize,
-    stream: impl Iterator<Item = (VertexId, VertexId)>,
-) -> (Result<usize, StreamError>, Vec<(VertexId, VertexId)>) {
-    if once.is_empty() {
-        return (Ok(accepted / 2), Vec::new());
-    }
-    let unmatched: Vec<(VertexId, VertexId)> = stream
-        .filter(|&(src, dst)| once.binary_search(&pack_edge(src, dst)).is_ok())
-        .take(once.len())
-        .collect();
-    let (src, dst) = unmatched[0];
-    (Err(StreamError::MissingReverse { src, dst }), unmatched)
 }
 
 /// Which bookkeeping strategy an [`OnlineValidator`] uses.
