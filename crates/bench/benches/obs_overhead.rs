@@ -42,10 +42,11 @@ fn algo(budget: usize) -> TwoPassTriangle {
 /// The three variants, in table order.
 const VARIANTS: [&str; 3] = ["plain", "disabled", "enabled"];
 
-/// Shortest timed wall: a wall of a few milliseconds is at the mercy of
-/// one scheduler hiccup on a shared host, so each timed wall repeats the
-/// run until it lasts about this long.
-const MIN_WALL_SECS: f64 = 0.15;
+/// Shortest timed span per variant and repetition: a single run of a few
+/// milliseconds is at the mercy of one scheduler hiccup on a shared host,
+/// so each repetition repeats the runs until every variant has run this
+/// long.
+const MIN_TIMED_SECS: f64 = 0.15;
 
 fn main() {
     let quick = std::env::var_os("BENCH_QUICK").is_some();
@@ -76,33 +77,34 @@ fn main() {
         out.estimate
     };
 
-    // A warm-up run gives the reference estimate and sizes the batch of
-    // runs each timed wall holds.
-    let t0 = Instant::now();
     let reference = run("plain");
-    let batch = (MIN_WALL_SECS / t0.elapsed().as_secs_f64()).ceil().max(1.0) as usize;
-    eprintln!(
-        "obs_overhead ({mode}): {reps} repetitions of {batch} runs per variant, interleaved..."
-    );
+    eprintln!("obs_overhead ({mode}): {reps} repetitions of interleaved runs...");
 
-    // Every repetition times all three variants, starting from a rotating
-    // one, so a slow spell on the host hits them alike. Each variant keeps
-    // its fastest wall, and every run must reproduce the reference
-    // estimate bit for bit.
+    // Each repetition runs the three variants in turn, the variant that
+    // goes first rotating, until each has run for MIN_TIMED_SECS, and
+    // adds up each variant's runs, so a slow spell on the host lands on
+    // all three alike. Each variant keeps its fastest repetition, and
+    // every run must reproduce the reference estimate bit for bit.
     let mut best = [f64::INFINITY; 3];
-    for rep in 0..reps {
-        for k in 0..VARIANTS.len() {
-            let v = (rep + k) % VARIANTS.len();
-            let t0 = Instant::now();
-            for _ in 0..batch {
+    for _ in 0..reps {
+        let mut spent = [0.0; 3];
+        let mut rounds = 0;
+        while spent.iter().any(|&s| s < MIN_TIMED_SECS) {
+            for k in 0..VARIANTS.len() {
+                let v = (rounds + k) % VARIANTS.len();
+                let t0 = Instant::now();
                 let est = run(VARIANTS[v]);
+                spent[v] += t0.elapsed().as_secs_f64();
                 assert_eq!(
                     est.to_bits(),
                     reference.to_bits(),
                     "outputs must be identical"
                 );
             }
-            best[v] = best[v].min(t0.elapsed().as_secs_f64() / batch as f64);
+            rounds += 1;
+        }
+        for (best, spent) in best.iter_mut().zip(spent) {
+            *best = best.min(spent / rounds as f64);
         }
     }
     let deliveries = (items.len() * 2) as f64;
@@ -139,10 +141,11 @@ fn main() {
     eprintln!("overhead: disabled {disabled_ratio:.3}x, enabled {enabled_ratio:.3}x");
 
     // The whole point of the sink-gated design: observation must be free
-    // when off and cheap when on. Interleaved min-of-N timing over walls
-    // of at least MIN_WALL_SECS keeps shared-machine noise out of the
-    // ratio; 10% is the documented contract with a small
-    // allowance on the disabled side for measurement jitter.
+    // when off and cheap when on. Interleaved runs, at least
+    // MIN_TIMED_SECS of each variant per repetition and the fastest
+    // repetition kept, keep shared-machine noise out of the ratio; 10% is
+    // the documented contract with a small allowance on the disabled side
+    // for measurement jitter.
     assert!(
         disabled_ratio < 1.10,
         "disabled sink costs {disabled_ratio:.3}x over plain (contract: within noise)"
@@ -156,7 +159,6 @@ fn main() {
     out.push_str("  \"bench\": \"obs_overhead\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"n\": {n},\n  \"m\": {m},\n"));
-    out.push_str(&format!("  \"runs_per_wall\": {batch},\n"));
     out.push_str(&format!("  \"items_per_pass\": {},\n", items.len()));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
