@@ -741,7 +741,6 @@ mod tests {
     use super::*;
     use crate::adjlist::AdjListStream;
     use crate::fault::{FaultKind, FaultPlan};
-    use crate::item::StreamItem;
     use crate::order::StreamOrder;
     use crate::runner::{run_slice_passes, RunError};
     use adjstream_graph::gen;
