@@ -237,14 +237,23 @@ impl PairWatcher {
     }
 }
 
-/// Read a length-prefixed sequence of `elem`s. Preallocation is capped, so
-/// a corrupt length cannot reserve more than the input can back.
+/// Bytes [`read_seq`] reserves at most before reading any element.
+const READ_SEQ_RESERVE_BYTES: usize = 1 << 20;
+
+/// Elements [`read_seq`] reserves for a saved length of `n`.
+fn seq_reserve<T>(n: usize) -> usize {
+    n.min(READ_SEQ_RESERVE_BYTES / std::mem::size_of::<T>().max(1))
+}
+
+/// Read a length-prefixed sequence of `elem`s. Preallocation is capped at
+/// [`READ_SEQ_RESERVE_BYTES`], so a corrupt length reserves at most that
+/// much; beyond it the vector grows only as elements are actually read.
 pub(crate) fn read_seq<T>(
     r: &mut dyn Read,
     mut elem: impl FnMut(&mut dyn Read) -> io::Result<T>,
 ) -> io::Result<Vec<T>> {
     let n = read_usize(r)?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
+    let mut out = Vec::with_capacity(seq_reserve::<T>(n));
     for _ in 0..n {
         out.push(elem(r)?);
     }
@@ -387,6 +396,29 @@ mod tests {
             w.on_item(v(x), |k| out.push(k));
         }
         out
+    }
+
+    /// A length of 2^40 over an input that ends at once is a typed EOF,
+    /// not a panic or an allocation failure, and reserves at most the
+    /// byte budget whatever the element size.
+    #[test]
+    fn read_seq_with_a_huge_length_and_no_elements_is_eof() {
+        assert_eq!(seq_reserve::<u32>(1000), 1000);
+        assert_eq!(seq_reserve::<u32>(1 << 40) * 4, READ_SEQ_RESERVE_BYTES);
+        assert!(seq_reserve::<[u8; 84]>(1 << 40) * 84 <= READ_SEQ_RESERVE_BYTES);
+        assert_eq!(seq_reserve::<()>(1 << 40), READ_SEQ_RESERVE_BYTES);
+        let mut bytes = Vec::new();
+        write_usize(&mut bytes, 1 << 40).unwrap();
+        let err = read_seq(&mut &bytes[..], read_u32).expect_err("no element follows");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A two-pass slab record's size.
+        let err = read_seq(&mut &bytes[..], |r| {
+            let mut record = [0u8; 84];
+            r.read_exact(&mut record)?;
+            Ok(record)
+        })
+        .expect_err("no element follows");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

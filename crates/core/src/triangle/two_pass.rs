@@ -52,8 +52,8 @@ pub struct TwoPassTriangleConfig {
     pub pair_capacity: usize,
 }
 
-/// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state and the
-/// positions of everything that refers to it.
+/// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state, its `Q`
+/// position and its slots' places in the two reference lists.
 #[derive(Debug, Clone)]
 struct PairRecord {
     /// Generation tag guarding against slab-slot reuse.
@@ -68,84 +68,141 @@ struct PairRecord {
     active: [bool; 3],
     /// Store position of the record's entry in `Q`.
     q_pos: u32,
-    /// Index of each slot's reference in `monitors[slot edge]`.
-    monitor_at: [u32; 3],
-    /// Index of each inactive slot's reference in
-    /// `activations[opposite vertex]`.
-    activation_at: [u32; 3],
+    /// Each slot's links in its two lists: `links[MONITORS]` in
+    /// `monitors[slot edge]`, and `links[ACTIVATIONS]`, while the slot is
+    /// inactive, in `activations[opposite vertex]`.
+    links: [[Link; 3]; 2],
 }
 
-/// A `(slab, gen, slot)` reference into the record slab.
-type SlotRef = (u32, u32, u8);
+/// Index of the `monitors` links in [`PairRecord::links`].
+const MONITORS: usize = 0;
+/// Index of the `activations` links in [`PairRecord::links`].
+const ACTIVATIONS: usize = 1;
 
-/// Bytes of one [`SlotRef`].
-const REF_BYTES: usize = std::mem::size_of::<SlotRef>();
+/// A node's neighbours in its reference list. A node is one slot of one
+/// record, numbered `slab * 3 + slot`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
 
-/// Key → references to the live records. Each record has one reference
-/// per slot in each map, and [`TwoPassTriangle::destroy`] removes them
-/// with the record, so no reference outlives its record.
+/// No node: the link past either end of a list.
+const NIL: u32 = u32::MAX;
+
+/// The links of a record in no list yet.
+const UNLINKED: [[Link; 3]; 2] = [[Link {
+    prev: NIL,
+    next: NIL,
+}; 3]; 2];
+
+/// Slab length at which the next slot's nodes would reach [`NIL`].
+const MAX_SLAB: usize = (NIL / 3) as usize;
+
+/// The node of slab slot `slab`'s triangle slot `slot`.
+fn node(slab: u32, slot: usize) -> u32 {
+    slab * 3 + slot as u32
+}
+
+/// The live record and the triangle slot that node `n` names.
+fn node_slot(slab: &mut [Option<PairRecord>], n: u32) -> (&mut PairRecord, usize) {
+    let rec = slab[(n / 3) as usize]
+        .as_mut()
+        .expect("lists name live records");
+    (rec, (n % 3) as usize)
+}
+
+/// Node `n`'s links in list `L`.
+fn link_mut<const L: usize>(slab: &mut [Option<PairRecord>], n: u32) -> &mut Link {
+    let (rec, slot) = node_slot(slab, n);
+    &mut rec.links[L][slot]
+}
+
+/// The nodes of list `L` from `head` on, in order.
+fn walk<const L: usize>(slab: &[Option<PairRecord>], head: u32) -> impl Iterator<Item = u32> + '_ {
+    let next = move |&n: &u32| {
+        let rec = slab[(n / 3) as usize]
+            .as_ref()
+            .expect("lists name live records");
+        Some(rec.links[L][(n % 3) as usize].next).filter(|&m| m != NIL)
+    };
+    std::iter::successors(Some(head).filter(|&n| n != NIL), next)
+}
+
+/// Key → an intrusive list of record slots, threaded through the slots'
+/// `links[L]` in the slab. A record has one node per slot in `monitors`
+/// and one per inactive slot in `activations`, and
+/// [`TwoPassTriangle::destroy`] unlinks them with the record, so no list
+/// names a dead record.
 #[derive(Debug)]
-struct SlotRefs<K> {
-    map: FastMap<K, Vec<SlotRef>>,
-    /// Bytes held by the inner vectors, maintained incrementally so
-    /// `space_bytes` (sampled at every list boundary) stays O(1).
-    vec_bytes: usize,
+struct SlotRefs<K, const L: usize> {
+    /// Key → `(head, tail)` of its list. An emptied list leaves the map.
+    map: FastMap<K, (u32, u32)>,
 }
 
-impl<K: Copy + Eq + Hash> SlotRefs<K> {
+impl<K: Copy + Eq + Hash, const L: usize> SlotRefs<K, L> {
     fn new() -> Self {
         SlotRefs {
             map: FastMap::default(),
-            vec_bytes: 0,
         }
     }
 
-    /// Append `r` to `key`'s list, returning its index there.
-    fn push(&mut self, key: K, r: SlotRef) -> u32 {
-        let list = self.map.entry(key).or_insert_with(|| {
-            self.vec_bytes += std::mem::size_of::<Vec<SlotRef>>();
-            Vec::new()
-        });
-        let before = list.capacity();
-        list.push(r);
-        self.vec_bytes += (list.capacity() - before) * REF_BYTES;
-        list.len() as u32 - 1
-    }
-
-    /// The references under `key`.
-    fn get(&self, key: K) -> &[SlotRef] {
-        self.map.get(&key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Remove the reference at index `at` of `key`'s list, which must be
-    /// `r`, by `swap_remove`. Returns the reference moved into index `at`,
-    /// whose record must be told its new index. An emptied list leaves the
-    /// map.
-    fn swap_remove(&mut self, key: K, at: u32, r: SlotRef) -> Option<SlotRef> {
-        let list = self.map.get_mut(&key).expect("a live record's list");
-        assert_eq!(
-            list.swap_remove(at as usize),
-            r,
-            "reference index out of date"
-        );
-        if list.is_empty() {
-            self.take(key);
-            return None;
+    /// Append node `n` to `key`'s list.
+    fn push(&mut self, slab: &mut [Option<PairRecord>], key: K, n: u32) {
+        let mut prev = NIL;
+        self.map
+            .entry(key)
+            .and_modify(|(_, tail)| prev = std::mem::replace(tail, n))
+            .or_insert((n, n));
+        if prev != NIL {
+            link_mut::<L>(slab, prev).next = n;
         }
-        list.get(at as usize).copied()
+        *link_mut::<L>(slab, n) = Link { prev, next: NIL };
     }
 
-    /// Remove and return `key`'s whole list.
-    fn take(&mut self, key: K) -> Vec<SlotRef> {
-        let list = self.map.remove(&key).unwrap_or_default();
-        if list.capacity() > 0 {
-            self.vec_bytes -= vec_bytes(&list);
+    /// The first node of `key`'s list, or [`NIL`].
+    fn head(&self, key: K) -> u32 {
+        self.map.get(&key).map_or(NIL, |&(head, _)| head)
+    }
+
+    /// Unlink node `n` from `key`'s list as `Vec::swap_remove` removes an
+    /// element: the tail node takes `n`'s place. So a list keeps the order
+    /// that a vector under the same pushes and removals would have.
+    fn swap_remove(&mut self, slab: &mut [Option<PairRecord>], key: K, n: u32) {
+        let ends = self.map.get_mut(&key).expect("a live record's list");
+        let tail = ends.1;
+        let before_tail = link_mut::<L>(slab, tail).prev;
+        if before_tail == NIL {
+            debug_assert_eq!(tail, n, "a one-node list holds the node removed");
+            self.map.remove(&key);
+            return;
         }
-        list
+        link_mut::<L>(slab, before_tail).next = NIL;
+        ends.1 = before_tail;
+        if n != tail {
+            // Read after the unlink: if `n` preceded the tail, it is now
+            // the tail itself.
+            let Link { prev, next } = *link_mut::<L>(slab, n);
+            *link_mut::<L>(slab, tail) = Link { prev, next };
+            match prev {
+                NIL => ends.0 = tail,
+                p => link_mut::<L>(slab, p).next = tail,
+            }
+            match next {
+                NIL => ends.1 = tail,
+                m => link_mut::<L>(slab, m).prev = tail,
+            }
+        }
+    }
+
+    /// Remove `key`'s whole list, returning its head (or [`NIL`]). The
+    /// nodes keep their links, so the caller can still walk them.
+    fn take(&mut self, key: K) -> u32 {
+        self.map.remove(&key).map_or(NIL, |(head, _)| head)
     }
 
     fn space_bytes(&self) -> usize {
-        hashmap_bytes(&self.map) + self.vec_bytes
+        hashmap_bytes(&self.map)
     }
 }
 
@@ -189,9 +246,9 @@ pub struct TwoPassTriangle {
     /// Next generation for freed slab slots.
     free_gens: FastMap<u32, u32>,
     /// Packed edge → monitoring pairs.
-    monitors: SlotRefs<u64>,
+    monitors: SlotRefs<u64, MONITORS>,
     /// Opposite vertex → pending slot activations.
-    activations: SlotRefs<u32>,
+    activations: SlotRefs<u32, ACTIVATIONS>,
     watcher: PairWatcher,
     /// Scratch buffer for completion callbacks.
     completed_buf: Vec<u64>,
@@ -227,20 +284,22 @@ impl TwoPassTriangle {
     /// Register watches, monitors and activations for a record freshly
     /// stored at `Q` position `q_pos`.
     fn attach(&mut self, slab: u32, gen: u32, q_pos: u32) {
-        let rec = self.slab[slab as usize].as_mut().expect("just stored");
+        let rec = referent(&mut self.slab, slab, gen);
         rec.q_pos = q_pos;
-        for slot in 0..3u8 {
-            let edge = rec.tri.slot_edge(slot as usize);
-            let opp = rec.tri.opposite(slot as usize);
+        let tri = rec.tri;
+        for slot in 0..3 {
+            let edge = tri.slot_edge(slot);
             let (a, b) = unpack_pair(edge);
             self.watcher.watch(a, b);
-            rec.monitor_at[slot as usize] = self.monitors.push(edge, (slab, gen, slot));
-            rec.activation_at[slot as usize] = self.activations.push(opp.0, (slab, gen, slot));
+            let n = node(slab, slot);
+            self.monitors.push(&mut self.slab, edge, n);
+            self.activations
+                .push(&mut self.slab, tri.opposite(slot).0, n);
         }
     }
 
-    /// Tear down a record: unwatch its edges, remove its references and
-    /// free its slab slot. Returns its `Q` position, whose entry is the
+    /// Tear down a record: unwatch its edges, unlink its nodes and free its
+    /// slab slot. Returns its `Q` position, whose entry is the
     /// caller's to replace or remove.
     fn destroy(&mut self, slab: u32, gen: u32) -> u32 {
         let rec = referent(&mut self.slab, slab, gen);
@@ -249,23 +308,18 @@ impl TwoPassTriangle {
             let (a, b) = unpack_pair(tri.slot_edge(slot));
             self.watcher.unwatch(a, b);
         }
-        // The record stays in the slab until its references are gone: on
-        // a stream that breaks the promise, two of its slots can share a
-        // list, and a `swap_remove` may move its own other reference.
+        // The record stays in the slab until its nodes are unlinked: on a
+        // stream that breaks the promise, two of its slots can share a
+        // list, and the tail moved into a removed node's place may be its
+        // own other slot.
         for (slot, &is_active) in active.iter().enumerate() {
-            let r = (slab, gen, slot as u8);
-            let at = referent(&mut self.slab, slab, gen).monitor_at[slot];
-            if let Some((s, g, sl)) = self.monitors.swap_remove(tri.slot_edge(slot), at, r) {
-                referent(&mut self.slab, s, g).monitor_at[sl as usize] = at;
-            }
-            // An active slot's activation reference was consumed with its
-            // list.
+            let n = node(slab, slot);
+            self.monitors
+                .swap_remove(&mut self.slab, tri.slot_edge(slot), n);
+            // An active slot's activation node was consumed with its list.
             if !is_active {
-                let at = referent(&mut self.slab, slab, gen).activation_at[slot];
-                let opp = tri.opposite(slot).0;
-                if let Some((s, g, sl)) = self.activations.swap_remove(opp, at, r) {
-                    referent(&mut self.slab, s, g).activation_at[sl as usize] = at;
-                }
+                self.activations
+                    .swap_remove(&mut self.slab, tri.opposite(slot).0, n);
             }
         }
         let rec = self.slab[slab as usize].take().expect("still live");
@@ -320,15 +374,14 @@ impl TwoPassTriangle {
         // its slot-0 edge, so they are the slot-0 entries of
         // `monitors[e_key]`. Slab order keeps the free list and the
         // watcher's `swap_remove`s as a full slab scan would leave them.
-        let mut victims: Vec<(u32, u32)> = self
-            .monitors
-            .get(e_key)
-            .iter()
-            .filter(|&&(_, _, slot)| slot == 0)
-            .map(|&(s, g, _)| (s, g))
+        let mut victims: Vec<u32> = walk::<MONITORS>(&self.slab, self.monitors.head(e_key))
+            .filter(|&n| n % 3 == 0)
+            .map(|n| n / 3)
             .collect();
         victims.sort_unstable();
-        for (s, g) in victims {
+        for s in victims {
+            let rec = self.slab[s as usize].as_ref();
+            let g = rec.expect("lists name live records").gen;
             let q_pos = self.destroy(s, g);
             let slab = &mut self.slab;
             self.q.remove(q_pos as usize, |pos, &(s, g)| {
@@ -348,11 +401,13 @@ impl TwoPassTriangle {
         }
         // H path (pass 2 only): bump active monitors of this edge.
         if self.pass == 1 {
-            for &(s, g, slot) in self.monitors.get(key) {
-                let rec = referent(&mut self.slab, s, g);
-                if rec.active[slot as usize] {
-                    rec.h[slot as usize] += 1;
+            let mut n = self.monitors.head(key);
+            while n != NIL {
+                let (rec, slot) = node_slot(&mut self.slab, n);
+                if rec.active[slot] {
+                    rec.h[slot] += 1;
                 }
+                n = rec.links[MONITORS][slot].next;
             }
         }
     }
@@ -382,6 +437,7 @@ impl TwoPassTriangle {
         let (idx, gen) = match self.free.pop() {
             Some(idx) => (idx, self.free_gens.remove(&idx).unwrap_or(1)),
             None => {
+                assert!(self.slab.len() < MAX_SLAB, "slab exceeds the node range");
                 self.slab.push(None);
                 (self.slab.len() as u32 - 1, 0)
             }
@@ -392,8 +448,7 @@ impl TwoPassTriangle {
             h: [0; 3],
             active: [false; 3],
             q_pos: 0,
-            monitor_at: [0; 3],
-            activation_at: [0; 3],
+            links: UNLINKED,
         });
         (idx, gen)
     }
@@ -460,8 +515,11 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 
     fn end_list(&mut self, owner: VertexId) {
         if self.pass == 1 {
-            for (s, g, slot) in self.activations.take(owner.0) {
-                referent(&mut self.slab, s, g).active[slot as usize] = true;
+            let mut n = self.activations.take(owner.0);
+            while n != NIL {
+                let (rec, slot) = node_slot(&mut self.slab, n);
+                rec.active[slot] = true;
+                n = rec.links[ACTIVATIONS][slot].next;
             }
         }
     }
@@ -502,9 +560,10 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 /// (`pos`, `next_pos`) and the completion scratch buffer are reset rather
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
 /// the resumed run enters pass 2. The sampler is rebuilt from the saved
-/// `S` (see [`EdgeSampler::rebuild`]). The record positions are not saved
-/// either: restore recomputes them from the saved order of `Q` and of each
-/// reference list.
+/// `S` (see [`EdgeSampler::rebuild`]). The record positions and links are
+/// not saved either: a reference list is saved as its `(slab, gen, slot)`
+/// references in list order, and restore rethreads the links and
+/// recomputes the positions from the saved order of `Q` and of each list.
 impl Checkpoint for TwoPassTriangle {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
         save_config(
@@ -559,8 +618,8 @@ impl Checkpoint for TwoPassTriangle {
             write_u32(w, slot)?;
             write_u32(w, gen)?;
         }
-        save_ref_map(w, &self.monitors)?;
-        save_ref_map(w, &self.activations)?;
+        save_ref_map(w, &self.monitors, &self.slab)?;
+        save_ref_map(w, &self.activations, &self.slab)?;
         self.watcher.save(w)?;
         self.counters.save(w)
     }
@@ -617,13 +676,15 @@ impl Checkpoint for TwoPassTriangle {
                         h,
                         active,
                         q_pos: UNSET,
-                        monitor_at: [UNSET; 3],
-                        activation_at: [UNSET; 3],
+                        links: UNLINKED,
                     })
                 }
                 other => return Err(corrupt(format!("unknown slab slot tag {other}"))),
             })
         })?;
+        if slab.len() > MAX_SLAB {
+            return Err(corrupt(format!("slab length {} too long", slab.len())));
+        }
         for (pos, &(s, g)) in q_items.iter().enumerate() {
             match slab.get_mut(s as usize) {
                 Some(Some(rec)) if rec.gen == g && rec.q_pos == UNSET => rec.q_pos = pos as u32,
@@ -649,27 +710,11 @@ impl Checkpoint for TwoPassTriangle {
             let gen = read_u32(r)?;
             free_gens.insert(slot, gen);
         }
-        let monitors = restore_ref_map(r, &mut slab, |rec, slot| {
-            (rec.tri.slot_edge(slot), &mut rec.monitor_at[slot])
-        })?;
+        let monitors = restore_ref_map(r, &mut slab, |rec, slot| Some(rec.tri.slot_edge(slot)))?;
+        // An active slot has no activation left.
         let activations = restore_ref_map(r, &mut slab, |rec, slot| {
-            let at = &mut rec.activation_at[slot];
-            // An active slot has no activation left: a reference to it
-            // can match no key.
-            let key = if rec.active[slot] {
-                u64::MAX
-            } else {
-                rec.tri.opposite(slot).0.into()
-            };
-            (key, at)
+            (!rec.active[slot]).then(|| rec.tri.opposite(slot).0.into())
         })?;
-        for rec in slab.iter().flatten() {
-            let missing_activation =
-                (0..3).any(|slot| !rec.active[slot] && rec.activation_at[slot] == UNSET);
-            if rec.monitor_at.contains(&UNSET) || missing_activation {
-                return Err(corrupt("live record without its references"));
-            }
-        }
         let watcher = PairWatcher::restore(r)?;
         let counters = ObsCounters::restore(r)?;
         let sampler = EdgeSampler::rebuild(seed, edge_sampling, s_edges.keys().copied())?;
@@ -695,7 +740,7 @@ impl Checkpoint for TwoPassTriangle {
     }
 }
 
-/// A record position not yet recovered on restore.
+/// A `Q` position not yet recovered on restore.
 const UNSET: u32 = u32::MAX;
 
 /// Read a checkpoint's `u64` counter into the `u32` it is held in,
@@ -705,65 +750,91 @@ fn read_count(r: &mut dyn Read, what: &str) -> io::Result<u32> {
     u32::try_from(raw).map_err(|_| corrupt(format!("{what} {raw} exceeds u32")))
 }
 
-/// Serialize a `key → Vec<(slab, gen, slot)>` reference map, preserving
-/// vector order (iteration order inside each vector is behaviorally
-/// significant; map-level order is not).
-fn save_ref_map<K>(w: &mut dyn Write, refs: &SlotRefs<K>) -> io::Result<()>
+/// Serialize a reference map as `key → [(slab, gen, slot)]`, each list in
+/// its order (which is behaviorally significant; map-level order is not).
+fn save_ref_map<K, const L: usize>(
+    w: &mut dyn Write,
+    refs: &SlotRefs<K, L>,
+    slab: &[Option<PairRecord>],
+) -> io::Result<()>
 where
     K: Copy + Into<u64>,
 {
     write_usize(w, refs.map.len())?;
-    for (&key, entries) in &refs.map {
+    for (&key, &(head, _)) in &refs.map {
         write_u64(w, key.into())?;
-        write_usize(w, entries.len())?;
-        for &(s, g, slot) in entries {
-            write_u32(w, s)?;
-            write_u32(w, g)?;
-            write_u8(w, slot)?;
+        write_usize(w, walk::<L>(slab, head).count())?;
+        for n in walk::<L>(slab, head) {
+            let rec = slab[(n / 3) as usize]
+                .as_ref()
+                .expect("lists name live records");
+            write_u32(w, n / 3)?;
+            write_u32(w, rec.gen)?;
+            write_u8(w, (n % 3) as u8)?;
         }
     }
     Ok(())
 }
 
-/// Inverse of [`save_ref_map`]. A checkpoint written before references
-/// were removed with their records also holds references to destroyed
-/// ones: those are dropped here. Each kept reference's index is written
-/// into its record through `place`, which returns the key the reference
-/// must sit under and the record's index field for its slot.
-fn restore_ref_map<K>(
+/// Inverse of [`save_ref_map`]: thread each saved list through its
+/// records' `links[L]`. A checkpoint written before references were
+/// removed with their records also holds references to destroyed ones:
+/// those are dropped here. `key_of` names the key each slot's node must
+/// sit under, or `None` if the slot has no node in this map. A misplaced
+/// or repeated reference, or a live slot left without its node, is
+/// refused.
+fn restore_ref_map<K, const L: usize>(
     r: &mut dyn Read,
     slab: &mut [Option<PairRecord>],
-    place: impl Fn(&mut PairRecord, usize) -> (u64, &mut u32),
-) -> io::Result<SlotRefs<K>>
+    key_of: impl Fn(&PairRecord, usize) -> Option<u64>,
+) -> io::Result<SlotRefs<K, L>>
 where
-    K: Copy + Eq + Hash + Into<u64> + TryFrom<u64>,
+    K: Copy + Eq + Hash + TryFrom<u64>,
 {
     let n = read_usize(r)?;
     let mut refs = SlotRefs::new();
     refs.map.reserve(n.min(1 << 16));
+    // Tracked apart from the links: a one-node list links to `NIL` at
+    // both ends, exactly like a node not yet placed.
+    let mut placed = vec![false; slab.len() * 3];
     for _ in 0..n {
         let raw = read_u64(r)?;
         let key = K::try_from(raw).map_err(|_| corrupt(format!("map key {raw} out of range")))?;
-        let mut entries = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?, read_u8(r)?)))?;
-        entries
-            .retain(|&(s, g, _)| matches!(slab.get(s as usize), Some(Some(rec)) if rec.gen == g));
-        for (at, &(s, g, slot)) in entries.iter().enumerate() {
-            let rec = referent(slab, s, g);
+        let (mut head, mut tail) = (NIL, NIL);
+        for _ in 0..read_usize(r)? {
+            let (s, g, slot) = (read_u32(r)?, read_u32(r)?, read_u8(r)?);
+            if !matches!(slab.get(s as usize), Some(Some(rec)) if rec.gen == g) {
+                continue;
+            }
             if slot > 2 {
                 return Err(corrupt(format!("reference to slot {slot}")));
             }
-            let (want, index) = place(rec, slot as usize);
-            if want != key.into() || *index != UNSET {
+            let slot = usize::from(slot);
+            let n = node(s, slot);
+            let rec = referent(slab, s, g);
+            if key_of(rec, slot) != Some(raw) || placed[n as usize] {
                 return Err(corrupt("reference misplaced or repeated"));
             }
-            *index = at as u32;
-        }
-        if !entries.is_empty() {
-            entries.shrink_to_fit();
-            refs.vec_bytes += vec_bytes(&entries);
-            if refs.map.insert(key, entries).is_some() {
-                return Err(corrupt(format!("map key {raw} repeated")));
+            placed[n as usize] = true;
+            rec.links[L][slot] = Link {
+                prev: tail,
+                next: NIL,
+            };
+            match tail {
+                NIL => head = n,
+                t => link_mut::<L>(slab, t).next = n,
             }
+            tail = n;
+        }
+        if head != NIL && refs.map.insert(key, (head, tail)).is_some() {
+            return Err(corrupt(format!("map key {raw} repeated")));
+        }
+    }
+    for (s, rec) in slab.iter().enumerate() {
+        let Some(rec) = rec else { continue };
+        if (0..3).any(|slot| key_of(rec, slot).is_some() && !placed[node(s as u32, slot) as usize])
+        {
+            return Err(corrupt("live record without its references"));
         }
     }
     Ok(refs)
@@ -955,11 +1026,43 @@ mod tests {
         }
     }
 
-    /// Assert that `a` holds only live sample state: every reference names
-    /// a live record of its generation under that record's key, at the
-    /// index the record stores for it; every live record has all its
-    /// references; `Q` is exactly the live records, each at its stored
-    /// position; and the incremental byte counters equal a full rescan.
+    /// The nodes of `key`'s list in `refs`, checking its links as it
+    /// walks: the head's `prev` and the tail's `next` are `NIL`, each
+    /// `prev` names the node before, every node is a live record's, and
+    /// the map's tail is the last node.
+    fn list_nodes<K: Copy + Eq + Hash, const L: usize>(
+        refs: &SlotRefs<K, L>,
+        slab: &[Option<PairRecord>],
+        key: K,
+        ctx: &str,
+    ) -> Vec<u32> {
+        let Some(&(head, tail)) = refs.map.get(&key) else {
+            return Vec::new();
+        };
+        let mut nodes = Vec::new();
+        let (mut prev, mut n) = (NIL, head);
+        while n != NIL {
+            assert!(nodes.len() < 3 * slab.len(), "{ctx}: a list cycles");
+            let rec = slab[(n / 3) as usize].as_ref().unwrap_or_else(|| {
+                panic!("{ctx}: list names dead slab slot {}", n / 3);
+            });
+            let link = rec.links[L][(n % 3) as usize];
+            assert_eq!(link.prev, prev, "{ctx}: node {n}'s prev");
+            nodes.push(n);
+            (prev, n) = (n, link.next);
+        }
+        assert!(!nodes.is_empty(), "{ctx}: empty list in the map");
+        assert_eq!(prev, tail, "{ctx}: the map's tail");
+        nodes
+    }
+
+    /// Assert that `a` holds only live sample state: every live record's
+    /// slot sits exactly once in its edge's `monitors` list, every
+    /// inactive slot exactly once in its opposite vertex's `activations`
+    /// list, and nothing else sits in either; every list's links agree
+    /// (see [`list_nodes`]); `Q` is exactly the live records, each at its
+    /// stored position; and `space_bytes` equals a recount from the maps
+    /// and the slab.
     fn assert_live_state(a: &TwoPassTriangle, ctx: &str) {
         let live: Vec<(u32, &PairRecord)> = a
             .slab
@@ -974,36 +1077,42 @@ mod tests {
             assert_eq!(rec.gen, g, "{ctx}: reference to a reused slot {s}");
             rec
         };
-        let mut monitor_refs = 0;
-        for (&key, list) in &a.monitors.map {
-            assert!(!list.is_empty(), "{ctx}: empty monitor list");
-            for (i, &(s, g, slot)) in list.iter().enumerate() {
-                let r = rec(s, g);
-                assert_eq!(r.tri.slot_edge(slot as usize), key, "{ctx}");
-                assert_eq!(r.monitor_at[slot as usize], i as u32, "{ctx}");
-                monitor_refs += 1;
+        let mut monitored = Vec::new();
+        for &key in a.monitors.map.keys() {
+            for n in list_nodes(&a.monitors, &a.slab, key, ctx) {
+                let r = a.slab[(n / 3) as usize].as_ref().expect("checked live");
+                assert_eq!(r.tri.slot_edge((n % 3) as usize), key, "{ctx}");
+                monitored.push(n);
             }
         }
-        let mut activation_refs = 0;
-        for (&key, list) in &a.activations.map {
-            assert!(!list.is_empty(), "{ctx}: empty activation list");
-            for (i, &(s, g, slot)) in list.iter().enumerate() {
-                let r = rec(s, g);
+        let mut pending = Vec::new();
+        for &key in a.activations.map.keys() {
+            for n in list_nodes(&a.activations, &a.slab, key, ctx) {
+                let (r, slot) = (a.slab[(n / 3) as usize].as_ref().unwrap(), n % 3);
                 assert!(
                     !r.active[slot as usize],
                     "{ctx}: activation of an active slot"
                 );
                 assert_eq!(r.tri.opposite(slot as usize).0, key, "{ctx}");
-                assert_eq!(r.activation_at[slot as usize], i as u32, "{ctx}");
-                activation_refs += 1;
+                pending.push(n);
             }
         }
-        assert_eq!(monitor_refs, 3 * live.len(), "{ctx}: missing monitor");
-        let inactive: usize = live
+        monitored.sort_unstable();
+        pending.sort_unstable();
+        let all: Vec<u32> = live
             .iter()
-            .map(|(_, r)| r.active.iter().filter(|&&x| !x).count())
-            .sum();
-        assert_eq!(activation_refs, inactive, "{ctx}: missing activation");
+            .flat_map(|&(s, _)| (0..3).map(move |slot| node(s, slot)))
+            .collect();
+        assert_eq!(monitored, all, "{ctx}: each live slot monitors once");
+        let inactive: Vec<u32> = live
+            .iter()
+            .flat_map(|&(s, r)| {
+                (0..3)
+                    .filter(|&slot| !r.active[slot])
+                    .map(move |slot| node(s, slot))
+            })
+            .collect();
+        assert_eq!(pending, inactive, "{ctx}: each inactive slot pends once");
         let mut q: Vec<(u32, u32)> = a.q.iter().copied().collect();
         for (rank, &(s, g)) in q.iter().enumerate() {
             assert_eq!(a.q.position(rank), rec(s, g).q_pos as usize, "{ctx}");
@@ -1011,17 +1120,23 @@ mod tests {
         q.sort_unstable();
         let want: Vec<(u32, u32)> = live.iter().map(|&(i, r)| (i, r.gen)).collect();
         assert_eq!(q, want, "{ctx}: Q must be the live records");
-        let rescan = |m: &FastMap<_, Vec<SlotRef>>| -> usize { m.values().map(vec_bytes).sum() };
-        assert_eq!(a.monitors.vec_bytes, rescan(&a.monitors.map), "{ctx}");
-        let rescan = |m: &FastMap<_, Vec<SlotRef>>| -> usize { m.values().map(vec_bytes).sum() };
-        assert_eq!(a.activations.vec_bytes, rescan(&a.activations.map), "{ctx}");
+        let recount = hashmap_bytes(&a.s_edges)
+            + a.slab.capacity() * std::mem::size_of::<Option<PairRecord>>()
+            + vec_bytes(&a.free)
+            + hashmap_bytes(&a.monitors.map)
+            + hashmap_bytes(&a.activations.map)
+            + a.watcher.space_bytes()
+            + a.q.space_bytes()
+            + hashmap_bytes(&a.free_gens)
+            + a.sampler.space_bytes();
+        assert_eq!(a.space_bytes(), recount, "{ctx}: space recount");
     }
 
-    /// The incremental monitor/activation byte counters must equal a full
-    /// value rescan at every list boundary of a real run — otherwise the
-    /// O(1) `space_bytes` would drift from the metered truth. The other
-    /// live-state invariants are checked with them, also on a threshold
-    /// run, where only `Q` replacements destroy records.
+    /// At every list boundary of a real run, `space_bytes` equals a
+    /// recount from the maps and the slab, and the reference lists hold
+    /// exactly the live slots with consistent links. Checked on a bottom-k
+    /// run and on a threshold run, where only `Q` replacements destroy
+    /// records.
     #[test]
     fn incremental_accounting_matches_rescan_during_runs() {
         use adjstream_stream::AdjListStream;
@@ -1197,9 +1312,49 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
-    /// Restore rebuilds every record's positions from the saved lists, so
-    /// a checkpoint whose lists disagree with its records is refused as
-    /// `InvalidData` rather than restored into a state that later panics.
+    /// A saved reference map, decoded: each key with its list of
+    /// `(slab, gen, slot)` references, in saved order.
+    type SavedRefs = Vec<(u64, Vec<(u32, u32, u8)>)>;
+
+    fn decode_refs(mut bytes: &[u8]) -> SavedRefs {
+        let r = &mut bytes;
+        let mut refs = Vec::new();
+        for _ in 0..read_usize(r).unwrap() {
+            let key = read_u64(r).unwrap();
+            let mut list = Vec::new();
+            for _ in 0..read_usize(r).unwrap() {
+                list.push((
+                    read_u32(r).unwrap(),
+                    read_u32(r).unwrap(),
+                    read_u8(r).unwrap(),
+                ));
+            }
+            refs.push((key, list));
+        }
+        assert!(bytes.is_empty(), "the whole section decodes");
+        refs
+    }
+
+    fn encode_refs(refs: &SavedRefs) -> Vec<u8> {
+        let mut w = Vec::new();
+        write_usize(&mut w, refs.len()).unwrap();
+        for (key, list) in refs {
+            write_u64(&mut w, *key).unwrap();
+            write_usize(&mut w, list.len()).unwrap();
+            for &(s, g, slot) in list {
+                write_u32(&mut w, s).unwrap();
+                write_u32(&mut w, g).unwrap();
+                write_u8(&mut w, slot).unwrap();
+            }
+        }
+        w
+    }
+
+    /// Restore rethreads every list and recomputes every record's
+    /// position from the saved order, so a checkpoint whose saved lists
+    /// or slab disagree with its records is refused as `InvalidData`
+    /// rather than restored into a state that later panics. The list
+    /// cases edit the saved `monitors` bytes.
     #[test]
     fn checkpoint_restore_rejects_inconsistent_references() {
         use adjstream_stream::meter::PeakTracker;
@@ -1215,36 +1370,122 @@ mod tests {
         });
         drive_pass_slice(&mut base, 0, &items, &mut PeakTracker::new(), &mut 0).unwrap();
         assert!(!base.free.is_empty(), "Q must have replaced records");
-        let (&key, list) = base.monitors.map.iter().next().expect("a monitor list");
-        let first = list[0];
-        let live = first.0;
-        for what in ["repeated", "missing", "misplaced", "free", "outside Q"] {
-            let mut buf = Vec::new();
-            base.save(&mut buf).unwrap();
-            let mut a = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
-            match what {
-                "repeated" => a.monitors.map.get_mut(&key).unwrap().push(first),
-                "missing" => {
-                    a.monitors.map.get_mut(&key).unwrap().remove(0);
+        let mut buf = Vec::new();
+        base.save(&mut buf).unwrap();
+        // The `monitors` section ends where the `activations` map, the
+        // watcher and the counters begin.
+        let mut section = Vec::new();
+        save_ref_map(&mut section, &base.monitors, &base.slab).unwrap();
+        let mut after = Vec::new();
+        save_ref_map(&mut after, &base.activations, &base.slab).unwrap();
+        base.watcher.save(&mut after).unwrap();
+        base.counters.save(&mut after).unwrap();
+        let end = buf.len() - after.len();
+        let start = end - section.len();
+        assert_eq!(buf[start..end], section[..]);
+        let saved = decode_refs(&section);
+        assert_eq!(encode_refs(&saved), section);
+        let live = saved[0].1[0].0;
+        for what in [
+            "repeated",
+            "missing",
+            "misplaced",
+            "generation",
+            "free",
+            "outside Q",
+        ] {
+            let bad = match what {
+                "free" | "outside Q" => {
+                    let mut a = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+                    if what == "free" {
+                        a.free.push(live);
+                    } else {
+                        let spare = a.free[0];
+                        let mut rec = a.slab.iter().flatten().next().unwrap().clone();
+                        rec.gen = a.free_gens[&spare];
+                        a.slab[spare as usize] = Some(rec);
+                    }
+                    let mut bad = Vec::new();
+                    a.save(&mut bad).unwrap();
+                    bad
                 }
-                "misplaced" => {
-                    let moved = a.monitors.map.remove(&key).unwrap();
-                    a.monitors.map.insert(key ^ 1, moved);
-                }
-                "free" => a.free.push(live),
                 _ => {
-                    let spare = a.free[0];
-                    let mut rec = a.slab.iter().flatten().next().unwrap().clone();
-                    rec.gen = a.free_gens[&spare];
-                    a.slab[spare as usize] = Some(rec);
+                    let mut refs = saved.clone();
+                    let (key, list) = &mut refs[0];
+                    match what {
+                        "repeated" => list.push(list[0]),
+                        "missing" => {
+                            list.remove(0);
+                        }
+                        "misplaced" => *key ^= 1,
+                        _ => list[0].1 = list[0].1.wrapping_add(1),
+                    }
+                    let mut bad = buf[..start].to_vec();
+                    bad.extend(encode_refs(&refs));
+                    bad.extend(&buf[end..]);
+                    bad
                 }
-            }
-            buf.clear();
-            a.save(&mut buf).unwrap();
-            let err = TwoPassTriangle::restore(&mut &buf[..])
+            };
+            let err = TwoPassTriangle::restore(&mut &bad[..])
                 .err()
                 .unwrap_or_else(|| panic!("{what}: must be refused"));
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    mod list_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Random pushes, `swap_remove`s and takes over three keys and
+            /// the twelve nodes of four records leave every list in the
+            /// order a `Vec` under the same steps holds, after every step.
+            /// Lists often hold two slots of one record, as a self-loop
+            /// makes them do.
+            #[test]
+            fn lists_keep_vec_order(
+                ops in prop::collection::vec((0u8..5, 0u32..3, 0u32..12, any::<u8>()), 0..200)
+            ) {
+                let record = PairRecord {
+                    gen: 0,
+                    tri: TriangleSlots([VertexId(0); 3]),
+                    h: [0; 3],
+                    active: [false; 3],
+                    q_pos: 0,
+                    links: UNLINKED,
+                };
+                let mut slab = vec![Some(record); 4];
+                let mut refs: SlotRefs<u32, ACTIVATIONS> = SlotRefs::new();
+                let mut model: Vec<Vec<u32>> = vec![Vec::new(); 3];
+                for (step, &(op, key, n, pick)) in ops.iter().enumerate() {
+                    let listed = model.iter().any(|l| l.contains(&n));
+                    let list = &mut model[key as usize];
+                    match op {
+                        0 | 1 if !listed => {
+                            refs.push(&mut slab, key, n);
+                            list.push(n);
+                        }
+                        2 | 3 if !list.is_empty() => {
+                            let at = usize::from(pick) % list.len();
+                            refs.swap_remove(&mut slab, key, list[at]);
+                            list.swap_remove(at);
+                        }
+                        4 => {
+                            let head = refs.take(key);
+                            let taken: Vec<u32> = walk::<ACTIVATIONS>(&slab, head).collect();
+                            prop_assert_eq!(taken, std::mem::take(list), "step {}: take", step);
+                        }
+                        _ => {}
+                    }
+                    for k in 0..3 {
+                        let ctx = format!("step {step} key {k}");
+                        prop_assert_eq!(list_nodes(&refs, &slab, k, &ctx), model[k as usize].clone());
+                    }
+                }
+            }
         }
     }
 
