@@ -240,8 +240,10 @@ impl PairWatcher {
 /// Bytes [`read_seq`] reserves at most before reading any element.
 const READ_SEQ_RESERVE_BYTES: usize = 1 << 20;
 
-/// Elements [`read_seq`] reserves for a saved length of `n`.
-fn seq_reserve<T>(n: usize) -> usize {
+/// Elements of type `T` (a map's `(key, value)`) to reserve for a saved
+/// count of `n`: [`read_seq`] and every restore that preallocates from a
+/// saved count reserve this many.
+pub(crate) fn seq_reserve<T>(n: usize) -> usize {
     n.min(READ_SEQ_RESERVE_BYTES / std::mem::size_of::<T>().max(1))
 }
 
@@ -313,8 +315,8 @@ impl Checkpoint for PairWatcher {
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
         let n = read_usize(r)?;
         let mut slot_of = FastMap::default();
-        slot_of.reserve(n.min(1 << 16));
-        let mut slots = Vec::with_capacity(n.min(1 << 16));
+        slot_of.reserve(seq_reserve::<(u64, u32)>(n));
+        let mut slots = Vec::with_capacity(seq_reserve::<Watched>(n));
         for _ in 0..n {
             let key = read_u64(r)?;
             let refs = read_u32(r)?;
@@ -336,7 +338,7 @@ impl Checkpoint for PairWatcher {
         let mut listed = vec![0u8; slots.len()];
         let n = read_usize(r)?;
         let mut incident: FastMap<u32, Vec<u32>> = FastMap::default();
-        incident.reserve(n.min(1 << 16));
+        incident.reserve(seq_reserve::<(u32, Vec<u32>)>(n));
         let mut incident_vec_bytes = 0usize;
         for _ in 0..n {
             let v = read_u32(r)?;
@@ -418,6 +420,17 @@ mod tests {
             Ok(record)
         })
         .expect_err("no element follows");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A watcher checkpoint whose watched-pair count is 2^40 and which
+    /// ends right after it is a typed error: restore reserves under the
+    /// byte rule and then finds no pair to read.
+    #[test]
+    fn pair_watcher_restore_with_a_huge_count_and_no_pairs_is_eof() {
+        let mut bytes = Vec::new();
+        write_usize(&mut bytes, 1 << 40).unwrap();
+        let err = PairWatcher::restore(&mut &bytes[..]).expect_err("no pair follows");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 

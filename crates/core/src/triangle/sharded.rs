@@ -56,7 +56,7 @@ use super::kernel::{
     published_counters, restore_config, save_config, EdgeSampler, Offer, TriangleEstimate,
     TriangleSlots,
 };
-use crate::common::{pack_pair, read_seq, unpack_pair, EdgeSampling, PairWatcher};
+use crate::common::{pack_pair, read_seq, seq_reserve, unpack_pair, EdgeSampling, PairWatcher};
 
 /// Stream id for the rank hash ordering the pair subsample `Q`.
 const PAIR_RANK_STREAM: u64 = 0x5AA2_D011;
@@ -516,7 +516,7 @@ impl Checkpoint for ShardedTriangle {
         let discovered = read_u64(r)?;
         let n = read_usize(r)?;
         let mut endpoint_pos = FastMap::default();
-        endpoint_pos.reserve(n.min(1 << 16));
+        endpoint_pos.reserve(seq_reserve::<(u32, u64)>(n));
         for _ in 0..n {
             let v = read_u32(r)?;
             let pos = read_u64(r)?;

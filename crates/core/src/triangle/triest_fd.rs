@@ -39,6 +39,7 @@ use adjstream_stream::meter::{hashmap_bytes, vec_bytes, SpaceUsage};
 use adjstream_stream::update::UpdateAlgorithm;
 
 use super::triest::SampleAdjacency;
+use crate::common::seq_reserve;
 
 /// TRIÈST-FD: random-pairing edge reservoir with inverse-probability
 /// triangle weighting. See module docs.
@@ -238,7 +239,7 @@ impl Checkpoint for TriestFd {
             s,
             d_in,
             d_out,
-            reservoir: Vec::with_capacity(len.min(1 << 20)),
+            reservoir: Vec::with_capacity(seq_reserve::<EdgeKey>(len)),
             index: FastMap::default(),
             adj: SampleAdjacency::default(),
             tau: 0,

@@ -38,7 +38,7 @@ use super::kernel::{
     published_counters, restore_config, save_config, EdgeSampler, Offer, TriangleEstimate,
     TriangleSlots,
 };
-use crate::common::{pack_pair, read_seq, unpack_pair, EdgeSampling, PairWatcher};
+use crate::common::{pack_pair, read_seq, seq_reserve, unpack_pair, EdgeSampling, PairWatcher};
 
 /// Configuration for [`TwoPassTriangle`].
 #[derive(Debug, Clone, Copy)]
@@ -560,7 +560,7 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 /// (`pos`, `next_pos`) and the completion scratch buffer are reset rather
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
 /// the resumed run enters pass 2. The sampler is rebuilt from the saved
-/// `S` (see [`EdgeSampler::rebuild`]). The record positions and links are
+/// `S` (see `EdgeSampler::rebuild`). The record positions and links are
 /// not saved either: a reference list is saved as its `(slab, gen, slot)`
 /// references in list order, and restore rethreads the links and
 /// recomputes the positions from the saved order of `Q` and of each list.
@@ -636,7 +636,7 @@ impl Checkpoint for TwoPassTriangle {
         let discovered = read_u64(r)?;
         let n = read_usize(r)?;
         let mut s_edges = FastMap::default();
-        s_edges.reserve(n.min(1 << 16));
+        s_edges.reserve(seq_reserve::<(u64, EdgeInfo)>(n));
         for _ in 0..n {
             let key = read_u64(r)?;
             let first_pos = read_u32(r)?;
@@ -704,7 +704,7 @@ impl Checkpoint for TwoPassTriangle {
         }
         let n = read_usize(r)?;
         let mut free_gens = FastMap::default();
-        free_gens.reserve(n.min(1 << 16));
+        free_gens.reserve(seq_reserve::<(u32, u32)>(n));
         for _ in 0..n {
             let slot = read_u32(r)?;
             let gen = read_u32(r)?;
@@ -793,7 +793,7 @@ where
 {
     let n = read_usize(r)?;
     let mut refs = SlotRefs::new();
-    refs.map.reserve(n.min(1 << 16));
+    refs.map.reserve(seq_reserve::<(K, (u32, u32))>(n));
     // Tracked apart from the links: a one-node list links to `NIL` at
     // both ends, exactly like a node not yet placed.
     let mut placed = vec![false; slab.len() * 3];

@@ -119,25 +119,6 @@ impl Graph {
         sorted_intersection_count(self.neighbors(u), self.neighbors(v))
     }
 
-    /// Common neighbors of `u` and `v`, ascending.
-    pub fn common_neighbors(&self, u: VertexId, v: VertexId) -> Vec<VertexId> {
-        let (mut i, mut j) = (0, 0);
-        let (a, b) = (self.neighbors(u), self.neighbors(v));
-        let mut out = Vec::new();
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
-    }
-
     /// The disjoint union of `self` and `other`: vertices of `other` are
     /// shifted up by `self.vertex_count()`.
     pub fn disjoint_union(&self, other: &Graph) -> Graph {
@@ -263,7 +244,6 @@ mod tests {
     fn codegree_and_common_neighbors() {
         let g = triangle_plus_pendant();
         assert_eq!(g.codegree(v(1), v(2)), 1);
-        assert_eq!(g.common_neighbors(v(1), v(2)), vec![v(0)]);
         assert_eq!(g.codegree(v(0), v(3)), 0);
     }
 

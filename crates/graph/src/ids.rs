@@ -88,12 +88,6 @@ impl EdgeKey {
         (self.lo, self.hi)
     }
 
-    /// Whether `v` is one of the endpoints.
-    #[inline]
-    pub fn touches(self, v: VertexId) -> bool {
-        self.lo == v || self.hi == v
-    }
-
     /// Given one endpoint, return the other; `None` if `v` is not an endpoint.
     #[inline]
     pub fn other(self, v: VertexId) -> Option<VertexId> {
@@ -341,7 +335,6 @@ mod tests {
         assert_eq!(e.other(v(4)), Some(v(9)));
         assert_eq!(e.other(v(9)), Some(v(4)));
         assert_eq!(e.other(v(5)), None);
-        assert!(e.touches(v(4)) && e.touches(v(9)) && !e.touches(v(0)));
     }
 
     #[test]

@@ -169,11 +169,20 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Parse one JSON document from `input`, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level on the caller's stack, a daemon connection thread's
+/// included, so a deeper document is refused rather than allowed to
+/// overflow it. The deepest document the daemon writes (the `metrics`
+/// reply) nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document from `input`, rejecting trailing garbage and
+/// arrays or objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -187,6 +196,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -220,8 +231,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -233,6 +244,21 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -454,6 +480,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH - 1))).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // A 100,000-deep line is refused, not a stack overflow: the
+        // daemon parses requests on threads with the default stack.
+        let deep = nested(100_000);
+        let err = std::thread::spawn(move || parse(&deep))
+            .join()
+            .expect("the parser does not overflow its stack")
+            .unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

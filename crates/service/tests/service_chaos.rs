@@ -466,3 +466,17 @@ fn validate_jobs_report_the_certified_edge_count() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn deeply_nested_request_is_a_bad_request_not_an_abort() {
+    let (handle, socket) = start("nested", |cfg| cfg.workers = 1);
+    // 100,000 nested arrays: parsed by recursion, this line would
+    // overflow the connection thread's stack and abort the daemon.
+    let line = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let reply = req(&socket, &line);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    assert_eq!(reply.str_field("error"), Some("bad_request"), "{reply}");
+    let pong = req(&socket, "{\"op\":\"ping\"}");
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
+    handle.shutdown();
+}

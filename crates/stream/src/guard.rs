@@ -30,15 +30,14 @@
 //!
 //! The policy rule itself lives in one place, `GuardPolicy::decide`:
 //! given a violation and whether dropping it repairs the stream, it says
-//! forward, drop, or fail with the error latched. `Guarded` and the update
-//! guard ([`crate::update_guard::GuardedUpdate`]) only say what a
-//! violation is and what dropping it means.
-//!
-//! [`guard_items`] is the one-pass guard for a resident stream that is
-//! repaired once, upstream of a shard split. It admits and counts exactly
-//! what a `Guarded` pass would, but keeps no storing validator: it runs
-//! the local checks over the slice itself and sorts the symmetry keys on
-//! a second thread meanwhile.
+//! forward, drop, or fail with the error latched. The static guards admit
+//! through one private core, `Admission` (local checks, split-segment
+//! suppression, the policy rule, fault and repair counts). [`Guarded`]
+//! adds the quarantine drop of later passes and, in pass 0, stores what it
+//! accepted for the symmetry step. [`guard_items`], the one-pass guard for
+//! a resident stream repaired once upstream of a shard split, adds the
+//! copy of the admitted stretches and the keys of the rejected items. Both
+//! validate exactly; the bounded checker serves offline validation only.
 //!
 //! [`RunError::Invalid`]: crate::runner::RunError::Invalid
 
@@ -50,11 +49,11 @@ use crate::checkpoint::{
     corrupt, read_bytes, read_u32, read_u64, read_u8, read_usize, write_bytes, write_u32,
     write_u64, write_u8, write_usize, Checkpoint,
 };
-use crate::hashing::{FastBuildHasher, FastSet, HashFn};
+use crate::hashing::{FastBuildHasher, FastSet};
 use crate::item::StreamItem;
 use crate::meter::{hashset_bytes, SpaceUsage};
 use crate::runner::{GuardStats, MultiPassAlgorithm, RunError};
-use crate::validate::{once_keys, pack_edge, OnlineValidator, StreamError, ValidatorMode};
+use crate::validate::{once_keys, pack_edge, OnlineValidator, StreamError};
 
 /// Serialize a [`GuardPolicy`] as a one-byte tag, its declaration index
 /// (shared with the batch and update-guard checkpoints so every layer
@@ -72,29 +71,10 @@ pub(crate) fn decode_policy(r: &mut dyn Read) -> io::Result<GuardPolicy> {
         .ok_or_else(|| corrupt(format!("bad guard policy tag {t}")))
 }
 
-/// Serialize a [`ValidatorMode`] (tag plus the bounded mode's parameters).
-pub(crate) fn encode_mode(w: &mut dyn Write, mode: ValidatorMode) -> io::Result<()> {
-    match mode {
-        ValidatorMode::Exact => write_u8(w, 0),
-        ValidatorMode::Bounded { seed, window } => {
-            write_u8(w, 1)?;
-            write_u64(w, seed)?;
-            write_usize(w, window)
-        }
-    }
-}
-
-/// Inverse of [`encode_mode`].
-pub(crate) fn decode_mode(r: &mut dyn Read) -> io::Result<ValidatorMode> {
-    Ok(match read_u8(r)? {
-        0 => ValidatorMode::Exact,
-        1 => ValidatorMode::Bounded {
-            seed: read_u64(r)?,
-            window: read_usize(r)?,
-        },
-        t => return Err(corrupt(format!("bad validator mode tag {t}"))),
-    })
-}
+/// The validator-mode byte a guard checkpoint carries after its policy.
+/// The guard validates exactly; tag 1, a retired bounded mode, and any
+/// other tag are refused on restore.
+const EXACT_MODE_TAG: u8 = 0;
 
 named_enum! {
     /// How a guard reacts to violations. The declaration order is the
@@ -141,6 +121,88 @@ pub(crate) enum Verdict {
     Fail,
 }
 
+/// The admission core of both static guards: one pass's local checks,
+/// split-segment suppression and policy rule, counting faults and repairs
+/// into the caller's [`GuardStats`].
+#[derive(Debug, Clone)]
+struct Admission {
+    policy: GuardPolicy,
+    validator: OnlineValidator,
+    /// Owner of a list segment currently being suppressed after a
+    /// contiguity violation, and that violation's verdict.
+    suppress: Option<(VertexId, Verdict)>,
+    /// The violation the policy failed on; nothing is admitted after it.
+    fatal: Option<StreamError>,
+}
+
+impl Admission {
+    fn new(policy: GuardPolicy) -> Self {
+        Admission {
+            policy,
+            validator: OnlineValidator::exact(),
+            suppress: None,
+            fatal: None,
+        }
+    }
+
+    /// Admit one item: `Ok(opened)` when the local checks accept it, with
+    /// `opened` saying whether it opened a list, or else the verdict on
+    /// it. The rest of a split list's displaced segment shares the split's
+    /// verdict and counts as repaired rather than re-reporting every item
+    /// in it.
+    #[inline(always)]
+    fn admit(&mut self, item: StreamItem, stats: &mut GuardStats) -> Result<bool, Verdict> {
+        if self.fatal.is_some() {
+            return Err(Verdict::Fail);
+        }
+        if let Some((owner, verdict)) = self.suppress {
+            if owner == item.src {
+                self.validator.note_suppressed();
+                stats.items_repaired += 1;
+                return Err(verdict);
+            }
+            self.suppress = None;
+        }
+        let error = match self.validator.check_local(item) {
+            Ok(opened) => return Ok(opened),
+            Err(error) => error,
+        };
+        stats.faults_detected += 1;
+        let split = matches!(error, StreamError::ListNotContiguous { .. });
+        let verdict = self.policy.decide(error, true, &mut self.fatal);
+        if split {
+            self.suppress = Some((item.src, verdict));
+        }
+        if verdict == Verdict::Drop {
+            stats.items_repaired += 1;
+        }
+        Err(verdict)
+    }
+
+    /// The rule for the `unmatched` edges the symmetry step finds at the
+    /// end of pass 0: each is a fault, and a quarantined edge when the
+    /// policy drops them. `error`, the earliest unmatched direction, is
+    /// built only when the policy fails on it.
+    fn settle_unmatched(
+        &mut self,
+        unmatched: usize,
+        error: impl FnOnce() -> StreamError,
+        stats: &mut GuardStats,
+    ) -> Verdict {
+        if unmatched == 0 {
+            return Verdict::Forward;
+        }
+        stats.faults_detected += unmatched;
+        let verdict = self.policy.decide((), true, &mut None);
+        match verdict {
+            Verdict::Forward => {}
+            Verdict::Drop => stats.edges_quarantined += unmatched,
+            Verdict::Fail => self.fatal = Some(error()),
+        }
+        verdict
+    }
+}
+
 /// Pass-1 list-order fingerprint for order-sensitive inner algorithms.
 #[derive(Debug, Clone)]
 enum OrderFingerprint {
@@ -151,9 +213,6 @@ enum OrderFingerprint {
         owners: Vec<VertexId>,
         replay: usize,
     },
-    /// Bounded mode: rolling hash of the owner sequence, compared at pass
-    /// end (cannot name the diverging list).
-    Rolling { pass0: u64, current: u64 },
 }
 
 /// An algorithm wrapped with online promise validation; see the module docs
@@ -161,69 +220,36 @@ enum OrderFingerprint {
 #[derive(Debug, Clone)]
 pub struct Guarded<A> {
     inner: A,
-    policy: GuardPolicy,
-    mode: ValidatorMode,
-    validator: OnlineValidator,
+    core: Admission,
     stats: GuardStats,
-    fatal: Option<StreamError>,
     pass: usize,
-    /// Owner of a list segment currently being suppressed after a
-    /// contiguity violation, and that violation's verdict.
-    suppress: Option<(VertexId, Verdict)>,
     /// Canonical keys of edges whose surviving direction must be dropped in
     /// passes ≥ 2 (repair policy only).
     quarantined: FastSet<u64>,
     fingerprint: OrderFingerprint,
     order_violated: bool,
-    order_hasher: HashFn,
 }
 
 impl<A: MultiPassAlgorithm> Guarded<A> {
     /// Guard `inner` with an exact validator.
     pub fn new(inner: A, policy: GuardPolicy) -> Self {
-        Self::with_validator(inner, policy, ValidatorMode::Exact)
-    }
-
-    /// Guard `inner` with a validator of the given mode. With
-    /// [`ValidatorMode::Bounded`] the guard's own bookkeeping is bounded
-    /// too (rolling order fingerprint instead of a stored owner sequence),
-    /// at the cost of unattributed reverse-edge faults being unrepairable.
-    pub fn with_validator(inner: A, policy: GuardPolicy, mode: ValidatorMode) -> Self {
-        let track = inner.requires_same_order() && inner.passes() > 1;
-        let fingerprint = match (track, mode) {
-            (false, _) => OrderFingerprint::Off,
-            (true, ValidatorMode::Exact) => OrderFingerprint::Exact {
+        let fingerprint = if inner.requires_same_order() && inner.passes() > 1 {
+            OrderFingerprint::Exact {
                 owners: Vec::new(),
                 replay: 0,
-            },
-            (true, ValidatorMode::Bounded { .. }) => OrderFingerprint::Rolling {
-                pass0: 0,
-                current: 0,
-            },
-        };
-        let seed = match mode {
-            ValidatorMode::Bounded { seed, .. } => seed,
-            ValidatorMode::Exact => 0,
+            }
+        } else {
+            OrderFingerprint::Off
         };
         Guarded {
             inner,
-            policy,
-            mode,
-            validator: OnlineValidator::with_mode(mode),
+            core: Admission::new(policy),
             stats: GuardStats::default(),
-            fatal: None,
             pass: 0,
-            suppress: None,
             quarantined: FastSet::default(),
             fingerprint,
             order_violated: false,
-            order_hasher: HashFn::from_seed(seed, 0x6F72_6465), // "orde"
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> GuardPolicy {
-        self.policy
     }
 
     /// Counters so far (also published on the final report via
@@ -232,21 +258,12 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
         self.stats
     }
 
-    /// Unwrap the inner algorithm.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// The validator mode in force.
-    pub fn mode(&self) -> ValidatorMode {
-        self.mode
-    }
-
     /// Serialize the guard's *cross-pass* state: counters, the quarantine
     /// set, and the pass-1 order fingerprint. Everything else
-    /// (`validator`, `suppress`, `pass`, `fatal`) is per-pass state
-    /// that `begin_pass` resets, and a pass boundary — the only place
-    /// checkpoints happen — is by definition after such a reset point.
+    /// (the core's validator, suppression and failure, and `pass`) is
+    /// per-pass state that `begin_pass` resets, and a pass boundary — the
+    /// only place checkpoints happen — is by definition after such a
+    /// reset point.
     pub(crate) fn save_guard_state(&self, w: &mut dyn Write) -> io::Result<()> {
         write_usize(w, self.stats.faults_detected)?;
         write_usize(w, self.stats.items_repaired)?;
@@ -265,20 +282,17 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
                     write_u32(w, o.0)?;
                 }
             }
-            OrderFingerprint::Rolling { pass0, .. } => {
-                write_u8(w, 2)?;
-                write_u64(w, *pass0)?;
-            }
         }
         write_u8(w, self.order_violated as u8)
     }
 
     /// Restore the state written by [`Guarded::save_guard_state`] into a
-    /// freshly constructed guard (same policy and mode). The per-pass
-    /// cursors inside the fingerprint (`replay`, `current`) restart at
-    /// zero, exactly as `begin_pass` leaves them. A count larger than the
-    /// rest of `blob` can hold, or a repeated quarantine key, is rejected
-    /// as corrupt before anything is allocated for it.
+    /// freshly constructed guard of the same policy. The fingerprint's
+    /// replay cursor restarts at zero, exactly as `begin_pass` leaves it.
+    /// A count larger than the rest of `blob` can hold, a repeated
+    /// quarantine key or an unknown fingerprint tag (2 was a retired
+    /// bounded mode's) is rejected as corrupt before anything is
+    /// allocated for it.
     pub(crate) fn restore_guard_state(&mut self, mut blob: &[u8]) -> io::Result<()> {
         let r = &mut blob;
         self.stats.faults_detected = read_usize(r)?;
@@ -301,10 +315,6 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
                     .collect::<io::Result<_>>()?;
                 OrderFingerprint::Exact { owners, replay: 0 }
             }
-            2 => OrderFingerprint::Rolling {
-                pass0: read_u64(r)?,
-                current: 0,
-            },
             t => return Err(corrupt(format!("bad order fingerprint tag {t}"))),
         };
         self.order_violated = read_u8(r)? != 0;
@@ -315,12 +325,12 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
     /// fingerprint.
     fn validator_bytes(&self) -> usize {
         let fp = match &self.fingerprint {
-            OrderFingerprint::Off | OrderFingerprint::Rolling { .. } => 16,
+            OrderFingerprint::Off => 16,
             OrderFingerprint::Exact { owners, .. } => {
                 owners.len() * std::mem::size_of::<VertexId>()
             }
         };
-        self.validator.space_bytes() + hashset_bytes(&self.quarantined) + fp
+        self.core.validator.space_bytes() + hashset_bytes(&self.quarantined) + fp
     }
 
     /// Fold the guard's current bytes, plus `transient` bytes a call is
@@ -330,56 +340,31 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
         self.stats.validator_peak_bytes = self.stats.validator_peak_bytes.max(bytes);
     }
 
-    /// Run the validation/suppression state machine for one item and
-    /// report whether it should be forwarded to the inner algorithm. Every
-    /// guard side effect — fault counters, segment suppression, quarantine
-    /// lookups, fatal latching — happens here, so [`Guarded::item`] and
-    /// [`Guarded::feed_slice`] are the same machine at different forwarding
-    /// granularities and their stats are identical by construction.
-    fn admit(&mut self, src: VertexId, dst: VertexId) -> bool {
-        if self.fatal.is_some() {
-            return false;
-        }
-        let key = pack_edge(src, dst);
-        if self.pass > 0 && self.quarantined.contains(&key) {
-            // The partner direction never existed; drop the survivor so
-            // later passes see the same repaired stream as pass 1 did
-            // (post-quarantine). Only populated under the repair policy.
-            self.validator.note_suppressed();
-            return false;
-        }
-        if let Some((owner, verdict)) = self.suppress {
-            if owner == src {
-                self.validator.note_suppressed();
-                if self.pass == 0 {
-                    self.stats.items_repaired += 1;
-                }
-                return verdict == Verdict::Forward;
+    /// Admit one item through the core. Pass 0 counts and stores what the
+    /// checks accepted for its symmetry step; later passes first drop the
+    /// quarantined survivors, then run the local checks only, and count
+    /// nothing. [`Guarded::item`] and [`Guarded::feed_slice`] are the same
+    /// machine at different forwarding granularities, so their stats are
+    /// identical by construction.
+    #[inline]
+    fn admit(&mut self, item: StreamItem) -> bool {
+        if self.pass > 0 {
+            if self.quarantined.contains(&pack_edge(item.src, item.dst)) {
+                // The partner direction never existed; drop the survivor so
+                // later passes see the same repaired stream as pass 1 did
+                // (post-quarantine). Only populated under the repair policy.
+                self.core.validator.note_suppressed();
+                return false;
             }
-            self.suppress = None;
+            let verdict = self.core.admit(item, &mut GuardStats::default());
+            return matches!(verdict, Ok(_) | Err(Verdict::Forward));
         }
-        let Err(e) = self.validator.observe(StreamItem::new(src, dst)) else {
-            return true;
-        };
-        if self.pass == 0 {
-            self.stats.faults_detected += 1;
-        }
-        let split = matches!(e, StreamError::ListNotContiguous { .. });
-        let verdict = self.policy.decide(e, true, &mut self.fatal);
-        if split {
-            // The rest of the displaced segment shares this verdict
-            // rather than re-reporting every item in it.
-            self.suppress = Some((src, verdict));
-        }
-        match verdict {
-            Verdict::Forward => true,
-            Verdict::Drop => {
-                if self.pass == 0 {
-                    self.stats.items_repaired += 1;
-                }
-                false
+        match self.core.admit(item, &mut self.stats) {
+            Ok(opened) => {
+                self.core.validator.commit(item, opened);
+                true
             }
-            Verdict::Fail => false,
+            Err(verdict) => verdict == Verdict::Forward,
         }
     }
 
@@ -392,7 +377,7 @@ impl<A: MultiPassAlgorithm> Guarded<A> {
         };
         // A reordered replay cannot be repaired: list positions are the
         // inner algorithm's coordinate system.
-        self.policy.decide(err, false, &mut self.fatal);
+        self.core.policy.decide(err, false, &mut self.core.fatal);
     }
 }
 
@@ -415,37 +400,25 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
 
     fn begin_pass(&mut self, pass: usize) {
         self.pass = pass;
-        self.validator.reset();
-        self.suppress = None;
-        match &mut self.fingerprint {
-            OrderFingerprint::Exact { replay, .. } => *replay = 0,
-            OrderFingerprint::Rolling { current, .. } => *current = 0,
-            OrderFingerprint::Off => {}
+        self.core.validator.reset();
+        self.core.suppress = None;
+        if let OrderFingerprint::Exact { replay, .. } = &mut self.fingerprint {
+            *replay = 0;
         }
         self.inner.begin_pass(pass);
     }
 
     fn begin_list(&mut self, owner: VertexId) {
         let mut violation = None;
-        match &mut self.fingerprint {
-            OrderFingerprint::Off => {}
-            OrderFingerprint::Exact { owners, replay } => {
-                if self.pass == 0 {
-                    owners.push(owner);
-                } else if !self.order_violated {
-                    let idx = *replay;
-                    *replay += 1;
-                    if owners.get(idx) != Some(&owner) {
-                        violation = Some(idx);
-                    }
+        if let OrderFingerprint::Exact { owners, replay } = &mut self.fingerprint {
+            if self.pass == 0 {
+                owners.push(owner);
+            } else if !self.order_violated {
+                let idx = *replay;
+                *replay += 1;
+                if owners.get(idx) != Some(&owner) {
+                    violation = Some(idx);
                 }
-            }
-            OrderFingerprint::Rolling { pass0, current } => {
-                let next = self.order_hasher.hash(*current ^ owner.0 as u64);
-                if self.pass == 0 {
-                    *pass0 = next;
-                }
-                *current = next;
             }
         }
         if let Some(idx) = violation {
@@ -458,7 +431,7 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
     }
 
     fn item(&mut self, src: VertexId, dst: VertexId) {
-        if self.admit(src, dst) {
+        if self.admit(StreamItem::new(src, dst)) {
             self.inner.item(src, dst);
         }
     }
@@ -470,8 +443,8 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
     /// the stream is still validated exactly once.
     fn feed_slice(&mut self, items: &[StreamItem]) {
         let mut run_start = 0usize;
-        for (i, it) in items.iter().enumerate() {
-            if !self.admit(it.src, it.dst) {
+        for (i, &it) in items.iter().enumerate() {
+            if !self.admit(it) {
                 if run_start < i {
                     self.inner.feed_slice(&items[run_start..i]);
                 }
@@ -490,44 +463,24 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
 
     fn end_pass(&mut self, pass: usize) {
         if pass == 0 {
-            self.observe_validator_peak(self.validator.finish_bytes());
-            let (verdict, unmatched) = self.validator.finish_with_unmatched();
-            if let Err(e) = verdict {
-                self.stats.faults_detected += unmatched.len().max(1);
-                // Exact mode names every unmatched edge; bounded mode can
-                // recover at most a single straggler from its sketch. An
-                // unattributable imbalance leaves nothing to drop.
-                let straggler = match e {
-                    StreamError::MissingReverse { src, dst } if unmatched.is_empty() => {
-                        Some(pack_edge(src, dst))
-                    }
-                    _ => None,
-                };
-                let quarantine: Vec<u64> = unmatched
-                    .iter()
-                    .map(|&(s, d)| pack_edge(s, d))
-                    .chain(straggler)
-                    .collect();
-                let repairable = !quarantine.is_empty();
-                if self.policy.decide(e, repairable, &mut self.fatal) == Verdict::Drop {
+            self.observe_validator_peak(self.core.validator.finish_bytes());
+            let (verdict, unmatched) = self.core.validator.finish_with_unmatched();
+            if let Err(error) = verdict {
+                let n = unmatched.len();
+                if self.core.settle_unmatched(n, || error, &mut self.stats) == Verdict::Drop {
                     // Later passes suppress the quarantined survivors.
-                    for &key in &quarantine {
-                        self.quarantined.insert(key);
-                    }
-                    self.stats.edges_quarantined += quarantine.len();
+                    self.quarantined
+                        .extend(unmatched.iter().map(|&(src, dst)| pack_edge(src, dst)));
                 }
             }
         } else if !self.order_violated {
-            let violation = match &self.fingerprint {
+            let short = match &self.fingerprint {
                 OrderFingerprint::Exact { owners, replay } => {
                     (*replay != owners.len()).then_some(*replay)
                 }
-                OrderFingerprint::Rolling { pass0, current } => {
-                    (current != pass0).then_some(usize::MAX)
-                }
                 OrderFingerprint::Off => None,
             };
-            if let Some(at) = violation {
+            if let Some(at) = short {
                 self.order_violation(at);
             }
         }
@@ -536,7 +489,7 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
     }
 
     fn abort_error(&self) -> Option<StreamError> {
-        self.fatal.clone()
+        self.core.fatal.clone()
     }
 
     fn guard_stats(&self) -> Option<GuardStats> {
@@ -553,13 +506,13 @@ impl<A: MultiPassAlgorithm> MultiPassAlgorithm for Guarded<A> {
 }
 
 impl<A: MultiPassAlgorithm + Checkpoint> Checkpoint for Guarded<A> {
-    /// A guarded algorithm checkpoints as policy + mode + the guard's
-    /// cross-pass state + the inner algorithm's own checkpoint, so
-    /// `Guarded<TwoPassTriangle>` (and friends) round-trip through
-    /// [`Checkpoint`] like any other algorithm.
+    /// A guarded algorithm checkpoints as policy + the exact validator's
+    /// mode tag + the guard's cross-pass state + the inner algorithm's own
+    /// checkpoint, so `Guarded<TwoPassTriangle>` (and friends) round-trip
+    /// through [`Checkpoint`] like any other algorithm.
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
-        encode_policy(w, self.policy)?;
-        encode_mode(w, self.mode)?;
+        encode_policy(w, self.core.policy)?;
+        write_u8(w, EXACT_MODE_TAG)?;
         let mut guard_blob = Vec::new();
         self.save_guard_state(&mut guard_blob)?;
         write_bytes(w, &guard_blob)?;
@@ -570,11 +523,14 @@ impl<A: MultiPassAlgorithm + Checkpoint> Checkpoint for Guarded<A> {
 
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
         let policy = decode_policy(r)?;
-        let mode = decode_mode(r)?;
+        let mode = read_u8(r)?;
+        if mode != EXACT_MODE_TAG {
+            return Err(corrupt(format!("bad validator mode tag {mode}")));
+        }
         let guard_blob = read_bytes(r)?;
         let inner_blob = read_bytes(r)?;
         let inner = A::restore(&mut inner_blob.as_slice())?;
-        let mut guarded = Guarded::with_validator(inner, policy, mode);
+        let mut guarded = Guarded::new(inner, policy);
         guarded.restore_guard_state(&guard_blob)?;
         Ok(guarded)
     }
@@ -587,13 +543,13 @@ impl<A: MultiPassAlgorithm + Checkpoint> Checkpoint for Guarded<A> {
 /// shard replay the same items.
 ///
 /// It admits, counts and fails exactly as a [`Guarded`] pass over `items`
-/// would, without a storing validator. The calling thread runs the local
-/// checks over the resident slice, copies out the admitted stretches and
-/// records the canonical key of each item the checks did not accept;
-/// meanwhile a second thread sorts the keys of the whole slice. A key
-/// left with one item once the rejected keys are taken out is an
-/// unmatched edge. Each counts as a fault, and under Strict the earliest
-/// unmatched direction in the slice is the error, as
+/// would, through the same admission core, without a storing validator.
+/// The calling thread runs the core over the resident slice, copies out
+/// the admitted stretches and records the canonical key of each item the
+/// checks did not accept; meanwhile a second thread sorts the keys of the
+/// whole slice. A key left with one item once the rejected keys are taken
+/// out is an unmatched edge. Each counts as a fault, and under Strict the
+/// earliest unmatched direction in the slice is the error, as
 /// [`OnlineValidator::finish`] reports it. `validator_peak_bytes` counts
 /// the local-check sets, the 8 B-per-item key buffer and 8 B per rejected
 /// item.
@@ -620,106 +576,54 @@ pub fn guard_items(
             keys.sort_unstable();
             keys
         });
-        let local = check_locally(items, policy);
+        let mut core = Admission::new(policy);
+        let mut stats = GuardStats::default();
+        let mut admitted = Vec::with_capacity(items.len());
+        let mut rejected = Vec::new();
+        let mut stretch = 0;
+        for (i, &item) in items.iter().enumerate() {
+            let Err(verdict) = core.admit(item, &mut stats) else {
+                continue;
+            };
+            match verdict {
+                Verdict::Forward => {}
+                Verdict::Drop => {
+                    admitted.extend_from_slice(&items[stretch..i]);
+                    stretch = i + 1;
+                }
+                Verdict::Fail => break,
+            }
+            rejected.push(pack_edge(item.src, item.dst));
+        }
         let keys = sorted
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let LocalPass {
-            admitted,
-            mut rejected,
-            mut stats,
-        } = local.map_err(invalid)?;
-        stats.validator_peak_bytes += key_bytes + rejected.capacity() * std::mem::size_of::<u64>();
+        if let Some(error) = core.fatal {
+            return Err(invalid(error));
+        }
+        admitted.extend_from_slice(&items[stretch..]);
+        stats.validator_peak_bytes = core.validator.space_bytes()
+            + key_bytes
+            + rejected.capacity() * std::mem::size_of::<u64>();
         rejected.sort_unstable();
         let once = once_keys(&keys, &rejected);
-        if !once.is_empty() {
-            stats.faults_detected += once.len();
-            match policy.decide((), true, &mut None) {
-                Verdict::Drop => stats.edges_quarantined += once.len(),
-                Verdict::Forward => {}
-                // Strict stops at the first local violation, so here it
-                // rejected nothing and the slice is the accepted stream.
-                Verdict::Fail => {
-                    let first = items
-                        .iter()
-                        .find(|it| once.binary_search(&pack_edge(it.src, it.dst)).is_ok())
-                        .expect("an unmatched key has an accepted item");
-                    return Err(invalid(StreamError::MissingReverse {
-                        src: first.src,
-                        dst: first.dst,
-                    }));
-                }
-            }
-        }
-        Ok((admitted, stats))
-    })
-}
-
-/// What the local checks of one pass admit, before the symmetry step.
-struct LocalPass {
-    /// The admitted items, in stream order.
-    admitted: Vec<StreamItem>,
-    /// Canonical keys of the items the validator did not accept: the
-    /// dropped ones, and under Observe the forwarded violations too.
-    rejected: Vec<u64>,
-    /// The counters so far; `validator_peak_bytes` holds the local-check
-    /// sets, whose capacity only grows.
-    stats: GuardStats,
-}
-
-/// The local half of a [`Guarded`] pass over `items`: the same checks,
-/// the same split-segment suppression and the same policy rule as
-/// `Guarded::admit`, with nothing stored per accepted item. Under Strict
-/// it stops at the first violation.
-fn check_locally(items: &[StreamItem], policy: GuardPolicy) -> Result<LocalPass, StreamError> {
-    let mut validator = OnlineValidator::exact();
-    let mut admitted = Vec::with_capacity(items.len());
-    let mut rejected = Vec::new();
-    let mut stats = GuardStats::default();
-    let mut fatal = None;
-    // Owner of a split list's displaced segment, and its verdict.
-    let mut suppress: Option<(VertexId, Verdict)> = None;
-    let mut stretch = 0;
-    for (i, &item) in items.iter().enumerate() {
-        let verdict = match suppress {
-            Some((owner, verdict)) if owner == item.src => {
-                validator.note_suppressed();
-                stats.items_repaired += 1;
-                verdict
-            }
-            _ => {
-                suppress = None;
-                let Err(e) = validator.check_local(item) else {
-                    continue;
-                };
-                stats.faults_detected += 1;
-                let split = matches!(e, StreamError::ListNotContiguous { .. });
-                let verdict = policy.decide(e, true, &mut fatal);
-                if split {
-                    suppress = Some((item.src, verdict));
-                }
-                if verdict == Verdict::Drop {
-                    stats.items_repaired += 1;
-                }
-                verdict
+        let error = || {
+            // Strict stops at the first local violation, so here it
+            // rejected nothing and the slice is the accepted stream.
+            let first = items
+                .iter()
+                .find(|it| once.binary_search(&pack_edge(it.src, it.dst)).is_ok())
+                .expect("an unmatched key has an accepted item");
+            StreamError::MissingReverse {
+                src: first.src,
+                dst: first.dst,
             }
         };
-        match verdict {
-            Verdict::Forward => {}
-            Verdict::Drop => {
-                admitted.extend_from_slice(&items[stretch..i]);
-                stretch = i + 1;
-            }
-            Verdict::Fail => return Err(fatal.expect("a failed verdict is latched")),
+        core.settle_unmatched(once.len(), error, &mut stats);
+        match core.fatal {
+            Some(error) => Err(invalid(error)),
+            None => Ok((admitted, stats)),
         }
-        rejected.push(pack_edge(item.src, item.dst));
-    }
-    admitted.extend_from_slice(&items[stretch..]);
-    stats.validator_peak_bytes = validator.space_bytes();
-    Ok(LocalPass {
-        admitted,
-        rejected,
-        stats,
     })
 }
 
@@ -944,69 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_guard_detects_reorder_at_pass_end() {
-        let items = clean_items(20, 60, 6);
-        let c = FaultPlan::new(2)
-            .with(FaultKind::ReorderPass, 1)
-            .apply(&items);
-        let guarded = Guarded::with_validator(
-            Probe::new(2, true),
-            GuardPolicy::Strict,
-            ValidatorMode::Bounded { seed: 5, window: 8 },
-        );
-        let err = c.try_run(guarded).unwrap_err();
-        assert!(matches!(
-            err,
-            RunError::Invalid {
-                pass: 1,
-                error: StreamError::PassOrderChanged {
-                    pass: 1,
-                    list_index: usize::MAX
-                }
-            }
-        ));
-    }
-
-    #[test]
-    fn bounded_repair_quarantines_single_straggler() {
-        let items = clean_items(24, 80, 7);
-        let c = FaultPlan::new(4)
-            .with(FaultKind::DropDirection, 1)
-            .apply(&items);
-        let guarded = Guarded::with_validator(
-            Probe::new(2, false),
-            GuardPolicy::Repair,
-            ValidatorMode::Bounded { seed: 5, window: 8 },
-        );
-        let ((n, _), report) = c.try_run(guarded).unwrap();
-        let stats = report.guard.unwrap();
-        assert_eq!(stats.faults_detected, 1);
-        assert_eq!(stats.edges_quarantined, 1);
-        assert_eq!(n, c.items().len() + (c.items().len() - 1));
-    }
-
-    #[test]
-    fn bounded_repair_aborts_on_unattributable_imbalance() {
-        let items = clean_items(24, 80, 7);
-        let c = FaultPlan::new(4)
-            .with(FaultKind::DropDirection, 2)
-            .apply(&items);
-        let guarded = Guarded::with_validator(
-            Probe::new(2, false),
-            GuardPolicy::Repair,
-            ValidatorMode::Bounded { seed: 5, window: 8 },
-        );
-        let err = c.try_run(guarded).unwrap_err();
-        assert!(matches!(
-            err,
-            RunError::Invalid {
-                pass: 0,
-                error: StreamError::UnbalancedEdges { .. }
-            }
-        ));
-    }
-
-    #[test]
     fn split_repair_suppresses_segment_and_quarantines_partners() {
         let items = clean_items(30, 100, 10);
         let c = FaultPlan::new(6)
@@ -1020,6 +861,21 @@ mod tests {
         assert_eq!(stats.faults_detected, 1 + displaced);
         assert_eq!(stats.items_repaired, displaced);
         assert_eq!(stats.edges_quarantined, displaced);
+    }
+
+    #[test]
+    fn only_pass_zero_stores_what_it_accepts() {
+        let items = clean_items(20, 60, 4);
+        let mut guarded = Guarded::new(Probe::new(2, false), GuardPolicy::Repair);
+        guarded.begin_pass(0);
+        guarded.feed_slice(&items);
+        assert_eq!(guarded.core.validator.finish_bytes(), 8 * items.len());
+        guarded.end_pass(0);
+        guarded.begin_pass(1);
+        guarded.feed_slice(&items);
+        assert_eq!(guarded.core.validator.finish_bytes(), 0);
+        guarded.end_pass(1);
+        assert_eq!(guarded.stats().faults_detected, 0);
     }
 
     #[test]

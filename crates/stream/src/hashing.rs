@@ -176,11 +176,6 @@ impl Checksum64 {
         self.pending_len = rem.len();
     }
 
-    /// Bytes absorbed so far.
-    pub fn bytes_absorbed(&self) -> u64 {
-        self.len
-    }
-
     /// Finish: digest of everything absorbed, identical to
     /// [`checksum64`] over the same bytes.
     pub fn finalize(mut self) -> u64 {
@@ -434,7 +429,6 @@ mod tests {
         for chunk in data.chunks(7) {
             ck.update(chunk);
         }
-        assert_eq!(ck.bytes_absorbed(), data.len() as u64);
         assert_eq!(ck.finalize(), want);
         // Empty input and empty updates.
         let mut ck = Checksum64::new();

@@ -166,5 +166,5 @@ pub use update_trace::{
     ADJBU_VERSION,
 };
 pub use validate::{
-    validate_online, validate_slice, validate_stream, OnlineValidator, StreamError, ValidatorMode,
+    validate_online, validate_slice, validate_stream, OnlineValidator, StreamError,
 };

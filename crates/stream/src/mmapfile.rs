@@ -349,11 +349,6 @@ impl VerifyCursor<'_> {
         self.state.step(self.payload, self.expected, window)
     }
 
-    /// Whether the whole payload has been absorbed and matched.
-    pub fn is_done(&self) -> bool {
-        self.state.done
-    }
-
     /// Drive [`step`](Self::step) to completion in `window`-byte windows.
     pub fn finish(mut self, window: usize) -> Result<(), TraceError> {
         while !self.step(window)? {}
@@ -421,7 +416,6 @@ mod tests {
             // Items stay readable mid-verification.
             assert_eq!(items.len(), trace.len());
         }
-        assert!(cursor.is_done());
         assert_eq!(items, trace.items());
 
         // And the consuming driver agrees.

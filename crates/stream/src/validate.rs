@@ -32,13 +32,15 @@
 //!   buffer allocated by the calling thread.
 //!
 //! The online mode stores what it accepted because a repairing
-//! [`Guarded`](crate::guard::Guarded) drops items in every pass and needs
-//! the admitted order; a resident check stops at its first local
-//! violation, so what it accepted is the slice itself. The one-pass
-//! [`guard_items`](crate::guard::guard_items) stores nothing either: it
-//! runs the local checks over its slice, sorts the keys of the whole slice
-//! on a second thread, and takes the keys of the items it rejected back
-//! out of the sorted multiset before looking for unmatched ones.
+//! [`Guarded`](crate::guard::Guarded) drops items and its end-of-pass
+//! symmetry step needs the admitted order (only its first pass stores;
+//! later passes run the local checks alone); a resident check stops at its
+//! first local violation, so what it accepted is the slice itself. The
+//! one-pass [`guard_items`](crate::guard::guard_items) stores nothing
+//! either: it runs the local checks over its slice, sorts the keys of the
+//! whole slice on a second thread, and takes the keys of the items it
+//! rejected back out of the sorted multiset before looking for unmatched
+//! ones.
 //!
 //! The checked promise, for an arbitrary item sequence:
 //!
@@ -104,8 +106,7 @@ pub enum StreamError {
     PassOrderChanged {
         /// The 0-based pass whose order diverged from pass 1's.
         pass: usize,
-        /// Index of the first diverging adjacency list, when known
-        /// (`usize::MAX` when only the end-of-pass fingerprint differs).
+        /// Index of the first diverging adjacency list.
         list_index: usize,
     },
 }
@@ -131,17 +132,11 @@ impl std::fmt::Display for StreamError {
                 f,
                 "edge-parity sketch nonzero ({parity:#x}): two or more directed items lack their reverse"
             ),
-            StreamError::PassOrderChanged { pass, list_index } => {
-                if *list_index == usize::MAX {
-                    write!(f, "pass {} replayed a different list order than pass 1", pass + 1)
-                } else {
-                    write!(
-                        f,
-                        "pass {} replayed a different list order than pass 1 (first divergence at list {list_index})",
-                        pass + 1
-                    )
-                }
-            }
+            StreamError::PassOrderChanged { pass, list_index } => write!(
+                f,
+                "pass {} replayed a different list order than pass 1 (first divergence at list {list_index})",
+                pass + 1
+            ),
         }
     }
 }
@@ -264,22 +259,12 @@ pub(crate) fn once_keys(sorted: &[u64], minus: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Which bookkeeping strategy an [`OnlineValidator`] uses.
+/// Which bookkeeping strategy an [`OnlineValidator`] uses; see its
+/// [`exact`](OnlineValidator::exact) and
+/// [`bounded`](OnlineValidator::bounded) constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidatorMode {
-    /// Every violation is found, each local one at its earliest
-    /// detectable item and a missing reverse at the end as the earliest
-    /// unmatched direction. Memory: one set entry per list owner and per
-    /// neighbour of the open list, 4 B per accepted item and 8 B per list
-    /// while streaming, plus an 8 B-per-item sort buffer while
-    /// [`OnlineValidator::finish`] runs.
+enum ValidatorMode {
     Exact,
-    /// Open-list state plus a window of recently finished lists plus a
-    /// seeded edge-parity sketch. Memory `O(Δ + window)`. Detects
-    /// self-loops and duplicate neighbors exactly, split lists only when
-    /// the list resumes within `window` closed lists, and missing reverse
-    /// edges with probability `1 - 2^{-64}` via the sketch (attributing
-    /// the edge exactly when a single direction is unmatched).
     Bounded {
         /// Seed of the sketch hash function.
         seed: u64,
@@ -322,19 +307,30 @@ pub struct OnlineValidator {
 }
 
 impl OnlineValidator {
-    /// An exact validator; [`validate_stream`] runs one over a whole
-    /// sequence.
+    /// An exact validator: every violation is found, each local one at
+    /// its earliest detectable item and a missing reverse at the end as
+    /// the earliest unmatched direction. Memory: one set entry per list
+    /// owner and per neighbour of the open list, 4 B per accepted item and
+    /// 8 B per list while streaming, plus an 8 B-per-item sort buffer
+    /// while [`finish`](Self::finish) runs. [`validate_stream`] runs one
+    /// over a whole sequence.
     pub fn exact() -> Self {
-        Self::with_mode(ValidatorMode::Exact)
+        Self::new(ValidatorMode::Exact)
     }
 
-    /// A bounded-memory validator; see [`ValidatorMode::Bounded`].
+    /// A bounded-memory validator: open-list state, a window of the
+    /// `window` most recently closed lists and an edge-parity sketch
+    /// seeded by `seed`, in `O(Δ + window)` memory. It detects self-loops
+    /// and duplicate neighbours exactly, a split list only when the list
+    /// resumes within `window` closed lists, and missing reverse edges
+    /// with probability `1 - 2^{-64}` via the sketch, naming the edge
+    /// exactly when a single direction is unmatched and reporting
+    /// [`StreamError::UnbalancedEdges`] otherwise.
     pub fn bounded(seed: u64, window: usize) -> Self {
-        Self::with_mode(ValidatorMode::Bounded { seed, window })
+        Self::new(ValidatorMode::Bounded { seed, window })
     }
 
-    /// Build for an explicit mode.
-    pub fn with_mode(mode: ValidatorMode) -> Self {
+    fn new(mode: ValidatorMode) -> Self {
         let seed = match mode {
             ValidatorMode::Bounded { seed, .. } => seed,
             ValidatorMode::Exact => 0,
@@ -354,11 +350,6 @@ impl OnlineValidator {
             sketch_items: 0,
             hasher: HashFn::from_seed(seed, 0x7A11_DA7E),
         }
-    }
-
-    /// The mode this validator runs in.
-    pub fn mode(&self) -> ValidatorMode {
-        self.mode
     }
 
     /// Index the next observed item will occupy.
@@ -406,6 +397,15 @@ impl OnlineValidator {
     #[inline]
     pub fn observe(&mut self, item: StreamItem) -> Result<(), StreamError> {
         let opened = self.check_local(item)?;
+        self.commit(item, opened);
+        Ok(())
+    }
+
+    /// Commit an `item` that [`check_local`](Self::check_local) accepted,
+    /// `opened` being what it returned: what the symmetry step of
+    /// [`finish`](Self::finish) reads.
+    #[inline]
+    pub(crate) fn commit(&mut self, item: StreamItem, opened: bool) {
         match self.mode {
             ValidatorMode::Exact => {
                 if opened {
@@ -425,7 +425,6 @@ impl OnlineValidator {
                 self.sketch_items += 1;
             }
         }
-        Ok(())
     }
 
     /// The local checks of [`observe`](Self::observe) — self-loop,

@@ -6,8 +6,8 @@
 //! every static and update fault kind alone and for one composed plan of
 //! each type, over a few seeds, plus a tiny stream that cannot host most
 //! kinds (the skipped path). It also pins the bytes `Guarded::save` writes
-//! after a Repair pass that quarantined edges, in exact and bounded mode,
-//! and what `guard_items` admits and counts under each policy.
+//! after a Repair pass that quarantined edges, and what `guard_items`
+//! admits and counts under each policy.
 //!
 //! Each row holds `checksum64` digests of a canonical rendering; on a
 //! mismatch the assertion prints the rendering, so the diff is readable.
@@ -21,7 +21,7 @@ use adjstream::stream::update::{churn, ChurnConfig, UpdateEvent, UpdateOp, Updat
 use adjstream::stream::{
     drive_pass_slice, guard_items, AdjListStream, Checkpoint, FaultKind, FaultPlan, GuardPolicy,
     Guarded, MultiPassAlgorithm, SpaceUsage, StreamItem, StreamOrder, UpdateFaultKind,
-    UpdateFaultPlan, ValidatorMode,
+    UpdateFaultPlan,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -276,6 +276,7 @@ const TINY_UPDATE: Row = (0xd56f100ea7612cdc, 0x0000000000000000, 0x06347fedd426
 /// A two-pass, order-sensitive inner algorithm whose own checkpoint is one
 /// marker byte, so the pinned bytes are the guard's (order fingerprint
 /// included).
+#[derive(Debug)]
 struct Marker;
 
 impl SpaceUsage for Marker {
@@ -307,12 +308,12 @@ impl Checkpoint for Marker {
     }
 }
 
-/// Save a Repair guard at the pass-0 boundary: the checkpoint length, its
-/// digest and the guard counters.
-fn guard_checkpoint(mode: ValidatorMode, plan: FaultPlan) -> (usize, u64, String) {
+/// Save a Repair guard at the pass-0 boundary: the checkpoint bytes and
+/// the guard counters.
+fn guard_checkpoint(plan: FaultPlan) -> (Vec<u8>, String) {
     let items = static_items(30, 100, 10);
     let corrupted = plan.apply(&items);
-    let mut guard = Guarded::with_validator(Marker, GuardPolicy::Repair, mode);
+    let mut guard = Guarded::new(Marker, GuardPolicy::Repair);
     let mut processed = 0;
     drive_pass_slice(
         &mut guard,
@@ -329,39 +330,56 @@ fn guard_checkpoint(mode: ValidatorMode, plan: FaultPlan) -> (usize, u64, String
     );
     let mut bytes = Vec::new();
     guard.save(&mut bytes).unwrap();
-    (bytes.len(), checksum64(&bytes), format!("{stats:?}"))
+    (bytes, format!("{stats:?}"))
 }
 
-#[test]
-fn repair_guard_checkpoint_bytes_are_pinned() {
-    let exact = guard_checkpoint(
-        ValidatorMode::Exact,
+fn pinned_guard_checkpoint() -> (Vec<u8>, String) {
+    guard_checkpoint(
         FaultPlan::new(3)
             .with(FaultKind::DropDirection, 2)
             .with(FaultKind::InjectSelfLoop, 1)
             .with(FaultKind::DuplicateItem, 1)
             .with(FaultKind::SplitList, 1),
-    );
+    )
+}
+
+#[test]
+fn repair_guard_checkpoint_bytes_are_pinned() {
+    let (bytes, stats) = pinned_guard_checkpoint();
     assert_eq!(
-        exact,
+        (bytes.len(), checksum64(&bytes), stats),
         (
             257,
             0xe14f_72b0_1c26_3042,
             "GuardStats { faults_detected: 11, items_repaired: 8, edges_quarantined: 8, validator_peak_bytes: 3554 }".to_string()
         )
     );
-    let bounded = guard_checkpoint(
-        ValidatorMode::Bounded { seed: 5, window: 8 },
-        FaultPlan::new(4).with(FaultKind::DropDirection, 1),
-    );
-    assert_eq!(
-        bounded,
-        (
-            93,
-            0xdd41_efe6_118e_1c4f,
-            "GuardStats { faults_detected: 1, items_repaired: 0, edges_quarantined: 1, validator_peak_bytes: 479 }".to_string()
-        )
-    );
+    let restored = Guarded::<Marker>::restore(&mut bytes.as_slice()).unwrap();
+    let mut again = Vec::new();
+    restored.save(&mut again).unwrap();
+    assert_eq!(again, bytes);
+}
+
+/// The bounded guard mode is retired: its validator-mode tag (1) and its
+/// rolling order-fingerprint tag (2), set in the pinned exact checkpoint,
+/// restore as a typed error.
+#[test]
+fn guard_checkpoint_with_a_retired_bounded_tag_is_invalid_data() {
+    let (bytes, _) = pinned_guard_checkpoint();
+    // Policy, mode tag, the guard blob's length, four counters, the
+    // quarantine count and its 8 keys, then the fingerprint tag.
+    let (mode_at, fingerprint_at) = (1, 1 + 1 + 8 + 4 * 8 + 8 + 8 * 8);
+    assert_eq!((bytes[mode_at], bytes[fingerprint_at]), (0, 1));
+    for (at, tag, want) in [
+        (mode_at, 1, "bad validator mode tag 1"),
+        (fingerprint_at, 2, "bad order fingerprint tag 2"),
+    ] {
+        let mut edited = bytes.clone();
+        edited[at] = tag;
+        let err = Guarded::<Marker>::restore(&mut edited.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(want), "{err}");
+    }
 }
 
 /// `guard_items` under `policy`: the digest of the admitted items and the
