@@ -4,7 +4,8 @@
 //! estimate's `f64` bit pattern, the metered `peak_state_bytes`, the
 //! published `obs_counters()` (or their absence), and — for the
 //! checkpointable variants — an FNV-1a digest of the pass-boundary
-//! checkpoint payload. A refactor of the shared estimator core must leave
+//! checkpoint payload (and, for `two-pass`, of the payload saved after the
+//! last pass). A refactor of the shared estimator core must leave
 //! every row unchanged; an intentional change to what an estimator
 //! computes must update the table here and say so.
 //!
@@ -36,6 +37,9 @@ struct Pinned {
     /// Checkpoint payload digests at each pass boundary (empty for the
     /// variants that do not checkpoint).
     boundary_digests: Vec<u64>,
+    /// Digest of the `two-pass` checkpoint saved after the last pass,
+    /// which carries the final `H` counters.
+    final_digest: Option<u64>,
 }
 
 /// A random graph with planted cliques and a heavy-edge book, streamed in
@@ -76,12 +80,13 @@ fn digest<A: Checkpoint>(algo: &A) -> u64 {
 }
 
 /// Drive `algo` sequentially over `items`, calling `at_boundary` between
-/// passes, and pin its output.
+/// passes and `at_end` after the last one, and pin its output.
 fn drive<A: MultiPassAlgorithm>(
     mut algo: A,
     items: &[StreamItem],
     estimate: impl FnOnce(A::Output) -> f64,
     mut at_boundary: impl FnMut(&A),
+    at_end: impl FnOnce(&A),
 ) -> Pinned {
     let mut peak = PeakTracker::new();
     let mut processed = 0usize;
@@ -92,24 +97,36 @@ fn drive<A: MultiPassAlgorithm>(
             at_boundary(&algo);
         }
     }
+    at_end(&algo);
     let counters = algo.obs_counters().map(flat);
     Pinned {
         estimate_bits: estimate(algo.finish()).to_bits(),
         peak_state_bytes: peak.peak(),
         counters,
         boundary_digests: Vec::new(),
+        final_digest: None,
     }
 }
 
-/// [`drive`] for a checkpointable estimator, recording boundary digests.
+/// [`drive`] for a checkpointable estimator, recording boundary digests
+/// and, if `digest_end`, the digest of a save after the last pass.
 fn drive_checkpointed<A: MultiPassAlgorithm + Checkpoint>(
     algo: A,
     items: &[StreamItem],
     estimate: impl FnOnce(A::Output) -> f64,
+    digest_end: bool,
 ) -> Pinned {
     let mut digests = Vec::new();
-    let mut pinned = drive(algo, items, estimate, |a| digests.push(digest(a)));
+    let mut last = None;
+    let mut pinned = drive(
+        algo,
+        items,
+        estimate,
+        |a| digests.push(digest(a)),
+        |a| last = digest_end.then(|| digest(a)),
+    );
     pinned.boundary_digests = digests;
+    pinned.final_digest = last;
     pinned
 }
 
@@ -128,6 +145,7 @@ fn sharded(cfg: ShardedTriangleConfig, items: &[StreamItem], shards: usize) -> P
         peak_state_bytes: report.peak_state_bytes,
         counters: report.metrics.map(|m| flat(m.counters)),
         boundary_digests: Vec::new(),
+        final_digest: None,
     }
 }
 
@@ -165,6 +183,7 @@ fn actual() -> Vec<(String, Pinned)> {
                 items,
                 |e| e.estimate,
                 |_| {},
+                |_| {},
             ),
         ));
         out.push((
@@ -174,19 +193,26 @@ fn actual() -> Vec<(String, Pinned)> {
                 items,
                 |e| e.estimate,
                 |_| {},
+                |_| {},
             ),
         ));
         out.push((
             name("two-pass"),
-            drive_checkpointed(TwoPassTriangle::new(two_pass_cfg(sampling)), items, |e| {
-                e.estimate
-            }),
+            drive_checkpointed(
+                TwoPassTriangle::new(two_pass_cfg(sampling)),
+                items,
+                |e| e.estimate,
+                true,
+            ),
         ));
         out.push((
             name("sharded/sequential"),
-            drive_checkpointed(ShardedTriangle::new(sharded_cfg(sampling)), items, |e| {
-                e.estimate
-            }),
+            drive_checkpointed(
+                ShardedTriangle::new(sharded_cfg(sampling)),
+                items,
+                |e| e.estimate,
+                false,
+            ),
         ));
         out.push((name("sharded/1"), sharded(sharded_cfg(sampling), items, 1)));
         out.push((name("sharded/4"), sharded(sharded_cfg(sampling), items, 4)));
@@ -205,6 +231,8 @@ fn actual() -> Vec<(String, Pinned)> {
 /// became links threaded through the record slab in place of per-key
 /// vectors (147699 → 100554 and 155491 → 106783 bytes); the lists keep
 /// their order, so no digest moved.
+/// The `two-pass` rows also pin a digest of the checkpoint saved after
+/// the last pass, whose records carry the final `H` counters.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -216,6 +244,17 @@ fn expected() -> Vec<(String, Pinned)> {
                 peak_state_bytes: peak,
                 counters,
                 boundary_digests: digests,
+                final_digest: None,
+            },
+        )
+    };
+    let with_final = |(name, pinned): (String, Pinned), last: u64| {
+        let final_digest = Some(last);
+        (
+            name,
+            Pinned {
+                final_digest,
+                ..pinned
             },
         )
     };
@@ -234,12 +273,15 @@ fn expected() -> Vec<(String, Pinned)> {
             None,
             vec![],
         ),
-        row(
-            "two-pass/threshold",
-            0x4088C73333333333,
-            100554,
-            Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
-            vec![0xBB04601609BEAB54],
+        with_final(
+            row(
+                "two-pass/threshold",
+                0x4088C73333333333,
+                100554,
+                Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
+                vec![0xBB04601609BEAB54],
+            ),
+            0xC7B1810D22A4A9D1,
         ),
         row(
             "sharded/sequential/threshold",
@@ -270,12 +312,15 @@ fn expected() -> Vec<(String, Pinned)> {
             None,
             vec![],
         ),
-        row(
-            "two-pass/bottom-k",
-            0x4087648888888888,
-            106783,
-            Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
-            vec![0x95D308FDF00499E4],
+        with_final(
+            row(
+                "two-pass/bottom-k",
+                0x4087648888888888,
+                106783,
+                Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
+                vec![0x95D308FDF00499E4],
+            ),
+            0x93E6FB3CC996FA9D,
         ),
         row(
             "sharded/sequential/bottom-k",
