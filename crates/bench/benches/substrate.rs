@@ -69,7 +69,7 @@ fn bench_substrate(c: &mut Criterion) {
             for _ in 0..100 {
                 w.begin_list();
                 for x in 0..64u32 {
-                    w.on_item(VertexId(x * 17 % 6000), |_| hits += 1);
+                    w.on_item(VertexId(x * 17 % 6000), |_, _| hits += 1);
                 }
             }
             hits

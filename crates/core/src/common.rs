@@ -75,21 +75,30 @@ where
 /// watch the same pair; completion is reported once per (pair, list).
 ///
 /// Layout: a slot table. `slot_of` maps a packed pair to its slot in
-/// `slots`, which holds the pair's key, refcount and per-list hit epoch;
-/// `incident` lists, per vertex, the slots of the pairs containing it.
+/// `slots`, which holds the pair's endpoints and refcount; `epochs` holds
+/// each slot's per-list hit epoch in a dense array of its own; `incident`
+/// lists, per vertex, the slots of the pairs containing it.
 /// [`PairWatcher::on_item`] makes one map probe per item and then indexes
-/// `slots` directly, so the completion flag is an array read, not a hash
-/// lookup. Completion order = incident order: completions fire in the
-/// order of the item's incident list, which grows by push on watch and
-/// shrinks by `swap_remove` on the last unwatch.
+/// `epochs` directly, so the completion flag is an array read, not a hash
+/// lookup, and a slot's pair is read only when it completes. Released
+/// slots form a last-in first-out chain through the vacant slots. A slot
+/// names one pair for as long as the pair is watched, and each completion
+/// is reported with its slot, so a caller can index per-pair state by it.
+/// Completion order = incident order: completions fire in the order of
+/// the item's incident list, which grows by push on watch and shrinks by
+/// `swap_remove` on the last unwatch.
 #[derive(Debug, Default)]
 pub struct PairWatcher {
     /// packed pair → slot in `slots`.
     slot_of: FastMap<u64, u32>,
-    /// Watched pairs by slot; a slot on `free` is stale until reused.
+    /// Watched pairs by slot. A vacant slot has no refs, and its `lo`
+    /// names the next vacant slot of the free chain.
     slots: Vec<Watched>,
-    /// Released slots, reused last-in first-out.
-    free: Vec<u32>,
+    /// Per slot: epoch of the pair's last single hit; completion when an
+    /// endpoint arrives while this equals the current list's epoch.
+    epochs: Vec<u32>,
+    /// The most recently released slot, reused first.
+    free_head: Option<u32>,
     /// vertex → slots of the pairs containing it, in completion order.
     incident: FastMap<u32, Vec<u32>>,
     /// Bytes held by `incident`'s inner vectors, maintained incrementally.
@@ -104,14 +113,24 @@ pub struct PairWatcher {
 /// One slot of the [`PairWatcher`] table.
 #[derive(Debug, Clone, Copy)]
 struct Watched {
-    /// The packed pair.
-    key: u64,
-    /// Number of watchers.
+    /// The pair's lower endpoint; in a vacant slot, the next vacant slot
+    /// or [`NO_SLOT`].
+    lo: u32,
+    /// The pair's higher endpoint.
+    hi: u32,
+    /// Number of watchers; zero in a vacant slot.
     refs: u32,
-    /// Epoch of the pair's last single hit; completion when an endpoint
-    /// arrives while this equals the current list's epoch.
-    epoch: u32,
 }
+
+impl Watched {
+    /// The packed pair.
+    fn key(self) -> u64 {
+        (u64::from(self.lo) << 32) | u64::from(self.hi)
+    }
+}
+
+/// No slot: the end of the free chain.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Pack an unordered vertex pair (canonical ascending).
 #[inline]
@@ -144,25 +163,34 @@ impl PairWatcher {
             }
             Entry::Vacant(e) => e,
         };
+        let (lo, hi) = unpack_pair(key);
+        let fresh = Watched {
+            lo: lo.0,
+            hi: hi.0,
+            refs: 1,
+        };
         // An epoch unequal to the current one: the pair has not been hit in
         // this list, even if its slot was released mid-list and reused.
-        let fresh = Watched {
-            key,
-            refs: 1,
-            epoch: self.epoch.wrapping_sub(1),
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = fresh;
+        let unhit = self.epoch.wrapping_sub(1);
+        let slot = match self.free_head {
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NO_SLOT)
+                    .expect("fewer than 2^32 - 1 watched pairs");
+                self.slots.push(fresh);
+                self.epochs.push(unhit);
                 slot
             }
-            None => {
-                self.slots.push(fresh);
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 watched pairs")
+            Some(slot) => {
+                let vacant = &mut self.slots[slot as usize];
+                self.free_head = Some(vacant.lo).filter(|&next| next != NO_SLOT);
+                *vacant = fresh;
+                self.epochs[slot as usize] = unhit;
+                slot
             }
         };
         entry.insert(slot);
-        let (lo, hi) = unpack_pair(key);
         self.incident_vec_bytes += push_map_vec(&mut self.incident, lo.0, slot, 4);
         self.incident_vec_bytes += push_map_vec(&mut self.incident, hi.0, slot, 4);
     }
@@ -175,10 +203,10 @@ impl PairWatcher {
         let watched = &mut self.slots[slot as usize];
         watched.refs -= 1;
         if watched.refs == 0 {
+            let (lo, hi) = (watched.lo, watched.hi);
+            watched.lo = self.free_head.replace(slot).unwrap_or(NO_SLOT);
             self.slot_of.remove(&key);
-            self.free.push(slot);
-            let (lo, hi) = unpack_pair(key);
-            for v in [lo.0, hi.0] {
+            for v in [lo, hi] {
                 let list = self.incident.get_mut(&v).expect("incident list exists");
                 let pos = list.iter().position(|&s| s == slot).expect("pair in list");
                 list.swap_remove(pos);
@@ -193,6 +221,12 @@ impl PairWatcher {
     /// Whether `{a, b}` is currently watched.
     pub fn is_watched(&self, a: VertexId, b: VertexId) -> bool {
         self.slot_of.contains_key(&pack_pair(a, b))
+    }
+
+    /// The slot of the watched pair packed as `key`, which
+    /// [`PairWatcher::on_item`] reports with its completions.
+    pub fn slot(&self, key: u64) -> Option<u32> {
+        self.slot_of.get(&key).copied()
     }
 
     /// Number of distinct watched pairs.
@@ -215,23 +249,24 @@ impl PairWatcher {
         self.epoch = self.epoch.wrapping_add(1);
     }
 
-    /// Process one item `src → x` of the current list; invoke `completed`
-    /// for every watched pair whose second endpoint this is (i.e. both
-    /// endpoints now seen in the current list).
-    pub fn on_item<F: FnMut(u64)>(&mut self, x: VertexId, mut completed: F) {
+    /// Process one item `src → x` of the current list; invoke
+    /// `completed(key, slot)` for every watched pair whose second endpoint
+    /// this is (i.e. both endpoints now seen in the current list), with the
+    /// packed pair and its slot.
+    pub fn on_item<F: FnMut(u64, u32)>(&mut self, x: VertexId, mut completed: F) {
         let Some(slots) = self.incident.get(&x.0) else {
             return;
         };
         for &slot in slots {
-            let watched = &mut self.slots[slot as usize];
-            if watched.epoch == self.epoch {
+            let epoch = &mut self.epochs[slot as usize];
+            if *epoch == self.epoch {
                 // Second endpoint within the same list: completion. Bump
                 // past the epoch so a (malformed) triple hit wouldn't
                 // re-report; valid streams never do this.
-                watched.epoch = self.epoch.wrapping_add(u32::MAX / 2);
-                completed(watched.key);
+                *epoch = self.epoch.wrapping_add(u32::MAX / 2);
+                completed(self.slots[slot as usize].key(), slot);
             } else {
-                watched.epoch = self.epoch;
+                *epoch = self.epoch;
             }
         }
     }
@@ -276,7 +311,7 @@ impl SpaceUsage for PairWatcher {
     fn space_bytes(&self) -> usize {
         hashmap_bytes(&self.slot_of)
             + vec_bytes(&self.slots)
-            + vec_bytes(&self.free)
+            + vec_bytes(&self.epochs)
             + hashmap_bytes(&self.incident)
             + self.incident_vec_bytes
     }
@@ -301,7 +336,7 @@ impl Checkpoint for PairWatcher {
             write_u32(w, v)?;
             write_usize(w, slots.len())?;
             for &slot in slots {
-                write_u64(w, self.slots[slot as usize].key)?;
+                write_u64(w, self.slots[slot as usize].key())?;
             }
         }
         write_u64(w, self.watches_started)?;
@@ -316,7 +351,9 @@ impl Checkpoint for PairWatcher {
         let n = read_usize(r)?;
         let mut slot_of = FastMap::default();
         slot_of.reserve(seq_reserve::<(u64, u32)>(n));
-        let mut slots = Vec::with_capacity(seq_reserve::<Watched>(n));
+        // Reserved as one 16-byte slot and epoch, so `slots` and `epochs`
+        // share one capacity.
+        let mut slots = Vec::with_capacity(seq_reserve::<(Watched, u32)>(n));
         for _ in 0..n {
             let key = read_u64(r)?;
             let refs = read_u32(r)?;
@@ -327,10 +364,11 @@ impl Checkpoint for PairWatcher {
             // A repeated key orphans its earlier slot, which the coverage
             // check below then rejects.
             slot_of.insert(key, slot);
+            let (lo, hi) = unpack_pair(key);
             slots.push(Watched {
-                key,
+                lo: lo.0,
+                hi: hi.0,
                 refs,
-                epoch: u32::MAX,
             });
         }
         // Per slot: bit 0 once listed under its low endpoint, bit 1 under
@@ -370,10 +408,13 @@ impl Checkpoint for PairWatcher {
         }
         let watches_started = read_u64(r)?;
         let watches_retired = read_u64(r)?;
+        let mut epochs = Vec::with_capacity(slots.capacity());
+        epochs.resize(slots.len(), u32::MAX);
         Ok(PairWatcher {
             slot_of,
             slots,
-            free: Vec::new(),
+            epochs,
+            free_head: None,
             incident,
             incident_vec_bytes,
             epoch: 0,
@@ -395,7 +436,7 @@ mod tests {
         let mut out = Vec::new();
         w.begin_list();
         for &x in list {
-            w.on_item(v(x), |k| out.push(k));
+            w.on_item(v(x), |k, _| out.push(k));
         }
         out
     }
@@ -705,6 +746,20 @@ mod tests {
             (0u32..48).prop_map(|x| if x < 36 { x % 4 } else { x })
         }
 
+        /// Watch `key` on `slots`, checking that a newly watched pair
+        /// takes the slot released last (popped from `free`, the released
+        /// slots as a free `Vec` would hold them), or else a new one.
+        fn watch_checked(slots: &mut PairWatcher, free: &mut Vec<u32>, key: u64, step: usize) {
+            let want = match slots.slot(key) {
+                Some(slot) => Some(slot),
+                None => free.pop(),
+            };
+            let want = want.unwrap_or(slots.slots.len() as u32);
+            let (lo, hi) = unpack_pair(key);
+            slots.watch(hi, lo);
+            prop_assert_eq!(slots.slot(key), Some(want), "step {}: slot", step);
+        }
+
         /// A script of `(op, a, b)` steps; see the match in the test.
         fn script() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
             prop::collection::vec((0u8..12, vertex(), vertex()), 0..300)
@@ -720,34 +775,47 @@ mod tests {
                 // Live watches as a multiset, and the last pair released.
                 let mut live: Vec<u64> = Vec::new();
                 let mut released: Option<u64> = None;
+                // The released slots, last released last.
+                let mut free: Vec<u32> = Vec::new();
                 for (step, &(op, a, b)) in ops.iter().enumerate() {
                     match op {
                         0 | 1 => {
                             let key = pack_pair(v(a), v(b));
-                            slots.watch(v(a), v(b));
+                            watch_checked(&mut slots, &mut free, key, step);
                             model.watch(key);
                             live.push(key);
                         }
                         2 | 3 if !live.is_empty() => {
                             let key = live.swap_remove(a as usize % live.len());
                             let (lo, hi) = unpack_pair(key);
+                            let slot = slots.slot(key).expect("watched");
                             slots.unwatch(hi, lo);
                             model.unwatch(key);
+                            if slots.slot(key).is_none() {
+                                free.push(slot);
+                            }
                             released = Some(key);
                         }
                         // Re-watch a released pair, usually within the list
                         // that saw one of its endpoints.
                         4 => {
                             if let Some(key) = released.take() {
-                                let (lo, hi) = unpack_pair(key);
-                                slots.watch(lo, hi);
+                                watch_checked(&mut slots, &mut free, key, step);
                                 model.watch(key);
                                 live.push(key);
                             }
                         }
                         5..=8 => {
                             let mut got = Vec::new();
-                            slots.on_item(v(a), |k| got.push(k));
+                            let mut got_slots = Vec::new();
+                            slots.on_item(v(a), |k, slot| {
+                                got.push(k);
+                                got_slots.push(slot);
+                            });
+                            for (&k, &slot) in got.iter().zip(&got_slots) {
+                                prop_assert_eq!(slots.slot(k), Some(slot), "step {}: completion slot", step);
+                                prop_assert_eq!(slots.slots[slot as usize].key(), k);
+                            }
                             let mut want = Vec::new();
                             model.on_item(a, &mut want);
                             prop_assert_eq!(got, want, "step {}: item {}", step, a);
@@ -764,6 +832,8 @@ mod tests {
                             prop_assert_eq!(&bytes, &want, "step {}: save", step);
                             slots = PairWatcher::restore(&mut &bytes[..]).unwrap();
                             model = MapWatcher::restore(&mut &want[..]).unwrap();
+                            // A restored table is compact: no slot is free.
+                            free.clear();
                         }
                         _ => {}
                     }

@@ -266,7 +266,7 @@ impl MultiPassAlgorithm for TwoPassFourCycle {
                 let mut buf = std::mem::take(&mut self.buf);
                 for it in items {
                     buf.clear();
-                    self.watcher.on_item(it.dst, |k| buf.push(k));
+                    self.watcher.on_item(it.dst, |k, _| buf.push(k));
                     for &key in &buf {
                         let indices = self.leaf_index.get(&key).expect("watched pair indexed");
                         for &wi in indices {

@@ -95,7 +95,7 @@ impl MultiPassAlgorithm for TriangleDistinguisher {
             _ => {
                 let mut buf = std::mem::take(&mut self.buf);
                 buf.clear();
-                self.watcher.on_item(dst, |k| buf.push(k));
+                self.watcher.on_item(dst, |k, _| buf.push(k));
                 self.witnesses += buf.len() as u64;
                 self.buf = buf;
             }

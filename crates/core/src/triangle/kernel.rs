@@ -126,6 +126,12 @@ pub(crate) enum EdgeSampler {
     Threshold(ThresholdSampler),
     /// The `k` smallest-hashed keys offered so far.
     BottomK(BottomKSampler),
+    /// A sampler whose `S` is final: its membership state is dropped and
+    /// only whether it was saturated is kept (see [`EdgeSampler::close`]).
+    Closed {
+        /// [`EdgeSampler::is_saturated`] when the sampler closed.
+        saturated: bool,
+    },
 }
 
 impl EdgeSampler {
@@ -170,20 +176,34 @@ impl EdgeSampler {
                 BottomKEvent::AlreadyPresent => Offer::Present,
                 BottomKEvent::Rejected => Offer::Rejected,
             },
+            EdgeSampler::Closed { .. } => panic!("offer to a closed edge sampler"),
         }
     }
 
-    /// Metered bytes: a flat 32 for the stateless threshold sampler.
+    /// Drop the sampler's state once `S` is final, keeping only whether
+    /// it is saturated. A closed sampler takes no more offers.
+    pub(crate) fn close(&mut self) {
+        let saturated = self.is_saturated();
+        *self = EdgeSampler::Closed { saturated };
+    }
+
+    /// Metered bytes: a flat 32 for the stateless threshold sampler, and
+    /// none for a closed one.
     pub(crate) fn space_bytes(&self) -> usize {
         match self {
             EdgeSampler::Threshold(_) => 32,
             EdgeSampler::BottomK(b) => b.space_bytes(),
+            EdgeSampler::Closed { .. } => 0,
         }
     }
 
     /// Whether a bottom-k sample is frozen at its capacity.
     pub(crate) fn is_saturated(&self) -> bool {
-        matches!(self, EdgeSampler::BottomK(b) if b.capacity() > 0 && b.len() == b.capacity())
+        match self {
+            EdgeSampler::BottomK(b) => b.capacity() > 0 && b.len() == b.capacity(),
+            EdgeSampler::Threshold(_) => false,
+            &EdgeSampler::Closed { saturated } => saturated,
+        }
     }
 }
 

@@ -98,7 +98,7 @@ impl MultiPassAlgorithm for OnePassTriangle {
         }
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        self.watcher.on_item(dst, |k| buf.push(k));
+        self.watcher.on_item(dst, |k, _| buf.push(k));
         for &k in &buf {
             if let Some(c) = self.credits.get_mut(&k) {
                 *c += 1;

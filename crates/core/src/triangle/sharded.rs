@@ -365,7 +365,7 @@ impl MultiPassAlgorithm for ShardedTriangle {
         let mut buf = std::mem::take(&mut self.completed_buf);
         for it in items {
             buf.clear();
-            self.watcher.on_item(it.dst, |k| buf.push(k));
+            self.watcher.on_item(it.dst, |k, _| buf.push(k));
             for &key in &buf {
                 self.on_completion(key, it.src);
             }

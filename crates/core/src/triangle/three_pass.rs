@@ -114,8 +114,8 @@ impl MultiPassAlgorithm for ThreePassTriangle {
         if pass == 1 {
             // Freeze S; watch sampled edges for collection.
             let mut keys: Vec<u64> = match &self.sampler {
-                EdgeSampler::Threshold(_) => Vec::new(), // inserted lazily below
                 EdgeSampler::BottomK(b) => b.keys().collect(),
+                _ => Vec::new(), // threshold: inserted lazily below
             };
             // Sort so the watch-registration order — and hence downstream
             // completion-callback order — is a function of S alone, not of
@@ -151,7 +151,7 @@ impl MultiPassAlgorithm for ThreePassTriangle {
         }
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        self.watcher.on_item(dst, |k| buf.push(k));
+        self.watcher.on_item(dst, |k, _| buf.push(k));
         for &k in &buf {
             if self.pass == 1 && self.s_edges.contains(&k) {
                 // Discovery of (k, triangle k+src).

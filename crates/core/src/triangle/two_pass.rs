@@ -16,8 +16,12 @@
 //!
 //! The edge sampler, the lightest-edge rule, the estimate formula and the
 //! configuration codec are the shared [`super::kernel`]; what is this
-//! variant's own is the reservoir slab of `Q` records whose `H` counters
-//! grow incrementally during pass 2.
+//! variant's own is the reservoir slab of `Q` records and their `H`
+//! counters. `H_{f,τ}` counts the pass-2 completions of `f` after the end
+//! of the list of `τ`'s vertex opposite `f`, so it is read as the
+//! difference of a running completion count per watched pair and the
+//! count stored when that list ended: a completion costs one increment,
+//! however many records monitor its edge.
 
 use std::hash::Hash;
 use std::io::{self, Read, Write};
@@ -60,8 +64,11 @@ struct PairRecord {
     gen: u32,
     /// The pair's triangle; slot 0 is the sampled edge `e`.
     tri: TriangleSlots,
-    /// `H` counters, one per triangle slot. Each counts lists of the
-    /// slot edge's endpoints, so it is at most `n − 2`.
+    /// `H` state, one per triangle slot; read through
+    /// [`TwoPassTriangle::h_values`]. An inactive slot holds its `H`; an
+    /// active one holds its edge's completion count less its `H`, so that
+    /// `H` is the count now less this (in wrapping arithmetic). `H` counts
+    /// lists of the slot edge's endpoints, so it is at most `n − 2`.
     h: [u32; 3],
     /// Whether each slot has passed its activation point in pass 2 (the
     /// end of the opposite vertex's list).
@@ -250,8 +257,11 @@ pub struct TwoPassTriangle {
     /// Opposite vertex → pending slot activations.
     activations: SlotRefs<u32, ACTIVATIONS>,
     watcher: PairWatcher,
-    /// Scratch buffer for completion callbacks.
-    completed_buf: Vec<u64>,
+    /// Pass-2 completions of each watched pair, by watcher slot (a slot
+    /// reused by another pair keeps counting; only differences are read).
+    completions: Vec<u32>,
+    /// Scratch buffer for completion callbacks: `(pair, watcher slot)`.
+    completed_buf: Vec<(u64, u32)>,
     /// Sampler lifecycle counters (deterministic; see
     /// [`MultiPassAlgorithm::obs_counters`]).
     counters: ObsCounters,
@@ -276,6 +286,7 @@ impl TwoPassTriangle {
             monitors: SlotRefs::new(),
             activations: SlotRefs::new(),
             watcher: PairWatcher::new(),
+            completions: Vec::new(),
             completed_buf: Vec::new(),
             counters: ObsCounters::default(),
         }
@@ -391,25 +402,40 @@ impl TwoPassTriangle {
         self.q.set_seen(self.discovered);
     }
 
-    /// Process one watched-pair completion in the current list of `owner`.
-    fn on_completion(&mut self, key: u64, owner: VertexId) {
+    /// Process one completion of the pair `key`, at watcher slot `slot`,
+    /// in the current list of `owner`.
+    fn on_completion(&mut self, key: u64, slot: u32, owner: VertexId) {
         // Discovery path: `key` is a sampled edge and `owner` its apex.
         if let Some(info) = self.s_edges.get(&key) {
             if self.pass == 0 || self.pos < info.first_pos {
                 self.discover(key, owner);
             }
         }
-        // H path (pass 2 only): bump active monitors of this edge.
+        // H path (pass 2 only): count the completion. If an earlier
+        // completion of this item released `slot` (a `Q` replacement
+        // unwatches the evicted record's edges), no live record monitors
+        // `key`, and a record watching the slot's next pair activates
+        // after this count.
         if self.pass == 1 {
-            let mut n = self.monitors.head(key);
-            while n != NIL {
-                let (rec, slot) = node_slot(&mut self.slab, n);
-                if rec.active[slot] {
-                    rec.h[slot] += 1;
-                }
-                n = rec.links[MONITORS][slot].next;
+            let slot = slot as usize;
+            if slot >= self.completions.len() {
+                self.completions.resize(slot + 1, 0);
             }
+            self.completions[slot] = self.completions[slot].wrapping_add(1);
         }
+    }
+
+    /// `rec`'s `H` counters (see [`PairRecord::h`]).
+    fn h_values(&self, rec: &PairRecord) -> [u64; 3] {
+        std::array::from_fn(|slot| {
+            let h = rec.h[slot];
+            u64::from(if rec.active[slot] {
+                completion_count(&self.watcher, &self.completions, rec.tri.slot_edge(slot))
+                    .wrapping_sub(h)
+            } else {
+                h
+            })
+        })
     }
 
     /// Pass-1 edge sampling on every item.
@@ -462,6 +488,7 @@ impl SpaceUsage for TwoPassTriangle {
             + self.monitors.space_bytes()
             + self.activations.space_bytes()
             + self.watcher.space_bytes()
+            + vec_bytes(&self.completions)
             + self.q.space_bytes()
             + hashmap_bytes(&self.free_gens)
             + self.sampler.space_bytes()
@@ -479,7 +506,12 @@ impl MultiPassAlgorithm for TwoPassTriangle {
         true
     }
 
+    /// Pass 2 takes no more offers, so `S` is final and the sampler keeps
+    /// only its saturation flag.
     fn begin_pass(&mut self, pass: usize) {
+        if pass > 0 {
+            self.sampler.close();
+        }
         self.pass = pass;
         self.next_pos = 0;
         self.pos = 0;
@@ -505,19 +537,25 @@ impl MultiPassAlgorithm for TwoPassTriangle {
                 self.sample_edge(it.src, it.dst);
             }
             buf.clear();
-            self.watcher.on_item(it.dst, |k| buf.push(k));
-            for &key in &buf {
-                self.on_completion(key, it.src);
+            self.watcher.on_item(it.dst, |k, slot| buf.push((k, slot)));
+            for &(key, slot) in &buf {
+                self.on_completion(key, slot, it.src);
             }
         }
         self.completed_buf = buf;
     }
 
+    /// Activates the slots opposite `owner`: each stores its edge's
+    /// completion count less its `H`, so completions from here on raise
+    /// its `H` and those of this list do not.
     fn end_list(&mut self, owner: VertexId) {
         if self.pass == 1 {
             let mut n = self.activations.take(owner.0);
             while n != NIL {
                 let (rec, slot) = node_slot(&mut self.slab, n);
+                let edge = rec.tri.slot_edge(slot);
+                let count = completion_count(&self.watcher, &self.completions, edge);
+                rec.h[slot] = count.wrapping_sub(rec.h[slot]);
                 rec.active[slot] = true;
                 n = rec.links[ACTIVATIONS][slot].next;
             }
@@ -543,7 +581,7 @@ impl MultiPassAlgorithm for TwoPassTriangle {
                     .as_ref()
                     .expect("Q holds live records")
             })
-            .filter(|rec| rec.tri.lightest_slot(rec.h.map(u64::from)) == 0)
+            .filter(|rec| rec.tri.lightest_slot(self.h_values(rec)) == 0)
             .count() as u64;
         TriangleEstimate::assemble(
             self.cfg.edge_sampling,
@@ -600,8 +638,8 @@ impl Checkpoint for TwoPassTriangle {
                     for v in rec.tri.0 {
                         write_u32(w, v.0)?;
                     }
-                    for h in rec.h {
-                        write_u64(w, h.into())?;
+                    for h in self.h_values(rec) {
+                        write_u64(w, h)?;
                     }
                     for a in rec.active {
                         write_u8(w, a as u8)?;
@@ -670,6 +708,11 @@ impl Checkpoint for TwoPassTriangle {
                     for a in &mut active {
                         *a = read_u8(r)? != 0;
                     }
+                    // No completion is counted yet: an active slot holds
+                    // 0 less its `H`.
+                    for (x, _) in h.iter_mut().zip(active).filter(|&(_, a)| a) {
+                        *x = x.wrapping_neg();
+                    }
                     Some(PairRecord {
                         gen,
                         tri: TriangleSlots(verts),
@@ -717,7 +760,10 @@ impl Checkpoint for TwoPassTriangle {
         })?;
         let watcher = PairWatcher::restore(r)?;
         let counters = ObsCounters::restore(r)?;
-        let sampler = EdgeSampler::rebuild(seed, edge_sampling, s_edges.keys().copied())?;
+        let mut sampler = EdgeSampler::rebuild(seed, edge_sampling, s_edges.keys().copied())?;
+        if pass > 0 {
+            sampler.close();
+        }
         Ok(TwoPassTriangle {
             cfg,
             pass,
@@ -734,10 +780,20 @@ impl Checkpoint for TwoPassTriangle {
             monitors,
             activations,
             watcher,
+            completions: Vec::new(),
             completed_buf: Vec::new(),
             counters,
         })
     }
+}
+
+/// Pass-2 completions so far of the watched pair `edge`, from the counts
+/// by watcher slot.
+fn completion_count(watcher: &PairWatcher, completions: &[u32], edge: u64) -> u32 {
+    watcher
+        .slot(edge)
+        .and_then(|slot| completions.get(slot as usize))
+        .map_or(0, |&count| count)
 }
 
 /// A `Q` position not yet recovered on restore.
@@ -1061,9 +1117,11 @@ mod tests {
     /// inactive slot exactly once in its opposite vertex's `activations`
     /// list, and nothing else sits in either; every list's links agree
     /// (see [`list_nodes`]); `Q` is exactly the live records, each at its
-    /// stored position; and `space_bytes` equals a recount from the maps
-    /// and the slab.
+    /// stored position; the completion counts are empty until pass 2; and
+    /// `space_bytes` equals a recount from the maps, the slab and the
+    /// counts.
     fn assert_live_state(a: &TwoPassTriangle, ctx: &str) {
+        assert!(a.pass == 1 || a.completions.is_empty(), "{ctx}: counts");
         let live: Vec<(u32, &PairRecord)> = a
             .slab
             .iter()
@@ -1126,6 +1184,7 @@ mod tests {
             + hashmap_bytes(&a.monitors.map)
             + hashmap_bytes(&a.activations.map)
             + a.watcher.space_bytes()
+            + vec_bytes(&a.completions)
             + a.q.space_bytes()
             + hashmap_bytes(&a.free_gens)
             + a.sampler.space_bytes();
@@ -1484,6 +1543,165 @@ mod tests {
                         let ctx = format!("step {step} key {k}");
                         prop_assert_eq!(list_nodes(&refs, &slab, k, &ctx), model[k as usize].clone());
                     }
+                }
+            }
+        }
+    }
+
+    mod h_walk {
+        use super::*;
+        use adjstream_stream::meter::PeakTracker;
+        use adjstream_stream::runner::drive_pass_slice;
+        use adjstream_stream::AdjListStream;
+        use proptest::prelude::*;
+
+        /// The `H` walk that the completion counts replaced, kept as the
+        /// reference: every pass-2 completion of an edge raises `H` at
+        /// each active slot in the edge's `monitors` list. Records are
+        /// named by `(slab, gen)`, which no two records share.
+        #[derive(Default)]
+        struct WalkedH(FastMap<(u32, u32), [u32; 3]>);
+
+        impl WalkedH {
+            fn bump(&mut self, a: &TwoPassTriangle, key: u64) {
+                for n in walk::<MONITORS>(&a.slab, a.monitors.head(key)) {
+                    let rec = a.slab[(n / 3) as usize].as_ref().expect("live");
+                    let slot = (n % 3) as usize;
+                    if rec.active[slot] {
+                        self.0.entry((n / 3, rec.gen)).or_default()[slot] += 1;
+                    }
+                }
+            }
+
+            fn h(&self, s: u32, rec: &PairRecord) -> [u64; 3] {
+                let h = self.0.get(&(s, rec.gen)).copied().unwrap_or_default();
+                h.map(u64::from)
+            }
+        }
+
+        /// Each live record's `H` in `a` against the walk's, by slab slot.
+        fn assert_h(a: &TwoPassTriangle, walked: &WalkedH, ctx: &str) {
+            for (s, rec) in a.slab.iter().enumerate() {
+                let Some(rec) = rec else { continue };
+                let want = walked.h(s as u32, rec);
+                prop_assert_eq!(a.h_values(rec), want, "{}: record {}", ctx, s);
+            }
+        }
+
+        /// Run pass `pass` of `a` as `feed_slice` does, item by item, and
+        /// walk each pass-2 completion right after `on_completion`, where
+        /// the walk used to run; compare every record's `H` after each
+        /// list.
+        fn walk_pass(
+            a: &mut TwoPassTriangle,
+            pass: usize,
+            items: &[StreamItem],
+            walked: &mut WalkedH,
+        ) {
+            a.begin_pass(pass);
+            for list in items.chunk_by(|x, y| x.src == y.src) {
+                let owner = list[0].src;
+                a.begin_list(owner);
+                for it in list {
+                    if pass == 0 {
+                        a.items_pass1 += 1;
+                        a.sample_edge(it.src, it.dst);
+                    }
+                    let mut buf = Vec::new();
+                    a.watcher.on_item(it.dst, |k, slot| buf.push((k, slot)));
+                    for (key, slot) in buf {
+                        a.on_completion(key, slot, owner);
+                        if pass == 1 {
+                            walked.bump(a, key);
+                        }
+                    }
+                }
+                a.end_list(owner);
+                assert_h(a, walked, &format!("pass {pass} after list {}", owner.0));
+            }
+            a.end_pass(pass);
+        }
+
+        /// The estimate the walked `H` gives for the run in `a`.
+        fn walked_estimate(a: &TwoPassTriangle, walked: &WalkedH) -> TriangleEstimate {
+            let counted =
+                a.q.iter()
+                    .filter(|&&(s, _)| {
+                        let rec = a.slab[s as usize].as_ref().expect("Q holds live records");
+                        rec.tri.lightest_slot(walked.h(s, rec)) == 0
+                    })
+                    .count() as u64;
+            TriangleEstimate::assemble(
+                a.cfg.edge_sampling,
+                a.items_pass1 / 2,
+                a.s_edges.len(),
+                a.discovered,
+                a.q.len(),
+                counted,
+            )
+        }
+
+        fn roundtrip(a: &TwoPassTriangle) -> TwoPassTriangle {
+            let mut blob = Vec::new();
+            a.save(&mut blob).expect("save");
+            TwoPassTriangle::restore(&mut &blob[..]).expect("restore")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// On random graphs with planted cliques and a heavy-edge book,
+            /// under both samplers and a `Q` small enough that pass-2
+            /// discoveries replace its entries, the completion counts give
+            /// every live record the walk's `H` after every list, and the
+            /// estimate the walk gives. The shipped `feed_slice` run,
+            /// resumed at the pass boundary in some cases, ends with the
+            /// same records and `H`; so does its save after pass 2, once
+            /// restored.
+            #[test]
+            fn h_counters_match_the_walk(
+                (seed, n, m) in (any::<u64>(), 24usize..56, 60usize..260),
+                (bottom_k, pair_capacity, resume) in (any::<bool>(), 12usize..32, any::<bool>()),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g = gen::gnm(n, m, &mut rng)
+                    .disjoint_union(&gen::disjoint_cliques(4, 9))
+                    .disjoint_union(&gen::book(12));
+                let order = StreamOrder::shuffled(g.vertex_count(), seed);
+                let items = AdjListStream::new(&g, order).collect_items();
+                let edge_sampling = if bottom_k {
+                    EdgeSampling::BottomK { k: m / 3 }
+                } else {
+                    EdgeSampling::Threshold { p: 0.5 }
+                };
+                let cfg = TwoPassTriangleConfig { seed, edge_sampling, pair_capacity };
+
+                let mut walked = WalkedH::default();
+                let mut reference = TwoPassTriangle::new(cfg);
+                walk_pass(&mut reference, 0, &items, &mut walked);
+                let replaced = reference.counters.pairs_replaced;
+                walk_pass(&mut reference, 1, &items, &mut walked);
+                prop_assert!(
+                    reference.counters.pairs_replaced > replaced,
+                    "pass 2 must replace Q entries"
+                );
+                let want = walked_estimate(&reference, &walked);
+
+                let mut shipped = TwoPassTriangle::new(cfg);
+                let (peak, processed) = (&mut PeakTracker::new(), &mut 0);
+                drive_pass_slice(&mut shipped, 0, &items, peak, processed).expect("pass 0");
+                if resume {
+                    shipped = roundtrip(&shipped);
+                }
+                drive_pass_slice(&mut shipped, 1, &items, peak, processed).expect("pass 1");
+                let after = roundtrip(&shipped);
+                for a in [&shipped, &after] {
+                    prop_assert_eq!(a.slab.len(), reference.slab.len());
+                    assert_h(a, &walked, "end");
+                }
+                for got in [reference.finish(), shipped.finish(), after.finish()] {
+                    prop_assert_eq!(got.counted, want.counted);
+                    prop_assert_eq!(got.estimate.to_bits(), want.estimate.to_bits());
                 }
             }
         }

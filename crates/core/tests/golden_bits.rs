@@ -233,6 +233,15 @@ fn actual() -> Vec<(String, Pinned)> {
 /// their order, so no digest moved.
 /// The `two-pass` rows also pin a digest of the checkpoint saved after
 /// the last pass, whose records carry the final `H` counters.
+/// The peaks were re-pinned once more when the pair watcher dropped its
+/// free-slot vector (released slots now chain through the vacant slots)
+/// and `two-pass` began to count each pair's pass-2 completions by
+/// watcher slot and to drop its edge sampler when pass 2 begins:
+/// one-pass/bottom-k 60214 → 60198, three-pass 76581 → 76517 and
+/// 83076 → 83012, two-pass/bottom-k 106783 → 106706, and
+/// two-pass/threshold 100554 → 104618, whose peak is now in pass 2, where
+/// the completion counts outweigh its 32-byte sampler. No estimate,
+/// counter or digest moved.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -269,7 +278,7 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "three-pass/threshold",
             0x4083300000000000,
-            76581,
+            76517,
             None,
             vec![],
         ),
@@ -277,7 +286,7 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/threshold",
                 0x4088C73333333333,
-                100554,
+                104618,
                 Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
                 vec![0xBB04601609BEAB54],
             ),
@@ -304,11 +313,11 @@ fn expected() -> Vec<(String, Pinned)> {
             Some([938, 0, 1572, 1, 820, 220, 61, 450, 0]),
             vec![],
         ),
-        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 60214, None, vec![]),
+        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 60198, None, vec![]),
         row(
             "three-pass/bottom-k",
             0x4086B8DCAEF1D896,
-            83076,
+            83012,
             None,
             vec![],
         ),
@@ -316,7 +325,7 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/bottom-k",
                 0x4087648888888888,
-                106783,
+                106706,
                 Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
                 vec![0x95D308FDF00499E4],
             ),

@@ -30,7 +30,7 @@
 //!    makes the answer identical either way).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -422,20 +422,68 @@ fn accept_loop(inner: Arc<Inner>, listener: UnixListener) {
     }
 }
 
+/// Longest request line, in bytes before its newline, that a connection
+/// reads: far above any real request, and the most a connection buffers.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// One read of [`read_request_line`].
+#[derive(Debug, PartialEq)]
+enum RequestLine {
+    /// A line without its `\n` (or `\r\n`); the last line may lack one.
+    Line(Vec<u8>),
+    /// The line ran past the limit before its newline; the rest of it is
+    /// left unread.
+    TooLong,
+    /// The peer closed the connection.
+    End,
+}
+
+/// Read one request line of at most `limit` bytes. Unlike
+/// `BufRead::lines`, an unterminated line cannot make it buffer more.
+fn read_request_line(r: &mut impl BufRead, limit: usize) -> std::io::Result<RequestLine> {
+    let mut line = Vec::new();
+    r.take(limit as u64 + 1).read_until(b'\n', &mut line)?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > limit {
+        return Ok(RequestLine::TooLong);
+    } else if line.is_empty() {
+        return Ok(RequestLine::End);
+    }
+    Ok(RequestLine::Line(line))
+}
+
 fn handle_connection(inner: &Arc<Inner>, stream: UnixStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(&line) {
-            Ok(req) => dispatch_request(inner, req),
-            Err(e) => error_response("bad_request", &e),
+    let mut reader = BufReader::new(stream);
+    loop {
+        let (response, last) = match read_request_line(&mut reader, MAX_REQUEST_LINE) {
+            Ok(RequestLine::Line(line)) => {
+                let Ok(line) = String::from_utf8(line) else {
+                    break;
+                };
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let response = match parse_request(&line) {
+                    Ok(req) => dispatch_request(inner, req),
+                    Err(e) => error_response("bad_request", &e),
+                };
+                (response, false)
+            }
+            // Answered, and then the connection is closed: the rest of the
+            // line is never read.
+            Ok(RequestLine::TooLong) => {
+                let e = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                (error_response("bad_request", &e), true)
+            }
+            Ok(RequestLine::End) | Err(_) => break,
         };
         // A client that disconnected mid-response is its own problem: the
         // job it submitted keeps running; we just stop responding.
@@ -444,6 +492,7 @@ fn handle_connection(inner: &Arc<Inner>, stream: UnixStream) {
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .is_err()
+            || last
         {
             break;
         }
@@ -1498,6 +1547,59 @@ fn write_batches_sidecar(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lines come back without their newline, a last unterminated line
+    /// included; a line past the limit is `TooLong` however it is split
+    /// into reads, and buffers at most the limit.
+    #[test]
+    fn request_lines_are_read_up_to_the_limit() {
+        let read_all = |bytes: &[u8], capacity: usize, limit: usize| {
+            let mut r = BufReader::with_capacity(capacity, bytes);
+            let mut out = Vec::new();
+            loop {
+                match read_request_line(&mut r, limit).unwrap() {
+                    RequestLine::End => return out,
+                    RequestLine::TooLong => {
+                        out.push(RequestLine::TooLong);
+                        return out;
+                    }
+                    line => out.push(line),
+                }
+            }
+        };
+        let line = |s: &str| RequestLine::Line(s.as_bytes().to_vec());
+        for capacity in [1, 3, 64] {
+            assert_eq!(
+                read_all(b"ping\r\n\n{\"op\":1}\nlast", capacity, 8),
+                vec![line("ping"), line(""), line("{\"op\":1}"), line("last")],
+                "capacity {capacity}"
+            );
+            // Exactly the limit before the newline is still a line.
+            assert_eq!(
+                read_all(b"12345678\n123456789\nping\n", capacity, 8),
+                vec![line("12345678"), RequestLine::TooLong],
+                "capacity {capacity}"
+            );
+            assert_eq!(
+                read_all(b"123456789", capacity, 8),
+                vec![RequestLine::TooLong]
+            );
+            assert_eq!(read_all(b"", capacity, 8), vec![]);
+        }
+        // A line far past the limit stops the read at the limit's chunk.
+        let huge = vec![b'x'; 1 << 16];
+        let mut r = BufReader::with_capacity(1024, &huge[..]);
+        assert_eq!(
+            read_request_line(&mut r, 4096).unwrap(),
+            RequestLine::TooLong
+        );
+        let left = r.fill_buf().unwrap().len() + r.get_ref().len();
+        assert!(
+            huge.len() - left <= 4096 + 1024,
+            "read {} bytes",
+            huge.len() - left
+        );
+    }
 
     #[test]
     fn queued_job_ordering_prefers_priority_then_fifo() {

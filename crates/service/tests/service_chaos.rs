@@ -480,3 +480,30 @@ fn deeply_nested_request_is_a_bad_request_not_an_abort() {
     assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
     handle.shutdown();
 }
+
+#[test]
+fn unterminated_request_line_is_a_bad_request_not_a_buffer() {
+    let (handle, socket) = start("longline", |cfg| cfg.workers = 1);
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    // 8 MiB and no newline. The daemon stops reading at its line limit,
+    // answers and closes, so the rest of the write may fail.
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 16];
+        for _ in 0..128 {
+            if w.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+        let _ = w.flush();
+    });
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    let reply = parse(reply.trim()).expect("daemon speaks valid JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    assert_eq!(reply.str_field("error"), Some("bad_request"), "{reply}");
+    sender.join().unwrap();
+    let pong = req(&socket, "{\"op\":\"ping\"}");
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
+    handle.shutdown();
+}

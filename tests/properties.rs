@@ -193,7 +193,7 @@ mod watcher_model {
                 let mut got = Vec::new();
                 w.begin_list();
                 for &x in &dedup {
-                    w.on_item(VertexId(x), |k| got.push(k));
+                    w.on_item(VertexId(x), |k, _| got.push(k));
                 }
                 got.sort_unstable();
                 prop_assert_eq!(got, expect);
