@@ -577,6 +577,81 @@ mod tests {
         assert!(w.incident.is_empty());
     }
 
+    /// FNV-1a over a watcher's saved bytes.
+    fn save_digest(w: &PairWatcher) -> u64 {
+        let mut bytes = Vec::new();
+        w.save(&mut bytes).unwrap();
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h: u64, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Pins the bytes a watcher saves before and after a restore followed
+    /// by more watches and unwatches. The restored incident index holds
+    /// more vertices than `seq_reserve` lets its restore reserve room for,
+    /// so it grows while restoring, and some hub lists are long: the order
+    /// of the index, of each list and so of these bytes depend on the
+    /// restore's reserve and on push and `swap_remove` order.
+    #[test]
+    fn watcher_save_after_restore_and_edits_is_pinned() {
+        use adjstream_stream::hashing::SplitMix64;
+        const HUB: u32 = 1 << 20;
+        let mut rng = SplitMix64::new(32);
+        let mut w = PairWatcher::new();
+        let mut live: Vec<u64> = Vec::new();
+        let watch = |w: &mut PairWatcher, live: &mut Vec<u64>, a: u32, b: u32| {
+            w.watch(v(a), v(b));
+            live.push(pack_pair(v(a), v(b)));
+        };
+        let unwatch = |w: &mut PairWatcher, live: &mut Vec<u64>, pick: u64| {
+            let key = live.swap_remove(pick as usize % live.len());
+            let (lo, hi) = unpack_pair(key);
+            w.unwatch(hi, lo);
+        };
+        // 40k disjoint pairs: 80k one-pair vertices.
+        for i in 0..40_000u32 {
+            watch(&mut w, &mut live, 2 * i, 2 * i + 1);
+        }
+        // Twelve hubs of 5 to 60 pairs each, some pairs watched twice.
+        for h in 0..12u32 {
+            for _ in 0..5 + 5 * h {
+                let other = (rng.next_u64() % 80_000) as u32;
+                watch(&mut w, &mut live, HUB + h, other);
+                if rng.next_u64() % 4 == 0 {
+                    watch(&mut w, &mut live, other, HUB + h);
+                }
+            }
+        }
+        for _ in 0..6_000 {
+            unwatch(&mut w, &mut live, rng.next_u64());
+        }
+        let before = save_digest(&w);
+        let mut bytes = Vec::new();
+        w.save(&mut bytes).unwrap();
+        let mut w = PairWatcher::restore(&mut &bytes[..]).unwrap();
+        let restored = save_digest(&w);
+        assert!(w.incident.len() > 60_000, "{}", w.incident.len());
+        for i in 0..3_000u32 {
+            match rng.next_u64() % 3 {
+                0 => unwatch(&mut w, &mut live, rng.next_u64()),
+                1 => {
+                    let h = HUB + (rng.next_u64() % 14) as u32;
+                    watch(&mut w, &mut live, h, (rng.next_u64() % 80_000) as u32);
+                }
+                _ => watch(
+                    &mut w,
+                    &mut live,
+                    200_000 + i,
+                    (rng.next_u64() % 80_000) as u32,
+                ),
+            }
+        }
+        assert_eq!(
+            [before, restored, save_digest(&w)],
+            [0x9AC0E9E4C509BF2B, 0x7C8A8A949DE594AF, 0xE4D89EBC952A16A1]
+        );
+    }
+
     /// A watcher checkpoint written field by field, so tests can craft
     /// indexes that `save` never produces.
     fn crafted(pairs: &[(u64, u32)], lists: &[(u32, &[u64])]) -> Vec<u8> {
