@@ -77,7 +77,10 @@ where
 /// Layout: a slot table. `slot_of` maps a packed pair to its slot in
 /// `slots`, which holds the pair's endpoints and refcount; `epochs` holds
 /// each slot's per-list hit epoch in a dense array of its own; `incident`
-/// lists, per vertex, the slots of the pairs containing it.
+/// lists, per vertex, the slots of the pairs containing it: the first
+/// [`INLINE`] in the map entry itself, and the rest of a longer list in a
+/// `spill` vector under the same vertex. Most vertices are in one or two
+/// watched pairs, so most lists need no heap vector at all.
 /// [`PairWatcher::on_item`] makes one map probe per item and then indexes
 /// `epochs` directly, so the completion flag is an array read, not a hash
 /// lookup, and a slot's pair is read only when it completes. Released
@@ -100,9 +103,13 @@ pub struct PairWatcher {
     /// The most recently released slot, reused first.
     free_head: Option<u32>,
     /// vertex → slots of the pairs containing it, in completion order.
-    incident: FastMap<u32, Vec<u32>>,
-    /// Bytes held by `incident`'s inner vectors, maintained incrementally.
-    incident_vec_bytes: usize,
+    incident: FastMap<u32, Incident>,
+    /// vertex → the slots of its incident list past the first [`INLINE`],
+    /// for the lists that are longer.
+    spill: FastMap<u32, Vec<u32>>,
+    /// Bytes of the `spill` vectors' buffers, maintained incrementally;
+    /// their headers are in `spill`'s entries.
+    spill_bytes: usize,
     epoch: u32,
     /// Lifetime watch registrations (refcount acquisitions).
     watches_started: u64,
@@ -131,6 +138,42 @@ impl Watched {
 
 /// No slot: the end of the free chain.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Slot ids an incident list holds in place; a longer list keeps the rest
+/// in the watcher's `spill`.
+const INLINE: usize = 2;
+
+/// One vertex's incident list: its length, and its first [`INLINE`] slot
+/// ids in place.
+#[derive(Debug, Clone, Copy)]
+struct Incident {
+    /// Slot ids in the list, in place and spilled.
+    len: u32,
+    /// The first `min(len, INLINE)` slot ids.
+    head: [u32; INLINE],
+}
+
+// An incident entry is no larger than the `(vertex, Vec)` entry it
+// replaced.
+const _: () =
+    assert!(std::mem::size_of::<(u32, Incident)>() <= std::mem::size_of::<(u32, Vec<u32>)>());
+
+impl Incident {
+    /// The slot ids held in place.
+    fn head(&self) -> &[u32] {
+        &self.head[..(self.len as usize).min(INLINE)]
+    }
+
+    /// The slot ids past the first [`INLINE`]: `spill`'s entry for the
+    /// list's vertex `v`, if the list is that long.
+    fn tail<'a>(&self, v: u32, spill: &'a FastMap<u32, Vec<u32>>) -> &'a [u32] {
+        if self.len as usize > INLINE {
+            &spill[&v]
+        } else {
+            &[]
+        }
+    }
+}
 
 /// Pack an unordered vertex pair (canonical ascending).
 #[inline]
@@ -191,8 +234,66 @@ impl PairWatcher {
             }
         };
         entry.insert(slot);
-        self.incident_vec_bytes += push_map_vec(&mut self.incident, lo.0, slot, 4);
-        self.incident_vec_bytes += push_map_vec(&mut self.incident, hi.0, slot, 4);
+        self.push_incident(lo.0, slot);
+        self.push_incident(hi.0, slot);
+    }
+
+    /// Append `slot` to `v`'s incident list, as `Vec::push` would.
+    fn push_incident(&mut self, v: u32, slot: u32) {
+        use std::collections::hash_map::Entry;
+        match self.incident.entry(v) {
+            Entry::Vacant(e) => {
+                let mut head = [NO_SLOT; INLINE];
+                head[0] = slot;
+                e.insert(Incident { len: 1, head });
+            }
+            Entry::Occupied(mut e) => {
+                let list = e.get_mut();
+                let len = list.len as usize;
+                if len < INLINE {
+                    list.head[len] = slot;
+                } else {
+                    let tail = self.spill.entry(v).or_default();
+                    let before = tail.capacity();
+                    tail.push(slot);
+                    self.spill_bytes += (tail.capacity() - before) * 4;
+                }
+                list.len += 1;
+            }
+        }
+    }
+
+    /// Remove the first `slot` from `v`'s incident list as
+    /// `Vec::swap_remove` would: the list's last slot id takes its place.
+    fn remove_incident(&mut self, v: u32, slot: u32) {
+        let list = self.incident.get_mut(&v).expect("incident list exists");
+        let last = list.len as usize - 1;
+        let mut tail =
+            (last >= INLINE).then(|| self.spill.get_mut(&v).expect("a long list spills"));
+        let pos = list
+            .head()
+            .iter()
+            .chain(tail.iter().flat_map(|t| t.iter()))
+            .position(|&s| s == slot)
+            .expect("pair in list");
+        let moved = match &mut tail {
+            Some(t) => t.pop().expect("a spill is not empty"),
+            None => list.head[last],
+        };
+        if pos < last {
+            match pos.checked_sub(INLINE) {
+                None => list.head[pos] = moved,
+                Some(i) => tail.as_mut().expect("the list spills past `pos`")[i] = moved,
+            }
+        }
+        list.len -= 1;
+        if list.len == 0 {
+            self.incident.remove(&v);
+        }
+        if tail.is_some_and(|t| t.is_empty()) {
+            let dead = self.spill.remove(&v).expect("just seen");
+            self.spill_bytes -= dead.capacity() * 4;
+        }
     }
 
     /// Stop one watch of `{a, b}`; fully unregisters at refcount zero.
@@ -206,15 +307,8 @@ impl PairWatcher {
             let (lo, hi) = (watched.lo, watched.hi);
             watched.lo = self.free_head.replace(slot).unwrap_or(NO_SLOT);
             self.slot_of.remove(&key);
-            for v in [lo, hi] {
-                let list = self.incident.get_mut(&v).expect("incident list exists");
-                let pos = list.iter().position(|&s| s == slot).expect("pair in list");
-                list.swap_remove(pos);
-                if list.is_empty() {
-                    let dead = self.incident.remove(&v).expect("just seen");
-                    self.incident_vec_bytes -= dead.capacity() * 4 + 24;
-                }
-            }
+            self.remove_incident(lo, slot);
+            self.remove_incident(hi, slot);
         }
     }
 
@@ -254,10 +348,10 @@ impl PairWatcher {
     /// this is (i.e. both endpoints now seen in the current list), with the
     /// packed pair and its slot.
     pub fn on_item<F: FnMut(u64, u32)>(&mut self, x: VertexId, mut completed: F) {
-        let Some(slots) = self.incident.get(&x.0) else {
+        let Some(list) = self.incident.get(&x.0) else {
             return;
         };
-        for &slot in slots {
+        let mut visit = |slot: u32| {
             let epoch = &mut self.epochs[slot as usize];
             if *epoch == self.epoch {
                 // Second endpoint within the same list: completion. Bump
@@ -268,6 +362,12 @@ impl PairWatcher {
             } else {
                 *epoch = self.epoch;
             }
+        };
+        for &slot in list.head() {
+            visit(slot);
+        }
+        for &slot in list.tail(x.0, &self.spill) {
+            visit(slot);
         }
     }
 }
@@ -313,7 +413,8 @@ impl SpaceUsage for PairWatcher {
             + vec_bytes(&self.slots)
             + vec_bytes(&self.epochs)
             + hashmap_bytes(&self.incident)
-            + self.incident_vec_bytes
+            + hashmap_bytes(&self.spill)
+            + self.spill_bytes
     }
 }
 
@@ -332,10 +433,10 @@ impl Checkpoint for PairWatcher {
             write_u32(w, self.slots[slot as usize].refs)?;
         }
         write_usize(w, self.incident.len())?;
-        for (&v, slots) in &self.incident {
+        for (&v, list) in &self.incident {
             write_u32(w, v)?;
-            write_usize(w, slots.len())?;
-            for &slot in slots {
+            write_usize(w, list.len as usize)?;
+            for &slot in list.head().iter().chain(list.tail(v, &self.spill)) {
                 write_u64(w, self.slots[slot as usize].key())?;
             }
         }
@@ -375,12 +476,16 @@ impl Checkpoint for PairWatcher {
         // its high one (a pair {v, v} is listed twice under v).
         let mut listed = vec![0u8; slots.len()];
         let n = read_usize(r)?;
-        let mut incident: FastMap<u32, Vec<u32>> = FastMap::default();
+        let mut incident: FastMap<u32, Incident> = FastMap::default();
+        // Reserved as for the `(vertex, Vec)` entries the index once held:
+        // the reserve sets the table's capacity, which orders the lists
+        // the next `save` writes.
         incident.reserve(seq_reserve::<(u32, Vec<u32>)>(n));
-        let mut incident_vec_bytes = 0usize;
+        let mut spill = FastMap::default();
+        let mut spill_bytes = 0;
         for _ in 0..n {
             let v = read_u32(r)?;
-            let list = read_seq(r, |r| {
+            let mut list = read_seq(r, |r| {
                 let key = read_u64(r)?;
                 let &slot = slot_of
                     .get(&key)
@@ -398,9 +503,17 @@ impl Checkpoint for PairWatcher {
                 }
                 Ok(slot)
             })?;
-            incident_vec_bytes += list.capacity() * 4 + 24;
-            if incident.insert(v, list).is_some() {
+            let len = u32::try_from(list.len()).map_err(|_| corrupt("incident list too long"))?;
+            let mut head = [NO_SLOT; INLINE];
+            let in_place = list.len().min(INLINE);
+            head[..in_place].copy_from_slice(&list[..in_place]);
+            if incident.insert(v, Incident { len, head }).is_some() {
                 return Err(corrupt("vertex with two incident lists"));
+            }
+            if list.len() > INLINE {
+                let tail = list.split_off(INLINE);
+                spill_bytes += tail.capacity() * 4;
+                spill.insert(v, tail);
             }
         }
         if listed.iter().any(|&seen| seen != 3) {
@@ -416,7 +529,8 @@ impl Checkpoint for PairWatcher {
             epochs,
             free_head: None,
             incident,
-            incident_vec_bytes,
+            spill,
+            spill_bytes,
             epoch: 0,
             watches_started,
             watches_retired,
@@ -559,22 +673,22 @@ mod tests {
     #[test]
     fn incremental_accounting_matches_rescan() {
         let rescan =
-            |w: &PairWatcher| -> usize { w.incident.values().map(|v| v.capacity() * 4 + 24).sum() };
+            |w: &PairWatcher| -> usize { w.spill.values().map(|v| v.capacity() * 4).sum() };
         let mut w = PairWatcher::new();
         // Shared vertices force inner vecs to grow past their first
         // allocation; refcounted duplicates exercise the no-op paths.
         for i in 0..200u32 {
             w.watch(v(i % 7), v(100 + i));
             w.watch(v(i % 7), v(100 + i));
-            assert_eq!(w.incident_vec_bytes, rescan(&w), "after watch {i}");
+            assert_eq!(w.spill_bytes, rescan(&w), "after watch {i}");
         }
         for i in (0..200u32).rev() {
             w.unwatch(v(i % 7), v(100 + i));
             w.unwatch(v(i % 7), v(100 + i));
-            assert_eq!(w.incident_vec_bytes, rescan(&w), "after unwatch {i}");
+            assert_eq!(w.spill_bytes, rescan(&w), "after unwatch {i}");
         }
-        assert_eq!(w.incident_vec_bytes, 0);
-        assert!(w.incident.is_empty());
+        assert_eq!(w.spill_bytes, 0);
+        assert!(w.incident.is_empty() && w.spill.is_empty());
     }
 
     /// FNV-1a over a watcher's saved bytes.
@@ -617,7 +731,7 @@ mod tests {
             for _ in 0..5 + 5 * h {
                 let other = (rng.next_u64() % 80_000) as u32;
                 watch(&mut w, &mut live, HUB + h, other);
-                if rng.next_u64() % 4 == 0 {
+                if rng.next_u64().is_multiple_of(4) {
                     watch(&mut w, &mut live, other, HUB + h);
                 }
             }
@@ -835,9 +949,51 @@ mod tests {
             prop_assert_eq!(slots.slot(key), Some(want), "step {}: slot", step);
         }
 
+        /// A vertex outside [`vertex`]'s range whose incident list the
+        /// script keeps moving across the inline count.
+        const PIVOT: u32 = 99;
+
+        /// Release one watch of the pair at `live[i]`, recording its slot
+        /// in `free` if the pair is no longer watched.
+        fn unwatch_checked(
+            slots: &mut PairWatcher,
+            model: &mut MapWatcher,
+            live: &mut Vec<u64>,
+            free: &mut Vec<u32>,
+            i: usize,
+        ) -> u64 {
+            let key = live.swap_remove(i);
+            let (lo, hi) = unpack_pair(key);
+            let slot = slots.slot(key).expect("watched");
+            slots.unwatch(hi, lo);
+            model.unwatch(key);
+            if slots.slot(key).is_none() {
+                free.push(slot);
+            }
+            key
+        }
+
+        /// Save both watchers, check that the bytes agree, and restore
+        /// both from them.
+        fn round_trip(
+            slots: &mut PairWatcher,
+            model: &mut MapWatcher,
+            free: &mut Vec<u32>,
+            step: usize,
+        ) {
+            let mut bytes = Vec::new();
+            slots.save(&mut bytes).unwrap();
+            let want = model.save();
+            prop_assert_eq!(&bytes, &want, "step {}: save", step);
+            *slots = PairWatcher::restore(&mut &bytes[..]).unwrap();
+            *model = MapWatcher::restore(&mut &want[..]).unwrap();
+            // A restored table is compact: no slot is free.
+            free.clear();
+        }
+
         /// A script of `(op, a, b)` steps; see the match in the test.
         fn script() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
-            prop::collection::vec((0u8..12, vertex(), vertex()), 0..300)
+            prop::collection::vec((0u8..14, vertex(), vertex()), 0..300)
         }
 
         proptest! {
@@ -852,6 +1008,8 @@ mod tests {
                 let mut released: Option<u64> = None;
                 // The released slots, last released last.
                 let mut free: Vec<u32> = Vec::new();
+                // Times the pivot's list crossed the inline count.
+                let mut crossings = 0;
                 for (step, &(op, a, b)) in ops.iter().enumerate() {
                     match op {
                         0 | 1 => {
@@ -861,15 +1019,8 @@ mod tests {
                             live.push(key);
                         }
                         2 | 3 if !live.is_empty() => {
-                            let key = live.swap_remove(a as usize % live.len());
-                            let (lo, hi) = unpack_pair(key);
-                            let slot = slots.slot(key).expect("watched");
-                            slots.unwatch(hi, lo);
-                            model.unwatch(key);
-                            if slots.slot(key).is_none() {
-                                free.push(slot);
-                            }
-                            released = Some(key);
+                            let i = a as usize % live.len();
+                            released = Some(unwatch_checked(&mut slots, &mut model, &mut live, &mut free, i));
                         }
                         // Re-watch a released pair, usually within the list
                         // that saw one of its endpoints.
@@ -881,6 +1032,7 @@ mod tests {
                             }
                         }
                         5..=8 => {
+                            let a = if op == 8 { PIVOT } else { a };
                             let mut got = Vec::new();
                             let mut got_slots = Vec::new();
                             slots.on_item(v(a), |k, slot| {
@@ -900,15 +1052,29 @@ mod tests {
                             slots.save(&mut bytes).unwrap();
                             prop_assert_eq!(bytes, model.save(), "step {}: save", step);
                         }
-                        11 => {
-                            let mut bytes = Vec::new();
-                            slots.save(&mut bytes).unwrap();
-                            let want = model.save();
-                            prop_assert_eq!(&bytes, &want, "step {}: save", step);
-                            slots = PairWatcher::restore(&mut &bytes[..]).unwrap();
-                            model = MapWatcher::restore(&mut &want[..]).unwrap();
-                            // A restored table is compact: no slot is free.
-                            free.clear();
+                        11 => round_trip(&mut slots, &mut model, &mut free, step),
+                        // Grow the pivot's list while it fits in place and
+                        // shrink it once it spills, saving and restoring
+                        // each time it crosses the inline count.
+                        12 | 13 => {
+                            let len = |w: &PairWatcher| w.incident.get(&PIVOT).map_or(0, |l| l.len as usize);
+                            let before = len(&slots);
+                            if before <= INLINE {
+                                let key = pack_pair(v(PIVOT), v(b));
+                                watch_checked(&mut slots, &mut free, key, step);
+                                model.watch(key);
+                                live.push(key);
+                            } else {
+                                let pivots: Vec<usize> = (0..live.len())
+                                    .filter(|&i| unpack_pair(live[i]).1 == v(PIVOT))
+                                    .collect();
+                                let i = pivots[a as usize % pivots.len()];
+                                released = Some(unwatch_checked(&mut slots, &mut model, &mut live, &mut free, i));
+                            }
+                            if (before <= INLINE) != (len(&slots) <= INLINE) {
+                                crossings += 1;
+                                round_trip(&mut slots, &mut model, &mut free, step);
+                            }
                         }
                         _ => {}
                     }
@@ -921,6 +1087,11 @@ mod tests {
                 let mut bytes = Vec::new();
                 slots.save(&mut bytes).unwrap();
                 prop_assert_eq!(bytes, model.save());
+                // A long script moves the pivot's list out and back in
+                // several times.
+                if ops.len() >= 200 {
+                    prop_assert!(crossings >= 4, "{} crossings", crossings);
+                }
             }
         }
     }

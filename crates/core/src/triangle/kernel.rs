@@ -27,7 +27,7 @@ use adjstream_stream::checkpoint::{
 };
 use adjstream_stream::meter::SpaceUsage;
 use adjstream_stream::obs::ObsCounters;
-use adjstream_stream::sampling::{BottomKEvent, BottomKSampler, ThresholdSampler};
+use adjstream_stream::sampling::{BottomKEvent, BottomKHeap, ThresholdSampler};
 
 use crate::common::{pack_pair, unpack_pair, EdgeSampling, PairWatcher};
 
@@ -124,8 +124,9 @@ impl Offer {
 pub(crate) enum EdgeSampler {
     /// Stateless hash threshold: membership is a pure function of the key.
     Threshold(ThresholdSampler),
-    /// The `k` smallest-hashed keys offered so far.
-    BottomK(BottomKSampler),
+    /// The `k` smallest-hashed keys offered so far, as a heap: the caller
+    /// keeps `S`'s membership.
+    BottomK(BottomKHeap),
     /// A sampler whose `S` is final: its membership state is dropped and
     /// only whether it was saturated is kept (see [`EdgeSampler::close`]).
     Closed {
@@ -139,38 +140,51 @@ impl EdgeSampler {
     pub(crate) fn new(seed: u64, sampling: EdgeSampling) -> Self {
         match sampling {
             EdgeSampling::Threshold { p } => EdgeSampler::Threshold(ThresholdSampler::new(seed, p)),
-            EdgeSampling::BottomK { k } => EdgeSampler::BottomK(BottomKSampler::new(seed, k)),
+            EdgeSampling::BottomK { k } => EdgeSampler::BottomK(BottomKHeap::new(seed, k)),
         }
     }
 
-    /// Rebuild a sampler on restore from the saved `S`. Bottom-k
-    /// membership is a pure function of the seeded hash, so re-offering the
-    /// keys in any order reproduces it; the threshold sampler is stateless.
+    /// Rebuild the sampler of a run restored after pass `pass` from its
+    /// saved `S`, whose keys are distinct. Bottom-k membership is a pure
+    /// function of the seeded hash, so re-offering the keys in any order
+    /// reproduces it; the threshold sampler is stateless. The heap holds
+    /// only the saved keys, so a corrupt `k` reserves nothing. Past pass 0
+    /// `S` is final and the sampler comes back closed.
     pub(crate) fn rebuild(
         seed: u64,
         sampling: EdgeSampling,
+        pass: usize,
         keys: impl ExactSizeIterator<Item = u64>,
     ) -> io::Result<Self> {
-        let mut sampler = Self::new(seed, sampling);
-        if let EdgeSampler::BottomK(b) = &mut sampler {
-            if keys.len() > b.capacity() {
+        let mut sampler = match sampling {
+            EdgeSampling::Threshold { p } => EdgeSampler::Threshold(ThresholdSampler::new(seed, p)),
+            EdgeSampling::BottomK { k } if keys.len() > k => {
                 return Err(corrupt("more sampled edges than the bottom-k capacity"));
             }
-            for key in keys {
-                b.offer(key);
+            EdgeSampling::BottomK { k } => {
+                EdgeSampler::BottomK(BottomKHeap::from_keys(seed, k, keys))
             }
+        };
+        if pass > 0 {
+            sampler.close();
         }
         Ok(sampler)
     }
 
-    /// Offer `key`. A threshold sampler keeps no membership of its own, so
-    /// `in_s` asks the caller whether an accepted key is already in `S`.
+    /// Offer `key`. Neither sampler keeps `S`'s membership, so `in_s` asks
+    /// the caller whether a key that passes the sampler's hash test is
+    /// already in `S`; the caller applies the returned [`Offer`] to `S`.
     pub(crate) fn offer(&mut self, key: u64, in_s: impl FnOnce(&u64) -> bool) -> Offer {
         match self {
             EdgeSampler::Threshold(t) if !t.accepts(key) => Offer::Rejected,
-            EdgeSampler::Threshold(_) if in_s(&key) => Offer::Present,
-            EdgeSampler::Threshold(_) => Offer::New,
-            EdgeSampler::BottomK(b) => match b.offer(key) {
+            EdgeSampler::Threshold(_) => {
+                if in_s(&key) {
+                    Offer::Present
+                } else {
+                    Offer::New
+                }
+            }
+            EdgeSampler::BottomK(b) => match b.offer(key, in_s) {
                 BottomKEvent::Inserted => Offer::New,
                 BottomKEvent::InsertedEvicting(old) => Offer::NewEvicting(old),
                 BottomKEvent::AlreadyPresent => Offer::Present,
@@ -329,6 +343,71 @@ mod tests {
         let mut blob = Vec::new();
         algo.save(&mut blob).expect("save");
         blob
+    }
+
+    mod bottom_k {
+        use super::*;
+        use adjstream_stream::hashing::FastSet;
+        use adjstream_stream::sampling::{BottomKEvent, BottomKSampler};
+        use proptest::prelude::*;
+
+        /// Keys from a small universe, so most offers repeat a key.
+        fn keys() -> impl Strategy<Value = Vec<u64>> {
+            prop::collection::vec(0u64..48, 0..160)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The heap sampler with `S` kept by the caller makes the
+            /// offers of the sampler with its own member map, also after
+            /// a rebuild from `S` part-way through the keys.
+            #[test]
+            fn heap_with_a_caller_set_offers_as_the_bottom_k_sampler(
+                keys in keys(),
+                seed in any::<u64>(),
+                pick in 0usize..4,
+                split in 0usize..160,
+            ) {
+                let distinct = keys.iter().collect::<FastSet<_>>().len();
+                let k = [0, 1, 5, distinct + 1][pick];
+                let sampling = EdgeSampling::BottomK { k };
+                let mut sampler = EdgeSampler::new(seed, sampling);
+                let mut s: FastSet<u64> = FastSet::default();
+                let mut model = BottomKSampler::new(seed, k);
+                for (i, &key) in keys.iter().enumerate() {
+                    if i == split {
+                        sampler = EdgeSampler::rebuild(seed, sampling, 0, s.iter().copied())
+                            .expect("S fits the capacity");
+                    }
+                    let got = sampler.offer(key, |k| s.contains(k));
+                    match got {
+                        Offer::New => {
+                            s.insert(key);
+                        }
+                        Offer::NewEvicting(old) => {
+                            s.insert(key);
+                            s.remove(&old);
+                        }
+                        Offer::Present | Offer::Rejected => {}
+                    }
+                    let want = match model.offer(key) {
+                        BottomKEvent::Inserted => Offer::New,
+                        BottomKEvent::InsertedEvicting(old) => Offer::NewEvicting(old),
+                        BottomKEvent::AlreadyPresent => Offer::Present,
+                        BottomKEvent::Rejected => Offer::Rejected,
+                    };
+                    prop_assert_eq!(got, want, "k {} offer {} key {}", k, i, key);
+                    prop_assert_eq!(s.len(), model.len());
+                }
+                let mut members: Vec<u64> = model.keys().collect();
+                let mut got: Vec<u64> = s.into_iter().collect();
+                members.sort_unstable();
+                got.sort_unstable();
+                prop_assert_eq!(got, members);
+                prop_assert_eq!(sampler.is_saturated(), k > 0 && model.len() == k);
+            }
+        }
     }
 
     #[test]

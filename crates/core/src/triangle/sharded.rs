@@ -319,6 +319,8 @@ impl MultiPassAlgorithm for ShardedTriangle {
                 self.sampler = EdgeSampler::new(self.cfg.seed, self.cfg.edge_sampling);
             }
             1 => {
+                // `S` is final: the sampler keeps only its saturation flag.
+                self.sampler.close();
                 self.discovered = 0;
                 self.q.clear();
                 self.endpoint_pos = FastMap::default();
@@ -542,7 +544,7 @@ impl Checkpoint for ShardedTriangle {
             return Err(corrupt("H vector does not cover the pair subsample"));
         }
         let counters = ObsCounters::restore(r)?;
-        let sampler = EdgeSampler::rebuild(seed, edge_sampling, s_set.iter().copied())?;
+        let sampler = EdgeSampler::rebuild(seed, edge_sampling, pass, s_set.iter().copied())?;
         let mut algo = ShardedTriangle {
             cfg,
             pass,

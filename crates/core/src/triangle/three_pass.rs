@@ -111,18 +111,15 @@ impl MultiPassAlgorithm for ThreePassTriangle {
 
     fn begin_pass(&mut self, pass: usize) {
         self.pass = pass;
-        if pass == 1 {
-            // Freeze S; watch sampled edges for collection.
-            let mut keys: Vec<u64> = match &self.sampler {
-                EdgeSampler::BottomK(b) => b.keys().collect(),
-                _ => Vec::new(), // threshold: inserted lazily below
-            };
-            // Sort so the watch-registration order — and hence downstream
+        if pass == 1 && matches!(self.sampler, EdgeSampler::BottomK(_)) {
+            // Freeze S; watch the bottom-k sample for collection (threshold
+            // edges are watched at their first appearance, below). Sort so
+            // the watch-registration order — and hence downstream
             // completion-callback order — is a function of S alone, not of
-            // the sampler's internal iteration order.
+            // the set's iteration order.
+            let mut keys: Vec<u64> = self.s_edges.iter().copied().collect();
             keys.sort_unstable();
             for key in keys {
-                self.s_edges.insert(key);
                 let (a, b) = unpack_pair(key);
                 self.watcher.watch(a, b);
             }
@@ -140,12 +137,17 @@ impl MultiPassAlgorithm for ThreePassTriangle {
             let s_edges = &self.s_edges;
             let offer = self.sampler.offer(key, |k| s_edges.contains(k));
             // Threshold membership is a pure hash function; edges are
-            // inserted (and watched) at their first appearance so that S is
-            // complete — and fully watched — before pass 2 begins
-            // collecting. A bottom-k S is frozen by `begin_pass(1)`.
-            if offer == Offer::New && matches!(self.sampler, EdgeSampler::Threshold(_)) {
+            // watched at their first appearance so that S is complete — and
+            // fully watched — before pass 2 begins collecting. A bottom-k S
+            // is watched once `begin_pass(1)` freezes it.
+            if let Offer::New | Offer::NewEvicting(_) = offer {
                 self.s_edges.insert(key);
-                self.watcher.watch(src, dst);
+                if matches!(self.sampler, EdgeSampler::Threshold(_)) {
+                    self.watcher.watch(src, dst);
+                }
+            }
+            if let Offer::NewEvicting(old) = offer {
+                self.s_edges.remove(&old);
             }
             return;
         }

@@ -760,10 +760,7 @@ impl Checkpoint for TwoPassTriangle {
         })?;
         let watcher = PairWatcher::restore(r)?;
         let counters = ObsCounters::restore(r)?;
-        let mut sampler = EdgeSampler::rebuild(seed, edge_sampling, s_edges.keys().copied())?;
-        if pass > 0 {
-            sampler.close();
-        }
+        let sampler = EdgeSampler::rebuild(seed, edge_sampling, pass, s_edges.keys().copied())?;
         Ok(TwoPassTriangle {
             cfg,
             pass,

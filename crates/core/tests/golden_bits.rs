@@ -242,6 +242,14 @@ fn actual() -> Vec<(String, Pinned)> {
 /// two-pass/threshold 100554 → 104618, whose peak is now in pass 2, where
 /// the completion counts outweigh its 32-byte sampler. No estimate,
 /// counter or digest moved.
+/// Every peak fell once more when the triangle estimators' bottom-k
+/// sampler became a heap that asks the estimator's own `S` for
+/// membership, the pair watcher began to keep short incident lists in
+/// place and to meter each list's vector header once, and `sharded`
+/// began to drop its edge sampler when pass 1 begins: one-pass 65096 →
+/// 62176 and 60198 → 42038, three-pass 76517 → 73269 and 83012 → 64422,
+/// two-pass 104618 → 101762 and 106706 → 88234, sharded 100144 → 94656
+/// and 113264 → 91816. No estimate, counter or digest moved.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -271,14 +279,14 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "one-pass/threshold",
             0x4088380000000000,
-            65096,
+            62176,
             None,
             vec![],
         ),
         row(
             "three-pass/threshold",
             0x4083300000000000,
-            76517,
+            73269,
             None,
             vec![],
         ),
@@ -286,7 +294,7 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/threshold",
                 0x4088C73333333333,
-                104618,
+                101762,
                 Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
                 vec![0xBB04601609BEAB54],
             ),
@@ -295,29 +303,29 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "sharded/sequential/threshold",
             0x4084A60000000000,
-            100144,
+            94656,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![0x44FBE2D78EF1C2DA, 0x150ACA9593C72D7A],
         ),
         row(
             "sharded/1/threshold",
             0x4084A60000000000,
-            100144,
+            94656,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/threshold",
             0x4084A60000000000,
-            100144,
+            94656,
             Some([938, 0, 1572, 1, 820, 220, 61, 450, 0]),
             vec![],
         ),
-        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 60198, None, vec![]),
+        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 42038, None, vec![]),
         row(
             "three-pass/bottom-k",
             0x4086B8DCAEF1D896,
-            83012,
+            64422,
             None,
             vec![],
         ),
@@ -325,7 +333,7 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/bottom-k",
                 0x4087648888888888,
-                106706,
+                88234,
                 Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
                 vec![0x95D308FDF00499E4],
             ),
@@ -334,21 +342,21 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "sharded/sequential/bottom-k",
             0x40841E237FA89E60,
-            113264,
+            91816,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![0xAE7D662E0758B129, 0x817A8F8E1E192997],
         ),
         row(
             "sharded/1/bottom-k",
             0x40841E237FA89E60,
-            113264,
+            91816,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/bottom-k",
             0x40841E237FA89E60,
-            113264,
+            91816,
             Some([1998, 798, 419, 2, 510, 0, 0, 450, 0]),
             vec![],
         ),

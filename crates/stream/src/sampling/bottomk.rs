@@ -8,7 +8,6 @@
 //! monitoring it immediately — the property Section 3.3.1 uses to collect
 //! triangles "from the first of the two times it appears".
 
-use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use crate::hashing::{FastBuildHasher, FastMap, HashFn};
@@ -27,13 +26,104 @@ pub enum BottomKEvent {
     Rejected,
 }
 
-/// A bottom-k sample over `u64` keys.
+/// The bottom-k decision rule over a max-heap of the sample's
+/// `(hash, key)`, for a caller that keeps the sample's membership itself:
+/// [`BottomKHeap::offer`] asks the caller whether a key is present, and the
+/// caller applies each returned event to its own set.
 #[derive(Debug, Clone)]
-pub struct BottomKSampler {
+pub struct BottomKHeap {
     k: usize,
     hash: HashFn,
     /// Max-heap of (hash, key) for the current sample.
     heap: BinaryHeap<(u64, u64)>,
+}
+
+impl BottomKHeap {
+    /// Heap retaining the `k` smallest-hashed keys.
+    pub fn new(seed: u64, k: usize) -> Self {
+        BottomKHeap {
+            k,
+            hash: HashFn::from_seed(seed, 0xB077_0A1C),
+            heap: BinaryHeap::with_capacity(k + 1),
+        }
+    }
+
+    /// The heap that offering `keys`, distinct keys, to a fresh one would
+    /// leave. It reserves room for the keys given, not for `k`.
+    pub fn from_keys(seed: u64, k: usize, keys: impl IntoIterator<Item = u64>) -> Self {
+        let mut heap = BottomKHeap {
+            k,
+            hash: HashFn::from_seed(seed, 0xB077_0A1C),
+            heap: BinaryHeap::new(),
+        };
+        for key in keys {
+            heap.offer(key, |_| false);
+        }
+        heap
+    }
+
+    /// Capacity `k`.
+    pub fn capacity(&self) -> usize {
+        self.k
+    }
+
+    /// Current sample size (`min(k, distinct keys offered)`).
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no key has been retained.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Offer a key; idempotent for keys already present. `in_s` answers
+    /// whether `key` is in the sample: the caller's set must hold exactly
+    /// this heap's keys, so it adds the key on `Inserted` or
+    /// `InsertedEvicting` and removes the evicted one.
+    pub fn offer(&mut self, key: u64, in_s: impl FnOnce(&u64) -> bool) -> BottomKEvent {
+        if self.k == 0 {
+            return BottomKEvent::Rejected;
+        }
+        let h = self.hash.hash(key);
+        let full = self.heap.len() == self.k;
+        // `HashFn::hash` is a bijection, so a hash above the sample's
+        // largest belongs to no member: reject it before the membership
+        // test.
+        if full && h > self.heap.peek().expect("heap full").0 {
+            return BottomKEvent::Rejected;
+        }
+        if in_s(&key) {
+            return BottomKEvent::AlreadyPresent;
+        }
+        if !full {
+            self.heap.push((h, key));
+            return BottomKEvent::Inserted;
+        }
+        // A non-member's hash differs from every member's, so `h` is below
+        // the largest one here.
+        let (_, max_key) = self.heap.pop().expect("heap full");
+        self.heap.push((h, key));
+        BottomKEvent::InsertedEvicting(max_key)
+    }
+
+    /// Iterate the sampled keys (arbitrary order).
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.heap.iter().map(|&(_, key)| key)
+    }
+}
+
+impl SpaceUsage for BottomKHeap {
+    fn space_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<(u64, u64)>()
+    }
+}
+
+/// A bottom-k sample over `u64` keys: a [`BottomKHeap`] with its own
+/// membership map.
+#[derive(Debug, Clone)]
+pub struct BottomKSampler {
+    core: BottomKHeap,
     /// Membership index: key → hash.
     members: FastMap<u64, u64>,
 }
@@ -49,16 +139,14 @@ impl BottomKSampler {
         // different peaks (a one-shard run stopped matching the sequential
         // one in `shard_equivalence.rs`).
         BottomKSampler {
-            k,
-            hash: HashFn::from_seed(seed, 0xB077_0A1C),
-            heap: BinaryHeap::with_capacity(k + 1),
+            core: BottomKHeap::new(seed, k),
             members: FastMap::with_capacity_and_hasher(k * 2, FastBuildHasher::default()),
         }
     }
 
     /// Capacity `k`.
     pub fn capacity(&self) -> usize {
-        self.k
+        self.core.capacity()
     }
 
     /// Current sample size (`min(k, distinct keys offered)`).
@@ -78,30 +166,15 @@ impl BottomKSampler {
 
     /// Offer a key; idempotent for keys already present.
     pub fn offer(&mut self, key: u64) -> BottomKEvent {
-        if self.k == 0 {
-            return BottomKEvent::Rejected;
+        let members = &self.members;
+        let event = self.core.offer(key, |k| members.contains_key(k));
+        if let BottomKEvent::Inserted | BottomKEvent::InsertedEvicting(_) = event {
+            self.members.insert(key, self.core.hash.hash(key));
         }
-        let h = self.hash.hash(key);
-        let full = self.heap.len() == self.k;
-        // `HashFn::hash` is a bijection, so a hash above the sample's
-        // largest belongs to no member: reject it before the map probe.
-        if full && h > self.heap.peek().expect("heap full").0 {
-            return BottomKEvent::Rejected;
+        if let BottomKEvent::InsertedEvicting(old) = event {
+            self.members.remove(&old);
         }
-        let Entry::Vacant(slot) = self.members.entry(key) else {
-            return BottomKEvent::AlreadyPresent;
-        };
-        slot.insert(h);
-        if !full {
-            self.heap.push((h, key));
-            return BottomKEvent::Inserted;
-        }
-        // A non-member's hash differs from every member's, so `h` is below
-        // the largest one here.
-        let (_, max_key) = self.heap.pop().expect("heap full");
-        self.heap.push((h, key));
-        self.members.remove(&max_key);
-        BottomKEvent::InsertedEvicting(max_key)
+        event
     }
 
     /// Iterate the sampled keys (arbitrary order).
@@ -112,7 +185,7 @@ impl BottomKSampler {
 
 impl SpaceUsage for BottomKSampler {
     fn space_bytes(&self) -> usize {
-        self.heap.capacity() * std::mem::size_of::<(u64, u64)>() + hashmap_bytes(&self.members)
+        self.core.space_bytes() + hashmap_bytes(&self.members)
     }
 }
 

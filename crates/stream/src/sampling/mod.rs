@@ -9,6 +9,8 @@
 //! * [`BottomKSampler`] — fixed-size bottom-k hashing: `S` is the `k` keys
 //!   with the smallest hashes. This matches the negative-association
 //!   analysis in the paper (fixed |S|) at the cost of evictions mid-stream.
+//!   Its decision rule is [`BottomKHeap`], which a caller that already
+//!   keeps `S` uses directly, without a second membership map.
 //!
 //! [`Reservoir`] sub-samples discovered items (the paper's `Q`).
 
@@ -16,6 +18,6 @@ mod bottomk;
 mod reservoir;
 mod threshold;
 
-pub use bottomk::{BottomKEvent, BottomKSampler};
+pub use bottomk::{BottomKEvent, BottomKHeap, BottomKSampler};
 pub use reservoir::{Reservoir, ReservoirEvent};
 pub use threshold::ThresholdSampler;
