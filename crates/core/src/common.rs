@@ -77,9 +77,9 @@ where
 /// Layout: a slot table. `slot_of` maps a packed pair to its slot in
 /// `slots`, which holds the pair's endpoints and refcount; `epochs` holds
 /// each slot's per-list hit epoch in a dense array of its own; `incident`
-/// lists, per vertex, the slots of the pairs containing it: the first
-/// [`INLINE`] in the map entry itself, and the rest of a longer list in a
-/// `spill` vector under the same vertex. Most vertices are in one or two
+/// lists, per vertex, the slots of the pairs containing it: the first two
+/// in the map entry itself, and the rest of a longer list in a `spill`
+/// vector under the same vertex. Most vertices are in one or two
 /// watched pairs, so most lists need no heap vector at all.
 /// [`PairWatcher::on_item`] makes one map probe per item and then indexes
 /// `epochs` directly, so the completion flag is an array read, not a hash
@@ -153,8 +153,8 @@ struct Incident {
     head: [u32; INLINE],
 }
 
-// An incident entry is no larger than the `(vertex, Vec)` entry it
-// replaced.
+// An incident entry is no larger than a `(vertex, Vec<u32>)` entry, the
+// size `PairWatcher::restore` computes its capped reserve from.
 const _: () =
     assert!(std::mem::size_of::<(u32, Incident)>() <= std::mem::size_of::<(u32, Vec<u32>)>());
 

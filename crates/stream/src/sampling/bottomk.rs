@@ -26,6 +26,9 @@ pub enum BottomKEvent {
     Rejected,
 }
 
+/// Salt of the sampler's seeded hash.
+const HASH_SALT: u64 = 0xB077_0A1C;
+
 /// The bottom-k decision rule over a max-heap of the sample's
 /// `(hash, key)`, for a caller that keeps the sample's membership itself:
 /// [`BottomKHeap::offer`] asks the caller whether a key is present, and the
@@ -43,7 +46,7 @@ impl BottomKHeap {
     pub fn new(seed: u64, k: usize) -> Self {
         BottomKHeap {
             k,
-            hash: HashFn::from_seed(seed, 0xB077_0A1C),
+            hash: HashFn::from_seed(seed, HASH_SALT),
             heap: BinaryHeap::with_capacity(k + 1),
         }
     }
@@ -53,7 +56,7 @@ impl BottomKHeap {
     pub fn from_keys(seed: u64, k: usize, keys: impl IntoIterator<Item = u64>) -> Self {
         let mut heap = BottomKHeap {
             k,
-            hash: HashFn::from_seed(seed, 0xB077_0A1C),
+            hash: HashFn::from_seed(seed, HASH_SALT),
             heap: BinaryHeap::new(),
         };
         for key in keys {
@@ -105,11 +108,6 @@ impl BottomKHeap {
         let (_, max_key) = self.heap.pop().expect("heap full");
         self.heap.push((h, key));
         BottomKEvent::InsertedEvicting(max_key)
-    }
-
-    /// Iterate the sampled keys (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.heap.iter().map(|&(_, key)| key)
     }
 }
 
