@@ -1,12 +1,14 @@
 //! Two-pass checkpoints written by earlier builds still resume.
 //!
 //! The fixtures are the pass-0 boundary payloads of `golden_bits.rs`'s
-//! workload for the two `two-pass` rows, exactly as the estimator saved
-//! them before its pass state was cut down to the live sample. Those
-//! payloads still carry the `monitors` and `activations` references of
-//! records that had already left `Q`. A daemon restarted on a newer build
-//! resumes from such a file, so restoring one must drop the dead
-//! references and finish with the pinned estimate bits and counters.
+//! workload for the two `two-pass` rows, exactly as earlier builds saved
+//! them. The oldest pair was saved before the pass state was cut down to
+//! the live sample: it still carries the `monitors` and `activations`
+//! references of records that had already left `Q`. The `_lists` pair was
+//! saved by the build that kept both reference lists in `Vec` order and
+//! wrote them out in full. A daemon restarted on a newer build resumes
+//! from such a file, so restoring one must finish with the pinned
+//! estimate bits and counters.
 //!
 //! CI runs this file with `--release` beside the golden bits.
 
@@ -57,30 +59,58 @@ struct Fixture {
     name: &'static str,
     sampling: EdgeSampling,
     payload: &'static [u8],
-    /// `golden_bits.rs`'s boundary digest before the live-sample change,
-    /// which proves the fixture is the old build's payload.
+    /// `golden_bits.rs`'s boundary digest in the build that saved the
+    /// fixture, which proves the fixture is that build's payload.
     old_digest: u64,
+    /// Whether this build saves the restored state in fewer bytes than
+    /// the fixture holds.
+    resaves_smaller: bool,
     estimate_bits: u64,
     counters: [u64; 9],
 }
 
-fn fixtures() -> [Fixture; 2] {
+const THRESHOLD_BITS: u64 = 0x4088C73333333333;
+const THRESHOLD_COUNTERS: [u64; 9] = [535, 0, 1572, 1, 402, 252, 479, 1741, 756];
+const BOTTOM_K_BITS: u64 = 0x4087648888888888;
+const BOTTOM_K_COUNTERS: [u64; 9] = [744, 444, 1513, 2, 480, 205, 172, 2184, 1434];
+
+fn fixtures() -> [Fixture; 4] {
     [
         Fixture {
             name: "two-pass/threshold",
             sampling: EdgeSampling::Threshold { p: 0.4 },
             payload: include_bytes!("fixtures/two_pass_threshold_pass0.ckpt"),
             old_digest: 0xEA0B3FF021CB5C02,
-            estimate_bits: 0x4088C73333333333,
-            counters: [535, 0, 1572, 1, 402, 252, 479, 1741, 756],
+            resaves_smaller: true,
+            estimate_bits: THRESHOLD_BITS,
+            counters: THRESHOLD_COUNTERS,
         },
         Fixture {
             name: "two-pass/bottom-k",
             sampling: EdgeSampling::BottomK { k: 300 },
             payload: include_bytes!("fixtures/two_pass_bottom_k_pass0.ckpt"),
             old_digest: 0x444B68C36B9E9454,
-            estimate_bits: 0x4087648888888888,
-            counters: [744, 444, 1513, 2, 480, 205, 172, 2184, 1434],
+            resaves_smaller: true,
+            estimate_bits: BOTTOM_K_BITS,
+            counters: BOTTOM_K_COUNTERS,
+        },
+        Fixture {
+            name: "two-pass/threshold, saved lists",
+            sampling: EdgeSampling::Threshold { p: 0.4 },
+            payload: include_bytes!("fixtures/two_pass_threshold_pass0_lists.ckpt"),
+            old_digest: 0xBB04601609BEAB54,
+            resaves_smaller: false,
+            estimate_bits: THRESHOLD_BITS,
+            counters: THRESHOLD_COUNTERS,
+        },
+        Fixture {
+            name: "two-pass/bottom-k, saved lists",
+            sampling: EdgeSampling::BottomK { k: 300 },
+            payload: include_bytes!("fixtures/two_pass_bottom_k_pass0_lists.ckpt"),
+            old_digest: 0x95D308FDF00499E4,
+            resaves_smaller: false,
+            estimate_bits: BOTTOM_K_BITS,
+            counters: BOTTOM_K_COUNTERS,
         },
     ]
 }
@@ -92,9 +122,8 @@ fn pass_zero_fixtures_resume_to_the_pinned_bits() {
         assert_eq!(digest(fx.payload), fx.old_digest, "{}", fx.name);
         let mut algo = TwoPassTriangle::restore(&mut &fx.payload[..])
             .unwrap_or_else(|e| panic!("{}: restore failed: {e}", fx.name));
-        // The dead references are gone: the restored state saves exactly
-        // as many bytes as this build's own pass-0 boundary, fewer than the
-        // fixture holds.
+        // The restored state saves exactly as many bytes as this build's
+        // own pass-0 boundary.
         let mut resaved = Vec::new();
         algo.save(&mut resaved).expect("save");
         let mut fresh = TwoPassTriangle::new(TwoPassTriangleConfig {
@@ -108,7 +137,12 @@ fn pass_zero_fixtures_resume_to_the_pinned_bits() {
         let mut live = Vec::new();
         fresh.save(&mut live).expect("save");
         assert_eq!(resaved.len(), live.len(), "{}", fx.name);
-        assert!(resaved.len() < fx.payload.len(), "{}", fx.name);
+        assert_eq!(
+            resaved.len() < fx.payload.len(),
+            fx.resaves_smaller,
+            "{}",
+            fx.name
+        );
 
         drive_pass_slice(&mut algo, 1, &items, &mut peak, &mut processed).expect("pass 1");
         let counters = algo.obs_counters().map(flat);

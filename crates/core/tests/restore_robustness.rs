@@ -4,7 +4,10 @@
 //! A pass-boundary `TwoPassTriangle` checkpoint and a `PairWatcher` save
 //! are cut at every offset and have each of their bits flipped in turn.
 //! Every restore must return `Ok` or an `io::Error` of kind `InvalidData`
-//! or `UnexpectedEof`, and a cut checkpoint must be refused. Restores
+//! or `UnexpectedEof`, and a cut checkpoint must be refused. A flipped
+//! two-pass checkpoint that restores is run on through its second pass
+//! and `finish`, which must not panic either: restore has to refuse what
+//! the rest of the run cannot handle. Restores
 //! preallocate from saved counts at most `seq_reserve`'s 1 MiB of
 //! elements; a hash map reserved for that many allocates under 3 MiB
 //! (power-of-two buckets at a 7/8 load, one control byte each), so no
@@ -21,8 +24,8 @@ use adjstream_core::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream_graph::{gen, VertexId};
 use adjstream_stream::checkpoint::Checkpoint;
 use adjstream_stream::meter::PeakTracker;
-use adjstream_stream::runner::drive_pass_slice;
-use adjstream_stream::{AdjListStream, StreamOrder};
+use adjstream_stream::runner::{drive_pass_slice, MultiPassAlgorithm};
+use adjstream_stream::{AdjListStream, StreamItem, StreamOrder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -105,34 +108,47 @@ fn restore<T: Checkpoint>(bytes: &[u8], what: &str) -> io::Result<T> {
 }
 
 /// Cut `blob` at every offset and flip each of its bits, restoring each
-/// result as a `T`.
-fn corrupt_every_way<T: Checkpoint>(name: &str, blob: &[u8]) {
+/// result as a `T`. Every flipped blob that restores is handed to
+/// `resume`, which must not panic. Returns how many flipped blobs
+/// restored.
+fn corrupt_every_way<T: Checkpoint>(name: &str, blob: &[u8], resume: impl Fn(T)) -> usize {
     assert!(restore::<T>(blob, name).is_ok(), "{name}: the saved blob");
     for len in 0..blob.len() {
         let what = format!("{name} cut to {len} bytes");
         assert!(restore::<T>(&blob[..len], &what).is_err(), "{what}");
     }
+    let mut restored = 0;
     let mut flipped = blob.to_vec();
     for bit in 0..blob.len() * 8 {
         flipped[bit / 8] ^= 1 << (bit % 8);
-        let _ = restore::<T>(&flipped, &format!("{name} with bit {bit} flipped"));
+        let what = format!("{name} with bit {bit} flipped");
+        if let Ok(state) = restore::<T>(&flipped, &what) {
+            restored += 1;
+            let resumed = catch_unwind(AssertUnwindSafe(|| resume(state)));
+            assert!(resumed.is_ok(), "{what}: resume panicked");
+        }
         flipped[bit / 8] ^= 1 << (bit % 8);
     }
+    restored
 }
 
-/// A pass-0 boundary checkpoint of the two-pass counter: a full bottom-k
-/// sample that evicted, a saturated pair subsample, and a book whose
+/// The stream of the two-pass checkpoint: a random graph and a book whose
 /// spine vertices the watcher lists under many pairs.
-fn two_pass_blob() -> Vec<u8> {
+fn two_pass_items() -> Vec<StreamItem> {
     let mut rng = StdRng::seed_from_u64(32);
     let g = gen::gnm(20, 70, &mut rng).disjoint_union(&gen::book(6));
-    let items = AdjListStream::new(&g, StreamOrder::shuffled(g.vertex_count(), 5)).collect_items();
+    AdjListStream::new(&g, StreamOrder::shuffled(g.vertex_count(), 5)).collect_items()
+}
+
+/// A pass-0 boundary checkpoint of the two-pass counter over `items`: a
+/// full bottom-k sample that evicted and a saturated pair subsample.
+fn two_pass_blob(items: &[StreamItem]) -> Vec<u8> {
     let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
         seed: 7,
         edge_sampling: EdgeSampling::BottomK { k: 24 },
         pair_capacity: 8,
     });
-    drive_pass_slice(&mut algo, 0, &items, &mut PeakTracker::new(), &mut 0).expect("pass 0");
+    drive_pass_slice(&mut algo, 0, items, &mut PeakTracker::new(), &mut 0).expect("pass 0");
     let mut blob = Vec::new();
     algo.save(&mut blob).expect("save");
     blob
@@ -158,6 +174,15 @@ fn watcher_blob() -> Vec<u8> {
 
 #[test]
 fn corrupt_checkpoints_restore_to_a_state_or_a_typed_error() {
-    corrupt_every_way::<TwoPassTriangle>("two-pass", &two_pass_blob());
-    corrupt_every_way::<PairWatcher>("watcher", &watcher_blob());
+    let items = two_pass_items();
+    let resume = |mut algo: TwoPassTriangle| {
+        drive_pass_slice(&mut algo, 1, &items, &mut PeakTracker::new(), &mut 0).expect("pass 1");
+        algo.finish();
+    };
+    let restored = corrupt_every_way("two-pass", &two_pass_blob(&items), resume);
+    assert!(
+        restored > 0,
+        "some flipped checkpoints must restore and resume"
+    );
+    corrupt_every_way::<PairWatcher>("watcher", &watcher_blob(), drop);
 }
