@@ -31,9 +31,10 @@ pub enum EdgeSampling {
 }
 
 /// Push `val` onto `map[key]`, returning the byte-accounting delta of the
-/// map's inner vectors: a 24-byte `Vec` header when the entry is new plus
-/// `elem_bytes` per unit of capacity growth. Callers accumulate the deltas
-/// (and subtract `capacity · elem_bytes + 24` on entry removal) so
+/// map's inner vectors' buffers: `elem_bytes` per unit of capacity growth.
+/// Each `Vec` header is already in the map's own entry, which
+/// [`hashmap_bytes`] meters. Callers accumulate the deltas (and subtract
+/// `capacity · elem_bytes` on entry removal) so
 /// [`SpaceUsage::space_bytes`] stays O(1) instead of rescanning every value
 /// — the rescan was the dominant cost of peak metering on large budgets.
 /// The vacant arm reproduces `entry(k).or_default().push(v)` exactly, so
@@ -59,7 +60,7 @@ where
         Entry::Vacant(e) => {
             let v = e.insert(Vec::new());
             v.push(val);
-            24 + v.capacity() * elem_bytes
+            v.capacity() * elem_bytes
         }
     }
 }
@@ -321,6 +322,12 @@ impl PairWatcher {
     /// [`PairWatcher::on_item`] reports with its completions.
     pub fn slot(&self, key: u64) -> Option<u32> {
         self.slot_of.get(&key).copied()
+    }
+
+    /// The watch count of the pair packed as `key`: zero if unwatched.
+    pub fn refs(&self, key: u64) -> u32 {
+        self.slot(key)
+            .map_or(0, |slot| self.slots[slot as usize].refs)
     }
 
     /// Number of distinct watched pairs.

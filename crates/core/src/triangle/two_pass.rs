@@ -57,7 +57,7 @@ pub struct TwoPassTriangleConfig {
 }
 
 /// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state, its `Q`
-/// position and its slots' places in the two reference lists.
+/// position and its nodes' places in the two reference lists.
 #[derive(Debug, Clone)]
 struct PairRecord {
     /// Generation tag guarding against slab-slot reuse.
@@ -75,19 +75,20 @@ struct PairRecord {
     active: [bool; 3],
     /// Store position of the record's entry in `Q`.
     q_pos: u32,
-    /// Each slot's links in its two lists: `links[MONITORS]` in
-    /// `monitors[slot edge]`, and `links[ACTIVATIONS]`, while the slot is
-    /// inactive, in `activations[opposite vertex]`.
-    links: [[Link; 3]; 2],
+    /// The record's links: `links[MONITOR]` in `monitors[e]`, and
+    /// `links[ACTIVATION + slot]`, while the slot is inactive, in
+    /// `activations[opposite vertex]`.
+    links: [Link; 4],
 }
 
-/// Index of the `monitors` links in [`PairRecord::links`].
-const MONITORS: usize = 0;
-/// Index of the `activations` links in [`PairRecord::links`].
-const ACTIVATIONS: usize = 1;
+/// Index in [`PairRecord::links`] of the record's `monitors` node.
+const MONITOR: usize = 0;
+/// Index in [`PairRecord::links`] of triangle slot 0's `activations`
+/// node; slot `s` has `ACTIVATION + s`.
+const ACTIVATION: usize = 1;
 
-/// A node's neighbours in its reference list. A node is one slot of one
-/// record, numbered `slab * 3 + slot`.
+/// A node's neighbours in its reference list. A node is one link of one
+/// record, numbered `slab * 4 + link`.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
@@ -98,114 +99,88 @@ struct Link {
 const NIL: u32 = u32::MAX;
 
 /// The links of a record in no list yet.
-const UNLINKED: [[Link; 3]; 2] = [[Link {
+const UNLINKED: [Link; 4] = [Link {
     prev: NIL,
     next: NIL,
-}; 3]; 2];
+}; 4];
 
-/// Slab length at which the next slot's nodes would reach [`NIL`].
-const MAX_SLAB: usize = (NIL / 3) as usize;
+/// Slab length at which the next record's nodes would reach [`NIL`].
+const MAX_SLAB: usize = (NIL / 4) as usize;
 
-/// The node of slab slot `slab`'s triangle slot `slot`.
-fn node(slab: u32, slot: usize) -> u32 {
-    slab * 3 + slot as u32
+/// The node of slab slot `slab`'s link `link`.
+fn node(slab: u32, link: usize) -> u32 {
+    slab * 4 + link as u32
 }
 
-/// The live record and the triangle slot that node `n` names.
-fn node_slot(slab: &mut [Option<PairRecord>], n: u32) -> (&mut PairRecord, usize) {
-    let rec = slab[(n / 3) as usize]
+/// The live record that node `n` belongs to, and the index of its link.
+fn node_link(slab: &mut [Option<PairRecord>], n: u32) -> (&mut PairRecord, usize) {
+    let rec = slab[(n / 4) as usize]
         .as_mut()
         .expect("lists name live records");
-    (rec, (n % 3) as usize)
+    (rec, (n % 4) as usize)
 }
 
-/// Node `n`'s links in list `L`.
-fn link_mut<const L: usize>(slab: &mut [Option<PairRecord>], n: u32) -> &mut Link {
-    let (rec, slot) = node_slot(slab, n);
-    &mut rec.links[L][slot]
+/// Node `n`'s links.
+fn link_mut(slab: &mut [Option<PairRecord>], n: u32) -> &mut Link {
+    let (rec, link) = node_link(slab, n);
+    &mut rec.links[link]
 }
 
-/// The nodes of list `L` from `head` on, in order.
-fn walk<const L: usize>(slab: &[Option<PairRecord>], head: u32) -> impl Iterator<Item = u32> + '_ {
+/// The nodes of the list from `head` on.
+fn walk(slab: &[Option<PairRecord>], head: u32) -> impl Iterator<Item = u32> + '_ {
     let next = move |&n: &u32| {
-        let rec = slab[(n / 3) as usize]
+        let rec = slab[(n / 4) as usize]
             .as_ref()
             .expect("lists name live records");
-        Some(rec.links[L][(n % 3) as usize].next).filter(|&m| m != NIL)
+        Some(rec.links[(n % 4) as usize].next).filter(|&m| m != NIL)
     };
     std::iter::successors(Some(head).filter(|&n| n != NIL), next)
 }
 
-/// Key → an intrusive list of record slots, threaded through the slots'
-/// `links[L]` in the slab. A record has one node per slot in `monitors`
-/// and one per inactive slot in `activations`, and
-/// [`TwoPassTriangle::destroy`] unlinks them with the record, so no list
-/// names a dead record.
-#[derive(Debug)]
-struct SlotRefs<K, const L: usize> {
-    /// Key → `(head, tail)` of its list. An emptied list leaves the map.
-    map: FastMap<K, (u32, u32)>,
+/// Key → an intrusive list of record nodes, threaded through the nodes'
+/// links in the slab. The lists are an index over the slab: nothing reads
+/// their order, restore rebuilds them, and [`TwoPassTriangle::destroy`]
+/// unlinks a record's nodes with it, so no list names a dead record.
+#[derive(Debug, Default)]
+struct SlotRefs<K> {
+    /// Key → the head of its list. An emptied list leaves the map.
+    map: FastMap<K, u32>,
 }
 
-impl<K: Copy + Eq + Hash, const L: usize> SlotRefs<K, L> {
-    fn new() -> Self {
-        SlotRefs {
-            map: FastMap::default(),
-        }
-    }
-
-    /// Append node `n` to `key`'s list.
+impl<K: Copy + Eq + Hash> SlotRefs<K> {
+    /// Put node `n` at the front of `key`'s list.
     fn push(&mut self, slab: &mut [Option<PairRecord>], key: K, n: u32) {
-        let mut prev = NIL;
-        self.map
-            .entry(key)
-            .and_modify(|(_, tail)| prev = std::mem::replace(tail, n))
-            .or_insert((n, n));
-        if prev != NIL {
-            link_mut::<L>(slab, prev).next = n;
+        let next = self.map.insert(key, n).unwrap_or(NIL);
+        if next != NIL {
+            link_mut(slab, next).prev = n;
         }
-        *link_mut::<L>(slab, n) = Link { prev, next: NIL };
+        *link_mut(slab, n) = Link { prev: NIL, next };
     }
 
     /// The first node of `key`'s list, or [`NIL`].
     fn head(&self, key: K) -> u32 {
-        self.map.get(&key).map_or(NIL, |&(head, _)| head)
+        self.map.get(&key).copied().unwrap_or(NIL)
     }
 
-    /// Unlink node `n` from `key`'s list as `Vec::swap_remove` removes an
-    /// element: the tail node takes `n`'s place. So a list keeps the order
-    /// that a vector under the same pushes and removals would have.
-    fn swap_remove(&mut self, slab: &mut [Option<PairRecord>], key: K, n: u32) {
-        let ends = self.map.get_mut(&key).expect("a live record's list");
-        let tail = ends.1;
-        let before_tail = link_mut::<L>(slab, tail).prev;
-        if before_tail == NIL {
-            debug_assert_eq!(tail, n, "a one-node list holds the node removed");
-            self.map.remove(&key);
-            return;
+    /// Unlink node `n` from `key`'s list.
+    fn unlink(&mut self, slab: &mut [Option<PairRecord>], key: K, n: u32) {
+        let Link { prev, next } = *link_mut(slab, n);
+        match (prev, next) {
+            (NIL, NIL) => {
+                self.map.remove(&key);
+            }
+            (NIL, _) => *self.map.get_mut(&key).expect("a live record's list") = next,
+            _ => link_mut(slab, prev).next = next,
         }
-        link_mut::<L>(slab, before_tail).next = NIL;
-        ends.1 = before_tail;
-        if n != tail {
-            // Read after the unlink: if `n` preceded the tail, it is now
-            // the tail itself.
-            let Link { prev, next } = *link_mut::<L>(slab, n);
-            *link_mut::<L>(slab, tail) = Link { prev, next };
-            match prev {
-                NIL => ends.0 = tail,
-                p => link_mut::<L>(slab, p).next = tail,
-            }
-            match next {
-                NIL => ends.1 = tail,
-                m => link_mut::<L>(slab, m).prev = tail,
-            }
+        if next != NIL {
+            link_mut(slab, next).prev = prev;
         }
     }
 
     /// Remove `key`'s whole list, returning its head (or [`NIL`]). The
     /// nodes keep their links, so the caller can still walk them.
     fn take(&mut self, key: K) -> u32 {
-        self.map.remove(&key).map_or(NIL, |(head, _)| head)
+        self.map.remove(&key).unwrap_or(NIL)
     }
 
     fn space_bytes(&self) -> usize {
@@ -252,10 +227,10 @@ pub struct TwoPassTriangle {
     free: Vec<u32>,
     /// Next generation for freed slab slots.
     free_gens: FastMap<u32, u32>,
-    /// Packed edge → monitoring pairs.
-    monitors: SlotRefs<u64, MONITORS>,
+    /// Sampled edge → the records of the pairs discovered at it.
+    monitors: SlotRefs<u64>,
     /// Opposite vertex → pending slot activations.
-    activations: SlotRefs<u32, ACTIVATIONS>,
+    activations: SlotRefs<u32>,
     watcher: PairWatcher,
     /// Pass-2 completions of each watched pair, by watcher slot (a slot
     /// reused by another pair keeps counting; only differences are read).
@@ -283,8 +258,8 @@ impl TwoPassTriangle {
             slab: Vec::new(),
             free: Vec::new(),
             free_gens: FastMap::default(),
-            monitors: SlotRefs::new(),
-            activations: SlotRefs::new(),
+            monitors: SlotRefs::default(),
+            activations: SlotRefs::default(),
             watcher: PairWatcher::new(),
             completions: Vec::new(),
             completed_buf: Vec::new(),
@@ -292,18 +267,28 @@ impl TwoPassTriangle {
         }
     }
 
-    /// Register watches, monitors and activations for a record freshly
-    /// stored at `Q` position `q_pos`.
+    /// Register watches and list nodes for a record freshly stored at `Q`
+    /// position `q_pos`.
     fn attach(&mut self, slab: u32, gen: u32, q_pos: u32) {
         let rec = referent(&mut self.slab, slab, gen);
         rec.q_pos = q_pos;
         let tri = rec.tri;
         for slot in 0..3 {
-            let edge = tri.slot_edge(slot);
-            let (a, b) = unpack_pair(edge);
+            let (a, b) = unpack_pair(tri.slot_edge(slot));
             self.watcher.watch(a, b);
-            let n = node(slab, slot);
-            self.monitors.push(&mut self.slab, edge, n);
+        }
+        self.link(slab);
+    }
+
+    /// Put the live record at slab slot `slab` into `monitors` under its
+    /// sampled edge and into `activations` once per inactive slot.
+    fn link(&mut self, slab: u32) {
+        let rec = self.slab[slab as usize].as_ref().expect("a live record");
+        let (tri, active) = (rec.tri, rec.active);
+        self.monitors
+            .push(&mut self.slab, tri.slot_edge(0), node(slab, MONITOR));
+        for slot in (0..3).filter(|&slot| !active[slot]) {
+            let n = node(slab, ACTIVATION + slot);
             self.activations
                 .push(&mut self.slab, tri.opposite(slot).0, n);
         }
@@ -320,18 +305,15 @@ impl TwoPassTriangle {
             self.watcher.unwatch(a, b);
         }
         // The record stays in the slab until its nodes are unlinked: on a
-        // stream that breaks the promise, two of its slots can share a
-        // list, and the tail moved into a removed node's place may be its
-        // own other slot.
-        for (slot, &is_active) in active.iter().enumerate() {
-            let n = node(slab, slot);
-            self.monitors
-                .swap_remove(&mut self.slab, tri.slot_edge(slot), n);
-            // An active slot's activation node was consumed with its list.
-            if !is_active {
-                self.activations
-                    .swap_remove(&mut self.slab, tri.opposite(slot).0, n);
-            }
+        // stream that breaks the promise, two of its slots can share an
+        // `activations` list, so a node's neighbour may be its own.
+        self.monitors
+            .unlink(&mut self.slab, tri.slot_edge(0), node(slab, MONITOR));
+        // An active slot's activation node was consumed with its list.
+        for slot in (0..3).filter(|&slot| !active[slot]) {
+            let n = node(slab, ACTIVATION + slot);
+            self.activations
+                .unlink(&mut self.slab, tri.opposite(slot).0, n);
         }
         let rec = self.slab[slab as usize].take().expect("still live");
         self.release(slab, gen);
@@ -381,13 +363,11 @@ impl TwoPassTriangle {
         let (a, b) = unpack_pair(e_key);
         self.watcher.unwatch(a, b);
         self.discovered -= u64::from(info.discoveries);
-        // Destroy the pairs discovered at this edge: every record monitors
-        // its slot-0 edge, so they are the slot-0 entries of
+        // Destroy the pairs discovered at this edge, the list
         // `monitors[e_key]`. Slab order keeps the free list and the
         // watcher's `swap_remove`s as a full slab scan would leave them.
-        let mut victims: Vec<u32> = walk::<MONITORS>(&self.slab, self.monitors.head(e_key))
-            .filter(|&n| n % 3 == 0)
-            .map(|n| n / 3)
+        let mut victims: Vec<u32> = walk(&self.slab, self.monitors.head(e_key))
+            .map(|n| n / 4)
             .collect();
         victims.sort_unstable();
         for s in victims {
@@ -552,12 +532,13 @@ impl MultiPassAlgorithm for TwoPassTriangle {
         if self.pass == 1 {
             let mut n = self.activations.take(owner.0);
             while n != NIL {
-                let (rec, slot) = node_slot(&mut self.slab, n);
+                let (rec, link) = node_link(&mut self.slab, n);
+                let slot = link - ACTIVATION;
                 let edge = rec.tri.slot_edge(slot);
                 let count = completion_count(&self.watcher, &self.completions, edge);
                 rec.h[slot] = count.wrapping_sub(rec.h[slot]);
                 rec.active[slot] = true;
-                n = rec.links[ACTIVATIONS][slot].next;
+                n = rec.links[link].next;
             }
         }
     }
@@ -598,10 +579,11 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 /// (`pos`, `next_pos`) and the completion scratch buffer are reset rather
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
 /// the resumed run enters pass 2. The sampler is rebuilt from the saved
-/// `S` (see `EdgeSampler::rebuild`). The record positions and links are
-/// not saved either: a reference list is saved as its `(slab, gen, slot)`
-/// references in list order, and restore rethreads the links and
-/// recomputes the positions from the saved order of `Q` and of each list.
+/// `S` (see `EdgeSampler::rebuild`). The record positions come from the
+/// saved order of `Q`. The two reference lists are an index over the
+/// slab: each is saved as an empty `key → [(slab, gen, slot)]` section,
+/// and restore reads past whatever lists the section holds (earlier
+/// builds saved them in full) and rebuilds both from the records.
 impl Checkpoint for TwoPassTriangle {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
         save_config(
@@ -656,8 +638,9 @@ impl Checkpoint for TwoPassTriangle {
             write_u32(w, slot)?;
             write_u32(w, gen)?;
         }
-        save_ref_map(w, &self.monitors, &self.slab)?;
-        save_ref_map(w, &self.activations, &self.slab)?;
+        // The empty `monitors` and `activations` sections.
+        write_usize(w, 0)?;
+        write_usize(w, 0)?;
         self.watcher.save(w)?;
         self.counters.save(w)
     }
@@ -753,15 +736,13 @@ impl Checkpoint for TwoPassTriangle {
             let gen = read_u32(r)?;
             free_gens.insert(slot, gen);
         }
-        let monitors = restore_ref_map(r, &mut slab, |rec, slot| Some(rec.tri.slot_edge(slot)))?;
-        // An active slot has no activation left.
-        let activations = restore_ref_map(r, &mut slab, |rec, slot| {
-            (!rec.active[slot]).then(|| rec.tri.opposite(slot).0.into())
-        })?;
+        skip_ref_map(r)?;
+        skip_ref_map(r)?;
         let watcher = PairWatcher::restore(r)?;
+        check_watches(&watcher, &s_edges, &slab)?;
         let counters = ObsCounters::restore(r)?;
         let sampler = EdgeSampler::rebuild(seed, edge_sampling, pass, s_edges.keys().copied())?;
-        Ok(TwoPassTriangle {
+        let mut algo = TwoPassTriangle {
             cfg,
             pass,
             pos: 0,
@@ -774,13 +755,19 @@ impl Checkpoint for TwoPassTriangle {
             slab,
             free,
             free_gens,
-            monitors,
-            activations,
+            monitors: SlotRefs::default(),
+            activations: SlotRefs::default(),
             watcher,
             completions: Vec::new(),
             completed_buf: Vec::new(),
             counters,
-        })
+        };
+        for s in 0..algo.slab.len() as u32 {
+            if algo.slab[s as usize].is_some() {
+                algo.link(s);
+            }
+        }
+        Ok(algo)
     }
 }
 
@@ -803,94 +790,41 @@ fn read_count(r: &mut dyn Read, what: &str) -> io::Result<u32> {
     u32::try_from(raw).map_err(|_| corrupt(format!("{what} {raw} exceeds u32")))
 }
 
-/// Serialize a reference map as `key → [(slab, gen, slot)]`, each list in
-/// its order (which is behaviorally significant; map-level order is not).
-fn save_ref_map<K, const L: usize>(
-    w: &mut dyn Write,
-    refs: &SlotRefs<K, L>,
-    slab: &[Option<PairRecord>],
-) -> io::Result<()>
-where
-    K: Copy + Into<u64>,
-{
-    write_usize(w, refs.map.len())?;
-    for (&key, &(head, _)) in &refs.map {
-        write_u64(w, key.into())?;
-        write_usize(w, walk::<L>(slab, head).count())?;
-        for n in walk::<L>(slab, head) {
-            let rec = slab[(n / 3) as usize]
-                .as_ref()
-                .expect("lists name live records");
-            write_u32(w, n / 3)?;
-            write_u32(w, rec.gen)?;
-            write_u8(w, (n % 3) as u8)?;
+/// Read past a saved reference-list section, `key → [(slab, gen, slot)]`,
+/// without allocating: this build saves it empty, and earlier builds
+/// saved the lists in full.
+fn skip_ref_map(r: &mut dyn Read) -> io::Result<()> {
+    for _ in 0..read_usize(r)? {
+        read_u64(r)?;
+        for _ in 0..read_usize(r)? {
+            r.read_exact(&mut [0; 9])?;
         }
     }
     Ok(())
 }
 
-/// Inverse of [`save_ref_map`]: thread each saved list through its
-/// records' `links[L]`. A checkpoint written before references were
-/// removed with their records also holds references to destroyed ones:
-/// those are dropped here. `key_of` names the key each slot's node must
-/// sit under, or `None` if the slot has no node in this map. A misplaced
-/// or repeated reference, or a live slot left without its node, is
-/// refused.
-fn restore_ref_map<K, const L: usize>(
-    r: &mut dyn Read,
-    slab: &mut [Option<PairRecord>],
-    key_of: impl Fn(&PairRecord, usize) -> Option<u64>,
-) -> io::Result<SlotRefs<K, L>>
-where
-    K: Copy + Eq + Hash + TryFrom<u64>,
-{
-    let n = read_usize(r)?;
-    let mut refs = SlotRefs::new();
-    refs.map.reserve(seq_reserve::<(K, (u32, u32))>(n));
-    // Tracked apart from the links: a one-node list links to `NIL` at
-    // both ends, exactly like a node not yet placed.
-    let mut placed = vec![false; slab.len() * 3];
-    for _ in 0..n {
-        let raw = read_u64(r)?;
-        let key = K::try_from(raw).map_err(|_| corrupt(format!("map key {raw} out of range")))?;
-        let (mut head, mut tail) = (NIL, NIL);
-        for _ in 0..read_usize(r)? {
-            let (s, g, slot) = (read_u32(r)?, read_u32(r)?, read_u8(r)?);
-            if !matches!(slab.get(s as usize), Some(Some(rec)) if rec.gen == g) {
-                continue;
-            }
-            if slot > 2 {
-                return Err(corrupt(format!("reference to slot {slot}")));
-            }
-            let slot = usize::from(slot);
-            let n = node(s, slot);
-            let rec = referent(slab, s, g);
-            if key_of(rec, slot) != Some(raw) || placed[n as usize] {
-                return Err(corrupt("reference misplaced or repeated"));
-            }
-            placed[n as usize] = true;
-            rec.links[L][slot] = Link {
-                prev: tail,
-                next: NIL,
-            };
-            match tail {
-                NIL => head = n,
-                t => link_mut::<L>(slab, t).next = n,
-            }
-            tail = n;
-        }
-        if head != NIL && refs.map.insert(key, (head, tail)).is_some() {
-            return Err(corrupt(format!("map key {raw} repeated")));
-        }
+/// Refuse a restored watcher that does not hold exactly the watches of
+/// `S` and the records: one per sampled edge and one per record slot. A
+/// later `unwatch` of the records or of `S` must find what it releases.
+fn check_watches(
+    watcher: &PairWatcher,
+    s_edges: &FastMap<u64, EdgeInfo>,
+    slab: &[Option<PairRecord>],
+) -> io::Result<()> {
+    let mut need: FastMap<u64, u32> = FastMap::default();
+    let slot_edges = slab
+        .iter()
+        .flatten()
+        .flat_map(|rec| (0..3).map(|slot| rec.tri.slot_edge(slot)));
+    for key in s_edges.keys().copied().chain(slot_edges) {
+        *need.entry(key).or_default() += 1;
     }
-    for (s, rec) in slab.iter().enumerate() {
-        let Some(rec) = rec else { continue };
-        if (0..3).any(|slot| key_of(rec, slot).is_some() && !placed[node(s as u32, slot) as usize])
-        {
-            return Err(corrupt("live record without its references"));
-        }
+    if need.len() != watcher.watched_pairs()
+        || need.iter().any(|(&key, &refs)| watcher.refs(key) != refs)
+    {
+        return Err(corrupt("watched pairs differ from the sample's"));
     }
-    Ok(refs)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1079,38 +1013,38 @@ mod tests {
         }
     }
 
-    /// The nodes of `key`'s list in `refs`, checking its links as it
-    /// walks: the head's `prev` and the tail's `next` are `NIL`, each
-    /// `prev` names the node before, every node is a live record's, and
-    /// the map's tail is the last node.
-    fn list_nodes<K: Copy + Eq + Hash, const L: usize>(
-        refs: &SlotRefs<K, L>,
+    /// The nodes of `key`'s list in `refs`, sorted, checking its links as
+    /// it walks: the head's `prev` and the tail's `next` are `NIL`, each
+    /// `prev` names the node before, and every node is a live record's.
+    fn list_nodes<K: Copy + Eq + Hash>(
+        refs: &SlotRefs<K>,
         slab: &[Option<PairRecord>],
         key: K,
         ctx: &str,
     ) -> Vec<u32> {
-        let Some(&(head, tail)) = refs.map.get(&key) else {
-            return Vec::new();
-        };
         let mut nodes = Vec::new();
-        let (mut prev, mut n) = (NIL, head);
+        let (mut prev, mut n) = (NIL, refs.head(key));
         while n != NIL {
-            assert!(nodes.len() < 3 * slab.len(), "{ctx}: a list cycles");
-            let rec = slab[(n / 3) as usize].as_ref().unwrap_or_else(|| {
-                panic!("{ctx}: list names dead slab slot {}", n / 3);
+            assert!(nodes.len() < 4 * slab.len(), "{ctx}: a list cycles");
+            let rec = slab[(n / 4) as usize].as_ref().unwrap_or_else(|| {
+                panic!("{ctx}: list names dead slab slot {}", n / 4);
             });
-            let link = rec.links[L][(n % 3) as usize];
+            let link = rec.links[(n % 4) as usize];
             assert_eq!(link.prev, prev, "{ctx}: node {n}'s prev");
             nodes.push(n);
             (prev, n) = (n, link.next);
         }
-        assert!(!nodes.is_empty(), "{ctx}: empty list in the map");
-        assert_eq!(prev, tail, "{ctx}: the map's tail");
+        assert_eq!(
+            nodes.is_empty(),
+            !refs.map.contains_key(&key),
+            "{ctx}: an empty list leaves the map"
+        );
+        nodes.sort_unstable();
         nodes
     }
 
-    /// Assert that `a` holds only live sample state: every live record's
-    /// slot sits exactly once in its edge's `monitors` list, every
+    /// Assert that `a` holds only live sample state: every live record
+    /// sits exactly once in its sampled edge's `monitors` list, every
     /// inactive slot exactly once in its opposite vertex's `activations`
     /// list, and nothing else sits in either; every list's links agree
     /// (see [`list_nodes`]); `Q` is exactly the live records, each at its
@@ -1135,36 +1069,32 @@ mod tests {
         let mut monitored = Vec::new();
         for &key in a.monitors.map.keys() {
             for n in list_nodes(&a.monitors, &a.slab, key, ctx) {
-                let r = a.slab[(n / 3) as usize].as_ref().expect("checked live");
-                assert_eq!(r.tri.slot_edge((n % 3) as usize), key, "{ctx}");
+                let r = a.slab[(n / 4) as usize].as_ref().expect("checked live");
+                assert_eq!(n % 4, MONITOR as u32, "{ctx}: a monitors node");
+                assert_eq!(r.tri.slot_edge(0), key, "{ctx}");
                 monitored.push(n);
             }
         }
         let mut pending = Vec::new();
         for &key in a.activations.map.keys() {
             for n in list_nodes(&a.activations, &a.slab, key, ctx) {
-                let (r, slot) = (a.slab[(n / 3) as usize].as_ref().unwrap(), n % 3);
-                assert!(
-                    !r.active[slot as usize],
-                    "{ctx}: activation of an active slot"
-                );
-                assert_eq!(r.tri.opposite(slot as usize).0, key, "{ctx}");
+                let r = a.slab[(n / 4) as usize].as_ref().expect("checked live");
+                let slot = (n % 4) as usize - ACTIVATION;
+                assert!(!r.active[slot], "{ctx}: activation of an active slot");
+                assert_eq!(r.tri.opposite(slot).0, key, "{ctx}");
                 pending.push(n);
             }
         }
         monitored.sort_unstable();
         pending.sort_unstable();
-        let all: Vec<u32> = live
-            .iter()
-            .flat_map(|&(s, _)| (0..3).map(move |slot| node(s, slot)))
-            .collect();
-        assert_eq!(monitored, all, "{ctx}: each live slot monitors once");
+        let all: Vec<u32> = live.iter().map(|&(s, _)| node(s, MONITOR)).collect();
+        assert_eq!(monitored, all, "{ctx}: each live record monitors once");
         let inactive: Vec<u32> = live
             .iter()
             .flat_map(|&(s, r)| {
                 (0..3)
                     .filter(|&slot| !r.active[slot])
-                    .map(move |slot| node(s, slot))
+                    .map(move |slot| node(s, ACTIVATION + slot))
             })
             .collect();
         assert_eq!(pending, inactive, "{ctx}: each inactive slot pends once");
@@ -1368,28 +1298,9 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
-    /// A saved reference map, decoded: each key with its list of
-    /// `(slab, gen, slot)` references, in saved order.
+    /// A reference-list section in the layout earlier builds saved: each
+    /// key with its `(slab, gen, slot)` references.
     type SavedRefs = Vec<(u64, Vec<(u32, u32, u8)>)>;
-
-    fn decode_refs(mut bytes: &[u8]) -> SavedRefs {
-        let r = &mut bytes;
-        let mut refs = Vec::new();
-        for _ in 0..read_usize(r).unwrap() {
-            let key = read_u64(r).unwrap();
-            let mut list = Vec::new();
-            for _ in 0..read_usize(r).unwrap() {
-                list.push((
-                    read_u32(r).unwrap(),
-                    read_u32(r).unwrap(),
-                    read_u8(r).unwrap(),
-                ));
-            }
-            refs.push((key, list));
-        }
-        assert!(bytes.is_empty(), "the whole section decodes");
-        refs
-    }
 
     fn encode_refs(refs: &SavedRefs) -> Vec<u8> {
         let mut w = Vec::new();
@@ -1406,11 +1317,12 @@ mod tests {
         w
     }
 
-    /// Restore rethreads every list and recomputes every record's
-    /// position from the saved order, so a checkpoint whose saved lists
-    /// or slab disagree with its records is refused as `InvalidData`
-    /// rather than restored into a state that later panics. The list
-    /// cases edit the saved `monitors` bytes.
+    /// Restore recomputes every record's position from the saved order of
+    /// `Q`, rebuilds both reference lists from the slab and counts the
+    /// watches that `S` and the records need, so a checkpoint whose free
+    /// list, records or watcher disagree is refused as `InvalidData`
+    /// rather than restored into a state that later panics. A saved list
+    /// section is read past, whatever references it holds.
     #[test]
     fn checkpoint_restore_rejects_inconsistent_references() {
         use adjstream_stream::meter::PeakTracker;
@@ -1428,81 +1340,76 @@ mod tests {
         assert!(!base.free.is_empty(), "Q must have replaced records");
         let mut buf = Vec::new();
         base.save(&mut buf).unwrap();
-        // The `monitors` section ends where the `activations` map, the
-        // watcher and the counters begin.
-        let mut section = Vec::new();
-        save_ref_map(&mut section, &base.monitors, &base.slab).unwrap();
-        let mut after = Vec::new();
-        save_ref_map(&mut after, &base.activations, &base.slab).unwrap();
-        base.watcher.save(&mut after).unwrap();
-        base.counters.save(&mut after).unwrap();
-        let end = buf.len() - after.len();
-        let start = end - section.len();
-        assert_eq!(buf[start..end], section[..]);
-        let saved = decode_refs(&section);
-        assert_eq!(encode_refs(&saved), section);
-        let live = saved[0].1[0].0;
-        for what in [
-            "repeated",
-            "missing",
-            "misplaced",
-            "generation",
-            "free",
-            "outside Q",
-        ] {
-            let bad = match what {
-                "free" | "outside Q" => {
-                    let mut a = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
-                    if what == "free" {
-                        a.free.push(live);
-                    } else {
-                        let spare = a.free[0];
-                        let mut rec = a.slab.iter().flatten().next().unwrap().clone();
-                        rec.gen = a.free_gens[&spare];
-                        a.slab[spare as usize] = Some(rec);
-                    }
-                    let mut bad = Vec::new();
-                    a.save(&mut bad).unwrap();
-                    bad
+        let live = base.slab.iter().position(Option::is_some).unwrap();
+        for what in ["free", "outside Q", "vertex"] {
+            let mut a = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+            match what {
+                "free" => a.free.push(live as u32),
+                "outside Q" => {
+                    let spare = a.free[0];
+                    let mut rec = a.slab[live].clone().unwrap();
+                    rec.gen = a.free_gens[&spare];
+                    a.slab[spare as usize] = Some(rec);
                 }
-                _ => {
-                    let mut refs = saved.clone();
-                    let (key, list) = &mut refs[0];
-                    match what {
-                        "repeated" => list.push(list[0]),
-                        "missing" => {
-                            list.remove(0);
-                        }
-                        "misplaced" => *key ^= 1,
-                        _ => list[0].1 = list[0].1.wrapping_add(1),
-                    }
-                    let mut bad = buf[..start].to_vec();
-                    bad.extend(encode_refs(&refs));
-                    bad.extend(&buf[end..]);
-                    bad
-                }
-            };
+                _ => a.slab[live].as_mut().unwrap().tri.0[2].0 += 1000,
+            }
+            let mut bad = Vec::new();
+            a.save(&mut bad).unwrap();
             let err = TwoPassTriangle::restore(&mut &bad[..])
                 .err()
                 .unwrap_or_else(|| panic!("{what}: must be refused"));
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            if what == "vertex" {
+                assert!(err.to_string().contains("watched pairs"), "{err}");
+            }
         }
+
+        // The two empty list sections end where the watcher and the
+        // counters begin. Arbitrary lists there, which name dead, reused,
+        // missing and misplaced records, restore to the same state.
+        let mut after = Vec::new();
+        base.watcher.save(&mut after).unwrap();
+        base.counters.save(&mut after).unwrap();
+        let end = buf.len() - after.len();
+        let start = end - 16;
+        assert_eq!(buf[start..end], [0; 16]);
+        let monitors: SavedRefs = vec![
+            (
+                7,
+                vec![(live as u32, 0, 0), (live as u32, 0, 0), (u32::MAX, 3, 9)],
+            ),
+            (u64::MAX, vec![]),
+        ];
+        let activations: SavedRefs = vec![(1, vec![(0, 1, 2)])];
+        let mut listed = buf[..start].to_vec();
+        listed.extend(encode_refs(&monitors));
+        listed.extend(encode_refs(&activations));
+        listed.extend(&buf[end..]);
+        let restored = TwoPassTriangle::restore(&mut &listed[..]).expect("lists are read past");
+        assert_live_state(&restored, "saved lists");
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let plain = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+        plain.save(&mut want).unwrap();
+        restored.save(&mut got).unwrap();
+        assert_eq!(got, want, "saved lists leave the state as it is");
     }
 
     mod list_model {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// Random pushes, `swap_remove`s and takes over three keys and
-            /// the twelve nodes of four records leave every list in the
-            /// order a `Vec` under the same steps holds, after every step.
-            /// Lists often hold two slots of one record, as a self-loop
-            /// makes them do.
+            /// Random pushes, unlinks and takes over three keys and the
+            /// twelve nodes of three records leave every list holding the
+            /// nodes that a set under the same steps holds, with links
+            /// that agree (see [`list_nodes`]), after every step. Lists
+            /// often hold two nodes of one record, as a self-loop makes
+            /// them do.
             #[test]
-            fn lists_keep_vec_order(
+            fn lists_hold_their_node_sets(
                 ops in prop::collection::vec((0u8..5, 0u32..3, 0u32..12, any::<u8>()), 0..200)
             ) {
                 let record = PairRecord {
@@ -1513,32 +1420,34 @@ mod tests {
                     q_pos: 0,
                     links: UNLINKED,
                 };
-                let mut slab = vec![Some(record); 4];
-                let mut refs: SlotRefs<u32, ACTIVATIONS> = SlotRefs::new();
-                let mut model: Vec<Vec<u32>> = vec![Vec::new(); 3];
+                let mut slab = vec![Some(record); 3];
+                let mut refs: SlotRefs<u32> = SlotRefs::default();
+                let mut model: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); 3];
                 for (step, &(op, key, n, pick)) in ops.iter().enumerate() {
                     let listed = model.iter().any(|l| l.contains(&n));
                     let list = &mut model[key as usize];
                     match op {
                         0 | 1 if !listed => {
                             refs.push(&mut slab, key, n);
-                            list.push(n);
+                            list.insert(n);
                         }
                         2 | 3 if !list.is_empty() => {
-                            let at = usize::from(pick) % list.len();
-                            refs.swap_remove(&mut slab, key, list[at]);
-                            list.swap_remove(at);
+                            let victim = *list.iter().nth(usize::from(pick) % list.len()).unwrap();
+                            refs.unlink(&mut slab, key, victim);
+                            list.remove(&victim);
                         }
                         4 => {
-                            let head = refs.take(key);
-                            let taken: Vec<u32> = walk::<ACTIVATIONS>(&slab, head).collect();
-                            prop_assert_eq!(taken, std::mem::take(list), "step {}: take", step);
+                            let mut taken: Vec<u32> = walk(&slab, refs.take(key)).collect();
+                            taken.sort_unstable();
+                            let want: Vec<u32> = std::mem::take(list).into_iter().collect();
+                            prop_assert_eq!(taken, want, "step {}: take", step);
                         }
                         _ => {}
                     }
                     for k in 0..3 {
                         let ctx = format!("step {step} key {k}");
-                        prop_assert_eq!(list_nodes(&refs, &slab, k, &ctx), model[k as usize].clone());
+                        let want: Vec<u32> = model[k as usize].iter().copied().collect();
+                        prop_assert_eq!(list_nodes(&refs, &slab, k, &ctx), want);
                     }
                 }
             }
@@ -1554,18 +1463,19 @@ mod tests {
 
         /// The `H` walk that the completion counts replaced, kept as the
         /// reference: every pass-2 completion of an edge raises `H` at
-        /// each active slot in the edge's `monitors` list. Records are
-        /// named by `(slab, gen)`, which no two records share.
+        /// each active slot of a live record whose slot edge it is. Records
+        /// are named by `(slab, gen)`, which no two records share.
         #[derive(Default)]
         struct WalkedH(FastMap<(u32, u32), [u32; 3]>);
 
         impl WalkedH {
             fn bump(&mut self, a: &TwoPassTriangle, key: u64) {
-                for n in walk::<MONITORS>(&a.slab, a.monitors.head(key)) {
-                    let rec = a.slab[(n / 3) as usize].as_ref().expect("live");
-                    let slot = (n % 3) as usize;
-                    if rec.active[slot] {
-                        self.0.entry((n / 3, rec.gen)).or_default()[slot] += 1;
+                for (s, rec) in a.slab.iter().enumerate() {
+                    let Some(rec) = rec else { continue };
+                    for slot in 0..3 {
+                        if rec.active[slot] && rec.tri.slot_edge(slot) == key {
+                            self.0.entry((s as u32, rec.gen)).or_default()[slot] += 1;
+                        }
                     }
                 }
             }

@@ -153,7 +153,8 @@ impl WedgeSamplerTriangle {
 
 impl SpaceUsage for WedgeSamplerTriangle {
     fn space_bytes(&self) -> usize {
-        let inner: usize = self.watched.values().map(|v| v.capacity() * 4 + 24).sum();
+        // The vectors' headers are in the map's entries.
+        let inner: usize = self.watched.values().map(|v| v.capacity() * 4).sum();
         vec_bytes(&self.slots) + hashmap_bytes(&self.watched) + inner + 64
     }
 }

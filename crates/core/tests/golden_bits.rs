@@ -250,6 +250,18 @@ fn actual() -> Vec<(String, Pinned)> {
 /// 62176 and 60198 → 42038, three-pass 76517 → 73269 and 83012 → 64422,
 /// two-pass 104618 → 101762 and 106706 → 88234, sharded 100144 → 94656
 /// and 113264 → 91816. No estimate, counter or digest moved.
+/// The `two-pass` peaks and digests moved when its reference lists became
+/// an index that restore rebuilds: a record keeps one `monitors` node (at
+/// its sampled edge) in place of three, lists no longer keep their order,
+/// and the checkpoint saves both list sections empty. Peaks 101762 →
+/// 93650 and 88234 → 79783; boundary digests 0xBB04601609BEAB54 →
+/// 0x46FA6AACED042755 and 0x95D308FDF00499E4 → 0x3A64B97EF4566207; final
+/// digests 0xC7B1810D22A4A9D1 → 0x5A84B296D7BE19AA and
+/// 0x93E6FB3CC996FA9D → 0xE8E0506B143FE082. The `sharded` peaks fell
+/// when its `monitors` vectors' headers stopped being metered twice:
+/// 94656 → 85920 and 91816 → 83464. No estimate or counter moved;
+/// `checkpoint_compat.rs` keeps the saved-list payloads resuming to
+/// these bits.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -294,30 +306,30 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/threshold",
                 0x4088C73333333333,
-                101762,
+                93650,
                 Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
-                vec![0xBB04601609BEAB54],
+                vec![0x46FA6AACED042755],
             ),
-            0xC7B1810D22A4A9D1,
+            0x5A84B296D7BE19AA,
         ),
         row(
             "sharded/sequential/threshold",
             0x4084A60000000000,
-            94656,
+            85920,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![0x44FBE2D78EF1C2DA, 0x150ACA9593C72D7A],
         ),
         row(
             "sharded/1/threshold",
             0x4084A60000000000,
-            94656,
+            85920,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/threshold",
             0x4084A60000000000,
-            94656,
+            85920,
             Some([938, 0, 1572, 1, 820, 220, 61, 450, 0]),
             vec![],
         ),
@@ -333,30 +345,30 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/bottom-k",
                 0x4087648888888888,
-                88234,
+                79783,
                 Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
-                vec![0x95D308FDF00499E4],
+                vec![0x3A64B97EF4566207],
             ),
-            0x93E6FB3CC996FA9D,
+            0xE8E0506B143FE082,
         ),
         row(
             "sharded/sequential/bottom-k",
             0x40841E237FA89E60,
-            91816,
+            83464,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![0xAE7D662E0758B129, 0x817A8F8E1E192997],
         ),
         row(
             "sharded/1/bottom-k",
             0x40841E237FA89E60,
-            91816,
+            83464,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/bottom-k",
             0x40841E237FA89E60,
-            91816,
+            83464,
             Some([1998, 798, 419, 2, 510, 0, 0, 450, 0]),
             vec![],
         ),
