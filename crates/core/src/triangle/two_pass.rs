@@ -363,9 +363,10 @@ impl TwoPassTriangle {
         let (a, b) = unpack_pair(e_key);
         self.watcher.unwatch(a, b);
         self.discovered -= u64::from(info.discoveries);
-        // Destroy the pairs discovered at this edge, the list
-        // `monitors[e_key]`. Slab order keeps the free list and the
-        // watcher's `swap_remove`s as a full slab scan would leave them.
+        // Destroy the pairs discovered at this edge: the list
+        // `monitors[e_key]`, which keeps no order. Slab order keeps the
+        // free list and the watcher's `swap_remove`s, and so completion
+        // order, as a full slab scan would leave them.
         let mut victims: Vec<u32> = walk(&self.slab, self.monitors.head(e_key))
             .map(|n| n / 4)
             .collect();
