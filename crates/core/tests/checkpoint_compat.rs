@@ -16,7 +16,7 @@
 use adjstream_core::common::EdgeSampling;
 use adjstream_core::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
 use adjstream_graph::gen;
-use adjstream_stream::checkpoint::Checkpoint;
+use adjstream_stream::checkpoint::{read_u32, read_u8, read_usize, Checkpoint};
 use adjstream_stream::meter::PeakTracker;
 use adjstream_stream::obs::ObsCounters;
 use adjstream_stream::runner::{drive_pass_slice, MultiPassAlgorithm};
@@ -107,6 +107,47 @@ fn fixtures() -> [Fixture; 4] {
             counters: BOTTOM_K_COUNTERS,
         },
     ]
+}
+
+/// A saved payload's non-zero generation words (one per record and one
+/// per `Q` entry) and the length of its `free_gens` section, read along
+/// the two-pass checkpoint layout: the configuration (25 bytes), the
+/// pass, the item count and `T′`, then `S`, `Q`, the slab and the free
+/// list.
+fn generation_words(payload: &[u8]) -> (usize, usize) {
+    fn skip(r: &mut &[u8], n: usize) {
+        *r = &r[n..];
+    }
+    let r = &mut &payload[..];
+    skip(r, 25 + 3 * 8);
+    let s_len = read_usize(r).expect("|S|");
+    skip(r, s_len * (8 + 4 + 8));
+    skip(r, 3 * 8);
+    let mut nonzero = 0;
+    for _ in 0..read_usize(r).expect("|Q|") {
+        read_u32(r).expect("Q slab index");
+        nonzero += usize::from(read_u32(r).expect("Q generation") != 0);
+    }
+    for _ in 0..read_usize(r).expect("slab length") {
+        if read_u8(r).expect("slab tag") == 1 {
+            nonzero += usize::from(read_u32(r).expect("record generation") != 0);
+            skip(r, 3 * 4 + 3 * 8 + 3);
+        }
+    }
+    let free = read_usize(r).expect("free list length");
+    skip(r, free * 4);
+    (nonzero, read_usize(r).expect("free_gens length"))
+}
+
+/// The fixtures carry what earlier builds saved beside each record: some
+/// generation word is non-zero and some `free_gens` section is not empty,
+/// so resuming them reads past both.
+#[test]
+fn fixtures_carry_generation_words() {
+    assert!(fixtures().iter().any(|fx| {
+        let (nonzero, free_gens) = generation_words(fx.payload);
+        nonzero > 0 && free_gens > 0
+    }));
 }
 
 #[test]
