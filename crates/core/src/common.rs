@@ -313,11 +313,6 @@ impl PairWatcher {
         }
     }
 
-    /// Whether `{a, b}` is currently watched.
-    pub fn is_watched(&self, a: VertexId, b: VertexId) -> bool {
-        self.slot_of.contains_key(&pack_pair(a, b))
-    }
-
     /// The slot of the watched pair packed as `key`, which
     /// [`PairWatcher::on_item`] reports with its completions.
     pub fn slot(&self, key: u64) -> Option<u32> {
@@ -643,10 +638,10 @@ mod tests {
         w.watch(v(1), v(2));
         w.watch(v(1), v(2));
         w.unwatch(v(1), v(2));
-        assert!(w.is_watched(v(1), v(2)));
+        assert!(w.slot(pack_pair(v(1), v(2))).is_some());
         assert_eq!(completions(&mut w, &[1, 2]).len(), 1);
         w.unwatch(v(1), v(2));
-        assert!(!w.is_watched(v(1), v(2)));
+        assert_eq!(w.slot(pack_pair(v(1), v(2))), None);
         assert!(completions(&mut w, &[1, 2]).is_empty());
         assert_eq!(w.watched_pairs(), 0);
     }

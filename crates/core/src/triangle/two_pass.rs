@@ -57,11 +57,11 @@ pub struct TwoPassTriangleConfig {
 }
 
 /// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state, its `Q`
-/// position and its nodes' places in the two reference lists.
+/// position and its nodes' places in the two reference lists. A record is
+/// named by its slab index alone: [`TwoPassTriangle::destroy`] unlinks its
+/// nodes, and the caller drops its `Q` entry, before the slot is reused.
 #[derive(Debug, Clone)]
 struct PairRecord {
-    /// Generation tag guarding against slab-slot reuse.
-    gen: u32,
     /// The pair's triangle; slot 0 is the sampled edge `e`.
     tri: TriangleSlots,
     /// `H` state, one per triangle slot; read through
@@ -112,12 +112,16 @@ fn node(slab: u32, link: usize) -> u32 {
     slab * 4 + link as u32
 }
 
+/// The live record at slab slot `s`.
+fn referent(slab: &mut [Option<PairRecord>], s: u32) -> &mut PairRecord {
+    slab[s as usize]
+        .as_mut()
+        .expect("references name live records")
+}
+
 /// The live record that node `n` belongs to, and the index of its link.
 fn node_link(slab: &mut [Option<PairRecord>], n: u32) -> (&mut PairRecord, usize) {
-    let rec = slab[(n / 4) as usize]
-        .as_mut()
-        .expect("lists name live records");
-    (rec, (n % 4) as usize)
+    (referent(slab, n / 4), (n % 4) as usize)
 }
 
 /// Node `n`'s links.
@@ -188,15 +192,6 @@ impl<K: Copy + Eq + Hash> SlotRefs<K> {
     }
 }
 
-/// The live record that the reference `(s, g, _)` names.
-fn referent(slab: &mut [Option<PairRecord>], s: u32, g: u32) -> &mut PairRecord {
-    let rec = slab[s as usize]
-        .as_mut()
-        .expect("references name live records");
-    debug_assert_eq!(rec.gen, g, "reference to a reused slab slot");
-    rec
-}
-
 /// Per-sampled-edge bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct EdgeInfo {
@@ -221,12 +216,11 @@ pub struct TwoPassTriangle {
     s_edges: FastMap<u64, EdgeInfo>,
     /// Valid discovered pair count `T′`.
     discovered: u64,
-    /// Reservoir of `(slab, gen)` references, one per live record.
-    q: Reservoir<(u32, u32)>,
+    /// Reservoir of slab indices, one per live record.
+    q: Reservoir<u32>,
     slab: Vec<Option<PairRecord>>,
+    /// Freed slab slots, reused last in, first out.
     free: Vec<u32>,
-    /// Next generation for freed slab slots.
-    free_gens: FastMap<u32, u32>,
     /// Sampled edge → the records of the pairs discovered at it.
     monitors: SlotRefs<u64>,
     /// Opposite vertex → pending slot activations.
@@ -257,7 +251,6 @@ impl TwoPassTriangle {
             q: Reservoir::new(cfg.seed ^ 0x9_1E57_0A1C, cfg.pair_capacity),
             slab: Vec::new(),
             free: Vec::new(),
-            free_gens: FastMap::default(),
             monitors: SlotRefs::default(),
             activations: SlotRefs::default(),
             watcher: PairWatcher::new(),
@@ -269,8 +262,8 @@ impl TwoPassTriangle {
 
     /// Register watches and list nodes for a record freshly stored at `Q`
     /// position `q_pos`.
-    fn attach(&mut self, slab: u32, gen: u32, q_pos: u32) {
-        let rec = referent(&mut self.slab, slab, gen);
+    fn attach(&mut self, slab: u32, q_pos: u32) {
+        let rec = referent(&mut self.slab, slab);
         rec.q_pos = q_pos;
         let tri = rec.tri;
         for slot in 0..3 {
@@ -297,8 +290,8 @@ impl TwoPassTriangle {
     /// Tear down a record: unwatch its edges, unlink its nodes and free its
     /// slab slot. Returns its `Q` position, whose entry is the
     /// caller's to replace or remove.
-    fn destroy(&mut self, slab: u32, gen: u32) -> u32 {
-        let rec = referent(&mut self.slab, slab, gen);
+    fn destroy(&mut self, slab: u32) -> u32 {
+        let rec = referent(&mut self.slab, slab);
         let (tri, active) = (rec.tri, rec.active);
         for slot in 0..3 {
             let (a, b) = unpack_pair(tri.slot_edge(slot));
@@ -316,15 +309,8 @@ impl TwoPassTriangle {
                 .unlink(&mut self.slab, tri.opposite(slot).0, n);
         }
         let rec = self.slab[slab as usize].take().expect("still live");
-        self.release(slab, gen);
-        rec.q_pos
-    }
-
-    /// Return an emptied slab slot to the free list under its next
-    /// generation.
-    fn release(&mut self, slab: u32, gen: u32) {
         self.free.push(slab);
-        self.free_gens.insert(slab, gen.wrapping_add(1));
+        rec.q_pos
     }
 
     /// Handle a discovery of the pair `(e, τ)` where `e = {u, v}` (packed in
@@ -334,23 +320,23 @@ impl TwoPassTriangle {
         if let Some(info) = self.s_edges.get_mut(&e_key) {
             info.discoveries += 1;
         }
-        let (slab, gen) = self.allocate_with_gen(TriangleSlots::new(e_key, w));
-        match self.q.offer((slab, gen)) {
+        let slab = self.allocate(TriangleSlots::new(e_key, w));
+        match self.q.offer(slab) {
             ReservoirEvent::Stored { slot } => {
                 self.counters.pairs_stored += 1;
-                self.attach(slab, gen, self.q.position(slot) as u32);
+                self.attach(slab, self.q.position(slot) as u32);
             }
             ReservoirEvent::Replaced { slot, evicted } => {
                 self.counters.pairs_stored += 1;
                 self.counters.pairs_replaced += 1;
-                self.attach(slab, gen, self.q.position(slot) as u32);
-                self.destroy(evicted.0, evicted.1);
+                self.attach(slab, self.q.position(slot) as u32);
+                self.destroy(evicted);
             }
             ReservoirEvent::Rejected => {
                 self.counters.pairs_rejected += 1;
                 // Not sampled: roll the allocation back.
                 self.slab[slab as usize] = None;
-                self.release(slab, gen);
+                self.free.push(slab);
             }
         }
     }
@@ -372,12 +358,10 @@ impl TwoPassTriangle {
             .collect();
         victims.sort_unstable();
         for s in victims {
-            let rec = self.slab[s as usize].as_ref();
-            let g = rec.expect("lists name live records").gen;
-            let q_pos = self.destroy(s, g);
+            let q_pos = self.destroy(s);
             let slab = &mut self.slab;
-            self.q.remove(q_pos as usize, |pos, &(s, g)| {
-                referent(slab, s, g).q_pos = pos as u32;
+            self.q.remove(q_pos as usize, |pos, &s| {
+                referent(slab, s).q_pos = pos as u32;
             });
         }
         self.q.set_seen(self.discovered);
@@ -440,24 +424,22 @@ impl TwoPassTriangle {
         }
     }
 
-    fn allocate_with_gen(&mut self, tri: TriangleSlots) -> (u32, u32) {
-        let (idx, gen) = match self.free.pop() {
-            Some(idx) => (idx, self.free_gens.remove(&idx).unwrap_or(1)),
-            None => {
-                assert!(self.slab.len() < MAX_SLAB, "slab exceeds the node range");
-                self.slab.push(None);
-                (self.slab.len() as u32 - 1, 0)
-            }
-        };
+    /// Store a fresh record for `tri` in a free slab slot, or a new one,
+    /// and return its index.
+    fn allocate(&mut self, tri: TriangleSlots) -> u32 {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            assert!(self.slab.len() < MAX_SLAB, "slab exceeds the node range");
+            self.slab.push(None);
+            self.slab.len() as u32 - 1
+        });
         self.slab[idx as usize] = Some(PairRecord {
-            gen,
             tri,
             h: [0; 3],
             active: [false; 3],
             q_pos: 0,
             links: UNLINKED,
         });
-        (idx, gen)
+        idx
     }
 }
 
@@ -471,7 +453,6 @@ impl SpaceUsage for TwoPassTriangle {
             + self.watcher.space_bytes()
             + vec_bytes(&self.completions)
             + self.q.space_bytes()
-            + hashmap_bytes(&self.free_gens)
             + self.sampler.space_bytes()
     }
 }
@@ -558,7 +539,7 @@ impl MultiPassAlgorithm for TwoPassTriangle {
         let counted = self
             .q
             .iter()
-            .map(|&(s, _)| {
+            .map(|&s| {
                 self.slab[s as usize]
                     .as_ref()
                     .expect("Q holds live records")
@@ -581,10 +562,13 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
 /// the resumed run enters pass 2. The sampler is rebuilt from the saved
 /// `S` (see `EdgeSampler::rebuild`). The record positions come from the
-/// saved order of `Q`. The two reference lists are an index over the
-/// slab: each is saved as an empty `key → [(slab, gen, slot)]` section,
-/// and restore reads past whatever lists the section holds (earlier
-/// builds saved them in full) and rebuilds both from the records.
+/// saved order of `Q`. The layout keeps three parts that this build no
+/// longer uses, so that payloads of earlier builds still resume: a
+/// generation word beside each `Q` entry and each record, saved as 0 and
+/// ignored on restore; a `free_gens` section (slab slot → generation),
+/// saved empty and read past; and the two reference lists, each saved as
+/// an empty `key → [reference]` section and read past, where restore
+/// rebuilds both from the records.
 impl Checkpoint for TwoPassTriangle {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
         save_config(
@@ -607,9 +591,9 @@ impl Checkpoint for TwoPassTriangle {
         write_u64(w, seen)?;
         write_u64(w, rng_state)?;
         write_usize(w, self.q.len())?;
-        for &(s, g) in self.q.iter() {
+        for &s in self.q.iter() {
             write_u32(w, s)?;
-            write_u32(w, g)?;
+            write_u32(w, 0)?; // generation word
         }
         write_usize(w, self.slab.len())?;
         for slot in &self.slab {
@@ -617,7 +601,7 @@ impl Checkpoint for TwoPassTriangle {
                 None => write_u8(w, 0)?,
                 Some(rec) => {
                     write_u8(w, 1)?;
-                    write_u32(w, rec.gen)?;
+                    write_u32(w, 0)?; // generation word
                     for v in rec.tri.0 {
                         write_u32(w, v.0)?;
                     }
@@ -634,12 +618,8 @@ impl Checkpoint for TwoPassTriangle {
         for &f in &self.free {
             write_u32(w, f)?;
         }
-        write_usize(w, self.free_gens.len())?;
-        for (&slot, &gen) in &self.free_gens {
-            write_u32(w, slot)?;
-            write_u32(w, gen)?;
-        }
-        // The empty `monitors` and `activations` sections.
+        // The empty `free_gens`, `monitors` and `activations` sections.
+        write_usize(w, 0)?;
         write_usize(w, 0)?;
         write_usize(w, 0)?;
         self.watcher.save(w)?;
@@ -674,12 +654,16 @@ impl Checkpoint for TwoPassTriangle {
         let capacity = read_usize(r)?;
         let seen = read_u64(r)?;
         let rng_state = read_u64(r)?;
-        let q_items = read_seq(r, |r| Ok((read_u32(r)?, read_u32(r)?)))?;
+        let q_items = read_seq(r, |r| {
+            let s = read_u32(r)?;
+            read_u32(r)?; // generation word
+            Ok(s)
+        })?;
         let mut slab = read_seq(r, |r| {
             Ok(match read_u8(r)? {
                 0 => None,
                 1 => {
-                    let gen = read_u32(r)?;
+                    read_u32(r)?; // generation word
                     let mut verts = [VertexId(0); 3];
                     for v in &mut verts {
                         *v = VertexId(read_u32(r)?);
@@ -698,7 +682,6 @@ impl Checkpoint for TwoPassTriangle {
                         *x = x.wrapping_neg();
                     }
                     Some(PairRecord {
-                        gen,
                         tri: TriangleSlots(verts),
                         h,
                         active,
@@ -712,9 +695,9 @@ impl Checkpoint for TwoPassTriangle {
         if slab.len() > MAX_SLAB {
             return Err(corrupt(format!("slab length {} too long", slab.len())));
         }
-        for (pos, &(s, g)) in q_items.iter().enumerate() {
+        for (pos, &s) in q_items.iter().enumerate() {
             match slab.get_mut(s as usize) {
-                Some(Some(rec)) if rec.gen == g && rec.q_pos == UNSET => rec.q_pos = pos as u32,
+                Some(Some(rec)) if rec.q_pos == UNSET => rec.q_pos = pos as u32,
                 _ => return Err(corrupt("Q entry names no live record, or one twice")),
             }
         }
@@ -729,13 +712,9 @@ impl Checkpoint for TwoPassTriangle {
         {
             return Err(corrupt("free list names an occupied slab slot"));
         }
-        let n = read_usize(r)?;
-        let mut free_gens = FastMap::default();
-        free_gens.reserve(seq_reserve::<(u32, u32)>(n));
-        for _ in 0..n {
-            let slot = read_u32(r)?;
-            let gen = read_u32(r)?;
-            free_gens.insert(slot, gen);
+        // Earlier builds' `free_gens` entries: a slab slot and a generation.
+        for _ in 0..read_usize(r)? {
+            r.read_exact(&mut [0; 8])?;
         }
         skip_ref_map(r)?;
         skip_ref_map(r)?;
@@ -755,7 +734,6 @@ impl Checkpoint for TwoPassTriangle {
             q,
             slab,
             free,
-            free_gens,
             monitors: SlotRefs::default(),
             activations: SlotRefs::default(),
             watcher,
@@ -791,9 +769,9 @@ fn read_count(r: &mut dyn Read, what: &str) -> io::Result<u32> {
     u32::try_from(raw).map_err(|_| corrupt(format!("{what} {raw} exceeds u32")))
 }
 
-/// Read past a saved reference-list section, `key → [(slab, gen, slot)]`,
-/// without allocating: this build saves it empty, and earlier builds
-/// saved the lists in full.
+/// Read past a saved reference-list section without allocating: a key,
+/// then 9-byte references (a slab index, a generation word and a slot).
+/// This build saves it empty, and earlier builds saved the lists in full.
 fn skip_ref_map(r: &mut dyn Read) -> io::Result<()> {
     for _ in 0..read_usize(r)? {
         read_u64(r)?;
@@ -1060,12 +1038,10 @@ mod tests {
             .enumerate()
             .filter_map(|(i, r)| Some((i as u32, r.as_ref()?)))
             .collect();
-        let rec = |s: u32, g: u32| -> &PairRecord {
-            let rec = a.slab[s as usize].as_ref().unwrap_or_else(|| {
+        let rec = |s: u32| -> &PairRecord {
+            a.slab[s as usize].as_ref().unwrap_or_else(|| {
                 panic!("{ctx}: dead reference to slab slot {s}");
-            });
-            assert_eq!(rec.gen, g, "{ctx}: reference to a reused slot {s}");
-            rec
+            })
         };
         let mut monitored = Vec::new();
         for &key in a.monitors.map.keys() {
@@ -1099,12 +1075,12 @@ mod tests {
             })
             .collect();
         assert_eq!(pending, inactive, "{ctx}: each inactive slot pends once");
-        let mut q: Vec<(u32, u32)> = a.q.iter().copied().collect();
-        for (rank, &(s, g)) in q.iter().enumerate() {
-            assert_eq!(a.q.position(rank), rec(s, g).q_pos as usize, "{ctx}");
+        let mut q: Vec<u32> = a.q.iter().copied().collect();
+        for (rank, &s) in q.iter().enumerate() {
+            assert_eq!(a.q.position(rank), rec(s).q_pos as usize, "{ctx}");
         }
         q.sort_unstable();
-        let want: Vec<(u32, u32)> = live.iter().map(|&(i, r)| (i, r.gen)).collect();
+        let want: Vec<u32> = live.iter().map(|&(i, _)| i).collect();
         assert_eq!(q, want, "{ctx}: Q must be the live records");
         let recount = hashmap_bytes(&a.s_edges)
             + a.slab.capacity() * std::mem::size_of::<Option<PairRecord>>()
@@ -1114,7 +1090,6 @@ mod tests {
             + a.watcher.space_bytes()
             + vec_bytes(&a.completions)
             + a.q.space_bytes()
-            + hashmap_bytes(&a.free_gens)
             + a.sampler.space_bytes();
         assert_eq!(a.space_bytes(), recount, "{ctx}: space recount");
     }
@@ -1300,7 +1275,8 @@ mod tests {
     }
 
     /// A reference-list section in the layout earlier builds saved: each
-    /// key with its `(slab, gen, slot)` references.
+    /// key with its references, each a slab index, a generation word and a
+    /// slot.
     type SavedRefs = Vec<(u64, Vec<(u32, u32, u8)>)>;
 
     fn encode_refs(refs: &SavedRefs) -> Vec<u8> {
@@ -1348,9 +1324,7 @@ mod tests {
                 "free" => a.free.push(live as u32),
                 "outside Q" => {
                     let spare = a.free[0];
-                    let mut rec = a.slab[live].clone().unwrap();
-                    rec.gen = a.free_gens[&spare];
-                    a.slab[spare as usize] = Some(rec);
+                    a.slab[spare as usize] = a.slab[live].clone();
                 }
                 _ => a.slab[live].as_mut().unwrap().tri.0[2].0 += 1000,
             }
@@ -1395,6 +1369,88 @@ mod tests {
         assert_eq!(got, want, "saved lists leave the state as it is");
     }
 
+    /// Earlier builds saved a generation tag beside each `Q` entry and
+    /// each record, and a `free_gens` section of freed slots and their
+    /// next tags. Restore reads those words and ignores them: a payload
+    /// with arbitrary tags and a long `free_gens` section restores to the
+    /// state of the zeroed payload and saves its bytes, and a cut section,
+    /// or one that counts more entries than the payload holds, is
+    /// `UnexpectedEof`.
+    #[test]
+    fn checkpoint_restore_ignores_generation_words() {
+        use adjstream_stream::meter::PeakTracker;
+        use adjstream_stream::runner::drive_pass_slice;
+        use adjstream_stream::AdjListStream;
+
+        let g = gen::disjoint_cliques(6, 4);
+        let items = AdjListStream::new(&g, StreamOrder::natural(g.vertex_count())).collect_items();
+        let mut base = TwoPassTriangle::new(TwoPassTriangleConfig {
+            seed: 1,
+            edge_sampling: EdgeSampling::Threshold { p: 1.0 },
+            pair_capacity: 30,
+        });
+        drive_pass_slice(&mut base, 0, &items, &mut PeakTracker::new(), &mut 0).unwrap();
+        assert!(!base.free.is_empty(), "Q must have replaced records");
+        let mut buf = Vec::new();
+        base.save(&mut buf).unwrap();
+
+        // Offsets follow `save`: the config, pass, items, `T′` and `S`,
+        // then `Q`'s parts and entries (a slab index and a generation
+        // word), the slab (a tag byte, then a record's generation word,
+        // vertices, `H` and flags) and the free list.
+        let mut tags = (1u32..).map(|i| i.wrapping_mul(0x9E37_79B9));
+        let mut tagged = buf.clone();
+        let mut tag_at = |at: usize| {
+            assert_eq!(tagged[at..at + 4], [0; 4], "a zero generation word");
+            tagged[at..at + 4].copy_from_slice(&tags.next().unwrap().to_le_bytes());
+        };
+        let q_start = 25 + 4 * 8 + base.s_edges.len() * (8 + 4 + 8) + 4 * 8;
+        for i in 0..base.q.len() {
+            tag_at(q_start + i * 8 + 4);
+        }
+        let mut at = q_start + base.q.len() * 8 + 8;
+        for slot in &base.slab {
+            at += 1;
+            if slot.is_some() {
+                tag_at(at);
+                at += 4 + 3 * 4 + 3 * 8 + 3;
+            }
+        }
+        let free_gens = at + 8 + base.free.len() * 4;
+        assert_eq!(tagged[free_gens..free_gens + 8], [0; 8]);
+        let entries = 5000;
+        let mut section = Vec::new();
+        write_usize(&mut section, entries).unwrap();
+        for i in 0..entries as u32 {
+            write_u32(&mut section, i).unwrap();
+            write_u32(&mut section, i.wrapping_mul(0x85EB_CA6B)).unwrap();
+        }
+        tagged.splice(free_gens..free_gens + 8, section.iter().copied());
+
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let plain = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+        plain.save(&mut want).unwrap();
+        let restored = TwoPassTriangle::restore(&mut &tagged[..]).expect("tags are ignored");
+        assert_live_state(&restored, "tagged");
+        assert!(restored.q.iter().eq(plain.q.iter()));
+        restored.save(&mut got).unwrap();
+        assert_eq!(got, want, "tags leave the state as it is");
+
+        let end = free_gens + section.len();
+        for cut in [free_gens + 3, free_gens + 8 + 5, end - 1] {
+            let err = TwoPassTriangle::restore(&mut &tagged[..cut])
+                .err()
+                .unwrap_or_else(|| panic!("a section cut at {cut} must fail"));
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        }
+        let mut overlong = tagged.clone();
+        overlong[free_gens..free_gens + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = TwoPassTriangle::restore(&mut &overlong[..])
+            .err()
+            .expect("an overlong section must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
     mod list_model {
         use super::*;
         use proptest::prelude::*;
@@ -1414,7 +1470,6 @@ mod tests {
                 ops in prop::collection::vec((0u8..5, 0u32..3, 0u32..12, any::<u8>()), 0..200)
             ) {
                 let record = PairRecord {
-                    gen: 0,
                     tri: TriangleSlots([VertexId(0); 3]),
                     h: [0; 3],
                     active: [false; 3],
@@ -1465,24 +1520,25 @@ mod tests {
         /// The `H` walk that the completion counts replaced, kept as the
         /// reference: every pass-2 completion of an edge raises `H` at
         /// each active slot of a live record whose slot edge it is. Records
-        /// are named by `(slab, gen)`, which no two records share.
+        /// are named by their pair's triangle slots, which no two records
+        /// share on a stream that keeps the promise (each `(e, τ)` is
+        /// discovered once).
         #[derive(Default)]
-        struct WalkedH(FastMap<(u32, u32), [u32; 3]>);
+        struct WalkedH(FastMap<[VertexId; 3], [u32; 3]>);
 
         impl WalkedH {
             fn bump(&mut self, a: &TwoPassTriangle, key: u64) {
-                for (s, rec) in a.slab.iter().enumerate() {
-                    let Some(rec) = rec else { continue };
+                for rec in a.slab.iter().flatten() {
                     for slot in 0..3 {
                         if rec.active[slot] && rec.tri.slot_edge(slot) == key {
-                            self.0.entry((s as u32, rec.gen)).or_default()[slot] += 1;
+                            self.0.entry(rec.tri.0).or_default()[slot] += 1;
                         }
                     }
                 }
             }
 
-            fn h(&self, s: u32, rec: &PairRecord) -> [u64; 3] {
-                let h = self.0.get(&(s, rec.gen)).copied().unwrap_or_default();
+            fn h(&self, rec: &PairRecord) -> [u64; 3] {
+                let h = self.0.get(&rec.tri.0).copied().unwrap_or_default();
                 h.map(u64::from)
             }
         }
@@ -1491,7 +1547,7 @@ mod tests {
         fn assert_h(a: &TwoPassTriangle, walked: &WalkedH, ctx: &str) {
             for (s, rec) in a.slab.iter().enumerate() {
                 let Some(rec) = rec else { continue };
-                let want = walked.h(s as u32, rec);
+                let want = walked.h(rec);
                 prop_assert_eq!(a.h_values(rec), want, "{}: record {}", ctx, s);
             }
         }
@@ -1534,9 +1590,9 @@ mod tests {
         fn walked_estimate(a: &TwoPassTriangle, walked: &WalkedH) -> TriangleEstimate {
             let counted =
                 a.q.iter()
-                    .filter(|&&(s, _)| {
+                    .filter(|&&s| {
                         let rec = a.slab[s as usize].as_ref().expect("Q holds live records");
-                        rec.tri.lightest_slot(walked.h(s, rec)) == 0
+                        rec.tri.lightest_slot(walked.h(rec)) == 0
                     })
                     .count() as u64;
             TriangleEstimate::assemble(

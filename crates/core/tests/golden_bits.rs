@@ -262,6 +262,14 @@ fn actual() -> Vec<(String, Pinned)> {
 /// 94656 → 85920 and 91816 → 83464. No estimate or counter moved;
 /// `checkpoint_compat.rs` keeps the saved-list payloads resuming to
 /// these bits.
+/// The `two-pass` peaks and digests moved again when a record came to be
+/// named by its slab index alone: records and `Q` entries lost their
+/// generation tags, which the checkpoint now saves as zero words, and the
+/// freed-slot generation map is gone. Peaks 93650 → 91959 and 79783 →
+/// 77393; boundary digests 0x46FA6AACED042755 → 0x09C11CA02ACEFF23 and
+/// 0x3A64B97EF4566207 → 0x994A0AF976CFE019; final digests
+/// 0x5A84B296D7BE19AA → 0x8BCC091980403CFE and 0xE8E0506B143FE082 →
+/// 0x5F1F54790D723CD0. No estimate or counter moved.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -306,11 +314,11 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/threshold",
                 0x4088C73333333333,
-                93650,
+                91959,
                 Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
-                vec![0x46FA6AACED042755],
+                vec![0x09C11CA02ACEFF23],
             ),
-            0x5A84B296D7BE19AA,
+            0x8BCC091980403CFE,
         ),
         row(
             "sharded/sequential/threshold",
@@ -345,11 +353,11 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/bottom-k",
                 0x4087648888888888,
-                79783,
+                77393,
                 Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
-                vec![0x3A64B97EF4566207],
+                vec![0x994A0AF976CFE019],
             ),
-            0xE8E0506B143FE082,
+            0x5F1F54790D723CD0,
         ),
         row(
             "sharded/sequential/bottom-k",

@@ -1,13 +1,15 @@
 //! Corrupt checkpoints restore to a state or a typed error: never a panic,
 //! and never an allocation larger than a capped reserve can ask for.
 //!
-//! A pass-boundary `TwoPassTriangle` checkpoint and a `PairWatcher` save
-//! are cut at every offset and have each of their bits flipped in turn.
-//! Every restore must return `Ok` or an `io::Error` of kind `InvalidData`
-//! or `UnexpectedEof`, and a cut checkpoint must be refused. A flipped
-//! two-pass checkpoint that restores is run on through its second pass
-//! and `finish`, which must not panic either: restore has to refuse what
-//! the rest of the run cannot handle. Restores
+//! A pass-boundary `TwoPassTriangle` checkpoint, `ShardedTriangle`
+//! checkpoints at its pass-1 and pass-2 boundaries, a shard-worker payload
+//! read through `decode_shard_payload`, and a `PairWatcher` save are cut
+//! at every offset and have each of their bits flipped in turn. Every
+//! restore must return `Ok` or an `io::Error` of kind `InvalidData` or
+//! `UnexpectedEof`, and a cut input must be refused. A flipped estimator
+//! state that restores is run on through its remaining passes and
+//! `finish`, which must not panic either: restore has to refuse what the
+//! rest of the run cannot handle. Restores
 //! preallocate from saved counts at most `seq_reserve`'s 1 MiB of
 //! elements; a hash map reserved for that many allocates under 3 MiB
 //! (power-of-two buckets at a 7/8 load, one control byte each), so no
@@ -20,11 +22,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use adjstream_core::common::{EdgeSampling, PairWatcher};
-use adjstream_core::triangle::{TwoPassTriangle, TwoPassTriangleConfig};
+use adjstream_core::triangle::{
+    ShardedTriangle, ShardedTriangleConfig, TwoPassTriangle, TwoPassTriangleConfig,
+};
 use adjstream_graph::{gen, VertexId};
 use adjstream_stream::checkpoint::Checkpoint;
 use adjstream_stream::meter::PeakTracker;
 use adjstream_stream::runner::{drive_pass_slice, MultiPassAlgorithm};
+use adjstream_stream::shard::{
+    decode_shard_payload, run_shard_pass_blob, ShardAlgorithm, ShardError, ShardPassStats,
+    ShardPlan,
+};
 use adjstream_stream::{AdjListStream, StreamItem, StreamOrder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,11 +88,25 @@ unsafe impl GlobalAlloc for Recording {
 #[global_allocator]
 static ALLOCATOR: Recording = Recording;
 
-/// Restore `bytes` with allocations recorded, turning a panic into a
-/// failure that names `what`.
-fn restore<T: Checkpoint>(bytes: &[u8], what: &str) -> io::Result<T> {
+/// Decode `bytes` as a checkpoint of `T`.
+fn restore_as<T: Checkpoint>(bytes: &[u8]) -> io::Result<T> {
+    T::restore(&mut &bytes[..])
+}
+
+/// Decode `bytes` as a shard-worker payload: the shard's stats, then its
+/// replica of the state.
+fn worker_payload(bytes: &[u8]) -> io::Result<(ShardedTriangle, ShardPassStats)> {
+    decode_shard_payload(bytes).map_err(|e| match e {
+        ShardError::State(e) => e,
+        other => panic!("decoding can only fail on its state: {other}"),
+    })
+}
+
+/// Decode `bytes` with `decode`, allocations recorded, turning a panic
+/// into a failure that names `what`.
+fn restore<T>(bytes: &[u8], what: &str, decode: impl Fn(&[u8]) -> io::Result<T>) -> io::Result<T> {
     ARMED.store(true, Ordering::Relaxed);
-    let result = catch_unwind(AssertUnwindSafe(|| T::restore(&mut &bytes[..])));
+    let result = catch_unwind(AssertUnwindSafe(|| decode(bytes)));
     ARMED.store(false, Ordering::Relaxed);
     let largest = LARGEST.swap(0, Ordering::Relaxed);
     assert!(
@@ -107,22 +129,30 @@ fn restore<T: Checkpoint>(bytes: &[u8], what: &str) -> io::Result<T> {
     }
 }
 
-/// Cut `blob` at every offset and flip each of its bits, restoring each
-/// result as a `T`. Every flipped blob that restores is handed to
+/// Cut `blob` at every offset and flip each of its bits, decoding each
+/// result with `decode`. Every flipped blob that decodes is handed to
 /// `resume`, which must not panic. Returns how many flipped blobs
-/// restored.
-fn corrupt_every_way<T: Checkpoint>(name: &str, blob: &[u8], resume: impl Fn(T)) -> usize {
-    assert!(restore::<T>(blob, name).is_ok(), "{name}: the saved blob");
+/// decoded.
+fn corrupt_every_way<T>(
+    name: &str,
+    blob: &[u8],
+    decode: impl Fn(&[u8]) -> io::Result<T>,
+    resume: impl Fn(T),
+) -> usize {
+    assert!(
+        restore(blob, name, &decode).is_ok(),
+        "{name}: the saved blob"
+    );
     for len in 0..blob.len() {
         let what = format!("{name} cut to {len} bytes");
-        assert!(restore::<T>(&blob[..len], &what).is_err(), "{what}");
+        assert!(restore(&blob[..len], &what, &decode).is_err(), "{what}");
     }
     let mut restored = 0;
     let mut flipped = blob.to_vec();
     for bit in 0..blob.len() * 8 {
         flipped[bit / 8] ^= 1 << (bit % 8);
         let what = format!("{name} with bit {bit} flipped");
-        if let Ok(state) = restore::<T>(&flipped, &what) {
+        if let Ok(state) = restore(&flipped, &what, &decode) {
             restored += 1;
             let resumed = catch_unwind(AssertUnwindSafe(|| resume(state)));
             assert!(resumed.is_ok(), "{what}: resume panicked");
@@ -132,9 +162,9 @@ fn corrupt_every_way<T: Checkpoint>(name: &str, blob: &[u8], resume: impl Fn(T))
     restored
 }
 
-/// The stream of the two-pass checkpoint: a random graph and a book whose
-/// spine vertices the watcher lists under many pairs.
-fn two_pass_items() -> Vec<StreamItem> {
+/// The stream of the estimator checkpoints: a random graph and a book
+/// whose spine vertices the watcher lists under many pairs.
+fn items() -> Vec<StreamItem> {
     let mut rng = StdRng::seed_from_u64(32);
     let g = gen::gnm(20, 70, &mut rng).disjoint_union(&gen::book(6));
     AdjListStream::new(&g, StreamOrder::shuffled(g.vertex_count(), 5)).collect_items()
@@ -152,6 +182,47 @@ fn two_pass_blob(items: &[StreamItem]) -> Vec<u8> {
     let mut blob = Vec::new();
     algo.save(&mut blob).expect("save");
     blob
+}
+
+/// A smaller stream for the sharded counter, which runs up to two passes
+/// after each restore.
+fn sharded_items() -> Vec<StreamItem> {
+    let mut rng = StdRng::seed_from_u64(34);
+    let g = gen::gnm(12, 30, &mut rng).disjoint_union(&gen::book(5));
+    AdjListStream::new(&g, StreamOrder::shuffled(g.vertex_count(), 3)).collect_items()
+}
+
+/// A bottom-k configuration of the sharded counter whose sample evicts and
+/// whose pair subsample saturates on [`sharded_items`].
+const SHARDED: ShardedTriangleConfig = ShardedTriangleConfig {
+    seed: 7,
+    edge_sampling: EdgeSampling::BottomK { k: 16 },
+    pair_capacity: 6,
+};
+
+/// The sharded counter's checkpoints at its pass-1 and pass-2 boundaries
+/// over `items`.
+fn sharded_blobs(items: &[StreamItem]) -> [Vec<u8>; 2] {
+    let mut algo = ShardedTriangle::new(SHARDED);
+    std::array::from_fn(|pass| {
+        drive_pass_slice(&mut algo, pass, items, &mut PeakTracker::new(), &mut 0).expect("pass");
+        if pass == 1 {
+            let counters = algo.obs_counters().expect("published");
+            assert!(counters.evictions > 0 && counters.pairs_replaced > 0);
+        }
+        let mut blob = Vec::new();
+        algo.save(&mut blob).expect("save");
+        blob
+    })
+}
+
+/// Run the sharded counter's passes from `from` on over `items`, then
+/// `finish`.
+fn finish_sharded(mut algo: ShardedTriangle, from: usize, items: &[StreamItem]) {
+    for pass in from..algo.passes() {
+        drive_pass_slice(&mut algo, pass, items, &mut PeakTracker::new(), &mut 0).expect("pass");
+    }
+    algo.finish();
 }
 
 /// A watcher with a hub whose list spills past the pairs kept in place, a
@@ -174,15 +245,43 @@ fn watcher_blob() -> Vec<u8> {
 
 #[test]
 fn corrupt_checkpoints_restore_to_a_state_or_a_typed_error() {
-    let items = two_pass_items();
+    let items = items();
     let resume = |mut algo: TwoPassTriangle| {
         drive_pass_slice(&mut algo, 1, &items, &mut PeakTracker::new(), &mut 0).expect("pass 1");
         algo.finish();
     };
-    let restored = corrupt_every_way("two-pass", &two_pass_blob(&items), resume);
+    let blob = two_pass_blob(&items);
+    let restored = corrupt_every_way("two-pass", &blob, restore_as, resume);
     assert!(
         restored > 0,
         "some flipped checkpoints must restore and resume"
     );
-    corrupt_every_way::<PairWatcher>("watcher", &watcher_blob(), drop);
+
+    let items = sharded_items();
+    let boundaries = sharded_blobs(&items);
+    for (pass, blob) in boundaries.iter().enumerate() {
+        let name = format!("sharded after pass {pass}");
+        let resume = |algo| finish_sharded(algo, pass + 1, &items);
+        let restored = corrupt_every_way(&name, blob, restore_as, resume);
+        assert!(restored > 0, "{name}: some flipped checkpoints must resume");
+    }
+
+    // A worker's pass-1 payload for the first of two shards. Its parent
+    // merges the other shard's replica in, then runs pass 2.
+    let plan = ShardPlan::build(&items, 2);
+    let worker = |shard| {
+        run_shard_pass_blob::<ShardedTriangle>(&boundaries[0], 1, &items, plan.runs_for(shard))
+            .expect("shard pass")
+    };
+    let (payload, other) = (worker(0), worker(1));
+    let resume = |(mut replica, _): (ShardedTriangle, ShardPassStats)| {
+        let (other, _) = worker_payload(&other).expect("the other shard");
+        if replica.merge_pass(other, 1).is_ok() {
+            finish_sharded(replica, 2, &items);
+        }
+    };
+    let restored = corrupt_every_way("shard worker", &payload, worker_payload, resume);
+    assert!(restored > 0, "some flipped payloads must decode and merge");
+
+    corrupt_every_way("watcher", &watcher_blob(), restore_as::<PairWatcher>, drop);
 }

@@ -261,11 +261,6 @@ impl MappedTrace {
         &self.decoded
     }
 
-    /// Whether the payload checksum has been fully verified.
-    pub fn is_verified(&self) -> bool {
-        self.verify.done
-    }
-
     /// Absorb up to `window` further payload bytes into the checksum.
     /// Returns `Ok(true)` once the whole payload is absorbed and matches
     /// the recorded checksum (idempotent afterwards), `Ok(false)` if more
@@ -286,7 +281,7 @@ impl MappedTrace {
     /// checksum windows can be absorbed while replay slices from
     /// [`items`](Self::items) are still outstanding, on another thread if
     /// need be. Completion is tracked by the cursor, not mirrored into
-    /// [`is_verified`](Self::is_verified).
+    /// the mapping's own [`verify_step`](Self::verify_step) state.
     pub fn verify_cursor(&self) -> VerifyCursor<'_> {
         VerifyCursor {
             payload: &self.backing.bytes()[..self.payload_end],
@@ -395,9 +390,8 @@ mod tests {
         let mut mapped = MappedTrace::open(&path).expect("open");
         assert_eq!(mapped.len(), trace.len());
         assert_eq!(mapped.items(), trace.items());
-        assert!(!mapped.is_verified());
+        assert!(!mapped.verify_step(16).expect("a first window"));
         mapped.verify_all(16).expect("clean file verifies");
-        assert!(mapped.is_verified());
         // Idempotent after completion.
         assert!(mapped.verify_step(16).expect("still ok"));
         std::fs::remove_file(&path).ok();

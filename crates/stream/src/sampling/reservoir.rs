@@ -194,13 +194,6 @@ impl<T> Reservoir<T> {
         self.seen
     }
 
-    /// Whether every offered item was kept (`seen ≤ capacity`); if so the
-    /// reservoir holds the entire universe and downstream estimators can
-    /// skip the subsampling correction.
-    pub fn is_exhaustive(&self) -> bool {
-        self.seen <= self.capacity as u64
-    }
-
     /// Offer an item. The event's `slot` is a rank among the live entries;
     /// [`Reservoir::position`] turns it into a store position.
     pub fn offer(&mut self, item: T) -> ReservoirEvent<T>
@@ -333,9 +326,9 @@ mod tests {
         assert_eq!(r.offer(10), ReservoirEvent::Stored { slot: 0 });
         assert_eq!(r.offer(11), ReservoirEvent::Stored { slot: 1 });
         assert_eq!(r.offer(12), ReservoirEvent::Stored { slot: 2 });
-        assert!(r.is_exhaustive());
+        assert!(r.seen() <= r.capacity() as u64, "every item kept");
         let ev = r.offer(13);
-        assert!(!r.is_exhaustive());
+        assert!(r.seen() > r.capacity() as u64);
         match ev {
             ReservoirEvent::Replaced { slot, evicted } => {
                 assert!(slot < 3);
