@@ -281,7 +281,7 @@ fn corrupt_checkpoints_restore_to_a_state_or_a_typed_error() {
         }
     };
     let restored = corrupt_every_way("shard worker", &payload, worker_payload, resume);
-    assert!(restored > 0, "some flipped payloads must decode and merge");
+    assert!(restored > 0, "some flipped payloads must decode");
 
     corrupt_every_way("watcher", &watcher_blob(), restore_as::<PairWatcher>, drop);
 }
