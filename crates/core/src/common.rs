@@ -7,7 +7,7 @@ use adjstream_graph::VertexId;
 use adjstream_stream::checkpoint::{
     corrupt, read_u32, read_u64, read_usize, write_u32, write_u64, write_usize, Checkpoint,
 };
-use adjstream_stream::hashing::{FastMap, FastSet};
+use adjstream_stream::hashing::{FastBuildHasher, FastMap, FastSet};
 use adjstream_stream::meter::{hashmap_bytes, vec_bytes, SpaceUsage};
 use adjstream_stream::obs::ObsCounters;
 
@@ -75,8 +75,8 @@ where
 /// that need not be edges). Pairs are refcounted so several consumers can
 /// watch the same pair; completion is reported once per (pair, list).
 ///
-/// Layout: a slot table. `slot_of` maps a packed pair to its slot in
-/// `slots`, which holds the pair's endpoints and refcount; `epochs` holds
+/// Layout: a slot table. `index` finds a packed pair's slot in `slots`,
+/// which holds the pair's endpoints and refcount; `epochs` holds
 /// each slot's per-list hit epoch in a dense array of its own; `incident`
 /// lists, per vertex, the slots of the pairs containing it: the first two
 /// in the map entry itself, and the rest of a longer list in a `spill`
@@ -94,7 +94,7 @@ where
 #[derive(Debug, Default)]
 pub struct PairWatcher {
     /// packed pair → slot in `slots`.
-    slot_of: FastMap<u64, u32>,
+    index: PairIndex,
     /// Watched pairs by slot. A vacant slot has no refs, and its `lo`
     /// names the next vacant slot of the free chain.
     slots: Vec<Watched>,
@@ -176,6 +176,124 @@ impl Incident {
     }
 }
 
+/// The [`PairWatcher`]'s pair → slot index: an open-addressed table of slot
+/// ids under linear probing, 4 bytes a bucket. A bucket holds no key: the
+/// pair is read from its slot, so every call passes the slot table, whose
+/// occupied slots must hold the pairs the index names. Deletion shifts the
+/// rest of the probe run back, so the table never holds tombstones.
+#[derive(Debug, Default)]
+struct PairIndex {
+    /// Slot ids, or [`NO_SLOT`] in an empty bucket. The length is zero or
+    /// a power of two, and at most 3/4 of the buckets are full.
+    buckets: Vec<u32>,
+    /// Full buckets.
+    len: usize,
+}
+
+/// Buckets of a [`PairIndex`]'s first table.
+const MIN_BUCKETS: usize = 8;
+
+impl PairIndex {
+    /// An index that holds `n` pairs before it grows.
+    fn with_capacity(n: usize) -> Self {
+        let mut index = PairIndex::default();
+        if n > 0 {
+            index.buckets = vec![NO_SLOT; buckets_for(n)];
+        }
+        index
+    }
+
+    /// The bucket where the probe for `key` starts.
+    fn home(&self, key: u64) -> usize {
+        use std::hash::BuildHasher;
+        FastBuildHasher::default().hash_one(key) as usize & (self.buckets.len() - 1)
+    }
+
+    /// The bucket holding `key`'s slot, or `None`.
+    fn bucket(&self, key: u64, slots: &[Watched]) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.buckets[i] {
+                NO_SLOT => return None,
+                slot if slots[slot as usize].key() == key => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot of `key`, or `None`.
+    fn get(&self, key: u64, slots: &[Watched]) -> Option<u32> {
+        self.bucket(key, slots).map(|i| self.buckets[i])
+    }
+
+    /// Add `slot`, whose pair the index does not hold yet.
+    fn insert(&mut self, slot: u32, slots: &[Watched]) {
+        if self.buckets.len() < buckets_for(self.len + 1) {
+            self.grow(slots);
+        }
+        self.place(slot, slots);
+        self.len += 1;
+    }
+
+    /// Put `slot` in the first empty bucket of its pair's probe run.
+    fn place(&mut self, slot: u32, slots: &[Watched]) {
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(slots[slot as usize].key());
+        while self.buckets[i] != NO_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = slot;
+    }
+
+    /// Double the table (or make the first one) and re-place every slot.
+    fn grow(&mut self, slots: &[Watched]) {
+        let size = (self.buckets.len() * 2).max(MIN_BUCKETS);
+        let old = std::mem::replace(&mut self.buckets, vec![NO_SLOT; size]);
+        for slot in old.into_iter().filter(|&s| s != NO_SLOT) {
+            self.place(slot, slots);
+        }
+    }
+
+    /// Remove `key`'s slot and return it. Each later entry of the probe
+    /// run moves back into the gap if its home bucket allows, so every
+    /// remaining key stays reachable from its home.
+    fn remove(&mut self, key: u64, slots: &[Watched]) -> Option<u32> {
+        let found = self.bucket(key, slots)?;
+        let slot = self.buckets[found];
+        let mask = self.buckets.len() - 1;
+        let (mut hole, mut i) = (found, found);
+        loop {
+            i = (i + 1) & mask;
+            let moved = self.buckets[i];
+            if moved == NO_SLOT {
+                break;
+            }
+            let home = self.home(slots[moved as usize].key());
+            // The hole lies on the probe path from `home` to `i`.
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.buckets[hole] = moved;
+                hole = i;
+            }
+        }
+        self.buckets[hole] = NO_SLOT;
+        self.len -= 1;
+        Some(slot)
+    }
+}
+
+/// Buckets for `n` pairs: the least power of two that `n` fills to at
+/// most 3/4, and at least [`MIN_BUCKETS`].
+fn buckets_for(n: usize) -> usize {
+    n.div_ceil(3)
+        .saturating_mul(4)
+        .next_power_of_two()
+        .max(MIN_BUCKETS)
+}
+
 /// Pack an unordered vertex pair (canonical ascending).
 #[inline]
 pub fn pack_pair(a: VertexId, b: VertexId) -> u64 {
@@ -197,16 +315,12 @@ impl PairWatcher {
 
     /// Begin watching the pair `{a, b}` (increments its refcount).
     pub fn watch(&mut self, a: VertexId, b: VertexId) {
-        use std::collections::hash_map::Entry;
         self.watches_started += 1;
         let key = pack_pair(a, b);
-        let entry = match self.slot_of.entry(key) {
-            Entry::Occupied(e) => {
-                self.slots[*e.get() as usize].refs += 1;
-                return;
-            }
-            Entry::Vacant(e) => e,
-        };
+        if let Some(slot) = self.index.get(key, &self.slots) {
+            self.slots[slot as usize].refs += 1;
+            return;
+        }
         let (lo, hi) = unpack_pair(key);
         let fresh = Watched {
             lo: lo.0,
@@ -234,7 +348,7 @@ impl PairWatcher {
                 slot
             }
         };
-        entry.insert(slot);
+        self.index.insert(slot, &self.slots);
         self.push_incident(lo.0, slot);
         self.push_incident(hi.0, slot);
     }
@@ -301,13 +415,18 @@ impl PairWatcher {
     pub fn unwatch(&mut self, a: VertexId, b: VertexId) {
         self.watches_retired += 1;
         let key = pack_pair(a, b);
-        let slot = *self.slot_of.get(&key).expect("unwatch of unwatched pair");
+        let slot = self
+            .index
+            .get(key, &self.slots)
+            .expect("unwatch of unwatched pair");
         let watched = &mut self.slots[slot as usize];
         watched.refs -= 1;
         if watched.refs == 0 {
             let (lo, hi) = (watched.lo, watched.hi);
-            watched.lo = self.free_head.replace(slot).unwrap_or(NO_SLOT);
-            self.slot_of.remove(&key);
+            // The index reads the pair from its slot, so it lets go of the
+            // slot before the free chain takes it.
+            self.index.remove(key, &self.slots);
+            self.slots[slot as usize].lo = self.free_head.replace(slot).unwrap_or(NO_SLOT);
             self.remove_incident(lo, slot);
             self.remove_incident(hi, slot);
         }
@@ -316,7 +435,7 @@ impl PairWatcher {
     /// The slot of the watched pair packed as `key`, which
     /// [`PairWatcher::on_item`] reports with its completions.
     pub fn slot(&self, key: u64) -> Option<u32> {
-        self.slot_of.get(&key).copied()
+        self.index.get(key, &self.slots)
     }
 
     /// The watch count of the pair packed as `key`: zero if unwatched.
@@ -327,7 +446,7 @@ impl PairWatcher {
 
     /// Number of distinct watched pairs.
     pub fn watched_pairs(&self) -> usize {
-        self.slot_of.len()
+        self.index.len
     }
 
     /// Lifetime watch/unwatch counters, in [`ObsCounters`] shape (only the
@@ -411,7 +530,7 @@ pub(crate) fn count_common_neighbors(a: &[u32], b: &[u32]) -> u64 {
 
 impl SpaceUsage for PairWatcher {
     fn space_bytes(&self) -> usize {
-        hashmap_bytes(&self.slot_of)
+        vec_bytes(&self.index.buckets)
             + vec_bytes(&self.slots)
             + vec_bytes(&self.epochs)
             + hashmap_bytes(&self.incident)
@@ -429,10 +548,10 @@ impl SpaceUsage for PairWatcher {
 /// fire in that order, which downstream reservoirs observe.
 impl Checkpoint for PairWatcher {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_usize(w, self.slot_of.len())?;
-        for (&key, &slot) in &self.slot_of {
-            write_u64(w, key)?;
-            write_u32(w, self.slots[slot as usize].refs)?;
+        write_usize(w, self.index.len)?;
+        for watched in self.slots.iter().filter(|w| w.refs > 0) {
+            write_u64(w, watched.key())?;
+            write_u32(w, watched.refs)?;
         }
         write_usize(w, self.incident.len())?;
         for (&v, list) in &self.incident {
@@ -452,27 +571,30 @@ impl Checkpoint for PairWatcher {
     /// else, so a later `unwatch` always finds what it removes.
     fn restore(r: &mut dyn Read) -> io::Result<Self> {
         let n = read_usize(r)?;
-        let mut slot_of = FastMap::default();
-        slot_of.reserve(seq_reserve::<(u64, u32)>(n));
         // Reserved as one 16-byte slot and epoch, so `slots` and `epochs`
         // share one capacity.
         let mut slots = Vec::with_capacity(seq_reserve::<(Watched, u32)>(n));
+        let mut index = PairIndex::with_capacity(slots.capacity());
         for _ in 0..n {
             let key = read_u64(r)?;
             let refs = read_u32(r)?;
             if refs == 0 {
                 return Err(corrupt("watched pair with zero refcount"));
             }
-            let slot = u32::try_from(slots.len()).map_err(|_| corrupt("too many watched pairs"))?;
-            // A repeated key orphans its earlier slot, which the coverage
-            // check below then rejects.
-            slot_of.insert(key, slot);
+            if index.get(key, &slots).is_some() {
+                return Err(corrupt("pair watched twice"));
+            }
+            let slot = u32::try_from(slots.len())
+                .ok()
+                .filter(|&s| s != NO_SLOT)
+                .ok_or_else(|| corrupt("too many watched pairs"))?;
             let (lo, hi) = unpack_pair(key);
             slots.push(Watched {
                 lo: lo.0,
                 hi: hi.0,
                 refs,
             });
+            index.insert(slot, &slots);
         }
         // Per slot: bit 0 once listed under its low endpoint, bit 1 under
         // its high one (a pair {v, v} is listed twice under v).
@@ -489,8 +611,8 @@ impl Checkpoint for PairWatcher {
             let v = read_u32(r)?;
             let mut list = read_seq(r, |r| {
                 let key = read_u64(r)?;
-                let &slot = slot_of
-                    .get(&key)
+                let slot = index
+                    .get(key, &slots)
                     .ok_or_else(|| corrupt("incident pair is not watched"))?;
                 let (lo, hi) = unpack_pair(key);
                 let seen = &mut listed[slot as usize];
@@ -526,7 +648,7 @@ impl Checkpoint for PairWatcher {
         let mut epochs = Vec::with_capacity(slots.capacity());
         epochs.resize(slots.len(), u32::MAX);
         Ok(PairWatcher {
-            slot_of,
+            index,
             slots,
             epochs,
             free_head: None,
@@ -707,7 +829,8 @@ mod tests {
     /// more vertices than `seq_reserve` lets its restore reserve room for,
     /// so it grows while restoring, and some hub lists are long: the order
     /// of the index, of each list and so of these bytes depend on the
-    /// restore's reserve and on push and `swap_remove` order.
+    /// restore's reserve and on push and `swap_remove` order. The pairs are
+    /// saved in slot order, so they pin the free chain's reuse order too.
     #[test]
     fn watcher_save_after_restore_and_edits_is_pinned() {
         use adjstream_stream::hashing::SplitMix64;
@@ -764,7 +887,7 @@ mod tests {
         }
         assert_eq!(
             [before, restored, save_digest(&w)],
-            [0x9AC0E9E4C509BF2B, 0x7C8A8A949DE594AF, 0xE4D89EBC952A16A1]
+            [0xF16D32F29BC99AAF, 0xAEE926E8293F1D03, 0xFB4432B732329E05]
         );
     }
 
@@ -819,6 +942,72 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name}: crafted index must be rejected"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
         }
+    }
+
+    /// Random inserts and removes over a small key universe, so probe runs
+    /// are long and deletes shift them back, leave the index finding
+    /// exactly the slots a map model holds, at a load of at most 3/4.
+    #[test]
+    fn pair_index_matches_a_map() {
+        use adjstream_stream::hashing::SplitMix64;
+        let mut rng = SplitMix64::new(35);
+        let mut slots: Vec<Watched> = Vec::new();
+        let mut index = PairIndex::default();
+        let mut model: FastMap<u64, u32> = FastMap::default();
+        let mut free: Vec<u32> = Vec::new();
+        let universe: Vec<u64> = (0..300u32).map(|i| pack_pair(v(i % 17), v(i))).collect();
+        for step in 0..20_000 {
+            let key = universe[(rng.next_u64() % universe.len() as u64) as usize];
+            match model.get(&key) {
+                Some(&slot) if rng.next_u64() % 3 != 0 => {
+                    assert_eq!(index.remove(key, &slots), Some(slot), "step {step}");
+                    model.remove(&key);
+                    slots[slot as usize].refs = 0;
+                    free.push(slot);
+                }
+                Some(_) => {}
+                None => {
+                    let (lo, hi) = unpack_pair(key);
+                    let fresh = Watched {
+                        lo: lo.0,
+                        hi: hi.0,
+                        refs: 1,
+                    };
+                    let slot = free.pop().unwrap_or_else(|| {
+                        slots.push(fresh);
+                        slots.len() as u32 - 1
+                    });
+                    slots[slot as usize] = fresh;
+                    index.insert(slot, &slots);
+                    model.insert(key, slot);
+                }
+            }
+            assert_eq!(index.len, model.len());
+            assert!(index.len * 4 <= index.buckets.len() * 3, "step {step}");
+            for &key in &universe {
+                assert_eq!(
+                    index.get(key, &slots),
+                    model.get(&key).copied(),
+                    "step {step}"
+                );
+            }
+        }
+        assert_eq!(index.remove(pack_pair(v(1000), v(1001)), &slots), None);
+    }
+
+    /// A watcher save with its watched-pair section (a count, then a key
+    /// and a refcount per pair) in key order. A watcher saves its pairs in
+    /// slot order, which the map model does not keep; the incident lists
+    /// and the counters must match byte for byte.
+    fn by_key(bytes: &[u8]) -> Vec<u8> {
+        let n = read_usize(&mut &bytes[..]).unwrap();
+        let end = 8 + n * 12;
+        let mut pairs: Vec<&[u8]> = bytes[8..end].chunks(12).collect();
+        pairs.sort_by_key(|p| u64::from_le_bytes(p[..8].try_into().unwrap()));
+        let mut out = bytes[..8].to_vec();
+        out.extend(pairs.concat());
+        out.extend(&bytes[end..]);
+        out
     }
 
     /// The map-based watcher the slot table replaced, kept as the reference
@@ -986,7 +1175,7 @@ mod tests {
             let mut bytes = Vec::new();
             slots.save(&mut bytes).unwrap();
             let want = model.save();
-            prop_assert_eq!(&bytes, &want, "step {}: save", step);
+            prop_assert_eq!(by_key(&bytes), by_key(&want), "step {}: save", step);
             *slots = PairWatcher::restore(&mut &bytes[..]).unwrap();
             *model = MapWatcher::restore(&mut &want[..]).unwrap();
             // A restored table is compact: no slot is free.
@@ -1052,7 +1241,7 @@ mod tests {
                         10 => {
                             let mut bytes = Vec::new();
                             slots.save(&mut bytes).unwrap();
-                            prop_assert_eq!(bytes, model.save(), "step {}: save", step);
+                            prop_assert_eq!(by_key(&bytes), by_key(&model.save()), "step {}: save", step);
                         }
                         11 => round_trip(&mut slots, &mut model, &mut free, step),
                         // Grow the pivot's list while it fits in place and
@@ -1088,7 +1277,7 @@ mod tests {
                 }
                 let mut bytes = Vec::new();
                 slots.save(&mut bytes).unwrap();
-                prop_assert_eq!(bytes, model.save());
+                prop_assert_eq!(by_key(&bytes), by_key(&model.save()));
                 // A long script moves the pivot's list out and back in
                 // several times.
                 if ops.len() >= 200 {

@@ -270,6 +270,15 @@ fn actual() -> Vec<(String, Pinned)> {
 /// 0x3A64B97EF4566207 → 0x994A0AF976CFE019; final digests
 /// 0x5A84B296D7BE19AA → 0x8BCC091980403CFE and 0xE8E0506B143FE082 →
 /// 0x5F1F54790D723CD0. No estimate or counter moved.
+/// Every peak fell when the pair watcher's pair → slot map became an
+/// open-addressed table of 4-byte slot ids, and the `two-pass` digests
+/// moved because the watcher now saves its pairs in slot order: one-pass
+/// 62176 → 51024 and 42038 → 37006, three-pass 73269 → 62474 and 64422 →
+/// 53338, two-pass 91959 → 80909 and 77393 → 66335, sharded 85920 →
+/// 80336 and 83464 → 77880; boundary digests 0x09C11CA02ACEFF23 →
+/// 0x4BD7867FD3FCA903 and 0x994A0AF976CFE019 → 0xDE2663A016E613F9; final
+/// digests 0x8BCC091980403CFE → 0x8053C5E61AD80A9E and
+/// 0x5F1F54790D723CD0 → 0xCC29A8869C4F0DF0. No estimate or counter moved.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -299,14 +308,14 @@ fn expected() -> Vec<(String, Pinned)> {
         row(
             "one-pass/threshold",
             0x4088380000000000,
-            62176,
+            51024,
             None,
             vec![],
         ),
         row(
             "three-pass/threshold",
             0x4083300000000000,
-            73269,
+            62474,
             None,
             vec![],
         ),
@@ -314,38 +323,38 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/threshold",
                 0x4088C73333333333,
-                91959,
+                80909,
                 Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
-                vec![0x09C11CA02ACEFF23],
+                vec![0x4BD7867FD3FCA903],
             ),
-            0x8BCC091980403CFE,
+            0x8053C5E61AD80A9E,
         ),
         row(
             "sharded/sequential/threshold",
             0x4084A60000000000,
-            85920,
+            80336,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![0x44FBE2D78EF1C2DA, 0x150ACA9593C72D7A],
         ),
         row(
             "sharded/1/threshold",
             0x4084A60000000000,
-            85920,
+            80336,
             Some([535, 0, 1572, 1, 400, 250, 481, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/threshold",
             0x4084A60000000000,
-            85920,
+            80336,
             Some([938, 0, 1572, 1, 820, 220, 61, 450, 0]),
             vec![],
         ),
-        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 42038, None, vec![]),
+        row("one-pass/bottom-k", 0x4088A192C5F92C5F, 37006, None, vec![]),
         row(
             "three-pass/bottom-k",
             0x4086B8DCAEF1D896,
-            64422,
+            53338,
             None,
             vec![],
         ),
@@ -353,30 +362,30 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/bottom-k",
                 0x4087648888888888,
-                77393,
+                66335,
                 Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
-                vec![0x994A0AF976CFE019],
+                vec![0xDE2663A016E613F9],
             ),
-            0x5F1F54790D723CD0,
+            0xCC29A8869C4F0DF0,
         ),
         row(
             "sharded/sequential/bottom-k",
             0x40841E237FA89E60,
-            83464,
+            77880,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![0xAE7D662E0758B129, 0x817A8F8E1E192997],
         ),
         row(
             "sharded/1/bottom-k",
             0x40841E237FA89E60,
-            83464,
+            77880,
             Some([744, 444, 1513, 2, 327, 177, 183, 450, 0]),
             vec![],
         ),
         row(
             "sharded/4/bottom-k",
             0x40841E237FA89E60,
-            83464,
+            77880,
             Some([1998, 798, 419, 2, 510, 0, 0, 450, 0]),
             vec![],
         ),
