@@ -104,9 +104,9 @@ impl BottomKHeap {
             return BottomKEvent::Inserted;
         }
         // A non-member's hash differs from every member's, so `h` is below
-        // the largest one here.
-        let (_, max_key) = self.heap.pop().expect("heap full");
-        self.heap.push((h, key));
+        // the largest one here. It takes the top's place in one sift-down.
+        let mut top = self.heap.peek_mut().expect("heap full");
+        let (_, max_key) = std::mem::replace(&mut *top, (h, key));
         BottomKEvent::InsertedEvicting(max_key)
     }
 }
@@ -326,6 +326,84 @@ mod tests {
             if k > 1 {
                 assert!(kinds.iter().all(|&n| n > 0), "seed {seed} k {k}: {kinds:?}");
             }
+        }
+    }
+
+    /// The decision rule as it was before evictions replaced the heap's
+    /// top in place: pop the largest, then push the newcomer.
+    struct PopPush {
+        k: usize,
+        hash: HashFn,
+        heap: BinaryHeap<(u64, u64)>,
+    }
+
+    impl PopPush {
+        fn offer(&mut self, key: u64, in_s: bool) -> BottomKEvent {
+            if self.k == 0 {
+                return BottomKEvent::Rejected;
+            }
+            let h = self.hash.hash(key);
+            let full = self.heap.len() == self.k;
+            if full && h > self.heap.peek().expect("heap full").0 {
+                return BottomKEvent::Rejected;
+            }
+            if in_s {
+                return BottomKEvent::AlreadyPresent;
+            }
+            if !full {
+                self.heap.push((h, key));
+                return BottomKEvent::Inserted;
+            }
+            let (_, max_key) = self.heap.pop().expect("heap full");
+            self.heap.push((h, key));
+            BottomKEvent::InsertedEvicting(max_key)
+        }
+    }
+
+    /// Random key streams give the in-place heap and the pop-and-push one
+    /// the same events, with the membership both share kept beside them,
+    /// and leave both holding the same keys.
+    #[test]
+    fn in_place_eviction_matches_pop_and_push() {
+        use crate::hashing::SplitMix64;
+        for (seed, k, universe) in [
+            (5u64, 1usize, 50u64),
+            (6, 9, 60),
+            (7, 100, 2000),
+            (8, 3, 1 << 40),
+        ] {
+            let mut heap = BottomKHeap::new(seed, k);
+            let mut reference = PopPush {
+                k,
+                hash: HashFn::from_seed(seed, HASH_SALT),
+                heap: BinaryHeap::new(),
+            };
+            let mut members = std::collections::HashSet::new();
+            let mut rng = SplitMix64::new(seed);
+            let mut evictions = 0;
+            for i in 0..20_000 {
+                let key = rng.next_u64() % universe;
+                let present = members.contains(&key);
+                let ev = heap.offer(key, |k| members.contains(k));
+                assert_eq!(ev, reference.offer(key, present), "seed {seed} offer {i}");
+                match ev {
+                    BottomKEvent::Inserted => {
+                        members.insert(key);
+                    }
+                    BottomKEvent::InsertedEvicting(old) => {
+                        members.insert(key);
+                        members.remove(&old);
+                        evictions += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert!(evictions > 0, "seed {seed}: the heap must evict");
+            let mut got: Vec<(u64, u64)> = heap.heap.into_vec();
+            let mut want: Vec<(u64, u64)> = reference.heap.into_vec();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "seed {seed}");
         }
     }
 
