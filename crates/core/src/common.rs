@@ -313,13 +313,14 @@ impl PairWatcher {
         Self::default()
     }
 
-    /// Begin watching the pair `{a, b}` (increments its refcount).
-    pub fn watch(&mut self, a: VertexId, b: VertexId) {
+    /// Begin watching the pair `{a, b}` (increments its refcount), and
+    /// return its slot.
+    pub fn watch(&mut self, a: VertexId, b: VertexId) -> u32 {
         self.watches_started += 1;
         let key = pack_pair(a, b);
         if let Some(slot) = self.index.get(key, &self.slots) {
             self.slots[slot as usize].refs += 1;
-            return;
+            return slot;
         }
         let (lo, hi) = unpack_pair(key);
         let fresh = Watched {
@@ -351,6 +352,7 @@ impl PairWatcher {
         self.index.insert(slot, &self.slots);
         self.push_incident(lo.0, slot);
         self.push_incident(hi.0, slot);
+        slot
     }
 
     /// Append `slot` to `v`'s incident list, as `Vec::push` would.
@@ -436,6 +438,60 @@ impl PairWatcher {
     /// [`PairWatcher::on_item`] reports with its completions.
     pub fn slot(&self, key: u64) -> Option<u32> {
         self.index.get(key, &self.slots)
+    }
+
+    /// Rebuild the watcher from its contents alone: the watched pairs
+    /// renumbered densely in slot order, every table sized for what it
+    /// holds and filled in vertex order, and no pair hit. Two watchers with
+    /// the same pairs, refcounts and incident lists compact to the same
+    /// layout, whatever their histories, so they meter the same bytes
+    /// from then on; a watcher restored from this one's save is such a
+    /// one. Incident order is kept, so completions come in the same order.
+    /// Call it between lists. Returns each new slot's old slot.
+    pub fn compact(&mut self) -> Vec<u32> {
+        let old: Vec<u32> = (0..self.slots.len() as u32)
+            .filter(|&s| self.slots[s as usize].refs > 0)
+            .collect();
+        let mut new_of = vec![NO_SLOT; self.slots.len()];
+        for (new, &o) in old.iter().enumerate() {
+            new_of[o as usize] = new as u32;
+        }
+        self.slots = old.iter().map(|&o| self.slots[o as usize]).collect();
+        self.epochs = vec![u32::MAX; old.len()];
+        self.epoch = 0;
+        self.free_head = None;
+        self.index = PairIndex::with_capacity(old.len());
+        for slot in 0..old.len() as u32 {
+            self.index.insert(slot, &self.slots);
+        }
+        // A hash map's layout, and so its capacity as its entries come and
+        // go, depends on the order its keys went in.
+        let renumber =
+            |slots: &[u32]| -> Vec<u32> { slots.iter().map(|&s| new_of[s as usize]).collect() };
+        let mut lists: Vec<(u32, Incident)> = self.incident.drain().collect();
+        lists.sort_unstable_by_key(|&(v, _)| v);
+        let mut spill = std::mem::take(&mut self.spill);
+        self.incident = FastMap::with_capacity_and_hasher(lists.len(), FastBuildHasher::default());
+        self.spill_bytes = 0;
+        for (v, mut list) in lists {
+            let head = renumber(list.head());
+            list.head[..head.len()].copy_from_slice(&head);
+            self.incident.insert(v, list);
+            if let Some(tail) = spill.remove(&v) {
+                let tail = renumber(&tail);
+                self.spill_bytes += tail.capacity() * 4;
+                self.spill.insert(v, tail);
+            }
+        }
+        old
+    }
+
+    /// The pair watched at `slot`, packed, or `None` for a vacant slot.
+    pub fn pair(&self, slot: u32) -> Option<u64> {
+        self.slots
+            .get(slot as usize)
+            .filter(|w| w.refs > 0)
+            .map(|w| w.key())
     }
 
     /// The watch count of the pair packed as `key`: zero if unwatched.
@@ -959,7 +1015,7 @@ mod tests {
         for step in 0..20_000 {
             let key = universe[(rng.next_u64() % universe.len() as u64) as usize];
             match model.get(&key) {
-                Some(&slot) if rng.next_u64() % 3 != 0 => {
+                Some(&slot) if !rng.next_u64().is_multiple_of(3) => {
                     assert_eq!(index.remove(key, &slots), Some(slot), "step {step}");
                     model.remove(&key);
                     slots[slot as usize].refs = 0;
@@ -993,6 +1049,66 @@ mod tests {
             }
         }
         assert_eq!(index.remove(pack_pair(v(1000), v(1001)), &slots), None);
+    }
+
+    /// A compacted watcher and the compacted restore of its save have the
+    /// same slot for every pair and meter the same bytes, and under the
+    /// same later watches, unwatches and items they keep metering alike
+    /// and report the same completions with the same slots.
+    #[test]
+    fn compacted_watcher_matches_its_restore() {
+        use adjstream_stream::hashing::SplitMix64;
+        let mut rng = SplitMix64::new(36);
+        let mut w = PairWatcher::new();
+        let mut live: Vec<u64> = Vec::new();
+        for _ in 0..3_000 {
+            let (a, b) = ((rng.next_u64() % 300) as u32, (rng.next_u64() % 40) as u32);
+            if rng.next_u64().is_multiple_of(3) && !live.is_empty() {
+                let key = live.swap_remove((rng.next_u64() % live.len() as u64) as usize);
+                let (lo, hi) = unpack_pair(key);
+                w.unwatch(lo, hi);
+            } else {
+                w.watch(v(a), v(b));
+                live.push(pack_pair(v(a), v(b)));
+            }
+        }
+        let mut bytes = Vec::new();
+        w.save(&mut bytes).unwrap();
+        let mut restored = PairWatcher::restore(&mut &bytes[..]).unwrap();
+        let identity: Vec<u32> = (0..restored.watched_pairs() as u32).collect();
+        assert_eq!(restored.compact(), identity, "a restore numbers densely");
+        let old = w.compact();
+        assert!(old.windows(2).all(|p| p[0] < p[1]), "slot order is kept");
+        assert_eq!(w.space_bytes(), restored.space_bytes());
+        for &key in &live {
+            assert_eq!(w.slot(key), restored.slot(key));
+        }
+        for step in 0..2_000 {
+            let (a, b) = ((rng.next_u64() % 300) as u32, (rng.next_u64() % 40) as u32);
+            match rng.next_u64() % 4 {
+                0 if !live.is_empty() => {
+                    let key = live.swap_remove((rng.next_u64() % live.len() as u64) as usize);
+                    let (lo, hi) = unpack_pair(key);
+                    w.unwatch(lo, hi);
+                    restored.unwatch(lo, hi);
+                }
+                1 => {
+                    assert_eq!(w.watch(v(a), v(b)), restored.watch(v(a), v(b)));
+                    live.push(pack_pair(v(a), v(b)));
+                }
+                2 => {
+                    w.begin_list();
+                    restored.begin_list();
+                }
+                _ => {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    w.on_item(v(a), |k, slot| got.push((k, slot)));
+                    restored.on_item(v(a), |k, slot| want.push((k, slot)));
+                    assert_eq!(got, want, "step {step}");
+                }
+            }
+            assert_eq!(w.space_bytes(), restored.space_bytes(), "step {step}");
+        }
     }
 
     /// A watcher save with its watched-pair section (a count, then a key

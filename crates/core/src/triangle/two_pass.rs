@@ -22,6 +22,13 @@
 //! difference of a running completion count per watched pair and the
 //! count stored when that list ended: a completion costs one increment,
 //! however many records monitor its edge.
+//!
+//! Each pass keeps only what it reads. In pass 1 the watcher holds `S`
+//! alone, so a completion is a discovery, and each record sits in one
+//! `monitors` list, which a bottom-k eviction reads to purge the records
+//! discovered at the evicted edge. When pass 2 begins, `monitors` is
+//! dropped and the records in `Q` start watching their three edges and
+//! wait in `activations` for the lists that activate their slots.
 
 use std::hash::Hash;
 use std::io::{self, Read, Write};
@@ -42,7 +49,7 @@ use super::kernel::{
     published_counters, restore_config, save_config, EdgeSampler, Offer, TriangleEstimate,
     TriangleSlots,
 };
-use crate::common::{pack_pair, read_seq, seq_reserve, unpack_pair, EdgeSampling, PairWatcher};
+use crate::common::{pack_pair, read_seq, unpack_pair, EdgeSampling, PairWatcher};
 
 /// Configuration for [`TwoPassTriangle`].
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +64,7 @@ pub struct TwoPassTriangleConfig {
 }
 
 /// One `(e, τ)` pair resident in `Q`, with its per-edge `H` state, its `Q`
-/// position and its nodes' places in the two reference lists. A record is
+/// position and its nodes' places in the reference lists. A record is
 /// named by its slab index alone: [`TwoPassTriangle::destroy`] unlinks its
 /// nodes, and the caller drops its `Q` entry, before the slot is reused.
 #[derive(Debug, Clone)]
@@ -75,20 +82,21 @@ struct PairRecord {
     active: [bool; 3],
     /// Store position of the record's entry in `Q`.
     q_pos: u32,
-    /// The record's links: `links[MONITOR]` in `monitors[e]`, and
-    /// `links[ACTIVATION + slot]`, while the slot is inactive, in
+    /// The record's links. In pass 1, `links[MONITOR]` in `monitors[e]`;
+    /// in pass 2, `links[slot]`, while the slot is inactive, in
     /// `activations[opposite vertex]`.
-    links: [Link; 4],
+    links: [Link; 3],
 }
 
-/// Index in [`PairRecord::links`] of the record's `monitors` node.
+/// Index in [`PairRecord::links`] of the record's pass-1 `monitors` node.
+/// In pass 2 link `s` is triangle slot `s`'s `activations` node.
 const MONITOR: usize = 0;
-/// Index in [`PairRecord::links`] of triangle slot 0's `activations`
-/// node; slot `s` has `ACTIVATION + s`.
-const ACTIVATION: usize = 1;
+
+/// Links per record.
+const LINKS: u32 = 3;
 
 /// A node's neighbours in its reference list. A node is one link of one
-/// record, numbered `slab * 4 + link`.
+/// record, numbered `slab * LINKS + link`.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
@@ -99,17 +107,17 @@ struct Link {
 const NIL: u32 = u32::MAX;
 
 /// The links of a record in no list yet.
-const UNLINKED: [Link; 4] = [Link {
+const UNLINKED: [Link; 3] = [Link {
     prev: NIL,
     next: NIL,
-}; 4];
+}; 3];
 
 /// Slab length at which the next record's nodes would reach [`NIL`].
-const MAX_SLAB: usize = (NIL / 4) as usize;
+const MAX_SLAB: usize = (NIL / LINKS) as usize;
 
 /// The node of slab slot `slab`'s link `link`.
 fn node(slab: u32, link: usize) -> u32 {
-    slab * 4 + link as u32
+    slab * LINKS + link as u32
 }
 
 /// The live record at slab slot `s`.
@@ -121,7 +129,7 @@ fn referent(slab: &mut [Option<PairRecord>], s: u32) -> &mut PairRecord {
 
 /// The live record that node `n` belongs to, and the index of its link.
 fn node_link(slab: &mut [Option<PairRecord>], n: u32) -> (&mut PairRecord, usize) {
-    (referent(slab, n / 4), (n % 4) as usize)
+    (referent(slab, n / LINKS), (n % LINKS) as usize)
 }
 
 /// Node `n`'s links.
@@ -133,10 +141,10 @@ fn link_mut(slab: &mut [Option<PairRecord>], n: u32) -> &mut Link {
 /// The nodes of the list from `head` on.
 fn walk(slab: &[Option<PairRecord>], head: u32) -> impl Iterator<Item = u32> + '_ {
     let next = move |&n: &u32| {
-        let rec = slab[(n / 4) as usize]
+        let rec = slab[(n / LINKS) as usize]
             .as_ref()
             .expect("lists name live records");
-        Some(rec.links[(n % 4) as usize].next).filter(|&m| m != NIL)
+        Some(rec.links[(n % LINKS) as usize].next).filter(|&m| m != NIL)
     };
     std::iter::successors(Some(head).filter(|&n| n != NIL), next)
 }
@@ -192,15 +200,28 @@ impl<K: Copy + Eq + Hash> SlotRefs<K> {
     }
 }
 
-/// Per-sampled-edge bookkeeping.
-#[derive(Debug, Clone, Copy)]
+/// Per-sampled-edge bookkeeping, held at the watcher slot of the edge.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct EdgeInfo {
     /// Arrival index of the list in which the edge first appeared (and was
-    /// sampled).
+    /// sampled); [`NOT_SAMPLED`]'s for a slot that holds no edge of `S`.
     first_pos: u32,
     /// Discovered pairs charged to this edge (for eviction rollback): one
     /// per apex, so at most `n − 2`.
     discoveries: u32,
+}
+
+/// The info of a watcher slot that holds no edge of `S`.
+const NOT_SAMPLED: EdgeInfo = EdgeInfo {
+    first_pos: u32::MAX,
+    discoveries: 0,
+};
+
+impl EdgeInfo {
+    /// Whether the slot holds an edge of `S`.
+    fn sampled(self) -> bool {
+        self.first_pos != NOT_SAMPLED.first_pos
+    }
 }
 
 /// The Section 3 two-pass triangle counting algorithm. See module docs.
@@ -212,8 +233,13 @@ pub struct TwoPassTriangle {
     next_pos: u32,
     items_pass1: u64,
     sampler: EdgeSampler,
-    /// Packed edge → info, for edges currently in `S`.
-    s_edges: FastMap<u64, EdgeInfo>,
+    /// `S`'s per-edge info, by the watcher slot of the edge's pair; every
+    /// other slot below the length holds [`NOT_SAMPLED`]. An edge of `S`
+    /// is watched from its sampling to the end of the run, so its slot
+    /// stays its own.
+    s_info: Vec<EdgeInfo>,
+    /// `|S|`.
+    s_len: usize,
     /// Valid discovered pair count `T′`.
     discovered: u64,
     /// Reservoir of slab indices, one per live record.
@@ -221,10 +247,11 @@ pub struct TwoPassTriangle {
     slab: Vec<Option<PairRecord>>,
     /// Freed slab slots, reused last in, first out.
     free: Vec<u32>,
-    /// Sampled edge → the records of the pairs discovered at it.
+    /// Pass 1: sampled edge → the records of the pairs discovered at it.
     monitors: SlotRefs<u64>,
-    /// Opposite vertex → pending slot activations.
+    /// Pass 2: opposite vertex → pending slot activations.
     activations: SlotRefs<u32>,
+    /// Pass 1 watches `S`; pass 2 watches `S` and the records' edges.
     watcher: PairWatcher,
     /// Pass-2 completions of each watched pair, by watcher slot (a slot
     /// reused by another pair keeps counting; only differences are read).
@@ -246,7 +273,8 @@ impl TwoPassTriangle {
             next_pos: 0,
             items_pass1: 0,
             sampler: EdgeSampler::new(cfg.seed, cfg.edge_sampling),
-            s_edges: FastMap::default(),
+            s_info: Vec::new(),
+            s_len: 0,
             discovered: 0,
             q: Reservoir::new(cfg.seed ^ 0x9_1E57_0A1C, cfg.pair_capacity),
             slab: Vec::new(),
@@ -260,53 +288,68 @@ impl TwoPassTriangle {
         }
     }
 
-    /// Register watches and list nodes for a record freshly stored at `Q`
-    /// position `q_pos`.
+    /// Index a record freshly stored at `Q` position `q_pos`: in pass 1
+    /// under its sampled edge, in pass 2 by its watches and activations.
     fn attach(&mut self, slab: u32, q_pos: u32) {
-        let rec = referent(&mut self.slab, slab);
-        rec.q_pos = q_pos;
-        let tri = rec.tri;
+        referent(&mut self.slab, slab).q_pos = q_pos;
+        if self.pass == 0 {
+            self.link_monitor(slab);
+        } else {
+            self.watch_record(slab);
+        }
+    }
+
+    /// Put the live record at slab slot `slab` into `monitors` under its
+    /// sampled edge.
+    fn link_monitor(&mut self, slab: u32) {
+        let e = referent(&mut self.slab, slab).tri.slot_edge(0);
+        self.monitors.push(&mut self.slab, e, node(slab, MONITOR));
+    }
+
+    /// Watch the three edges of the live record at slab slot `slab` and
+    /// link its inactive slots into `activations`.
+    fn watch_record(&mut self, slab: u32) {
+        let tri = referent(&mut self.slab, slab).tri;
         for slot in 0..3 {
             let (a, b) = unpack_pair(tri.slot_edge(slot));
             self.watcher.watch(a, b);
         }
-        self.link(slab);
+        self.link_activations(slab);
     }
 
-    /// Put the live record at slab slot `slab` into `monitors` under its
-    /// sampled edge and into `activations` once per inactive slot.
-    fn link(&mut self, slab: u32) {
-        let rec = self.slab[slab as usize].as_ref().expect("a live record");
+    /// Put each inactive slot of the live record at slab slot `slab` into
+    /// `activations` under its opposite vertex.
+    fn link_activations(&mut self, slab: u32) {
+        let rec = referent(&mut self.slab, slab);
         let (tri, active) = (rec.tri, rec.active);
-        self.monitors
-            .push(&mut self.slab, tri.slot_edge(0), node(slab, MONITOR));
         for slot in (0..3).filter(|&slot| !active[slot]) {
-            let n = node(slab, ACTIVATION + slot);
             self.activations
-                .push(&mut self.slab, tri.opposite(slot).0, n);
+                .push(&mut self.slab, tri.opposite(slot).0, node(slab, slot));
         }
     }
 
-    /// Tear down a record: unwatch its edges, unlink its nodes and free its
-    /// slab slot. Returns its `Q` position, whose entry is the
+    /// Tear down a record: unlink its nodes, in pass 2 unwatch its edges,
+    /// and free its slab slot. Returns its `Q` position, whose entry is the
     /// caller's to replace or remove.
     fn destroy(&mut self, slab: u32) -> u32 {
         let rec = referent(&mut self.slab, slab);
         let (tri, active) = (rec.tri, rec.active);
-        for slot in 0..3 {
-            let (a, b) = unpack_pair(tri.slot_edge(slot));
-            self.watcher.unwatch(a, b);
-        }
         // The record stays in the slab until its nodes are unlinked: on a
         // stream that breaks the promise, two of its slots can share an
         // `activations` list, so a node's neighbour may be its own.
-        self.monitors
-            .unlink(&mut self.slab, tri.slot_edge(0), node(slab, MONITOR));
-        // An active slot's activation node was consumed with its list.
-        for slot in (0..3).filter(|&slot| !active[slot]) {
-            let n = node(slab, ACTIVATION + slot);
-            self.activations
-                .unlink(&mut self.slab, tri.opposite(slot).0, n);
+        if self.pass == 0 {
+            self.monitors
+                .unlink(&mut self.slab, tri.slot_edge(0), node(slab, MONITOR));
+        } else {
+            for slot in 0..3 {
+                let (a, b) = unpack_pair(tri.slot_edge(slot));
+                self.watcher.unwatch(a, b);
+            }
+            // An active slot's activation node was consumed with its list.
+            for slot in (0..3).filter(|&slot| !active[slot]) {
+                self.activations
+                    .unlink(&mut self.slab, tri.opposite(slot).0, node(slab, slot));
+            }
         }
         let rec = self.slab[slab as usize].take().expect("still live");
         self.free.push(slab);
@@ -314,12 +357,10 @@ impl TwoPassTriangle {
     }
 
     /// Handle a discovery of the pair `(e, τ)` where `e = {u, v}` (packed in
-    /// `e_key`) and `w` is the apex.
-    fn discover(&mut self, e_key: u64, w: VertexId) {
+    /// `e_key`, watched at `slot`) and `w` is the apex.
+    fn discover(&mut self, e_key: u64, slot: u32, w: VertexId) {
         self.discovered += 1;
-        if let Some(info) = self.s_edges.get_mut(&e_key) {
-            info.discoveries += 1;
-        }
+        self.s_info[slot as usize].discoveries += 1;
         let slab = self.allocate(TriangleSlots::new(e_key, w));
         match self.q.offer(slab) {
             ReservoirEvent::Stored { slot } => {
@@ -341,20 +382,20 @@ impl TwoPassTriangle {
         }
     }
 
-    /// Purge everything charged to an evicted sampled edge.
+    /// Purge everything charged to an edge evicted from `S` in pass 1.
     fn purge_edge(&mut self, e_key: u64) {
-        let Some(info) = self.s_edges.remove(&e_key) else {
-            return;
-        };
+        let slot = self.watcher.slot(e_key).expect("an edge of S is watched");
+        let info = std::mem::replace(&mut self.s_info[slot as usize], NOT_SAMPLED);
+        self.s_len -= 1;
         let (a, b) = unpack_pair(e_key);
         self.watcher.unwatch(a, b);
         self.discovered -= u64::from(info.discoveries);
         // Destroy the pairs discovered at this edge: the list
         // `monitors[e_key]`, which keeps no order. Slab order keeps the
-        // free list and the watcher's `swap_remove`s, and so completion
-        // order, as a full slab scan would leave them.
+        // free list, and so later slab reuse, as a full slab scan would
+        // leave them.
         let mut victims: Vec<u32> = walk(&self.slab, self.monitors.head(e_key))
-            .map(|n| n / 4)
+            .map(|n| n / LINKS)
             .collect();
         victims.sort_unstable();
         for s in victims {
@@ -370,24 +411,29 @@ impl TwoPassTriangle {
     /// Process one completion of the pair `key`, at watcher slot `slot`,
     /// in the current list of `owner`.
     fn on_completion(&mut self, key: u64, slot: u32, owner: VertexId) {
-        // Discovery path: `key` is a sampled edge and `owner` its apex.
-        if let Some(info) = self.s_edges.get(&key) {
-            if self.pass == 0 || self.pos < info.first_pos {
-                self.discover(key, owner);
-            }
+        if self.pass == 0 {
+            // Pass 1 watches only `S`, whose edges keep their slots while
+            // an item's completions are handled: each is a discovery.
+            self.discover(key, slot, owner);
+            return;
         }
-        // H path (pass 2 only): count the completion. If an earlier
-        // completion of this item released `slot` (a `Q` replacement
-        // unwatches the evicted record's edges), no live record monitors
-        // `key`, and a record watching the slot's next pair activates
-        // after this count.
-        if self.pass == 1 {
-            let slot = slot as usize;
-            if slot >= self.completions.len() {
-                self.completions.resize(slot + 1, 0);
-            }
-            self.completions[slot] = self.completions[slot].wrapping_add(1);
+        // Discovery path: `key` is a sampled edge, `owner` its apex, and
+        // the list comes before the one that sampled it. An edge of `S`
+        // keeps its slot through pass 2, and a slot released by an earlier
+        // completion of this item held no edge of `S`.
+        let info = self.s_info.get(slot as usize).copied();
+        if info.is_some_and(|info| info.sampled() && self.pos < info.first_pos) {
+            self.discover(key, slot, owner);
         }
+        // H path: count the completion. If an earlier completion of this
+        // item released `slot` (a `Q` replacement unwatches the evicted
+        // record's edges), no live record monitors `key`, and a record
+        // watching the slot's next pair activates after this count.
+        let slot = slot as usize;
+        if slot >= self.completions.len() {
+            self.completions.resize(slot + 1, 0);
+        }
+        self.completions[slot] = self.completions[slot].wrapping_add(1);
     }
 
     /// `rec`'s `H` counters (see [`PairRecord::h`]).
@@ -403,21 +449,21 @@ impl TwoPassTriangle {
         })
     }
 
-    /// Pass-1 edge sampling on every item.
+    /// Pass-1 edge sampling on every item. The pass-1 watcher holds
+    /// exactly `S`, so it answers the sampler's membership test.
     fn sample_edge(&mut self, src: VertexId, dst: VertexId) {
         let key = pack_pair(src, dst);
-        let s_edges = &self.s_edges;
-        let offer = self.sampler.offer(key, |k| s_edges.contains_key(k));
+        let watcher = &self.watcher;
+        let offer = self.sampler.offer(key, |&k| watcher.slot(k).is_some());
         offer.count(&mut self.counters);
         if let Offer::New | Offer::NewEvicting(_) = offer {
-            self.s_edges.insert(
-                key,
-                EdgeInfo {
-                    first_pos: self.pos,
-                    discoveries: 0,
-                },
-            );
-            self.watcher.watch(src, dst);
+            let slot = self.watcher.watch(src, dst);
+            let info = EdgeInfo {
+                first_pos: self.pos,
+                discoveries: 0,
+            };
+            set_info(&mut self.s_info, slot, info);
+            self.s_len += 1;
         }
         if let Offer::NewEvicting(old) = offer {
             self.purge_edge(old);
@@ -441,11 +487,33 @@ impl TwoPassTriangle {
         });
         idx
     }
+
+    /// The edges of `S` with their info, in slot order.
+    fn s_edges(&self) -> impl Iterator<Item = (u64, EdgeInfo)> + '_ {
+        self.s_info
+            .iter()
+            .enumerate()
+            .filter(|(_, info)| info.sampled())
+            .map(|(slot, &info)| {
+                let key = self.watcher.pair(slot as u32).expect("S is watched");
+                (key, info)
+            })
+    }
+}
+
+/// Set the info at watcher slot `slot`, growing `s_info` with
+/// [`NOT_SAMPLED`] slots to reach it.
+fn set_info(s_info: &mut Vec<EdgeInfo>, slot: u32, info: EdgeInfo) {
+    let slot = slot as usize;
+    if slot >= s_info.len() {
+        s_info.resize(slot + 1, NOT_SAMPLED);
+    }
+    s_info[slot] = info;
 }
 
 impl SpaceUsage for TwoPassTriangle {
     fn space_bytes(&self) -> usize {
-        hashmap_bytes(&self.s_edges)
+        vec_bytes(&self.s_info)
             + self.slab.capacity() * std::mem::size_of::<Option<PairRecord>>()
             + vec_bytes(&self.free)
             + self.monitors.space_bytes()
@@ -469,14 +537,33 @@ impl MultiPassAlgorithm for TwoPassTriangle {
     }
 
     /// Pass 2 takes no more offers, so `S` is final and the sampler keeps
-    /// only its saturation flag.
+    /// only its saturation flag. No purge reads `monitors` any more, so it
+    /// goes. What pass 1 leaves is shrunk to its contents, as a restore
+    /// would build it, so a run resumed here meters what an uninterrupted
+    /// one does. Then the records in `Q` start watching, in store order.
     fn begin_pass(&mut self, pass: usize) {
         if pass > 0 {
             self.sampler.close();
         }
+        let watching = pass == 1 && self.pass == 0;
         self.pass = pass;
         self.next_pos = 0;
         self.pos = 0;
+        if watching {
+            self.monitors = SlotRefs::default();
+            // The watcher holds `S` alone, so every slot's info moves.
+            let old_slots = self.watcher.compact();
+            self.s_info = old_slots.iter().map(|&o| self.s_info[o as usize]).collect();
+            self.slab.shrink_to_fit();
+            self.free.shrink_to_fit();
+            let slab = &mut self.slab;
+            self.q
+                .shrink_to_fit(|pos, &s| referent(slab, s).q_pos = pos as u32);
+            let stored: Vec<u32> = self.q.iter().copied().collect();
+            for s in stored {
+                self.watch_record(s);
+            }
+        }
     }
 
     fn begin_list(&mut self, _owner: VertexId) {
@@ -514,13 +601,12 @@ impl MultiPassAlgorithm for TwoPassTriangle {
         if self.pass == 1 {
             let mut n = self.activations.take(owner.0);
             while n != NIL {
-                let (rec, link) = node_link(&mut self.slab, n);
-                let slot = link - ACTIVATION;
+                let (rec, slot) = node_link(&mut self.slab, n);
                 let edge = rec.tri.slot_edge(slot);
                 let count = completion_count(&self.watcher, &self.completions, edge);
                 rec.h[slot] = count.wrapping_sub(rec.h[slot]);
                 rec.active[slot] = true;
-                n = rec.links[link].next;
+                n = rec.links[slot].next;
             }
         }
     }
@@ -549,7 +635,7 @@ impl MultiPassAlgorithm for TwoPassTriangle {
         TriangleEstimate::assemble(
             self.cfg.edge_sampling,
             self.items_pass1 / 2,
-            self.s_edges.len(),
+            self.s_len,
             self.discovered,
             self.q.len(),
             counted,
@@ -562,13 +648,15 @@ impl MultiPassAlgorithm for TwoPassTriangle {
 /// than saved — both are (re)initialized by `begin_pass`/`begin_list` when
 /// the resumed run enters pass 2. The sampler is rebuilt from the saved
 /// `S` (see `EdgeSampler::rebuild`). The record positions come from the
-/// saved order of `Q`. The layout keeps three parts that this build no
-/// longer uses, so that payloads of earlier builds still resume: a
-/// generation word beside each `Q` entry and each record, saved as 0 and
-/// ignored on restore; a `free_gens` section (slab slot → generation),
-/// saved empty and read past; and the two reference lists, each saved as
-/// an empty `key → [reference]` section and read past, where restore
-/// rebuilds both from the records.
+/// saved order of `Q`, and the reference lists of the saved pass from the
+/// records. The watcher saved at the pass-1 boundary holds only `S`; an
+/// earlier build's also holds the records' edges, which restore unwatches.
+/// The layout keeps three parts that this build no longer uses, so that
+/// payloads of earlier builds still resume: a generation word beside each
+/// `Q` entry and each record, saved as 0 and ignored on restore; a
+/// `free_gens` section (slab slot → generation), saved empty and read
+/// past; and the two reference lists, each saved as an empty
+/// `key → [reference]` section and read past.
 impl Checkpoint for TwoPassTriangle {
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
         save_config(
@@ -580,8 +668,8 @@ impl Checkpoint for TwoPassTriangle {
         write_usize(w, self.pass)?;
         write_u64(w, self.items_pass1)?;
         write_u64(w, self.discovered)?;
-        write_usize(w, self.s_edges.len())?;
-        for (&key, info) in &self.s_edges {
+        write_usize(w, self.s_len)?;
+        for (key, info) in self.s_edges() {
             write_u64(w, key)?;
             write_u32(w, info.first_pos)?;
             write_u64(w, info.discoveries.into())?;
@@ -634,23 +722,22 @@ impl Checkpoint for TwoPassTriangle {
             pair_capacity,
         };
         let pass = read_usize(r)?;
+        if pass > 1 {
+            return Err(corrupt(format!("pass {pass} of a two-pass run")));
+        }
         let items_pass1 = read_u64(r)?;
         let discovered = read_u64(r)?;
-        let n = read_usize(r)?;
-        let mut s_edges = FastMap::default();
-        s_edges.reserve(seq_reserve::<(u64, EdgeInfo)>(n));
-        for _ in 0..n {
+        let s_edges = read_seq(r, |r| {
             let key = read_u64(r)?;
-            let first_pos = read_u32(r)?;
-            let discoveries = read_count(r, "discovery count")?;
-            s_edges.insert(
-                key,
-                EdgeInfo {
-                    first_pos,
-                    discoveries,
-                },
-            );
-        }
+            let info = EdgeInfo {
+                first_pos: read_u32(r)?,
+                discoveries: read_count(r, "discovery count")?,
+            };
+            if !info.sampled() {
+                return Err(corrupt("sampled edge with no first position"));
+            }
+            Ok((key, info))
+        })?;
         let capacity = read_usize(r)?;
         let seen = read_u64(r)?;
         let rng_state = read_u64(r)?;
@@ -706,11 +793,16 @@ impl Checkpoint for TwoPassTriangle {
         }
         let q = Reservoir::from_parts(capacity, seen, rng_state, q_items);
         let free = read_seq(r, read_u32)?;
-        if free
-            .iter()
-            .any(|&f| !matches!(slab.get(f as usize), Some(None)))
-        {
-            return Err(corrupt("free list names an occupied slab slot"));
+        let mut freed = vec![false; slab.len()];
+        for &f in &free {
+            match (slab.get(f as usize), freed.get_mut(f as usize)) {
+                (Some(None), Some(seen @ false)) => *seen = true,
+                _ => {
+                    return Err(corrupt(
+                        "free list names an occupied slab slot, or one twice",
+                    ))
+                }
+            }
         }
         // Earlier builds' `free_gens` entries: a slab slot and a generation.
         for _ in 0..read_usize(r)? {
@@ -718,10 +810,48 @@ impl Checkpoint for TwoPassTriangle {
         }
         skip_ref_map(r)?;
         skip_ref_map(r)?;
-        let watcher = PairWatcher::restore(r)?;
-        check_watches(&watcher, &s_edges, &slab)?;
+        let mut watcher = PairWatcher::restore(r)?;
         let counters = ObsCounters::restore(r)?;
-        let sampler = EdgeSampler::rebuild(seed, edge_sampling, pass, s_edges.keys().copied())?;
+        let s_keys = || s_edges.iter().map(|&(key, _)| key);
+        let record_edges = || {
+            slab.iter()
+                .flatten()
+                .flat_map(|rec| (0..3).map(|slot| rec.tri.slot_edge(slot)))
+        };
+        if pass == 0 && !watches_exactly(&watcher, s_keys()) {
+            // An earlier build's pass-1 watcher: `S` and the records'
+            // edges, which this build watches from pass 2 on.
+            if !watches_exactly(&watcher, s_keys().chain(record_edges())) {
+                return Err(corrupt("watched pairs differ from the sample's"));
+            }
+            for edge in record_edges() {
+                let (a, b) = unpack_pair(edge);
+                watcher.unwatch(a, b);
+            }
+        } else if pass == 1 && !watches_exactly(&watcher, s_keys().chain(record_edges())) {
+            return Err(corrupt("watched pairs differ from the sample's"));
+        }
+        let mut s_info = Vec::new();
+        for &(key, info) in &s_edges {
+            let slot = watcher.slot(key).expect("S is watched");
+            if s_info
+                .get(slot as usize)
+                .is_some_and(|i: &EdgeInfo| i.sampled())
+            {
+                return Err(corrupt("sampled edge saved twice"));
+            }
+            set_info(&mut s_info, slot, info);
+        }
+        let in_s = |edge| {
+            let info = watcher
+                .slot(edge)
+                .and_then(|slot| s_info.get(slot as usize));
+            info.is_some_and(|info| info.sampled())
+        };
+        if slab.iter().flatten().any(|rec| !in_s(rec.tri.slot_edge(0))) {
+            return Err(corrupt("record whose sampled edge is not in S"));
+        }
+        let sampler = EdgeSampler::rebuild(seed, edge_sampling, pass, s_keys())?;
         let mut algo = TwoPassTriangle {
             cfg,
             pass,
@@ -729,7 +859,8 @@ impl Checkpoint for TwoPassTriangle {
             next_pos: 0,
             items_pass1,
             sampler,
-            s_edges,
+            s_info,
+            s_len: s_edges.len(),
             discovered,
             q,
             slab,
@@ -743,7 +874,11 @@ impl Checkpoint for TwoPassTriangle {
         };
         for s in 0..algo.slab.len() as u32 {
             if algo.slab[s as usize].is_some() {
-                algo.link(s);
+                if pass == 0 {
+                    algo.link_monitor(s);
+                } else {
+                    algo.link_activations(s);
+                }
             }
         }
         Ok(algo)
@@ -782,28 +917,16 @@ fn skip_ref_map(r: &mut dyn Read) -> io::Result<()> {
     Ok(())
 }
 
-/// Refuse a restored watcher that does not hold exactly the watches of
-/// `S` and the records: one per sampled edge and one per record slot. A
-/// later `unwatch` of the records or of `S` must find what it releases.
-fn check_watches(
-    watcher: &PairWatcher,
-    s_edges: &FastMap<u64, EdgeInfo>,
-    slab: &[Option<PairRecord>],
-) -> io::Result<()> {
+/// Whether `watcher` holds exactly one watch per pair in `pairs`, counted
+/// with repeats, and nothing else: a later `unwatch` of any of them must
+/// find what it releases.
+fn watches_exactly(watcher: &PairWatcher, pairs: impl Iterator<Item = u64>) -> bool {
     let mut need: FastMap<u64, u32> = FastMap::default();
-    let slot_edges = slab
-        .iter()
-        .flatten()
-        .flat_map(|rec| (0..3).map(|slot| rec.tri.slot_edge(slot)));
-    for key in s_edges.keys().copied().chain(slot_edges) {
+    for key in pairs {
         *need.entry(key).or_default() += 1;
     }
-    if need.len() != watcher.watched_pairs()
-        || need.iter().any(|(&key, &refs)| watcher.refs(key) != refs)
-    {
-        return Err(corrupt("watched pairs differ from the sample's"));
-    }
-    Ok(())
+    need.len() == watcher.watched_pairs()
+        && need.iter().all(|(&key, &refs)| watcher.refs(key) == refs)
 }
 
 #[cfg(test)]
@@ -1004,11 +1127,14 @@ mod tests {
         let mut nodes = Vec::new();
         let (mut prev, mut n) = (NIL, refs.head(key));
         while n != NIL {
-            assert!(nodes.len() < 4 * slab.len(), "{ctx}: a list cycles");
-            let rec = slab[(n / 4) as usize].as_ref().unwrap_or_else(|| {
-                panic!("{ctx}: list names dead slab slot {}", n / 4);
+            assert!(
+                nodes.len() < LINKS as usize * slab.len(),
+                "{ctx}: a list cycles"
+            );
+            let rec = slab[(n / LINKS) as usize].as_ref().unwrap_or_else(|| {
+                panic!("{ctx}: list names dead slab slot {}", n / LINKS);
             });
-            let link = rec.links[(n % 4) as usize];
+            let link = rec.links[(n % LINKS) as usize];
             assert_eq!(link.prev, prev, "{ctx}: node {n}'s prev");
             nodes.push(n);
             (prev, n) = (n, link.next);
@@ -1022,14 +1148,25 @@ mod tests {
         nodes
     }
 
-    /// Assert that `a` holds only live sample state: every live record
-    /// sits exactly once in its sampled edge's `monitors` list, every
-    /// inactive slot exactly once in its opposite vertex's `activations`
-    /// list, and nothing else sits in either; every list's links agree
-    /// (see [`list_nodes`]); `Q` is exactly the live records, each at its
-    /// stored position; the completion counts are empty until pass 2; and
-    /// `space_bytes` equals a recount from the maps, the slab and the
-    /// counts.
+    /// Whether `key` is an edge of `S` in `a`.
+    fn in_s(a: &TwoPassTriangle, key: u64) -> bool {
+        a.watcher
+            .slot(key)
+            .and_then(|slot| a.s_info.get(slot as usize))
+            .is_some_and(|info| info.sampled())
+    }
+
+    /// Assert that `a` holds only live sample state for its pass. In pass
+    /// 1 every live record sits exactly once in its sampled edge's
+    /// `monitors` list, `activations` is empty, and the watcher holds `S`
+    /// alone; in pass 2 `monitors` is empty, every inactive slot sits
+    /// exactly once in its opposite vertex's `activations` list, and the
+    /// watcher holds `S` and one watch per record edge. Every list's links
+    /// agree (see [`list_nodes`]); `S`'s info names `|S|` watched slots,
+    /// and every record's sampled edge is one of them; `Q` is exactly the
+    /// live records, each at its stored position; the completion counts
+    /// are empty until pass 2; and `space_bytes` equals a recount from the
+    /// maps, the slab and the counts.
     fn assert_live_state(a: &TwoPassTriangle, ctx: &str) {
         assert!(a.pass == 1 || a.completions.is_empty(), "{ctx}: counts");
         let live: Vec<(u32, &PairRecord)> = a
@@ -1046,8 +1183,8 @@ mod tests {
         let mut monitored = Vec::new();
         for &key in a.monitors.map.keys() {
             for n in list_nodes(&a.monitors, &a.slab, key, ctx) {
-                let r = a.slab[(n / 4) as usize].as_ref().expect("checked live");
-                assert_eq!(n % 4, MONITOR as u32, "{ctx}: a monitors node");
+                let r = a.slab[(n / LINKS) as usize].as_ref().expect("checked live");
+                assert_eq!(n % LINKS, MONITOR as u32, "{ctx}: a monitors node");
                 assert_eq!(r.tri.slot_edge(0), key, "{ctx}");
                 monitored.push(n);
             }
@@ -1055,8 +1192,8 @@ mod tests {
         let mut pending = Vec::new();
         for &key in a.activations.map.keys() {
             for n in list_nodes(&a.activations, &a.slab, key, ctx) {
-                let r = a.slab[(n / 4) as usize].as_ref().expect("checked live");
-                let slot = (n % 4) as usize - ACTIVATION;
+                let r = a.slab[(n / LINKS) as usize].as_ref().expect("checked live");
+                let slot = (n % LINKS) as usize;
                 assert!(!r.active[slot], "{ctx}: activation of an active slot");
                 assert_eq!(r.tri.opposite(slot).0, key, "{ctx}");
                 pending.push(n);
@@ -1064,17 +1201,35 @@ mod tests {
         }
         monitored.sort_unstable();
         pending.sort_unstable();
-        let all: Vec<u32> = live.iter().map(|&(s, _)| node(s, MONITOR)).collect();
+        let (all, inactive): (Vec<u32>, Vec<u32>) = if a.pass == 0 {
+            let all = live.iter().map(|&(s, _)| node(s, MONITOR)).collect();
+            (all, Vec::new())
+        } else {
+            let inactive = live
+                .iter()
+                .flat_map(|&(s, r)| {
+                    (0..3)
+                        .filter(|&slot| !r.active[slot])
+                        .map(move |slot| node(s, slot))
+                })
+                .collect();
+            (Vec::new(), inactive)
+        };
         assert_eq!(monitored, all, "{ctx}: each live record monitors once");
-        let inactive: Vec<u32> = live
-            .iter()
-            .flat_map(|&(s, r)| {
-                (0..3)
-                    .filter(|&slot| !r.active[slot])
-                    .map(move |slot| node(s, ACTIVATION + slot))
-            })
-            .collect();
         assert_eq!(pending, inactive, "{ctx}: each inactive slot pends once");
+        let s_keys: Vec<u64> = a.s_edges().map(|(key, _)| key).collect();
+        assert_eq!(s_keys.len(), a.s_len, "{ctx}: |S|");
+        let record_edges = live
+            .iter()
+            .flat_map(|&(_, r)| (0..3).map(|slot| r.tri.slot_edge(slot)))
+            .filter(|_| a.pass == 1);
+        assert!(
+            watches_exactly(&a.watcher, s_keys.iter().copied().chain(record_edges)),
+            "{ctx}: watched pairs"
+        );
+        for &(s, r) in &live {
+            assert!(in_s(a, r.tri.slot_edge(0)), "{ctx}: record {s} outside S");
+        }
         let mut q: Vec<u32> = a.q.iter().copied().collect();
         for (rank, &s) in q.iter().enumerate() {
             assert_eq!(a.q.position(rank), rec(s).q_pos as usize, "{ctx}");
@@ -1082,7 +1237,7 @@ mod tests {
         q.sort_unstable();
         let want: Vec<u32> = live.iter().map(|&(i, _)| i).collect();
         assert_eq!(q, want, "{ctx}: Q must be the live records");
-        let recount = hashmap_bytes(&a.s_edges)
+        let recount = vec_bytes(&a.s_info)
             + a.slab.capacity() * std::mem::size_of::<Option<PairRecord>>()
             + vec_bytes(&a.free)
             + hashmap_bytes(&a.monitors.map)
@@ -1146,7 +1301,7 @@ mod tests {
             let mut live = 0;
             for rec in a.slab.iter().flatten() {
                 let e = rec.tri.slot_edge(0);
-                assert!(a.s_edges.contains_key(&e), "pass {pass}: orphan of {e:#x}");
+                assert!(in_s(a, e), "pass {pass}: orphan of {e:#x}");
                 live += 1;
             }
             most_live = most_live.max(live);
@@ -1241,7 +1396,7 @@ mod tests {
             let mut buf = Vec::new();
             original.save(&mut buf).unwrap();
             let mut restored = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
-            assert_eq!(restored.s_edges.len(), original.s_edges.len());
+            assert_eq!(restored.s_len, original.s_len);
             assert!(restored.q.iter().eq(original.q.iter()));
             assert_live_state(&restored, "restored");
             let mut again = Vec::new();
@@ -1295,11 +1450,12 @@ mod tests {
     }
 
     /// Restore recomputes every record's position from the saved order of
-    /// `Q`, rebuilds both reference lists from the slab and counts the
-    /// watches that `S` and the records need, so a checkpoint whose free
-    /// list, records or watcher disagree is refused as `InvalidData`
-    /// rather than restored into a state that later panics. A saved list
-    /// section is read past, whatever references it holds.
+    /// `Q`, rebuilds the saved pass's reference list from the slab, checks
+    /// that each record's sampled edge is in `S`, and counts the watches
+    /// that `S` (and, after pass 2, the records) need, so a checkpoint
+    /// whose free list, records or watcher disagree is refused as
+    /// `InvalidData` rather than restored into a state that later panics.
+    /// A saved list section is read past, whatever references it holds.
     #[test]
     fn checkpoint_restore_rejects_inconsistent_references() {
         use adjstream_stream::meter::PeakTracker;
@@ -1318,14 +1474,28 @@ mod tests {
         let mut buf = Vec::new();
         base.save(&mut buf).unwrap();
         let live = base.slab.iter().position(Option::is_some).unwrap();
-        for what in ["free", "outside Q", "vertex"] {
-            let mut a = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+        let mut done = TwoPassTriangle::restore(&mut &buf[..]).unwrap();
+        drive_pass_slice(&mut done, 1, &items, &mut PeakTracker::new(), &mut 0).unwrap();
+        let mut after = Vec::new();
+        done.save(&mut after).unwrap();
+        let cases = [
+            ("free", &buf, "occupied"),
+            ("free twice", &buf, "twice"),
+            ("outside Q", &buf, "outside Q"),
+            ("sampled edge", &buf, "not in S"),
+            ("sampled edge", &after, "watched pairs"),
+            ("apex", &after, "watched pairs"),
+        ];
+        for (what, blob, message) in cases {
+            let mut a = TwoPassTriangle::restore(&mut &blob[..]).unwrap();
             match what {
                 "free" => a.free.push(live as u32),
+                "free twice" => a.free.push(a.free[0]),
                 "outside Q" => {
                     let spare = a.free[0];
                     a.slab[spare as usize] = a.slab[live].clone();
                 }
+                "sampled edge" => a.slab[live].as_mut().unwrap().tri.0[0].0 += 1000,
                 _ => a.slab[live].as_mut().unwrap().tri.0[2].0 += 1000,
             }
             let mut bad = Vec::new();
@@ -1334,9 +1504,7 @@ mod tests {
                 .err()
                 .unwrap_or_else(|| panic!("{what}: must be refused"));
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
-            if what == "vertex" {
-                assert!(err.to_string().contains("watched pairs"), "{err}");
-            }
+            assert!(err.to_string().contains(message), "{what}: {err}");
         }
 
         // The two empty list sections end where the watcher and the
@@ -1404,7 +1572,7 @@ mod tests {
             assert_eq!(tagged[at..at + 4], [0; 4], "a zero generation word");
             tagged[at..at + 4].copy_from_slice(&tags.next().unwrap().to_le_bytes());
         };
-        let q_start = 25 + 4 * 8 + base.s_edges.len() * (8 + 4 + 8) + 4 * 8;
+        let q_start = 25 + 4 * 8 + base.s_len * (8 + 4 + 8) + 4 * 8;
         for i in 0..base.q.len() {
             tag_at(q_start + i * 8 + 4);
         }
@@ -1460,14 +1628,14 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
             /// Random pushes, unlinks and takes over three keys and the
-            /// twelve nodes of three records leave every list holding the
+            /// nine nodes of three records leave every list holding the
             /// nodes that a set under the same steps holds, with links
             /// that agree (see [`list_nodes`]), after every step. Lists
             /// often hold two nodes of one record, as a self-loop makes
             /// them do.
             #[test]
             fn lists_hold_their_node_sets(
-                ops in prop::collection::vec((0u8..5, 0u32..3, 0u32..12, any::<u8>()), 0..200)
+                ops in prop::collection::vec((0u8..5, 0u32..3, 0u32..9, any::<u8>()), 0..200)
             ) {
                 let record = PairRecord {
                     tri: TriangleSlots([VertexId(0); 3]),
@@ -1598,7 +1766,7 @@ mod tests {
             TriangleEstimate::assemble(
                 a.cfg.edge_sampling,
                 a.items_pass1 / 2,
-                a.s_edges.len(),
+                a.s_len,
                 a.discovered,
                 a.q.len(),
                 counted,
@@ -1697,7 +1865,7 @@ mod tests {
         // Then `Q`'s parts, its entries, the slab length and the slab's
         // slots: a free one is a tag byte; a record is a tag, a
         // generation and three vertices before its `H` counters.
-        let q_start = s_start + algo.s_edges.len() * (8 + 4 + 8);
+        let q_start = s_start + algo.s_len * (8 + 4 + 8);
         let slab_start = q_start + 4 * 8 + algo.q.len() * 8 + 8;
         let first = algo
             .slab

@@ -279,6 +279,19 @@ fn actual() -> Vec<(String, Pinned)> {
 /// 0x4BD7867FD3FCA903 and 0x994A0AF976CFE019 → 0xDE2663A016E613F9; final
 /// digests 0x8BCC091980403CFE → 0x8053C5E61AD80A9E and
 /// 0x5F1F54790D723CD0 → 0xCC29A8869C4F0DF0. No estimate or counter moved.
+/// The `two-pass` rows moved when its records began to watch their edges
+/// only when pass 2 begins, `S`'s per-edge info moved into watcher slots,
+/// a record lost its fourth link, and pass 2 began from state rebuilt
+/// from its contents (the watcher's slots renumbered densely and its
+/// incident index refilled in vertex order): the pass-1
+/// watcher holds `S` alone, so the watch counters fell (threshold 1741 →
+/// 1144 started, 756 → 159 retired; bottom-k 2184 → 1389 and 1434 →
+/// 639), as did the peaks (80909 → 62776 and 66335 → 55017); boundary
+/// digests 0x4BD7867FD3FCA903 → 0xA042C71E343785D4 and 0xDE2663A016E613F9
+/// → 0xD5057F60D8568A44; final digests 0x8053C5E61AD80A9E →
+/// 0xACBD5B68E3070600 and 0xCC29A8869C4F0DF0 → 0xD689B01671332C82.
+/// Pass-2 completions come in a new order within an item, which could
+/// move an estimate; on these rows none moved.
 /// Sharded counters legitimately differ by shard count (see
 /// `shard_equivalence.rs`); estimates and peaks do not.
 fn expected() -> Vec<(String, Pinned)> {
@@ -323,11 +336,11 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/threshold",
                 0x4088C73333333333,
-                80909,
-                Some([535, 0, 1572, 1, 402, 252, 479, 1741, 756]),
-                vec![0x4BD7867FD3FCA903],
+                62776,
+                Some([535, 0, 1572, 1, 402, 252, 479, 1144, 159]),
+                vec![0xA042C71E343785D4],
             ),
-            0x8053C5E61AD80A9E,
+            0xACBD5B68E3070600,
         ),
         row(
             "sharded/sequential/threshold",
@@ -362,11 +375,11 @@ fn expected() -> Vec<(String, Pinned)> {
             row(
                 "two-pass/bottom-k",
                 0x4087648888888888,
-                66335,
-                Some([744, 444, 1513, 2, 480, 205, 172, 2184, 1434]),
-                vec![0xDE2663A016E613F9],
+                55017,
+                Some([744, 444, 1513, 2, 480, 205, 172, 1389, 639]),
+                vec![0xD5057F60D8568A44],
             ),
-            0xCC29A8869C4F0DF0,
+            0xD689B01671332C82,
         ),
         row(
             "sharded/sequential/bottom-k",

@@ -1,10 +1,13 @@
 //! Corrupt checkpoints restore to a state or a typed error: never a panic,
 //! and never an allocation larger than a capped reserve can ask for.
 //!
-//! A pass-boundary `TwoPassTriangle` checkpoint, `ShardedTriangle`
-//! checkpoints at its pass-1 and pass-2 boundaries, a shard-worker payload
-//! read through `decode_shard_payload`, and a `PairWatcher` save are cut
-//! at every offset and have each of their bits flipped in turn. Every
+//! A pass-boundary `TwoPassTriangle` checkpoint, the same boundary as an
+//! earlier build saved it (its watcher also holds the records' edges,
+//! which restore unwatches), its checkpoint after pass 2, whose records
+//! watch their edges, `ShardedTriangle` checkpoints at its pass-1
+//! and pass-2 boundaries, a shard-worker payload read through
+//! `decode_shard_payload`, and a `PairWatcher` save are cut at every
+//! offset and have each of their bits flipped in turn. Every
 //! restore must return `Ok` or an `io::Error` of kind `InvalidData` or
 //! `UnexpectedEof`, and a cut input must be refused. A flipped estimator
 //! state that restores is run on through its remaining passes and
@@ -26,7 +29,7 @@ use adjstream_core::triangle::{
     ShardedTriangle, ShardedTriangleConfig, TwoPassTriangle, TwoPassTriangleConfig,
 };
 use adjstream_graph::{gen, VertexId};
-use adjstream_stream::checkpoint::Checkpoint;
+use adjstream_stream::checkpoint::{write_u32, write_u64, write_usize, Checkpoint};
 use adjstream_stream::meter::PeakTracker;
 use adjstream_stream::runner::{drive_pass_slice, MultiPassAlgorithm};
 use adjstream_stream::shard::{
@@ -170,19 +173,27 @@ fn items() -> Vec<StreamItem> {
     AdjListStream::new(&g, StreamOrder::shuffled(g.vertex_count(), 5)).collect_items()
 }
 
-/// A pass-0 boundary checkpoint of the two-pass counter over `items`: a
-/// full bottom-k sample that evicted and a saturated pair subsample.
-fn two_pass_blob(items: &[StreamItem]) -> Vec<u8> {
+/// The two-pass counter's checkpoints after each of its passes over
+/// `items`: a full bottom-k sample that evicted and a saturated pair
+/// subsample, and then records that watch their edges.
+fn two_pass_blobs(items: &[StreamItem]) -> [Vec<u8>; 2] {
     let mut algo = TwoPassTriangle::new(TwoPassTriangleConfig {
         seed: 7,
         edge_sampling: EdgeSampling::BottomK { k: 24 },
         pair_capacity: 8,
     });
-    drive_pass_slice(&mut algo, 0, items, &mut PeakTracker::new(), &mut 0).expect("pass 0");
-    let mut blob = Vec::new();
-    algo.save(&mut blob).expect("save");
-    blob
+    std::array::from_fn(|pass| {
+        drive_pass_slice(&mut algo, pass, items, &mut PeakTracker::new(), &mut 0).expect("pass");
+        let mut blob = Vec::new();
+        algo.save(&mut blob).expect("save");
+        blob
+    })
 }
+
+/// The first of [`two_pass_blobs`] as the build before records watched
+/// from pass 2 on saved it: its watcher holds each record's three edges
+/// beside `S`.
+const OLDER_TWO_PASS_BLOB: &[u8] = include_bytes!("fixtures/two_pass_small_pass0.ckpt");
 
 /// A smaller stream for the sharded counter, which runs up to two passes
 /// after each restore.
@@ -250,12 +261,28 @@ fn corrupt_checkpoints_restore_to_a_state_or_a_typed_error() {
         drive_pass_slice(&mut algo, 1, &items, &mut PeakTracker::new(), &mut 0).expect("pass 1");
         algo.finish();
     };
-    let blob = two_pass_blob(&items);
+    let [blob, last] = two_pass_blobs(&items);
     let restored = corrupt_every_way("two-pass", &blob, restore_as, resume);
     assert!(
         restored > 0,
         "some flipped checkpoints must restore and resume"
     );
+    let name = "two-pass after pass 2";
+    let finish = |algo: TwoPassTriangle| {
+        algo.finish();
+    };
+    let restored = corrupt_every_way(name, &last, restore_as, finish);
+    assert!(restored > 0, "{name}: some flipped checkpoints must finish");
+    // The earlier build's payload restores to a state that saves as many
+    // bytes as this build's own: restore drops the record watches.
+    let older: TwoPassTriangle = restore_as(OLDER_TWO_PASS_BLOB).expect("the older payload");
+    let mut resaved = Vec::new();
+    older.save(&mut resaved).expect("save");
+    assert_eq!(resaved.len(), blob.len());
+    assert!(resaved.len() < OLDER_TWO_PASS_BLOB.len());
+    let name = "two-pass, earlier build";
+    let restored = corrupt_every_way(name, OLDER_TWO_PASS_BLOB, restore_as, resume);
+    assert!(restored > 0, "{name}: some flipped checkpoints must resume");
 
     let items = sharded_items();
     let boundaries = sharded_blobs(&items);
@@ -284,4 +311,24 @@ fn corrupt_checkpoints_restore_to_a_state_or_a_typed_error() {
     assert!(restored > 0, "some flipped payloads must decode");
 
     corrupt_every_way("watcher", &watcher_blob(), restore_as::<PairWatcher>, drop);
+
+    // A watcher payload that lists one pair twice, each time with one
+    // watch, and the pair once under each endpoint.
+    let key = (1u64 << 32) | 2;
+    let mut twice = Vec::new();
+    write_usize(&mut twice, 2).unwrap();
+    for _ in 0..2 {
+        write_u64(&mut twice, key).unwrap();
+        write_u32(&mut twice, 1).unwrap();
+    }
+    write_usize(&mut twice, 2).unwrap();
+    for vertex in [1, 2] {
+        write_u32(&mut twice, vertex).unwrap();
+        write_usize(&mut twice, 1).unwrap();
+        write_u64(&mut twice, key).unwrap();
+    }
+    write_u64(&mut twice, 2).unwrap();
+    write_u64(&mut twice, 0).unwrap();
+    let err = restore_as::<PairWatcher>(&twice).expect_err("a repeated pair");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 }

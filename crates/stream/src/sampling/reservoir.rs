@@ -266,6 +266,19 @@ impl<T> Reservoir<T> {
         }
     }
 
+    /// Drop the tombstones, the index over them and the store's spare
+    /// capacity, as [`Reservoir::from_parts`] would build the reservoir
+    /// from its live entries. `moved(pos, item)` is called with the new
+    /// position of every live entry, in order.
+    pub fn shrink_to_fit(&mut self, mut moved: impl FnMut(usize, &T)) {
+        self.compact();
+        self.index = LiveIndex::default();
+        self.items.shrink_to_fit();
+        for (pos, item) in self.items.iter().enumerate() {
+            moved(pos, item);
+        }
+    }
+
     /// The sampled items, in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         let index = &self.index;
@@ -402,6 +415,33 @@ mod tests {
         assert_eq!(moved, [(0, 2), (1, 4), (2, 6)]);
         assert_eq!(r.position(2), 2);
         assert_eq!(r.into_items(), [2, 4, 6]);
+    }
+
+    /// A reservoir with tombstones, shrunk, holds and meters what one
+    /// built from its parts does, reports every live entry's new
+    /// position, and makes the same later draws.
+    #[test]
+    fn shrink_to_fit_matches_from_parts() {
+        let mut r: Reservoir<u64> = Reservoir::new(5, 12);
+        for x in 0..30 {
+            r.offer(x);
+        }
+        for pos in [9, 4, 2] {
+            r.remove(pos, |_, _| {});
+        }
+        let (capacity, seen, rng) = r.to_parts();
+        let mut live: Vec<u64> = r.iter().copied().collect();
+        live.shrink_to_fit();
+        let mut built = Reservoir::from_parts(capacity, seen, rng, live);
+        let mut moved = Vec::new();
+        r.shrink_to_fit(|pos, &x| moved.push((pos, x)));
+        let want: Vec<(usize, u64)> = built.iter().copied().enumerate().collect();
+        assert_eq!(moved, want);
+        assert_eq!(r.space_bytes(), built.space_bytes());
+        for x in 30..60 {
+            assert_eq!(r.offer(x), built.offer(x));
+            assert_eq!(r.space_bytes(), built.space_bytes());
+        }
     }
 
     /// Algorithm R over a dense `Vec`, purged with `retain`: the reservoir
