@@ -194,15 +194,6 @@ struct PairIndex {
 const MIN_BUCKETS: usize = 8;
 
 impl PairIndex {
-    /// An index that holds `n` pairs before it grows.
-    fn with_capacity(n: usize) -> Self {
-        let mut index = PairIndex::default();
-        if n > 0 {
-            index.buckets = vec![NO_SLOT; buckets_for(n)];
-        }
-        index
-    }
-
     /// The bucket where the probe for `key` starts.
     fn home(&self, key: u64) -> usize {
         use std::hash::BuildHasher;
@@ -232,7 +223,7 @@ impl PairIndex {
 
     /// Add `slot`, whose pair the index does not hold yet.
     fn insert(&mut self, slot: u32, slots: &[Watched]) {
-        if self.buckets.len() < buckets_for(self.len + 1) {
+        if (self.len + 1) * 4 > self.buckets.len() * 3 {
             self.grow(slots);
         }
         self.place(slot, slots);
@@ -258,12 +249,10 @@ impl PairIndex {
         }
     }
 
-    /// Remove `key`'s slot and return it. Each later entry of the probe
-    /// run moves back into the gap if its home bucket allows, so every
+    /// Empty the full bucket `found`. Each later entry of the probe run
+    /// moves back into the gap if its home bucket allows, so every
     /// remaining key stays reachable from its home.
-    fn remove(&mut self, key: u64, slots: &[Watched]) -> Option<u32> {
-        let found = self.bucket(key, slots)?;
-        let slot = self.buckets[found];
+    fn remove(&mut self, found: usize, slots: &[Watched]) {
         let mask = self.buckets.len() - 1;
         let (mut hole, mut i) = (found, found);
         loop {
@@ -281,17 +270,7 @@ impl PairIndex {
         }
         self.buckets[hole] = NO_SLOT;
         self.len -= 1;
-        Some(slot)
     }
-}
-
-/// Buckets for `n` pairs: the least power of two that `n` fills to at
-/// most 3/4, and at least [`MIN_BUCKETS`].
-fn buckets_for(n: usize) -> usize {
-    n.div_ceil(3)
-        .saturating_mul(4)
-        .next_power_of_two()
-        .max(MIN_BUCKETS)
 }
 
 /// Pack an unordered vertex pair (canonical ascending).
@@ -417,17 +396,18 @@ impl PairWatcher {
     pub fn unwatch(&mut self, a: VertexId, b: VertexId) {
         self.watches_retired += 1;
         let key = pack_pair(a, b);
-        let slot = self
+        let bucket = self
             .index
-            .get(key, &self.slots)
+            .bucket(key, &self.slots)
             .expect("unwatch of unwatched pair");
+        let slot = self.index.buckets[bucket];
         let watched = &mut self.slots[slot as usize];
         watched.refs -= 1;
         if watched.refs == 0 {
             let (lo, hi) = (watched.lo, watched.hi);
             // The index reads the pair from its slot, so it lets go of the
             // slot before the free chain takes it.
-            self.index.remove(key, &self.slots);
+            self.index.remove(bucket, &self.slots);
             self.slots[slot as usize].lo = self.free_head.replace(slot).unwrap_or(NO_SLOT);
             self.remove_incident(lo, slot);
             self.remove_incident(hi, slot);
@@ -460,7 +440,7 @@ impl PairWatcher {
         self.epochs = vec![u32::MAX; old.len()];
         self.epoch = 0;
         self.free_head = None;
-        self.index = PairIndex::with_capacity(old.len());
+        self.index = PairIndex::default();
         for slot in 0..old.len() as u32 {
             self.index.insert(slot, &self.slots);
         }
@@ -630,7 +610,7 @@ impl Checkpoint for PairWatcher {
         // Reserved as one 16-byte slot and epoch, so `slots` and `epochs`
         // share one capacity.
         let mut slots = Vec::with_capacity(seq_reserve::<(Watched, u32)>(n));
-        let mut index = PairIndex::with_capacity(slots.capacity());
+        let mut index = PairIndex::default();
         for _ in 0..n {
             let key = read_u64(r)?;
             let refs = read_u32(r)?;
@@ -1016,7 +996,9 @@ mod tests {
             let key = universe[(rng.next_u64() % universe.len() as u64) as usize];
             match model.get(&key) {
                 Some(&slot) if !rng.next_u64().is_multiple_of(3) => {
-                    assert_eq!(index.remove(key, &slots), Some(slot), "step {step}");
+                    let bucket = index.bucket(key, &slots).expect("indexed");
+                    assert_eq!(index.buckets[bucket], slot, "step {step}");
+                    index.remove(bucket, &slots);
                     model.remove(&key);
                     slots[slot as usize].refs = 0;
                     free.push(slot);
@@ -1048,7 +1030,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(index.remove(pack_pair(v(1000), v(1001)), &slots), None);
+        assert_eq!(index.bucket(pack_pair(v(1000), v(1001)), &slots), None);
     }
 
     /// A compacted watcher and the compacted restore of its save have the

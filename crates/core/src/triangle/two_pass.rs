@@ -201,7 +201,7 @@ impl<K: Copy + Eq + Hash> SlotRefs<K> {
 }
 
 /// Per-sampled-edge bookkeeping, held at the watcher slot of the edge.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct EdgeInfo {
     /// Arrival index of the list in which the edge first appeared (and was
     /// sampled); [`NOT_SAMPLED`]'s for a slot that holds no edge of `S`.
