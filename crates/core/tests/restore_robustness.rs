@@ -329,6 +329,7 @@ fn corrupt_checkpoints_restore_to_a_state_or_a_typed_error() {
     }
     write_u64(&mut twice, 2).unwrap();
     write_u64(&mut twice, 0).unwrap();
-    let err = restore_as::<PairWatcher>(&twice).expect_err("a repeated pair");
+    let what = "watcher with a repeated pair";
+    let err = restore(&twice, what, restore_as::<PairWatcher>).expect_err(what);
     assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 }
